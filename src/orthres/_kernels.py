@@ -1,171 +1,57 @@
 """Hot per-level kernels over the flat edge arrays of a tree.
 
-Two interchangeable implementations are provided: numba-compiled loops and a
-pure-numpy path built on ``np.add.reduceat``.  The numpy path is selected by
-setting ``ORTHRES_DISABLE_NUMBA=1`` (or automatically when numba is absent).
-All kernels assume nodes are level-ordered and that every node in the
-requested ``[lo, hi)`` range is non-terminal, so edge segments are contiguous
-and non-empty.
+Each kernel is one pass of ``np.add.reduceat`` over the edge segments of the
+nodes in ``[lo, hi)``.  All kernels assume nodes are level-ordered and that
+every node in the requested range is non-terminal, so edge segments are
+contiguous and non-empty.  ``tests/test_kernels.py`` keeps per-node loop
+versions as the reference.
 
 Only the scalar-martingale (d = 1) projections are kernelized; general-d
 paths stay in numpy at the call sites since they only run on small trees.
 """
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("ORTHRES_DISABLE_NUMBA", "0").lower() in ("1", "true", "yes")
-
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
+# There is no compiled path; perfbench/worker.py records this flag with
+# each measurement.
+NUMBA_ENABLED = False
 
 
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compilable)
-# ---------------------------------------------------------------------------
+def _segments(tree, lo, hi):
+    base = tree.estart[lo]
+    return slice(base, tree.estart[hi]), tree.estart[lo:hi] - base
 
-def _backward_expect_loop(estart, echild, eprob, vals, lo, hi, out):
-    for i in range(lo, hi):
-        s = 0.0
-        for e in range(estart[i], estart[i + 1]):
-            s += eprob[e] * vals[echild[e]]
-        out[i - lo] = s
-
-
-def _level_moments_d1_loop(estart, echild, eprob, m, y, lo, hi, ey, m1, s2):
-    for i in range(lo, hi):
-        e0, e1 = estart[i], estart[i + 1]
-        acc = 0.0
-        for e in range(e0, e1):
-            acc += eprob[e] * y[echild[e]]
-        ey[i - lo] = acc
-        a1 = 0.0
-        a2 = 0.0
-        mi = m[i]
-        for e in range(e0, e1):
-            dm = m[echild[e]] - mi
-            dy = y[echild[e]] - acc
-            a1 += eprob[e] * dm * dy
-            a2 += eprob[e] * dm * dm
-        m1[i - lo] = a1
-        s2[i - lo] = a2
-
-
-def _edge_residuals_d1_loop(estart, echild, eprob, m, y, ey, z, lo, hi, dn, res):
-    for i in range(lo, hi):
-        mi = m[i]
-        acc = 0.0
-        for e in range(estart[i], estart[i + 1]):
-            d = y[echild[e]] - ey[i - lo] - z[i - lo] * (m[echild[e]] - mi)
-            dn[e] = d
-            acc += eprob[e] * d * d
-        res[i - lo] = acc
-
-
-def _weighted_child_sum_loop(estart, echild, eprob, w, vals, lo, hi, out):
-    # out[i] = sum_e prob[e] * w[e] * vals[child[e]]  (reweighted expectation)
-    for i in range(lo, hi):
-        s = 0.0
-        for e in range(estart[i], estart[i + 1]):
-            s += eprob[e] * w[e] * vals[echild[e]]
-        out[i - lo] = s
-
-
-if NUMBA_ENABLED:
-    _backward_expect_impl = njit(cache=True)(_backward_expect_loop)
-    _level_moments_d1_impl = njit(cache=True)(_level_moments_d1_loop)
-    _edge_residuals_d1_impl = njit(cache=True)(_edge_residuals_d1_loop)
-    _weighted_child_sum_impl = njit(cache=True)(_weighted_child_sum_loop)
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback implementations
-# ---------------------------------------------------------------------------
-
-def _segments(estart, lo, hi):
-    base = estart[lo]
-    return slice(base, estart[hi]), estart[lo:hi] - base
-
-
-def _backward_expect_np(estart, echild, eprob, vals, lo, hi, out):
-    sl, idx = _segments(estart, lo, hi)
-    out[:] = np.add.reduceat(eprob[sl] * vals[echild[sl]], idx)
-
-
-def _level_moments_d1_np(estart, echild, eprob, m, y, lo, hi, ey, m1, s2):
-    sl, idx = _segments(estart, lo, hi)
-    p = eprob[sl]
-    yc = y[echild[sl]]
-    ey[:] = np.add.reduceat(p * yc, idx)
-    parent = np.repeat(np.arange(lo, hi), np.diff(estart[lo:hi + 1]))
-    dm = m[echild[sl]] - m[parent]
-    dy = yc - ey[parent - lo]
-    m1[:] = np.add.reduceat(p * dm * dy, idx)
-    s2[:] = np.add.reduceat(p * dm * dm, idx)
-
-
-def _edge_residuals_d1_np(estart, echild, eprob, m, y, ey, z, lo, hi, dn, res):
-    sl, idx = _segments(estart, lo, hi)
-    parent = np.repeat(np.arange(lo, hi), np.diff(estart[lo:hi + 1]))
-    dm = m[echild[sl]] - m[parent]
-    d = y[echild[sl]] - ey[parent - lo] - z[parent - lo] * dm
-    dn[sl] = d
-    res[:] = np.add.reduceat(eprob[sl] * d * d, idx)
-
-
-def _weighted_child_sum_np(estart, echild, eprob, w, vals, lo, hi, out):
-    sl, idx = _segments(estart, lo, hi)
-    out[:] = np.add.reduceat(eprob[sl] * w[sl] * vals[echild[sl]], idx)
-
-
-if not NUMBA_ENABLED:
-    _backward_expect_impl = _backward_expect_np
-    _level_moments_d1_impl = _level_moments_d1_np
-    _edge_residuals_d1_impl = _edge_residuals_d1_np
-    _weighted_child_sum_impl = _weighted_child_sum_np
-
-
-# ---------------------------------------------------------------------------
-# public wrappers
-# ---------------------------------------------------------------------------
 
 def backward_expect(tree, vals, lo, hi):
     """E[vals at children | node] for each node id in [lo, hi)."""
-    out = np.empty(hi - lo)
-    _backward_expect_impl(tree.estart, tree.echild, tree.eprob, vals, lo, hi, out)
-    return out
+    sl, idx = _segments(tree, lo, hi)
+    return np.add.reduceat(tree.eprob[sl] * vals[tree.echild[sl]], idx)
 
 
 def level_moments_d1(tree, m, y, lo, hi):
     """One-step conditional moments (E[y'], E[dy dm], E[dm^2]) per node."""
-    n = hi - lo
-    ey = np.empty(n)
-    m1 = np.empty(n)
-    s2 = np.empty(n)
-    _level_moments_d1_impl(tree.estart, tree.echild, tree.eprob, m, y, lo, hi,
-                           ey, m1, s2)
-    return ey, m1, s2
+    sl, idx = _segments(tree, lo, hi)
+    p = tree.eprob[sl]
+    parent = tree.eparent[sl]
+    yc = y[tree.echild[sl]]
+    ey = np.add.reduceat(p * yc, idx)
+    dm = m[tree.echild[sl]] - m[parent]
+    dy = yc - ey[parent - lo]
+    return (ey, np.add.reduceat(p * dm * dy, idx),
+            np.add.reduceat(p * dm * dm, idx))
 
 
 def edge_residuals_d1(tree, m, y, ey, z, lo, hi, dn):
     """Fill per-edge dn = dy - z*dm and return E[dn^2 | node] per node."""
-    res = np.empty(hi - lo)
-    _edge_residuals_d1_impl(tree.estart, tree.echild, tree.eprob, m, y, ey, z,
-                            lo, hi, dn, res)
-    return res
+    sl, idx = _segments(tree, lo, hi)
+    parent = tree.eparent[sl]
+    dm = m[tree.echild[sl]] - m[parent]
+    d = y[tree.echild[sl]] - ey[parent - lo] - z[parent - lo] * dm
+    dn[sl] = d
+    return np.add.reduceat(tree.eprob[sl] * d * d, idx)
 
 
 def weighted_child_sum(tree, w, vals, lo, hi):
     """Reweighted one-step expectation sum_e p_e w_e vals[child_e] per node."""
-    out = np.empty(hi - lo)
-    _weighted_child_sum_impl(tree.estart, tree.echild, tree.eprob, w, vals,
-                             lo, hi, out)
-    return out
+    sl, idx = _segments(tree, lo, hi)
+    return np.add.reduceat(tree.eprob[sl] * w[sl] * vals[tree.echild[sl]], idx)

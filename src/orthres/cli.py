@@ -29,7 +29,7 @@ from .mollify import (CATALOG as TERMINAL_CATALOG,
 from .errors import ConfigError, OrthresError, NodeCapExceeded
 from .ftree import predictable_bracket
 from .gkw import residual_sweep
-from .models import KINDS, ModelConfig, build, node_cap
+from .models import KINDS, ModelConfig, build, estimate_nodes, node_cap
 
 EXPERIMENTS = ("residual_sweep", "vanishing_N", "dual_check", "cascade",
                "comparison_campaign", "mollify_sweep", "regularity_scan")
@@ -92,6 +92,39 @@ NEEDS = {
 }
 
 
+def _number(value, name, cast=float):
+    """``cast(value)``, or a ConfigError naming the field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _object(raw, name):
+    """The optional JSON object ``name``; its ``params`` must be one too."""
+    block = raw.get(name)
+    if block is not None and not (isinstance(block, dict) and isinstance(
+            block.get("params", {}), dict)):
+        raise ConfigError(f"{name} must be an object with a params object")
+    return block
+
+
+def _scan_grid(cfg):
+    """(t_idx, m_lo, m_hi, m_count) of a regularity scan, from tolerances."""
+    tol = cfg.tolerances
+    t_idx = _number(tol.get("t_idx", 0), "t_idx", int)
+    lo = _number(tol.get("m_lo", -1.0), "m_lo")
+    hi = _number(tol.get("m_hi", 1.0), "m_hi")
+    count = _number(tol.get("m_count", 21), "m_count", int)
+    if not 0 <= t_idx < cfg.model.K:
+        raise ConfigError(f"t_idx must lie in [0, K) = [0, {cfg.model.K}), "
+                          f"got {t_idx}")
+    if count < 2 or not -math.inf < lo < hi < math.inf:
+        raise ConfigError("regularity_scan needs m_count >= 2 and finite "
+                          "m_lo < m_hi")
+    return t_idx, lo, hi, count
+
+
 def parse_config(raw):
     """Validate a decoded JSON dict into an ExperimentConfig."""
     if not isinstance(raw, dict):
@@ -100,15 +133,16 @@ def parse_config(raw):
     if exp not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                           f"got {exp!r}")
-    mraw = raw.get("model")
-    if not isinstance(mraw, dict) or "kind" not in mraw:
+    mraw = _object(raw, "model")
+    if mraw is None or "kind" not in mraw:
         raise ConfigError("config needs a model object with a kind")
     if mraw["kind"] not in KINDS:
         raise ConfigError(f"unknown model kind {mraw['kind']!r}")
     try:
-        model = ModelConfig(kind=mraw["kind"], K=int(mraw.get("K", 8)),
-                            d=int(mraw.get("d", 1)),
-                            T=float(mraw.get("T", 1.0)),
+        model = ModelConfig(kind=mraw["kind"],
+                            K=_number(mraw.get("K", 8), "K", int),
+                            d=_number(mraw.get("d", 1), "d", int),
+                            T=_number(mraw.get("T", 1.0), "T"),
                             params=dict(mraw.get("params", {})))
     except OrthresError as e:
         raise ConfigError(str(e))
@@ -118,23 +152,23 @@ def parse_config(raw):
 
     cfg = ExperimentConfig(experiment=exp, model=model, output=output,
                            raw=raw)
-    fr = raw.get("F")
+    fr = _object(raw, "F")
     if fr is not None:
         cfg.F_id = fr.get("id")
         cfg.F_params = dict(fr.get("params", {}))
         if cfg.F_id not in TERMINAL_CATALOG:
             raise ConfigError(f"unknown terminal map id {cfg.F_id!r}")
-    dr = raw.get("driver")
+    dr = _object(raw, "driver")
     if dr is not None:
         cfg.driver_id = dr.get("id")
         cfg.driver_params = dict(dr.get("params", {}))
         if cfg.driver_id not in bsde.DRIVER_CATALOG:
             raise ConfigError(f"unknown driver id {cfg.driver_id!r}")
-    cr = raw.get("coeffs")
+    cr = _object(raw, "coeffs")
     if cr is not None:
         cfg.coeffs_id = cr.get("id")
         cfg.coeffs_params = dict(cr.get("params", {}))
-        cfg.x0 = float(cr.get("x0", 0.0))
+        cfg.x0 = _number(cr.get("x0", 0.0), "x0")
         if cfg.coeffs_id not in forward.CATALOG:
             raise ConfigError(f"unknown coefficient id {cfg.coeffs_id!r}")
     for name in ("K_list", "eps_list", "p_list", "n_list"):
@@ -143,11 +177,16 @@ def parse_config(raw):
                 not isinstance(v, (int, float)) or v <= 0 for v in vals):
             raise ConfigError(f"{name} must be a list of positive numbers")
         setattr(cfg, name, list(vals))
-    cfg.seed = int(raw.get("seed", 0))
-    cfg.seeds = int(raw.get("seeds", 100))
+    cfg.seed = _number(raw.get("seed", 0), "seed", int)
+    cfg.seeds = _number(raw.get("seeds", 100), "seeds", int)
     if cfg.seeds < 1:
         raise ConfigError("seeds must be >= 1")
-    cfg.tolerances = dict(raw.get("tolerances", {}))
+    tol = raw.get("tolerances", {})
+    if not isinstance(tol, dict):
+        raise ConfigError("tolerances must be an object")
+    cfg.tolerances = dict(tol)
+    if exp == "regularity_scan":
+        _scan_grid(cfg)
 
     for need in NEEDS[exp]:
         block = {"F": cfg.F_id, "driver": cfg.driver_id}.get(
@@ -175,33 +214,8 @@ def load_config(path):
 
 
 # ---------------------------------------------------------------------------
-# node-count estimates (pre-flight)
+# pre-flight
 # ---------------------------------------------------------------------------
-
-def estimate_nodes(kind, K, params=None):
-    """Upper estimate of the node count for one built model."""
-    params = params or {}
-    recomb = bool(params.get("recombine", True))
-    if kind == "binary":
-        return (K + 1) * (K + 2) // 2 if recomb else 2 ** (K + 1) - 1
-    if kind == "trinomial":
-        return (K + 1) ** 2 if recomb else (3 ** (K + 1) - 1) // 2
-    if kind == "compensated_jump":
-        one_sided = float(params.get("lam_down",
-                                     params.get("lam", 2.0))) == 0.0
-        if not recomb:
-            base = 2 if one_sided else 3
-            return (base ** (K + 1) - 1) // (base - 1)
-        if one_sided:
-            return (K + 1) * (K + 2) // 2
-        return (K + 1) * (K + 2) * (K + 3) // 6
-    if kind == "time_changed":
-        # merging is value-driven; report the no-merge upper bound
-        return 2 ** (K + 1) - 1
-    if kind == "product_noise":
-        return (4 ** (K + 1) - 1) // 3
-    raise ConfigError(f"unknown model kind {kind!r}")
-
 
 def preflight(cfg):
     """Per-sweep-point node estimates; raises NodeCapExceeded over the cap."""
@@ -403,7 +417,7 @@ def _run_comparison_campaign(cfg):
     clock = predictable_bracket(tree, M)
     lo, hi = tree.level_slice(tree.K)
     mterm = M.scalar[lo:hi]
-    tol = float(cfg.tolerances.get("tol_cmp", 1e-11))
+    tol = _number(cfg.tolerances.get("tol_cmp", 1e-11), "tol_cmp")
     rows = []
     worst = 0.0
     for i in range(cfg.seeds):
@@ -432,9 +446,10 @@ def _run_mollify_sweep(cfg):
     F = cfg.terminal_map()
     built = build(cfg.model)
     tree, M = built.tree, built.M
-    scan_lo = float(cfg.tolerances.get("scan_lo", -2.0))
-    scan_hi = float(cfg.tolerances.get("scan_hi", 2.0))
-    spacing = float(cfg.tolerances.get("scan_spacing", 1e-4))
+    scan_lo = _number(cfg.tolerances.get("scan_lo", -2.0), "scan_lo")
+    scan_hi = _number(cfg.tolerances.get("scan_hi", 2.0), "scan_hi")
+    spacing = _number(cfg.tolerances.get("scan_spacing", 1e-4),
+                      "scan_spacing")
     rows, curves = [], {"lipschitz_vs_eps": [], "l2_gap_vs_eps": []}
     for eps in cfg.eps_list:
         def point():
@@ -461,10 +476,7 @@ def _run_regularity_scan(cfg):
     F = cfg.terminal_map()
     driver = cfg.driver()
     coeffs = cfg.coeffs()
-    t_idx = int(cfg.tolerances.get("t_idx", 0))
-    lo = float(cfg.tolerances.get("m_lo", -1.0))
-    hi = float(cfg.tolerances.get("m_hi", 1.0))
-    count = int(cfg.tolerances.get("m_count", 21))
+    t_idx, lo, hi, count = _scan_grid(cfg)
     m_grid = np.linspace(lo, hi, count)
 
     def point():

@@ -26,7 +26,6 @@ class GkwResult:
     dN: np.ndarray                     # per edge
     N: AdaptedProcess                  # running sum; None on recombining lattices
     bracketNN_T: float                 # realized E[[N]_T]
-    bracketNN_T_predictable: float     # via conditional variances (equal in expectation)
     level_profile: np.ndarray          # residual contribution per step
     Y0: float
 
@@ -91,7 +90,6 @@ def gkw_decompose(tree, M, Y, martingale_tol=1e-9):
         dN=dn,
         N=N,
         bracketNN_T=total,
-        bracketNN_T_predictable=total,
         level_profile=profile,
         Y0=float(Y.values[0, 0]),
     )

@@ -4,6 +4,11 @@ product model, and a compensated-jump counterexample.
 All builders calibrate to unit-diffusion scale by default: per-step variance
 T/K for the continuous-limit kinds.  Models whose filtration equals
 sigma(M) recombine into lattices; the product model keeps the full tree.
+
+``binary``, ``trinomial`` and ``compensated_jump`` take fixed integer moves
+and share one vectorised ``_lattice_walk``, sized by ``estimate_nodes``.
+``time_changed`` merges states by float value and ``product_noise`` grows a
+full tree, so both build edge by edge through ``TreeBuilder``.
 """
 
 import os
@@ -11,13 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError, NodeCapExceeded
-from .ftree import AdaptedProcess, TimeGrid, TreeBuilder, is_martingale
+from .errors import InvariantViolation, ModelError, NodeCapExceeded
+from .ftree import (AdaptedProcess, ScenarioTree, TimeGrid, TreeBuilder,
+                    is_martingale)
 
 DEFAULT_NODE_CAP = 5_000_000
 
 KINDS = ("binary", "trinomial", "time_changed", "product_noise",
          "compensated_jump")
+
+# Builder parameters read as floats; ``recombine`` is read as a bool.
+FLOAT_PARAMS = ("h", "p", "lam", "jump", "lam_down", "jump_down", "kappa",
+                "h_cap")
 
 
 def node_cap():
@@ -42,6 +52,12 @@ class ModelConfig:
                              "martingales are constructed by hand in tests")
         if self.T <= 0:
             raise ModelError("T must be positive")
+        for name in FLOAT_PARAMS:
+            try:
+                float(self.params.get(name, 0.0))
+            except (TypeError, ValueError):
+                raise ModelError(f"model param {name!r} must be a number, "
+                                 f"got {self.params[name]!r}")
 
 
 @dataclass
@@ -68,57 +84,106 @@ def _check_cap(builder):
         raise NodeCapExceeded(builder.n_nodes, node_cap())
 
 
+def estimate_nodes(kind, K, params=None):
+    """Node count of one built model: exact for the fixed-move lattices,
+    an upper bound for ``time_changed`` and ``product_noise``."""
+    params = params or {}
+    recomb = bool(params.get("recombine", True))
+    if kind == "binary":
+        return (K + 1) * (K + 2) // 2 if recomb else 2 ** (K + 1) - 1
+    if kind == "trinomial":
+        return (K + 1) ** 2 if recomb else (3 ** (K + 1) - 1) // 2
+    if kind == "compensated_jump":
+        one_sided = float(params.get("lam_down",
+                                     params.get("lam", 2.0))) == 0.0
+        if not recomb:
+            base = 2 if one_sided else 3
+            return (base ** (K + 1) - 1) // (base - 1)
+        if one_sided:
+            return (K + 1) * (K + 2) // 2
+        return (K + 1) * (K + 2) * (K + 3) // 6
+    if kind == "time_changed":
+        # merging is value-driven; report the no-merge upper bound
+        return 2 ** (K + 1) - 1
+    if kind == "product_noise":
+        return (4 ** (K + 1) - 1) // 3
+    raise ModelError(f"unknown model kind {kind!r}")
+
+
+def _lattice_walk(config, moves, probs, value):
+    """Build a fixed-move lattice level by level over integer states.
+
+    ``moves`` is an (n_moves, n_comp) table of steps in {-1, 0, 1} taken
+    with ``probs``; ``value(states, level)`` maps node states to M.  Children are
+    numbered in the order of their first appearance among the parent-major,
+    move-minor candidates, which is the order ``TreeBuilder.child`` gives;
+    with ``recombine`` off every candidate is a new node.  The arrays are
+    sized once from ``estimate_nodes``, which must match the filled count.
+    """
+    K = config.K
+    n = estimate_nodes(config.kind, K, config.params)
+    if n > node_cap():
+        raise NodeCapExceeded(n, node_cap())
+    recomb = bool(config.params.get("recombine", True))
+    moves = np.asarray(moves, dtype=np.int64)
+    n_edges = len(moves) * estimate_nodes(config.kind, K - 1, config.params)
+    states = np.zeros((n, moves.shape[1]), dtype=np.int64)
+    eparent = np.empty(n_edges, dtype=np.int64)
+    echild = np.empty(n_edges, dtype=np.int64)
+    eprob = np.empty(n_edges)
+    # states lie in [-K, K] per component, so this key is one-to-one
+    radix = (2 * K + 1) ** np.arange(moves.shape[1], dtype=np.int64)
+    level_start = [0, 1]
+    for k in range(K):
+        lo, hi = level_start[-2], level_start[-1]
+        e0, e1 = len(moves) * lo, len(moves) * hi
+        cand = (states[lo:hi, None, :] + moves).reshape(-1, moves.shape[1])
+        if recomb:
+            _, first, inverse = np.unique((cand + K) @ radix,
+                                          return_index=True,
+                                          return_inverse=True)
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            children, fresh = rank[inverse], cand[first[order]]
+        else:
+            children, fresh = np.arange(len(cand)), cand
+        if hi + len(fresh) > n or e1 > n_edges:
+            raise InvariantViolation(
+                f"{config.kind} lattice outgrew its estimate of {n} nodes")
+        eparent[e0:e1] = np.repeat(np.arange(lo, hi), len(moves))
+        echild[e0:e1] = hi + children
+        eprob[e0:e1] = np.tile(probs, hi - lo)
+        states[hi:hi + len(fresh)] = fresh
+        level_start.append(hi + len(fresh))
+    if level_start[-1] != n or len(moves) * level_start[-2] != n_edges:
+        raise InvariantViolation(
+            f"{config.kind} lattice filled {level_start[-1]} nodes, "
+            f"estimate is {n}")
+    tree = ScenarioTree(TimeGrid.uniform(K, config.T), 1, level_start,
+                        eparent, echild, eprob)
+    mvals = value(states, tree.node_level)
+    mvals[0] = 0.0      # a literal, as a negative step would give -0.0
+    return tree, _validated(tree, mvals)
+
+
 def build_binary(config):
     """Symmetric +-h walk; recombining lattice; h defaults to sqrt(T/K)."""
-    K, T = config.K, config.T
-    h = float(config.params.get("h", np.sqrt(T / K)))
+    h = float(config.params.get("h", np.sqrt(config.T / config.K)))
     if h <= 0:
         raise ModelError("h must be positive")
-    recomb = bool(config.params.get("recombine", True))
-    b = TreeBuilder(TimeGrid.uniform(K, T))
-    states = {0: 0}           # node id -> integer offset
-    mvals = [0.0]
-    for k in range(K):
-        b.begin_level()
-        nxt = {}
-        for nid, i in states.items():
-            for di in (-1, 1):
-                cid = b.child(nid, 0.5, key=i + di if recomb else None)
-                if cid == len(mvals):
-                    mvals.append((i + di) * h)
-                nxt[cid] = i + di
-        b.end_level()
-        _check_cap(b)
-        states = nxt
-    tree = b.build()
-    return tree, _validated(tree, np.array(mvals))
+    return _lattice_walk(config, [[-1], [1]], [0.5, 0.5],
+                         lambda s, level: s[:, 0] * h)
 
 
 def build_trinomial(config):
     """Steps (-h, 0, +h) with probabilities (p, 1-2p, p); lattice."""
-    K, T = config.K, config.T
     p = float(config.params.get("p", 0.25))
     if not 0 < p < 0.5:
         raise ModelError("trinomial branch probability must lie in (0, 1/2)")
-    h = float(config.params.get("h", np.sqrt(T / (2 * p * K))))
-    recomb = bool(config.params.get("recombine", True))
-    b = TreeBuilder(TimeGrid.uniform(K, T))
-    states = {0: 0}
-    mvals = [0.0]
-    for k in range(K):
-        b.begin_level()
-        nxt = {}
-        for nid, i in states.items():
-            for di, pr in ((-1, p), (0, 1 - 2 * p), (1, p)):
-                cid = b.child(nid, pr, key=i + di if recomb else None)
-                if cid == len(mvals):
-                    mvals.append((i + di) * h)
-                nxt[cid] = i + di
-        b.end_level()
-        _check_cap(b)
-        states = nxt
-    tree = b.build()
-    return tree, _validated(tree, np.array(mvals))
+    h = float(config.params.get("h", np.sqrt(config.T / (2 * p * config.K))))
+    return _lattice_walk(config, [[-1], [0], [1]], [p, 1 - 2 * p, p],
+                         lambda s, level: s[:, 0] * h)
 
 
 def build_compensated_jump(config):
@@ -131,43 +196,26 @@ def build_compensated_jump(config):
     lam_down = 0 this degenerates to the one-sided Bernoulli jump
     dM = (J - lam*dt)*jump, whose two-branch steps are representable exactly.
     The default two-sided walk branches three ways and carries a genuine
-    orthogonal component.
+    orthogonal component.  States count (up jumps, down jumps) so far.
     """
-    K, T = config.K, config.T
     lam = float(config.params.get("lam", 2.0))
     jump = float(config.params.get("jump", 1.0))
     lam_down = float(config.params.get("lam_down", lam))
     jump_down = float(config.params.get("jump_down", jump))
-    dt = T / K
+    dt = config.T / config.K
     if lam <= 0 or lam_down < 0:
         raise ModelError("need lam > 0 and lam_down >= 0")
     pu, pd = lam * dt, lam_down * dt
     if pu + pd >= 1:
         raise ModelError("need (lam + lam_down)*dt < 1")
     comp = (lam * jump - lam_down * jump_down) * dt
-    recomb = bool(config.params.get("recombine", True))
-    b = TreeBuilder(TimeGrid.uniform(K, T))
-    states = {0: (0, 0)}      # node id -> (up jumps, down jumps) so far
-    mvals = [0.0]
-    moves = [((1, 0), pu), ((0, 0), 1 - pu - pd)]
+    moves, probs = [[1, 0], [0, 0]], [pu, 1 - pu - pd]
     if pd > 0:
-        moves.append(((0, 1), pd))
-    for k in range(K):
-        b.begin_level()
-        nxt = {}
-        for nid, (nu, nd) in states.items():
-            for (du, dd), pr in moves:
-                s = (nu + du, nd + dd)
-                cid = b.child(nid, pr, key=s if recomb else None)
-                if cid == len(mvals):
-                    mvals.append(jump * s[0] - jump_down * s[1]
-                                 - (k + 1) * comp)
-                nxt[cid] = s
-        b.end_level()
-        _check_cap(b)
-        states = nxt
-    tree = b.build()
-    return tree, _validated(tree, np.array(mvals))
+        moves.append([0, 1])
+        probs.append(pd)
+    return _lattice_walk(
+        config, moves, probs,
+        lambda s, level: jump * s[:, 0] - jump_down * s[:, 1] - level * comp)
 
 
 def build_time_changed(config):

@@ -78,9 +78,30 @@ def test_estimate_nodes_formulas():
 
 # -- exit codes -------------------------------------------------------------
 
-def test_exit_3_on_malformed_config(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{oops")
+SCAN = {"experiment": "regularity_scan", "model": {"kind": "trinomial",
+                                                  "K": 4},
+        "driver": {"id": "pure_quadratic", "params": {"gamma": 1.0}}}
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(None, id="malformed_json"),
+    pytest.param({"model": {"kind": "trinomial", "K": "x"}}, id="K_not_int"),
+    pytest.param({"model": {"kind": "trinomial", "params": {"p": "abc"}}},
+                 id="param_not_number"),
+    pytest.param({"F": "sine"}, id="F_not_object"),
+    pytest.param({**SCAN, "tolerances": {"m_count": 1}}, id="scan_one_point"),
+    pytest.param({**SCAN, "tolerances": {"t_idx": 4}}, id="t_idx_at_K"),
+    pytest.param({**SCAN, "tolerances": {"t_idx": -1}}, id="t_idx_negative"),
+    pytest.param({"experiment": "mollify_sweep", "eps_list": [0.1],
+                  "tolerances": {"scan_spacing": "x"}},
+                 id="spacing_not_number"),
+])
+def test_exit_3_on_malformed_config(tmp_path, capsys, overrides):
+    if overrides is None:
+        path = tmp_path / "bad.json"
+        path.write_text("{oops")
+    else:
+        path, _ = write_cfg(tmp_path, **overrides)
     assert main(["run", str(path)]) == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and "\n" not in err

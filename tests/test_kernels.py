@@ -1,36 +1,68 @@
-"""Parity checks between the compiled kernels and the numpy fallback.
-
-Both implementations are importable regardless of the ORTHRES_DISABLE_NUMBA
-flag, so the suite can compare them in-process.
-"""
+"""The numpy kernels against per-node loop references kept here."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from orthres import _kernels
-from orthres._kernels import (NUMBA_ENABLED, _backward_expect_loop,
-                              _backward_expect_np, _edge_residuals_d1_loop,
-                              _edge_residuals_d1_np, _level_moments_d1_loop,
-                              _level_moments_d1_np, _weighted_child_sum_loop,
-                              _weighted_child_sum_np)
 from orthres.models import ModelConfig, build
 
 from conftest import random_full_tree
 
-LOOP = {
-    "backward_expect": _backward_expect_loop,
-    "level_moments_d1": _level_moments_d1_loop,
-    "edge_residuals_d1": _edge_residuals_d1_loop,
-    "weighted_child_sum": _weighted_child_sum_loop,
-}
-NUMPY = {
-    "backward_expect": _backward_expect_np,
-    "level_moments_d1": _level_moments_d1_np,
-    "edge_residuals_d1": _edge_residuals_d1_np,
-    "weighted_child_sum": _weighted_child_sum_np,
-}
-COMPILED = {name: getattr(_kernels, f"_{name}_impl") for name in LOOP}
+
+# ---------------------------------------------------------------------------
+# per-node loop references
+# ---------------------------------------------------------------------------
+
+def _backward_expect_loop(estart, echild, eprob, vals, lo, hi, out):
+    for i in range(lo, hi):
+        s = 0.0
+        for e in range(estart[i], estart[i + 1]):
+            s += eprob[e] * vals[echild[e]]
+        out[i - lo] = s
+
+
+def _level_moments_d1_loop(estart, echild, eprob, m, y, lo, hi, ey, m1, s2):
+    for i in range(lo, hi):
+        e0, e1 = estart[i], estart[i + 1]
+        acc = 0.0
+        for e in range(e0, e1):
+            acc += eprob[e] * y[echild[e]]
+        ey[i - lo] = acc
+        a1 = 0.0
+        a2 = 0.0
+        mi = m[i]
+        for e in range(e0, e1):
+            dm = m[echild[e]] - mi
+            dy = y[echild[e]] - acc
+            a1 += eprob[e] * dm * dy
+            a2 += eprob[e] * dm * dm
+        m1[i - lo] = a1
+        s2[i - lo] = a2
+
+
+def _edge_residuals_d1_loop(estart, echild, eprob, m, y, ey, z, lo, hi, dn, res):
+    for i in range(lo, hi):
+        mi = m[i]
+        acc = 0.0
+        for e in range(estart[i], estart[i + 1]):
+            d = y[echild[e]] - ey[i - lo] - z[i - lo] * (m[echild[e]] - mi)
+            dn[e] = d
+            acc += eprob[e] * d * d
+        res[i - lo] = acc
+
+
+def _weighted_child_sum_loop(estart, echild, eprob, w, vals, lo, hi, out):
+    # out[i] = sum_e prob[e] * w[e] * vals[child[e]]  (reweighted expectation)
+    for i in range(lo, hi):
+        s = 0.0
+        for e in range(estart[i], estart[i + 1]):
+            s += eprob[e] * w[e] * vals[echild[e]]
+        out[i - lo] = s
+
+
+KERNELS = ("backward_expect", "level_moments_d1", "edge_residuals_d1",
+           "weighted_child_sum")
 
 
 def cases(rng):
@@ -40,53 +72,61 @@ def cases(rng):
         yield random_full_tree(rng, K=4)
 
 
-def run_kernel(fn, name, tree, rng):
+def run_loop(name, tree, rng):
     lo, hi = tree.level_slice(rng.integers(0, tree.K))
     args = (tree.estart, tree.echild, tree.eprob)
     y = rng.normal(size=tree.n_nodes)
     m = rng.normal(size=tree.n_nodes)
     if name == "backward_expect":
         out = np.empty(hi - lo)
-        fn(*args, y, lo, hi, out)
+        _backward_expect_loop(*args, y, lo, hi, out)
         return (out,)
     if name == "level_moments_d1":
         ey, m1, s2 = (np.empty(hi - lo) for _ in range(3))
-        fn(*args, m, y, lo, hi, ey, m1, s2)
+        _level_moments_d1_loop(*args, m, y, lo, hi, ey, m1, s2)
         return ey, m1, s2
     if name == "edge_residuals_d1":
-        # feed both candidates the same ey/z, from the numpy reference
-        ey, m1, s2 = (np.empty(hi - lo) for _ in range(3))
-        _level_moments_d1_np(*args, m, y, lo, hi, ey, m1, s2)
+        # feed both sides the same ey/z, from the numpy kernel
+        ey, m1, s2 = _kernels.level_moments_d1(tree, m, y, lo, hi)
         z = m1 / np.maximum(s2, 1e-300)
         dn = np.zeros(len(tree.eprob))
         res = np.empty(hi - lo)
-        fn(*args, m, y, ey, z, lo, hi, dn, res)
+        _edge_residuals_d1_loop(*args, m, y, ey, z, lo, hi, dn, res)
         return dn, res
     if name == "weighted_child_sum":
         w = rng.uniform(0.5, 1.5, size=len(tree.eprob))
         out = np.empty(hi - lo)
-        fn(*args, w, y, lo, hi, out)
+        _weighted_child_sum_loop(*args, w, y, lo, hi, out)
         return (out,)
     raise KeyError(name)
 
 
-@pytest.mark.parametrize("name", sorted(LOOP))
+def run_numpy(name, tree, rng):
+    lo, hi = tree.level_slice(rng.integers(0, tree.K))
+    y = rng.normal(size=tree.n_nodes)
+    m = rng.normal(size=tree.n_nodes)
+    if name == "backward_expect":
+        return (_kernels.backward_expect(tree, y, lo, hi),)
+    if name == "level_moments_d1":
+        return _kernels.level_moments_d1(tree, m, y, lo, hi)
+    if name == "edge_residuals_d1":
+        ey, m1, s2 = _kernels.level_moments_d1(tree, m, y, lo, hi)
+        z = m1 / np.maximum(s2, 1e-300)
+        dn = np.zeros(len(tree.eprob))
+        res = _kernels.edge_residuals_d1(tree, m, y, ey, z, lo, hi, dn)
+        return dn, res
+    if name == "weighted_child_sum":
+        w = rng.uniform(0.5, 1.5, size=len(tree.eprob))
+        return (_kernels.weighted_child_sum(tree, w, y, lo, hi),)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", KERNELS)
 def test_loop_matches_numpy(name, rng):
     for tree in cases(rng):
         seed = int(rng.integers(1 << 31))
-        a = run_kernel(LOOP[name], name, tree, np.random.default_rng(seed))
-        b = run_kernel(NUMPY[name], name, tree, np.random.default_rng(seed))
-        for x, y in zip(a, b):
-            npt.assert_allclose(x, y, atol=1e-13)
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled or absent")
-@pytest.mark.parametrize("name", sorted(LOOP))
-def test_compiled_matches_numpy(name, rng):
-    for tree in cases(rng):
-        seed = int(rng.integers(1 << 31))
-        a = run_kernel(COMPILED[name], name, tree, np.random.default_rng(seed))
-        b = run_kernel(NUMPY[name], name, tree, np.random.default_rng(seed))
+        a = run_loop(name, tree, np.random.default_rng(seed))
+        b = run_numpy(name, tree, np.random.default_rng(seed))
         for x, y in zip(a, b):
             npt.assert_allclose(x, y, atol=1e-13)
 

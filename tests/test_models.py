@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orthres.errors import ModelError, NodeCapExceeded
-from orthres.ftree import is_martingale, predictable_bracket
-from orthres.models import ModelConfig, build, node_cap
+from orthres import models
+from orthres.errors import InvariantViolation, ModelError, NodeCapExceeded
+from orthres.ftree import (TimeGrid, TreeBuilder, is_martingale,
+                           predictable_bracket)
+from orthres.models import ModelConfig, build, estimate_nodes, node_cap
 
 
 def terminal_law(built):
@@ -135,3 +140,126 @@ def test_node_cap_enforced(monkeypatch):
         build(ModelConfig("product_noise", K=6))
     with pytest.raises(NodeCapExceeded):
         build(ModelConfig("binary", K=30, params={"recombine": False}))
+
+
+# -- the fixed-move lattice walk ------------------------------------------------
+
+def reference_lattice(config):
+    """Dict-driven TreeBuilder loop for the fixed-move lattices: the builders
+    as they were before the vectorised walk, kept as the reference."""
+    K, T, params = config.K, config.T, config.params
+    recomb = bool(params.get("recombine", True))
+    if config.kind == "compensated_jump":
+        lam = float(params.get("lam", 2.0))
+        jump = float(params.get("jump", 1.0))
+        lam_down = float(params.get("lam_down", lam))
+        jump_down = float(params.get("jump_down", jump))
+        dt = T / K
+        pu, pd = lam * dt, lam_down * dt
+        comp = (lam * jump - lam_down * jump_down) * dt
+        moves = [((1, 0), pu), ((0, 0), 1 - pu - pd)]
+        if pd > 0:
+            moves.append(((0, 1), pd))
+
+        def value(s, k):
+            return jump * s[0] - jump_down * s[1] - (k + 1) * comp
+    else:
+        if config.kind == "binary":
+            h = float(params.get("h", np.sqrt(T / K)))
+            moves = [((-1,), 0.5), ((1,), 0.5)]
+        else:
+            p = float(params.get("p", 0.25))
+            h = float(params.get("h", np.sqrt(T / (2 * p * K))))
+            moves = [((-1,), p), ((0,), 1 - 2 * p), ((1,), p)]
+
+        def value(s, k):
+            return s[0] * h
+    b = TreeBuilder(TimeGrid.uniform(K, T))
+    states = {0: (0,) * len(moves[0][0])}
+    mvals = [0.0]
+    for k in range(K):
+        b.begin_level()
+        nxt = {}
+        for nid, state in states.items():
+            for dst, pr in moves:
+                s = tuple(a + d for a, d in zip(state, dst))
+                cid = b.child(nid, pr, key=s if recomb else None)
+                if cid == len(mvals):
+                    mvals.append(value(s, k))
+                nxt[cid] = s
+        b.end_level()
+        states = nxt
+    return b.build(), np.array(mvals)
+
+
+@st.composite
+def lattice_configs(draw):
+    kind = draw(st.sampled_from(["binary", "trinomial", "compensated_jump"]))
+    recomb = draw(st.booleans())
+    # full trees grow like 3^K, so they stop at K = 7
+    K = draw(st.integers(1, 12 if recomb else 7))
+    params = {"recombine": recomb}
+    if kind == "trinomial":
+        params["p"] = draw(st.floats(0.01, 0.49))
+    if kind == "compensated_jump":
+        # (lam + lam_down) * dt stays below 0.9; lam_down = 0 is one-sided
+        params["lam"] = draw(st.floats(0.05, 0.45 * K))
+        params["lam_down"] = draw(st.just(0.0) | st.floats(0.05, 0.45 * K))
+    return ModelConfig(kind, K=K, params=params)
+
+
+@settings(deadline=None)
+@given(lattice_configs())
+def test_lattice_walk_matches_reference_builder(config):
+    built = build(config)
+    tree, mvals = reference_lattice(config)
+    for name in ("level_start", "eparent", "echild", "eprob"):
+        got, want = getattr(built.tree, name), getattr(tree, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+    assert built.M.values.tobytes() == mvals[:, None].tobytes()
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("binary", {}),
+    ("binary", {"recombine": False}),
+    ("trinomial", {"p": 0.1}),
+    ("trinomial", {"recombine": False}),
+    ("compensated_jump", {}),
+    ("compensated_jump", {"lam_down": 0.0}),
+    ("compensated_jump", {"recombine": False}),
+])
+def test_estimate_is_exact_for_lattices(kind, params):
+    for K in (5, 8):
+        built = build(ModelConfig(kind, K=K, params=params))
+        assert estimate_nodes(kind, K, params) == built.tree.n_nodes
+
+
+@pytest.mark.parametrize("kind", ["time_changed", "product_noise"])
+def test_estimate_bounds_other_builders(kind):
+    for K in (1, 3, 5):
+        built = build(ModelConfig(kind, K=K))
+        assert estimate_nodes(kind, K) >= built.tree.n_nodes
+
+
+def test_cap_checked_against_estimate_before_allocation(monkeypatch):
+    monkeypatch.setenv("ORTHRES_NODE_CAP", "100")
+    # 2000 levels would allocate ~200 MB; the refusal must allocate ~nothing
+    config = ModelConfig("trinomial", K=2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NodeCapExceeded) as err:
+            build(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.requested == estimate_nodes("trinomial", 2000) == 2001 ** 2
+    assert peak < 64 * 1024
+
+
+def test_walk_rejects_estimate_drift(monkeypatch):
+    exact = models.estimate_nodes
+    monkeypatch.setattr(models, "estimate_nodes",
+                        lambda kind, K, params=None: exact(kind, K, params) + 1)
+    with pytest.raises(InvariantViolation):
+        build(ModelConfig("trinomial", K=4))
