@@ -16,7 +16,7 @@ from .errors import ContractionError, InvariantViolation, SolverError
 from .ftree import AdaptedProcess, PredictableField, predictable_bracket
 from .gkw import gkw_decompose, martingale_from_terminal
 from . import models as _models
-from .forward import euler_forward, shift_start
+from .forward import euler_forward, extract_subtree, shift_martingale
 
 FP_TOL = 1e-12
 FP_MAX_ITER = 200
@@ -472,6 +472,10 @@ def dual_value(tree, M, clock, zeta, growth, p, controls=None, eta=None,
     total_edges = 0
     betas = (-controls.beta_bound, controls.beta_bound) \
         if controls.beta_bound > 0 else (0.0,)
+    # the kernels read only the current level's edge slice of these
+    ones = np.ones(tree.n_nodes)
+    wfull = np.ones(len(tree.eprob))
+    flfull = np.zeros(len(tree.eprob))
     for k in range(tree.K - 1, -1, -1):
         a, bb = tree.level_slice(k)
         ey, m1, _ = _kernels.level_moments_d1(tree, m, W, a, bb)
@@ -488,9 +492,6 @@ def dual_value(tree, M, clock, zeta, growth, p, controls=None, eta=None,
         dm = m[tree.echild[sl]] - m[par]
         candidates = [nu_star] + [np.full(bb - a, g)
                                   for g in controls.nu_grid]
-        ones = np.ones(tree.n_nodes)
-        wfull = np.ones(len(tree.eprob))
-        flfull = np.zeros(len(tree.eprob))
         for nu in candidates:
             tilt = np.where(ok, gamma * nu / np.where(ok, qk, 1.0), 0.0)
             w = 1.0 + tilt[par - a] * dm
@@ -680,15 +681,14 @@ def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None,
                     x_value=None, **cascade_kw):
     """Finite-difference profile of u(t, x, m) = Y_t of restarted solves."""
     lo, _ = tree.level_slice(t_idx)
+    # shifting M by a constant leaves the subtree and its node order alone
+    sub, order = extract_subtree(tree, lo)
     u = np.empty(len(m_grid))
     for i, mval in enumerate(m_grid):
-        if coeffs is None:
-            sub, Msub = shift_start(tree, M, t_idx, lo, mval)
-            Xsub = None
-        else:
-            sub, Msub, Xsub = shift_start(tree, M, t_idx, lo, mval,
-                                          coeffs=coeffs, x=x_value)
+        Msub = shift_martingale(sub, order, M, lo, mval)
         clock = predictable_bracket(sub, Msub)
+        Xsub = None if coeffs is None else euler_forward(
+            sub, Msub, clock, coeffs, x_value)
         zeta = _terminal_values(sub, Msub, Xsub, F)
         sol = _solve_any(sub, Msub, clock, Xsub, zeta, driver, **cascade_kw)
         u[i] = sol.Y0

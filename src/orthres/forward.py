@@ -103,23 +103,29 @@ def extract_subtree(tree, node):
     return sub, np.array(order)
 
 
+def shift_martingale(sub, order, M, node, m):
+    """M on a subtree extracted from ``node``, shifted to start at m."""
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    return AdaptedProcess(sub, M.values[order] - M.values[node] + m)
+
+
 def shift_start(tree, M, t_idx, node, m, coeffs=None, clock=None, x=None):
     """Restart (M, X) from a node at level t_idx with M shifted to start at m.
 
     Returns (subtree, M_shifted) or (subtree, M_shifted, X_restarted) when
-    coefficients are supplied.
+    coefficients are supplied.  ``clock`` is the clock of the restarted
+    subtree; it is computed from M_shifted when omitted.
     """
     if int(tree.node_level[node]) != t_idx:
         raise ValueError(f"node {node} is not at level {t_idx}")
     sub, order = extract_subtree(tree, node)
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    shifted = M.values[order] - M.values[node] + m
-    Msub = AdaptedProcess(sub, shifted)
+    Msub = shift_martingale(sub, order, M, node, m)
     if coeffs is None:
         return sub, Msub
-    from .ftree import predictable_bracket
-    sub_clock = predictable_bracket(sub, Msub)
-    X = euler_forward(sub, Msub, sub_clock, coeffs, x)
+    if clock is None:
+        from .ftree import predictable_bracket
+        clock = predictable_bracket(sub, Msub)
+    X = euler_forward(sub, Msub, clock, coeffs, x)
     return sub, Msub, X
 
 

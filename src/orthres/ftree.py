@@ -273,16 +273,15 @@ def cond_exp(tree, X, k, of_level=None):
     vals = np.array(X.values if isinstance(X, AdaptedProcess) else X, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
-    cur = vals
+    # one buffer for all levels: step j writes level j and reads only level j+1
+    cur, out = vals, np.zeros((tree.n_nodes, vals.shape[1]))
     for j in range(of_level - 1, k - 1, -1):
         lo, hi = tree.level_slice(j)
-        nxt = np.empty((hi - lo, cur.shape[1]))
-        for c in range(cur.shape[1]):
-            nxt[:, c] = _kernels.backward_expect(tree, cur[:, c], lo, hi)
-        cur = np.zeros((tree.n_nodes, cur.shape[1]))
-        cur[lo:hi] = nxt
+        for c in range(out.shape[1]):
+            out[lo:hi, c] = _kernels.backward_expect(tree, cur[:, c], lo, hi)
+        cur = out
     lo, hi = tree.level_slice(k)
-    return cur[lo:hi].copy()
+    return out[lo:hi].copy()
 
 
 def backward_closure(tree, leaf_values):
@@ -309,23 +308,40 @@ def is_martingale(tree, M, tol=1e-12):
     return MartingaleCheck(worst <= tol, worst)
 
 
-def psd_cholesky(A, tol=PSD_TOL):
-    """Lower-triangular factor of a PSD matrix, zeroing rank-deficient columns."""
+def psd_cholesky_batch(A, tol=PSD_TOL):
+    """Lower-triangular factors of a (n, d, d) stack of PSD matrices.
+
+    Column j is computed for every matrix at once.  Each matrix is judged
+    against its own scale max(1, max|A|): a pivot below -tol*scale raises,
+    naming the worst one, and a pivot at most tol*scale leaves its column
+    zero (rank deficiency).
+    """
     A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    scale = max(1.0, float(np.max(np.abs(A))))
+    n, d = A.shape[0], A.shape[-1]
+    tols = tol * np.maximum(1.0, np.abs(A).reshape(n, d * d).max(
+        axis=1, initial=0.0))
     L = np.zeros_like(A)
     for j in range(d):
-        s = A[j, j] - np.dot(L[j, :j], L[j, :j])
-        if s < -tol * scale:
+        row = L[:, j, :j]
+        s = A[:, j, j] - np.einsum("nk,nk->n", row, row)
+        bad = s < -tols
+        if bad.any():
+            i = np.flatnonzero(bad)[np.argmin(s[bad] / tols[bad])]
+            where = f" in matrix {i}" if n > 1 else ""
             raise InvariantViolation(
-                f"matrix not PSD within tolerance (pivot {s:.3e})")
-        if s <= tol * scale:
-            continue  # column stays zero
-        L[j, j] = np.sqrt(s)
-        for i in range(j + 1, d):
-            L[i, j] = (A[i, j] - np.dot(L[i, :j], L[j, :j])) / L[j, j]
+                f"matrix not PSD within tolerance (pivot {s[i]:.3e}{where})")
+        live = s > tols
+        np.sqrt(s, out=L[:, j, j], where=live)
+        if j + 1 < d:
+            r = A[:, j + 1:, j] - np.einsum("nik,nk->ni", L[:, j + 1:, :j], row)
+            np.divide(r, L[:, j, j, None], out=L[:, j + 1:, j],
+                      where=live[:, None])
     return L
+
+
+def psd_cholesky(A, tol=PSD_TOL):
+    """Lower-triangular factor of a PSD matrix, zeroing rank-deficient columns."""
+    return psd_cholesky_batch(np.asarray(A, dtype=float)[None], tol)[0]
 
 
 def conditional_covariances(tree, M):
@@ -365,11 +381,9 @@ def predictable_bracket(tree, M):
             f"(max {err.max():.3e}); use a non-recombining tree")
     C = np.arctan(V)
     dC = np.arctan(V[:nt] + tr) - C[:nt]
-    d = M.dim
-    q = np.zeros((nt, d, d))
-    for i in range(nt):
-        if dC[i] > 0:
-            q[i] = psd_cholesky(sigma[i] / dC[i])
+    q = np.zeros_like(sigma)
+    pos = dC > 0
+    q[pos] = psd_cholesky_batch(sigma[pos] / dC[pos, None, None])
     return ClockAndFactor(
         C=AdaptedProcess(tree, C),
         dC=PredictableField(tree, dC),

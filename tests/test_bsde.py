@@ -10,7 +10,8 @@ from orthres.errors import ContractionError, SolverError
 from orthres.ftree import predictable_bracket
 from orthres.gkw import gkw_decompose, martingale_from_terminal
 from orthres.models import ModelConfig, build
-from orthres.mollify import indicator_halfspace
+from orthres.mollify import indicator_halfspace, sine
+from orthres import forward
 from orthres import bsde
 from orthres.bsde import (DriverSpec, DualControls, check_growth, compare,
                           driver_from_catalog, dual_value, huber_envelope,
@@ -316,3 +317,38 @@ def test_regularity_scan_bounded_derivatives():
     assert np.isfinite(scan.max_second_diff)
     # value is increasing in the start point for a monotone payoff
     assert np.all(np.diff(scan.u) >= -1e-12)
+
+
+def test_regularity_scan_extracts_once_and_clocks_once_per_point(monkeypatch):
+    built = build(ModelConfig("trinomial", K=10))
+    tree, M = built.tree, built.M
+    coeffs, F = forward.identity(), sine()
+    drv = driver_from_catalog("pure_quadratic", gamma=1.0)
+    grid = np.linspace(-1.0, 1.0, 5)
+    lo, _ = tree.level_slice(4)
+    # the per-point restart the scan replaces: extract, shift, clock, solve
+    want = []
+    for m in grid:
+        sub, Msub, Xsub = forward.shift_start(tree, M, 4, lo, m,
+                                              coeffs=coeffs, x=[0.0])
+        clock = predictable_bracket(sub, Msub)
+        zeta = bsde._terminal_values(sub, Msub, Xsub, F)
+        want.append(bsde._solve_any(sub, Msub, clock, Xsub, zeta, drv).Y0)
+
+    calls = {"clock": 0, "extract": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+    clock_fn = counting("clock", predictable_bracket)
+    extract_fn = counting("extract", forward.extract_subtree)
+    for mod in ("orthres.ftree", "orthres.bsde"):
+        monkeypatch.setattr(f"{mod}.predictable_bracket", clock_fn)
+    for mod in ("orthres.forward", "orthres.bsde"):
+        monkeypatch.setattr(f"{mod}.extract_subtree", extract_fn)
+    scan = regularity_scan(tree, M, 4, grid, F, drv, coeffs=coeffs,
+                           x_value=[0.0])
+    assert calls == {"clock": len(grid), "extract": 1}
+    assert np.array_equal(scan.u, want)

@@ -116,6 +116,22 @@ def test_shift_start_with_forward_state():
     npt.assert_allclose(Xsub.values[:, 0], 1.0 + Msub.scalar, atol=1e-14)
 
 
+def test_shift_start_uses_the_clock_it_is_given(monkeypatch):
+    built = build(ModelConfig("trinomial", K=5))
+    tree, M = built.tree, built.M
+    lo, _ = tree.level_slice(2)
+    sub, Msub, X = shift_start(tree, M, 2, lo, 0.3, coeffs=constant_drift(),
+                               x=[0.0])
+    clock = predictable_bracket(sub, Msub)
+
+    def refuse(*args):
+        raise AssertionError("clock recomputed")
+    monkeypatch.setattr("orthres.ftree.predictable_bracket", refuse)
+    _, _, X2 = shift_start(tree, M, 2, lo, 0.3, coeffs=constant_drift(),
+                           clock=clock, x=[0.0])
+    assert np.array_equal(X2.values, X.values)
+
+
 def test_shift_start_level_mismatch():
     built = build(ModelConfig("binary", K=3, params={"recombine": False}))
     with pytest.raises(ValueError):

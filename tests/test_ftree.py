@@ -3,12 +3,14 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthres.errors import InvariantViolation
-from orthres.ftree import (AdaptedProcess, ScenarioTree, TimeGrid, TreeBuilder,
-                           backward_closure, cond_exp, is_martingale,
-                           pathwise_bracket, predictable_bracket, psd_cholesky,
-                           tree_from_json, tree_to_json)
+from orthres.ftree import (PSD_TOL, AdaptedProcess, ScenarioTree, TimeGrid,
+                           TreeBuilder, backward_closure, cond_exp,
+                           is_martingale, pathwise_bracket,
+                           predictable_bracket, psd_cholesky,
+                           psd_cholesky_batch, tree_from_json, tree_to_json)
 from orthres.models import ModelConfig, build
 
 from conftest import random_full_tree, random_martingale
@@ -139,6 +141,138 @@ def test_psd_cholesky_rank_deficient():
 def test_psd_cholesky_rejects_indefinite():
     with pytest.raises(InvariantViolation):
         psd_cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+# -- batched factor against the per-matrix reference -----------------------
+
+def psd_cholesky_loop(A, tol=PSD_TOL):
+    """Per-matrix reference: one matrix, one column and one row at a time."""
+    A = np.asarray(A, dtype=float)
+    d = A.shape[0]
+    scale = max(1.0, float(np.max(np.abs(A))))
+    L = np.zeros_like(A)
+    for j in range(d):
+        s = A[j, j] - np.dot(L[j, :j], L[j, :j])
+        if s < -tol * scale:
+            raise InvariantViolation(
+                f"matrix not PSD within tolerance (pivot {s:.3e})")
+        if s <= tol * scale:
+            continue  # column stays zero
+        L[j, j] = np.sqrt(s)
+        for i in range(j + 1, d):
+            L[i, j] = (A[i, j] - np.dot(L[i, :j], L[j, :j])) / L[j, j]
+    return L
+
+
+def psd_matrix(rng, d, kind, log10_scale):
+    """L L* for a random lower-triangular L whose pivots are 0 or in [0.5, 2].
+
+    A "deficient" matrix has some zero pivots, each with its column of L
+    zeroed; a "tiny" one lies wholly below the pivot tolerance, and a "small"
+    one lies above it only against its own scale, not a larger neighbour's.
+    Pivots well away from the tolerance keep the factor well conditioned, so
+    two correct summation orders agree to rounding.
+    """
+    L = np.tril(rng.normal(size=(d, d)), -1)
+    piv = rng.uniform(0.5, 2.0, size=d)
+    if kind == "deficient":
+        piv[rng.random(d) < 0.5] = 0.0
+    L[np.arange(d), np.arange(d)] = piv
+    L[:, piv == 0.0] = 0.0
+    if kind in ("tiny", "small"):
+        return L @ L.T * {"tiny": 1e-14, "small": 1e-10}[kind]
+    return L @ L.T * 10.0 ** log10_scale
+
+
+@st.composite
+def psd_stacks(draw):
+    d = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["full", "deficient", "tiny",
+                                          "small"]),
+                          min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.stack([psd_matrix(rng, d, kind, draw(st.integers(-3, 3)))
+                     for kind in kinds])
+
+
+@settings(deadline=None)
+@given(psd_stacks())
+def test_batched_factor_matches_per_matrix_reference(A):
+    got = psd_cholesky_batch(A)
+    want = np.stack([psd_cholesky_loop(a) for a in A])
+    if A.shape[-1] == 1:
+        assert np.array_equal(got, want)
+    else:
+        scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))[:, None, None]
+        npt.assert_allclose(got / scale, want / scale, rtol=1e-12, atol=1e-14)
+    for g, a in zip(got, A):
+        assert np.array_equal(g, psd_cholesky(a))
+
+
+@settings(deadline=None)
+@given(psd_stacks(), st.integers(0, 2 ** 32 - 1))
+def test_batched_factor_rejects_one_indefinite_member(A, seed):
+    rng = np.random.default_rng(seed)
+    n, d = A.shape[0], A.shape[-1]
+    # eigenvalues at least 0.1 away from 0 and one of them negative
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    lam = rng.uniform(0.1, 2.0, size=d) * np.where(np.arange(d) == 0, -1, 1)
+    bad = int(rng.integers(0, n + 1))
+    A = np.insert(A, bad, (Q * lam) @ Q.T, axis=0)
+    with pytest.raises(InvariantViolation, match=f"in matrix {bad}\\)"):
+        psd_cholesky_batch(A)
+    with pytest.raises(InvariantViolation):
+        psd_cholesky_loop(A[bad])
+
+
+def test_batched_factor_names_the_worst_pivot():
+    # worst against each matrix's own scale: -2/2 beats -1/8 and -0.5/1
+    A = np.stack([np.diag([1.0, -0.5]), np.diag([-1.0, 8.0]),
+                  np.diag([-2.0, 1.0])])
+    with pytest.raises(InvariantViolation,
+                       match=r"pivot -2\.000e\+00 in matrix 2\)"):
+        psd_cholesky_batch(A)
+
+
+def q_reference(clock):
+    """Per-node factor of Sigma/dC, the loop the clock used to run."""
+    q = np.zeros_like(clock.sigma)
+    for i, dc in enumerate(clock.dC.values):
+        if dc > 0:
+            q[i] = psd_cholesky_loop(clock.sigma[i] / dc)
+    return q
+
+
+@pytest.mark.parametrize("kind,K,params", [
+    ("trinomial", 40, {}),
+    ("compensated_jump", 24, {"lam": 2.0, "lam_down": 1.5}),
+    ("time_changed", 9, {"kappa": 2.0}),
+])
+def test_clock_factor_matches_per_node_reference(kind, K, params):
+    built = build(ModelConfig(kind, K=K, params=params))
+    clock = predictable_bracket(built.tree, built.M)
+    assert np.array_equal(clock.q.values, q_reference(clock))
+
+
+def test_clock_factor_matches_reference_binary_d2():
+    # (M, M^2 - [M]) on a binary tree: a rank-one 2 x 2 bracket at every node
+    tree, M = binary_tree(K=5, h=0.5)
+    vals = np.column_stack([M.scalar, M.scalar ** 2 - 0.25 * tree.node_level])
+    M2 = AdaptedProcess(tree, vals)
+    assert is_martingale(tree, M2)
+    clock = predictable_bracket(tree, M2)
+    want = q_reference(clock)
+    assert np.all(want[:, 1, 1] == 0.0)
+    npt.assert_allclose(clock.q.values, want, rtol=1e-12, atol=1e-15)
+
+
+def test_clock_factor_matches_reference_random_d2(rng):
+    tree = random_full_tree(rng, K=3, max_branch=4)
+    M2 = AdaptedProcess(tree, np.column_stack(
+        [random_martingale(rng, tree).scalar for _ in range(2)]))
+    clock = predictable_bracket(tree, M2)
+    npt.assert_allclose(clock.q.values, q_reference(clock),
+                        rtol=1e-12, atol=1e-15)
 
 
 # -- brackets and clock -----------------------------------------------------
