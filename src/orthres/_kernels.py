@@ -3,8 +3,10 @@
 Each kernel is one pass of ``np.add.reduceat`` over the edge segments of the
 nodes in ``[lo, hi)``.  All kernels assume nodes are level-ordered and that
 every node in the requested range is non-terminal, so edge segments are
-contiguous and non-empty.  ``tests/test_kernels.py`` keeps per-node loop
-versions as the reference.
+contiguous and non-empty.  Per-edge inputs (``w``, ``pdm``, ``dm``, ``dn``)
+are indexed by global edge id; ``edge_increments`` builds ``dm`` once, so a
+solve need not redo it per level.  ``tests/test_kernels.py`` keeps per-node
+loop versions as the reference.
 
 Only the scalar-martingale (d = 1) projections are kernelized; general-d
 paths stay in numpy at the call sites since they only run on small trees.
@@ -22,31 +24,38 @@ def _segments(tree, lo, hi):
     return slice(base, tree.estart[hi]), tree.estart[lo:hi] - base
 
 
+def edge_increments(tree, m):
+    """dm = m[child] - m[parent] on every edge."""
+    return m[tree.echild] - m[tree.eparent]
+
+
+def edge_sum(tree, w, lo, hi):
+    """sum_e w_e over the edges of each node in [lo, hi)."""
+    sl, idx = _segments(tree, lo, hi)
+    return np.add.reduceat(w[sl], idx)
+
+
 def backward_expect(tree, vals, lo, hi):
     """E[vals at children | node] for each node id in [lo, hi)."""
     sl, idx = _segments(tree, lo, hi)
     return np.add.reduceat(tree.eprob[sl] * vals[tree.echild[sl]], idx)
 
 
-def level_moments_d1(tree, m, y, lo, hi):
-    """One-step conditional moments (E[y'], E[dy dm], E[dm^2]) per node."""
+def level_moments_d1(tree, pdm, y, lo, hi):
+    """One-step conditional moments (E[y'], E[dy dm]) per node, from the
+    per-edge ``pdm = p * dm``."""
     sl, idx = _segments(tree, lo, hi)
-    p = tree.eprob[sl]
-    parent = tree.eparent[sl]
     yc = y[tree.echild[sl]]
-    ey = np.add.reduceat(p * yc, idx)
-    dm = m[tree.echild[sl]] - m[parent]
-    dy = yc - ey[parent - lo]
-    return (ey, np.add.reduceat(p * dm * dy, idx),
-            np.add.reduceat(p * dm * dm, idx))
+    ey = np.add.reduceat(tree.eprob[sl] * yc, idx)
+    dy = yc - ey[tree.eparent[sl] - lo]
+    return ey, np.add.reduceat(pdm[sl] * dy, idx)
 
 
-def edge_residuals_d1(tree, m, y, ey, z, lo, hi, dn):
+def edge_residuals_d1(tree, dm, y, ey, z, lo, hi, dn):
     """Fill per-edge dn = dy - z*dm and return E[dn^2 | node] per node."""
     sl, idx = _segments(tree, lo, hi)
-    parent = tree.eparent[sl]
-    dm = m[tree.echild[sl]] - m[parent]
-    d = y[tree.echild[sl]] - ey[parent - lo] - z[parent - lo] * dm
+    parent = tree.eparent[sl] - lo
+    d = y[tree.echild[sl]] - ey[parent] - z[parent] * dm[sl]
     dn[sl] = d
     return np.add.reduceat(tree.eprob[sl] * d * d, idx)
 

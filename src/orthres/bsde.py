@@ -236,23 +236,37 @@ class BsdeSolution:
     def y_sup(self):
         return float(np.max(np.abs(self.Y.values)))
 
+    def cond_var_profile(self):
+        """Backward max of E[sum_{j>=k} (|Zq*|^2 dC + dN^2) | node] per level
+        k = 0..K, from the stored Z, dN and the clock's Sigma (d = 1)."""
+        tree = self.tree
+        nt = tree.n_nonterminal
+        z = self.Z.values[:, 0]
+        zsq_term = z * z * self.clock.sigma.reshape(nt)  # |Z q*|^2 dC
+        res_node = _kernels.edge_sum(tree, tree.eprob * self.dN * self.dN,
+                                     0, nt)
+        R = np.zeros(tree.n_nodes)
+        prof = np.zeros(tree.K + 1)
+        for k in range(tree.K - 1, -1, -1):
+            lo, hi = tree.level_slice(k)
+            R[lo:hi] = (_kernels.backward_expect(tree, R, lo, hi)
+                        + zsq_term[lo:hi] + res_node[lo:hi])
+            prof[k] = float(np.max(R[lo:hi]))
+        return prof
 
-def _cond_var_profile(tree, zsq_term, res_node):
-    """Backward max of E[sum_{j>=k} (|Zq*|^2 dC + dN^2) | node] per level."""
-    R = np.zeros(tree.n_nodes)
-    nt = tree.n_nonterminal
-    for k in range(tree.K - 1, -1, -1):
-        lo, hi = tree.level_slice(k)
-        R[lo:hi] = (_kernels.backward_expect(tree, R, lo, hi)
-                    + zsq_term[lo:hi] + res_node[lo:hi])
-    prof = np.array([float(np.max(R[slice(*tree.level_slice(k))]))
-                     for k in range(tree.K + 1)])
-    return prof
+    def bmo_norm(self):
+        """Discrete BMO norm: the largest entry of ``cond_var_profile``."""
+        return float(self.cond_var_profile().max())
 
 
 def solve_lipschitz(tree, M, clock, X, zeta, driver, tol_fp=FP_TOL,
                     max_iter=FP_MAX_ITER):
-    """Implicit-in-y, explicit-in-z backward Euler with exact projections."""
+    """Implicit-in-y, explicit-in-z backward Euler with exact projections.
+
+    Each level projects the just-solved y onto dM (reading E[dm^2 | node]
+    from ``clock.sigma``) and runs the fixed point in y; dN and E[[N]_T] are
+    closed in one pass over all non-terminal nodes after the sweep.
+    """
     if M.dim != 1:
         raise NotImplementedError("backward solvers are scalar-martingale only")
     zeta = np.asarray(zeta, dtype=float)
@@ -265,31 +279,34 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver, tol_fp=FP_TOL,
     nt = tree.n_nonterminal
     m = M.scalar
     qdiag = clock.q.values.reshape(nt, -1)[:, 0]  # q[0,0] for d = 1
+    s2 = clock.sigma.reshape(nt)                  # E[dm^2 | node]
+    projects = s2 > PROJ_EPS
+    s2_safe = np.where(s2 > 0, s2, 1.0)
+    dm = _kernels.edge_increments(tree, m)
+    pdm = tree.eprob * dm
     t = tree.grid.t
     yvals = np.empty(tree.n_nodes)
     lo, hi = tree.level_slice(tree.K)
     if zeta.shape[0] != hi - lo:
         raise InvariantViolation("zeta needs one value per leaf")
     yvals[lo:hi] = zeta
-    zall = np.zeros(nt)
-    dn = np.zeros(len(tree.echild))
-    res_node = np.zeros(tree.n_nodes)
-    zsq_term = np.zeros(tree.n_nodes)
+    eyall = np.empty(nt)
+    zall = np.empty(nt)
     iters_hist = []
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
-        ey, m1, s2 = _kernels.level_moments_d1(tree, m, yvals, a, b)
-        z = np.where(s2 > PROJ_EPS, m1 / np.where(s2 > 0, s2, 1.0), 0.0)
+        ey, m1 = _kernels.level_moments_d1(tree, pdm, yvals, a, b)
+        z = np.where(projects[a:b], m1 / s2_safe[a:b], 0.0)
         z_arg = qdiag[a:b] * z
         xk = X.values[a:b] if X is not None else None
         mk = m[a:b]
         dck = dC[a:b]
-        y = ey.copy()
+        y = ey
         it = 0
         while True:
             y_new = ey + driver(t[k], xk, mk, y, z_arg) * dck
             it += 1
-            delta = float(np.max(np.abs(y_new - y)))
+            delta = float(np.abs(y_new - y).max())
             y = y_new
             if delta < tol_fp:
                 break
@@ -299,12 +316,12 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver, tol_fp=FP_TOL,
                     f"{max_iter} iterations (last delta {delta:.3e})")
         iters_hist.append(it)
         yvals[a:b] = y
+        eyall[a:b] = ey
         zall[a:b] = z
-        res_node[a:b] = _kernels.edge_residuals_d1(tree, m, yvals, ey, z,
-                                                   a, b, dn)
-        zsq_term[a:b] = z * z * s2          # |Z q*|^2 dC = Z^2 Sigma
-    bracket = float(np.sum(tree.path_prob[:nt] * res_node[:nt]))
-    prof = _cond_var_profile(tree, zsq_term, res_node)
+    dn = np.empty(len(tree.echild))
+    res_node = _kernels.edge_residuals_d1(tree, dm, yvals, eyall, zall,
+                                          0, nt, dn)
+    bracket = float(np.sum(tree.path_prob[:nt] * res_node))
     return BsdeSolution(
         tree=tree, M=M, clock=clock, X=X, zeta=zeta, driver=driver,
         Y=AdaptedProcess(tree, yvals), Z=PredictableField(tree, zall[:, None]),
@@ -312,8 +329,6 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver, tol_fp=FP_TOL,
         diagnostics={
             "y_sup": float(np.max(np.abs(yvals))),
             "fixed_point_iters": iters_hist[::-1],
-            "cond_var_profile": prof,
-            "bmo_norm": float(prof.max()),
         })
 
 
@@ -372,7 +387,9 @@ def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
         f_plus, f_minus = _split_driver(driver)
     prev_p_y = None
     sol = None
-    for p in p_list:
+    # a nonnegative driver needs no regularised negative part, so g_p is the
+    # driver itself and every further p would rerun the same n-sweep
+    for p in p_list[:1] if driver.nonnegative else p_list:
         if driver.nonnegative:
             g_p = driver
         else:
@@ -476,9 +493,11 @@ def dual_value(tree, M, clock, zeta, growth, p, controls=None, eta=None,
     ones = np.ones(tree.n_nodes)
     wfull = np.ones(len(tree.eprob))
     flfull = np.zeros(len(tree.eprob))
+    dm_all = _kernels.edge_increments(tree, m)
+    pdm = tree.eprob * dm_all
     for k in range(tree.K - 1, -1, -1):
         a, bb = tree.level_slice(k)
-        ey, m1, _ = _kernels.level_moments_d1(tree, m, W, a, bb)
+        ey, m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)
         dck = dC[a:bb]
         qk = qdiag[a:bb]
         ok = (qk > PROJ_EPS) & (dck > PROJ_EPS)
@@ -489,7 +508,7 @@ def dual_value(tree, M, clock, zeta, growth, p, controls=None, eta=None,
         best_floor = np.zeros(bb - a, dtype=np.int64)
         sl = tree._edge_slice(k)
         par = tree.eparent[sl]
-        dm = m[tree.echild[sl]] - m[par]
+        dm = dm_all[sl]
         candidates = [nu_star] + [np.full(bb - a, g)
                                   for g in controls.nu_grid]
         for nu in candidates:

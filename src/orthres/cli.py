@@ -31,6 +31,9 @@ from .ftree import predictable_bracket
 from .gkw import residual_sweep
 from .models import KINDS, ModelConfig, build, estimate_nodes, node_cap
 
+# Largest grid a regularity or Lipschitz scan may ask for.
+MAX_SCAN_POINTS = 10 ** 6
+
 EXPERIMENTS = ("residual_sweep", "vanishing_N", "dual_check", "cascade",
                "comparison_campaign", "mollify_sweep", "regularity_scan")
 
@@ -109,6 +112,29 @@ def _object(raw, name):
     return block
 
 
+def _lipschitz_window(cfg):
+    """(scan_lo, scan_hi, scan_spacing) of a mollify sweep's slope scan."""
+    tol = cfg.tolerances
+    lo = _number(tol.get("scan_lo", -2.0), "scan_lo")
+    hi = _number(tol.get("scan_hi", 2.0), "scan_hi")
+    spacing = _number(tol.get("scan_spacing", 1e-4), "scan_spacing")
+    if not (-math.inf < lo < hi < math.inf and 0 < spacing <= hi - lo
+            and (hi - lo) / spacing <= MAX_SCAN_POINTS):
+        raise ConfigError(
+            "mollify_sweep needs finite scan_lo < scan_hi and a scan_spacing "
+            f"in (0, scan_hi - scan_lo] giving at most {MAX_SCAN_POINTS} "
+            "points")
+    return lo, hi, spacing
+
+
+def _catalog_id(block, catalog, what):
+    """The ``id`` of a config block, which must name an entry of catalog."""
+    cid = block.get("id")
+    if not isinstance(cid, str) or cid not in catalog:
+        raise ConfigError(f"unknown {what} id {cid!r}")
+    return cid
+
+
 def _scan_grid(cfg):
     """(t_idx, m_lo, m_hi, m_count) of a regularity scan, from tolerances."""
     tol = cfg.tolerances
@@ -119,9 +145,9 @@ def _scan_grid(cfg):
     if not 0 <= t_idx < cfg.model.K:
         raise ConfigError(f"t_idx must lie in [0, K) = [0, {cfg.model.K}), "
                           f"got {t_idx}")
-    if count < 2 or not -math.inf < lo < hi < math.inf:
-        raise ConfigError("regularity_scan needs m_count >= 2 and finite "
-                          "m_lo < m_hi")
+    if not 2 <= count <= MAX_SCAN_POINTS or not -math.inf < lo < hi < math.inf:
+        raise ConfigError(f"regularity_scan needs 2 <= m_count <= "
+                          f"{MAX_SCAN_POINTS} and finite m_lo < m_hi")
     return t_idx, lo, hi, count
 
 
@@ -154,39 +180,41 @@ def parse_config(raw):
                            raw=raw)
     fr = _object(raw, "F")
     if fr is not None:
-        cfg.F_id = fr.get("id")
+        cfg.F_id = _catalog_id(fr, TERMINAL_CATALOG, "terminal map")
         cfg.F_params = dict(fr.get("params", {}))
-        if cfg.F_id not in TERMINAL_CATALOG:
-            raise ConfigError(f"unknown terminal map id {cfg.F_id!r}")
     dr = _object(raw, "driver")
     if dr is not None:
-        cfg.driver_id = dr.get("id")
+        cfg.driver_id = _catalog_id(dr, bsde.DRIVER_CATALOG, "driver")
         cfg.driver_params = dict(dr.get("params", {}))
-        if cfg.driver_id not in bsde.DRIVER_CATALOG:
-            raise ConfigError(f"unknown driver id {cfg.driver_id!r}")
     cr = _object(raw, "coeffs")
     if cr is not None:
-        cfg.coeffs_id = cr.get("id")
+        cfg.coeffs_id = _catalog_id(cr, forward.CATALOG, "coefficient")
         cfg.coeffs_params = dict(cr.get("params", {}))
         cfg.x0 = _number(cr.get("x0", 0.0), "x0")
-        if cfg.coeffs_id not in forward.CATALOG:
-            raise ConfigError(f"unknown coefficient id {cfg.coeffs_id!r}")
-    for name in ("K_list", "eps_list", "p_list", "n_list"):
+    # K is a mesh size, eps a mollification variance, p and n are truncation
+    # and inf-convolution indices
+    for name, ok, want in (
+            ("K_list", lambda v: 0 < v < math.inf, "positive numbers"),
+            ("eps_list", lambda v: 0 < v < 1, "numbers in (0, 1)"),
+            ("p_list", lambda v: 1 <= v < math.inf, "finite numbers >= 1"),
+            ("n_list", lambda v: 1 <= v < math.inf, "finite numbers >= 1")):
         vals = raw.get(name, [])
-        if not isinstance(vals, list) or any(
-                not isinstance(v, (int, float)) or v <= 0 for v in vals):
-            raise ConfigError(f"{name} must be a list of positive numbers")
+        if not isinstance(vals, list) or not all(
+                isinstance(v, (int, float)) and ok(v) for v in vals):
+            raise ConfigError(f"{name} must be a list of {want}")
         setattr(cfg, name, list(vals))
     cfg.seed = _number(raw.get("seed", 0), "seed", int)
     cfg.seeds = _number(raw.get("seeds", 100), "seeds", int)
-    if cfg.seeds < 1:
-        raise ConfigError("seeds must be >= 1")
+    if cfg.seed < 0 or cfg.seeds < 1:
+        raise ConfigError("seed must be >= 0 and seeds >= 1")
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object")
     cfg.tolerances = dict(tol)
     if exp == "regularity_scan":
         _scan_grid(cfg)
+    if exp == "mollify_sweep":
+        _lipschitz_window(cfg)
 
     for need in NEEDS[exp]:
         block = {"F": cfg.F_id, "driver": cfg.driver_id}.get(
@@ -196,9 +224,12 @@ def parse_config(raw):
     try:
         cfg.terminal_map() if cfg.F_id else None
         cfg.driver() if cfg.driver_id else None
-        cfg.coeffs()
+        coeffs = cfg.coeffs()
     except (TypeError, KeyError, ValueError) as e:
         raise ConfigError(f"catalog construction failed: {e}")
+    if coeffs is not None and coeffs.n != 1:
+        raise ConfigError("x0 is a scalar, so the forward state must have "
+                          f"n = 1, got n = {coeffs.n!r}")
     return cfg
 
 
@@ -316,15 +347,19 @@ def _run_dual_check(cfg):
     if driver.klass != "quadratic":
         raise ConfigError("dual_check needs a quadratic-class driver")
     config_for = _model_for_K(cfg)
-    rows, curves = [], {}
-    for p in cfg.p_list:
-        for K in cfg.K_list:
+    # the tree and its clock depend only on K: build each once, solve every
+    # p on it, and report the rows p-major
+    points = {}
+    for K in cfg.K_list:
+        def setup():
+            built = build(config_for(K))
+            tree, M = built.tree, built.M
+            lo, hi = tree.level_slice(tree.K)
+            return (tree, M, predictable_bracket(tree, M),
+                    np.asarray(F(M.values[lo:hi]), dtype=float))
+        tree, M, clock, zeta = _with_coords(setup, model=cfg.model.kind, K=K)
+        for p in cfg.p_list:
             def point():
-                built = build(config_for(K))
-                tree, M = built.tree, built.M
-                clock = predictable_bracket(tree, M)
-                lo, hi = tree.level_slice(tree.K)
-                zeta = np.asarray(F(M.values[lo:hi]), dtype=float)
                 trunc = bsde.truncated_driver(float(p), driver.growth,
                                               driver.eta)
                 sol = bsde.solve_lipschitz(tree, M, clock, None, zeta, trunc)
@@ -332,8 +367,12 @@ def _run_dual_check(cfg):
                                      float(p), eta=driver.eta)
                 return (sol.Y0, float(np.ravel(dv.value.values)[0]),
                         dv.floored_fraction)
-            primal, dual, fl = _with_coords(point, model=cfg.model.kind,
-                                            K=K, p=p)
+            points[p, K] = _with_coords(point, model=cfg.model.kind, K=K,
+                                        p=p)
+    rows, curves = [], {}
+    for p in cfg.p_list:
+        for K in cfg.K_list:
+            primal, dual, fl = points[p, K]
             rows.append({"p": p, "K": K, "primal_Y0": primal,
                          "dual_Y0": dual, "gap": abs(primal - dual),
                          "floored_fraction": fl})
@@ -446,10 +485,7 @@ def _run_mollify_sweep(cfg):
     F = cfg.terminal_map()
     built = build(cfg.model)
     tree, M = built.tree, built.M
-    scan_lo = _number(cfg.tolerances.get("scan_lo", -2.0), "scan_lo")
-    scan_hi = _number(cfg.tolerances.get("scan_hi", 2.0), "scan_hi")
-    spacing = _number(cfg.tolerances.get("scan_spacing", 1e-4),
-                      "scan_spacing")
+    scan_lo, scan_hi, spacing = _lipschitz_window(cfg)
     rows, curves = [], {"lipschitz_vs_eps": [], "l2_gap_vs_eps": []}
     for eps in cfg.eps_list:
         def point():

@@ -144,10 +144,11 @@ def identity(n=1):
 
 
 def constant_drift(c=1.0, n=1):
+    c = float(c)
     return SdeCoeffs(
         id="constant_drift", n=n,
         sigma=lambda t, x, m: np.zeros((x.shape[0], n, m.shape[1])),
-        b=lambda t, x, m: np.full((x.shape[0], n), float(c)),
+        b=lambda t, x, m: np.full((x.shape[0], n), c),
         lipschitz_k=0.0)
 
 

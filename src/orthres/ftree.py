@@ -349,8 +349,9 @@ def conditional_covariances(tree, M):
     nt = tree.n_nonterminal
     d = M.dim
     if d == 1:
-        _, _, s2 = _kernels.level_moments_d1(tree, M.scalar, M.scalar, 0, nt)
-        return s2.reshape(nt, 1, 1)
+        dm = _kernels.edge_increments(tree, M.scalar)
+        return _kernels.edge_sum(tree, tree.eprob * dm * dm, 0, nt).reshape(
+            nt, 1, 1)
     sl = slice(0, int(tree.estart[nt]))
     dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]
     w = tree.eprob[sl][:, None, None] * (dm[:, :, None] * dm[:, None, :])

@@ -53,9 +53,12 @@ def gkw_decompose(tree, M, Y, martingale_tol=1e-9):
     if d == 1:
         y = Y.scalar
         m = M.scalar
-        ey, m1, s2 = _kernels.level_moments_d1(tree, m, y, 0, nt)
+        dm = _kernels.edge_increments(tree, m)
+        pdm = tree.eprob * dm
+        ey, m1 = _kernels.level_moments_d1(tree, pdm, y, 0, nt)
+        s2 = _kernels.edge_sum(tree, pdm * dm, 0, nt)
         z = np.where(s2 > PINV_RCOND, m1 / np.where(s2 > 0, s2, 1.0), 0.0)
-        res = _kernels.edge_residuals_d1(tree, m, y, ey, z, 0, nt, dn)
+        res = _kernels.edge_residuals_d1(tree, dm, y, ey, z, 0, nt, dn)
         Z = z[:, None]
     else:
         sigma = conditional_covariances(tree, M)

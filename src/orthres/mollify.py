@@ -8,7 +8,7 @@ Gauss-Hermite quadrature (closed form for half-space indicators).
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 MAX_QUAD_ARITY = 3
 
@@ -47,7 +47,7 @@ class MollifiedMap:
             w, c = self.base.halfspace
             w = np.asarray(w, dtype=float)
             # 1{w.x >= c} * N(0, eps I) -> Phi((w.x - c) / (sqrt(eps)|w|))
-            return norm.cdf((x @ w - c) / (np.sqrt(self.epsilon) * np.linalg.norm(w)))
+            return ndtr((x @ w - c) / (np.sqrt(self.epsilon) * np.linalg.norm(w)))
         g, wts = self._gh
         d = self.base.arity
         out = np.zeros(x.shape[0])
@@ -124,6 +124,7 @@ def l2_gap(tree, M, F, Feps):
 def indicator_halfspace(threshold=0.0, strict=True):
     """1{x > c} (or >= c) in the first coordinate."""
     op = np.greater if strict else np.greater_equal
+    threshold = float(threshold)
 
     def ev(x):
         return op(x[:, 0], threshold).astype(float)
@@ -139,6 +140,7 @@ def square():
 
 
 def sine(omega=np.pi, amp=1.0):
+    omega, amp = float(omega), float(amp)
     return TerminalMap(
         id="sine", arity=1,
         evaluator=lambda x: amp * np.sin(omega * x[:, 0]),
@@ -146,6 +148,8 @@ def sine(omega=np.pi, amp=1.0):
 
 
 def digital_box(a=-0.5, b=0.5):
+    a, b = float(a), float(b)
+
     def ev(x):
         return ((x[:, 0] >= a) & (x[:, 0] <= b)).astype(float)
 
@@ -165,6 +169,8 @@ def custom_polynomial(coeffs):
 
 def clipped_linear(scale=1.0, cap=1.0):
     """scale * x clipped to [-cap, cap]; Lipschitz with constant |scale|."""
+    scale, cap = float(scale), float(cap)
+
     def ev(x):
         return np.clip(scale * x[:, 0], -cap, cap)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthres import _kernels
 from orthres.errors import ContractionError, SolverError
 from orthres.ftree import predictable_bracket
 from orthres.gkw import gkw_decompose, martingale_from_terminal
@@ -18,6 +19,8 @@ from orthres.bsde import (DriverSpec, DualControls, check_growth, compare,
                           inf_convolve, markov_grouping_check, regularity_scan,
                           solve_lipschitz, solve_quadratic, truncated_driver,
                           vanishing_N_experiment)
+
+from conftest import random_full_tree, random_martingale
 
 
 def binary_setup(K=8, recombine=True):
@@ -157,9 +160,105 @@ def test_solution_diagnostics_shape():
                           driver_from_catalog("linear_y", coef=0.3))
     d = sol.diagnostics
     assert len(d["fixed_point_iters"]) == tree.K
-    assert len(d["cond_var_profile"]) == tree.K + 1
-    assert d["bmo_norm"] >= d["cond_var_profile"][-1] == 0.0
+    prof = sol.cond_var_profile()
+    assert len(prof) == tree.K + 1
+    assert sol.bmo_norm() >= prof[-1] == 0.0
     assert d["y_sup"] == sol.y_sup
+
+
+# -- per-node references for the vectorised solver ---------------------------
+
+def lipschitz_reference(tree, M, clock, zeta, driver, tol=bsde.FP_TOL):
+    """Node-by-node backward Euler: per-node projection of y' on dm, a scalar
+    fixed point per node, then the per-edge residual.  Returns
+    (Y, z, dN, E[dN^2 | node], Sigma, fixed-point iterations per level)."""
+    m = M.scalar
+    nt = tree.n_nonterminal
+    dC = clock.dC.values
+    q = clock.q.values.reshape(nt, -1)[:, 0]
+    y = np.zeros(tree.n_nodes)
+    lo, hi = tree.level_slice(tree.K)
+    y[lo:hi] = zeta
+    z, s2, res = np.zeros(nt), np.zeros(nt), np.zeros(nt)
+    dn = np.zeros(len(tree.echild))
+    iters = [0] * tree.K
+    for k in range(tree.K - 1, -1, -1):
+        a, b = tree.level_slice(k)
+        for i in range(a, b):
+            e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
+            ch = tree.echild[e0:e1]
+            p = tree.eprob[e0:e1]
+            dm = m[ch] - m[i]
+            ey = sum(p[j] * y[c] for j, c in enumerate(ch))
+            s2[i] = sum(p[j] * dm[j] ** 2 for j in range(len(ch)))
+            m1 = sum(p[j] * dm[j] * (y[c] - ey) for j, c in enumerate(ch))
+            z[i] = m1 / s2[i] if s2[i] > bsde.PROJ_EPS else 0.0
+            cur, it = ey, 0
+            while True:
+                new = ey + float(driver(tree.grid.t[k], None, m[i:i + 1],
+                                        np.array([cur]),
+                                        np.array([q[i] * z[i]]))[0]) * dC[i]
+                it += 1
+                done = abs(new - cur) < tol
+                cur = new
+                if done:
+                    break
+            y[i] = cur
+            iters[k] = max(iters[k], it)
+            for j, c in enumerate(ch):
+                dn[e0 + j] = y[c] - ey - z[i] * dm[j]
+            res[i] = sum(p[j] * dn[e0 + j] ** 2 for j in range(len(ch)))
+    return y, z, dn, res, s2, iters
+
+
+def cond_var_profile_loop(tree, zsq_term, res_node):
+    """The per-level loop the solver used to run on every solve: backward max
+    of E[sum_{j>=k} (|Zq*|^2 dC + dN^2) | node]."""
+    R = np.zeros(tree.n_nodes)
+    for k in range(tree.K - 1, -1, -1):
+        lo, hi = tree.level_slice(k)
+        R[lo:hi] = (_kernels.backward_expect(tree, R, lo, hi)
+                    + zsq_term[lo:hi] + res_node[lo:hi])
+    return np.array([float(np.max(R[slice(*tree.level_slice(k))]))
+                     for k in range(tree.K + 1)])
+
+
+def _property_driver(kind, c, kz):
+    if kind == "linear_y":
+        return driver_from_catalog("linear_y", coef=c)
+    if kind == "constant":
+        return driver_from_catalog("constant", c=c)
+    return DriverSpec(id="affine", klass="lipschitz",
+                      f=lambda t, x, m, y, z: c * y + kz * z + 0.25,
+                      growth={"a": 0.25, "b": abs(c), "gamma": 0.0},
+                      eta=0.25, lip_y=abs(c), lip_z=abs(kz))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+       st.sampled_from(["linear_y", "constant", "affine"]),
+       st.floats(-0.5, 0.5), st.floats(-1.0, 1.0), st.floats(0.2, 2.0))
+def test_solver_matches_per_node_reference(seed, K, kind, c, kz, scale):
+    rng = np.random.default_rng(seed)
+    tree = random_full_tree(rng, K=K)
+    M = random_martingale(rng, tree, scale)
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(K)
+    zeta = np.sin(3.0 * M.scalar[lo:hi]) + rng.normal(size=hi - lo)
+    drv = _property_driver(kind, c, kz)
+    sol = solve_lipschitz(tree, M, clock, None, zeta, drv)
+    y, z, dn, res, s2, iters = lipschitz_reference(tree, M, clock, zeta, drv)
+    tol = dict(rtol=1e-9, atol=1e-10)
+    npt.assert_allclose(sol.Y.values[:, 0], y, **tol)
+    npt.assert_allclose(sol.Z.values[:, 0], z, **tol)
+    npt.assert_allclose(sol.dN, dn, **tol)
+    nt = tree.n_nonterminal
+    npt.assert_allclose(sol.bracketNN_T, tree.path_prob[:nt] @ res, **tol)
+    assert sol.diagnostics["fixed_point_iters"] == iters
+    npt.assert_allclose(clock.sigma.ravel(), s2, rtol=1e-12, atol=1e-15)
+    prof = cond_var_profile_loop(tree, z * z * s2, res)
+    npt.assert_allclose(sol.cond_var_profile(), prof, **tol)
+    npt.assert_allclose(sol.bmo_norm(), prof.max(), **tol)
 
 
 # -- quadratic cascade ------------------------------------------------------
@@ -352,3 +451,27 @@ def test_regularity_scan_extracts_once_and_clocks_once_per_point(monkeypatch):
                            x_value=[0.0])
     assert calls == {"clock": len(grid), "extract": 1}
     assert np.array_equal(scan.u, want)
+
+
+@pytest.mark.parametrize("drv", [
+    driver_from_catalog("pure_quadratic", gamma=1.0),
+    driver_from_catalog("quadratic_mixed", gamma=1.0, b=0.5, eta=0.1)],
+    ids=["pure_quadratic", "quadratic_mixed"])
+def test_cascade_runs_one_sweep_for_nonnegative_driver(drv, monkeypatch):
+    tree, M, clock, mterm = binary_setup(K=10)
+    zeta = 0.5 * np.clip(mterm, -1, 1)
+    # p only sets the first n, so p = 1 alone is the sweep the p-loop repeated
+    once = solve_quadratic(tree, M, clock, None, zeta, drv, p_list=(1,))
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[5].id)
+        return solve_lipschitz(*args, **kwargs)
+    monkeypatch.setattr(bsde, "solve_lipschitz", counting)
+    sol = solve_quadratic(tree, M, clock, None, zeta, drv)
+    trace = sol.diagnostics["cascade_trace"]
+    assert len(solves) == len(set(solves)) == len(trace.stages)
+    assert {s["p"] for s in trace.stages} == {1}
+    assert len(trace.p_values) == 1
+    assert np.array_equal(sol.Y.values, once.Y.values)
+    assert sol.bracketNN_T == once.bracketNN_T

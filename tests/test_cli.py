@@ -1,8 +1,19 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import tempfile
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
-from orthres.cli import estimate_nodes, load_config, main, parse_config
+from orthres.cli import (MAX_SCAN_POINTS, estimate_nodes, load_config, main,
+                         parse_config)
 from orthres.errors import ConfigError
 
 
@@ -201,3 +212,181 @@ def test_run_dual_check(tmp_path):
     assert main(["run", str(path)]) == 0
     rep = json.loads((tmp_path / "out.json").read_text())
     assert all(r["gap"] <= 1e-12 for r in rep["rows"])
+
+
+# -- config fuzzing -----------------------------------------------------------
+
+FUZZ_BASES = {
+    "residual_sweep": {"F": {"id": "indicator_halfspace"}, "K_list": [2, 4]},
+    "vanishing_N": {"F": {"id": "sine"},
+                    "driver": {"id": "pure_quadratic",
+                               "params": {"gamma": 1.0}},
+                    "K_list": [2, 4], "eps_list": [0.1]},
+    "dual_check": {"F": {"id": "clipped_linear"},
+                   "driver": {"id": "quadratic_mixed",
+                              "params": {"gamma": 1.0, "b": 0.5}},
+                   "K_list": [4], "p_list": [2]},
+    "cascade": {"F": {"id": "sine"},
+                "driver": {"id": "pure_quadratic", "params": {"gamma": 1.0}},
+                "p_list": [1, 2], "n_list": [2, 4]},
+    "comparison_campaign": {"seeds": 2},
+    "mollify_sweep": {"F": {"id": "square"}, "eps_list": [0.1],
+                      "tolerances": {"scan_spacing": 0.01}},
+    "regularity_scan": {"F": {"id": "sine"},
+                        "driver": {"id": "pure_quadratic",
+                                   "params": {"gamma": 1.0}},
+                        "coeffs": {"id": "identity", "x0": 0.0},
+                        "tolerances": {"t_idx": 1, "m_count": 3}},
+}
+
+FUZZ_PATHS = [
+    ("experiment",), ("model",), ("model", "kind"), ("model", "K"),
+    ("model", "T"), ("model", "d"), ("model", "params"),
+    ("model", "params", "p"), ("model", "params", "h"),
+    ("model", "params", "lam"), ("model", "params", "jump"),
+    ("model", "params", "lam_down"), ("model", "params", "recombine"),
+    ("F",), ("F", "id"), ("F", "params"), ("F", "params", "threshold"),
+    ("F", "params", "coeffs"), ("driver",), ("driver", "id"),
+    ("driver", "params"), ("driver", "params", "gamma"),
+    ("driver", "params", "b"), ("driver", "params", "eta"),
+    ("driver", "params", "c"), ("driver", "params", "coef"), ("coeffs",),
+    ("coeffs", "id"), ("coeffs", "x0"), ("coeffs", "params"), ("K_list",),
+    ("eps_list",), ("p_list",), ("n_list",), ("seed",), ("seeds",),
+    ("tolerances",), ("tolerances", "t_idx"), ("tolerances", "m_lo"),
+    ("tolerances", "m_hi"), ("tolerances", "m_count"),
+    ("tolerances", "tol_cmp"), ("tolerances", "scan_lo"),
+    ("tolerances", "scan_hi"), ("tolerances", "scan_spacing"),
+    ("bogus",), ("model", "bogus"),
+]
+
+_scalars = (st.none() | st.booleans() | st.integers(-3, 40)
+            | st.sampled_from([2 ** 31, -2 ** 63, 10 ** 30])
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text(max_size=4)
+            | st.sampled_from(["trinomial", "binary", "compensated_jump",
+                               "time_changed", "product_noise", "sine",
+                               "square", "custom_polynomial", "zero",
+                               "constant", "linear_y", "pure_quadratic",
+                               "quadratic_mixed", "identity", "affine",
+                               "cascade", "dual_check"]))
+_values = _scalars | st.lists(_scalars, max_size=3) | st.dictionaries(
+    st.text(max_size=3), _scalars, max_size=2)
+# the output prefix is never fuzzed into a string, so reports stay in the
+# test's temporary directory
+_mutation = st.tuples(st.sampled_from(FUZZ_PATHS),
+                      st.just(None) | st.tuples(_values))
+
+
+def _mutate(raw, path, value):
+    node = raw
+    for key in path[:-1]:
+        node = node.get(key) if isinstance(node, dict) else None
+        if node is None:
+            return
+    if not isinstance(node, dict):
+        return
+    if value is None:
+        node.pop(path[-1], None)
+    else:
+        node[path[-1]] = value[0]
+
+
+def _long_running(raw):
+    """A valid but large campaign or scan: legitimate work, not an input
+    error, so it is left out of the fuzz."""
+    def big(v, hi=math.inf):
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and 40 < v <= hi)
+    tol = raw.get("tolerances")
+    return big(raw.get("seeds")) or (isinstance(tol, dict) and big(
+        tol.get("m_count"), MAX_SCAN_POINTS))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(FUZZ_BASES)), st.lists(_mutation, max_size=4))
+# inputs that once escaped with a traceback
+@example("mollify_sweep", [(("tolerances", "scan_lo"), (2,))])
+@example("mollify_sweep", [(("tolerances", "scan_spacing"), (-1.0,))])
+@example("comparison_campaign", [(("seed",), (-1,))])
+@example("cascade", [(("F", "id"), ([],))])
+@example("cascade", [(("driver", "id"), ({},))])
+@example("cascade", [(("F", "params"), ({"omega": "x"},))])
+@example("dual_check", [(("p_list",), ([0.5],))])
+@example("cascade", [(("n_list",), ([0.7],)), (("p_list",), ([0.5],))])
+@example("vanishing_N", [(("eps_list",), ([2],))])
+@example("residual_sweep", [(("K_list",), ([float("nan")],))])
+@example("regularity_scan", [(("coeffs", "params"), ({"n": 2},))])
+@example("regularity_scan", [(("tolerances", "m_count"), (10 ** 30,))])
+def test_fuzzed_config_ends_in_a_documented_exit_code(exp, mutations):
+    raw = {"experiment": exp, "model": {"kind": "trinomial", "K": 4},
+           **copy.deepcopy(FUZZ_BASES[exp])}
+    for path, value in mutations:
+        _mutate(raw, path, value)
+    assume(not _long_running(raw))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"ORTHRES_NODE_CAP": "400"}):
+        if "output" not in raw or isinstance(raw.get("output"), str):
+            raw["output"] = os.path.join(tmp, "out")
+        try:
+            parse_config(raw)
+        except ConfigError:
+            pass
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", path])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err.getvalue().strip().splitlines()) == 1
+
+
+def test_dual_check_builds_and_clocks_once_per_K(tmp_path, monkeypatch):
+    from orthres import bsde, cli
+    from orthres.ftree import predictable_bracket
+    from orthres.models import ModelConfig, build
+    from orthres.mollify import from_catalog
+    path, _ = write_cfg(
+        tmp_path, experiment="dual_check", model={"kind": "binary"},
+        F={"id": "clipped_linear", "params": {"scale": 0.5}},
+        driver={"id": "quadratic_mixed",
+                "params": {"gamma": 1.0, "b": 0.5, "eta": 0.1}},
+        K_list=[4, 8], p_list=[2, 4])
+    # the point the runner used to compute: build, clock and solve per (p, K)
+    F = from_catalog("clipped_linear", scale=0.5)
+    drv = bsde.quadratic_mixed(1.0, 0.5, 0.1)
+    want = []
+    for p in (2, 4):
+        for K in (4, 8):
+            built = build(ModelConfig("binary", K=K))
+            tree, M = built.tree, built.M
+            clock = predictable_bracket(tree, M)
+            lo, hi = tree.level_slice(K)
+            zeta = F(M.values[lo:hi])
+            sol = bsde.solve_lipschitz(
+                tree, M, clock, None, zeta,
+                bsde.truncated_driver(float(p), drv.growth, drv.eta))
+            dv = bsde.dual_value(tree, M, clock, zeta, drv.growth, float(p),
+                                 eta=drv.eta)
+            dual = float(np.ravel(dv.value.values)[0])
+            want.append({"p": p, "K": K, "primal_Y0": sol.Y0,
+                         "dual_Y0": dual, "gap": abs(sol.Y0 - dual),
+                         "floored_fraction": dv.floored_fraction})
+    calls = {"build": 0, "clock": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(cli, "build", counting("build", build))
+    monkeypatch.setattr(cli, "predictable_bracket",
+                        counting("clock", predictable_bracket))
+    assert main(["run", str(path)]) == 0
+    assert calls == {"build": 2, "clock": 2}
+    rep = json.loads((tmp_path / "out.json").read_text())
+    assert rep["rows"] == want

@@ -22,7 +22,15 @@ def _backward_expect_loop(estart, echild, eprob, vals, lo, hi, out):
         out[i - lo] = s
 
 
-def _level_moments_d1_loop(estart, echild, eprob, m, y, lo, hi, ey, m1, s2):
+def _edge_sum_loop(estart, w, lo, hi, out):
+    for i in range(lo, hi):
+        s = 0.0
+        for e in range(estart[i], estart[i + 1]):
+            s += w[e]
+        out[i - lo] = s
+
+
+def _level_moments_d1_loop(estart, echild, eprob, m, y, lo, hi, ey, m1):
     for i in range(lo, hi):
         e0, e1 = estart[i], estart[i + 1]
         acc = 0.0
@@ -30,15 +38,12 @@ def _level_moments_d1_loop(estart, echild, eprob, m, y, lo, hi, ey, m1, s2):
             acc += eprob[e] * y[echild[e]]
         ey[i - lo] = acc
         a1 = 0.0
-        a2 = 0.0
         mi = m[i]
         for e in range(e0, e1):
             dm = m[echild[e]] - mi
             dy = y[echild[e]] - acc
             a1 += eprob[e] * dm * dy
-            a2 += eprob[e] * dm * dm
         m1[i - lo] = a1
-        s2[i - lo] = a2
 
 
 def _edge_residuals_d1_loop(estart, echild, eprob, m, y, ey, z, lo, hi, dn, res):
@@ -61,8 +66,8 @@ def _weighted_child_sum_loop(estart, echild, eprob, w, vals, lo, hi, out):
         out[i - lo] = s
 
 
-KERNELS = ("backward_expect", "level_moments_d1", "edge_residuals_d1",
-           "weighted_child_sum")
+KERNELS = ("edge_sum", "backward_expect", "level_moments_d1",
+           "edge_residuals_d1", "weighted_child_sum")
 
 
 def cases(rng):
@@ -77,18 +82,22 @@ def run_loop(name, tree, rng):
     args = (tree.estart, tree.echild, tree.eprob)
     y = rng.normal(size=tree.n_nodes)
     m = rng.normal(size=tree.n_nodes)
+    if name == "edge_sum":
+        w = rng.normal(size=len(tree.eprob))
+        out = np.empty(hi - lo)
+        _edge_sum_loop(tree.estart, w, lo, hi, out)
+        return (out,)
     if name == "backward_expect":
         out = np.empty(hi - lo)
         _backward_expect_loop(*args, y, lo, hi, out)
         return (out,)
     if name == "level_moments_d1":
-        ey, m1, s2 = (np.empty(hi - lo) for _ in range(3))
-        _level_moments_d1_loop(*args, m, y, lo, hi, ey, m1, s2)
-        return ey, m1, s2
+        ey, m1 = np.empty(hi - lo), np.empty(hi - lo)
+        _level_moments_d1_loop(*args, m, y, lo, hi, ey, m1)
+        return ey, m1
     if name == "edge_residuals_d1":
         # feed both sides the same ey/z, from the numpy kernel
-        ey, m1, s2 = _kernels.level_moments_d1(tree, m, y, lo, hi)
-        z = m1 / np.maximum(s2, 1e-300)
+        ey, z = _numpy_ey_z(tree, m, y, lo, hi)
         dn = np.zeros(len(tree.eprob))
         res = np.empty(hi - lo)
         _edge_residuals_d1_loop(*args, m, y, ey, z, lo, hi, dn, res)
@@ -101,19 +110,29 @@ def run_loop(name, tree, rng):
     raise KeyError(name)
 
 
+def _numpy_ey_z(tree, m, y, lo, hi):
+    dm = _kernels.edge_increments(tree, m)
+    ey, m1 = _kernels.level_moments_d1(tree, tree.eprob * dm, y, lo, hi)
+    s2 = _kernels.edge_sum(tree, tree.eprob * dm * dm, lo, hi)
+    return ey, m1 / np.maximum(s2, 1e-300)
+
+
 def run_numpy(name, tree, rng):
     lo, hi = tree.level_slice(rng.integers(0, tree.K))
     y = rng.normal(size=tree.n_nodes)
     m = rng.normal(size=tree.n_nodes)
+    dm = _kernels.edge_increments(tree, m)
+    if name == "edge_sum":
+        w = rng.normal(size=len(tree.eprob))
+        return (_kernels.edge_sum(tree, w, lo, hi),)
     if name == "backward_expect":
         return (_kernels.backward_expect(tree, y, lo, hi),)
     if name == "level_moments_d1":
-        return _kernels.level_moments_d1(tree, m, y, lo, hi)
+        return _kernels.level_moments_d1(tree, tree.eprob * dm, y, lo, hi)
     if name == "edge_residuals_d1":
-        ey, m1, s2 = _kernels.level_moments_d1(tree, m, y, lo, hi)
-        z = m1 / np.maximum(s2, 1e-300)
+        ey, z = _numpy_ey_z(tree, m, y, lo, hi)
         dn = np.zeros(len(tree.eprob))
-        res = _kernels.edge_residuals_d1(tree, m, y, ey, z, lo, hi, dn)
+        res = _kernels.edge_residuals_d1(tree, dm, y, ey, z, lo, hi, dn)
         return dn, res
     if name == "weighted_child_sum":
         w = rng.uniform(0.5, 1.5, size=len(tree.eprob))
@@ -140,3 +159,11 @@ def test_wrappers_agree_with_direct_expectation(rng):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
         ref = float(tree.eprob[e0:e1] @ vals[tree.echild[e0:e1]])
         npt.assert_allclose(out[i - lo], ref, atol=1e-14)
+
+
+def test_edge_increments_per_edge(rng):
+    tree = random_full_tree(rng, K=4)
+    m = rng.normal(size=tree.n_nodes)
+    dm = _kernels.edge_increments(tree, m)
+    for e in range(len(tree.echild)):
+        assert dm[e] == m[tree.echild[e]] - m[tree.eparent[e]]

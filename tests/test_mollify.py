@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -130,3 +134,22 @@ def test_catalog_complete_and_constructible():
     npt.assert_allclose(F(np.array([[2.0]])), [2.0])
     with pytest.raises(KeyError):
         from_catalog("nope")
+
+
+def test_halfspace_closed_form_is_the_normal_cdf_bit_for_bit():
+    F = indicator_halfspace(threshold=0.0)
+    Fe = mollify(F, 0.25)
+    x = np.concatenate([np.random.default_rng(3).normal(0, 2, 10_000),
+                        [np.inf, -np.inf, 1e-300, -1e-300, 0.0, 40.0, -40.0]])
+    assert np.array_equal(Fe(x[:, None]), norm.cdf(x / 0.5))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = ("import sys; import orthres.cli; "
+            "print('scipy.stats' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True).stdout
+    assert out.strip() == "False"
