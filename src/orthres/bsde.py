@@ -7,7 +7,7 @@ the multi-dimensional decomposition lives in the gkw module.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,8 +19,17 @@ from . import models as _models
 from .forward import euler_forward, extract_subtree, shift_martingale
 
 FP_TOL = 1e-12
-FP_MAX_ITER = 200
 PROJ_EPS = 1e-14
+# cascade: stop an n-sweep once the sup-norm increment is below CASCADE_TOL;
+# a decrease in n larger than MONOTONE_GUARD is a solver failure
+CASCADE_TOL = 1e-8
+MONOTONE_GUARD = 1e-6
+# grid inf-convolution: z offsets in [-SEARCH_RADIUS, SEARCH_RADIUS] at
+# GRID_STEP; the box is doubled, at most MAX_ENLARGE times, whenever the inf
+# sits on its boundary
+SEARCH_RADIUS = 3.0
+GRID_STEP = 0.1
+MAX_ENLARGE = 2
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +41,12 @@ class DriverSpec:
     """Driver f(t, x, m, y, z) with declared growth (a, b, gamma).
 
     ``f`` is vectorized over nodes: x is (N, n) or None, m, y, z are (N,).
-    ``huber`` marks the separable structure (gamma/2)z^2 + b|y| + eta, which
-    unlocks closed-form inf-convolutions.  ``eta`` is a constant or a
+    ``y_part = (k_y, b)`` declares how f depends on y:
+    f(t, x, m, y, z) = f(t, x, m, 0, z) + k_y*y + b*|y|.  The Lipschitz solver
+    takes its implicit step in closed form from it and checks the declaration
+    at every level; ``lip_y`` = |k_y| + |b| follows from it.  ``huber`` =
+    (gamma, eta) marks f = (gamma/2)z^2 + b|y| + eta, with y-part (0, b),
+    which unlocks closed-form inf-convolutions.  ``eta`` is a constant or a
     callable of time.
     """
 
@@ -43,11 +56,14 @@ class DriverSpec:
                                                   "gamma": 0.0})
     eta: object = 0.0
     klass: str = "lipschitz"
-    lip_y: float = 0.0
+    y_part: tuple = (0.0, 0.0)
     lip_z: float = 0.0
-    huber: tuple = None            # (gamma, b, eta) when f has that exact form
+    huber: tuple = None            # (gamma, eta) when f has that exact form
     nonnegative: bool = False
-    deriv: dict = None
+
+    @property
+    def lip_y(self):
+        return abs(self.y_part[0]) + abs(self.y_part[1])
 
     def __call__(self, t, x, m, y, z):
         return np.asarray(self.f(t, x, m, y, z), dtype=float)
@@ -77,107 +93,106 @@ def truncated_driver(p, growth, eta=None):
         return huber_envelope(z, p, gamma) + b * np.abs(y) + eta_at(eta, t)
 
     return DriverSpec(id=f"q_p[{p}]", f=f, growth=dict(growth), eta=eta,
-                      klass="lipschitz", lip_y=b, lip_z=gamma * p,
+                      klass="lipschitz", y_part=(0.0, b), lip_z=gamma * p,
                       nonnegative=True)
 
 
-def inf_convolve(driver, n, search_radius=3.0, grid_step=0.1,
-                 max_enlarge=2):
+def inf_convolve(driver, n):
     """n-Lipschitz lower envelope inf_{u,w} f(u,w) + n|y-u| + n|z-w|.
 
-    Closed form when the driver carries the separable huber structure;
-    otherwise a grid search over offsets, enlarging the box when the inf is
-    attained on its boundary.
+    The declared y-part k_y*y + b*|y| is n-Lipschitz when n >= lip_y, so the
+    inf over u sits at u = y and only z is convolved; a smaller n raises
+    ValueError.  Closed form when the driver carries the huber structure;
+    otherwise a grid search over z offsets of f(t, x, m, 0, z + w) + n|w|,
+    enlarging the box when the inf is attained on its boundary.
     """
     if n < 1:
         raise ValueError("inf-convolution index n must be >= 1")
+    if n < driver.lip_y:
+        raise ValueError(f"inf-convolution index n = {n} is below the "
+                         f"driver's lip_y = {driver.lip_y}")
+    ky, by = driver.y_part
+    lip_z = min(float(n), driver.lip_z) if driver.lip_z else float(n)
     if driver.huber is not None:
-        gamma, b, eta = driver.huber
-        by = min(b, float(n))
+        gamma, eta = driver.huber
         thresh = n / gamma if gamma > 0 else math.inf
 
         def f(t, x, m, y, z):
             quad = huber_envelope(z, thresh, gamma) if gamma > 0 else 0.0
             return quad + by * np.abs(y) + eta_at(eta, t)
-
-        return DriverSpec(id=f"{driver.id}~inf{n}", f=f,
-                          growth=dict(driver.growth), eta=eta,
-                          klass="lipschitz", lip_y=by,
-                          lip_z=min(float(n), driver.lip_z or math.inf),
-                          nonnegative=driver.nonnegative)
-
-    base = driver
-    lip_y = min(float(n), base.lip_y) if base.lip_y else float(n)
-    lip_z = min(float(n), base.lip_z) if base.lip_z else float(n)
-
-    def f(t, x, m, y, z):
-        y = np.asarray(y, dtype=float)
-        z = np.asarray(z, dtype=float)
-        R = search_radius
-        for attempt in range(max_enlarge + 1):
-            offs = np.arange(-R, R + grid_step / 2, grid_step)
-            best = np.full(y.shape, np.inf)
-            arg_u = np.zeros(y.shape)
-            arg_w = np.zeros(y.shape)
-            for du in offs:
-                pen_u = n * abs(du)
-                for dw in offs:
-                    cand = (base(t, x, m, y + du, z + dw)
-                            + pen_u + n * abs(dw))
+    else:
+        def f(t, x, m, y, z):
+            z = np.asarray(z, dtype=float)
+            zero = np.zeros(z.shape)
+            R = SEARCH_RADIUS
+            for _ in range(MAX_ENLARGE + 1):
+                best = np.full(z.shape, np.inf)
+                arg_w = np.zeros(z.shape)
+                for dw in np.arange(-R, R + GRID_STEP / 2, GRID_STEP):
+                    cand = driver(t, x, m, zero, z + dw) + n * abs(dw)
                     take = cand < best
                     best = np.where(take, cand, best)
-                    arg_u = np.where(take, du, arg_u)
                     arg_w = np.where(take, dw, arg_w)
-            edge = R - grid_step / 2
-            on_edge = (np.abs(arg_u) >= edge) | (np.abs(arg_w) >= edge)
-            if not np.any(on_edge):
-                return best
-            R *= 2.0
-        raise SolverError(
-            "inf-convolution minimum pinned to the search-box boundary "
-            f"even at radius {R / 2}")
+                if not np.any(np.abs(arg_w) >= R - GRID_STEP / 2):
+                    return best + ky * y + by * np.abs(y)
+                R *= 2.0
+            raise SolverError(
+                "inf-convolution minimum pinned to the search-box boundary "
+                f"even at radius {R / 2}")
 
-    return DriverSpec(id=f"{base.id}~inf{n}", f=f, growth=dict(base.growth),
-                      eta=base.eta, klass="lipschitz",
-                      lip_y=lip_y, lip_z=lip_z,
-                      nonnegative=base.nonnegative)
+    return DriverSpec(id=f"{driver.id}~inf{n}", f=f,
+                      growth=dict(driver.growth), eta=driver.eta,
+                      klass="lipschitz", y_part=driver.y_part, lip_z=lip_z,
+                      nonnegative=driver.nonnegative)
 
 
 # -- catalog ----------------------------------------------------------------
+
+def _param(value, name, nonnegative=False):
+    """A catalog parameter as a float; it must be finite, and >= 0 where the
+    driver's sign or growth depends on it."""
+    v = float(value)
+    if not math.isfinite(v) or (nonnegative and v < 0):
+        raise ValueError(f"driver parameter {name} must be finite"
+                         f"{' and >= 0' if nonnegative else ''}, got {v!r}")
+    return v
+
 
 def zero_driver():
     return DriverSpec(id="zero", f=lambda t, x, m, y, z: np.zeros_like(y))
 
 
 def constant(c):
-    return DriverSpec(id="constant", eta=abs(float(c)),
-                      growth={"a": abs(float(c)), "b": 0.0, "gamma": 0.0},
-                      f=lambda t, x, m, y, z: np.full_like(y, float(c)))
+    c = _param(c, "c")
+    return DriverSpec(id="constant", eta=abs(c),
+                      growth={"a": abs(c), "b": 0.0, "gamma": 0.0},
+                      f=lambda t, x, m, y, z: np.full_like(y, c))
 
 
 def linear_y(coef):
-    c = float(coef)
-    return DriverSpec(id="linear_y", lip_y=abs(c),
+    c = _param(coef, "coef")
+    return DriverSpec(id="linear_y", y_part=(c, 0.0),
                       growth={"a": 0.0, "b": abs(c), "gamma": 0.0},
                       f=lambda t, x, m, y, z: c * y)
 
 
 def pure_quadratic(gamma):
-    g = float(gamma)
+    g = _param(gamma, "gamma", nonnegative=True)
     return DriverSpec(id="pure_quadratic", klass="quadratic",
                       growth={"a": 0.0, "b": 0.0, "gamma": g},
                       f=lambda t, x, m, y, z: 0.5 * g * z * z,
-                      huber=(g, 0.0, 0.0), nonnegative=True, lip_y=0.0)
+                      huber=(g, 0.0), nonnegative=True)
 
 
 def quadratic_mixed(gamma, b, eta=0.0):
-    g, bb = float(gamma), float(b)
+    g = _param(gamma, "gamma", nonnegative=True)
+    bb = _param(b, "b", nonnegative=True)
+    e = _param(eta, "eta", nonnegative=True)
     return DriverSpec(
-        id="quadratic_mixed", klass="quadratic", eta=eta,
-        growth={"a": eta_at(eta, 0.0), "b": bb, "gamma": g},
-        f=lambda t, x, m, y, z: 0.5 * g * z * z + bb * np.abs(y)
-        + eta_at(eta, t),
-        huber=(g, bb, eta), nonnegative=True, lip_y=bb)
+        id="quadratic_mixed", klass="quadratic", eta=e,
+        growth={"a": e, "b": bb, "gamma": g},
+        f=lambda t, x, m, y, z: 0.5 * g * z * z + bb * np.abs(y) + e,
+        y_part=(0.0, bb), huber=(g, e), nonnegative=True)
 
 
 DRIVER_CATALOG = {
@@ -259,13 +274,19 @@ class BsdeSolution:
         return float(self.cond_var_profile().max())
 
 
-def solve_lipschitz(tree, M, clock, X, zeta, driver, tol_fp=FP_TOL,
-                    max_iter=FP_MAX_ITER):
+def solve_lipschitz(tree, M, clock, X, zeta, driver):
     """Implicit-in-y, explicit-in-z backward Euler with exact projections.
 
     Each level projects the just-solved y onto dM (reading E[dm^2 | node]
-    from ``clock.sigma``) and runs the fixed point in y; dN and E[[N]_T] are
-    closed in one pass over all non-terminal nodes after the sweep.
+    from ``clock.sigma``) and takes the implicit step in closed form from the
+    driver's declared y-part (k_y, b): with r = E[y'] + f(t, x, m, 0, z) dC,
+    y = r / (1 - (k_y + b sign(r)) dC).  This is exact because
+    y -> y - (k_y y + b|y|) dC is increasing, piecewise linear and zero at 0
+    when lip_y dC < 1.  A second driver evaluation checks the step's residual
+    |y - E[y'] - f(t, x, m, y, z) dC| against FP_TOL (relative to |y| above
+    1), so a wrongly declared or non-finite driver raises InvariantViolation.
+    dN and E[[N]_T] are closed in one pass over all non-terminal nodes after
+    the sweep.
     """
     if M.dim != 1:
         raise NotImplementedError("backward solvers are scalar-martingale only")
@@ -276,6 +297,10 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver, tol_fp=FP_TOL,
         raise ContractionError(
             f"lip_y * dC_max = {driver.lip_y * dc_max:.3f} >= 1; refine the "
             "time grid")
+    # y -> y - (k_y y + b|y|) dC has slope den_pos above 0 and den_neg below
+    ky, by = driver.y_part
+    den_pos = 1.0 - (ky + by) * dC
+    den_neg = 1.0 - (ky - by) * dC
     nt = tree.n_nonterminal
     m = M.scalar
     qdiag = clock.q.values.reshape(nt, -1)[:, 0]  # q[0,0] for d = 1
@@ -292,7 +317,7 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver, tol_fp=FP_TOL,
     yvals[lo:hi] = zeta
     eyall = np.empty(nt)
     zall = np.empty(nt)
-    iters_hist = []
+    step_res = np.empty(nt)
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
         ey, m1 = _kernels.level_moments_d1(tree, pdm, yvals, a, b)
@@ -301,23 +326,22 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver, tol_fp=FP_TOL,
         xk = X.values[a:b] if X is not None else None
         mk = m[a:b]
         dck = dC[a:b]
-        y = ey
-        it = 0
-        while True:
-            y_new = ey + driver(t[k], xk, mk, y, z_arg) * dck
-            it += 1
-            delta = float(np.abs(y_new - y).max())
-            y = y_new
-            if delta < tol_fp:
-                break
-            if it >= max_iter:
-                raise SolverError(
-                    f"fixed point at level {k} did not converge in "
-                    f"{max_iter} iterations (last delta {delta:.3e})")
-        iters_hist.append(it)
+        r = ey + driver(t[k], xk, mk, np.zeros_like(ey), z_arg) * dck
+        y = r / np.where(r < 0, den_neg[a:b], den_pos[a:b])
+        step_res[a:b] = y - ey - driver(t[k], xk, mk, y, z_arg) * dck
         yvals[a:b] = y
         eyall[a:b] = ey
         zall[a:b] = z
+    ok = np.abs(step_res) <= FP_TOL * np.maximum(1.0, np.abs(yvals[:nt]))
+    if not ok.all():
+        # nodes run root first, so the last miss is where the sweep broke
+        i = int(np.flatnonzero(~ok)[-1])
+        raise InvariantViolation(
+            f"implicit step at level {int(tree.node_level[i])} misses its "
+            f"equation by {abs(step_res[i]):.3e} at y = {yvals[i]:.6g}: the "
+            f"driver is not finite there or its y-part is not "
+            f"{driver.y_part}")
+    del den_pos, den_neg, step_res, ok  # out of the edge pass's peak
     dn = np.empty(len(tree.echild))
     res_node = _kernels.edge_residuals_d1(tree, dm, yvals, eyall, zall,
                                           0, nt, dn)
@@ -328,32 +352,9 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver, tol_fp=FP_TOL,
         dN=dn, bracketNN_T=bracket,
         diagnostics={
             "y_sup": float(np.max(np.abs(yvals))),
-            "fixed_point_iters": iters_hist[::-1],
+            # the step is closed-form: no fixed-point iterations at any level
+            "fixed_point_iters": [0] * tree.K,
         })
-
-
-def _split_driver(driver):
-    """f = f_plus - f_minus with both parts nonnegative."""
-    base = driver
-
-    def fp(t, x, m, y, z):
-        return np.maximum(base(t, x, m, y, z), 0.0)
-
-    def fm(t, x, m, y, z):
-        return np.maximum(-base(t, x, m, y, z), 0.0)
-
-    mk = lambda name, fn: replace(base, id=f"{base.id}~{name}", f=fn,
-                                  huber=None)
-    return mk("pos", fp), mk("neg", fm)
-
-
-def _combine(pos, neg_env):
-    def f(t, x, m, y, z):
-        return pos(t, x, m, y, z) - neg_env(t, x, m, y, z)
-
-    return replace(pos, id=f"{pos.id}-{neg_env.id}", f=f,
-                   lip_y=pos.lip_y + neg_env.lip_y,
-                   lip_z=pos.lip_z + neg_env.lip_z)
 
 
 @dataclass
@@ -365,73 +366,49 @@ class CascadeTrace:
 
 
 def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
-                    n_list=(4, 8, 16, 32), tol_cascade=1e-8,
-                    monotone_guard=1e-6, inf_conv_kwargs=None):
-    """Full approximation cascade for a quadratic-growth driver.
+                    n_list=(4, 8, 16, 32)):
+    """Approximation cascade for a nonnegative quadratic-growth driver.
 
-    For each truncation index p the negative part of the driver is Lipschitz-
-    regularized at level p, then the resulting driver is inf-convolved along
-    ``n_list`` (monotone increasing solutions); the p-sequence of limits is
-    monotone decreasing.  Stops each sweep once the sup-norm increment drops
-    below ``tol_cascade``.
+    A nonnegative driver needs no regularised negative part, so the
+    truncation index only sets where the n-sweep starts: the driver is
+    inf-convolved along ``n_list`` from n = max(p_list[0], lip_y), giving
+    monotone increasing solutions, until the sup-norm increment drops below
+    CASCADE_TOL.  Signed drivers raise ValueError.
     """
     if driver.klass != "quadratic":
         raise ValueError("solve_quadratic expects a quadratic-class driver")
+    if not driver.nonnegative:
+        raise ValueError("solve_quadratic expects a driver declared "
+                         "nonnegative; signed drivers are not supported")
     zeta = np.asarray(zeta, dtype=float)
     if not np.all(np.isfinite(zeta)):
         raise InvariantViolation("terminal condition must be bounded")
-    kw = inf_conv_kwargs or {}
     trace = CascadeTrace()
-    f_plus, f_minus = (None, None)
-    if not driver.nonnegative:
-        f_plus, f_minus = _split_driver(driver)
-    prev_p_y = None
-    sol = None
-    # a nonnegative driver needs no regularised negative part, so g_p is the
-    # driver itself and every further p would rerun the same n-sweep
-    for p in p_list[:1] if driver.nonnegative else p_list:
-        if driver.nonnegative:
-            g_p = driver
-        else:
-            g_p = _combine(f_plus, inf_convolve(f_minus, p, **kw))
-        prev_y = None
-        n_min = max(p, driver.growth.get("b", 0.0))
-        ns = [n for n in n_list if n >= n_min] or [n_min]
-        for n in ns:
-            f_n = inf_convolve(g_p, n, **kw)
-            sol = solve_lipschitz(tree, M, clock, X, zeta, f_n)
-            y = sol.Y.values[:, 0]
-            inc = None
-            if prev_y is not None:
-                viol = float(np.max(prev_y - y))
-                trace.monotone_violation_n = max(trace.monotone_violation_n,
-                                                viol)
-                inc = float(np.max(np.abs(y - prev_y)))
-            trace.stages.append({
-                "p": p, "n": n, "y_sup": sol.diagnostics["y_sup"],
-                "bracketNN_T": sol.bracketNN_T,
-                "sup_increment": inc,
-                "iters": int(max(sol.diagnostics["fixed_point_iters"],
-                                 default=0)),
-            })
-            done = prev_y is not None and inc < tol_cascade
-            prev_y = y
-            if done:
-                break
-        if prev_p_y is not None:
-            viol = float(np.max(prev_y - prev_p_y))
-            trace.monotone_violation_p = max(trace.monotone_violation_p, viol)
-            if float(np.max(np.abs(prev_y - prev_p_y))) < tol_cascade:
-                trace.p_values.append(sol.diagnostics["y_sup"])
-                break
-        trace.p_values.append(sol.diagnostics["y_sup"])
-        prev_p_y = prev_y
-    if max(trace.monotone_violation_n, trace.monotone_violation_p) \
-            > monotone_guard:
-        raise SolverError(
-            "cascade lost monotonicity beyond tolerance "
-            f"(n: {trace.monotone_violation_n:.3e}, "
-            f"p: {trace.monotone_violation_p:.3e})")
+    p = p_list[0]
+    n_min = max(p, driver.lip_y)
+    prev_y = None
+    for n in [n for n in n_list if n >= n_min] or [n_min]:
+        sol = solve_lipschitz(tree, M, clock, X, zeta, inf_convolve(driver, n))
+        y = sol.Y.values[:, 0]
+        inc = None
+        if prev_y is not None:
+            trace.monotone_violation_n = max(trace.monotone_violation_n,
+                                            float(np.max(prev_y - y)))
+            inc = float(np.max(np.abs(y - prev_y)))
+        trace.stages.append({
+            "p": p, "n": n, "y_sup": sol.diagnostics["y_sup"],
+            "bracketNN_T": sol.bracketNN_T,
+            "sup_increment": inc,
+            "iters": int(max(sol.diagnostics["fixed_point_iters"],
+                             default=0)),
+        })
+        if inc is not None and inc < CASCADE_TOL:
+            break
+        prev_y = y
+    trace.p_values.append(sol.diagnostics["y_sup"])
+    if trace.monotone_violation_n > MONOTONE_GUARD:
+        raise SolverError("cascade lost monotonicity in n beyond tolerance "
+                          f"({trace.monotone_violation_n:.3e})")
     sol.diagnostics["cascade_trace"] = trace
     return sol
 

@@ -96,11 +96,16 @@ NEEDS = {
 
 
 def _number(value, name, cast=float):
-    """``cast(value)``, or a ConfigError naming the field."""
+    """``cast(value)``, or a ConfigError naming the field.  An ``int`` field
+    rejects a fractional value instead of truncating it."""
     try:
+        if cast is int and isinstance(value, float) and \
+                not value.is_integer():
+            raise ValueError
         return cast(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 def _object(raw, name):
@@ -194,7 +199,8 @@ def parse_config(raw):
     # K is a mesh size, eps a mollification variance, p and n are truncation
     # and inf-convolution indices
     for name, ok, want in (
-            ("K_list", lambda v: 0 < v < math.inf, "positive numbers"),
+            ("K_list", lambda v: 0 < v < math.inf and float(v).is_integer(),
+             "positive integers"),
             ("eps_list", lambda v: 0 < v < 1, "numbers in (0, 1)"),
             ("p_list", lambda v: 1 <= v < math.inf, "finite numbers >= 1"),
             ("n_list", lambda v: 1 <= v < math.inf, "finite numbers >= 1")):
@@ -446,7 +452,7 @@ def _random_lipschitz_pair(rng, mterm):
             id=f"affine_{c0:g}", klass="lipschitz",
             f=lambda t, x, m, y, z, ky=ky, kz=kz, c0=c0: ky * y + kz * z + c0,
             growth={"a": abs(c0), "b": abs(ky), "gamma": 0.0},
-            eta=abs(c0), lip_y=abs(ky), lip_z=abs(kz))
+            eta=abs(c0), y_part=(ky, 0.0), lip_z=abs(kz))
     return zeta1, zeta2, make(c2 + gap), make(c2)
 
 

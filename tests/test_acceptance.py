@@ -169,13 +169,13 @@ def test_A5_cascade_correctness():
 
 def test_A6_approximation_layer_oracles():
     # (a) grid-search inf-convolution vs the closed-form envelope
-    gamma, n, step = 1.0, 2, 0.1
+    gamma, n, step = 1.0, 2, bsde.GRID_STEP
     quad = bsde.driver_from_catalog("pure_quadratic", gamma=gamma)
     blind = bsde.DriverSpec(id="blind", klass="quadratic", f=quad.f,
                             growth=dict(quad.growth), nonnegative=True)
     z = np.linspace(-2.5, 2.5, 1000)
     zero = np.zeros_like(z)
-    got = bsde.inf_convolve(blind, n, grid_step=step)(0.0, None, z, zero, z)
+    got = bsde.inf_convolve(blind, n)(0.0, None, z, zero, z)
     ref = bsde.huber_envelope(z, n / gamma, gamma)
     a_err = float(np.max(np.abs(got - ref)))
     a_ok = a_err <= step * n

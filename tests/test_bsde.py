@@ -3,11 +3,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthres import _kernels
-from orthres.errors import ContractionError, SolverError
+from orthres.errors import ContractionError, InvariantViolation
 from orthres.ftree import predictable_bracket
 from orthres.gkw import gkw_decompose, martingale_from_terminal
 from orthres.models import ModelConfig, build
@@ -80,8 +80,8 @@ def test_inf_convolve_grid_matches_closed_form():
     drv = driver_from_catalog("pure_quadratic", gamma=gamma)
     blind = DriverSpec(id="blind_quad", klass="quadratic",
                        f=drv.f, growth=dict(drv.growth), nonnegative=True)
-    n, step = 2, 0.1
-    fn_grid = inf_convolve(blind, n, grid_step=step)
+    n, step = 2, bsde.GRID_STEP
+    fn_grid = inf_convolve(blind, n)
     z = np.linspace(-2.5, 2.5, 1000)
     zero = np.zeros_like(z)
     expect = huber_envelope(z, n / gamma, gamma)
@@ -171,7 +171,7 @@ def test_solution_diagnostics_shape():
 def lipschitz_reference(tree, M, clock, zeta, driver, tol=bsde.FP_TOL):
     """Node-by-node backward Euler: per-node projection of y' on dm, a scalar
     fixed point per node, then the per-edge residual.  Returns
-    (Y, z, dN, E[dN^2 | node], Sigma, fixed-point iterations per level)."""
+    (Y, z, dN, E[dN^2 | node], Sigma)."""
     m = M.scalar
     nt = tree.n_nonterminal
     dC = clock.dC.values
@@ -181,7 +181,6 @@ def lipschitz_reference(tree, M, clock, zeta, driver, tol=bsde.FP_TOL):
     y[lo:hi] = zeta
     z, s2, res = np.zeros(nt), np.zeros(nt), np.zeros(nt)
     dn = np.zeros(len(tree.echild))
-    iters = [0] * tree.K
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
         for i in range(a, b):
@@ -193,22 +192,22 @@ def lipschitz_reference(tree, M, clock, zeta, driver, tol=bsde.FP_TOL):
             s2[i] = sum(p[j] * dm[j] ** 2 for j in range(len(ch)))
             m1 = sum(p[j] * dm[j] * (y[c] - ey) for j, c in enumerate(ch))
             z[i] = m1 / s2[i] if s2[i] > bsde.PROJ_EPS else 0.0
-            cur, it = ey, 0
-            while True:
+            cur = ey
+            for _ in range(10_000):
                 new = ey + float(driver(tree.grid.t[k], None, m[i:i + 1],
                                         np.array([cur]),
                                         np.array([q[i] * z[i]]))[0]) * dC[i]
-                it += 1
                 done = abs(new - cur) < tol
                 cur = new
                 if done:
                     break
+            else:
+                raise AssertionError(f"reference fixed point stalled at {i}")
             y[i] = cur
-            iters[k] = max(iters[k], it)
             for j, c in enumerate(ch):
                 dn[e0 + j] = y[c] - ey - z[i] * dm[j]
             res[i] = sum(p[j] * dn[e0 + j] ** 2 for j in range(len(ch)))
-    return y, z, dn, res, s2, iters
+    return y, z, dn, res, s2
 
 
 def cond_var_profile_loop(tree, zsq_term, res_node):
@@ -231,7 +230,7 @@ def _property_driver(kind, c, kz):
     return DriverSpec(id="affine", klass="lipschitz",
                       f=lambda t, x, m, y, z: c * y + kz * z + 0.25,
                       growth={"a": 0.25, "b": abs(c), "gamma": 0.0},
-                      eta=0.25, lip_y=abs(c), lip_z=abs(kz))
+                      eta=0.25, y_part=(c, 0.0), lip_z=abs(kz))
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,18 +246,132 @@ def test_solver_matches_per_node_reference(seed, K, kind, c, kz, scale):
     zeta = np.sin(3.0 * M.scalar[lo:hi]) + rng.normal(size=hi - lo)
     drv = _property_driver(kind, c, kz)
     sol = solve_lipschitz(tree, M, clock, None, zeta, drv)
-    y, z, dn, res, s2, iters = lipschitz_reference(tree, M, clock, zeta, drv)
+    y, z, dn, res, s2 = lipschitz_reference(tree, M, clock, zeta, drv)
     tol = dict(rtol=1e-9, atol=1e-10)
     npt.assert_allclose(sol.Y.values[:, 0], y, **tol)
     npt.assert_allclose(sol.Z.values[:, 0], z, **tol)
     npt.assert_allclose(sol.dN, dn, **tol)
     nt = tree.n_nonterminal
     npt.assert_allclose(sol.bracketNN_T, tree.path_prob[:nt] @ res, **tol)
-    assert sol.diagnostics["fixed_point_iters"] == iters
     npt.assert_allclose(clock.sigma.ravel(), s2, rtol=1e-12, atol=1e-15)
     prof = cond_var_profile_loop(tree, z * z * s2, res)
     npt.assert_allclose(sol.cond_var_profile(), prof, **tol)
     npt.assert_allclose(sol.bmo_norm(), prof.max(), **tol)
+
+
+def _y_part_driver(ky, b, kz, c0, declared=None):
+    """k_y*y + b*|y| + kz*z + c0, declaring ``declared`` (default: the truth)
+    as its y-part."""
+    return DriverSpec(id="y_part", klass="lipschitz",
+                      f=lambda t, x, m, y, z: ky * y + b * np.abs(y)
+                      + kz * z + c0,
+                      y_part=(ky, b) if declared is None else declared)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+       st.floats(-0.8, 0.8), st.floats(0.0, 1.0), st.booleans(),
+       st.floats(-1.0, 1.0), st.sampled_from([1.0, 1e-8, 0.0]),
+       st.floats(0.2, 2.0))
+# a node with a tiny E[dm^2], where Z itself amplifies the reference's error
+@example(55193, 4, 0.5, 0.0, False, 0.0, 1e-8, 1.0)
+def test_closed_form_step_matches_fixed_point(seed, K, u, share, b_neg, kz,
+                                               zscale, scale):
+    rng = np.random.default_rng(seed)
+    tree = random_full_tree(rng, K=K)
+    M = random_martingale(rng, tree, scale)
+    clock = predictable_bracket(tree, M)
+    # (k_y, b) of both signs with (|k_y| + |b|) dC_max <= 0.8
+    dc_max = float(clock.dC.values.max())
+    ky = u * share / dc_max
+    b = (-1 if b_neg else 1) * abs(u) * (1 - share) / dc_max
+    lo, hi = tree.level_slice(K)
+    # zscale < 1 drops the z and constant terms, so r = E[y'] is tiny or 0
+    # and of either sign from node to node
+    zeta = zscale * (np.sin(3.0 * M.scalar[lo:hi])
+                     + 0.5 * rng.normal(size=hi - lo))
+    drv = _y_part_driver(ky, b, kz if zscale == 1.0 else 0.0,
+                         0.25 if zscale == 1.0 else 0.0)
+    sol = solve_lipschitz(tree, M, clock, None, zeta, drv)
+    y, z, dn, res, s2 = lipschitz_reference(tree, M, clock, zeta, drv,
+                                            tol=1e-15)
+    # the reference stops at an absolute 1e-15, so it is good to ~4e-15 in y
+    # and in Z*sqrt(E[dm^2]); a wrong sign branch would miss by ~|r| b dC,
+    # far above 1e-13
+    tol = dict(rtol=1e-9, atol=1e-13)
+    npt.assert_allclose(sol.Y.values[:, 0], y, **tol)
+    npt.assert_allclose(sol.Z.values[:, 0] * np.sqrt(s2), z * np.sqrt(s2),
+                        **tol)
+    npt.assert_allclose(sol.dN, dn, **tol)
+    nt = tree.n_nonterminal
+    npt.assert_allclose(sol.bracketNN_T, tree.path_prob[:nt] @ res, **tol)
+    assert sol.diagnostics["fixed_point_iters"] == [0] * K
+
+
+@pytest.mark.parametrize("drv", [
+    _y_part_driver(0.5, 0.0, 0.0, 0.0, declared=(0.0, 0.0)),
+    _y_part_driver(0.0, 0.3, 0.0, 0.1, declared=(0.0, -0.3)),
+    DriverSpec(id="nan", f=lambda t, x, m, y, z: np.full_like(y, np.nan))],
+    ids=["undeclared_linear", "wrong_sign_b", "nan"])
+def test_misdeclared_or_nan_driver_raises(drv):
+    tree, M, clock, mterm = binary_setup(K=6)
+    with pytest.raises(InvariantViolation, match="implicit step"):
+        solve_lipschitz(tree, M, clock, None, 1.0 + mterm ** 2, drv)
+
+
+def test_no_y_part_step_is_the_explicit_sum():
+    # with y_part (0, 0) the step is r / 1.0, bit for bit E[y'] + f dC
+    tree, M, clock, mterm = binary_setup(K=6)
+    zeta = np.sin(2 * mterm)
+    sol = solve_lipschitz(tree, M, clock, None, zeta,
+                          truncated_driver(2.0, {"b": 0.0, "gamma": 1.0,
+                                                 "a": 0.2}))
+    y = sol.Y.values[:, 0]
+    nt = tree.n_nonterminal
+    for k in range(tree.K):
+        a, b = tree.level_slice(k)
+        ey, _ = _kernels.level_moments_d1(
+            tree, tree.eprob * _kernels.edge_increments(tree, M.scalar),
+            y, a, b)
+        z = sol.Z.values[a:b, 0] * clock.q.values.reshape(nt, -1)[a:b, 0]
+        g = huber_envelope(z, 2.0, 1.0) + 0.2
+        assert np.array_equal(y[a:b], ey + g * clock.dC.values[a:b])
+
+
+def test_inf_convolve_grid_adds_the_declared_y_part():
+    gamma, ky, b, n = 1.0, -0.3, 1.5, 2
+    mixed = driver_from_catalog("quadratic_mixed", gamma=gamma, b=b)
+    z = np.linspace(-2.5, 2.5, 500)
+    y = np.linspace(-3.0, 3.0, 500)
+    expect = huber_envelope(z, n / gamma, gamma) + b * np.abs(y)
+    for k in (0.0, ky):
+        blind = DriverSpec(id="blind_mixed", klass="quadratic",
+                           f=lambda t, x, m, y, z, k=k: mixed.f(t, x, m, y, z)
+                           + k * y,
+                           growth=dict(mixed.growth), y_part=(k, b),
+                           nonnegative=True)
+        got = inf_convolve(blind, n)(0.0, None, z, y, z)
+        assert np.max(np.abs(got - expect - k * y)) <= bsde.GRID_STEP * n
+        assert inf_convolve(blind, n).y_part == (k, b)
+        with pytest.raises(ValueError):
+            inf_convolve(blind, 1)
+    with pytest.raises(ValueError):
+        inf_convolve(mixed, 1)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("pure_quadratic", {"gamma": -1.0}),
+    ("pure_quadratic", {"gamma": math.nan}),
+    ("pure_quadratic", {"gamma": math.inf}),
+    ("quadratic_mixed", {"gamma": 1.0, "b": -0.5}),
+    ("quadratic_mixed", {"gamma": 1.0, "b": 0.5, "eta": -0.1}),
+    ("quadratic_mixed", {"gamma": 1.0, "b": math.inf}),
+    ("linear_y", {"coef": math.nan}),
+    ("constant", {"c": math.inf}),
+    ("constant", {"c": -math.inf})])
+def test_catalog_rejects_bad_parameters(name, params):
+    with pytest.raises(ValueError):
+        driver_from_catalog(name, **params)
 
 
 # -- quadratic cascade ------------------------------------------------------
@@ -290,6 +403,15 @@ def test_cascade_rejects_lipschitz_driver():
     with pytest.raises(ValueError):
         solve_quadratic(tree, M, clock, None, mterm,
                         driver_from_catalog("zero"))
+
+
+def test_cascade_rejects_signed_driver():
+    tree, M, clock, mterm = binary_setup(K=4)
+    signed = DriverSpec(id="signed", klass="quadratic",
+                        f=lambda t, x, m, y, z: -0.5 * z * z,
+                        growth={"a": 0.0, "b": 0.0, "gamma": 1.0})
+    with pytest.raises(ValueError):
+        solve_quadratic(tree, M, clock, None, mterm, signed)
 
 
 def test_cole_hopf_oracle():

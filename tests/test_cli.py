@@ -106,6 +106,24 @@ SCAN = {"experiment": "regularity_scan", "model": {"kind": "trinomial",
     pytest.param({"experiment": "mollify_sweep", "eps_list": [0.1],
                   "tolerances": {"scan_spacing": "x"}},
                  id="spacing_not_number"),
+    pytest.param({"model": {"kind": "trinomial", "K": 1.7}},
+                 id="K_fractional"),
+    pytest.param({"model": {"kind": "trinomial", "d": 1.5}},
+                 id="d_fractional"),
+    pytest.param({"K_list": [4, 2.5]}, id="K_list_fractional"),
+    pytest.param({"seed": 0.5}, id="seed_fractional"),
+    pytest.param({"experiment": "comparison_campaign", "seeds": 2.5},
+                 id="seeds_fractional"),
+    pytest.param({**SCAN, "tolerances": {"t_idx": 1.5}},
+                 id="t_idx_fractional"),
+    pytest.param({**SCAN, "tolerances": {"m_count": 3.5}},
+                 id="m_count_fractional"),
+    pytest.param({**SCAN, "driver": {"id": "pure_quadratic",
+                                     "params": {"gamma": -1.0}}},
+                 id="gamma_negative"),
+    pytest.param({**SCAN, "driver": {"id": "quadratic_mixed",
+                                     "params": {"gamma": 1.0, "b": -0.5}}},
+                 id="b_negative"),
 ])
 def test_exit_3_on_malformed_config(tmp_path, capsys, overrides):
     if overrides is None:
@@ -116,6 +134,17 @@ def test_exit_3_on_malformed_config(tmp_path, capsys, overrides):
     assert main(["run", str(path)]) == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and "\n" not in err
+
+
+def test_integral_floats_are_valid_integer_fields():
+    cfg = parse_config({
+        "experiment": "regularity_scan", "output": "x",
+        "model": {"kind": "trinomial", "K": 8.0, "d": 1.0},
+        "F": {"id": "sine"}, "K_list": [4.0],
+        "driver": {"id": "pure_quadratic", "params": {"gamma": 1.0}},
+        "seed": 3.0, "seeds": 2.0,
+        "tolerances": {"t_idx": 2.0, "m_count": 5.0}})
+    assert (cfg.model.K, cfg.model.d, cfg.seed, cfg.seeds) == (8, 1, 3, 2)
 
 
 def test_exit_2_when_over_node_cap(tmp_path, monkeypatch, capsys):
@@ -318,6 +347,12 @@ def _long_running(raw):
 @example("residual_sweep", [(("K_list",), ([float("nan")],))])
 @example("regularity_scan", [(("coeffs", "params"), ({"n": 2},))])
 @example("regularity_scan", [(("tolerances", "m_count"), (10 ** 30,))])
+# non-finite driver parameters that once ended in exit 2 or a numpy warning
+@example("vanishing_N", [(("driver",), ({"id": "linear_y",
+                                         "params": {"coef": math.nan}},))])
+@example("cascade", [(("driver", "params", "gamma"), (math.inf,))])
+@example("vanishing_N", [(("driver",), ({"id": "constant",
+                                         "params": {"c": math.inf}},))])
 def test_fuzzed_config_ends_in_a_documented_exit_code(exp, mutations):
     raw = {"experiment": exp, "model": {"kind": "trinomial", "K": 4},
            **copy.deepcopy(FUZZ_BASES[exp])}
