@@ -6,8 +6,9 @@ Scalar martingales only (d = 1): every shipped model is one-dimensional and
 the multi-dimensional decomposition lives in the gkw module.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .forward import euler_forward, extract_subtree, shift_martingale
 
 FP_TOL = 1e-12
 PROJ_EPS = 1e-14
+# a solve closes E[dN^2 | node] from the projection's per-edge dy once the
+# levels it has not closed yet hold this many edges, whatever the batch
+# width, so that a column sums in the order of its 1-D solve
+RESIDUAL_CHUNK = 4096
 # cascade: stop an n-sweep once the sup-norm increment is below CASCADE_TOL;
 # a decrease in n larger than MONOTONE_GUARD is a solver failure
 CASCADE_TOL = 1e-8
@@ -41,10 +46,13 @@ class DriverSpec:
     """Driver f(t, x, m, y, z) with declared growth (a, b, gamma).
 
     ``f`` is vectorized over nodes: x is (N, n) or None, m, y, z are (N,).
+    For a batched solve of B columns y and z are (N, B) and m is (N, 1), and
+    the parameters of f may be (B,) arrays, one per column.
     ``y_part = (k_y, b)`` declares how f depends on y:
-    f(t, x, m, y, z) = f(t, x, m, 0, z) + k_y*y + b*|y|.  The Lipschitz solver
-    takes its implicit step in closed form from it and checks the declaration
-    at every level; ``lip_y`` = |k_y| + |b| follows from it.  ``huber`` =
+    f(t, x, m, y, z) = f(t, x, m, 0, z) + k_y*y + b*|y|; its entries may be
+    (B,) arrays too.  The Lipschitz solver takes its implicit step in closed
+    form from it and checks the declaration at every level; ``lip_y`` =
+    |k_y| + |b| (the largest over columns) follows from it.  ``huber`` =
     (gamma, eta) marks f = (gamma/2)z^2 + b|y| + eta, with y-part (0, b),
     which unlocks closed-form inf-convolutions.  ``eta`` is a constant or a
     callable of time.
@@ -63,7 +71,7 @@ class DriverSpec:
 
     @property
     def lip_y(self):
-        return abs(self.y_part[0]) + abs(self.y_part[1])
+        return float(np.max(np.abs(self.y_part[0]) + np.abs(self.y_part[1])))
 
     def __call__(self, t, x, m, y, z):
         return np.asarray(self.f(t, x, m, y, z), dtype=float)
@@ -229,8 +237,23 @@ def check_growth(driver, y_grid, z_grid, t=0.0):
 # solutions
 # ---------------------------------------------------------------------------
 
+# A Lipschitz solve keeps Y and Z at full size: n_nodes + n_nonterminal
+# float64 values per column.  A batch of solves on one tree is cut into sweeps
+# whose Y and Z take at most this many bytes.
+SWEEP_BYTES = 9_000_000
+
+
+def columns_per_sweep(tree):
+    """How many columns one batched sweep on ``tree`` may carry."""
+    return max(1, SWEEP_BYTES // (8 * (tree.n_nodes + tree.n_nonterminal)))
+
+
 @dataclass
 class BsdeSolution:
+    """One solve, or a batch of B independent solves on one tree: then zeta
+    is (leaves, B), Y and Z have B columns and bracketNN_T is (B,).  dN is
+    closed on first read."""
+
     tree: object
     M: AdaptedProcess
     clock: object
@@ -239,21 +262,48 @@ class BsdeSolution:
     driver: DriverSpec
     Y: AdaptedProcess
     Z: PredictableField
-    dN: np.ndarray
-    bracketNN_T: float
+    bracketNN_T: object
     diagnostics: dict = field(default_factory=dict)
+
+    def _cols(self, proc):
+        """proc's values as (rows,) for one solve, (rows, B) for a batch."""
+        return proc.values if self.zeta.ndim == 2 else proc.values[:, 0]
 
     @property
     def Y0(self):
-        return float(self.Y.values[0, 0])
+        y0 = self._cols(self.Y)[0]
+        return float(y0) if y0.ndim == 0 else y0
 
     @property
     def y_sup(self):
         return float(np.max(np.abs(self.Y.values)))
 
+    @functools.cached_property
+    def dN(self):
+        """Per-edge residual dN = dY - Z dM, (edges,) or (edges, B)."""
+        tree = self.tree
+        nt = tree.n_nonterminal
+        y = self._cols(self.Y)
+        dn = np.empty((len(tree.echild),) + y.shape[1:])
+        _kernels.edge_residuals_d1(
+            tree, _kernels.edge_increments(tree, self.M.scalar), y,
+            _kernels.backward_expect(tree, y, 0, nt), self._cols(self.Z),
+            0, nt, dn)
+        return dn
+
+    def columns(self, cols, driver):
+        """The solves in columns ``cols`` of a batch, as a batch of their own
+        driven by ``driver``: the batch driver restricted to those columns,
+        which an opaque callable cannot be sliced into."""
+        return replace(self, zeta=self.zeta[:, cols], driver=driver,
+                       Y=AdaptedProcess(self.tree, self.Y.values[:, cols]),
+                       Z=PredictableField(self.tree, self.Z.values[:, cols]),
+                       bracketNN_T=self.bracketNN_T[cols])
+
     def cond_var_profile(self):
         """Backward max of E[sum_{j>=k} (|Zq*|^2 dC + dN^2) | node] per level
-        k = 0..K, from the stored Z, dN and the clock's Sigma (d = 1)."""
+        k = 0..K of a single solve, from the stored Z, dN and the clock's
+        Sigma (d = 1)."""
         tree = self.tree
         nt = tree.n_nonterminal
         z = self.Z.values[:, 0]
@@ -274,84 +324,120 @@ class BsdeSolution:
         return float(self.cond_var_profile().max())
 
 
+def _column_sums(w):
+    """Sum over axis 0, each column bit for bit as the 1-D sum of it: the
+    rows of the contiguous transpose take numpy's pairwise 1-D path."""
+    return np.ascontiguousarray(w.T).sum(axis=-1)
+
+
+def _step_miss(k, miss, y, ok, y_part):
+    """InvariantViolation for the last node of level k (and its column, in a
+    batch) whose implicit step misses its equation by |miss|."""
+    i = int(np.flatnonzero(~ok)[-1])
+    where = f"level {k}"
+    if miss.ndim == 2:
+        i, j = divmod(i, miss.shape[1])
+        where += f", column {j}"
+        miss, y = miss[:, j], y[:, j]
+        y_part = tuple(float(np.broadcast_to(v, ok.shape[1:])[j])
+                       for v in y_part)
+    return InvariantViolation(
+        f"implicit step at {where} misses its equation by "
+        f"{miss[i]:.3e} at y = {y[i]:.6g}: the driver is not finite "
+        f"there or its y-part is not {y_part}")
+
+
 def solve_lipschitz(tree, M, clock, X, zeta, driver):
     """Implicit-in-y, explicit-in-z backward Euler with exact projections.
 
-    Each level projects the just-solved y onto dM (reading E[dm^2 | node]
-    from ``clock.sigma``) and takes the implicit step in closed form from the
-    driver's declared y-part (k_y, b): with r = E[y'] + f(t, x, m, 0, z) dC,
-    y = r / (1 - (k_y + b sign(r)) dC).  This is exact because
-    y -> y - (k_y y + b|y|) dC is increasing, piecewise linear and zero at 0
-    when lip_y dC < 1.  A second driver evaluation checks the step's residual
-    |y - E[y'] - f(t, x, m, y, z) dC| against FP_TOL (relative to |y| above
-    1), so a wrongly declared or non-finite driver raises InvariantViolation.
-    dN and E[[N]_T] are closed in one pass over all non-terminal nodes after
-    the sweep.
+    ``zeta`` is (leaves,) for one solve or (leaves, B) for B solves on the
+    same tree and clock in one sweep; the driver's parameters and y-part may
+    then be (B,) arrays, and each column is bit-identical to its own 1-D
+    solve.  Each level projects the just-solved y onto dM (reading
+    E[dm^2 | node] from ``clock.sigma``) and takes the implicit step in
+    closed form from the driver's declared y-part (k_y, b): with
+    r = E[y'] + f(t, x, m, 0, z) dC, y = r / (1 - (k_y + b sign(r)) dC).
+    This is exact because y -> y - (k_y y + b|y|) dC is increasing,
+    piecewise linear and zero at 0 when lip_y dC < 1.  A second driver
+    evaluation checks the step's residual |y - E[y'] - f(t, x, m, y, z) dC|
+    against FP_TOL (relative to |y| above 1), so a wrongly declared or
+    non-finite driver raises InvariantViolation at the deepest level where a
+    step misses.  E[[N]_T] is closed from the per-edge dy of the projection,
+    every RESIDUAL_CHUNK edges; only Y and Z are kept at full size, and dN
+    is computed when first read.
     """
     if M.dim != 1:
         raise NotImplementedError("backward solvers are scalar-martingale only")
     zeta = np.asarray(zeta, dtype=float)
+    lo, hi = tree.level_slice(tree.K)
+    if zeta.ndim not in (1, 2) or zeta.shape[0] != hi - lo:
+        raise InvariantViolation("zeta needs one value per leaf")
     dC = clock.dC.values
     dc_max = float(dC.max()) if dC.size else 0.0
     if driver.lip_y * dc_max >= 1.0:
         raise ContractionError(
             f"lip_y * dC_max = {driver.lip_y * dc_max:.3f} >= 1; refine the "
             "time grid")
-    # y -> y - (k_y y + b|y|) dC has slope den_pos above 0 and den_neg below
+    # y -> y - (k_y y + b|y|) dC has slope 1 - k_pos dC above 0 and
+    # 1 - k_neg dC below
     ky, by = driver.y_part
-    den_pos = 1.0 - (ky + by) * dC
-    den_neg = 1.0 - (ky - by) * dC
+    k_pos, k_neg = ky + by, ky - by
     nt = tree.n_nonterminal
+    # per-node arrays broadcast over the columns of a batch
+    col = (slice(None),) + (None,) * (zeta.ndim - 1)
     m = M.scalar
-    qdiag = clock.q.values.reshape(nt, -1)[:, 0]  # q[0,0] for d = 1
-    s2 = clock.sigma.reshape(nt)                  # E[dm^2 | node]
-    projects = s2 > PROJ_EPS
-    s2_safe = np.where(s2 > 0, s2, 1.0)
     dm = _kernels.edge_increments(tree, m)
     pdm = tree.eprob * dm
+    m = m[col]
+    dC = dC[col]
+    qdiag = clock.q.values.reshape(nt, -1)[:, 0][col]  # q[0,0] for d = 1
+    s2 = clock.sigma.reshape(nt)[col]                  # E[dm^2 | node]
+    projects = s2 > PROJ_EPS
+    s2_safe = np.where(s2 > 0, s2, 1.0)
+    path_prob = tree.path_prob[col]
     t = tree.grid.t
-    yvals = np.empty(tree.n_nodes)
-    lo, hi = tree.level_slice(tree.K)
-    if zeta.shape[0] != hi - lo:
-        raise InvariantViolation("zeta needs one value per leaf")
+    yvals = np.empty((tree.n_nodes,) + zeta.shape[1:])
     yvals[lo:hi] = zeta
-    eyall = np.empty(nt)
-    zall = np.empty(nt)
-    step_res = np.empty(nt)
+    zall = np.empty((nt,) + zeta.shape[1:])
+    zero = np.zeros((int(np.diff(tree.level_start).max()),) + zeta.shape[1:],
+                    order="F")
+    bracket = 0.0
+    open_dy, top = [], nt  # dy of the levels in [a, top) not closed yet
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
-        ey, m1 = _kernels.level_moments_d1(tree, pdm, yvals, a, b)
+        ey, m1, dy = _kernels.level_moments_d1(tree, pdm, yvals, a, b)
+        # column-major, the level's (n, B) arithmetic with per-node and
+        # per-column operands runs B inner loops of n, not n loops of B
+        ey, m1 = np.asfortranarray(ey), np.asfortranarray(m1)
         z = np.where(projects[a:b], m1 / s2_safe[a:b], 0.0)
         z_arg = qdiag[a:b] * z
         xk = X.values[a:b] if X is not None else None
         mk = m[a:b]
         dck = dC[a:b]
-        r = ey + driver(t[k], xk, mk, np.zeros_like(ey), z_arg) * dck
-        y = r / np.where(r < 0, den_neg[a:b], den_pos[a:b])
-        step_res[a:b] = y - ey - driver(t[k], xk, mk, y, z_arg) * dck
+        r = ey + driver(t[k], xk, mk, zero[:b - a], z_arg) * dck
+        y = r / (1.0 - np.where(r < 0, k_neg, k_pos) * dck)
+        miss = np.abs(y - ey - driver(t[k], xk, mk, y, z_arg) * dck)
+        # FP_TOL bounds every miss in the common case; NaN fails it
+        if not miss.max() <= FP_TOL:
+            ok = miss <= FP_TOL * np.maximum(1.0, np.abs(y))
+            if not ok.all():
+                raise _step_miss(k, miss, y, ok, driver.y_part)
         yvals[a:b] = y
-        eyall[a:b] = ey
         zall[a:b] = z
-    ok = np.abs(step_res) <= FP_TOL * np.maximum(1.0, np.abs(yvals[:nt]))
-    if not ok.all():
-        # nodes run root first, so the last miss is where the sweep broke
-        i = int(np.flatnonzero(~ok)[-1])
-        raise InvariantViolation(
-            f"implicit step at level {int(tree.node_level[i])} misses its "
-            f"equation by {abs(step_res[i]):.3e} at y = {yvals[i]:.6g}: the "
-            f"driver is not finite there or its y-part is not "
-            f"{driver.y_part}")
-    del den_pos, den_neg, step_res, ok  # out of the edge pass's peak
-    dn = np.empty(len(tree.echild))
-    res_node = _kernels.edge_residuals_d1(tree, dm, yvals, eyall, zall,
-                                          0, nt, dn)
-    bracket = float(np.sum(tree.path_prob[:nt] * res_node))
+        open_dy.append(dy)
+        if k == 0 or tree.estart[top] - tree.estart[a] >= RESIDUAL_CHUNK:
+            _, res = _kernels.residual_moments_d1(
+                tree, dm, np.concatenate(open_dy[::-1]), zall[a:top], a, top)
+            bracket = bracket + _column_sums(path_prob[a:top] * res)
+            open_dy, top = [], a
     return BsdeSolution(
         tree=tree, M=M, clock=clock, X=X, zeta=zeta, driver=driver,
-        Y=AdaptedProcess(tree, yvals), Z=PredictableField(tree, zall[:, None]),
-        dN=dn, bracketNN_T=bracket,
+        Y=AdaptedProcess(tree, yvals),
+        Z=PredictableField(tree, zall.reshape(nt, -1)),
+        bracketNN_T=float(bracket) if zeta.ndim == 1 else bracket,
         diagnostics={
-            "y_sup": float(np.max(np.abs(yvals))),
+            # max |y| without a full-size |y| temporary
+            "y_sup": float(max(yvals.max(), -yvals.min())),
             # the step is closed-form: no fixed-point iterations at any level
             "fixed_point_iters": [0] * tree.K,
         })
@@ -474,7 +560,7 @@ def dual_value(tree, M, clock, zeta, growth, p, controls=None, eta=None,
     pdm = tree.eprob * dm_all
     for k in range(tree.K - 1, -1, -1):
         a, bb = tree.level_slice(k)
-        ey, m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)
+        ey, m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)[:2]
         dck = dC[a:bb]
         qk = qdiag[a:bb]
         ok = (qk > PROJ_EPS) & (dck > PROJ_EPS)
@@ -529,37 +615,55 @@ class CompareVerdict:
 
 def compare(sol1, sol2, tol_cmp=1e-11, pre_tol=1e-12):
     """Comparison check: zeta1 >= zeta2 and f1 >= f2 along the second
-    solution imply Y1 >= Y2.  Preconditions are verified, not assumed."""
+    solution imply Y1 >= Y2.  Preconditions are verified, not assumed.
+
+    For two batches of B columns, column j of sol1 is compared with column j
+    of sol2: each driver is evaluated once per level for all columns, and the
+    result is a list of B verdicts."""
+    batch = sol2.zeta.ndim == 2
+    width = sol2.zeta.shape[1] if batch else 1
     tree = sol1.tree
     if tree is not sol2.tree:
-        return CompareVerdict(False, False, math.inf, -1,
-                              "solutions live on different trees")
-    if np.min(sol1.zeta - sol2.zeta) < -pre_tol:
-        return CompareVerdict(False, False, math.inf, -1,
-                              "terminal conditions are not ordered")
+        out = [CompareVerdict(False, False, math.inf, -1,
+                              "solutions live on different trees")] * width
+        return out if batch else out[0]
     nt = tree.n_nonterminal
-    m = sol2.M.scalar[:nt]
-    qdiag = sol2.clock.q.values.reshape(nt, -1)[:, 0]
-    y2 = sol2.Y.values[:nt, 0]
-    z2 = sol2.Z.values[:nt, 0] * qdiag
-    x2 = sol2.X.values[:nt] if sol2.X is not None else None
-    worst_pre = 0.0
+    col = (slice(None),) + (None,) * batch
+    m = sol2.M.scalar[:nt][col]
+    qdiag = sol2.clock.q.values.reshape(nt, -1)[:, 0][col]
+    y2, z2 = sol2._cols(sol2.Y), sol2._cols(sol2.Z)
+    x2 = sol2.X.values if sol2.X is not None else None
+    worst_pre = np.zeros(sol2.zeta.shape[1:])
     for k in range(tree.K):
         a, b = tree.level_slice(k)
         t = tree.grid.t[k]
         xk = x2[a:b] if x2 is not None else None
-        gap = (sol1.driver(t, xk, m[a:b], y2[a:b], z2[a:b])
-               - sol2.driver(t, xk, m[a:b], y2[a:b], z2[a:b]))
-        worst_pre = min(worst_pre, float(np.min(gap)))
-    if worst_pre < -pre_tol:
-        return CompareVerdict(False, False, math.inf, -1,
-                              f"drivers are not ordered along (Y2, Z2q*): "
-                              f"min gap {worst_pre:.3e}")
-    diff = sol1.Y.values[:, 0] - sol2.Y.values[:, 0]
-    worst_node = int(np.argmin(diff))
-    worst = float(diff[worst_node])
-    return CompareVerdict(True, worst >= -tol_cmp, max(0.0, -worst),
-                          worst_node)
+        # column-major, as in solve_lipschitz
+        yk = np.asfortranarray(y2[a:b])
+        zk = np.asfortranarray(z2[a:b]) * qdiag[a:b]
+        gap = (sol1.driver(t, xk, m[a:b], yk, zk)
+               - sol2.driver(t, xk, m[a:b], yk, zk))
+        worst_pre = np.minimum(worst_pre, np.min(gap, axis=0))
+    zeta_gap = np.atleast_1d(np.min(sol1.zeta - sol2.zeta, axis=0))
+    worst_pre = np.atleast_1d(worst_pre)
+    out = []
+    for j in range(width):
+        if zeta_gap[j] < -pre_tol:
+            out.append(CompareVerdict(False, False, math.inf, -1,
+                                      "terminal conditions are not ordered"))
+        elif worst_pre[j] < -pre_tol:
+            out.append(CompareVerdict(
+                False, False, math.inf, -1,
+                f"drivers are not ordered along (Y2, Z2q*): "
+                f"min gap {worst_pre[j]:.3e}"))
+        else:
+            # one column at a time: no full-size (n, B) difference
+            diff = sol1.Y.values[:, j] - sol2.Y.values[:, j]
+            node = int(np.argmin(diff))
+            worst = float(diff[node])
+            out.append(CompareVerdict(True, worst >= -tol_cmp,
+                                      max(0.0, -worst), node))
+    return out if batch else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +685,7 @@ def _solve_any(tree, M, clock, X, zeta, driver, **cascade_kw):
         res = gkw_decompose(tree, M, Y)
         return BsdeSolution(tree=tree, M=M, clock=clock, X=X, zeta=zeta,
                             driver=driver or zero_driver(), Y=Y, Z=res.Z,
-                            dN=res.dN, bracketNN_T=res.bracketNN_T,
+                            bracketNN_T=res.bracketNN_T,
                             diagnostics={"y_sup": float(np.max(np.abs(
                                 Y.values)))})
     if driver.klass == "quadratic":

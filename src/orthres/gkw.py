@@ -55,7 +55,7 @@ def gkw_decompose(tree, M, Y, martingale_tol=1e-9):
         m = M.scalar
         dm = _kernels.edge_increments(tree, m)
         pdm = tree.eprob * dm
-        ey, m1 = _kernels.level_moments_d1(tree, pdm, y, 0, nt)
+        ey, m1 = _kernels.level_moments_d1(tree, pdm, y, 0, nt)[:2]
         s2 = _kernels.edge_sum(tree, pdm * dm, 0, nt)
         z = np.where(s2 > PINV_RCOND, m1 / np.where(s2 > 0, s2, 1.0), 0.0)
         res = _kernels.edge_residuals_d1(tree, dm, y, ey, z, 0, nt, dn)

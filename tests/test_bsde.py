@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -330,9 +331,9 @@ def test_no_y_part_step_is_the_explicit_sum():
     nt = tree.n_nonterminal
     for k in range(tree.K):
         a, b = tree.level_slice(k)
-        ey, _ = _kernels.level_moments_d1(
+        ey = _kernels.level_moments_d1(
             tree, tree.eprob * _kernels.edge_increments(tree, M.scalar),
-            y, a, b)
+            y, a, b)[0]
         z = sol.Z.values[a:b, 0] * clock.q.values.reshape(nt, -1)[a:b, 0]
         g = huber_envelope(z, 2.0, 1.0) + 0.2
         assert np.array_equal(y[a:b], ey + g * clock.dC.values[a:b])
@@ -597,3 +598,175 @@ def test_cascade_runs_one_sweep_for_nonnegative_driver(drv, monkeypatch):
     assert len(trace.p_values) == 1
     assert np.array_equal(sol.Y.values, once.Y.values)
     assert sol.bracketNN_T == once.bracketNN_T
+
+
+# -- batched solves ------------------------------------------------------------
+
+def _batch_setup(seed, K, B, u, share, zscale):
+    """A random full tree, B terminal columns scaled by zscale, and per-column
+    (k_y, b, k_z, c0) of both signs with (|k_y| + |b|) dC_max <= |u|."""
+    rng = np.random.default_rng(seed)
+    tree = random_full_tree(rng, K=K)
+    M = random_martingale(rng, tree, 1.0)
+    clock = predictable_bracket(tree, M)
+    dc_max = float(clock.dC.values.max())
+    mix = rng.uniform(0.0, 1.0, size=B)
+    ky = u * share * mix / dc_max * rng.choice([-1, 1], size=B)
+    b = u * (1 - share) * mix / dc_max * rng.choice([-1, 1], size=B)
+    # zscale < 1 drops the z and constant terms, so r = E[y'] is tiny or 0
+    kz = rng.uniform(-1, 1, size=B) * (zscale == 1.0)
+    c0 = rng.uniform(-0.5, 0.5, size=B) * (zscale == 1.0)
+    lo, hi = tree.level_slice(K)
+    zeta = zscale * (np.sin(3.0 * M.scalar[lo:hi])[:, None]
+                     + 0.5 * rng.normal(size=(hi - lo, B)))
+    return tree, M, clock, zeta, ky, b, kz, c0
+
+
+_batch_args = (st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+               st.integers(1, 6), st.floats(-0.8, 0.8), st.floats(0.0, 1.0),
+               st.sampled_from([1.0, 1e-8, 0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_batch_args)
+def test_batched_columns_equal_1d_solves(seed, K, B, u, share, zscale):
+    tree, M, clock, zeta, ky, b, kz, c0 = _batch_setup(
+        seed, K, B, u, share, zscale)
+    batch = solve_lipschitz(tree, M, clock, None, zeta,
+                            _y_part_driver(ky, b, kz, c0))
+    assert batch.Y.values.shape == (tree.n_nodes, B)
+    assert batch.dN.shape == (len(tree.echild), B)
+    for j in range(B):
+        one = solve_lipschitz(tree, M, clock, None, zeta[:, j].copy(),
+                              _y_part_driver(ky[j], b[j], kz[j], c0[j]))
+        assert np.array_equal(batch.Y.values[:, j], one.Y.values[:, 0])
+        assert np.array_equal(batch.Z.values[:, j], one.Z.values[:, 0])
+        assert np.array_equal(batch.dN[:, j], one.dN)
+        assert batch.bracketNN_T[j] == one.bracketNN_T
+        assert batch.Y0[j] == one.Y0
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_batch_args, st.lists(st.sampled_from(["ordered", "zeta", "driver"]),
+                              min_size=6, max_size=6))
+def test_batched_compare_equals_per_pair_verdicts(seed, K, B, u, share,
+                                                  zscale, kinds):
+    tree, M, clock, zeta, ky, b, kz, c0 = _batch_setup(
+        seed, K, B, u, share, zscale)
+    # column j of the upper batch sits above the lower one, unless kinds[j]
+    # unorders its terminal data or its drivers
+    kinds = kinds[:B]
+    shift = np.array([-0.5 if k == "zeta" else 0.25 for k in kinds])
+    lift = np.array([-0.5 if k == "driver" else 0.25 for k in kinds])
+    upper = solve_lipschitz(tree, M, clock, None, zeta + shift,
+                            _y_part_driver(ky, b, kz, c0 + lift))
+    lower = solve_lipschitz(tree, M, clock, None, zeta,
+                            _y_part_driver(ky, b, kz, c0))
+    verdicts = compare(upper, lower)
+    assert len(verdicts) == B
+    for j, v in enumerate(verdicts):
+        s1 = solve_lipschitz(tree, M, clock, None,
+                             zeta[:, j] + shift[j],
+                             _y_part_driver(ky[j], b[j], kz[j],
+                                            c0[j] + lift[j]))
+        s2 = solve_lipschitz(tree, M, clock, None, zeta[:, j].copy(),
+                             _y_part_driver(ky[j], b[j], kz[j], c0[j]))
+        assert v == compare(s1, s2)
+        assert v.applicable == (kinds[j] == "ordered")
+    # the same verdicts from column views of one batch holding both sides
+    both = solve_lipschitz(tree, M, clock, None,
+                           np.hstack([zeta + shift, zeta]),
+                           _y_part_driver(np.tile(ky, 2), np.tile(b, 2),
+                                          np.tile(kz, 2),
+                                          np.hstack([c0 + lift, c0])))
+    halves = (slice(None, B), slice(B, None))
+    drivers = (_y_part_driver(ky, b, kz, c0 + lift),
+               _y_part_driver(ky, b, kz, c0))
+    assert compare(*(both.columns(c, f) for c, f in zip(halves, drivers))) \
+        == verdicts
+
+
+def _miss(message):
+    """The level and the 'misses its equation ... at y = ...' part."""
+    level = int(re.search(r"level (\d+)", message).group(1))
+    return level, re.search(r"misses .*?(?=: the driver)", message).group(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_batch_args[:5], st.integers(0, 5))
+def test_misdeclared_column_names_its_deepest_failing_level(
+        seed, K, B, u, share, bad):
+    tree, M, clock, zeta, ky, b, kz, c0 = _batch_setup(
+        seed, K, B, u, share, 1.0)
+    bad = bad % B
+    # column ``bad`` hides a k_y*y term of 0.1/dC_max from its declaration
+    hidden = np.zeros(B)
+    hidden[bad] = 0.1 / float(clock.dC.values.max())
+
+    def misdeclared(ky, b, kz, c0, hidden):
+        return DriverSpec(id="misdeclared", klass="lipschitz",
+                          f=lambda t, x, m, y, z: ky * y + b * np.abs(y)
+                          + kz * z + c0 + hidden * y,
+                          y_part=(ky, b))
+    with pytest.raises(InvariantViolation) as one:
+        solve_lipschitz(tree, M, clock, None, zeta[:, bad].copy(),
+                        misdeclared(ky[bad], b[bad], kz[bad], c0[bad],
+                                    hidden[bad]))
+    with pytest.raises(InvariantViolation) as batch:
+        solve_lipschitz(tree, M, clock, None, zeta,
+                        misdeclared(ky, b, kz, c0, hidden))
+    level, miss = _miss(str(one.value))
+    assert f"implicit step at level {level}, column {bad} " \
+        in str(batch.value)
+    assert _miss(str(batch.value)) == (level, miss)
+
+
+def _campaign_per_seed(cfg):
+    """The campaign one seed at a time: two 1-D solves and one compare per
+    seed, the reference for the batched runner."""
+    from orthres import cli
+    built = build(cfg.model)
+    tree, M = built.tree, built.M
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(tree.K)
+    rows = []
+    for i in range(cfg.seeds):
+        rng = np.random.default_rng(cfg.seed + i)
+        zeta1, zeta2, f1, f2 = cli._random_lipschitz_pair(
+            rng, M.scalar[lo:hi])
+        v = compare(solve_lipschitz(tree, M, clock, None, zeta1, f1),
+                    solve_lipschitz(tree, M, clock, None, zeta2, f2))
+        rows.append({"seed": cfg.seed + i, "applicable": v.applicable,
+                     "ok": v.ok, "violation": v.worst_violation})
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 41])
+@pytest.mark.parametrize("budget", [None, 4], ids=["default", "4_columns"])
+def test_batched_campaign_rows_equal_per_seed_rows(seed, budget,
+                                                   monkeypatch):
+    from orthres import cli
+    cfg = cli.parse_config({"experiment": "comparison_campaign",
+                            "model": {"kind": "trinomial", "K": 12},
+                            "seeds": 7, "seed": seed, "output": "unused"})
+    if budget is not None:
+        # room for 4 columns: groups of 2 seeds, then a group of 1
+        tree = build(cfg.model).tree
+        monkeypatch.setattr(bsde, "SWEEP_BYTES",
+                            budget * 8 * (tree.n_nodes + tree.n_nonterminal))
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(np.shape(args[4]))
+        return solve_lipschitz(*args, **kwargs)
+    monkeypatch.setattr(bsde, "solve_lipschitz", counting)
+    rows, _, _ = cli._run_comparison_campaign(cfg)
+    assert rows == _campaign_per_seed(cfg)
+    widths = [s[1] for s in solves]
+    assert widths == ([14] if budget is None else [4, 4, 4, 2])
+
+
+def test_sweep_budget_holds_8_columns_at_K256():
+    tree = build(ModelConfig("trinomial", K=256)).tree
+    assert bsde.columns_per_sweep(tree) == 8
+    assert 8 * 8 * (tree.n_nodes + tree.n_nonterminal) <= bsde.SWEEP_BYTES

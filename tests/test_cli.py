@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -425,3 +427,92 @@ def test_dual_check_builds_and_clocks_once_per_K(tmp_path, monkeypatch):
     assert calls == {"build": 2, "clock": 2}
     rep = json.loads((tmp_path / "out.json").read_text())
     assert rep["rows"] == want
+
+
+# -- floating-point overflow --------------------------------------------------
+
+@pytest.mark.parametrize("exp,K,driver,code", [
+    ("cascade", 16, {"id": "quadratic_mixed",
+                     "params": {"gamma": 1.0, "b": 0.5, "eta": 1e308}}, 2),
+    ("cascade", 8, {"id": "pure_quadratic", "params": {"gamma": 1e308}}, 0),
+    ("vanishing_N", 4, {"id": "constant", "params": {"c": 1e308}}, 0),
+    ("dual_check", 4, {"id": "pure_quadratic", "params": {"gamma": 1e308}},
+     2)],
+    ids=["quadratic_mixed_eta", "pure_quadratic_gamma", "constant_c",
+         "dual_pure_quadratic_gamma"])
+def test_huge_driver_parameters_print_no_numpy_warnings(tmp_path, exp, K,
+                                                        driver, code):
+    """Overflow in a huge but finite parameter prints no RuntimeWarning: a
+    run exits 0 with nothing on stderr, or 2 with its one-line message."""
+    import orthres
+    raw = {"experiment": exp, "model": {"kind": "trinomial", "K": K},
+           **copy.deepcopy(FUZZ_BASES[exp]), "driver": driver,
+           "output": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    src = os.path.dirname(os.path.dirname(orthres.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orthres.cli", "run", str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == (1 if code else 0), proc.stderr
+
+
+# -- rate oracle ----------------------------------------------------------------
+
+# Slopes of log E[[N]_T] against log K over K = 8..64, as measured: the
+# indicator -0.449, the box -0.441, sine -1.031, square -1.000, the clipped
+# line -1.076 and the two-sided jump control +0.132.
+RATE_BY_CLASS = {"bounded_borelian": -0.5, "smooth": -1.0, "lipschitz": -1.0}
+
+
+@pytest.mark.parametrize("kind,fid", [
+    ("trinomial", "indicator_halfspace"), ("trinomial", "digital_box"),
+    ("trinomial", "sine"), ("trinomial", "square"),
+    ("trinomial", "clipped_linear"),
+    ("compensated_jump", "indicator_halfspace")])
+def test_residual_sweep_slope_follows_the_declared_class(kind, fid):
+    from orthres.cli import RUNNERS
+    from orthres.mollify import from_catalog
+    cfg = parse_config({"experiment": "residual_sweep",
+                        "model": {"kind": kind}, "output": "unused",
+                        "F": {"id": fid}, "K_list": [8, 16, 32, 64]})
+    rows, _, summary = RUNNERS["residual_sweep"](cfg)
+    slope = summary["loglog_slope"]
+    K = [r["K"] for r in rows]
+    res = [r["bracketNN_T"] for r in rows]
+    assert slope == pytest.approx(np.polyfit(np.log(K), np.log(res), 1)[0],
+                                  rel=1e-12)
+    if kind == "compensated_jump":
+        # the negative control does not vanish
+        assert abs(slope) <= 0.2
+    else:
+        rate = RATE_BY_CLASS[from_catalog(fid).declared_class]
+        assert abs(slope - rate) <= 0.1
+
+
+def test_vanishing_N_reports_the_raw_slope():
+    from orthres.cli import RUNNERS
+    cfg = parse_config({"experiment": "vanishing_N",
+                        "model": {"kind": "trinomial"}, "output": "unused",
+                        "F": {"id": "indicator_halfspace"},
+                        "driver": {"id": "pure_quadratic",
+                                   "params": {"gamma": 1.0}},
+                        "K_list": [8, 16, 32, 64], "eps_list": [0.05]})
+    rows, _, summary = RUNNERS["vanishing_N"](cfg)
+    raw = [(r["K"], r["bracketNN_T"]) for r in rows if r["eps"] == "raw"]
+    K, res = zip(*raw)
+    assert summary["loglog_slope_raw"] == pytest.approx(
+        np.polyfit(np.log(K), np.log(res), 1)[0], rel=1e-12)
+    assert abs(summary["loglog_slope_raw"] + 0.5) <= 0.1
+    assert summary["verdict"] == "PASS"
+
+
+def test_slope_is_null_where_the_points_fix_none():
+    from orthres.cli import _loglog_slope
+    assert _loglog_slope([8], [0.1]) is None
+    assert _loglog_slope([8, 8], [0.1, 0.2]) is None
+    assert _loglog_slope([8, 16], [0.1, 0.0]) is None
+    assert _loglog_slope([8, 16], [0.1, math.inf]) is None
+    assert _loglog_slope([8, 16], [0.2, 0.1]) == pytest.approx(-1.0)

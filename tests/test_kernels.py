@@ -112,7 +112,7 @@ def run_loop(name, tree, rng):
 
 def _numpy_ey_z(tree, m, y, lo, hi):
     dm = _kernels.edge_increments(tree, m)
-    ey, m1 = _kernels.level_moments_d1(tree, tree.eprob * dm, y, lo, hi)
+    ey, m1, _ = _kernels.level_moments_d1(tree, tree.eprob * dm, y, lo, hi)
     s2 = _kernels.edge_sum(tree, tree.eprob * dm * dm, lo, hi)
     return ey, m1 / np.maximum(s2, 1e-300)
 
@@ -167,3 +167,68 @@ def test_edge_increments_per_edge(rng):
     dm = _kernels.edge_increments(tree, m)
     for e in range(len(tree.echild)):
         assert dm[e] == m[tree.echild[e]] - m[tree.eparent[e]]
+
+
+def test_level_moments_dy_and_residual_moments_match_loops(rng):
+    for tree in cases(rng):
+        lo, hi = tree.level_slice(int(rng.integers(0, tree.K)))
+        y = rng.normal(size=tree.n_nodes)
+        m = rng.normal(size=tree.n_nodes)
+        dm = _kernels.edge_increments(tree, m)
+        ey, m1, dy = _kernels.level_moments_d1(tree, tree.eprob * dm, y,
+                                               lo, hi)
+        sl = slice(tree.estart[lo], tree.estart[hi])
+        for e in range(sl.start, sl.stop):
+            assert dy[e - sl.start] == (y[tree.echild[e]]
+                                        - ey[tree.eparent[e] - lo])
+        z = rng.normal(size=hi - lo)
+        dn_ref = np.zeros(len(tree.eprob))
+        res_ref = np.empty(hi - lo)
+        _edge_residuals_d1_loop(tree.estart, tree.echild, tree.eprob, m, y,
+                                ey, z, lo, hi, dn_ref, res_ref)
+        dn, res = _kernels.residual_moments_d1(tree, dm, dy, z, lo, hi)
+        npt.assert_allclose(dn, dn_ref[sl], atol=1e-13)
+        npt.assert_allclose(res, res_ref, atol=1e-13)
+
+
+@pytest.mark.parametrize("B", [1, 2, 5])
+def test_batched_columns_are_the_1d_calls(B, rng):
+    """Every column of an (n, B) call is bit for bit the 1-D call on it, and
+    a 1-D input stays 1-D."""
+    for tree in cases(rng):
+        lo, hi = tree.level_slice(int(rng.integers(0, tree.K)))
+        nt = tree.n_nonterminal
+        y = rng.normal(size=(tree.n_nodes, B))
+        ey = rng.normal(size=(nt, B))
+        z = rng.normal(size=(nt, B))
+        dm = _kernels.edge_increments(tree, rng.normal(size=tree.n_nodes))
+        pdm = tree.eprob * dm
+        dn = np.empty((len(tree.eprob), B))
+        batched = (
+            (_kernels.backward_expect(tree, y, lo, hi),),
+            _kernels.level_moments_d1(tree, pdm, y, lo, hi),
+            (_kernels.edge_residuals_d1(tree, dm, y, ey, z, 0, nt, dn), dn))
+        for j in range(B):
+            yj = y[:, j].copy()
+            dnj = np.empty(len(tree.eprob))
+            single = (
+                (_kernels.backward_expect(tree, yj, lo, hi),),
+                _kernels.level_moments_d1(tree, pdm, yj, lo, hi),
+                (_kernels.edge_residuals_d1(tree, dm, yj, ey[:, j].copy(),
+                                            z[:, j].copy(), 0, nt, dnj),
+                 dnj))
+            for outs_b, outs_1 in zip(batched, single):
+                for ob, o1 in zip(outs_b, outs_1):
+                    assert o1.ndim == 1
+                    assert np.array_equal(ob[:, j], o1)
+        # residual_moments_d1 overwrites dy with dn: columns are copied first
+        dy = batched[1][2]
+        columns = [dy[:, j].copy() for j in range(B)]
+        z_level = z[lo:hi]
+        dn_b, res_b = _kernels.residual_moments_d1(tree, dm, dy, z_level,
+                                                  lo, hi)
+        for j in range(B):
+            dn_1, res_1 = _kernels.residual_moments_d1(
+                tree, dm, columns[j], z_level[:, j].copy(), lo, hi)
+            assert np.array_equal(dn_b[:, j], dn_1)
+            assert np.array_equal(res_b[:, j], res_1)
