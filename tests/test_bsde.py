@@ -15,7 +15,7 @@ from orthres.models import ModelConfig, build
 from orthres.mollify import indicator_halfspace, sine
 from orthres import forward
 from orthres import bsde
-from orthres.bsde import (DriverSpec, DualControls, check_growth, compare,
+from orthres.bsde import (DriverSpec, check_growth, compare,
                           driver_from_catalog, dual_value, huber_envelope,
                           inf_convolve, markov_grouping_check, regularity_scan,
                           solve_lipschitz, solve_quadratic, truncated_driver,
@@ -384,7 +384,6 @@ def test_cascade_monotone_and_bounded():
     sol = solve_quadratic(tree, M, clock, None, zeta, drv)
     trace = sol.diagnostics["cascade_trace"]
     assert trace.monotone_violation_n <= 1e-8
-    assert trace.monotone_violation_p <= 1e-8
     C_K = float(clock.C.values[-1, 0])
     bound = 1.05 * math.exp(0.5 * C_K) * (0.5 + 0.1 * C_K)
     for stage in trace.stages:
@@ -413,6 +412,41 @@ def test_cascade_rejects_signed_driver():
                         growth={"a": 0.0, "b": 0.0, "gamma": 1.0})
     with pytest.raises(ValueError):
         solve_quadratic(tree, M, clock, None, mterm, signed)
+
+
+@pytest.mark.parametrize("kind,K,F,did,params,n_cert", [
+    ("binary", 12, None, "quadratic_mixed", {"gamma": 1.0, "b": 0.5,
+                                             "eta": 0.1}, 4),
+    ("trinomial", 16, sine(), "pure_quadratic", {"gamma": 1.0}, 4),
+    ("trinomial", 16, sine(), "pure_quadratic", {"gamma": 0.0}, 4),
+    ("trinomial", 64, indicator_halfspace(), "pure_quadratic",
+     {"gamma": 5.0}, 32),
+    ("trinomial", 64, indicator_halfspace(), "quadratic_mixed",
+     {"gamma": 5.0, "b": 0.5, "eta": 0.1}, 32)],
+    ids=["binary_mixed", "trinomial_pure", "trinomial_gamma0",
+         "indicator_pure_n32", "indicator_mixed_n32"])
+def test_cascade_stops_at_its_certificate_on_the_direct_solve(
+        kind, K, F, did, params, n_cert):
+    """The first stage whose max|q Z| stays below n/gamma ends the sweep, and
+    it is the direct solve of the quadratic driver bit for bit."""
+    built = build(ModelConfig(kind, K=K))
+    tree, M = built.tree, built.M
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(K)
+    zeta = (0.5 * np.clip(M.scalar[lo:hi], -1, 1) if F is None
+            else F(M.values[lo:hi]))
+    drv = driver_from_catalog(did, **params)
+    n_list = (4, 8, 16, 32, 64)
+    sol = solve_quadratic(tree, M, clock, None, zeta, drv, n_list=n_list)
+    stages = sol.diagnostics["cascade_trace"].stages
+    assert [s["n"] for s in stages] == list(n_list[:n_list.index(n_cert) + 1])
+    q = clock.q.values.reshape(tree.n_nonterminal, -1)[:, 0]
+    if params["gamma"] > 0:
+        assert np.abs(q * sol.Z.values[:, 0]).max() <= n_cert / params["gamma"]
+    direct = solve_lipschitz(tree, M, clock, None, zeta, drv)
+    assert np.array_equal(sol.Y.values, direct.Y.values)
+    assert np.array_equal(sol.Z.values, direct.Z.values)
+    assert sol.bracketNN_T == direct.bracketNN_T
 
 
 def test_cole_hopf_oracle():
@@ -451,12 +485,6 @@ def test_dual_gap_shrinks_with_refinement():
         dv = dual_value(tree, M, clock, zeta, growth, 1.0, eta=0.2)
         gaps.append(abs(sol.Y0 - float(np.ravel(dv.value.values)[0])))
     assert gaps[1] < gaps[0]
-
-
-def test_dual_controls_validation():
-    with pytest.raises(ValueError):
-        DualControls(beta_bound=1.0, nu_radius=1.0,
-                     nu_grid=np.array([0.0, 2.0]))
 
 
 # -- comparison -------------------------------------------------------------
@@ -517,12 +545,60 @@ def test_markov_grouping_on_product_noise():
     assert markov_grouping_check(tree, None, M, auxdep) >= 0.5
 
 
-def test_vanishing_N_report_structure():
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_zero_driver_solve_is_closure_plus_gkw(seed, K):
+    """The zero driver's step is y = E[y']: the solver reproduces the
+    closure and the GKW projection, which stay the reference."""
+    rng = np.random.default_rng(seed)
+    tree = random_full_tree(rng, K=K)
+    M = random_martingale(rng, tree, 1.0)
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(K)
+    zeta = rng.normal(0.0, 1.0, size=hi - lo)
+    sol = solve_lipschitz(tree, M, clock, None, zeta,
+                          driver_from_catalog("zero"))
+    Y = martingale_from_terminal(tree, zeta)
+    ref = gkw_decompose(tree, M, Y)
+    assert np.array_equal(sol.Y.values, Y.values)
+    assert np.array_equal(sol.Z.values, ref.Z.values)
+    npt.assert_allclose(sol.bracketNN_T, ref.bracketNN_T, rtol=1e-12,
+                        atol=0.0)
+
+
+def test_non_finite_bracket_is_an_invariant_violation():
+    built = build(ModelConfig("trinomial", K=4))
+    tree, M = built.tree, built.M
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(tree.K)
+    zeta = np.sin(3.0 * M.scalar[lo:hi])
+    f = driver_from_catalog("zero")
+    # a finite Y whose residual increments overflow when squared
+    huge = 1e200 * zeta
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvariantViolation,
+                           match=r"E\[\[N\]_T\] is not finite:"):
+            solve_lipschitz(tree, M, clock, None, huge, f)
+        with pytest.raises(InvariantViolation,
+                           match="not finite in column 1"):
+            solve_lipschitz(tree, M, clock, None,
+                            np.column_stack([zeta, huge, huge]), f)
+
+
+def test_vanishing_N_report_structure(monkeypatch):
     F = indicator_halfspace()
     drv = driver_from_catalog("pure_quadratic", gamma=1.0)
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[5])
+        return solve_lipschitz(*args, **kwargs)
+    monkeypatch.setattr(bsde, "solve_lipschitz", counting)
     rep = vanishing_N_experiment(lambda K: ModelConfig("trinomial", K=K),
                                  None, F, drv, [0.1], [4, 8])
     assert len(rep.rows) == 4
+    # one direct solve of the quadratic driver per (K, eps) column
+    assert len(solves) == 4 and all(d is drv for d in solves)
     assert rep.decreasing_in_K()
     raw, gaps = rep.eps_gap_at_max_K()
     assert raw > 0 and 0.1 in gaps
@@ -555,9 +631,9 @@ def test_regularity_scan_extracts_once_and_clocks_once_per_point(monkeypatch):
                                               coeffs=coeffs, x=[0.0])
         clock = predictable_bracket(sub, Msub)
         zeta = bsde._terminal_values(sub, Msub, Xsub, F)
-        want.append(bsde._solve_any(sub, Msub, clock, Xsub, zeta, drv).Y0)
+        want.append(solve_lipschitz(sub, Msub, clock, Xsub, zeta, drv).Y0)
 
-    calls = {"clock": 0, "extract": 0}
+    calls = {"clock": 0, "extract": 0, "solve": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -570,9 +646,11 @@ def test_regularity_scan_extracts_once_and_clocks_once_per_point(monkeypatch):
         monkeypatch.setattr(f"{mod}.predictable_bracket", clock_fn)
     for mod in ("orthres.forward", "orthres.bsde"):
         monkeypatch.setattr(f"{mod}.extract_subtree", extract_fn)
+    monkeypatch.setattr(bsde, "solve_lipschitz",
+                        counting("solve", solve_lipschitz))
     scan = regularity_scan(tree, M, 4, grid, F, drv, coeffs=coeffs,
                            x_value=[0.0])
-    assert calls == {"clock": len(grid), "extract": 1}
+    assert calls == {"clock": len(grid), "extract": 1, "solve": len(grid)}
     assert np.array_equal(scan.u, want)
 
 
@@ -595,7 +673,6 @@ def test_cascade_runs_one_sweep_for_nonnegative_driver(drv, monkeypatch):
     trace = sol.diagnostics["cascade_trace"]
     assert len(solves) == len(set(solves)) == len(trace.stages)
     assert {s["p"] for s in trace.stages} == {1}
-    assert len(trace.p_values) == 1
     assert np.array_equal(sol.Y.values, once.Y.values)
     assert sol.bracketNN_T == once.bracketNN_T
 

@@ -434,11 +434,14 @@ def test_dual_check_builds_and_clocks_once_per_K(tmp_path, monkeypatch):
 @pytest.mark.parametrize("exp,K,driver,code", [
     ("cascade", 16, {"id": "quadratic_mixed",
                      "params": {"gamma": 1.0, "b": 0.5, "eta": 1e308}}, 2),
+    ("cascade", 4, {"id": "quadratic_mixed",
+                    "params": {"gamma": 1.0, "b": 0.5, "eta": 1e308}}, 2),
     ("cascade", 8, {"id": "pure_quadratic", "params": {"gamma": 1e308}}, 0),
-    ("vanishing_N", 4, {"id": "constant", "params": {"c": 1e308}}, 0),
+    ("vanishing_N", 4, {"id": "constant", "params": {"c": 1e308}}, 2),
     ("dual_check", 4, {"id": "pure_quadratic", "params": {"gamma": 1e308}},
      2)],
-    ids=["quadratic_mixed_eta", "pure_quadratic_gamma", "constant_c",
+    ids=["quadratic_mixed_eta", "quadratic_mixed_eta_K4",
+         "pure_quadratic_gamma", "constant_c",
          "dual_pure_quadratic_gamma"])
 def test_huge_driver_parameters_print_no_numpy_warnings(tmp_path, exp, K,
                                                         driver, code):
