@@ -3,16 +3,20 @@
 Each kernel is one pass of ``np.add.reduceat`` over the edge segments of the
 nodes in ``[lo, hi)``.  All kernels assume nodes are level-ordered and that
 every node in the requested range is non-terminal, so edge segments are
-contiguous and non-empty.  Per-edge inputs (``w``, ``pdm``, ``dm``, ``dn``)
-are indexed by global edge id; ``edge_increments`` builds ``dm`` once, so a
-solve need not redo it per level.  ``tests/test_kernels.py`` keeps per-node
-loop versions as the reference.
+contiguous and non-empty.  Per-edge inputs (``w`` of ``edge_sum``, ``pdm``,
+``dm``, ``dn``) are indexed by global edge id; ``edge_increments`` builds
+``dm`` once, so a solve need not redo it per level.  ``tests/test_kernels.py``
+keeps per-node loop versions as the reference.
 
 Node values (``y``, ``vals``, ``ey``, ``z``) are ``(n,)`` for one solve or
 ``(n, B)`` for B solves on the same tree; the per-edge inputs stay ``(E,)``
 and broadcast over the columns.  ``reduceat`` sums each column's segments in
 the same order as a 1-D input, so every column is bit-identical to the 1-D
 call.  A 1-D input stays 1-D: an ``(n, 1)`` array costs more per call.
+``weighted_child_sum`` is the exception: it takes one ``vals`` of shape (n,)
+and the weights of the range's own edges, (E,) or (E, C) for C reweightings
+at once with one result column each, since the dual DP forms its weights
+level by level.
 
 Only the scalar-martingale (d = 1) projections are kernelized; general-d
 paths stay in numpy at the call sites since they only run on small trees.
@@ -87,6 +91,8 @@ def edge_residuals_d1(tree, dm, y, ey, z, lo, hi, dn):
 
 
 def weighted_child_sum(tree, w, vals, lo, hi):
-    """Reweighted one-step expectation sum_e p_e w_e vals[child_e] per node."""
+    """Reweighted one-step expectation sum_e p_e w_e vals[child_e] per node;
+    ``w`` holds the range's own edges, (E,) or (E, C) for C reweightings."""
     sl, idx = _segments(tree, lo, hi)
-    return np.add.reduceat(tree.eprob[sl] * w[sl] * vals[tree.echild[sl]], idx)
+    return np.add.reduceat(_per_edge(tree.eprob[sl], w) * w
+                           * _per_edge(vals[tree.echild[sl]], w), idx)

@@ -69,7 +69,6 @@ class DriverSpec:
     eta: object = 0.0
     klass: str = "lipschitz"
     y_part: tuple = (0.0, 0.0)
-    lip_z: float = 0.0
     huber: tuple = None            # (gamma, eta) when f has that exact form
     nonnegative: bool = False
 
@@ -105,8 +104,7 @@ def truncated_driver(p, growth, eta=None):
         return huber_envelope(z, p, gamma) + b * np.abs(y) + eta_at(eta, t)
 
     return DriverSpec(id=f"q_p[{p}]", f=f, growth=dict(growth), eta=eta,
-                      klass="lipschitz", y_part=(0.0, b), lip_z=gamma * p,
-                      nonnegative=True)
+                      klass="lipschitz", y_part=(0.0, b), nonnegative=True)
 
 
 def inf_convolve(driver, n):
@@ -124,7 +122,6 @@ def inf_convolve(driver, n):
         raise ValueError(f"inf-convolution index n = {n} is below the "
                          f"driver's lip_y = {driver.lip_y}")
     ky, by = driver.y_part
-    lip_z = min(float(n), driver.lip_z) if driver.lip_z else float(n)
     if driver.huber is not None:
         gamma, eta = driver.huber
         thresh = n / gamma if gamma > 0 else math.inf
@@ -154,7 +151,7 @@ def inf_convolve(driver, n):
 
     return DriverSpec(id=f"{driver.id}~inf{n}", f=f,
                       growth=dict(driver.growth), eta=driver.eta,
-                      klass="lipschitz", y_part=driver.y_part, lip_z=lip_z,
+                      klass="lipschitz", y_part=driver.y_part,
                       nonnegative=driver.nonnegative)
 
 
@@ -462,6 +459,8 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
 class CascadeTrace:
     stages: list = field(default_factory=list)     # dicts per (p, n) stage
     monotone_violation_n: float = 0.0
+    # the last stage met max|q Z| <= n/gamma, so it is the direct solve
+    certified: bool = False
 
 
 def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
@@ -476,9 +475,10 @@ def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
     from n = max(p_list[0], lip_y), giving monotone increasing solutions.
     The sweep stops at the first stage whose own projection stays where the
     closed-form envelope is the quadratic, max|q Z| <= n/gamma: that stage
-    is the direct solve bit for bit (with gamma = 0, the first stage is).
-    A driver without the closed form has no such certificate and runs the
-    whole sweep.  Signed drivers raise ValueError.
+    is the direct solve bit for bit (with gamma = 0, the first stage is),
+    and the trace records it as certified.  A sweep that ends without the
+    certificate, or a driver without the closed form, which has none, runs
+    every n and stays uncertified.  Signed drivers raise ValueError.
     """
     if driver.klass != "quadratic":
         raise ValueError("solve_quadratic expects a quadratic-class driver")
@@ -511,6 +511,7 @@ def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
             gamma = driver.huber[0]
             thresh = n / gamma if gamma > 0 else math.inf
             if np.abs(q * sol.Z.values[:, 0]).max() <= thresh:
+                trace.certified = True
                 break
         prev_y = y
     if trace.monotone_violation_n > MONOTONE_GUARD:
@@ -537,8 +538,10 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
     At every node the one-step Hamiltonian is maximized over a discount rate
     beta in [-b, b] and a tilt nu with |nu| <= p; the measure change is the
     per-edge reweighting 1 + gamma*(nu/q)*dM, floored at DUAL_FLOOR and
-    flagged when below it.  Candidates are beta = +-b and the analytic
-    maximizer nu plus DUAL_NU_POINTS grid points on [-p, p].
+    flagged when below it.  The candidate tilts, the analytic maximizer nu
+    and DUAL_NU_POINTS grid points on [-p, p], are the columns of one
+    reweighting per level; for each the better of beta = +-b is taken in
+    closed form, and the first candidate with the largest value wins.
     """
     if M.dim != 1:
         raise NotImplementedError("dual DP is scalar-martingale only")
@@ -555,49 +558,38 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
     lo, hi = tree.level_slice(tree.K)
     W[lo:hi] = zeta
     floored = 0
-    total_edges = 0
-    betas = (-b, b) if b > 0 else (0.0,)
     nu_grid = np.linspace(-float(p), float(p), DUAL_NU_POINTS)
-    # the kernels read only the current level's edge slice of these
-    ones = np.ones(tree.n_nodes)
-    wfull = np.ones(len(tree.eprob))
-    flfull = np.zeros(len(tree.eprob))
     dm_all = _kernels.edge_increments(tree, m)
     pdm = tree.eprob * dm_all
     for k in range(tree.K - 1, -1, -1):
         a, bb = tree.level_slice(k)
-        ey, m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)[:2]
+        m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)[1]
         dck = dC[a:bb]
         qk = qdiag[a:bb]
         ok = (qk > PROJ_EPS) & (dck > PROJ_EPS)
         z_hat = np.where(ok, m1 / np.where(ok, qk * dck, 1.0), 0.0)
-        nu_star = np.clip(z_hat, -p, p)
         etak = eta_at(eta, tree.grid.t[k])
-        best = np.full(bb - a, -np.inf)
-        best_floor = np.zeros(bb - a, dtype=np.int64)
+        # one column per candidate nu: the analytic maximizer, then the grid
+        nu = np.empty((bb - a, 1 + DUAL_NU_POINTS))
+        nu[:, 0] = np.clip(z_hat, -p, p)
+        nu[:, 1:] = nu_grid
+        tilt = np.where(ok[:, None],
+                        gamma * nu / np.where(ok, qk, 1.0)[:, None], 0.0)
         sl = tree._edge_slice(k)
-        par = tree.eparent[sl]
-        dm = dm_all[sl]
-        candidates = [nu_star] + [np.full(bb - a, g) for g in nu_grid]
-        for nu in candidates:
-            tilt = np.where(ok, gamma * nu / np.where(ok, qk, 1.0), 0.0)
-            w = 1.0 + tilt[par - a] * dm
-            wfull[sl] = np.maximum(w, DUAL_FLOOR)
-            flfull[sl] = (w < DUAL_FLOOR) / tree.eprob[sl]
-            val = _kernels.weighted_child_sum(tree, wfull, W, a, bb)
-            node_fl = np.rint(
-                _kernels.weighted_child_sum(tree, flfull, ones, a, bb)
-            ).astype(np.int64)
-            for beta in betas:
-                cand = (np.exp(-beta * dck) * val
-                        + (etak - 0.5 * gamma * nu ** 2) * dck)
-                take = cand > best
-                best_floor = np.where(take, node_fl, best_floor)
-                best = np.where(take, cand, best)
-        W[a:bb] = best
-        floored += int(best_floor.sum())
-        total_edges += len(dm)
-    frac = floored / max(total_edges, 1)
+        par = tree.eparent[sl] - a
+        w = 1.0 + tilt[par] * dm_all[sl, None]
+        val = _kernels.weighted_child_sum(tree, np.maximum(w, DUAL_FLOOR), W,
+                                          a, bb)
+        # the better of beta = -b and beta = +b, the non-NaN one if one is
+        disc = np.fmax(np.exp(b * dck)[:, None] * val,
+                       np.exp(-b * dck)[:, None] * val)
+        cand = disc + (etak - 0.5 * gamma * nu ** 2) * dck[:, None]
+        cand[np.isnan(cand)] = -np.inf      # a NaN candidate never wins
+        pick = np.argmax(cand, axis=1)      # the first of the largest
+        W[a:bb] = cand[np.arange(bb - a), pick]
+        floored += int(np.count_nonzero(
+            w[np.arange(len(par)), pick[par]] < DUAL_FLOOR))
+    frac = floored / max(len(tree.eprob), 1)
     if frac > DUAL_FLOOR_BUDGET:
         raise SolverError(
             f"measure-change floor triggered on {frac:.1%} of edges; the "

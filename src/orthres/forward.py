@@ -25,8 +25,6 @@ class SdeCoeffs:
     n: int
     sigma: callable
     b: callable
-    lipschitz_k: float = 0.0
-    warn_unchecked: bool = False
 
 
 def euler_forward(tree, M, clock, coeffs, x0, consistency_tol=1e-9):
@@ -73,34 +71,19 @@ def euler_forward(tree, M, clock, coeffs, x0, consistency_tol=1e-9):
 def extract_subtree(tree, node):
     """Sub-DAG reachable from a node, as a fresh tree plus the node map."""
     level0 = int(tree.node_level[node])
-    keep = {node}
-    frontier = [node]
+    keep = np.zeros(tree.n_nodes, dtype=bool)
+    keep[node] = True
     for k in range(level0, tree.K):
-        nxt = []
-        for i in frontier:
-            for e in range(int(tree.estart[i]), int(tree.estart[i + 1])):
-                c = int(tree.echild[e])
-                if c not in keep:
-                    keep.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    order = sorted(keep, key=lambda i: (int(tree.node_level[i]), i))
-    remap = {old: new for new, old in enumerate(order)}
-    counts = np.zeros(tree.K - level0 + 1, dtype=np.int64)
-    for i in order:
-        counts[int(tree.node_level[i]) - level0] += 1
-    level_start = np.concatenate([[0], np.cumsum(counts)])
-    ep, ec, pr = [], [], []
-    for i in order:
-        if int(tree.node_level[i]) == tree.K:
-            continue
-        for e in range(int(tree.estart[i]), int(tree.estart[i + 1])):
-            ep.append(remap[i])
-            ec.append(remap[int(tree.echild[e])])
-            pr.append(float(tree.eprob[e]))
+        sl = tree._edge_slice(k)
+        keep[tree.echild[sl][keep[tree.eparent[sl]]]] = True
+    # new id of old node i: the number of kept nodes before it
+    new_id = np.concatenate([[0], np.cumsum(keep)])
+    ekeep = keep[tree.eparent]
     grid = TimeGrid(tree.grid.t[level0:] - tree.grid.t[level0])
-    sub = ScenarioTree(grid, tree.d, level_start, ep, ec, pr)
-    return sub, np.array(order)
+    sub = ScenarioTree(grid, tree.d, new_id[tree.level_start[level0:]],
+                       new_id[tree.eparent[ekeep]],
+                       new_id[tree.echild[ekeep]], tree.eprob[ekeep])
+    return sub, np.flatnonzero(keep)
 
 
 def shift_martingale(sub, order, M, node, m):
@@ -139,8 +122,7 @@ def identity(n=1):
         id="identity", n=n,
         sigma=lambda t, x, m: np.broadcast_to(
             np.eye(n, m.shape[1]), (x.shape[0], n, m.shape[1])),
-        b=lambda t, x, m: np.zeros((x.shape[0], n)),
-        lipschitz_k=0.0)
+        b=lambda t, x, m: np.zeros((x.shape[0], n)))
 
 
 def constant_drift(c=1.0, n=1):
@@ -148,8 +130,7 @@ def constant_drift(c=1.0, n=1):
     return SdeCoeffs(
         id="constant_drift", n=n,
         sigma=lambda t, x, m: np.zeros((x.shape[0], n, m.shape[1])),
-        b=lambda t, x, m: np.full((x.shape[0], n), c),
-        lipschitz_k=0.0)
+        b=lambda t, x, m: np.full((x.shape[0], n), c))
 
 
 def linear_sigma(a=1.0):
@@ -157,8 +138,7 @@ def linear_sigma(a=1.0):
     return SdeCoeffs(
         id="linear_sigma", n=1,
         sigma=lambda t, x, m: (float(a) * x)[:, :, None],
-        b=lambda t, x, m: np.zeros((x.shape[0], 1)),
-        lipschitz_k=abs(float(a)))
+        b=lambda t, x, m: np.zeros((x.shape[0], 1)))
 
 
 def affine(a=1.0, c=0.0):
@@ -166,8 +146,7 @@ def affine(a=1.0, c=0.0):
     return SdeCoeffs(
         id="affine", n=1,
         sigma=lambda t, x, m: (float(a) * x)[:, :, None],
-        b=lambda t, x, m: float(c) * x,
-        lipschitz_k=abs(float(a)) + abs(float(c)))
+        b=lambda t, x, m: float(c) * x)
 
 
 CATALOG = {

@@ -6,7 +6,6 @@ uncorrelated with M.  The terminal expectation of the summed squared
 residuals is the discrete analogue of E[[N]_T].
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +103,6 @@ class SweepRow:
     bracketNN_T: float
     normalized: float
     n_nodes: int
-    wallclock_ms: float
 
 
 @dataclass
@@ -133,7 +131,6 @@ def residual_sweep(config_for, F, K_list):
     """
     out = SweepResult()
     for K in K_list:
-        t0 = time.perf_counter()
         built = models.build(config_for(K))
         tree, M = built.tree, built.M
         lo, hi = tree.level_slice(tree.K)
@@ -141,11 +138,10 @@ def residual_sweep(config_for, F, K_list):
         Y = martingale_from_terminal(tree, zeta)
         res = gkw_decompose(tree, M, Y)
         var = float(tree.path_prob[lo:hi] @ (zeta - zeta @ tree.path_prob[lo:hi]) ** 2)
-        ms = (time.perf_counter() - t0) * 1e3
         out.rows.append(SweepRow(
             K=K, bracketNN_T=res.bracketNN_T,
             normalized=res.bracketNN_T / var if var > 0 else 0.0,
-            n_nodes=tree.n_nodes, wallclock_ms=ms))
+            n_nodes=tree.n_nodes))
     return out
 
 

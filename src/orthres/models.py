@@ -5,14 +5,16 @@ All builders calibrate to unit-diffusion scale by default: per-step variance
 T/K for the continuous-limit kinds.  Models whose filtration equals
 sigma(M) recombine into lattices; the product model keeps the full tree.
 
-``binary``, ``trinomial`` and ``compensated_jump`` take fixed integer moves
-and share one vectorised ``_lattice_walk``, sized by ``estimate_nodes``.
-``time_changed`` merges states by float value and ``product_noise`` grows a
-full tree, so both build edge by edge through ``TreeBuilder``.
+``binary``, ``trinomial``, ``compensated_jump`` and ``product_noise`` take
+fixed integer moves and share one vectorised ``_lattice_walk``, sized by
+``estimate_nodes``; ``product_noise`` walks with recombination off.
+``time_changed`` merges states by float value, so it is the one builder that
+builds edge by edge through ``TreeBuilder``.  ``ModelConfig`` checks every
+builder's parameters, so a bad one is refused before anything is built.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,12 +54,29 @@ class ModelConfig:
                              "martingales are constructed by hand in tests")
         if self.T <= 0:
             raise ModelError("T must be positive")
-        for name in FLOAT_PARAMS:
+        prm = {}
+        for name in (n for n in FLOAT_PARAMS if n in self.params):
             try:
-                float(self.params.get(name, 0.0))
+                prm[name] = float(self.params[name])
             except (TypeError, ValueError):
                 raise ModelError(f"model param {name!r} must be a number, "
                                  f"got {self.params[name]!r}")
+        # the builders' own parameter ranges, each written so NaN fails it
+        if self.kind == "binary" and not prm.get("h", 1.0) > 0:
+            raise ModelError("h must be positive")
+        if self.kind == "trinomial" and not 0 < prm.get("p", 0.25) < 0.5:
+            raise ModelError("trinomial branch probability must lie in "
+                             "(0, 1/2)")
+        if self.kind == "compensated_jump":
+            lam = prm.get("lam", 2.0)
+            lam_down = prm.get("lam_down", lam)
+            dt = self.T / self.K
+            if not (lam > 0 and lam_down >= 0):
+                raise ModelError("need lam > 0 and lam_down >= 0")
+            if not lam * dt + lam_down * dt < 1:
+                raise ModelError("need (lam + lam_down)*dt < 1")
+        if self.kind == "time_changed" and not prm.get("kappa", 1.0) >= 0:
+            raise ModelError("kappa must be >= 0")
 
 
 @dataclass
@@ -86,7 +105,7 @@ def _check_cap(builder):
 
 def estimate_nodes(kind, K, params=None):
     """Node count of one built model: exact for the fixed-move lattices,
-    an upper bound for ``time_changed`` and ``product_noise``."""
+    an upper bound for ``time_changed``."""
     params = params or {}
     recomb = bool(params.get("recombine", True))
     if kind == "binary":
@@ -170,8 +189,6 @@ def _lattice_walk(config, moves, probs, value):
 def build_binary(config):
     """Symmetric +-h walk; recombining lattice; h defaults to sqrt(T/K)."""
     h = float(config.params.get("h", np.sqrt(config.T / config.K)))
-    if h <= 0:
-        raise ModelError("h must be positive")
     return _lattice_walk(config, [[-1], [1]], [0.5, 0.5],
                          lambda s, level: s[:, 0] * h)
 
@@ -179,8 +196,6 @@ def build_binary(config):
 def build_trinomial(config):
     """Steps (-h, 0, +h) with probabilities (p, 1-2p, p); lattice."""
     p = float(config.params.get("p", 0.25))
-    if not 0 < p < 0.5:
-        raise ModelError("trinomial branch probability must lie in (0, 1/2)")
     h = float(config.params.get("h", np.sqrt(config.T / (2 * p * config.K))))
     return _lattice_walk(config, [[-1], [0], [1]], [p, 1 - 2 * p, p],
                          lambda s, level: s[:, 0] * h)
@@ -203,11 +218,7 @@ def build_compensated_jump(config):
     lam_down = float(config.params.get("lam_down", lam))
     jump_down = float(config.params.get("jump_down", jump))
     dt = config.T / config.K
-    if lam <= 0 or lam_down < 0:
-        raise ModelError("need lam > 0 and lam_down >= 0")
     pu, pd = lam * dt, lam_down * dt
-    if pu + pd >= 1:
-        raise ModelError("need (lam + lam_down)*dt < 1")
     comp = (lam * jump - lam_down * jump_down) * dt
     moves, probs = [[1, 0], [0, 0]], [pu, 1 - pu - pd]
     if pd > 0:
@@ -223,8 +234,6 @@ def build_time_changed(config):
     capped; non-deterministic bracket, Markov."""
     K, T = config.K, config.T
     kappa = float(config.params.get("kappa", 1.0))
-    if kappa < 0:
-        raise ModelError("kappa must be >= 0")
     h0 = float(config.params.get("h", np.sqrt(T / K)))
     hcap = float(config.params.get("h_cap", 3 * h0))
 
@@ -257,32 +266,18 @@ def build_product_noise(config):
 
     The filtration is strictly larger than sigma(M): each node also records
     the latest coin flip in ``aux`` (+-1, 0 at the root).  M ignores aux.
-    Full tree, branching 4.
+    Full tree, branching 4: node i of level k is move
+    (i - level_start[k]) mod 4 of its parent.
     """
-    K, T = config.K, config.T
-    h = float(config.params.get("h", np.sqrt(T / K)))
-    if 4 ** K > node_cap():
-        raise NodeCapExceeded(4 ** K, node_cap())
-    b = TreeBuilder(TimeGrid.uniform(K, T))
-    states = {0: 0.0}
-    mvals = [0.0]
-    avals = [0.0]
-    for k in range(K):
-        b.begin_level()
-        nxt = {}
-        for nid, m in states.items():
-            for s in (-1, 1):
-                for coin in (-1, 1):
-                    cid = b.child(nid, 0.25)
-                    mvals.append(m + s * h)
-                    avals.append(float(coin))
-                    nxt[cid] = m + s * h
-        b.end_level()
-        _check_cap(b)
-        states = nxt
-    tree = b.build()
-    M = _validated(tree, np.array(mvals))
-    return tree, M, AdaptedProcess(tree, np.array(avals))
+    h = float(config.params.get("h", np.sqrt(config.T / config.K)))
+    moves = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])  # (step, coin)
+    tree, M = _lattice_walk(
+        replace(config, params={**config.params, "recombine": False}),
+        moves, [0.25] * 4, lambda s, level: s[:, 0] * h)
+    move = (np.arange(tree.n_nodes) - tree.level_start[tree.node_level]) % 4
+    aux = moves[move, 1].astype(float)
+    aux[0] = 0.0
+    return tree, M, AdaptedProcess(tree, aux)
 
 
 def build(config):

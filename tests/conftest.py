@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from orthres.ftree import AdaptedProcess, ScenarioTree, TimeGrid, TreeBuilder
+from orthres.models import KINDS, ModelConfig, build
 
 
 def random_full_tree(rng, K=3, max_branch=3, T=1.0):
@@ -39,6 +41,24 @@ def random_martingale(rng, tree, scale=1.0):
         chi = tree.echild[e0:e1]
         vals[chi] -= p @ (vals[chi] - vals[i]) / p.sum()
     return AdaptedProcess(tree, vals)
+
+
+@st.composite
+def small_trees(draw):
+    """(tree, M): a random full tree with a random martingale, or a small
+    built model of any kind, full-tree variants included."""
+    kind = draw(st.sampled_from(("random",) + KINDS))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        tree = random_full_tree(rng, K=draw(st.integers(1, 4)))
+        return tree, random_martingale(rng, tree)
+    # the default jump intensities need K >= 5; product noise grows like 4^K
+    K = draw(st.integers(5 if kind == "compensated_jump" else 1,
+                         4 if kind == "product_noise" else 12))
+    params = {"recombine": draw(st.booleans())} \
+        if kind in ("binary", "trinomial") and K <= 6 else {}
+    built = build(ModelConfig(kind, K=K, params=params))
+    return built.tree, built.M
 
 
 @pytest.fixture

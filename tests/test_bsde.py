@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -21,7 +22,7 @@ from orthres.bsde import (DriverSpec, check_growth, compare,
                           solve_lipschitz, solve_quadratic, truncated_driver,
                           vanishing_N_experiment)
 
-from conftest import random_full_tree, random_martingale
+from conftest import random_full_tree, random_martingale, small_trees
 
 
 def binary_setup(K=8, recombine=True):
@@ -60,7 +61,6 @@ def test_truncated_driver_matches_formula(rng):
                        2.0 * p * np.abs(z) - 0.5 * 2.0 * p ** 2)
               + 0.7 * np.abs(y) + 0.3)
     npt.assert_allclose(q_p(0.0, None, z, y, z), expect, atol=0.0)
-    assert q_p.lip_z == 2.0 * p
     with pytest.raises(ValueError):
         truncated_driver(0.5, growth)
 
@@ -231,7 +231,7 @@ def _property_driver(kind, c, kz):
     return DriverSpec(id="affine", klass="lipschitz",
                       f=lambda t, x, m, y, z: c * y + kz * z + 0.25,
                       growth={"a": 0.25, "b": abs(c), "gamma": 0.0},
-                      eta=0.25, y_part=(c, 0.0), lip_z=abs(kz))
+                      eta=0.25, y_part=(c, 0.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -485,6 +485,117 @@ def test_dual_gap_shrinks_with_refinement():
         dv = dual_value(tree, M, clock, zeta, growth, 1.0, eta=0.2)
         gaps.append(abs(sol.Y0 - float(np.ravel(dv.value.values)[0])))
     assert gaps[1] < gaps[0]
+
+
+def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
+    """The dual DP as it was before its candidates became columns: one
+    weighted child sum per candidate nu, a loop over beta = +-b, and the
+    floored edges counted as a rounded float sum.  Kept as the reference."""
+    def weighted_child_sum(w, vals, lo, hi):
+        sl, idx = _kernels._segments(tree, lo, hi)
+        return np.add.reduceat(tree.eprob[sl] * w[sl] * vals[tree.echild[sl]],
+                               idx)
+    b = float(growth["b"])
+    gamma = float(growth["gamma"])
+    if eta is None:
+        eta = float(growth.get("a", 0.0))
+    nt = tree.n_nonterminal
+    dC = clock.dC.values
+    qdiag = clock.q.values.reshape(nt, -1)[:, 0]
+    W = np.empty(tree.n_nodes)
+    lo, hi = tree.level_slice(tree.K)
+    W[lo:hi] = zeta
+    floored = total_edges = 0
+    betas = (-b, b) if b > 0 else (0.0,)
+    nu_grid = np.linspace(-float(p), float(p), bsde.DUAL_NU_POINTS)
+    ones = np.ones(tree.n_nodes)
+    wfull = np.ones(len(tree.eprob))
+    flfull = np.zeros(len(tree.eprob))
+    dm_all = _kernels.edge_increments(tree, M.scalar)
+    pdm = tree.eprob * dm_all
+    for k in range(tree.K - 1, -1, -1):
+        a, bb = tree.level_slice(k)
+        m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)[1]
+        dck, qk = dC[a:bb], qdiag[a:bb]
+        ok = (qk > bsde.PROJ_EPS) & (dck > bsde.PROJ_EPS)
+        z_hat = np.where(ok, m1 / np.where(ok, qk * dck, 1.0), 0.0)
+        etak = bsde.eta_at(eta, tree.grid.t[k])
+        best = np.full(bb - a, -np.inf)
+        best_floor = np.zeros(bb - a, dtype=np.int64)
+        sl = tree._edge_slice(k)
+        par, dm = tree.eparent[sl], dm_all[sl]
+        for nu in [np.clip(z_hat, -p, p)] + [np.full(bb - a, g)
+                                             for g in nu_grid]:
+            tilt = np.where(ok, gamma * nu / np.where(ok, qk, 1.0), 0.0)
+            w = 1.0 + tilt[par - a] * dm
+            wfull[sl] = np.maximum(w, bsde.DUAL_FLOOR)
+            flfull[sl] = (w < bsde.DUAL_FLOOR) / tree.eprob[sl]
+            val = weighted_child_sum(wfull, W, a, bb)
+            node_fl = np.rint(weighted_child_sum(flfull, ones, a, bb)
+                              ).astype(np.int64)
+            for beta in betas:
+                cand = (np.exp(-beta * dck) * val
+                        + (etak - 0.5 * gamma * nu ** 2) * dck)
+                take = cand > best
+                best_floor = np.where(take, node_fl, best_floor)
+                best = np.where(take, cand, best)
+        W[a:bb] = best
+        floored += int(best_floor.sum())
+        total_edges += len(dm)
+    return W, floored / max(total_edges, 1)
+
+
+@st.composite
+def dual_cases(draw):
+    tree, M = draw(small_trees())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo, hi = tree.level_slice(tree.K)
+    zeta = rng.normal(size=hi - lo)
+    # a large gamma * p tilts some reweightings below the floor
+    growth = {"a": draw(st.floats(0, 1)), "b": draw(st.sampled_from(
+        [0.0, 0.5, 2.0])), "gamma": draw(st.floats(0, 50))}
+    return tree, M, zeta, growth, draw(st.floats(1, 8))
+
+
+@settings(deadline=None, max_examples=60)
+@given(dual_cases())
+def test_dual_value_matches_per_candidate_reference(case):
+    tree, M, zeta, growth, p = case
+    clock = predictable_bracket(tree, M)
+    with mock.patch.object(bsde, "DUAL_FLOOR_BUDGET", 1.0):
+        dv = dual_value(tree, M, clock, zeta, growth, p)
+    W, frac = _dual_value_reference(tree, M, clock, zeta, growth, p)
+    assert np.array_equal(dv.value.values[:, 0], W)
+    assert dv.floored_fraction == frac
+
+
+def test_dual_value_reference_sees_floors():
+    """The property test's draws reach the floor: a steep tilt on a coarse
+    lattice floors a third of the edges, the same ones in both versions."""
+    tree, M, clock, mterm = binary_setup(K=4)
+    growth = {"a": 0.1, "b": 0.5, "gamma": 40.0}
+    with mock.patch.object(bsde, "DUAL_FLOOR_BUDGET", 1.0):
+        dv = dual_value(tree, M, clock, np.sin(3 * mterm), growth, 8.0)
+    W, frac = _dual_value_reference(tree, M, clock, np.sin(3 * mterm),
+                                    growth, 8.0)
+    assert frac > 0.1
+    assert np.array_equal(dv.value.values[:, 0], W)
+    assert dv.floored_fraction == frac
+
+
+def test_dual_value_takes_the_finite_beta_candidate():
+    """exp(b dC) overflows for a huge b, so with zero data every beta = -b
+    candidate is inf * 0 = NaN: the beta = +b one, 0, must win at every
+    node, as in the reference, rather than the value becoming NaN."""
+    tree, M, clock, mterm = binary_setup(K=3)
+    growth = {"a": 0.0, "b": 1e4, "gamma": 1.0}
+    zeta = np.zeros_like(mterm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = dual_value(tree, M, clock, zeta, growth, 2.0)
+        W, frac = _dual_value_reference(tree, M, clock, zeta, growth, 2.0)
+    assert not W.any()
+    assert np.array_equal(dv.value.values[:, 0], W)
+    assert dv.floored_fraction == frac
 
 
 # -- comparison -------------------------------------------------------------

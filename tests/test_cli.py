@@ -126,6 +126,18 @@ SCAN = {"experiment": "regularity_scan", "model": {"kind": "trinomial",
     pytest.param({**SCAN, "driver": {"id": "quadratic_mixed",
                                      "params": {"gamma": 1.0, "b": -0.5}}},
                  id="b_negative"),
+    pytest.param({"model": {"kind": "trinomial", "params": {"p": 0.7}}},
+                 id="trinomial_p_above_half"),
+    pytest.param({"model": {"kind": "binary", "params": {"h": -1}}},
+                 id="binary_h_negative"),
+    pytest.param({"model": {"kind": "compensated_jump", "K": 4,
+                            "params": {"lam": 40}}},
+                 id="jump_intensity_saturated"),
+    pytest.param({"model": {"kind": "compensated_jump", "K": 128,
+                            "params": {"lam": 40}}, "K_list": [128, 4]},
+                 id="jump_intensity_saturated_in_K_list"),
+    pytest.param({"model": {"kind": "time_changed", "params": {"kappa": -1}}},
+                 id="kappa_negative"),
 ])
 def test_exit_3_on_malformed_config(tmp_path, capsys, overrides):
     if overrides is None:
@@ -147,6 +159,17 @@ def test_integral_floats_are_valid_integer_fields():
         "seed": 3.0, "seeds": 2.0,
         "tolerances": {"t_idx": 2.0, "m_count": 5.0}})
     assert (cfg.model.K, cfg.model.d, cfg.seed, cfg.seeds) == (8, 1, 3, 2)
+
+
+def test_sweep_checks_the_models_it_builds():
+    """A sweep builds each K of its K_list, not the model block's K (8 when
+    omitted): lam = 5 is valid at K = 16 and 32, though not at K = 8."""
+    raw = {"experiment": "residual_sweep", "output": "x",
+           "model": {"kind": "compensated_jump", "params": {"lam": 5}},
+           "F": {"id": "indicator_halfspace"}, "K_list": [16, 32]}
+    assert parse_config(raw).model.K == 16
+    with pytest.raises(ConfigError, match=r"at K = 8"):
+        parse_config({**raw, "K_list": [16, 8]})
 
 
 def test_exit_2_when_over_node_cap(tmp_path, monkeypatch, capsys):
@@ -231,6 +254,34 @@ def test_run_mollify_sweep(tmp_path):
     rep = json.loads((tmp_path / "out.json").read_text())
     assert rep["summary"]["gap_nonincreasing"] is True
     assert abs(rep["summary"]["loglog_slope"] + 0.5) < 0.05
+
+
+@pytest.mark.parametrize("n_list,certified", [([4, 8], False),
+                                              ([4, 8, 16, 32], True)])
+def test_cascade_passes_only_a_certified_stage(tmp_path, n_list, certified):
+    """With gamma = 5 on trinomial K = 64, max|q Z| stays above n/gamma up
+    to n = 8, so the last stage of [4, 8] is an envelope solve, not the
+    quadratic's: it must not pass.  n = 16 certifies, and that stage is the
+    direct solve bit for bit."""
+    from orthres import bsde
+    from orthres.ftree import predictable_bracket
+    from orthres.models import ModelConfig, build
+    from orthres.mollify import from_catalog
+    path, _ = write_cfg(
+        tmp_path, experiment="cascade", model={"kind": "trinomial", "K": 64},
+        driver={"id": "pure_quadratic", "params": {"gamma": 5}},
+        n_list=n_list, K_list=[])
+    assert main(["run", str(path)]) == 0
+    summary = json.loads((tmp_path / "out.json").read_text())["summary"]
+    assert summary["certified"] is certified
+    assert summary["verdict"] == ("PASS" if certified else "FAIL")
+    built = build(ModelConfig("trinomial", K=64))
+    tree, M = built.tree, built.M
+    lo, hi = tree.level_slice(64)
+    zeta = from_catalog("indicator_halfspace")(M.values[lo:hi])
+    direct = bsde.solve_lipschitz(tree, M, predictable_bracket(tree, M),
+                                  None, zeta, bsde.pure_quadratic(5.0))
+    assert (summary["Y0"] == direct.Y0) is certified
 
 
 def test_run_dual_check(tmp_path):

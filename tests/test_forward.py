@@ -1,13 +1,17 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthres.errors import InvariantViolation
 from orthres.forward import (SdeCoeffs, affine, constant_drift, euler_forward,
                              extract_subtree, from_catalog, identity,
                              linear_sigma, shift_start)
-from orthres.ftree import is_martingale, predictable_bracket
+from orthres.ftree import (ScenarioTree, TimeGrid, is_martingale,
+                           predictable_bracket)
 from orthres.models import ModelConfig, build
+
+from conftest import small_trees
 
 
 def model(kind="binary", K=6, **params):
@@ -96,6 +100,62 @@ def test_extract_subtree_mass_and_levels():
     for k in range(sub.K + 1):
         a, b = sub.level_slice(k)
         npt.assert_allclose(sub.path_prob[a:b].sum(), 1.0, atol=1e-12)
+
+
+def _extract_subtree_reference(tree, node):
+    """Breadth-first extraction over dicts and sets, as it was before the
+    level mask; kept as the reference."""
+    level0 = int(tree.node_level[node])
+    keep = {node}
+    frontier = [node]
+    for k in range(level0, tree.K):
+        nxt = []
+        for i in frontier:
+            for e in range(int(tree.estart[i]), int(tree.estart[i + 1])):
+                c = int(tree.echild[e])
+                if c not in keep:
+                    keep.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    order = sorted(keep, key=lambda i: (int(tree.node_level[i]), i))
+    remap = {old: new for new, old in enumerate(order)}
+    counts = np.zeros(tree.K - level0 + 1, dtype=np.int64)
+    for i in order:
+        counts[int(tree.node_level[i]) - level0] += 1
+    level_start = np.concatenate([[0], np.cumsum(counts)])
+    ep, ec, pr = [], [], []
+    for i in order:
+        if int(tree.node_level[i]) == tree.K:
+            continue
+        for e in range(int(tree.estart[i]), int(tree.estart[i + 1])):
+            ep.append(remap[i])
+            ec.append(remap[int(tree.echild[e])])
+            pr.append(float(tree.eprob[e]))
+    grid = TimeGrid(tree.grid.t[level0:] - tree.grid.t[level0])
+    sub = ScenarioTree(grid, tree.d, level_start, ep, ec, pr)
+    return sub, np.array(order)
+
+
+@st.composite
+def subtree_cases(draw):
+    tree, _ = draw(small_trees())
+    # any node with children: a leaf has no subtree with two time points
+    return tree, draw(st.integers(0, tree.n_nonterminal - 1))
+
+
+@settings(deadline=None, max_examples=80)
+@given(subtree_cases())
+def test_extract_subtree_matches_breadth_first_reference(case):
+    tree, node = case
+    sub, order = extract_subtree(tree, node)
+    ref, ref_order = _extract_subtree_reference(tree, node)
+    assert order.dtype == ref_order.dtype
+    assert order.tobytes() == ref_order.tobytes()
+    for name in ("level_start", "eparent", "echild", "eprob", "estart"):
+        got, want = getattr(sub, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+    assert sub.grid.t.tobytes() == ref.grid.t.tobytes()
 
 
 def test_shift_start_recenters_martingale():

@@ -59,10 +59,13 @@ def _edge_residuals_d1_loop(estart, echild, eprob, m, y, ey, z, lo, hi, dn, res)
 
 def _weighted_child_sum_loop(estart, echild, eprob, w, vals, lo, hi, out):
     # out[i] = sum_e prob[e] * w[e] * vals[child[e]]  (reweighted expectation)
+    # with w indexed from the range's first edge; a row of an (E, C) w
+    # gives one sum per column
+    base = estart[lo]
     for i in range(lo, hi):
         s = 0.0
         for e in range(estart[i], estart[i + 1]):
-            s += eprob[e] * w[e] * vals[echild[e]]
+            s += eprob[e] * w[e - base] * vals[echild[e]]
         out[i - lo] = s
 
 
@@ -103,11 +106,19 @@ def run_loop(name, tree, rng):
         _edge_residuals_d1_loop(*args, m, y, ey, z, lo, hi, dn, res)
         return dn, res
     if name == "weighted_child_sum":
-        w = rng.uniform(0.5, 1.5, size=len(tree.eprob))
-        out = np.empty(hi - lo)
-        _weighted_child_sum_loop(*args, w, y, lo, hi, out)
-        return (out,)
+        outs = []
+        for w in _range_weights(tree, lo, hi, rng):
+            out = np.empty((hi - lo,) + w.shape[1:])
+            _weighted_child_sum_loop(*args, w, y, lo, hi, out)
+            outs.append(out)
+        return tuple(outs)
     raise KeyError(name)
+
+
+def _range_weights(tree, lo, hi, rng):
+    """(E,) and (E, 3) weights on the edges of the nodes in [lo, hi)."""
+    E = int(tree.estart[hi] - tree.estart[lo])
+    return rng.uniform(0.5, 1.5, size=E), rng.uniform(0.5, 1.5, size=(E, 3))
 
 
 def _numpy_ey_z(tree, m, y, lo, hi):
@@ -135,8 +146,8 @@ def run_numpy(name, tree, rng):
         res = _kernels.edge_residuals_d1(tree, dm, y, ey, z, lo, hi, dn)
         return dn, res
     if name == "weighted_child_sum":
-        w = rng.uniform(0.5, 1.5, size=len(tree.eprob))
-        return (_kernels.weighted_child_sum(tree, w, y, lo, hi),)
+        return tuple(_kernels.weighted_child_sum(tree, w, y, lo, hi)
+                     for w in _range_weights(tree, lo, hi, rng))
     raise KeyError(name)
 
 
@@ -147,6 +158,7 @@ def test_loop_matches_numpy(name, rng):
         a = run_loop(name, tree, np.random.default_rng(seed))
         b = run_numpy(name, tree, np.random.default_rng(seed))
         for x, y in zip(a, b):
+            assert x.shape == y.shape
             npt.assert_allclose(x, y, atol=1e-13)
 
 
@@ -221,6 +233,12 @@ def test_batched_columns_are_the_1d_calls(B, rng):
                 for ob, o1 in zip(outs_b, outs_1):
                     assert o1.ndim == 1
                     assert np.array_equal(ob[:, j], o1)
+        w = rng.uniform(0.5, 1.5, size=(tree.estart[hi] - tree.estart[lo], B))
+        vals = rng.normal(size=tree.n_nodes)
+        wcs = _kernels.weighted_child_sum(tree, w, vals, lo, hi)
+        for j in range(B):
+            assert np.array_equal(wcs[:, j], _kernels.weighted_child_sum(
+                tree, w[:, j].copy(), vals, lo, hi))
         # residual_moments_d1 overwrites dy with dn: columns are copied first
         dy = batched[1][2]
         columns = [dy[:, j].copy() for j in range(B)]

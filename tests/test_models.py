@@ -146,10 +146,19 @@ def test_node_cap_enforced(monkeypatch):
 
 def reference_lattice(config):
     """Dict-driven TreeBuilder loop for the fixed-move lattices: the builders
-    as they were before the vectorised walk, kept as the reference."""
+    as they were before the vectorised walk, kept as the reference.  Returns
+    the tree, M and, for ``product_noise``, aux (else None)."""
     K, T, params = config.K, config.T, config.params
     recomb = bool(params.get("recombine", True))
-    if config.kind == "compensated_jump":
+    if config.kind == "product_noise":
+        # the full tree of (step, coin) moves; aux is the latest coin
+        h = float(params.get("h", np.sqrt(T / K)))
+        recomb = False
+        moves = [((s, c), 0.25) for s in (-1, 1) for c in (-1, 1)]
+
+        def value(s, k):
+            return s[0] * h
+    elif config.kind == "compensated_jump":
         lam = float(params.get("lam", 2.0))
         jump = float(params.get("jump", 1.0))
         lam_down = float(params.get("lam_down", lam))
@@ -176,7 +185,7 @@ def reference_lattice(config):
             return s[0] * h
     b = TreeBuilder(TimeGrid.uniform(K, T))
     states = {0: (0,) * len(moves[0][0])}
-    mvals = [0.0]
+    mvals, avals = [0.0], [0.0]
     for k in range(K):
         b.begin_level()
         nxt = {}
@@ -186,18 +195,22 @@ def reference_lattice(config):
                 cid = b.child(nid, pr, key=s if recomb else None)
                 if cid == len(mvals):
                     mvals.append(value(s, k))
+                    avals.append(float(dst[-1]))
                 nxt[cid] = s
         b.end_level()
         states = nxt
-    return b.build(), np.array(mvals)
+    aux = np.array(avals) if config.kind == "product_noise" else None
+    return b.build(), np.array(mvals), aux
 
 
 @st.composite
 def lattice_configs(draw):
-    kind = draw(st.sampled_from(["binary", "trinomial", "compensated_jump"]))
+    kind = draw(st.sampled_from(["binary", "trinomial", "compensated_jump",
+                                 "product_noise"]))
     recomb = draw(st.booleans())
-    # full trees grow like 3^K, so they stop at K = 7
-    K = draw(st.integers(1, 12 if recomb else 7))
+    # full trees grow like 3^K, so they stop at K = 7 (K = 5 at 4^K)
+    K = draw(st.integers(1, 5 if kind == "product_noise"
+                         else 12 if recomb else 7))
     params = {"recombine": recomb}
     if kind == "trinomial":
         params["p"] = draw(st.floats(0.01, 0.49))
@@ -212,12 +225,16 @@ def lattice_configs(draw):
 @given(lattice_configs())
 def test_lattice_walk_matches_reference_builder(config):
     built = build(config)
-    tree, mvals = reference_lattice(config)
+    tree, mvals, aux = reference_lattice(config)
     for name in ("level_start", "eparent", "echild", "eprob"):
         got, want = getattr(built.tree, name), getattr(tree, name)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), name
     assert built.M.values.tobytes() == mvals[:, None].tobytes()
+    if aux is None:
+        assert built.aux is None
+    else:
+        assert built.aux.values.tobytes() == aux[:, None].tobytes()
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -254,6 +271,21 @@ def test_cap_checked_against_estimate_before_allocation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert err.value.requested == estimate_nodes("trinomial", 2000) == 2001 ** 2
+    assert peak < 64 * 1024
+
+
+def test_product_noise_refuses_before_allocation(monkeypatch):
+    # 4**8 = 65,536 leaves fit under the cap, but the 87,381 nodes do not
+    monkeypatch.setenv("ORTHRES_NODE_CAP", "80000")
+    config = ModelConfig("product_noise", K=8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NodeCapExceeded) as err:
+            build(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.requested == estimate_nodes("product_noise", 8) == 87381
     assert peak < 64 * 1024
 
 
