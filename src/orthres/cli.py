@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__, bsde, forward
 from .mollify import (CATALOG as TERMINAL_CATALOG,
@@ -45,7 +44,9 @@ EXPERIMENTS = ("residual_sweep", "vanishing_N", "dual_check", "cascade",
 @dataclass
 class ExperimentConfig:
     experiment: str
-    model: ModelConfig
+    # the model of every K the run builds: each K of a sweep's K_list where
+    # the experiment needs one, or else the model block's K alone
+    models: list
     output: str
     F_id: str = None
     F_params: dict = field(default_factory=dict)
@@ -62,6 +63,10 @@ class ExperimentConfig:
     seeds: int = 100
     tolerances: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
+
+    @property
+    def model(self):
+        return self.models[0]
 
     @property
     def config_hash(self):
@@ -176,7 +181,7 @@ def parse_config(raw):
     if not output or not isinstance(output, str):
         raise ConfigError("config needs an output path prefix")
 
-    cfg = ExperimentConfig(experiment=exp, model=None, output=output,
+    cfg = ExperimentConfig(experiment=exp, models=[], output=output,
                            raw=raw)
     fr = _object(raw, "F")
     if fr is not None:
@@ -205,16 +210,14 @@ def parse_config(raw):
             raise ConfigError(f"{name} must be a list of {want}")
         setattr(cfg, name, list(vals))
     # a parameter's range may depend on K, so the model of every K the
-    # experiment builds is checked: each K of a sweep, or else the model
-    # block's; cfg.model is the first of them
-    models = []
+    # experiment builds is checked
     for k in (cfg.K_list if "K_list" in NEEDS[exp] else []) or [K]:
         try:
-            models.append(ModelConfig(kind=mraw["kind"], K=int(k), d=d, T=T,
-                                      params=dict(mraw.get("params", {}))))
+            cfg.models.append(ModelConfig(
+                kind=mraw["kind"], K=int(k), d=d, T=T,
+                params=dict(mraw.get("params", {}))))
         except OrthresError as e:
             raise ConfigError(f"{e} (at K = {k})")
-    cfg.model = models[0]
     cfg.seed = _number(raw.get("seed", 0), "seed", int)
     cfg.seeds = _number(raw.get("seeds", 100), "seeds", int)
     if cfg.seed < 0 or cfg.seeds < 1:
@@ -260,14 +263,19 @@ def load_config(path):
 # pre-flight
 # ---------------------------------------------------------------------------
 
-def preflight(cfg):
-    """Per-sweep-point node estimates; raises NodeCapExceeded over the cap."""
-    cap = node_cap()
-    Ks = [int(k) for k in cfg.K_list] or [cfg.model.K]
+def node_plan(cfg, cap):
+    """Node estimate of each model the run builds, against ``cap``."""
     plan = []
-    for K in Ks:
-        est = estimate_nodes(cfg.model.kind, K, cfg.model.params)
-        plan.append({"K": K, "node_estimate": est, "over_cap": est > cap})
+    for m in cfg.models:
+        est = estimate_nodes(m.kind, m.K, m.params)
+        plan.append({"K": m.K, "node_estimate": est, "over_cap": est > cap})
+    return plan
+
+
+def preflight(cfg):
+    """``node_plan`` at the node cap; raises NodeCapExceeded over the cap."""
+    cap = node_cap()
+    plan = node_plan(cfg, cap)
     worst = max(p["node_estimate"] for p in plan)
     if worst > cap:
         raise NodeCapExceeded(worst, cap)
@@ -288,10 +296,8 @@ def _with_coords(fn, **coords):
 
 
 def _model_for_K(cfg):
-    def config_for(K):
-        return ModelConfig(kind=cfg.model.kind, K=int(K), d=cfg.model.d,
-                           T=cfg.model.T, params=cfg.model.params)
-    return config_for
+    """K -> the sweep's ModelConfig at K."""
+    return {m.K: m for m in cfg.models}.__getitem__
 
 
 def _loglog_slope(x, y):
@@ -628,7 +634,6 @@ def write_reports(cfg, rows, curves, summary, wallclock_s):
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "orthres": __version__,
         },
         "experiment": cfg.experiment,
@@ -675,7 +680,7 @@ def cmd_run(args):
 def cmd_verify(args):
     cfg = load_config(args.config)
     cap = node_cap()
-    Ks = [int(k) for k in cfg.K_list] or [cfg.model.K]
+    plan = node_plan(cfg, cap)
     print(f"experiment: {cfg.experiment}")
     print(f"model: {cfg.model.kind} (T={cfg.model.T}, "
           f"params={cfg.model.params})")
@@ -685,13 +690,10 @@ def cmd_verify(args):
         print(f"driver: {cfg.driver_id} {cfg.driver_params}")
     print(f"node cap: {cap}")
     print(f"{'K':>6} {'node estimate':>14}  status")
-    over = False
-    for K in Ks:
-        est = estimate_nodes(cfg.model.kind, K, cfg.model.params)
-        flag = "OVER CAP" if est > cap else "ok"
-        over = over or est > cap
-        print(f"{K:>6} {est:>14}  {flag}")
-    if over:
+    for p in plan:
+        flag = "OVER CAP" if p["over_cap"] else "ok"
+        print(f"{p['K']:>6} {p['node_estimate']:>14}  {flag}")
+    if any(p["over_cap"] for p in plan):
         print("warning: at least one sweep point exceeds the node cap; "
               "run would abort (raise ORTHRES_NODE_CAP to proceed)")
     return 0

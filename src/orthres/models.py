@@ -13,6 +13,7 @@ builds edge by edge through ``TreeBuilder``.  ``ModelConfig`` checks every
 builder's parameters, so a bad one is refused before anything is built.
 """
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -52,8 +53,8 @@ class ModelConfig:
         if self.d != 1:
             raise ModelError("builders ship with d=1; higher-dimensional "
                              "martingales are constructed by hand in tests")
-        if self.T <= 0:
-            raise ModelError("T must be positive")
+        if not 0 < self.T < math.inf:
+            raise ModelError(f"T must be positive and finite, got {self.T!r}")
         prm = {}
         for name in (n for n in FLOAT_PARAMS if n in self.params):
             try:
@@ -62,7 +63,8 @@ class ModelConfig:
                 raise ModelError(f"model param {name!r} must be a number, "
                                  f"got {self.params[name]!r}")
         # the builders' own parameter ranges, each written so NaN fails it
-        if self.kind == "binary" and not prm.get("h", 1.0) > 0:
+        if self.kind in ("binary", "trinomial", "time_changed",
+                         "product_noise") and not prm.get("h", 1.0) > 0:
             raise ModelError("h must be positive")
         if self.kind == "trinomial" and not 0 < prm.get("p", 0.25) < 0.5:
             raise ModelError("trinomial branch probability must lie in "
@@ -77,6 +79,8 @@ class ModelConfig:
                 raise ModelError("need (lam + lam_down)*dt < 1")
         if self.kind == "time_changed" and not prm.get("kappa", 1.0) >= 0:
             raise ModelError("kappa must be >= 0")
+        if self.kind == "time_changed" and not prm.get("h_cap", 1.0) > 0:
+            raise ModelError("h_cap must be positive")
 
 
 @dataclass

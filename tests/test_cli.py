@@ -138,6 +138,14 @@ SCAN = {"experiment": "regularity_scan", "model": {"kind": "trinomial",
                  id="jump_intensity_saturated_in_K_list"),
     pytest.param({"model": {"kind": "time_changed", "params": {"kappa": -1}}},
                  id="kappa_negative"),
+    pytest.param({"model": {"kind": "product_noise", "params": {"h": 0}},
+                  "K_list": [2, 4]}, id="product_noise_h_zero"),
+    pytest.param({"model": {"kind": "trinomial", "T": math.nan}},
+                 id="T_nan"),
+    pytest.param({"model": {"kind": "trinomial", "params": {"h": -1}}},
+                 id="trinomial_h_negative"),
+    pytest.param({"model": {"kind": "time_changed", "params": {"h_cap": 0}}},
+                 id="time_changed_h_cap_zero"),
 ])
 def test_exit_3_on_malformed_config(tmp_path, capsys, overrides):
     if overrides is None:
@@ -185,6 +193,23 @@ def test_verify_warns_but_exits_zero_over_cap(tmp_path, monkeypatch, capsys):
     assert main(["verify", str(path)]) == 0
     out = capsys.readouterr().out
     assert "OVER CAP" in out and "warning" in out
+
+
+def test_preflight_sizes_the_model_a_cascade_builds(tmp_path, monkeypatch,
+                                                    capsys):
+    """A cascade builds the model block's K, not its K_list: K = 64 is over
+    a cap of 100 nodes though K = 4 is not, and run stops before building."""
+    from orthres import cli
+    monkeypatch.setenv("ORTHRES_NODE_CAP", "100")
+    path, _ = write_cfg(
+        tmp_path, experiment="cascade", model={"kind": "trinomial", "K": 64},
+        K_list=[4], driver={"id": "pure_quadratic", "params": {"gamma": 1.0}})
+    assert main(["verify", str(path)]) == 0
+    assert f"{64:>6} {65 ** 2:>14}  OVER CAP" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "build",
+                        lambda config: pytest.fail("built past the cap"))
+    assert main(["run", str(path)]) == 2
+    assert "tree would need 4225 nodes" in capsys.readouterr().err
 
 
 def test_verify_prints_plan(tmp_path, capsys):

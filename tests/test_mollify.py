@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,11 +6,14 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from orthres.mollify import (CATALOG, TerminalMap, clamp, digital_box,
+from orthres.mollify import (CATALOG, MAXLOG, TerminalMap, clamp, digital_box,
                              from_catalog, indicator_halfspace, l2_gap,
-                             lipschitz_scan, mollify, sine, square)
+                             lipschitz_scan, mollify, ndtr, sine, square)
 from orthres.models import ModelConfig, build
 
 
@@ -153,3 +157,34 @@ def test_cli_import_leaves_scipy_stats_unloaded():
                          text=True, env={**os.environ, "PYTHONPATH": src},
                          check=True).stdout
     assert out.strip() == "False"
+
+
+# |x| where the port changes branch: erf to erfc at |x|/sqrt2 = 1/sqrt2 and
+# 1, rational P/Q to R/S at 8, and erfc's underflow cut at sqrt(MAXLOG)
+BRANCH_EDGES = [1.0, math.sqrt(2), 8 * math.sqrt(2), math.sqrt(2 * MAXLOG)]
+PINNED = [s * v for e in BRANCH_EDGES for s in (1.0, -1.0)
+          for v in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))] + [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+    math.inf, -math.inf, math.nan]
+
+
+@given(st.lists(st.floats(-45, 45) | st.sampled_from(PINNED), max_size=64),
+       st.integers(0, 2 ** 32 - 1))
+def test_ndtr_port_is_scipy_ndtr_bit_for_bit(xs, seed):
+    # hypothesis favours simple floats; a uniform batch adds generic ones
+    x = np.concatenate(
+        [xs, np.random.default_rng(seed).uniform(-45, 45, 256)])
+    got, want = ndtr(x), scipy.special.ndtr(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys; import orthres.cli; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True).stdout
+    assert out.strip() == "[]"
