@@ -4,9 +4,8 @@ quadratic-growth BSDEs on scenario trees."""
 from .errors import (ConfigError, ContractionError, InvariantViolation,
                      ModelError, NodeCapExceeded, OrthresError, SolverError)
 from .ftree import (AdaptedProcess, ClockAndFactor, PredictableField,
-                    ScenarioTree, TimeGrid, TreeBuilder, cond_exp,
-                    is_martingale, pathwise_bracket, predictable_bracket,
-                    tree_from_json, tree_to_json)
+                    ScenarioTree, TimeGrid, is_martingale,
+                    predictable_bracket)
 from .models import ModelConfig, build
 from .gkw import gkw_decompose, martingale_from_terminal, residual_sweep
 from .mollify import TerminalMap, clamp, l2_gap, lipschitz_scan, mollify

@@ -219,21 +219,6 @@ def driver_from_catalog(did, **params):
     return DRIVER_CATALOG[did](**params)
 
 
-def check_growth(driver, y_grid, z_grid, t=0.0):
-    """Spot-check |f| <= eta(1+b|y|) + (gamma/2)|z|^2 on a grid; returns the
-    worst exceedance (<= 0 means the declared growth holds there)."""
-    g = driver.growth
-    worst = -math.inf
-    eta = eta_at(driver.eta, t)
-    for y in y_grid:
-        yv = np.full(len(z_grid), float(y))
-        zv = np.asarray(z_grid, dtype=float)
-        lhs = np.abs(driver(t, None, np.zeros_like(zv), yv, zv))
-        rhs = eta * (1 + g["b"] * np.abs(yv)) + 0.5 * g["gamma"] * zv ** 2
-        worst = max(worst, float(np.max(lhs - rhs)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # solutions
 # ---------------------------------------------------------------------------
@@ -732,22 +717,6 @@ def vanishing_N_experiment(config_for, coeffs, F, driver, eps_list, K_list,
                 K=K, eps=math.nan if eps is None else eps,
                 bracketNN_T=sol.bracketNN_T, y0=sol.Y0))
     return report
-
-
-def markov_grouping_check(tree, X, M, sol, decimals=9):
-    """Max spread of Y within groups of equal (level, X-value, M-value)."""
-    groups = {}
-    y = sol.Y.values[:, 0]
-    for i in range(tree.n_nodes):
-        key = (int(tree.node_level[i]),
-               tuple(np.round(X.values[i], decimals)) if X is not None else (),
-               tuple(np.round(M.values[i], decimals)))
-        groups.setdefault(key, []).append(y[i])
-    spread = 0.0
-    for vals in groups.values():
-        if len(vals) > 1:
-            spread = max(spread, max(vals) - min(vals))
-    return spread
 
 
 @dataclass

@@ -27,7 +27,7 @@ from .mollify import (CATALOG as TERMINAL_CATALOG,
                       mollify as gaussian_mollify)
 from .errors import ConfigError, OrthresError, NodeCapExceeded
 from .ftree import predictable_bracket
-from .gkw import residual_sweep
+from .gkw import SweepResult, residual_sweep
 from .models import KINDS, ModelConfig, build, estimate_nodes, node_cap
 
 # Largest grid a regularity or Lipschitz scan may ask for.
@@ -312,24 +312,21 @@ def _loglog_slope(x, y):
 def _run_residual_sweep(cfg):
     F = cfg.terminal_map()
     config_for = _model_for_K(cfg)
-    rows, curves = [], {"bracketNN_T_vs_K": []}
+    sweep = SweepResult()
     for K in cfg.K_list:
-        sw = _with_coords(
+        sweep.rows += _with_coords(
             lambda: residual_sweep(config_for, lambda s: F(s), [int(K)]),
-            model=cfg.model.kind, K=K)
-        r = sw.rows[0]
-        rows.append({"K": r.K, "n_nodes": r.n_nodes,
-                     "bracketNN_T": r.bracketNN_T,
-                     "normalized": r.normalized})
-        curves["bracketNN_T_vs_K"].append((r.K, r.bracketNN_T))
-    res = [r["bracketNN_T"] for r in rows]
+            model=cfg.model.kind, K=K).rows
+    rows = [{"K": r.K, "n_nodes": r.n_nodes, "bracketNN_T": r.bracketNN_T,
+             "normalized": r.normalized} for r in sweep.rows]
+    curves = {"bracketNN_T_vs_K": [(r.K, r.bracketNN_T) for r in sweep.rows]}
     summary = {
-        "strictly_decreasing": bool(all(b < a for a, b in zip(res, res[1:]))),
-        "trend_statistic": float(np.mean(-np.diff(
-            np.log(np.maximum(res, 1e-300))))) if len(res) > 1 else 0.0,
+        "strictly_decreasing": sweep.strictly_decreasing(),
+        "trend_statistic": sweep.trend_statistic(),
         # the vanishing rate: about -1/2 for indicators, -1 for smooth and
         # Lipschitz maps, near 0 where the residual does not vanish
-        "loglog_slope": _loglog_slope([r["K"] for r in rows], res),
+        "loglog_slope": _loglog_slope([r.K for r in sweep.rows],
+                                      sweep.residuals),
     }
     summary["verdict"] = ("PASS" if summary["strictly_decreasing"]
                           and summary["trend_statistic"] > 0 else "FAIL")
@@ -455,6 +452,8 @@ def _run_cascade(cfg):
         "Y0": sol.Y0,
         "y_sup": sol.diagnostics["y_sup"],
         "bracketNN_T": sol.bracketNN_T,
+        # the BMO norm of Z.M + N, which the quadratic theory needs bounded
+        "bmo_norm": sol.bmo_norm(),
         "monotone_violation_n": trace.monotone_violation_n,
         "certified": trace.certified,
         "verdict": "PASS" if trace.certified

@@ -2,13 +2,12 @@
 
 A tree is stored as flat arrays: nodes are numbered level by level, edges are
 grouped by parent node.  Recombining lattices are supported as level-layered
-DAGs (a node may have several incoming edges); operations that genuinely need
-pathwise information check ``is_tree`` first.
+DAGs (a node may have several incoming edges); ``is_tree`` tells a true tree
+from a lattice.
 """
 
 from dataclasses import dataclass, field
 
-import json
 import numpy as np
 
 from . import _kernels
@@ -57,11 +56,11 @@ class ScenarioTree:
     level_start : (K+2,) node-id offset of each level
     estart : (n_nodes+1,) per-node offset into the edge arrays
     eparent, echild, eprob : flat edge arrays grouped by parent
-    parent : (n_nodes,) unique parent id, -1 for root, -2 when recombined
+    is_tree : every non-root node has exactly one incoming edge
     path_prob : (n_nodes,) total probability mass reaching the node
     """
 
-    def __init__(self, grid, d, level_start, eparent, echild, eprob, validate=True):
+    def __init__(self, grid, d, level_start, eparent, echild, eprob):
         self.grid = grid
         self.d = int(d)
         self.level_start = np.asarray(level_start, dtype=np.int64)
@@ -79,13 +78,8 @@ class ScenarioTree:
         np.add.at(self.estart, self.eparent + 1, 1)
         np.cumsum(self.estart, out=self.estart)
 
-        self.parent = np.full(n, -1, dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int64)
-        np.add.at(counts, self.echild, 1)
-        self.parent[self.echild] = self.eparent
-        self.parent[self.level_start[1]:][counts[self.level_start[1]:] > 1] = -2
-        self.is_tree = bool(np.all(counts[self.level_start[1]:] == 1))
-        self.parent[:self.level_start[1]] = -1
+        in_degree = np.bincount(self.echild, minlength=n)
+        self.is_tree = bool(np.all(in_degree[self.level_start[1]:] == 1))
 
         self.path_prob = np.zeros(n)
         self.path_prob[0] = 1.0
@@ -97,10 +91,9 @@ class ScenarioTree:
         self.node_level = np.repeat(np.arange(self.K + 1),
                                     np.diff(self.level_start))
         for a in (self.level_start, self.eparent, self.echild, self.eprob,
-                  self.estart, self.parent, self.path_prob, self.node_level):
+                  self.estart, self.path_prob, self.node_level):
             a.flags.writeable = False
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- structure ---------------------------------------------------------
     @property
@@ -117,9 +110,6 @@ class ScenarioTree:
     def _edge_slice(self, k):
         lo, hi = self.level_slice(k)
         return slice(int(self.estart[lo]), int(self.estart[hi]))
-
-    def leaves(self):
-        return np.arange(*self.level_slice(self.K))
 
     def validate(self):
         if self.n_nodes != self.level_start[-1]:
@@ -141,53 +131,6 @@ class ScenarioTree:
             if abs(mass - 1.0) > MASS_TOL:
                 raise InvariantViolation(
                     f"level {k} probability mass {mass} != 1")
-
-
-class TreeBuilder:
-    """Incremental level-by-level construction with optional state merging.
-
-    ``child(parent, prob, key=...)`` merges children of the current level that
-    share the same hashable key (recombining lattice); ``key=None`` always
-    creates a fresh node.
-    """
-
-    def __init__(self, grid, d=1):
-        self.grid = grid
-        self.d = d
-        self.level_start = [0, 1]
-        self.eparent = []
-        self.echild = []
-        self.eprob = []
-        self._level_keys = {}
-        self._next_id = 1
-
-    @property
-    def n_nodes(self):
-        return self._next_id
-
-    def begin_level(self):
-        self._level_keys = {}
-
-    def child(self, parent, prob, key=None):
-        if key is not None and key in self._level_keys:
-            cid = self._level_keys[key]
-        else:
-            cid = self._next_id
-            self._next_id += 1
-            if key is not None:
-                self._level_keys[key] = cid
-        self.eparent.append(parent)
-        self.echild.append(cid)
-        self.eprob.append(prob)
-        return cid
-
-    def end_level(self):
-        self.level_start.append(self._next_id)
-
-    def build(self, validate=True):
-        return ScenarioTree(self.grid, self.d, self.level_start,
-                            self.eparent, self.echild, self.eprob,
-                            validate=validate)
 
 
 @dataclass
@@ -244,7 +187,6 @@ class ClockAndFactor:
     dC: PredictableField              # scalar, per non-terminal node
     q: PredictableField               # (d, d) lower-triangular, per non-terminal node
     sigma: np.ndarray = field(repr=False, default=None)  # conditional covariances
-    trace: np.ndarray = field(repr=False, default=None)  # accumulated bracket trace
 
 
 class MartingaleCheck:
@@ -259,30 +201,6 @@ class MartingaleCheck:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def cond_exp(tree, X, k, of_level=None):
-    """Exact E[X_{of_level} | F_k] by backward weighted averaging.
-
-    Returns an array of shape (nodes at level k, dim).  ``of_level`` defaults
-    to the terminal level.
-    """
-    if of_level is None:
-        of_level = tree.K
-    if not 0 <= k < of_level <= tree.K:
-        raise ValueError(f"need 0 <= k < of_level <= K, got ({k}, {of_level})")
-    vals = np.array(X.values if isinstance(X, AdaptedProcess) else X, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    # one buffer for all levels: step j writes level j and reads only level j+1
-    cur, out = vals, np.zeros((tree.n_nodes, vals.shape[1]))
-    for j in range(of_level - 1, k - 1, -1):
-        lo, hi = tree.level_slice(j)
-        for c in range(out.shape[1]):
-            out[lo:hi, c] = _kernels.backward_expect(tree, cur[:, c], lo, hi)
-        cur = out
-    lo, hi = tree.level_slice(k)
-    return out[lo:hi].copy()
-
 
 def backward_closure(tree, leaf_values):
     """Fill the whole tree with E[zeta | F_k] from leaf values (all levels)."""
@@ -390,62 +308,4 @@ def predictable_bracket(tree, M):
         dC=PredictableField(tree, dC),
         q=PredictableField(tree, q),
         sigma=sigma,
-        trace=V,
     )
-
-
-def pathwise_bracket(tree, M):
-    """Cumulative sum of dM dM* along each node's path (true trees only)."""
-    if not tree.is_tree:
-        raise InvariantViolation("pathwise bracket needs a non-recombining tree")
-    d = M.dim
-    B = np.zeros((tree.n_nodes, d, d))
-    for k in range(tree.K):
-        sl = tree._edge_slice(k)
-        dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]
-        B[tree.echild[sl]] = B[tree.eparent[sl]] + dm[:, :, None] * dm[:, None, :]
-    return AdaptedProcess(tree, B.reshape(tree.n_nodes, d * d))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def tree_to_json(tree, M=None):
-    doc = {
-        "grid": tree.grid.t.tolist(),
-        "d": tree.d,
-        "nodes": [{"id": int(i), "level": int(tree.node_level[i])}
-                  for i in range(tree.n_nodes)],
-    }
-    if tree.is_tree:
-        for i in range(1, tree.n_nodes):
-            doc["nodes"][i]["parent"] = int(tree.parent[i])
-        for e in range(len(tree.echild)):
-            doc["nodes"][int(tree.echild[e])]["prob"] = float(tree.eprob[e])
-    else:
-        doc["edges"] = [[int(p), int(c), float(w)] for p, c, w in
-                        zip(tree.eparent, tree.echild, tree.eprob)]
-    if M is not None:
-        doc["mart_values"] = M.values.tolist()
-    return json.dumps(doc, sort_keys=True)
-
-
-def tree_from_json(text):
-    doc = json.loads(text)
-    grid = TimeGrid(np.asarray(doc["grid"]))
-    nodes = doc["nodes"]
-    levels = np.array([n["level"] for n in nodes])
-    counts = np.bincount(levels, minlength=grid.K + 1)
-    level_start = np.concatenate([[0], np.cumsum(counts)])
-    if "edges" in doc:
-        ep, ec, pr = (np.array(x) for x in zip(*doc["edges"]))
-    else:
-        ep = np.array([n["parent"] for n in nodes if "parent" in n])
-        ec = np.array([n["id"] for n in nodes if "parent" in n])
-        pr = np.array([n["prob"] for n in nodes if "parent" in n])
-    tree = ScenarioTree(grid, doc["d"], level_start, ep, ec, pr)
-    M = None
-    if "mart_values" in doc:
-        M = AdaptedProcess(tree, np.asarray(doc["mart_values"]))
-    return tree, M

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantViolation
-from .ftree import (AdaptedProcess, PredictableField, backward_closure,
+from .ftree import (PredictableField, backward_closure,
                     conditional_covariances, is_martingale)
 from . import models
 
@@ -23,9 +23,7 @@ PINV_RCOND = 1e-12
 class GkwResult:
     Z: PredictableField
     dN: np.ndarray                     # per edge
-    N: AdaptedProcess                  # running sum; None on recombining lattices
     bracketNN_T: float                 # realized E[[N]_T]
-    level_profile: np.ndarray          # residual contribution per step
     Y0: float
 
 
@@ -48,7 +46,6 @@ def gkw_decompose(tree, M, Y, martingale_tol=1e-9):
     nt = tree.n_nonterminal
     d = M.dim
     dn = np.zeros(len(tree.echild))
-    profile = np.zeros(tree.K)
     if d == 1:
         y = Y.scalar
         m = M.scalar
@@ -74,25 +71,10 @@ def gkw_decompose(tree, M, Y, martingale_tol=1e-9):
             Z[i] = np.linalg.pinv(sigma[i], rcond=PINV_RCOND) @ rhs
             dn[e0:e1] = dy - dm @ Z[i]
             res[i] = float(p @ dn[e0:e1] ** 2)
-    node_contrib = tree.path_prob[:nt] * res
-    for k in range(tree.K):
-        lo, hi = tree.level_slice(k)
-        profile[k] = float(np.sum(node_contrib[lo:hi]))
-    total = float(np.sum(node_contrib))
-
-    N = None
-    if tree.is_tree:
-        nvals = np.zeros(tree.n_nodes)
-        for k in range(tree.K):
-            sl = tree._edge_slice(k)
-            nvals[tree.echild[sl]] = nvals[tree.eparent[sl]] + dn[sl]
-        N = AdaptedProcess(tree, nvals)
     return GkwResult(
         Z=PredictableField(tree, Z),
         dN=dn,
-        N=N,
-        bracketNN_T=total,
-        level_profile=profile,
+        bracketNN_T=float(np.sum(tree.path_prob[:nt] * res)),
         Y0=float(Y.values[0, 0]),
     )
 
@@ -118,7 +100,10 @@ class SweepResult:
         return bool(np.all(np.diff(r) < 0))
 
     def trend_statistic(self):
-        """Mean per-doubling log decrease of the residual (>0 means shrinking)."""
+        """Mean per-doubling log decrease of the residual (>0 means
+        shrinking); 0.0 for fewer than two rows."""
+        if len(self.rows) < 2:
+            return 0.0
         r = np.maximum(self.residuals, 1e-300)
         return float(np.mean(-np.diff(np.log(r))))
 
@@ -143,31 +128,3 @@ def residual_sweep(config_for, F, K_list):
             normalized=res.bracketNN_T / var if var > 0 else 0.0,
             n_nodes=tree.n_nodes))
     return out
-
-
-def bracket_split(tree, M, Y, gkw_result, u, markov_tol=1e-9):
-    """Two-term split of the discrete covariation sums of [Y, N].
-
-    ``u(level, m)`` must reproduce Y on the tree (Markov representation).
-    Returns per-level cumulative expectations (A1_k, A2_k) with
-    A1 + A2 equal to the telescoped E[sum dY dN] edge-exactly.
-    """
-    uvals = np.array([u(int(tree.node_level[i]), M.values[i])
-                      for i in range(tree.n_nodes)], dtype=float)
-    spread = float(np.max(np.abs(uvals - Y.scalar)))
-    if spread > markov_tol:
-        raise InvariantViolation(
-            f"u(level, M) does not represent Y (max gap {spread:.3e})")
-    dn = gkw_result.dN
-    A1 = np.zeros(tree.K)
-    A2 = np.zeros(tree.K)
-    for k in range(tree.K):
-        sl = tree._edge_slice(k)
-        par, chi = tree.eparent[sl], tree.echild[sl]
-        w = tree.path_prob[par] * tree.eprob[sl]
-        u_next_here = np.array([u(k + 1, M.values[i]) for i in par])
-        a1 = (u_next_here - uvals[par]) * dn[sl]
-        a2 = (uvals[chi] - u_next_here) * dn[sl]
-        A1[k] = float(w @ a1)
-        A2[k] = float(w @ a2)
-    return np.cumsum(A1), np.cumsum(A2)

@@ -8,9 +8,10 @@ sigma(M) recombine into lattices; the product model keeps the full tree.
 ``binary``, ``trinomial``, ``compensated_jump`` and ``product_noise`` take
 fixed integer moves and share one vectorised ``_lattice_walk``, sized by
 ``estimate_nodes``; ``product_noise`` walks with recombination off.
-``time_changed`` merges states by float value, so it is the one builder that
-builds edge by edge through ``TreeBuilder``.  ``ModelConfig`` checks every
-builder's parameters, so a bad one is refused before anything is built.
+``time_changed`` merges states by rounded float value, level by level.  Every
+builder numbers a level's children by ``_first_appearance``.  ``ModelConfig``
+checks every builder's parameters, so a bad one is refused before anything is
+built.
 """
 
 import math
@@ -20,8 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvariantViolation, ModelError, NodeCapExceeded
-from .ftree import (AdaptedProcess, ScenarioTree, TimeGrid, TreeBuilder,
-                    is_martingale)
+from .ftree import AdaptedProcess, ScenarioTree, TimeGrid, is_martingale
 
 DEFAULT_NODE_CAP = 5_000_000
 
@@ -85,12 +85,10 @@ class ModelConfig:
 
 @dataclass
 class BuiltModel:
-    """Builder output plus provenance for reports."""
+    """A built tree and its martingale M."""
 
     tree: object
     M: AdaptedProcess
-    aux: AdaptedProcess = None
-    meta: dict = field(default_factory=dict)
 
 
 def _validated(tree, mvals, tol=1e-12):
@@ -100,11 +98,6 @@ def _validated(tree, mvals, tol=1e-12):
         raise ModelError(f"constructed process is not a martingale "
                          f"(violation {chk.max_violation:.3e})")
     return M
-
-
-def _check_cap(builder):
-    if builder.n_nodes > node_cap():
-        raise NodeCapExceeded(builder.n_nodes, node_cap())
 
 
 def estimate_nodes(kind, K, params=None):
@@ -133,15 +126,28 @@ def estimate_nodes(kind, K, params=None):
     raise ModelError(f"unknown model kind {kind!r}")
 
 
+def _first_appearance(keys):
+    """Number the distinct keys in the order of their first appearance.
+
+    Returns ``(children, first)``: ``children[i]`` is the number given to
+    ``keys[i]`` and ``first[c]`` the index of the first key numbered ``c``.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
 def _lattice_walk(config, moves, probs, value):
     """Build a fixed-move lattice level by level over integer states.
 
     ``moves`` is an (n_moves, n_comp) table of steps in {-1, 0, 1} taken
     with ``probs``; ``value(states, level)`` maps node states to M.  Children are
     numbered in the order of their first appearance among the parent-major,
-    move-minor candidates, which is the order ``TreeBuilder.child`` gives;
-    with ``recombine`` off every candidate is a new node.  The arrays are
-    sized once from ``estimate_nodes``, which must match the filled count.
+    move-minor candidates; with ``recombine`` off every candidate is a new
+    node.  The arrays are sized once from ``estimate_nodes``, which must match
+    the filled count.
     """
     K = config.K
     n = estimate_nodes(config.kind, K, config.params)
@@ -162,13 +168,8 @@ def _lattice_walk(config, moves, probs, value):
         e0, e1 = len(moves) * lo, len(moves) * hi
         cand = (states[lo:hi, None, :] + moves).reshape(-1, moves.shape[1])
         if recomb:
-            _, first, inverse = np.unique((cand + K) @ radix,
-                                          return_index=True,
-                                          return_inverse=True)
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            children, fresh = rank[inverse], cand[first[order]]
+            children, first = _first_appearance((cand + K) @ radix)
+            fresh = cand[first]
         else:
             children, fresh = np.arange(len(cand)), cand
         if hi + len(fresh) > n or e1 > n_edges:
@@ -235,79 +236,68 @@ def build_compensated_jump(config):
 
 def build_time_changed(config):
     """Binary walk with state-dependent step h(m) = h0*sqrt(1+kappa*|m|),
-    capped; non-deterministic bracket, Markov."""
+    capped; non-deterministic bracket, Markov.
+
+    Children of one level merge when their states rounded to 12 decimals
+    agree.  The rounding is ``np.round``, or Python's ``round`` when h_cap <
+    h0 caps every step (the two differ on a few doubles in 10,000): the
+    scalar loop this replaced rounded numpy floats one way and Python floats
+    the other.  A node's M is its first candidate; the state stepped from it
+    is its last.
+    """
     K, T = config.K, config.T
     kappa = float(config.params.get("kappa", 1.0))
     h0 = float(config.params.get("h", np.sqrt(T / K)))
     hcap = float(config.params.get("h_cap", 3 * h0))
-
-    def step(m):
-        return min(h0 * np.sqrt(1 + kappa * abs(m)), hcap)
-
-    b = TreeBuilder(TimeGrid.uniform(K, T))
-    states = {0: 0.0}
-    mvals = [0.0]
-    for k in range(K):
-        b.begin_level()
-        nxt = {}
-        for nid, m in states.items():
-            h = step(m)
-            for s in (-1, 1):
-                mc = m + s * h
-                cid = b.child(nid, 0.5, key=round(mc, 12))
-                if cid == len(mvals):
-                    mvals.append(mc)
-                nxt[cid] = mc
-        b.end_level()
-        _check_cap(b)
-        states = nxt
-    tree = b.build()
-    return tree, _validated(tree, np.array(mvals))
+    m = np.zeros(1)
+    mvals, echild = [m], []
+    n = 1
+    for _ in range(K):
+        h = np.minimum(h0 * np.sqrt(1 + kappa * np.abs(m)), hcap)
+        cand = np.column_stack([m - h, m + h]).ravel()
+        if hcap < h0:
+            keys = np.array([round(c, 12) for c in cand.tolist()])
+        else:
+            keys = np.round(cand, 12)
+        children, first = _first_appearance(keys)
+        if n + len(first) > node_cap():
+            raise NodeCapExceeded(n + len(first), node_cap())
+        # the last candidate of each child is the first of the reversed ones
+        _, last = np.unique(children[::-1], return_index=True)
+        echild.append(n + children)
+        mvals.append(cand[first])
+        m = cand[len(cand) - 1 - last]
+        n += len(first)
+    level_start = np.cumsum([0] + [len(v) for v in mvals])
+    nt = int(level_start[-2])
+    tree = ScenarioTree(TimeGrid.uniform(K, T), 1, level_start,
+                        np.repeat(np.arange(nt), 2), np.concatenate(echild),
+                        np.full(2 * nt, 0.5))
+    return tree, _validated(tree, np.concatenate(mvals))
 
 
 def build_product_noise(config):
     """Binary M walk times an independent fair coin per step.
 
-    The filtration is strictly larger than sigma(M): each node also records
-    the latest coin flip in ``aux`` (+-1, 0 at the root).  M ignores aux.
-    Full tree, branching 4: node i of level k is move
-    (i - level_start[k]) mod 4 of its parent.
+    The filtration is strictly larger than sigma(M): each step also flips a
+    coin that M ignores.  Full tree, branching 4: node i of level k is move
+    (i - level_start[k]) mod 4 of its parent, a (step, coin) row of the
+    move table below.
     """
     h = float(config.params.get("h", np.sqrt(config.T / config.K)))
     moves = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])  # (step, coin)
-    tree, M = _lattice_walk(
+    return _lattice_walk(
         replace(config, params={**config.params, "recombine": False}),
         moves, [0.25] * 4, lambda s, level: s[:, 0] * h)
-    move = (np.arange(tree.n_nodes) - tree.level_start[tree.node_level]) % 4
-    aux = moves[move, 1].astype(float)
-    aux[0] = 0.0
-    return tree, M, AdaptedProcess(tree, aux)
+
+
+BUILDERS = {"binary": build_binary, "trinomial": build_trinomial,
+            "compensated_jump": build_compensated_jump,
+            "time_changed": build_time_changed,
+            "product_noise": build_product_noise}
 
 
 def build(config):
-    """Dispatch on kind; returns a BuiltModel with provenance."""
-    aux = None
-    if config.kind == "binary":
-        tree, M = build_binary(config)
-    elif config.kind == "trinomial":
-        tree, M = build_trinomial(config)
-    elif config.kind == "compensated_jump":
-        tree, M = build_compensated_jump(config)
-    elif config.kind == "time_changed":
-        tree, M = build_time_changed(config)
-    elif config.kind == "product_noise":
-        tree, M, aux = build_product_noise(config)
-    else:  # pragma: no cover - guarded by ModelConfig
-        raise ModelError(config.kind)
-    meta = {
-        "kind": config.kind,
-        "K": config.K,
-        "T": config.T,
-        "params": dict(config.params),
-        "n_nodes": tree.n_nodes,
-        "markov": True,
-        "recombining": not tree.is_tree,
-        "filtration_enlarged": config.kind == "product_noise",
-        "continuous_limit": config.kind != "compensated_jump",
-    }
-    return BuiltModel(tree=tree, M=M, aux=aux, meta=meta)
+    """Build the model ``config`` names; ``ModelConfig`` has checked it."""
+    tree, M = BUILDERS[config.kind](config)
+    return BuiltModel(tree=tree, M=M)

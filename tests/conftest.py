@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from orthres.ftree import AdaptedProcess, ScenarioTree, TimeGrid, TreeBuilder
+from orthres.ftree import AdaptedProcess, TimeGrid
 from orthres.models import KINDS, ModelConfig, build
+
+from reference import TreeBuilder
 
 
 def random_full_tree(rng, K=3, max_branch=3, T=1.0):

@@ -1,0 +1,237 @@
+"""Simple references that the tests check the library against.
+
+Each is the plain loop that the library either replaced with a vectorised
+version or never needed outside the tests: an incremental tree builder, exact
+conditional expectations, the pathwise bracket, a JSON round trip, the
+two-term bracket split, the Markov grouping spread and a driver growth check.
+"""
+
+import json
+import math
+
+import numpy as np
+
+from orthres import _kernels
+from orthres.bsde import eta_at
+from orthres.errors import InvariantViolation
+from orthres.ftree import AdaptedProcess, ScenarioTree, TimeGrid
+
+
+class TreeBuilder:
+    """Incremental level-by-level construction with optional state merging.
+
+    ``child(parent, prob, key=...)`` merges children of the current level that
+    share the same hashable key (recombining lattice); ``key=None`` always
+    creates a fresh node.
+    """
+
+    def __init__(self, grid, d=1):
+        self.grid = grid
+        self.d = d
+        self.level_start = [0, 1]
+        self.eparent = []
+        self.echild = []
+        self.eprob = []
+        self._level_keys = {}
+        self._next_id = 1
+
+    @property
+    def n_nodes(self):
+        return self._next_id
+
+    def begin_level(self):
+        self._level_keys = {}
+
+    def child(self, parent, prob, key=None):
+        if key is not None and key in self._level_keys:
+            cid = self._level_keys[key]
+        else:
+            cid = self._next_id
+            self._next_id += 1
+            if key is not None:
+                self._level_keys[key] = cid
+        self.eparent.append(parent)
+        self.echild.append(cid)
+        self.eprob.append(prob)
+        return cid
+
+    def end_level(self):
+        self.level_start.append(self._next_id)
+
+    def build(self):
+        return ScenarioTree(self.grid, self.d, self.level_start,
+                            self.eparent, self.echild, self.eprob)
+
+
+def cond_exp(tree, X, k, of_level=None):
+    """Exact E[X_{of_level} | F_k] by backward weighted averaging.
+
+    Returns an array of shape (nodes at level k, dim).  ``of_level`` defaults
+    to the terminal level.
+    """
+    if of_level is None:
+        of_level = tree.K
+    if not 0 <= k < of_level <= tree.K:
+        raise ValueError(f"need 0 <= k < of_level <= K, got ({k}, {of_level})")
+    vals = np.array(X.values if isinstance(X, AdaptedProcess) else X, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    # one buffer for all levels: step j writes level j and reads only level j+1
+    cur, out = vals, np.zeros((tree.n_nodes, vals.shape[1]))
+    for j in range(of_level - 1, k - 1, -1):
+        lo, hi = tree.level_slice(j)
+        for c in range(out.shape[1]):
+            out[lo:hi, c] = _kernels.backward_expect(tree, cur[:, c], lo, hi)
+        cur = out
+    lo, hi = tree.level_slice(k)
+    return out[lo:hi].copy()
+
+
+def pathwise_bracket(tree, M):
+    """Cumulative sum of dM dM* along each node's path (true trees only)."""
+    if not tree.is_tree:
+        raise InvariantViolation("pathwise bracket needs a non-recombining tree")
+    d = M.dim
+    B = np.zeros((tree.n_nodes, d, d))
+    for k in range(tree.K):
+        sl = tree._edge_slice(k)
+        dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]
+        B[tree.echild[sl]] = B[tree.eparent[sl]] + dm[:, :, None] * dm[:, None, :]
+    return AdaptedProcess(tree, B.reshape(tree.n_nodes, d * d))
+
+
+def accumulated_trace(tree, clock):
+    """V: the bracket trace tr(Sigma) summed along the path to each node,
+    whose arctan is the clock C."""
+    tr = np.einsum("kii->k", clock.sigma)
+    V = np.zeros(tree.n_nodes)
+    for k in range(tree.K):
+        sl = tree._edge_slice(k)
+        V[tree.echild[sl]] = V[tree.eparent[sl]] + tr[tree.eparent[sl]]
+    return V
+
+
+def running_sum(tree, dN):
+    """N: the per-edge dN summed along each node's path (true trees only)."""
+    N = np.zeros(tree.n_nodes)
+    for k in range(tree.K):
+        sl = tree._edge_slice(k)
+        N[tree.echild[sl]] = N[tree.eparent[sl]] + dN[sl]
+    return N
+
+
+def product_noise_coin(tree):
+    """The latest coin of each ``product_noise`` node (0 at the root): node i
+    of level k is move (i - level_start[k]) mod 4 of its parent, and the
+    moves' coins are (-1, 1, -1, 1)."""
+    moves = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
+    i = np.arange(tree.n_nodes)
+    coin = moves[(i - tree.level_start[tree.node_level]) % 4, 1].astype(float)
+    coin[0] = 0.0
+    return coin
+
+
+# ---------------------------------------------------------------------------
+# serialization
+# ---------------------------------------------------------------------------
+
+def tree_to_json(tree, M=None):
+    doc = {
+        "grid": tree.grid.t.tolist(),
+        "d": tree.d,
+        "nodes": [{"id": int(i), "level": int(tree.node_level[i])}
+                  for i in range(tree.n_nodes)],
+    }
+    if tree.is_tree:
+        for p, c, w in zip(tree.eparent, tree.echild, tree.eprob):
+            doc["nodes"][int(c)]["parent"] = int(p)
+            doc["nodes"][int(c)]["prob"] = float(w)
+    else:
+        doc["edges"] = [[int(p), int(c), float(w)] for p, c, w in
+                        zip(tree.eparent, tree.echild, tree.eprob)]
+    if M is not None:
+        doc["mart_values"] = M.values.tolist()
+    return json.dumps(doc, sort_keys=True)
+
+
+def tree_from_json(text):
+    doc = json.loads(text)
+    grid = TimeGrid(np.asarray(doc["grid"]))
+    nodes = doc["nodes"]
+    levels = np.array([n["level"] for n in nodes])
+    counts = np.bincount(levels, minlength=grid.K + 1)
+    level_start = np.concatenate([[0], np.cumsum(counts)])
+    if "edges" in doc:
+        ep, ec, pr = (np.array(x) for x in zip(*doc["edges"]))
+    else:
+        ep = np.array([n["parent"] for n in nodes if "parent" in n])
+        ec = np.array([n["id"] for n in nodes if "parent" in n])
+        pr = np.array([n["prob"] for n in nodes if "parent" in n])
+    tree = ScenarioTree(grid, doc["d"], level_start, ep, ec, pr)
+    M = None
+    if "mart_values" in doc:
+        M = AdaptedProcess(tree, np.asarray(doc["mart_values"]))
+    return tree, M
+
+
+# ---------------------------------------------------------------------------
+# GKW and BSDE checks
+# ---------------------------------------------------------------------------
+
+def bracket_split(tree, M, Y, gkw_result, u, markov_tol=1e-9):
+    """Two-term split of the discrete covariation sums of [Y, N].
+
+    ``u(level, m)`` must reproduce Y on the tree (Markov representation).
+    Returns per-level cumulative expectations (A1_k, A2_k) with
+    A1 + A2 equal to the telescoped E[sum dY dN] edge-exactly.
+    """
+    uvals = np.array([u(int(tree.node_level[i]), M.values[i])
+                      for i in range(tree.n_nodes)], dtype=float)
+    spread = float(np.max(np.abs(uvals - Y.scalar)))
+    if spread > markov_tol:
+        raise InvariantViolation(
+            f"u(level, M) does not represent Y (max gap {spread:.3e})")
+    dn = gkw_result.dN
+    A1 = np.zeros(tree.K)
+    A2 = np.zeros(tree.K)
+    for k in range(tree.K):
+        sl = tree._edge_slice(k)
+        par, chi = tree.eparent[sl], tree.echild[sl]
+        w = tree.path_prob[par] * tree.eprob[sl]
+        u_next_here = np.array([u(k + 1, M.values[i]) for i in par])
+        a1 = (u_next_here - uvals[par]) * dn[sl]
+        a2 = (uvals[chi] - u_next_here) * dn[sl]
+        A1[k] = float(w @ a1)
+        A2[k] = float(w @ a2)
+    return np.cumsum(A1), np.cumsum(A2)
+
+
+def markov_grouping_check(tree, X, M, sol, decimals=9):
+    """Max spread of Y within groups of equal (level, X-value, M-value)."""
+    groups = {}
+    y = sol.Y.values[:, 0]
+    for i in range(tree.n_nodes):
+        key = (int(tree.node_level[i]),
+               tuple(np.round(X.values[i], decimals)) if X is not None else (),
+               tuple(np.round(M.values[i], decimals)))
+        groups.setdefault(key, []).append(y[i])
+    spread = 0.0
+    for vals in groups.values():
+        if len(vals) > 1:
+            spread = max(spread, max(vals) - min(vals))
+    return spread
+
+
+def check_growth(driver, y_grid, z_grid, t=0.0):
+    """Spot-check |f| <= eta(1+b|y|) + (gamma/2)|z|^2 on a grid; returns the
+    worst exceedance (<= 0 means the declared growth holds there)."""
+    g = driver.growth
+    worst = -math.inf
+    eta = eta_at(driver.eta, t)
+    for y in y_grid:
+        yv = np.full(len(z_grid), float(y))
+        zv = np.asarray(z_grid, dtype=float)
+        lhs = np.abs(driver(t, None, np.zeros_like(zv), yv, zv))
+        rhs = eta * (1 + g["b"] * np.abs(yv)) + 0.5 * g["gamma"] * zv ** 2
+        worst = max(worst, float(np.max(lhs - rhs)))
+    return worst

@@ -20,6 +20,8 @@ from orthres.mollify import (CATALOG as TERMINAL_CATALOG, from_catalog,
                              indicator_halfspace, lipschitz_scan, mollify)
 from orthres.models import ModelConfig, build
 
+from reference import markov_grouping_check, product_noise_coin
+
 K_SWEEP = [8, 16, 32, 64]
 
 
@@ -124,7 +126,7 @@ def test_A4_negative_controls():
     # Z must vanish and the residual equals Var(coin) = 1 exactly
     built, tree, M, clock, _ = _setup("product_noise", 6)
     lo, hi = tree.level_slice(tree.K)
-    zeta = built.aux.scalar[lo:hi]
+    zeta = product_noise_coin(tree)[lo:hi]
     res = gkw_decompose(tree, M, martingale_from_terminal(tree, zeta))
     var_floor = 1.0  # fair coin: E=0, Var=1, independent of M
     indep_ok = res.bracketNN_T >= var_floor - 1e-10
@@ -239,10 +241,10 @@ def test_A9_markov_grouping():
     lo, hi = tree.level_slice(tree.K)
     f = bsde.driver_from_catalog("zero")
     markov = bsde.solve_lipschitz(tree, M, clock, None, mterm[:, 0] ** 2, f)
-    s_markov = bsde.markov_grouping_check(tree, None, M, markov)
+    s_markov = markov_grouping_check(tree, None, M, markov)
     auxdep = bsde.solve_lipschitz(tree, M, clock, None,
-                                  built.aux.scalar[lo:hi], f)
-    s_aux = bsde.markov_grouping_check(tree, None, M, auxdep)
+                                  product_noise_coin(tree)[lo:hi], f)
+    s_aux = markov_grouping_check(tree, None, M, auxdep)
     ok = s_markov <= 1e-10 and s_aux >= 0.5
     _report("A9", ok, f"Markov spread {s_markov:.2e}, "
                       f"aux-dependent spread {s_aux:.2f}")

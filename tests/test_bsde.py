@@ -16,13 +16,13 @@ from orthres.models import ModelConfig, build
 from orthres.mollify import indicator_halfspace, sine
 from orthres import forward
 from orthres import bsde
-from orthres.bsde import (DriverSpec, check_growth, compare,
-                          driver_from_catalog, dual_value, huber_envelope,
-                          inf_convolve, markov_grouping_check, regularity_scan,
-                          solve_lipschitz, solve_quadratic, truncated_driver,
-                          vanishing_N_experiment)
+from orthres.bsde import (DriverSpec, compare, driver_from_catalog,
+                          dual_value, huber_envelope, inf_convolve,
+                          regularity_scan, solve_lipschitz, solve_quadratic,
+                          truncated_driver, vanishing_N_experiment)
 
 from conftest import random_full_tree, random_martingale, small_trees
+from reference import check_growth, markov_grouping_check, product_noise_coin
 
 
 def binary_setup(K=8, recombine=True):
@@ -375,6 +375,51 @@ def test_catalog_rejects_bad_parameters(name, params):
         driver_from_catalog(name, **params)
 
 
+def cond_second_moment_loop(tree, xi, y):
+    """E[(xi - y_i)^2 | node i] for every node i: the node's unit mass is
+    pushed forward edge by edge to the leaves."""
+    lo, hi = tree.level_slice(tree.K)
+    out = np.empty(tree.n_nodes)
+    for i in range(tree.n_nodes):
+        mass = np.zeros(tree.n_nodes)
+        mass[i] = 1.0
+        for k in range(int(tree.node_level[i]), tree.K):
+            sl = tree._edge_slice(k)
+            np.add.at(mass, tree.echild[sl],
+                      mass[tree.eparent[sl]] * tree.eprob[sl])
+        out[i] = mass[lo:hi] @ (xi - y[i]) ** 2
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_trees(), st.integers(0, 2 ** 32 - 1))
+def test_zero_driver_profile_is_the_conditional_variance(tree_M, seed):
+    # for the zero driver Y_k = E[xi | F_k], and each level of the profile is
+    # the largest E[(xi - Y_k)^2 | node] over that level's nodes
+    tree, M = tree_M
+    lo, hi = tree.level_slice(tree.K)
+    xi = np.random.default_rng(seed).normal(size=hi - lo)
+    sol = solve_lipschitz(tree, M, predictable_bracket(tree, M), None, xi,
+                          driver_from_catalog("zero"))
+    var = cond_second_moment_loop(tree, xi, sol.Y.values[:, 0])
+    want = [var[slice(*tree.level_slice(k))].max() for k in range(tree.K + 1)]
+    npt.assert_allclose(sol.cond_var_profile(), want, rtol=0, atol=1e-12)
+
+
+def test_cascade_bmo_norm_bounded_under_refinement():
+    # measured 0.5108, 0.4996, 0.4928, 0.4891 at K = 16, 32, 64, 128
+    drv = driver_from_catalog("pure_quadratic", gamma=1.0)
+    norms = []
+    for K in (16, 32, 64, 128):
+        built = build(ModelConfig("trinomial", K=K))
+        tree, M = built.tree, built.M
+        lo, hi = tree.level_slice(K)
+        sol = solve_quadratic(tree, M, predictable_bracket(tree, M), None,
+                              sine()(M.values[lo:hi]), drv)
+        norms.append(sol.bmo_norm())
+    assert all(0.45 <= v <= 0.55 for v in norms), norms
+
+
 # -- quadratic cascade ------------------------------------------------------
 
 def test_cascade_monotone_and_bounded():
@@ -652,7 +697,8 @@ def test_markov_grouping_on_product_noise():
     f = driver_from_catalog("zero")
     markov = solve_lipschitz(tree, M, clock, None, M.scalar[lo:hi] ** 2, f)
     assert markov_grouping_check(tree, None, M, markov) <= 1e-12
-    auxdep = solve_lipschitz(tree, M, clock, None, built.aux.scalar[lo:hi], f)
+    coin = product_noise_coin(tree)[lo:hi]
+    auxdep = solve_lipschitz(tree, M, clock, None, coin, f)
     assert markov_grouping_check(tree, None, M, auxdep) >= 0.5
 
 

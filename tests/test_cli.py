@@ -307,6 +307,8 @@ def test_cascade_passes_only_a_certified_stage(tmp_path, n_list, certified):
     direct = bsde.solve_lipschitz(tree, M, predictable_bracket(tree, M),
                                   None, zeta, bsde.pure_quadratic(5.0))
     assert (summary["Y0"] == direct.Y0) is certified
+    # the summary's BMO norm is the final stage's, the direct solve's there
+    assert (summary["bmo_norm"] == direct.bmo_norm()) is certified
 
 
 def test_run_dual_check(tmp_path):

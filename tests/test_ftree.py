@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthres.errors import InvariantViolation
-from orthres.ftree import (PSD_TOL, AdaptedProcess, ScenarioTree, TimeGrid,
-                           TreeBuilder, backward_closure, cond_exp,
-                           is_martingale, pathwise_bracket,
+from orthres.ftree import (PSD_TOL, AdaptedProcess, TimeGrid,
+                           backward_closure, is_martingale,
                            predictable_bracket, psd_cholesky,
-                           psd_cholesky_batch, tree_from_json, tree_to_json)
+                           psd_cholesky_batch)
 from orthres.models import ModelConfig, build
 
 from conftest import random_full_tree, random_martingale
+from reference import (TreeBuilder, accumulated_trace, cond_exp,
+                       pathwise_bracket, tree_from_json, tree_to_json)
 
 
 def binary_tree(K=2, h=1.0, recombine=False):
@@ -55,9 +56,10 @@ def test_builder_recombining_lattice():
     tree, _ = binary_tree(K=2, recombine=True)
     assert tree.n_nodes == 6
     assert not tree.is_tree
-    assert tree.parent[0] == -1
+    in_degree = np.bincount(tree.echild, minlength=tree.n_nodes)
+    assert in_degree[0] == 0
     # the middle terminal node has two incoming edges
-    assert (tree.parent == -2).sum() == 1
+    assert (in_degree == 2).sum() == 1
 
 
 def test_validate_rejects_leaky_probabilities():
@@ -353,7 +355,8 @@ def test_predictable_equals_mean_pathwise(rng):
     lo, hi = tree.level_slice(tree.K)
     # E[[M]_T] equals the terminal accumulated conditional-variance trace
     npt.assert_allclose(tree.path_prob[lo:hi] @ B.values[lo:hi, 0],
-                        tree.path_prob[lo:hi] @ clock.trace[lo:hi],
+                        tree.path_prob[lo:hi]
+                        @ accumulated_trace(tree, clock)[lo:hi],
                         atol=1e-10)
 
 

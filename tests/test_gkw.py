@@ -3,14 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from orthres.errors import InvariantViolation
-from orthres.ftree import (AdaptedProcess, TimeGrid, TreeBuilder,
-                           predictable_bracket)
-from orthres.gkw import (bracket_split, gkw_decompose,
-                         martingale_from_terminal, residual_sweep)
+from orthres.ftree import AdaptedProcess, predictable_bracket
+from orthres.gkw import gkw_decompose, martingale_from_terminal, residual_sweep
 from orthres.models import ModelConfig, build
 from orthres.mollify import indicator_halfspace, square
 
 from conftest import random_full_tree, random_martingale
+from reference import bracket_split, running_sum
 
 
 def trinomial_k1(p=0.25, h=1.0):
@@ -149,7 +148,6 @@ def test_running_N_on_tree_telescopes():
     lo, hi = tree.level_slice(tree.K)
     Y = martingale_from_terminal(tree, (M.scalar[lo:hi] > 0).astype(float))
     res = gkw_decompose(tree, M, Y)
-    assert res.N is not None
     # Y - Y0 = int Z dM + N pathwise
     recon = np.zeros(tree.n_nodes)
     for k in range(tree.K):
@@ -158,7 +156,7 @@ def test_running_N_on_tree_telescopes():
         dm = M.scalar[chi] - M.scalar[par]
         recon[chi] = recon[par] + res.Z.values[par, 0] * dm
     npt.assert_allclose(Y.scalar - Y.scalar[0],
-                        recon + res.N.scalar, atol=1e-12)
+                        recon + running_sum(tree, res.dN), atol=1e-12)
 
 
 def test_level_profile_sums_to_total(rng):
@@ -167,7 +165,13 @@ def test_level_profile_sums_to_total(rng):
     lo, hi = tree.level_slice(tree.K)
     Y = martingale_from_terminal(tree, rng.normal(size=hi - lo))
     res = gkw_decompose(tree, M, Y)
-    npt.assert_allclose(res.level_profile.sum(), res.bracketNN_T, atol=1e-12)
+    # E[dN^2] of each step, weighted by the mass reaching its parent
+    profile = np.zeros(tree.K)
+    for k in range(tree.K):
+        sl = tree._edge_slice(k)
+        w = tree.path_prob[tree.eparent[sl]] * tree.eprob[sl]
+        profile[k] = w @ res.dN[sl] ** 2
+    npt.assert_allclose(profile.sum(), res.bracketNN_T, atol=1e-12)
 
 
 # -- sweeps -----------------------------------------------------------------

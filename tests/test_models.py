@@ -3,13 +3,15 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orthres import models
 from orthres.errors import InvariantViolation, ModelError, NodeCapExceeded
-from orthres.ftree import (TimeGrid, TreeBuilder, is_martingale,
+from orthres.ftree import (AdaptedProcess, TimeGrid, is_martingale,
                            predictable_bracket)
 from orthres.models import ModelConfig, build, estimate_nodes, node_cap
+
+from reference import TreeBuilder, product_noise_coin
 
 
 def terminal_law(built):
@@ -42,8 +44,6 @@ def test_config_validation():
 def test_builders_produce_martingales(kind, params):
     built = build(ModelConfig(kind, K=6, params=params))
     assert is_martingale(built.tree, built.M, tol=1e-12)
-    assert built.meta["kind"] == kind
-    assert built.meta["n_nodes"] == built.tree.n_nodes
 
 
 def test_binary_lattice_size_and_step():
@@ -102,7 +102,6 @@ def test_compensated_jump_two_sided_branches():
     tree = built.tree
     e0, e1 = int(tree.estart[0]), int(tree.estart[1])
     assert e1 - e0 == 3
-    assert built.meta["continuous_limit"] is False
 
 
 def test_compensated_jump_rejects_saturated_intensity():
@@ -124,7 +123,7 @@ def test_product_noise_aux_and_conditional_law():
     assert tree.is_tree
     assert tree.n_nodes == (4 ** 4 - 1) // 3
     lo, hi = tree.level_slice(tree.K)
-    aux = built.aux.scalar[lo:hi]
+    aux = product_noise_coin(tree)[lo:hi]
     npt.assert_allclose(np.sort(np.unique(aux)), [-1.0, 1.0])
     # aux is a fair coin independent of M's sign
     w = tree.path_prob[lo:hi]
@@ -231,10 +230,87 @@ def test_lattice_walk_matches_reference_builder(config):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), name
     assert built.M.values.tobytes() == mvals[:, None].tobytes()
-    if aux is None:
-        assert built.aux is None
-    else:
-        assert built.aux.values.tobytes() == aux[:, None].tobytes()
+    if aux is not None:
+        assert product_noise_coin(built.tree).tobytes() == aux.tobytes()
+
+
+def reference_time_changed(config):
+    """The ``time_changed`` builder as it was before vectorisation: a dict of
+    states per level, merged through ``TreeBuilder`` on ``round(m, 12)``,
+    which is numpy's rounding on a numpy float and Python's on a Python
+    float (the states stay Python floats only when h_cap < h caps every
+    step).  A node's M is its first candidate; the state stepped from it is
+    its last, since ``nxt[cid]`` is overwritten."""
+    K, T = config.K, config.T
+    kappa = float(config.params.get("kappa", 1.0))
+    h0 = float(config.params.get("h", np.sqrt(T / K)))
+    hcap = float(config.params.get("h_cap", 3 * h0))
+    b = TreeBuilder(TimeGrid.uniform(K, T))
+    states = {0: 0.0}
+    mvals = [0.0]
+    for k in range(K):
+        b.begin_level()
+        nxt = {}
+        for nid, m in states.items():
+            h = min(h0 * np.sqrt(1 + kappa * abs(m)), hcap)
+            for sgn in (-1, 1):
+                mc = m + sgn * h
+                cid = b.child(nid, 0.5, key=round(mc, 12))
+                if cid == len(mvals):
+                    mvals.append(mc)
+                nxt[cid] = mc
+        b.end_level()
+        states = nxt
+    return b.build(), np.array(mvals)
+
+
+@st.composite
+def time_changed_configs(draw):
+    params = {"kappa": draw(st.floats(0.0, 5.0))}
+    if draw(st.booleans()):
+        params["h"] = draw(st.floats(0.01, 2.0))
+    if draw(st.booleans()):
+        params["h_cap"] = draw(st.floats(0.01, 5.0))
+    return ModelConfig("time_changed", K=draw(st.integers(1, 14)),
+                       params=params)
+
+
+@settings(deadline=None)
+@given(time_changed_configs())
+# merges where np.round and Python's round disagree
+@example(ModelConfig("time_changed", K=11,
+                     params={"kappa": 4.180514059759543, "h": 0.9375}))
+# h_cap < h caps every step, so the keys are Python's round, and here
+# np.round would merge differently
+@example(ModelConfig("time_changed", K=14,
+                     params={"h": 3.0, "h_cap": 2.9646684847594167}))
+@example(ModelConfig("time_changed", K=12, params={"kappa": 1e-11}))
+# kappa = 0 is the binary walk, whose states recombine
+@example(ModelConfig("time_changed", K=12, params={"kappa": 0.0}))
+def test_time_changed_matches_reference_builder(config):
+    tree, mvals = reference_time_changed(config)
+    if not is_martingale(tree, AdaptedProcess(tree, mvals), 1e-12):
+        # a merged node keeps its first candidate's M but steps from its
+        # last, and both builders refuse the result alike
+        with pytest.raises(ModelError, match="not a martingale"):
+            build(config)
+        return
+    built = build(config)
+    for name in ("level_start", "eparent", "echild", "eprob"):
+        got, want = getattr(built.tree, name), getattr(tree, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+    assert built.M.values.tobytes() == mvals[:, None].tobytes()
+
+
+def test_time_changed_cap_checked_per_level(monkeypatch):
+    config = ModelConfig("time_changed", K=10)
+    level_start = reference_time_changed(config)[0].level_start
+    monkeypatch.setenv("ORTHRES_NODE_CAP", "100")
+    with pytest.raises(NodeCapExceeded) as err:
+        build(config)
+    # refused at the first level that takes the count past the cap
+    assert err.value.requested == level_start[level_start > 100][0]
 
 
 @pytest.mark.parametrize("kind,params", [
