@@ -17,7 +17,7 @@ from . import _kernels
 from .errors import ContractionError, InvariantViolation, SolverError
 from .ftree import AdaptedProcess, PredictableField, predictable_bracket
 from . import models as _models
-from .forward import euler_forward, extract_subtree, shift_martingale
+from .forward import euler_forward, extract_subtree
 
 FP_TOL = 1e-12
 PROJ_EPS = 1e-14
@@ -227,11 +227,21 @@ def driver_from_catalog(did, **params):
 # float64 values per column.  A batch of solves on one tree is cut into sweeps
 # whose Y and Z take at most this many bytes.
 SWEEP_BYTES = 9_000_000
+# A regularity scan's sweep holds at most this many bytes of full-size
+# per-column arrays.  Its subtrees are small, so the per-call overhead is
+# shared well by a few columns, while every further column adds its Y, Z, X
+# and residual chunk to the peak memory of the run: at trinomial K = 128,
+# t_idx = 48 this gives 6 columns per sweep.
+SCAN_SWEEP_BYTES = 2_000_000
 
 
-def columns_per_sweep(tree):
-    """How many columns one batched sweep on ``tree`` may carry."""
-    return max(1, SWEEP_BYTES // (8 * (tree.n_nodes + tree.n_nonterminal)))
+def columns_per_sweep(tree, column_bytes=None, budget=None):
+    """How many columns one batched sweep on ``tree`` may carry: ``budget``
+    (SWEEP_BYTES by default) over the bytes one column holds at full size
+    (by default a solve's Y and Z)."""
+    if column_bytes is None:
+        column_bytes = 8 * (tree.n_nodes + tree.n_nonterminal)
+    return max(1, (SWEEP_BYTES if budget is None else budget) // column_bytes)
 
 
 @dataclass
@@ -338,8 +348,9 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
 
     ``zeta`` is (leaves,) for one solve or (leaves, B) for B solves on the
     same tree and clock in one sweep; the driver's parameters and y-part may
-    then be (B,) arrays, and each column is bit-identical to its own 1-D
-    solve.  Each level projects the just-solved y onto dM (reading
+    then be (B,) arrays, X may carry a column axis, (n_nodes, n_x, B), which
+    reaches the driver unchanged, and each column is bit-identical to its own
+    1-D solve.  Each level projects the just-solved y onto dM (reading
     E[dm^2 | node] from ``clock.sigma``) and takes the implicit step in
     closed form from the driver's declared y-part (k_y, b): with
     r = E[y'] + f(t, x, m, 0, z) dC, y = r / (1 - (k_y + b sign(r)) dC).
@@ -652,13 +663,25 @@ def compare(sol1, sol2, tol_cmp=1e-11, pre_tol=1e-12):
 # experiments
 # ---------------------------------------------------------------------------
 
-def _terminal_values(tree, M, X, F):
+def _terminal_values(tree, M, X, F, shifts=None):
+    """F at the leaves, of (X, M) when its arity is theirs and of M otherwise:
+    (leaves,), or (leaves, B) when column j runs on M + shifts[j] and X, if
+    given, is (n_nodes, n_x, B).  A batch evaluates F once on the stacked
+    leaf rows, each the row of its own column's evaluation."""
     lo, hi = tree.level_slice(tree.K)
+    m = M.values[lo:hi]
+    if shifts is not None:
+        # column-minor rows: leaf i of column j is row i * B + j
+        m = (m[:, None, :] + shifts[:, None]).reshape(-1, M.dim)
     if X is not None and F.arity == X.dim + M.dim:
-        states = np.concatenate([X.values[lo:hi], M.values[lo:hi]], axis=1)
+        x = X.values[lo:hi]
+        if shifts is not None:
+            x = x.transpose(0, 2, 1).reshape(-1, X.dim)
+        states = np.concatenate([x, m], axis=1)
     else:
-        states = M.values[lo:hi]
-    return F(states)
+        states = m
+    zeta = F(states)
+    return zeta if shifts is None else zeta.reshape(hi - lo, len(shifts))
 
 
 @dataclass
@@ -723,32 +746,68 @@ def vanishing_N_experiment(config_for, coeffs, F, driver, eps_list, K_list,
 class RegularityScan:
     grid: np.ndarray
     u: np.ndarray
+    z: np.ndarray       # Z at the subtree root, per grid point
     sup_u: float
     inf_u: float
     max_first_diff: float
     max_second_diff: float
+    # max_i |(u_{i+1} - u_i)/h - (z_i + z_{i+1})/2|: Z as the gradient of u
+    max_grad_gap: float
+
+
+def _scan_column_bytes(sub, n_x):
+    """Bytes one scan column holds at full size on ``sub``: Y, Z, an n_x-dim
+    X, and the solver's open residual chunk, about four float arrays of
+    RESIDUAL_CHUNK plus the widest level's edges."""
+    widest = int(np.diff(sub.estart[sub.level_start[:-1]]).max())
+    return 8 * (sub.n_nodes + sub.n_nonterminal + n_x * sub.n_nodes
+                + 4 * (RESIDUAL_CHUNK + widest))
+
+
+def _scan_sweep(sub, M0, clock, g, F, driver, coeffs, x_value):
+    """Y and Z at the root of ``sub`` for the columns M0 + g[j]; a sweep's
+    full-size arrays are freed before the next sweep makes its own."""
+    X = None if coeffs is None else euler_forward(
+        sub, M0, clock, coeffs, x_value, shifts=g)
+    zeta = _terminal_values(sub, M0, X, F, shifts=g)
+    # the solve runs on M0, and column j's driver sees its own m + g[j]
+    shifted = replace(driver,
+                      f=lambda t, x, m, y, z: driver.f(t, x, m + g, y, z))
+    sol = solve_lipschitz(sub, M0, clock, X, zeta, shifted)
+    return sol.Y.values[0], sol.Z.values[0]
 
 
 def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None,
                     x_value=None):
-    """Finite-difference profile of u(t, x, m) = Y_t of restarted solves, one
-    solve_lipschitz per grid point."""
+    """Finite-difference profile of u(t, x, m) = Y_t of restarted solves.
+
+    The subtree of the first node of level t_idx is extracted once and
+    clocked once, from M0 = M_sub - M[node]; shifting M by a constant leaves
+    the subtree and its node order alone.  The grid is solved in column
+    sweeps of at most SCAN_SWEEP_BYTES: column j runs on M0 + m_j, with one
+    batched Euler pass, one stacked evaluation of F and one B-column
+    solve_lipschitz per sweep, the driver seeing each column's own m.  The
+    root Z of each column, the gradient of u along M, is kept next to u.
+    """
     lo, _ = tree.level_slice(t_idx)
-    # shifting M by a constant leaves the subtree and its node order alone
     sub, order = extract_subtree(tree, lo)
+    M0 = AdaptedProcess(sub, M.values[order] - M.values[lo])
+    clock = predictable_bracket(sub, M0)
+    m_grid = np.asarray(m_grid, dtype=float)
+    width = columns_per_sweep(
+        sub, _scan_column_bytes(sub, 0 if coeffs is None else coeffs.n),
+        SCAN_SWEEP_BYTES)
     u = np.empty(len(m_grid))
-    for i, mval in enumerate(m_grid):
-        Msub = shift_martingale(sub, order, M, lo, mval)
-        clock = predictable_bracket(sub, Msub)
-        Xsub = None if coeffs is None else euler_forward(
-            sub, Msub, clock, coeffs, x_value)
-        zeta = _terminal_values(sub, Msub, Xsub, F)
-        sol = solve_lipschitz(sub, Msub, clock, Xsub, zeta, driver)
-        u[i] = sol.Y0
+    z = np.empty(len(m_grid))
+    for a in range(0, len(m_grid), width):
+        u[a:a + width], z[a:a + width] = _scan_sweep(
+            sub, M0, clock, m_grid[a:a + width], F, driver, coeffs, x_value)
     h = float(m_grid[1] - m_grid[0])
-    d1 = np.abs(np.diff(u)) / h
+    d1 = np.diff(u) / h
     d2 = np.abs(np.diff(u, 2)) / h ** 2 if len(u) > 2 else np.array([0.0])
-    return RegularityScan(grid=np.asarray(m_grid), u=u,
+    return RegularityScan(grid=m_grid, u=u, z=z,
                           sup_u=float(u.max()), inf_u=float(u.min()),
-                          max_first_diff=float(d1.max()),
-                          max_second_diff=float(d2.max()))
+                          max_first_diff=float(np.abs(d1).max()),
+                          max_second_diff=float(d2.max()),
+                          max_grad_gap=float(np.abs(
+                              d1 - 0.5 * (z[1:] + z[:-1])).max()))

@@ -583,6 +583,7 @@ def _run_regularity_scan(cfg):
     summary = {"sup_u": scan.sup_u, "inf_u": scan.inf_u,
                "max_first_diff": scan.max_first_diff,
                "max_second_diff": scan.max_second_diff,
+               "max_grad_gap": scan.max_grad_gap,
                "verdict": "PASS"}
     return rows, curves, summary
 

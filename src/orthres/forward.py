@@ -27,38 +27,59 @@ class SdeCoeffs:
     b: callable
 
 
-def euler_forward(tree, M, clock, coeffs, x0, consistency_tol=1e-9):
-    """Run the explicit Euler scheme; returns X as an AdaptedProcess."""
+def euler_forward(tree, M, clock, coeffs, x0, consistency_tol=1e-9,
+                  shifts=None):
+    """Run the explicit Euler scheme; returns X as an AdaptedProcess.
+
+    With ``shifts`` a (B,) array, column j runs on M + shifts[j] and X is
+    (n_nodes, n, B), each column bit-identical to the run on that shifted
+    martingale: the coefficients are evaluated once per level on the stacked
+    (edges * B) rows, and the finiteness and consistency checks cover every
+    column.
+    """
     n = coeffs.n
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
-    X = np.zeros((tree.n_nodes, n))
+    g = None if shifts is None else np.asarray(shifts, dtype=float).ravel()
+    B = 1 if g is None else len(g)
+    d = M.dim
+    # column-minor rows: edge e of column j is row e * B + j
+    X = np.zeros((tree.n_nodes, B, n))
     X[0] = x0
     dC = clock.dC.values
     t = tree.grid.t
     for k in range(tree.K):
         sl = tree._edge_slice(k)
         par, chi = tree.eparent[sl], tree.echild[sl]
-        xp, mp = X[par], M.values[par]
+        xp, mp, mc = X[par].reshape(-1, n), M.values[par], M.values[chi]
+        if g is not None:
+            mp = (mp[:, None, :] + g[:, None]).reshape(-1, d)
+            mc = (mc[:, None, :] + g[:, None]).reshape(-1, d)
         sig = np.asarray(coeffs.sigma(t[k], xp, mp), dtype=float)
         drift = np.asarray(coeffs.b(t[k], xp, mp), dtype=float)
-        dm = M.values[chi] - mp
-        upd = xp + np.einsum("eij,ej->ei", sig, dm) + drift * dC[par][:, None]
+        upd = (xp + np.einsum("eij,ej->ei", sig, mc - mp)).reshape(-1, B, n)
+        upd += drift.reshape(upd.shape) * dC[par][:, None, None]
         if not np.all(np.isfinite(upd)):
             raise InvariantViolation("coefficient evaluation produced "
                                      "non-finite forward state")
-        # every edge into one child must give it the same state
+        # every edge into one child must give it the same state, per column
         order = np.argsort(chi, kind="stable")
-        dup = chi[order][1:] == chi[order][:-1]
-        if np.any(dup):
-            err = np.abs(upd[order][1:][dup] - upd[order][:-1][dup]).max()
+        into = chi[order]
+        dup = np.flatnonzero(into[1:] == into[:-1])
+        if dup.size:
+            gap = np.abs(upd[order[dup + 1]] - upd[order[dup]])
+            err = gap.max()
             if err > consistency_tol:
+                where = (f" in column {np.argwhere(gap == err)[0, 1]}"
+                         if g is not None else "")
                 raise InvariantViolation(
                     "forward state is path-dependent on a recombining "
-                    f"lattice (mismatch {err:.3e}); rebuild as a full tree")
+                    f"lattice (mismatch {err:.3e}{where}); rebuild as a "
+                    "full tree")
         X[chi] = upd
-    return AdaptedProcess(tree, X)
+    return AdaptedProcess(tree, X[:, 0] if g is None
+                          else X.transpose(0, 2, 1))
 
 
 def extract_subtree(tree, node):

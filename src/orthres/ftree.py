@@ -2,8 +2,7 @@
 
 A tree is stored as flat arrays: nodes are numbered level by level, edges are
 grouped by parent node.  Recombining lattices are supported as level-layered
-DAGs (a node may have several incoming edges); ``is_tree`` tells a true tree
-from a lattice.
+DAGs: a node may have several incoming edges.
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +55,6 @@ class ScenarioTree:
     level_start : (K+2,) node-id offset of each level
     estart : (n_nodes+1,) per-node offset into the edge arrays
     eparent, echild, eprob : flat edge arrays grouped by parent
-    is_tree : every non-root node has exactly one incoming edge
     path_prob : (n_nodes,) total probability mass reaching the node
     """
 
@@ -77,9 +75,6 @@ class ScenarioTree:
         self.estart = np.zeros(n + 1, dtype=np.int64)
         np.add.at(self.estart, self.eparent + 1, 1)
         np.cumsum(self.estart, out=self.estart)
-
-        in_degree = np.bincount(self.echild, minlength=n)
-        self.is_tree = bool(np.all(in_degree[self.level_start[1]:] == 1))
 
         self.path_prob = np.zeros(n)
         self.path_prob[0] = 1.0

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from orthres.ftree import AdaptedProcess, TimeGrid
 from orthres.models import KINDS, ModelConfig, build
 
 from reference import TreeBuilder
+
+# CI runs the suite with --hypothesis-profile=ci: every run draws the same
+# examples, so a failing property there fails the same way locally
+settings.register_profile("ci", derandomize=True)
 
 
 def random_full_tree(rng, K=3, max_branch=3, T=1.0):

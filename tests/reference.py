@@ -1,9 +1,10 @@
 """Simple references that the tests check the library against.
 
 Each is the plain loop that the library either replaced with a vectorised
-version or never needed outside the tests: an incremental tree builder, exact
-conditional expectations, the pathwise bracket, a JSON round trip, the
-two-term bracket split, the Markov grouping spread and a driver growth check.
+version or never needed outside the tests: the true-tree test, an incremental
+tree builder, exact conditional expectations, the pathwise bracket, a JSON
+round trip, the two-term bracket split, the Markov grouping spread and a
+driver growth check.
 """
 
 import json
@@ -15,6 +16,13 @@ from orthres import _kernels
 from orthres.bsde import eta_at
 from orthres.errors import InvariantViolation
 from orthres.ftree import AdaptedProcess, ScenarioTree, TimeGrid
+
+
+def is_tree(tree):
+    """True when every non-root node has exactly one incoming edge, False on
+    a recombining lattice."""
+    in_degree = np.bincount(tree.echild, minlength=tree.n_nodes)
+    return bool(np.all(in_degree[tree.level_start[1]:] == 1))
 
 
 class TreeBuilder:
@@ -89,7 +97,7 @@ def cond_exp(tree, X, k, of_level=None):
 
 def pathwise_bracket(tree, M):
     """Cumulative sum of dM dM* along each node's path (true trees only)."""
-    if not tree.is_tree:
+    if not is_tree(tree):
         raise InvariantViolation("pathwise bracket needs a non-recombining tree")
     d = M.dim
     B = np.zeros((tree.n_nodes, d, d))
@@ -142,7 +150,7 @@ def tree_to_json(tree, M=None):
         "nodes": [{"id": int(i), "level": int(tree.node_level[i])}
                   for i in range(tree.n_nodes)],
     }
-    if tree.is_tree:
+    if is_tree(tree):
         for p, c, w in zip(tree.eparent, tree.echild, tree.eprob):
             doc["nodes"][int(c)]["parent"] = int(p)
             doc["nodes"][int(c)]["prob"] = float(w)

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from orthres import _kernels
 from orthres.errors import ContractionError, InvariantViolation
-from orthres.ftree import predictable_bracket
+from orthres.ftree import AdaptedProcess, predictable_bracket
 from orthres.gkw import gkw_decompose, martingale_from_terminal
 from orthres.models import ModelConfig, build
-from orthres.mollify import indicator_halfspace, sine
+from orthres.mollify import TerminalMap, indicator_halfspace, sine
 from orthres import forward
 from orthres import bsde
 from orthres.bsde import (DriverSpec, compare, driver_from_catalog,
@@ -774,41 +775,145 @@ def test_regularity_scan_bounded_derivatives():
     assert np.all(np.diff(scan.u) >= -1e-12)
 
 
-def test_regularity_scan_extracts_once_and_clocks_once_per_point(monkeypatch):
+def _scan_per_column(tree, M, t_idx, grid, F, drv, coeffs, x):
+    """The scan's columns one at a time: 1-D Euler on M0 + m, F on its
+    leaves, and a 1-D solve on M0 with the shared clock and the driver seeing
+    m; the reference for the batched sweeps."""
+    lo, _ = tree.level_slice(t_idx)
+    sub, order = forward.extract_subtree(tree, lo)
+    M0 = AdaptedProcess(sub, M.values[order] - M.values[lo])
+    clock = predictable_bracket(sub, M0)
+    sols = []
+    for m in grid:
+        Mm = AdaptedProcess(sub, M0.values + m)
+        X = None if coeffs is None else forward.euler_forward(
+            sub, Mm, clock, coeffs, x)
+        zeta = bsde._terminal_values(sub, Mm, X, F)
+        shifted = replace(drv, f=lambda t, x, mm, y, z, m=m: drv.f(
+            t, x, mm + m, y, z))
+        sols.append(solve_lipschitz(sub, M0, clock, X, zeta, shifted))
+    return sols
+
+
+def _counting(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+# f depends on m, so a column that saw the wrong shift would show
+M_DRIVER = DriverSpec(
+    id="m_dependent", y_part=(0.1, 0.0),
+    f=lambda t, x, m, y, z: 0.5 * z * z + 0.2 * np.sin(3.0 * m) + 0.1 * y)
+# a terminal map of (x, m) with n_x = 2, the arity-(n_x + 1) path of
+# _terminal_values
+F_XM = TerminalMap(id="x_and_m", arity=3,
+                   evaluator=lambda s: (np.sin(2.0 * s[:, 0])
+                                        + np.cos(s[:, 1]) + s[:, 2] ** 2))
+
+
+@pytest.mark.parametrize("columns", [None, 1, 2, "all"])
+@pytest.mark.parametrize("drv,F,coeffs", [
+    (driver_from_catalog("pure_quadratic", gamma=1.0), sine(),
+     forward.identity()),
+    (M_DRIVER, F_XM, forward.constant_drift(c=0.5, n=2)),
+    (M_DRIVER, sine(), None)], ids=["catalog", "x_and_m", "no_coeffs"])
+def test_regularity_scan_sweeps_equal_per_column_solves(columns, drv, F,
+                                                        coeffs, monkeypatch):
+    """u and the root Z equal per-column 1-D solves bit for bit, whatever the
+    sweep width, and a grid wider than one sweep issues ceil(count/width)
+    solves."""
+    built = build(ModelConfig("trinomial", K=10))
+    tree, M = built.tree, built.M
+    grid = np.linspace(-1.0, 1.0, 7)
+    x = None if coeffs is None else np.linspace(0.25, -0.5, coeffs.n)
+    lo, _ = tree.level_slice(3)
+    sub, _ = forward.extract_subtree(tree, lo)
+    col_bytes = bsde._scan_column_bytes(
+        sub, 0 if coeffs is None else coeffs.n)
+    if columns is not None:
+        width = len(grid) if columns == "all" else columns
+        monkeypatch.setattr(bsde, "SCAN_SWEEP_BYTES", width * col_bytes)
+    width = bsde.columns_per_sweep(sub, col_bytes, bsde.SCAN_SWEEP_BYTES)
+    want = _scan_per_column(tree, M, 3, grid, F, drv, coeffs, x)
+    calls = {"solve": 0}
+    monkeypatch.setattr(bsde, "solve_lipschitz",
+                        _counting(calls, "solve", solve_lipschitz))
+    scan = regularity_scan(tree, M, 3, grid, F, drv, coeffs=coeffs,
+                           x_value=x)
+    assert calls["solve"] == math.ceil(len(grid) / width)
+    assert np.array_equal(scan.u, [s.Y0 for s in want])
+    assert np.array_equal(scan.z, [s.Z.values[0, 0] for s in want])
+
+
+def test_regularity_scan_extracts_once_and_clocks_once(monkeypatch):
     built = build(ModelConfig("trinomial", K=10))
     tree, M = built.tree, built.M
     coeffs, F = forward.identity(), sine()
     drv = driver_from_catalog("pure_quadratic", gamma=1.0)
     grid = np.linspace(-1.0, 1.0, 5)
     lo, _ = tree.level_slice(4)
-    # the per-point restart the scan replaces: extract, shift, clock, solve
-    want = []
+    # two columns per sweep: the 5 points take 3 sweeps
+    sub, _ = forward.extract_subtree(tree, lo)
+    monkeypatch.setattr(bsde, "SCAN_SWEEP_BYTES",
+                        2 * bsde._scan_column_bytes(sub, 1))
+    # the per-point restart the scan replaced: extract, shift, clock, solve
+    per_point = []
     for m in grid:
         sub, Msub, Xsub = forward.shift_start(tree, M, 4, lo, m,
                                               coeffs=coeffs, x=[0.0])
         clock = predictable_bracket(sub, Msub)
         zeta = bsde._terminal_values(sub, Msub, Xsub, F)
-        want.append(solve_lipschitz(sub, Msub, clock, Xsub, zeta, drv).Y0)
+        per_point.append(
+            solve_lipschitz(sub, Msub, clock, Xsub, zeta, drv).Y0)
+    want = [s.Y0 for s in _scan_per_column(tree, M, 4, grid, F, drv,
+                                           coeffs, [0.0])]
 
     calls = {"clock": 0, "extract": 0, "solve": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-    clock_fn = counting("clock", predictable_bracket)
-    extract_fn = counting("extract", forward.extract_subtree)
+    clock_fn = _counting(calls, "clock", predictable_bracket)
+    extract_fn = _counting(calls, "extract", forward.extract_subtree)
     for mod in ("orthres.ftree", "orthres.bsde"):
         monkeypatch.setattr(f"{mod}.predictable_bracket", clock_fn)
     for mod in ("orthres.forward", "orthres.bsde"):
         monkeypatch.setattr(f"{mod}.extract_subtree", extract_fn)
     monkeypatch.setattr(bsde, "solve_lipschitz",
-                        counting("solve", solve_lipschitz))
+                        _counting(calls, "solve", solve_lipschitz))
     scan = regularity_scan(tree, M, 4, grid, F, drv, coeffs=coeffs,
                            x_value=[0.0])
-    assert calls == {"clock": len(grid), "extract": 1, "solve": len(grid)}
+    assert calls == {"clock": 1, "extract": 1, "solve": 3}
     assert np.array_equal(scan.u, want)
+    # the shared clock moves u by a few ulps at most
+    npt.assert_allclose(scan.u, per_point, rtol=0, atol=1e-15)
+
+
+def test_regularity_scan_root_z_is_the_central_difference(monkeypatch):
+    """On a trinomial subtree the root's projection onto dM is the central
+    difference of Y at level 1, (Y+ - Y-) / (2h), in every column; the
+    summary's gradient gap is built from it."""
+    built = build(ModelConfig("trinomial", K=12))
+    tree, M = built.tree, built.M
+    grid = np.linspace(-0.5, 0.5, 6)
+    sols = []
+
+    def keep(*args, **kwargs):
+        sols.append(solve_lipschitz(*args, **kwargs))
+        return sols[-1]
+    monkeypatch.setattr(bsde, "solve_lipschitz", keep)
+    scan = regularity_scan(tree, M, 5, grid, sine(),
+                           driver_from_catalog("pure_quadratic", gamma=1.0),
+                           coeffs=forward.identity(), x_value=[0.0])
+    y, z = (np.concatenate([getattr(s, a).values for s in sols], axis=1)
+            for a in ("Y", "Z"))
+    sub, m0 = sols[0].tree, sols[0].M.scalar
+    a, b = sub.level_slice(1)
+    up, down = a + np.argmax(m0[a:b]), a + np.argmin(m0[a:b])
+    h = (m0[up] - m0[down]) / 2
+    npt.assert_allclose(z[0], (y[up] - y[down]) / (2 * h), rtol=0, atol=1e-12)
+    assert np.array_equal(scan.z, z[0])
+    dm = grid[1] - grid[0]
+    gap = np.abs(np.diff(scan.u) / dm - (scan.z[1:] + scan.z[:-1]) / 2)
+    assert scan.max_grad_gap == gap.max()
 
 
 @pytest.mark.parametrize("drv", [

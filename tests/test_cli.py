@@ -323,6 +323,27 @@ def test_run_dual_check(tmp_path):
     assert all(r["gap"] <= 1e-12 for r in rep["rows"])
 
 
+def test_run_regularity_scan_reports_the_gradient_gap(tmp_path):
+    from orthres import bsde, forward
+    from orthres.models import ModelConfig, build
+    from orthres.mollify import sine
+    path, _ = write_cfg(
+        tmp_path, experiment="regularity_scan",
+        model={"kind": "trinomial", "K": 16}, F={"id": "sine"},
+        driver={"id": "pure_quadratic", "params": {"gamma": 1.0}},
+        coeffs={"id": "identity", "x0": 0.0}, K_list=[],
+        tolerances={"t_idx": 6, "m_count": 9})
+    assert main(["run", str(path)]) == 0
+    rep = json.loads((tmp_path / "out.json").read_text())
+    built = build(ModelConfig("trinomial", K=16))
+    scan = bsde.regularity_scan(built.tree, built.M, 6, np.linspace(-1, 1, 9),
+                                sine(), bsde.pure_quadratic(1.0),
+                                coeffs=forward.identity(), x_value=[0.0])
+    assert [r["u"] for r in rep["rows"]] == scan.u.tolist()
+    assert rep["summary"]["max_grad_gap"] == scan.max_grad_gap
+    assert 0 < scan.max_grad_gap < 0.05
+
+
 # -- config fuzzing -----------------------------------------------------------
 
 FUZZ_BASES = {

@@ -7,8 +7,8 @@ from orthres.errors import InvariantViolation
 from orthres.forward import (SdeCoeffs, affine, constant_drift, euler_forward,
                              extract_subtree, from_catalog, identity,
                              linear_sigma, shift_start)
-from orthres.ftree import (ScenarioTree, TimeGrid, is_martingale,
-                           predictable_bracket)
+from orthres.ftree import (AdaptedProcess, ScenarioTree, TimeGrid,
+                           is_martingale, predictable_bracket)
 from orthres.models import ModelConfig, build
 
 from conftest import small_trees
@@ -88,6 +88,58 @@ def test_nonfinite_coefficients_rejected():
         b=lambda t, x, m: np.zeros((x.shape[0], 1)))
     with pytest.raises(InvariantViolation):
         euler_forward(tree, M, clock, bad, [0.0])
+
+
+COEFF_SETS = (identity(), identity(n=2), constant_drift(c=0.7),
+              constant_drift(c=-0.3, n=2), linear_sigma(a=0.6),
+              affine(a=0.4, c=0.9))
+
+
+@st.composite
+def shifted_runs(draw):
+    tree, M = draw(small_trees())
+    coeffs = draw(st.sampled_from(COEFF_SETS))
+    g = np.array(draw(st.lists(
+        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=5)))
+    return tree, M, coeffs, g
+
+
+@settings(deadline=None, max_examples=60)
+@given(shifted_runs())
+def test_batched_euler_columns_equal_1d_runs_on_shifted_martingales(case):
+    """Column j of one batched pass is the 1-D pass on M + g_j bit for bit;
+    when a column's 1-D pass is path-dependent, the batched pass raises."""
+    tree, M, coeffs, g = case
+    clock = predictable_bracket(tree, M)
+    x0 = np.linspace(0.5, 1.0, coeffs.n)
+    try:
+        want = [euler_forward(tree, AdaptedProcess(tree, M.values + gj),
+                              clock, coeffs, x0).values for gj in g]
+    except InvariantViolation:
+        with pytest.raises(InvariantViolation):
+            euler_forward(tree, M, clock, coeffs, x0, shifts=g)
+        return
+    X = euler_forward(tree, M, clock, coeffs, x0, shifts=g)
+    assert X.values.shape == (tree.n_nodes, coeffs.n, len(g))
+    for j, w in enumerate(want):
+        assert np.array_equal(X.values[:, :, j], w)
+
+
+def test_path_dependent_column_rejected_in_a_batch():
+    tree, M, clock = model(K=4)
+    # the drift is on where m > 0: shifted far down, no path ever turns it on
+    # and the lattice is consistent; unshifted, the update is path-dependent
+    relu_m = SdeCoeffs(
+        id="relu_m_drift", n=1,
+        sigma=lambda t, x, m: np.ones((x.shape[0], 1, 1)),
+        b=lambda t, x, m: np.maximum(m, 0.0) * 5.0)
+    X = euler_forward(tree, M, clock, relu_m, [0.0], shifts=[-10.0])
+    down = AdaptedProcess(tree, M.values - 10.0)
+    assert np.array_equal(X.values[:, :, 0],
+                          euler_forward(tree, down, clock, relu_m, [0.0]).values)
+    with pytest.raises(InvariantViolation, match="in column 1"):
+        euler_forward(tree, M, clock, relu_m, [0.0], shifts=[-10.0, 0.0])
 
 
 def test_extract_subtree_mass_and_levels():

@@ -13,7 +13,7 @@ from orthres.ftree import (PSD_TOL, AdaptedProcess, TimeGrid,
 from orthres.models import ModelConfig, build
 
 from conftest import random_full_tree, random_martingale
-from reference import (TreeBuilder, accumulated_trace, cond_exp,
+from reference import (TreeBuilder, accumulated_trace, cond_exp, is_tree,
                        pathwise_bracket, tree_from_json, tree_to_json)
 
 
@@ -46,7 +46,7 @@ def test_timegrid_rejects_bad_grids():
 def test_builder_full_binary_counts():
     tree, _ = binary_tree(K=2)
     assert tree.n_nodes == 7
-    assert tree.is_tree
+    assert is_tree(tree)
     assert tree.level_slice(0) == (0, 1)
     assert tree.level_slice(2) == (3, 7)
     npt.assert_allclose(tree.path_prob[3:], 0.25)
@@ -55,7 +55,7 @@ def test_builder_full_binary_counts():
 def test_builder_recombining_lattice():
     tree, _ = binary_tree(K=2, recombine=True)
     assert tree.n_nodes == 6
-    assert not tree.is_tree
+    assert not is_tree(tree)
     in_degree = np.bincount(tree.echild, minlength=tree.n_nodes)
     assert in_degree[0] == 0
     # the middle terminal node has two incoming edges
@@ -375,7 +375,7 @@ def test_json_roundtrip_tree():
 def test_json_roundtrip_lattice():
     tree, M = binary_tree(K=3, recombine=True)
     tree2, M2 = tree_from_json(tree_to_json(tree, M))
-    assert not tree2.is_tree
+    assert not is_tree(tree2)
     assert tree2.n_nodes == tree.n_nodes
     npt.assert_allclose(tree2.path_prob, tree.path_prob)
     npt.assert_allclose(M2.values, M.values)

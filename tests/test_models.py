@@ -11,7 +11,7 @@ from orthres.ftree import (AdaptedProcess, TimeGrid, is_martingale,
                            predictable_bracket)
 from orthres.models import ModelConfig, build, estimate_nodes, node_cap
 
-from reference import TreeBuilder, product_noise_coin
+from reference import TreeBuilder, is_tree, product_noise_coin
 
 
 def terminal_law(built):
@@ -57,7 +57,7 @@ def test_binary_lattice_size_and_step():
 
 def test_binary_full_tree_option():
     built = build(ModelConfig("binary", K=4, params={"recombine": False}))
-    assert built.tree.is_tree
+    assert is_tree(built.tree)
     assert built.tree.n_nodes == 2 ** 5 - 1
 
 
@@ -120,7 +120,7 @@ def test_time_changed_state_dependent_bracket():
 def test_product_noise_aux_and_conditional_law():
     built = build(ModelConfig("product_noise", K=3))
     tree = built.tree
-    assert tree.is_tree
+    assert is_tree(tree)
     assert tree.n_nodes == (4 ** 4 - 1) // 3
     lo, hi = tree.level_slice(tree.K)
     aux = product_noise_coin(tree)[lo:hi]
