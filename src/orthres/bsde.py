@@ -21,9 +21,9 @@ from .forward import euler_forward, extract_subtree
 
 FP_TOL = 1e-12
 PROJ_EPS = 1e-14
-# a solve closes E[dN^2 | node] from the projection's per-edge dy once the
-# levels it has not closed yet hold this many edges, whatever the batch
-# width, so that a column sums in the order of its 1-D solve
+# a solve adds path_prob * E[dN^2 | node] into E[[N]_T] once the levels it
+# has not summed yet hold this many edges, whatever the batch width, so that
+# a column sums in the order of its 1-D solve
 RESIDUAL_CHUNK = 4096
 # cascade: a decrease in n larger than MONOTONE_GUARD is a solver failure
 MONOTONE_GUARD = 1e-6
@@ -223,10 +223,17 @@ def driver_from_catalog(did, **params):
 # solutions
 # ---------------------------------------------------------------------------
 
-# A Lipschitz solve keeps Y and Z at full size: n_nodes + n_nonterminal
-# float64 values per column.  A batch of solves on one tree is cut into sweeps
-# whose Y and Z take at most this many bytes.
-SWEEP_BYTES = 9_000_000
+# A streamed sweep keeps no full-size array: per column it holds about seven
+# arrays of the widest level's edges (per-edge and per-node together) and at
+# most RESIDUAL_CHUNK values of E[dN^2 | node] not summed yet, about
+# 8 * (RESIDUAL_CHUNK + 7 * widest) bytes (the measured growth per column of
+# a trinomial comparison sweep is 80% of that at K = 128, 91% at K = 256 and
+# 102% at K = 512).  A batch of solves on one
+# tree is cut into sweeps that hold at most SWEEP_BYTES: 50 columns at
+# trinomial K = 256.  Wider sweeps were no faster there (the comparison
+# campaign took about the same time at 36 to 150 columns), while every
+# column adds about 0.12 MB to the run's peak memory.
+SWEEP_BYTES = 6_000_000
 # A regularity scan's sweep holds at most this many bytes of full-size
 # per-column arrays.  Its subtrees are small, so the per-call overhead is
 # shared well by a few columns, while every further column adds its Y, Z, X
@@ -235,12 +242,22 @@ SWEEP_BYTES = 9_000_000
 SCAN_SWEEP_BYTES = 2_000_000
 
 
+def _widest(tree):
+    """Edges of the widest level of ``tree``."""
+    return int(np.diff(tree.estart[tree.level_start[:-1]]).max())
+
+
+def _stream_bytes(tree):
+    """Bytes one streamed column holds on ``tree`` (see SWEEP_BYTES)."""
+    return 8 * (RESIDUAL_CHUNK + 7 * _widest(tree))
+
+
 def columns_per_sweep(tree, column_bytes=None, budget=None):
     """How many columns one batched sweep on ``tree`` may carry: ``budget``
-    (SWEEP_BYTES by default) over the bytes one column holds at full size
-    (by default a solve's Y and Z)."""
+    (SWEEP_BYTES by default) over the bytes one column holds (by default
+    one streamed column's)."""
     if column_bytes is None:
-        column_bytes = 8 * (tree.n_nodes + tree.n_nonterminal)
+        column_bytes = _stream_bytes(tree)
     return max(1, (SWEEP_BYTES if budget is None else budget) // column_bytes)
 
 
@@ -253,7 +270,6 @@ class BsdeSolution:
     tree: object
     M: AdaptedProcess
     clock: object
-    X: AdaptedProcess
     zeta: np.ndarray
     driver: DriverSpec
     Y: AdaptedProcess
@@ -286,15 +302,6 @@ class BsdeSolution:
             _kernels.backward_expect(tree, y, 0, nt), self._cols(self.Z),
             0, nt, dn)
         return dn
-
-    def columns(self, cols, driver):
-        """The solves in columns ``cols`` of a batch, as a batch of their own
-        driven by ``driver``: the batch driver restricted to those columns,
-        which an opaque callable cannot be sliced into."""
-        return replace(self, zeta=self.zeta[:, cols], driver=driver,
-                       Y=AdaptedProcess(self.tree, self.Y.values[:, cols]),
-                       Z=PredictableField(self.tree, self.Z.values[:, cols]),
-                       bracketNN_T=self.bracketNN_T[cols])
 
     def cond_var_profile(self):
         """Backward max of E[sum_{j>=k} (|Zq*|^2 dC + dN^2) | node] per level
@@ -343,37 +350,29 @@ def _step_miss(k, miss, y, ok, y_part):
         f"there or its y-part is not {y_part}")
 
 
-def solve_lipschitz(tree, M, clock, X, zeta, driver):
-    """Implicit-in-y, explicit-in-z backward Euler with exact projections.
-
-    ``zeta`` is (leaves,) for one solve or (leaves, B) for B solves on the
-    same tree and clock in one sweep; the driver's parameters and y-part may
-    then be (B,) arrays, X may carry a column axis, (n_nodes, n_x, B), which
-    reaches the driver unchanged, and each column is bit-identical to its own
-    1-D solve.  Each level projects the just-solved y onto dM (reading
-    E[dm^2 | node] from ``clock.sigma``) and takes the implicit step in
-    closed form from the driver's declared y-part (k_y, b): with
-    r = E[y'] + f(t, x, m, 0, z) dC, y = r / (1 - (k_y + b sign(r)) dC).
-    This is exact because y -> y - (k_y y + b|y|) dC is increasing,
-    piecewise linear and zero at 0 when lip_y dC < 1.  A second driver
-    evaluation checks the step's residual |y - E[y'] - f(t, x, m, y, z) dC|
-    against FP_TOL (relative to |y| above 1), so a wrongly declared or
-    non-finite driver raises InvariantViolation at the deepest level where a
-    step misses.  E[[N]_T] is closed from the per-edge dy of the projection,
-    every RESIDUAL_CHUNK edges, and a non-finite one raises
-    InvariantViolation (naming the first such column of a batch); only Y and
-    Z are kept at full size, and dN is computed when first read.
-
-    Every experiment but ``cascade`` solves with it: the zero driver's step
-    is the closure y = E[y'] and its E[[N]_T] the GKW residual, and a
-    quadratic driver is solved directly (see solve_quadratic).
-    """
-    if M.dim != 1:
-        raise NotImplementedError("backward solvers are scalar-martingale only")
+def _leaf_values(tree, zeta):
+    """zeta as floats, (leaves,) or (leaves, B)."""
     zeta = np.asarray(zeta, dtype=float)
     lo, hi = tree.level_slice(tree.K)
     if zeta.ndim not in (1, 2) or zeta.shape[0] != hi - lo:
         raise InvariantViolation("zeta needs one value per leaf")
+    return zeta
+
+
+def _levels(tree, M, clock, X, zeta, driver):
+    """The backward sweep of solve_lipschitz, one level at a time.
+
+    Yields ``(k, a, b, y, z, z_arg)`` for k = K-1 .. 0: level k's nodes
+    [a, b), their y and Z, and the z the driver was evaluated at, q Z; the
+    consumer must not write to them.  Only the level below's y, the per-edge
+    dy and Z of the levels whose E[dN^2 | node] is not formed yet (about
+    RESIDUAL_CHUNK edges over all columns) and the E[dN^2 | node] not summed
+    yet are held, and E[[N]_T] (a float, or (B,) for a batch) is returned
+    once level 0 has been consumed.  Every check of solve_lipschitz is made
+    here."""
+    if M.dim != 1:
+        raise NotImplementedError("backward solvers are scalar-martingale only")
+    zeta = _leaf_values(tree, zeta)
     dC = clock.dC.values
     dc_max = float(dC.max()) if dC.size else 0.0
     if driver.lip_y * dc_max >= 1.0:
@@ -398,16 +397,16 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
     s2_safe = np.where(s2 > 0, s2, 1.0)
     path_prob = tree.path_prob[col]
     t = tree.grid.t
-    yvals = np.empty((tree.n_nodes,) + zeta.shape[1:])
-    yvals[lo:hi] = zeta
-    zall = np.empty((nt,) + zeta.shape[1:])
     zero = np.zeros((int(np.diff(tree.level_start).max()),) + zeta.shape[1:],
                     order="F")
     bracket = 0.0
-    open_dy, top = [], nt  # dy of the levels in [a, top) not closed yet
+    y, base = zeta, tree.level_start[tree.K]  # y[i - base] is node i's y
+    width = zeta[0].size
+    open_res, top = [], nt  # E[dN^2 | node] of levels [mid, top) not summed
+    open_dy, open_z, mid = [], [], nt  # dy and Z of levels [a, mid)
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
-        ey, m1, dy = _kernels.level_moments_d1(tree, pdm, yvals, a, b)
+        ey, m1, dy = _kernels.level_moments_d1(tree, pdm, y, a, b, base)
         # column-major, the level's (n, B) arithmetic with per-node and
         # per-column operands runs B inner loops of n, not n loops of B
         ey, m1 = np.asfortranarray(ey), np.asfortranarray(m1)
@@ -424,25 +423,87 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
             ok = miss <= FP_TOL * np.maximum(1.0, np.abs(y))
             if not ok.all():
                 raise _step_miss(k, miss, y, ok, driver.y_part)
-        yvals[a:b] = y
-        zall[a:b] = z
+        yield k, a, b, y, z, z_arg
+        base = a
         open_dy.append(dy)
-        if k == 0 or tree.estart[top] - tree.estart[a] >= RESIDUAL_CHUNK:
-            _, res = _kernels.residual_moments_d1(
-                tree, dm, np.concatenate(open_dy[::-1]), zall[a:top], a, top)
-            bracket = bracket + _column_sums(path_prob[a:top] * res)
-            open_dy, top = [], a
+        open_z.append(z)
+        close = k == 0 or tree.estart[top] - tree.estart[a] >= RESIDUAL_CHUNK
+        # E[dN^2 | node] of [a, mid) in one call once its edges times the
+        # columns reach RESIDUAL_CHUNK: a narrow sweep shares the per-call
+        # cost among levels, and a wide one holds only its own level
+        if close or (tree.estart[mid] - tree.estart[a]) * width \
+                >= RESIDUAL_CHUNK:
+            open_res.append(_kernels.residual_moments_d1(
+                tree, dm, np.concatenate(open_dy[::-1]),
+                np.concatenate(open_z[::-1]), a, mid)[1])
+            open_dy, open_z, mid = [], [], a
+        if close:
+            bracket = bracket + _column_sums(
+                path_prob[a:top] * np.concatenate(open_res[::-1]))
+            open_res, top = [], a
     bad = np.flatnonzero(~np.isfinite(bracket))
     if bad.size:
         where = f" in column {bad[0]}" if zeta.ndim == 2 else ""
         raise InvariantViolation(
             f"E[[N]_T] is not finite{where}: the solution's increments "
             "overflow")
+    return float(bracket) if zeta.ndim == 1 else bracket
+
+
+def _consume(steps, take=None):
+    """Run a _levels sweep, calling take(k, a, b, y, z, z_arg) on each
+    level; its E[[N]_T] and the root's y."""
+    while True:
+        try:
+            level = next(steps)
+        except StopIteration as done:
+            return done.value, level[3][0]
+        if take is not None:
+            take(*level)
+
+
+def solve_lipschitz(tree, M, clock, X, zeta, driver):
+    """Implicit-in-y, explicit-in-z backward Euler with exact projections.
+
+    ``zeta`` is (leaves,) for one solve or (leaves, B) for B solves on the
+    same tree and clock in one sweep; the driver's parameters and y-part may
+    then be (B,) arrays, X may carry a column axis, (n_nodes, n_x, B), which
+    reaches the driver unchanged, and each column is bit-identical to its own
+    1-D solve.  Each level projects the just-solved y onto dM (reading
+    E[dm^2 | node] from ``clock.sigma``) and takes the implicit step in
+    closed form from the driver's declared y-part (k_y, b): with
+    r = E[y'] + f(t, x, m, 0, z) dC, y = r / (1 - (k_y + b sign(r)) dC).
+    This is exact because y -> y - (k_y y + b|y|) dC is increasing,
+    piecewise linear and zero at 0 when lip_y dC < 1.  A second driver
+    evaluation checks the step's residual |y - E[y'] - f(t, x, m, y, z) dC|
+    against FP_TOL (relative to |y| above 1), so a wrongly declared or
+    non-finite driver raises InvariantViolation at the deepest level where a
+    step misses.  E[dN^2 | node] is closed per level from the projection's
+    per-edge dy and summed into E[[N]_T] every RESIDUAL_CHUNK edges, and a
+    non-finite E[[N]_T] raises InvariantViolation (naming the first such
+    column of a batch).  The levels come from ``_levels``; this stores their
+    Y and Z at full size, and dN is computed when first read.
+
+    Every experiment but ``cascade`` solves with it or streams ``_levels``:
+    the zero driver's step is the closure y = E[y'] and its E[[N]_T] the GKW
+    residual, and a quadratic driver is solved directly (see
+    solve_quadratic).
+    """
+    zeta = _leaf_values(tree, zeta)
+    nt = tree.n_nonterminal
+    yvals = np.empty((tree.n_nodes,) + zeta.shape[1:])
+    yvals[tree.level_start[tree.K]:] = zeta
+    zall = np.empty((nt,) + zeta.shape[1:])
+
+    def store(k, a, b, y, z, z_arg):
+        yvals[a:b] = y
+        zall[a:b] = z
+    bracket, _ = _consume(_levels(tree, M, clock, X, zeta, driver), store)
     return BsdeSolution(
-        tree=tree, M=M, clock=clock, X=X, zeta=zeta, driver=driver,
+        tree=tree, M=M, clock=clock, zeta=zeta, driver=driver,
         Y=AdaptedProcess(tree, yvals),
         Z=PredictableField(tree, zall.reshape(nt, -1)),
-        bracketNN_T=float(bracket) if zeta.ndim == 1 else bracket,
+        bracketNN_T=bracket,
         diagnostics={
             # max |y| without a full-size |y| temporary
             "y_sup": float(max(yvals.max(), -yvals.min())),
@@ -606,41 +667,49 @@ class CompareVerdict:
     reason: str = ""
 
 
-def compare(sol1, sol2, tol_cmp=1e-11, pre_tol=1e-12):
-    """Comparison check: zeta1 >= zeta2 and f1 >= f2 along the second
-    solution imply Y1 >= Y2.  Preconditions are verified, not assumed.
+def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11, pre_tol=1e-12):
+    """Comparison check on ordered pairs solved in one streamed sweep.
 
-    For two batches of B columns, column j of sol1 is compared with column j
-    of sol2: each driver is evaluated once per level for all columns, and the
-    result is a list of B verdicts."""
-    batch = sol2.zeta.ndim == 2
-    width = sol2.zeta.shape[1] if batch else 1
-    tree = sol1.tree
-    if tree is not sol2.tree:
-        out = [CompareVerdict(False, False, math.inf, -1,
-                              "solutions live on different trees")] * width
-        return out if batch else out[0]
-    nt = tree.n_nonterminal
-    col = (slice(None),) + (None,) * batch
-    m = sol2.M.scalar[:nt][col]
-    qdiag = sol2.clock.q.values.reshape(nt, -1)[:, 0][col]
-    y2, z2 = sol2._cols(sol2.Y), sol2._cols(sol2.Z)
-    x2 = sol2.X.values if sol2.X is not None else None
-    worst_pre = np.zeros(sol2.zeta.shape[1:])
-    for k in range(tree.K):
-        a, b = tree.level_slice(k)
-        t = tree.grid.t[k]
-        xk = x2[a:b] if x2 is not None else None
-        # column-major, as in solve_lipschitz
-        yk = np.asfortranarray(y2[a:b])
-        zk = np.asfortranarray(z2[a:b]) * qdiag[a:b]
-        gap = (sol1.driver(t, xk, m[a:b], yk, zk)
-               - sol2.driver(t, xk, m[a:b], yk, zk))
-        worst_pre = np.minimum(worst_pre, np.min(gap, axis=0))
-    zeta_gap = np.atleast_1d(np.min(sol1.zeta - sol2.zeta, axis=0))
-    worst_pre = np.atleast_1d(worst_pre)
+    ``zeta`` is (leaves, B) for an even B, solved with the batch ``driver``;
+    column j is compared with column j + B/2: zeta_j >= zeta_{j+B/2} and
+    f_j >= f_{j+B/2} along (Y_{j+B/2}, Z_{j+B/2} q*) imply
+    Y_j >= Y_{j+B/2}.  Preconditions are verified, not assumed.  Per level
+    the driver is evaluated once, on the lower half's (y, q z) twice over,
+    and the running min of Y_j - Y_{j+B/2} keeps the lowest node of a tie,
+    as argmin does; no full-size array is kept.  X, if given, is shared by
+    the columns or carries a column axis, as in solve_lipschitz.  Returns
+    B/2 verdicts."""
+    zeta = _leaf_values(tree, zeta)
+    if zeta.ndim != 2 or zeta.shape[1] % 2:
+        raise ValueError("compare needs (leaves, B) terminal data with B "
+                         "even: column j against column j + B/2")
+    h = zeta.shape[1] // 2
+    pairs = np.arange(h)
+    lower = slice(h, None)
+    m = M.scalar[:, None]
+    t = tree.grid.t
+    # the leaves first, then each level: a later (lower) node wins a tie
+    diff = zeta[:, :h] - zeta[:, h:]
+    zeta_gap = diff.min(axis=0)
+    node = np.argmin(diff, axis=0)
+    worst = diff[node, pairs]
+    node = node + tree.level_start[tree.K]
+    worst_pre = np.zeros(h)
+    for k, a, b, y, z, z_arg in _levels(tree, M, clock, X, zeta, driver):
+        xk = X.values[a:b] if X is not None else None
+        if xk is not None and xk.ndim == 3:
+            xk = np.concatenate([xk[..., lower]] * 2, axis=-1)
+        f = driver(t[k], xk, m[a:b], np.concatenate([y[:, lower]] * 2, axis=1),
+                   np.concatenate([z_arg[:, lower]] * 2, axis=1))
+        worst_pre = np.minimum(worst_pre, np.min(f[:, :h] - f[:, h:], axis=0))
+        diff = y[:, :h] - y[:, lower]
+        i = np.argmin(diff, axis=0)
+        low = diff[i, pairs]
+        take = low <= worst
+        worst = np.where(take, low, worst)
+        node = np.where(take, a + i, node)
     out = []
-    for j in range(width):
+    for j in range(h):
         if zeta_gap[j] < -pre_tol:
             out.append(CompareVerdict(False, False, math.inf, -1,
                                       "terminal conditions are not ordered"))
@@ -650,13 +719,10 @@ def compare(sol1, sol2, tol_cmp=1e-11, pre_tol=1e-12):
                 f"drivers are not ordered along (Y2, Z2q*): "
                 f"min gap {worst_pre[j]:.3e}"))
         else:
-            # one column at a time: no full-size (n, B) difference
-            diff = sol1.Y.values[:, j] - sol2.Y.values[:, j]
-            node = int(np.argmin(diff))
-            worst = float(diff[node])
-            out.append(CompareVerdict(True, worst >= -tol_cmp,
-                                      max(0.0, -worst), node))
-    return out if batch else out[0]
+            w = float(worst[j])
+            out.append(CompareVerdict(True, w >= -tol_cmp, max(0.0, -w),
+                                      int(node[j])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +787,12 @@ class VanishingNReport:
 def vanishing_N_experiment(config_for, coeffs, F, driver, eps_list, K_list,
                            x0=0.0, moll_nodes=64):
     """Residual of the BSDE solution for raw and mollified terminal data
-    across mesh refinements: one solve_lipschitz per (K, eps)."""
+    across mesh refinements: per K, one streamed sweep of solve_lipschitz's
+    levels with the raw column and one column per eps."""
     from .mollify import mollify
 
     report = VanishingNReport()
+    maps = [F] + [mollify(F, eps, moll_nodes) for eps in eps_list]
     for K in K_list:
         built = _models.build(config_for(K))
         tree, M = built.tree, built.M
@@ -732,13 +800,13 @@ def vanishing_N_experiment(config_for, coeffs, F, driver, eps_list, K_list,
         X = None
         if coeffs is not None:
             X = euler_forward(tree, M, clock, coeffs, np.atleast_1d(x0))
-        for eps in [None] + list(eps_list):
-            Fe = F if eps is None else mollify(F, eps, moll_nodes)
-            zeta = _terminal_values(tree, M, X, Fe)
-            sol = solve_lipschitz(tree, M, clock, X, zeta, driver)
-            report.rows.append(VanishingNRow(
-                K=K, eps=math.nan if eps is None else eps,
-                bracketNN_T=sol.bracketNN_T, y0=sol.Y0))
+        zeta = np.column_stack([_terminal_values(tree, M, X, Fe)
+                                for Fe in maps])
+        bracket, root = _consume(_levels(tree, M, clock, X, zeta, driver))
+        for eps, y0, res in zip([math.nan] + list(eps_list), root, bracket):
+            report.rows.append(VanishingNRow(K=K, eps=eps,
+                                             bracketNN_T=float(res),
+                                             y0=float(y0)))
     return report
 
 
@@ -756,12 +824,11 @@ class RegularityScan:
 
 
 def _scan_column_bytes(sub, n_x):
-    """Bytes one scan column holds at full size on ``sub``: Y, Z, an n_x-dim
-    X, and the solver's open residual chunk, about four float arrays of
+    """Bytes one scan column holds on ``sub``: Y, Z and an n_x-dim X at full
+    size, and for the solver's level work a bound of four float arrays of
     RESIDUAL_CHUNK plus the widest level's edges."""
-    widest = int(np.diff(sub.estart[sub.level_start[:-1]]).max())
     return 8 * (sub.n_nodes + sub.n_nonterminal + n_x * sub.n_nodes
-                + 4 * (RESIDUAL_CHUNK + widest))
+                + 4 * (RESIDUAL_CHUNK + _widest(sub)))
 
 
 def _scan_sweep(sub, M0, clock, g, F, driver, coeffs, x_value):

@@ -485,17 +485,11 @@ def _random_affine_pair(rng, mterm):
     return zeta1, zeta2, (ky, kz, c2 + gap), (ky, kz, c2)
 
 
-def _random_lipschitz_pair(rng, mterm):
-    """Ordered terminal data and ordered affine drivers for one seed."""
-    zeta1, zeta2, p1, p2 = _random_affine_pair(rng, mterm)
-    return zeta1, zeta2, _affine_driver(*p1), _affine_driver(*p2)
-
-
 def _run_comparison_campaign(cfg):
     """One pair of ordered solves per seed, each seed drawn from its own
-    generator.  A group of h seeds is solved in one sweep of 2h columns
-    (every seed's first solve, then every seed's second), sized by the sweep
-    byte budget, and compared column by column."""
+    generator.  A group of h seeds is solved and compared in one streamed
+    sweep of 2h columns (every seed's first solve, then every seed's
+    second), sized by the sweep byte budget."""
     built = build(cfg.model)
     tree, M = built.tree, built.M
     clock = predictable_bracket(tree, M)
@@ -513,16 +507,10 @@ def _run_comparison_campaign(cfg):
             for s in seeds))
         zeta = np.column_stack(zeta1 + zeta2)
         ky, kz, c0 = np.array(p1 + p2).T
-        h = len(seeds)
-
-        def point():
-            sol = bsde.solve_lipschitz(tree, M, clock, None, zeta,
-                                       _affine_driver(ky, kz, c0))
-            s1, s2 = (sol.columns(c, _affine_driver(ky[c], kz[c], c0[c]))
-                      for c in (slice(None, h), slice(h, None)))
-            return bsde.compare(s1, s2, tol_cmp=tol)
-        verdicts = _with_coords(point, model=cfg.model.kind,
-                                seeds=f"{seeds[0]}..{seeds[-1]}")
+        verdicts = _with_coords(
+            lambda: bsde.compare(tree, M, clock, None, zeta,
+                                 _affine_driver(ky, kz, c0), tol_cmp=tol),
+            model=cfg.model.kind, seeds=f"{seeds[0]}..{seeds[-1]}")
         for seed, verdict in zip(seeds, verdicts):
             worst = max(worst, verdict.worst_violation)
             rows.append({"seed": seed,

@@ -56,6 +56,7 @@ class ScenarioTree:
     estart : (n_nodes+1,) per-node offset into the edge arrays
     eparent, echild, eprob : flat edge arrays grouped by parent
     path_prob : (n_nodes,) total probability mass reaching the node
+    arity : r when every non-terminal node has r edges, else None
     """
 
     def __init__(self, grid, d, level_start, eparent, echild, eprob):
@@ -75,6 +76,8 @@ class ScenarioTree:
         self.estart = np.zeros(n + 1, dtype=np.int64)
         np.add.at(self.estart, self.eparent + 1, 1)
         np.cumsum(self.estart, out=self.estart)
+        out_degree = np.unique(np.diff(self.estart[:self.n_nonterminal + 1]))
+        self.arity = int(out_degree[0]) if len(out_degree) == 1 else None
 
         self.path_prob = np.zeros(n)
         self.path_prob[0] = 1.0
@@ -268,8 +271,7 @@ def conditional_covariances(tree, M):
     sl = slice(0, int(tree.estart[nt]))
     dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]
     w = tree.eprob[sl][:, None, None] * (dm[:, :, None] * dm[:, None, :])
-    idx = tree.estart[:nt]
-    return np.add.reduceat(w, idx, axis=0)
+    return _kernels._segment_sum(tree, w, tree.estart[:nt])
 
 
 def predictable_bracket(tree, M):

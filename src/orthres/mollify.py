@@ -159,6 +159,10 @@ class MollifiedMap:
     def id(self):
         return f"{self.base.id}~eps{self.epsilon:g}"
 
+    @property
+    def arity(self):
+        return self.base.arity
+
 
 def mollify(F, eps, quad_nodes=64):
     """Gaussian convolution F * phi_eps as a new evaluable map."""
@@ -191,7 +195,7 @@ def clamp(F, n):
 
 def lipschitz_scan(F, lo, hi, spacing):
     """Max finite-difference slope of F over a regular grid on [lo, hi]^arity."""
-    d = F.arity if isinstance(F, TerminalMap) else F.base.arity
+    d = F.arity
     axes = [np.arange(lo, hi + spacing / 2, spacing) for _ in range(d)]
     if axes[0].size < 2:
         raise ValueError("grid is empty or degenerate")

@@ -3,19 +3,22 @@
 Each is the plain loop that the library either replaced with a vectorised
 version or never needed outside the tests: the true-tree test, an incremental
 tree builder, exact conditional expectations, the pathwise bracket, a JSON
-round trip, the two-term bracket split, the Markov grouping spread and a
-driver growth check.
+round trip, the two-term bracket split, the Markov grouping spread, a
+driver growth check, and the comparison check on two stored solutions.
 """
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from orthres import _kernels
-from orthres.bsde import eta_at
+from orthres.bsde import CompareVerdict, eta_at
+from orthres.cli import _affine_driver, _random_affine_pair
 from orthres.errors import InvariantViolation
-from orthres.ftree import AdaptedProcess, ScenarioTree, TimeGrid
+from orthres.ftree import (AdaptedProcess, PredictableField, ScenarioTree,
+                           TimeGrid)
 
 
 def is_tree(tree):
@@ -243,3 +246,77 @@ def check_growth(driver, y_grid, z_grid, t=0.0):
         rhs = eta * (1 + g["b"] * np.abs(yv)) + 0.5 * g["gamma"] * zv ** 2
         worst = max(worst, float(np.max(lhs - rhs)))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# comparison on stored solutions
+# ---------------------------------------------------------------------------
+
+def random_lipschitz_pair(rng, mterm):
+    """Ordered terminal data and ordered affine drivers for one seed."""
+    zeta1, zeta2, p1, p2 = _random_affine_pair(rng, mterm)
+    return zeta1, zeta2, _affine_driver(*p1), _affine_driver(*p2)
+
+
+def columns(sol, cols, driver):
+    """The solves in columns ``cols`` of a batch, as a batch of their own
+    driven by ``driver``: the batch driver restricted to those columns,
+    which an opaque callable cannot be sliced into."""
+    return replace(sol, zeta=sol.zeta[:, cols], driver=driver,
+                   Y=AdaptedProcess(sol.tree, sol.Y.values[:, cols]),
+                   Z=PredictableField(sol.tree, sol.Z.values[:, cols]),
+                   bracketNN_T=sol.bracketNN_T[cols])
+
+
+def compare(sol1, sol2, tol_cmp=1e-11, pre_tol=1e-12, X=None):
+    """Comparison check on two stored solutions: zeta1 >= zeta2 and f1 >= f2
+    along the second solution (and its forward process X, if any) imply
+    Y1 >= Y2.  Preconditions are verified, not assumed.
+
+    For two batches of B columns, column j of sol1 is compared with column j
+    of sol2: each driver is evaluated once per level for all columns, and the
+    result is a list of B verdicts."""
+    batch = sol2.zeta.ndim == 2
+    width = sol2.zeta.shape[1] if batch else 1
+    tree = sol1.tree
+    if tree is not sol2.tree:
+        out = [CompareVerdict(False, False, math.inf, -1,
+                              "solutions live on different trees")] * width
+        return out if batch else out[0]
+    nt = tree.n_nonterminal
+    col = (slice(None),) + (None,) * batch
+    m = sol2.M.scalar[:nt][col]
+    qdiag = sol2.clock.q.values.reshape(nt, -1)[:, 0][col]
+    y2, z2 = sol2._cols(sol2.Y), sol2._cols(sol2.Z)
+    x2 = X.values if X is not None else None
+    worst_pre = np.zeros(sol2.zeta.shape[1:])
+    for k in range(tree.K):
+        a, b = tree.level_slice(k)
+        t = tree.grid.t[k]
+        xk = x2[a:b] if x2 is not None else None
+        # column-major, as in solve_lipschitz
+        yk = np.asfortranarray(y2[a:b])
+        zk = np.asfortranarray(z2[a:b]) * qdiag[a:b]
+        gap = (sol1.driver(t, xk, m[a:b], yk, zk)
+               - sol2.driver(t, xk, m[a:b], yk, zk))
+        worst_pre = np.minimum(worst_pre, np.min(gap, axis=0))
+    zeta_gap = np.atleast_1d(np.min(sol1.zeta - sol2.zeta, axis=0))
+    worst_pre = np.atleast_1d(worst_pre)
+    out = []
+    for j in range(width):
+        if zeta_gap[j] < -pre_tol:
+            out.append(CompareVerdict(False, False, math.inf, -1,
+                                      "terminal conditions are not ordered"))
+        elif worst_pre[j] < -pre_tol:
+            out.append(CompareVerdict(
+                False, False, math.inf, -1,
+                f"drivers are not ordered along (Y2, Z2q*): "
+                f"min gap {worst_pre[j]:.3e}"))
+        else:
+            # one column at a time: no full-size (n, B) difference
+            diff = sol1.Y.values[:, j] - sol2.Y.values[:, j]
+            node = int(np.argmin(diff))
+            worst = float(diff[node])
+            out.append(CompareVerdict(True, worst >= -tol_cmp,
+                                      max(0.0, -worst), node))
+    return out if batch else out[0]

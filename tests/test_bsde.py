@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -15,13 +16,13 @@ from orthres.ftree import AdaptedProcess, predictable_bracket
 from orthres.gkw import gkw_decompose, martingale_from_terminal
 from orthres.models import ModelConfig, build
 from orthres.mollify import TerminalMap, indicator_halfspace, sine
-from orthres import forward
-from orthres import bsde
+from orthres import bsde, cli, forward
 from orthres.bsde import (DriverSpec, compare, driver_from_catalog,
                           dual_value, huber_envelope, inf_convolve,
                           regularity_scan, solve_lipschitz, solve_quadratic,
                           truncated_driver, vanishing_N_experiment)
 
+import reference
 from conftest import random_full_tree, random_martingale, small_trees
 from reference import check_growth, markov_grouping_check, product_noise_coin
 
@@ -649,9 +650,8 @@ def test_dual_value_takes_the_finite_beta_candidate():
 def test_compare_ordered_data():
     tree, M, clock, mterm = binary_setup(K=6)
     f = driver_from_catalog("linear_y", coef=0.3)
-    s1 = solve_lipschitz(tree, M, clock, None, mterm ** 2 + 0.5, f)
-    s2 = solve_lipschitz(tree, M, clock, None, mterm ** 2, f)
-    v = compare(s1, s2)
+    [v] = compare(tree, M, clock, None,
+                  np.column_stack([mterm ** 2 + 0.5, mterm ** 2]), f)
     assert v.applicable and v.ok
     assert v.worst_violation == 0.0
 
@@ -659,33 +659,118 @@ def test_compare_ordered_data():
 def test_compare_rejects_unordered_terminals():
     tree, M, clock, mterm = binary_setup(K=4)
     f = driver_from_catalog("zero")
-    s1 = solve_lipschitz(tree, M, clock, None, mterm, f)
-    s2 = solve_lipschitz(tree, M, clock, None, -mterm, f)
-    v = compare(s1, s2)
+    [v] = compare(tree, M, clock, None, np.column_stack([mterm, -mterm]), f)
     assert not v.applicable
 
 
-def test_compare_rejects_different_trees():
-    t1, M1, c1, m1 = binary_setup(K=4)
-    t2, M2, c2, m2 = binary_setup(K=5)
+def test_compare_needs_column_pairs():
+    tree, M, clock, mterm = binary_setup(K=4)
     f = driver_from_catalog("zero")
-    s1 = solve_lipschitz(t1, M1, c1, None, m1, f)
-    s2 = solve_lipschitz(t2, M2, c2, None, m2, f)
-    assert not compare(s1, s2).applicable
+    for zeta in (mterm, np.column_stack([mterm] * 3)):
+        with pytest.raises(ValueError, match="B even"):
+            compare(tree, M, clock, None, zeta, f)
+
+
+def _pair_batch(rng, mterm):
+    """One seed's ordered pair as two columns and their batch driver."""
+    zeta1, zeta2, p1, p2 = cli._random_affine_pair(rng, mterm)
+    return (np.column_stack([zeta1, zeta2]),
+            cli._affine_driver(*np.array([p1, p2]).T))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_compare_property_random_ordered_data(seed):
-    from orthres.cli import _random_lipschitz_pair
     tree, M, clock, mterm = binary_setup(K=5)
-    rng = np.random.default_rng(seed)
-    zeta1, zeta2, f1, f2 = _random_lipschitz_pair(rng, mterm)
-    s1 = solve_lipschitz(tree, M, clock, None, zeta1, f1)
-    s2 = solve_lipschitz(tree, M, clock, None, zeta2, f2)
-    v = compare(s1, s2)
+    [v] = compare(tree, M, clock, None,
+                  *_pair_batch(np.random.default_rng(seed), mterm))
     assert v.applicable
     assert v.worst_violation <= 1e-11
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_compare_reads_the_lower_columns_x(seed):
+    """With an X that carries a column axis, each pair's drivers are
+    compared at the lower column's X, as the reference does with the second
+    solution's X."""
+    rng = np.random.default_rng(seed)
+    tree = random_full_tree(rng, K=3)
+    M = random_martingale(rng, tree)
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(tree.K)
+    B = 3
+    X = rng.normal(size=(tree.n_nodes, 1, 2 * B))
+    # the upper drivers sit 0.3 above the lower ones at the lower X, but
+    # 0.1 below them at their own X in the pair whose X is 1 lower
+    X[:, 0, :B] = X[:, 0, B:] - np.array([0.0, 1.0, 0.5])
+    zeta = rng.normal(size=(hi - lo, B))
+    zeta = np.hstack([zeta + 0.2, zeta])
+    c0 = np.repeat([0.3, 0.0], B)
+
+    def drv(c):
+        return DriverSpec(id="x", klass="lipschitz",
+                          f=lambda t, x, m, y, z: 0.2 * z + c + 0.4 * x[:, 0])
+    verdicts = compare(tree, M, clock, AdaptedProcess(tree, X), zeta,
+                       drv(c0))
+    for j, v in enumerate(verdicts):
+        s1, s2 = (solve_lipschitz(tree, M, clock,
+                                  AdaptedProcess(tree, X[:, :, c]),
+                                  zeta[:, c].copy(), drv(c0[c]))
+                  for c in (j, j + B))
+        assert v == reference.compare(s1, s2, X=AdaptedProcess(
+            tree, X[:, :, j + B]))
+    assert all(v.applicable for v in verdicts)
+
+
+def _pair_data(draw, tree, M, B):
+    """Terminal data of B pairs (upper half, then lower half) and their
+    batch driver.  A pair is ordered, has unordered terminals or unordered
+    drivers, is one column twice ("tie": its difference is 0 at every node)
+    or has its upper column on the lower one at some leaves only
+    ("partial": ties there)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["ordered", "zeta", "driver",
+                                           "tie", "partial"]),
+                          min_size=B, max_size=B))
+    clock = predictable_bracket(tree, M)
+    dc_max = float(clock.dC.values.max())
+    lo, hi = tree.level_slice(tree.K)
+    m = M.scalar[lo:hi]
+    low = np.sin(3.0 * m)[:, None] + 0.5 * rng.normal(size=(hi - lo, B))
+    ky = rng.uniform(-0.4, 0.4, size=B) / dc_max
+    kz = rng.uniform(-1, 1, size=B)
+    c0 = rng.uniform(-0.5, 0.5, size=B)
+    step = {"ordered": 0.25, "zeta": -0.5, "driver": 0.25, "tie": 0.0}
+    shift = np.array([step.get(k, 0.0) for k in kinds]) + np.array(
+        [k == "partial" for k in kinds]) * (rng.uniform(size=(hi - lo, B))
+                                            < 0.5)
+    lift = np.array([{"ordered": 0.25, "zeta": 0.25, "driver": -0.5}.get(
+        k, 0.0) for k in kinds])
+    zeta = np.hstack([low + shift, low])
+    driver = _y_part_driver(np.tile(ky, 2), np.zeros(2 * B), np.tile(kz, 2),
+                            np.hstack([c0 + lift, c0]))
+    halves = [_y_part_driver(ky, np.zeros(B), kz, c) for c in (c0 + lift, c0)]
+    return clock, zeta, driver, halves, kinds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), small_trees(), st.integers(1, 5))
+def test_streamed_compare_equals_the_reference(data, tree_m, B):
+    """The streamed compare gives the verdicts of the reference on stored
+    solutions, worst node included, on random full trees and every model
+    kind, for ordered and unordered pairs and tied minima."""
+    tree, M = tree_m
+    clock, zeta, driver, halves, kinds = _pair_data(data.draw, tree, M, B)
+    verdicts = compare(tree, M, clock, None, zeta, driver)
+    both = solve_lipschitz(tree, M, clock, None, zeta, driver)
+    expected = reference.compare(*(reference.columns(both, c, f) for c, f in
+                                   zip((slice(None, B), slice(B, None)),
+                                       halves)))
+    assert verdicts == expected
+    for v, kind in zip(verdicts, kinds):
+        assert v.applicable == (kind not in ("zeta", "driver"))
+        if kind == "tie":
+            assert (v.worst_violation, v.worst_node) == (0.0, 0)
 
 
 # -- experiments ------------------------------------------------------------
@@ -746,20 +831,54 @@ def test_non_finite_bracket_is_an_invariant_violation():
 def test_vanishing_N_report_structure(monkeypatch):
     F = indicator_halfspace()
     drv = driver_from_catalog("pure_quadratic", gamma=1.0)
-    solves = []
+    sweeps = []
+    levels = bsde._levels
 
     def counting(*args, **kwargs):
-        solves.append(args[5])
-        return solve_lipschitz(*args, **kwargs)
-    monkeypatch.setattr(bsde, "solve_lipschitz", counting)
+        sweeps.append((np.shape(args[4])[1], args[5]))
+        return levels(*args, **kwargs)
+    monkeypatch.setattr(bsde, "_levels", counting)
     rep = vanishing_N_experiment(lambda K: ModelConfig("trinomial", K=K),
                                  None, F, drv, [0.1], [4, 8])
     assert len(rep.rows) == 4
-    # one direct solve of the quadratic driver per (K, eps) column
-    assert len(solves) == 4 and all(d is drv for d in solves)
+    # one streamed sweep of the quadratic driver per K, with the raw column
+    # and one column per eps
+    assert len(sweeps) == 2
+    assert all(w == 2 and d is drv for w, d in sweeps)
     assert rep.decreasing_in_K()
     raw, gaps = rep.eps_gap_at_max_K()
     assert raw > 0 and 0.1 in gaps
+
+
+@pytest.mark.parametrize("kind,coeffs", [("trinomial", None),
+                                          ("binary", "identity"),
+                                          ("compensated_jump", None)])
+def test_vanishing_N_rows_equal_per_eps_solves(kind, coeffs):
+    """The streamed sweep's rows are bit for bit those of one 1-D
+    solve_lipschitz per (K, eps)."""
+    from orthres.mollify import mollify
+    F = indicator_halfspace()
+    drv = driver_from_catalog("quadratic_mixed", gamma=1.0, b=0.5, eta=0.1)
+    co = forward.from_catalog(coeffs) if coeffs else None
+    config_for = lambda K: ModelConfig(kind, K=K)  # noqa: E731
+    K_list, eps_list = [6, 9], [0.3, 0.05]
+    rep = vanishing_N_experiment(config_for, co, F, drv, eps_list, K_list,
+                                 x0=0.2)
+    rows = []
+    for K in K_list:
+        built = build(config_for(K))
+        tree, M = built.tree, built.M
+        clock = predictable_bracket(tree, M)
+        X = None if co is None else forward.euler_forward(
+            tree, M, clock, co, np.atleast_1d(0.2))
+        for eps in [None] + eps_list:
+            Fe = F if eps is None else mollify(F, eps, 64)
+            sol = solve_lipschitz(tree, M, clock, X,
+                                  bsde._terminal_values(tree, M, X, Fe), drv)
+            rows.append((K, eps, sol.bracketNN_T, sol.Y0))
+    got = [(r.K, None if math.isnan(r.eps) else r.eps, r.bracketNN_T, r.y0)
+           for r in rep.rows]
+    assert got == rows
 
 
 def test_regularity_scan_bounded_derivatives():
@@ -986,22 +1105,49 @@ def test_batched_columns_equal_1d_solves(seed, K, B, u, share, zscale):
 
 
 @settings(max_examples=40, deadline=None)
+@given(*_batch_args)
+def test_levels_columns_equal_solo_solves(seed, K, B, u, share, zscale):
+    """Each column of a streamed _levels sweep is its own solve_lipschitz:
+    level by level y and Z, then E[[N]_T]."""
+    tree, M, clock, zeta, ky, b, kz, c0 = _batch_setup(
+        seed, K, B, u, share, zscale)
+    solos = [solve_lipschitz(tree, M, clock, None, zeta[:, j].copy(),
+                             _y_part_driver(ky[j], b[j], kz[j], c0[j]))
+             for j in range(B)]
+    seen = []
+
+    def check(k, a, b_, y, z, z_arg):
+        seen.append(k)
+        assert y.shape == z.shape == (b_ - a, B)
+        for j, one in enumerate(solos):
+            assert np.array_equal(y[:, j], one.Y.values[a:b_, 0])
+            assert np.array_equal(z[:, j], one.Z.values[a:b_, 0])
+            assert np.array_equal(z_arg[:, j], clock.q.values.reshape(
+                -1)[a:b_] * one.Z.values[a:b_, 0])
+    bracket, y0 = bsde._consume(bsde._levels(
+        tree, M, clock, None, zeta, _y_part_driver(ky, b, kz, c0)), check)
+    assert seen == list(range(K - 1, -1, -1))
+    for j, one in enumerate(solos):
+        assert bracket[j] == one.bracketNN_T
+        assert y0[j] == one.Y0
+
+
+@settings(max_examples=40, deadline=None)
 @given(*_batch_args, st.lists(st.sampled_from(["ordered", "zeta", "driver"]),
                               min_size=6, max_size=6))
 def test_batched_compare_equals_per_pair_verdicts(seed, K, B, u, share,
                                                   zscale, kinds):
     tree, M, clock, zeta, ky, b, kz, c0 = _batch_setup(
         seed, K, B, u, share, zscale)
-    # column j of the upper batch sits above the lower one, unless kinds[j]
+    # column j of the upper half sits above the lower one, unless kinds[j]
     # unorders its terminal data or its drivers
     kinds = kinds[:B]
     shift = np.array([-0.5 if k == "zeta" else 0.25 for k in kinds])
     lift = np.array([-0.5 if k == "driver" else 0.25 for k in kinds])
-    upper = solve_lipschitz(tree, M, clock, None, zeta + shift,
-                            _y_part_driver(ky, b, kz, c0 + lift))
-    lower = solve_lipschitz(tree, M, clock, None, zeta,
-                            _y_part_driver(ky, b, kz, c0))
-    verdicts = compare(upper, lower)
+    pairs = np.hstack([zeta + shift, zeta])
+    driver = _y_part_driver(np.tile(ky, 2), np.tile(b, 2), np.tile(kz, 2),
+                            np.hstack([c0 + lift, c0]))
+    verdicts = compare(tree, M, clock, None, pairs, driver)
     assert len(verdicts) == B
     for j, v in enumerate(verdicts):
         s1 = solve_lipschitz(tree, M, clock, None,
@@ -1010,19 +1156,15 @@ def test_batched_compare_equals_per_pair_verdicts(seed, K, B, u, share,
                                             c0[j] + lift[j]))
         s2 = solve_lipschitz(tree, M, clock, None, zeta[:, j].copy(),
                              _y_part_driver(ky[j], b[j], kz[j], c0[j]))
-        assert v == compare(s1, s2)
+        assert v == reference.compare(s1, s2)
         assert v.applicable == (kinds[j] == "ordered")
-    # the same verdicts from column views of one batch holding both sides
-    both = solve_lipschitz(tree, M, clock, None,
-                           np.hstack([zeta + shift, zeta]),
-                           _y_part_driver(np.tile(ky, 2), np.tile(b, 2),
-                                          np.tile(kz, 2),
-                                          np.hstack([c0 + lift, c0])))
+    # the same verdicts from column views of one stored batch of both sides
+    both = solve_lipschitz(tree, M, clock, None, pairs, driver)
     halves = (slice(None, B), slice(B, None))
     drivers = (_y_part_driver(ky, b, kz, c0 + lift),
                _y_part_driver(ky, b, kz, c0))
-    assert compare(*(both.columns(c, f) for c, f in zip(halves, drivers))) \
-        == verdicts
+    assert reference.compare(*(reference.columns(both, c, f)
+                               for c, f in zip(halves, drivers))) == verdicts
 
 
 def _miss(message):
@@ -1061,9 +1203,8 @@ def test_misdeclared_column_names_its_deepest_failing_level(
 
 
 def _campaign_per_seed(cfg):
-    """The campaign one seed at a time: two 1-D solves and one compare per
-    seed, the reference for the batched runner."""
-    from orthres import cli
+    """The campaign one seed at a time: two 1-D solves and the reference
+    compare per seed, the reference for the streamed runner."""
     built = build(cfg.model)
     tree, M = built.tree, built.M
     clock = predictable_bracket(tree, M)
@@ -1071,10 +1212,11 @@ def _campaign_per_seed(cfg):
     rows = []
     for i in range(cfg.seeds):
         rng = np.random.default_rng(cfg.seed + i)
-        zeta1, zeta2, f1, f2 = cli._random_lipschitz_pair(
+        zeta1, zeta2, f1, f2 = reference.random_lipschitz_pair(
             rng, M.scalar[lo:hi])
-        v = compare(solve_lipschitz(tree, M, clock, None, zeta1, f1),
-                    solve_lipschitz(tree, M, clock, None, zeta2, f2))
+        v = reference.compare(
+            solve_lipschitz(tree, M, clock, None, zeta1, f1),
+            solve_lipschitz(tree, M, clock, None, zeta2, f2))
         rows.append({"seed": cfg.seed + i, "applicable": v.applicable,
                      "ok": v.ok, "violation": v.worst_violation})
     return rows
@@ -1084,7 +1226,6 @@ def _campaign_per_seed(cfg):
 @pytest.mark.parametrize("budget", [None, 4], ids=["default", "4_columns"])
 def test_batched_campaign_rows_equal_per_seed_rows(seed, budget,
                                                    monkeypatch):
-    from orthres import cli
     cfg = cli.parse_config({"experiment": "comparison_campaign",
                             "model": {"kind": "trinomial", "K": 12},
                             "seeds": 7, "seed": seed, "output": "unused"})
@@ -1092,20 +1233,48 @@ def test_batched_campaign_rows_equal_per_seed_rows(seed, budget,
         # room for 4 columns: groups of 2 seeds, then a group of 1
         tree = build(cfg.model).tree
         monkeypatch.setattr(bsde, "SWEEP_BYTES",
-                            budget * 8 * (tree.n_nodes + tree.n_nonterminal))
-    solves = []
+                            budget * bsde._stream_bytes(tree))
+    sweeps = []
 
     def counting(*args, **kwargs):
-        solves.append(np.shape(args[4]))
-        return solve_lipschitz(*args, **kwargs)
-    monkeypatch.setattr(bsde, "solve_lipschitz", counting)
+        sweeps.append(np.shape(args[4]))
+        return compare(*args, **kwargs)
+    monkeypatch.setattr(bsde, "compare", counting)
     rows, _, _ = cli._run_comparison_campaign(cfg)
     assert rows == _campaign_per_seed(cfg)
-    widths = [s[1] for s in solves]
+    widths = [s[1] for s in sweeps]
     assert widths == ([14] if budget is None else [4, 4, 4, 2])
 
 
-def test_sweep_budget_holds_8_columns_at_K256():
+def test_sweep_budget_holds_50_streamed_columns_at_K256():
     tree = build(ModelConfig("trinomial", K=256)).tree
-    assert bsde.columns_per_sweep(tree) == 8
-    assert 8 * 8 * (tree.n_nodes + tree.n_nonterminal) <= bsde.SWEEP_BYTES
+    assert bsde.columns_per_sweep(tree) == 50
+    # one column: seven arrays of the widest level's 1533 edges and the
+    # open residual chunk
+    assert bsde._stream_bytes(tree) == 8 * (bsde.RESIDUAL_CHUNK + 7 * 1533)
+    assert 50 * bsde._stream_bytes(tree) <= bsde.SWEEP_BYTES
+
+
+def test_streamed_compare_keeps_no_full_size_column():
+    """Each further pair column of a streamed compare adds at most what
+    _stream_bytes budgets for it, far below a full-size Y and Z."""
+    built = build(ModelConfig("trinomial", K=128))
+    tree, M = built.tree, built.M
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(tree.K)
+    rng = np.random.default_rng(5)
+
+    def peak(pairs):
+        zeta = rng.normal(size=(hi - lo, 2 * pairs))
+        driver = cli._affine_driver(np.zeros(2 * pairs),
+                                    rng.uniform(-1, 1, 2 * pairs),
+                                    rng.uniform(size=2 * pairs))
+        tracemalloc.start()
+        try:
+            compare(tree, M, clock, None, zeta, driver)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_column = (peak(34) - peak(2)) / 64
+    assert per_column <= bsde._stream_bytes(tree)
+    assert per_column < 8 * (tree.n_nodes + tree.n_nonterminal) / 4

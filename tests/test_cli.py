@@ -618,3 +618,17 @@ def test_slope_is_null_where_the_points_fix_none():
     assert _loglog_slope([8, 16], [0.1, 0.0]) is None
     assert _loglog_slope([8, 16], [0.1, math.inf]) is None
     assert _loglog_slope([8, 16], [0.2, 0.1]) == pytest.approx(-1.0)
+
+
+def test_vanishing_N_with_coefficients_and_mollified_columns(tmp_path):
+    """A vanishing_N run with a forward X evaluates the mollified maps on
+    (X, M) or M like the raw one: exit 0 and a row per (K, eps)."""
+    path, _ = write_cfg(tmp_path, experiment="vanishing_N",
+                        model={"kind": "binary"},
+                        driver={"id": "zero"},
+                        coeffs={"id": "identity", "x0": 0.0},
+                        K_list=[4, 8], eps_list=[0.1])
+    assert main(["run", str(path)]) == 0
+    rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+    assert [(r["K"], r["eps"]) for r in rows] == [
+        (4, "raw"), (4, 0.1), (8, "raw"), (8, 0.1)]

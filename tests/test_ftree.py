@@ -379,3 +379,32 @@ def test_json_roundtrip_lattice():
     assert tree2.n_nodes == tree.n_nodes
     npt.assert_allclose(tree2.path_prob, tree.path_prob)
     npt.assert_allclose(M2.values, M.values)
+
+
+@pytest.mark.parametrize("kind,arity", [("binary", 2), ("trinomial", 3),
+                                        ("time_changed", 2),
+                                        ("compensated_jump", 3),
+                                        ("product_noise", 4)])
+def test_model_trees_have_fixed_arity_and_subtrees_keep_it(kind, arity):
+    from orthres.forward import extract_subtree
+    tree = build(ModelConfig(kind, K=6)).tree
+    assert tree.arity == arity
+    sub, _ = extract_subtree(tree, int(tree.level_start[2]) + 1)
+    assert sub.arity == arity
+
+
+def test_arity_is_none_when_out_degrees_differ():
+    b = TreeBuilder(TimeGrid.uniform(2))
+    b.begin_level()
+    left, right = b.child(0, 0.5), b.child(0, 0.5)
+    b.end_level()
+    b.begin_level()
+    for p in (0.25, 0.25, 0.5):
+        b.child(left, p)
+    for p in (0.5, 0.5):
+        b.child(right, p)
+    b.end_level()
+    assert b.build().arity is None
+    # the terminal level's nodes have no edges and do not count
+    assert random_full_tree(np.random.default_rng(0), K=1,
+                            max_branch=2).arity == 2

@@ -1,8 +1,12 @@
 """The numpy kernels against per-node loop references kept here."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthres import _kernels
 from orthres.models import ModelConfig, build
@@ -74,10 +78,20 @@ KERNELS = ("edge_sum", "backward_expect", "level_moments_d1",
 
 
 def cases(rng):
+    """Fixed-arity trees (strided sums, parent broadcasts) of arity 2, 3 and
+    4, then mixed-arity ones (reduceat, parent gathers)."""
+    yield build(ModelConfig("binary", K=9)).tree
     yield build(ModelConfig("trinomial", K=12)).tree
     yield build(ModelConfig("compensated_jump", K=10)).tree
+    yield build(ModelConfig("product_noise", K=4)).tree
     for _ in range(4):
         yield random_full_tree(rng, K=4)
+
+
+def test_cases_cover_fixed_and_mixed_arity(rng):
+    arities = [tree.arity for tree in cases(rng)]
+    assert arities[:4] == [2, 3, 3, 4]
+    assert None in arities[4:]
 
 
 def run_loop(name, tree, rng):
@@ -250,3 +264,40 @@ def test_batched_columns_are_the_1d_calls(B, rng):
                 tree, dm, columns[j], z_level[:, j].copy(), lo, hi)
             assert np.array_equal(dn_b[:, j], dn_1)
             assert np.array_equal(res_b[:, j], res_1)
+
+
+# ---------------------------------------------------------------------------
+# fixed-arity segment sums
+# ---------------------------------------------------------------------------
+
+# every magnitude up to where nine terms could overflow, and both zeros
+_signed = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 6), st.sampled_from([None, 1, 3]),
+       st.sampled_from(["C", "F"]), st.data())
+def test_segment_sum_is_reduceat(r, n, B, order, data):
+    """The strided sum is reduceat bit for bit, signs of zero included, for
+    1-D and (E, B) inputs of either layout; arities outside 2..7 take
+    reduceat itself."""
+    shape = (n * r,) if B is None else (n * r, B)
+    x = np.array(data.draw(st.lists(_signed, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape)))),
+                 dtype=float).reshape(shape, order=order)
+    idx = np.arange(0, n * r, r)
+    got = _kernels._segment_sum(SimpleNamespace(arity=r), x, idx)
+    want = np.add.reduceat(x, idx)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_segment_sum_takes_reduceat_on_mixed_arity(rng):
+    tree = random_full_tree(rng, K=3)
+    assert tree.arity is None
+    w = rng.normal(size=len(tree.eprob))
+    nt = tree.n_nonterminal
+    assert np.array_equal(_kernels.edge_sum(tree, w, 0, nt),
+                          np.add.reduceat(w, tree.estart[:nt]))
