@@ -21,10 +21,6 @@ from .forward import euler_forward, extract_subtree
 
 FP_TOL = 1e-12
 PROJ_EPS = 1e-14
-# a solve adds path_prob * E[dN^2 | node] into E[[N]_T] once the levels it
-# has not summed yet hold this many edges, whatever the batch width, so that
-# a column sums in the order of its 1-D solve
-RESIDUAL_CHUNK = 4096
 # cascade: a decrease in n larger than MONOTONE_GUARD is a solver failure
 MONOTONE_GUARD = 1e-6
 # dual DP: the tilt nu is searched on DUAL_NU_POINTS points of [-p, p] next
@@ -223,23 +219,18 @@ def driver_from_catalog(did, **params):
 # solutions
 # ---------------------------------------------------------------------------
 
-# A streamed sweep keeps no full-size array: per column it holds about seven
-# arrays of the widest level's edges (per-edge and per-node together) and at
-# most RESIDUAL_CHUNK values of E[dN^2 | node] not summed yet, about
-# 8 * (RESIDUAL_CHUNK + 7 * widest) bytes (the measured growth per column of
-# a trinomial comparison sweep is 80% of that at K = 128, 91% at K = 256 and
-# 102% at K = 512).  A batch of solves on one
-# tree is cut into sweeps that hold at most SWEEP_BYTES: 50 columns at
-# trinomial K = 256.  Wider sweeps were no faster there (the comparison
-# campaign took about the same time at 36 to 150 columns), while every
-# column adds about 0.12 MB to the run's peak memory.
-SWEEP_BYTES = 6_000_000
-# A regularity scan's sweep holds at most this many bytes of full-size
-# per-column arrays.  Its subtrees are small, so the per-call overhead is
-# shared well by a few columns, while every further column adds its Y, Z, X
-# and residual chunk to the peak memory of the run: at trinomial K = 128,
-# t_idx = 48 this gives 6 columns per sweep.
-SCAN_SWEEP_BYTES = 2_000_000
+# A streamed sweep keeps no full-size array: per column it holds about nine
+# arrays of the widest level's edges (per-edge and per-node together), and a
+# regularity scan's column its full-size n_x-dim X as well, 8 * (9 * widest
+# + n_x * n_nodes) bytes (tracemalloc puts the growth per column of a
+# trinomial comparison sweep at 8.5 to 8.8 arrays for K = 16 to 512, and
+# that of the benchmark's restart scan at 98% of the bound).  A batch of
+# solves on one tree is cut into sweeps that hold at most SWEEP_BYTES: 50
+# columns at trinomial K = 256, and the whole 41-point restart scan at
+# K = 128, t_idx = 48.  Wider sweeps were no faster for the comparison
+# campaign (it took about the same time at 36 to 150 columns), while every
+# column adds to the run's peak memory.
+SWEEP_BYTES = 5_600_000
 
 
 def _widest(tree):
@@ -247,18 +238,15 @@ def _widest(tree):
     return int(np.diff(tree.estart[tree.level_start[:-1]]).max())
 
 
-def _stream_bytes(tree):
+def _stream_bytes(tree, n_x=0):
     """Bytes one streamed column holds on ``tree`` (see SWEEP_BYTES)."""
-    return 8 * (RESIDUAL_CHUNK + 7 * _widest(tree))
+    return 8 * (9 * _widest(tree) + n_x * tree.n_nodes)
 
 
-def columns_per_sweep(tree, column_bytes=None, budget=None):
-    """How many columns one batched sweep on ``tree`` may carry: ``budget``
-    (SWEEP_BYTES by default) over the bytes one column holds (by default
-    one streamed column's)."""
-    if column_bytes is None:
-        column_bytes = _stream_bytes(tree)
-    return max(1, (SWEEP_BYTES if budget is None else budget) // column_bytes)
+def columns_per_sweep(tree, n_x=0):
+    """How many streamed columns, each with an n_x-dim X at full size, one
+    sweep on ``tree`` may carry within SWEEP_BYTES."""
+    return max(1, SWEEP_BYTES // _stream_bytes(tree, n_x))
 
 
 @dataclass
@@ -288,7 +276,9 @@ class BsdeSolution:
 
     @property
     def y_sup(self):
-        return float(np.max(np.abs(self.Y.values)))
+        """max |Y|, without a full-size |Y| temporary."""
+        y = self.Y.values
+        return float(max(y.max(), -y.min()))
 
     @functools.cached_property
     def dN(self):
@@ -364,11 +354,12 @@ def _levels(tree, M, clock, X, zeta, driver):
 
     Yields ``(k, a, b, y, z, z_arg)`` for k = K-1 .. 0: level k's nodes
     [a, b), their y and Z, and the z the driver was evaluated at, q Z; the
-    consumer must not write to them.  Only the level below's y, the per-edge
-    dy and Z of the levels whose E[dN^2 | node] is not formed yet (about
-    RESIDUAL_CHUNK edges over all columns) and the E[dN^2 | node] not summed
-    yet are held, and E[[N]_T] (a float, or (B,) for a batch) is returned
-    once level 0 has been consumed.  Every check of solve_lipschitz is made
+    consumer must not write to them.  Only the level below's y and the
+    level's own per-edge dy are held: once the consumer has taken a level,
+    its E[dN^2 | node] is formed and path_prob times it summed into
+    E[[N]_T], which (a float, or (B,) for a batch) is returned once level 0
+    has been consumed.  Each column thus sums per level, then in level
+    order, as its 1-D solve does.  Every check of solve_lipschitz is made
     here."""
     if M.dim != 1:
         raise NotImplementedError("backward solvers are scalar-martingale only")
@@ -401,9 +392,6 @@ def _levels(tree, M, clock, X, zeta, driver):
                     order="F")
     bracket = 0.0
     y, base = zeta, tree.level_start[tree.K]  # y[i - base] is node i's y
-    width = zeta[0].size
-    open_res, top = [], nt  # E[dN^2 | node] of levels [mid, top) not summed
-    open_dy, open_z, mid = [], [], nt  # dy and Z of levels [a, mid)
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
         ey, m1, dy = _kernels.level_moments_d1(tree, pdm, y, a, b, base)
@@ -425,22 +413,8 @@ def _levels(tree, M, clock, X, zeta, driver):
                 raise _step_miss(k, miss, y, ok, driver.y_part)
         yield k, a, b, y, z, z_arg
         base = a
-        open_dy.append(dy)
-        open_z.append(z)
-        close = k == 0 or tree.estart[top] - tree.estart[a] >= RESIDUAL_CHUNK
-        # E[dN^2 | node] of [a, mid) in one call once its edges times the
-        # columns reach RESIDUAL_CHUNK: a narrow sweep shares the per-call
-        # cost among levels, and a wide one holds only its own level
-        if close or (tree.estart[mid] - tree.estart[a]) * width \
-                >= RESIDUAL_CHUNK:
-            open_res.append(_kernels.residual_moments_d1(
-                tree, dm, np.concatenate(open_dy[::-1]),
-                np.concatenate(open_z[::-1]), a, mid)[1])
-            open_dy, open_z, mid = [], [], a
-        if close:
-            bracket = bracket + _column_sums(
-                path_prob[a:top] * np.concatenate(open_res[::-1]))
-            open_res, top = [], a
+        res = _kernels.residual_moments_d1(tree, dm, dy, z, a, b)[1]
+        bracket = bracket + _column_sums(path_prob[a:b] * res)
     bad = np.flatnonzero(~np.isfinite(bracket))
     if bad.size:
         where = f" in column {bad[0]}" if zeta.ndim == 2 else ""
@@ -452,12 +426,12 @@ def _levels(tree, M, clock, X, zeta, driver):
 
 def _consume(steps, take=None):
     """Run a _levels sweep, calling take(k, a, b, y, z, z_arg) on each
-    level; its E[[N]_T] and the root's y."""
+    level; its E[[N]_T] and the root level's tuple."""
     while True:
         try:
             level = next(steps)
         except StopIteration as done:
-            return done.value, level[3][0]
+            return done.value, level
         if take is not None:
             take(*level)
 
@@ -479,9 +453,9 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
     against FP_TOL (relative to |y| above 1), so a wrongly declared or
     non-finite driver raises InvariantViolation at the deepest level where a
     step misses.  E[dN^2 | node] is closed per level from the projection's
-    per-edge dy and summed into E[[N]_T] every RESIDUAL_CHUNK edges, and a
-    non-finite E[[N]_T] raises InvariantViolation (naming the first such
-    column of a batch).  The levels come from ``_levels``; this stores their
+    per-edge dy and summed into E[[N]_T] on that level, and a non-finite
+    E[[N]_T] raises InvariantViolation (naming the first such column of a
+    batch).  The levels come from ``_levels``; this stores their
     Y and Z at full size, and dN is computed when first read.
 
     Every experiment but ``cascade`` solves with it or streams ``_levels``:
@@ -504,12 +478,8 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
         Y=AdaptedProcess(tree, yvals),
         Z=PredictableField(tree, zall.reshape(nt, -1)),
         bracketNN_T=bracket,
-        diagnostics={
-            # max |y| without a full-size |y| temporary
-            "y_sup": float(max(yvals.max(), -yvals.min())),
-            # the step is closed-form: no fixed-point iterations at any level
-            "fixed_point_iters": [0] * tree.K,
-        })
+        # the step is closed-form: no fixed-point iterations at any level
+        diagnostics={"fixed_point_iters": [0] * tree.K})
 
 
 @dataclass
@@ -559,7 +529,7 @@ def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
                                             float(np.max(prev_y - y)))
             inc = float(np.max(np.abs(y - prev_y)))
         trace.stages.append({
-            "p": p, "n": n, "y_sup": sol.diagnostics["y_sup"],
+            "p": p, "n": n, "y_sup": sol.y_sup,
             "bracketNN_T": sol.bracketNN_T,
             "sup_increment": inc,
         })
@@ -803,7 +773,8 @@ def vanishing_N_experiment(config_for, coeffs, F, driver, eps_list, K_list,
         zeta = np.column_stack([_terminal_values(tree, M, X, Fe)
                                 for Fe in maps])
         bracket, root = _consume(_levels(tree, M, clock, X, zeta, driver))
-        for eps, y0, res in zip([math.nan] + list(eps_list), root, bracket):
+        for eps, y0, res in zip([math.nan] + list(eps_list), root[3][0],
+                                bracket):
             report.rows.append(VanishingNRow(K=K, eps=eps,
                                              bracketNN_T=float(res),
                                              y0=float(y0)))
@@ -823,25 +794,17 @@ class RegularityScan:
     max_grad_gap: float
 
 
-def _scan_column_bytes(sub, n_x):
-    """Bytes one scan column holds on ``sub``: Y, Z and an n_x-dim X at full
-    size, and for the solver's level work a bound of four float arrays of
-    RESIDUAL_CHUNK plus the widest level's edges."""
-    return 8 * (sub.n_nodes + sub.n_nonterminal + n_x * sub.n_nodes
-                + 4 * (RESIDUAL_CHUNK + _widest(sub)))
-
-
 def _scan_sweep(sub, M0, clock, g, F, driver, coeffs, x_value):
-    """Y and Z at the root of ``sub`` for the columns M0 + g[j]; a sweep's
-    full-size arrays are freed before the next sweep makes its own."""
+    """Y and Z at the root of ``sub`` for the columns M0 + g[j], from one
+    streamed sweep; its X is freed before the next sweep makes its own."""
     X = None if coeffs is None else euler_forward(
         sub, M0, clock, coeffs, x_value, shifts=g)
     zeta = _terminal_values(sub, M0, X, F, shifts=g)
     # the solve runs on M0, and column j's driver sees its own m + g[j]
     shifted = replace(driver,
                       f=lambda t, x, m, y, z: driver.f(t, x, m + g, y, z))
-    sol = solve_lipschitz(sub, M0, clock, X, zeta, shifted)
-    return sol.Y.values[0], sol.Z.values[0]
+    _, root = _consume(_levels(sub, M0, clock, X, zeta, shifted))
+    return root[3][0], root[4][0]
 
 
 def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None,
@@ -851,19 +814,18 @@ def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None,
     The subtree of the first node of level t_idx is extracted once and
     clocked once, from M0 = M_sub - M[node]; shifting M by a constant leaves
     the subtree and its node order alone.  The grid is solved in column
-    sweeps of at most SCAN_SWEEP_BYTES: column j runs on M0 + m_j, with one
-    batched Euler pass, one stacked evaluation of F and one B-column
-    solve_lipschitz per sweep, the driver seeing each column's own m.  The
-    root Z of each column, the gradient of u along M, is kept next to u.
+    sweeps of at most SWEEP_BYTES: column j runs on M0 + m_j, with one
+    batched Euler pass, one stacked evaluation of F and one streamed B-column
+    sweep of _levels each, the driver seeing each column's own m.  Only the
+    root's Y and Z are read: the root Z of each column, the gradient of u
+    along M, is kept next to u.
     """
     lo, _ = tree.level_slice(t_idx)
     sub, order = extract_subtree(tree, lo)
     M0 = AdaptedProcess(sub, M.values[order] - M.values[lo])
     clock = predictable_bracket(sub, M0)
     m_grid = np.asarray(m_grid, dtype=float)
-    width = columns_per_sweep(
-        sub, _scan_column_bytes(sub, 0 if coeffs is None else coeffs.n),
-        SCAN_SWEEP_BYTES)
+    width = columns_per_sweep(sub, 0 if coeffs is None else coeffs.n)
     u = np.empty(len(m_grid))
     z = np.empty(len(m_grid))
     for a in range(0, len(m_grid), width):

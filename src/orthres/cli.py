@@ -450,7 +450,7 @@ def _run_cascade(cfg):
                                  for i, s in enumerate(trace.stages)]}
     summary = {
         "Y0": sol.Y0,
-        "y_sup": sol.diagnostics["y_sup"],
+        "y_sup": sol.y_sup,
         "bracketNN_T": sol.bracketNN_T,
         # the BMO norm of Z.M + N, which the quadratic theory needs bounded
         "bmo_norm": sol.bmo_norm(),

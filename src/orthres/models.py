@@ -242,8 +242,8 @@ def build_time_changed(config):
     agree.  The rounding is ``np.round``, or Python's ``round`` when h_cap <
     h0 caps every step (the two differ on a few doubles in 10,000): the
     scalar loop this replaced rounded numpy floats one way and Python floats
-    the other.  A node's M is its first candidate; the state stepped from it
-    is its last.
+    the other.  A node's M is its first candidate, and its children step
+    from that M.
     """
     K, T = config.K, config.T
     kappa = float(config.params.get("kappa", 1.0))
@@ -262,11 +262,9 @@ def build_time_changed(config):
         children, first = _first_appearance(keys)
         if n + len(first) > node_cap():
             raise NodeCapExceeded(n + len(first), node_cap())
-        # the last candidate of each child is the first of the reversed ones
-        _, last = np.unique(children[::-1], return_index=True)
         echild.append(n + children)
-        mvals.append(cand[first])
-        m = cand[len(cand) - 1 - last]
+        m = cand[first]
+        mvals.append(m)
         n += len(first)
     level_start = np.cumsum([0] + [len(v) for v in mvals])
     nt = int(level_start[-2])

@@ -166,7 +166,9 @@ def test_solution_diagnostics_shape():
     prof = sol.cond_var_profile()
     assert len(prof) == tree.K + 1
     assert sol.bmo_norm() >= prof[-1] == 0.0
-    assert d["y_sup"] == sol.y_sup
+    # y_sup is the solution's property, not a diagnostic as well
+    assert set(d) == {"fixed_point_iters"}
+    assert sol.y_sup == float(np.max(np.abs(sol.Y.values)))
 
 
 # -- per-node references for the vectorised solver ---------------------------
@@ -942,26 +944,26 @@ def test_regularity_scan_sweeps_equal_per_column_solves(columns, drv, F,
                                                         coeffs, monkeypatch):
     """u and the root Z equal per-column 1-D solves bit for bit, whatever the
     sweep width, and a grid wider than one sweep issues ceil(count/width)
-    solves."""
+    sweeps."""
     built = build(ModelConfig("trinomial", K=10))
     tree, M = built.tree, built.M
     grid = np.linspace(-1.0, 1.0, 7)
     x = None if coeffs is None else np.linspace(0.25, -0.5, coeffs.n)
     lo, _ = tree.level_slice(3)
     sub, _ = forward.extract_subtree(tree, lo)
-    col_bytes = bsde._scan_column_bytes(
-        sub, 0 if coeffs is None else coeffs.n)
+    n_x = 0 if coeffs is None else coeffs.n
     if columns is not None:
         width = len(grid) if columns == "all" else columns
-        monkeypatch.setattr(bsde, "SCAN_SWEEP_BYTES", width * col_bytes)
-    width = bsde.columns_per_sweep(sub, col_bytes, bsde.SCAN_SWEEP_BYTES)
+        monkeypatch.setattr(bsde, "SWEEP_BYTES",
+                            width * bsde._stream_bytes(sub, n_x))
+    width = bsde.columns_per_sweep(sub, n_x)
     want = _scan_per_column(tree, M, 3, grid, F, drv, coeffs, x)
-    calls = {"solve": 0}
-    monkeypatch.setattr(bsde, "solve_lipschitz",
-                        _counting(calls, "solve", solve_lipschitz))
+    calls = {"sweep": 0}
+    monkeypatch.setattr(bsde, "_levels",
+                        _counting(calls, "sweep", bsde._levels))
     scan = regularity_scan(tree, M, 3, grid, F, drv, coeffs=coeffs,
                            x_value=x)
-    assert calls["solve"] == math.ceil(len(grid) / width)
+    assert calls["sweep"] == math.ceil(len(grid) / width)
     assert np.array_equal(scan.u, [s.Y0 for s in want])
     assert np.array_equal(scan.z, [s.Z.values[0, 0] for s in want])
 
@@ -975,8 +977,7 @@ def test_regularity_scan_extracts_once_and_clocks_once(monkeypatch):
     lo, _ = tree.level_slice(4)
     # two columns per sweep: the 5 points take 3 sweeps
     sub, _ = forward.extract_subtree(tree, lo)
-    monkeypatch.setattr(bsde, "SCAN_SWEEP_BYTES",
-                        2 * bsde._scan_column_bytes(sub, 1))
+    monkeypatch.setattr(bsde, "SWEEP_BYTES", 2 * bsde._stream_bytes(sub, 1))
     # the per-point restart the scan replaced: extract, shift, clock, solve
     per_point = []
     for m in grid:
@@ -989,18 +990,18 @@ def test_regularity_scan_extracts_once_and_clocks_once(monkeypatch):
     want = [s.Y0 for s in _scan_per_column(tree, M, 4, grid, F, drv,
                                            coeffs, [0.0])]
 
-    calls = {"clock": 0, "extract": 0, "solve": 0}
+    calls = {"clock": 0, "extract": 0, "sweep": 0}
     clock_fn = _counting(calls, "clock", predictable_bracket)
     extract_fn = _counting(calls, "extract", forward.extract_subtree)
     for mod in ("orthres.ftree", "orthres.bsde"):
         monkeypatch.setattr(f"{mod}.predictable_bracket", clock_fn)
     for mod in ("orthres.forward", "orthres.bsde"):
         monkeypatch.setattr(f"{mod}.extract_subtree", extract_fn)
-    monkeypatch.setattr(bsde, "solve_lipschitz",
-                        _counting(calls, "solve", solve_lipschitz))
+    monkeypatch.setattr(bsde, "_levels",
+                        _counting(calls, "sweep", bsde._levels))
     scan = regularity_scan(tree, M, 4, grid, F, drv, coeffs=coeffs,
                            x_value=[0.0])
-    assert calls == {"clock": 1, "extract": 1, "solve": 3}
+    assert calls == {"clock": 1, "extract": 1, "sweep": 3}
     assert np.array_equal(scan.u, want)
     # the shared clock moves u by a few ulps at most
     npt.assert_allclose(scan.u, per_point, rtol=0, atol=1e-15)
@@ -1013,21 +1014,32 @@ def test_regularity_scan_root_z_is_the_central_difference(monkeypatch):
     built = build(ModelConfig("trinomial", K=12))
     tree, M = built.tree, built.M
     grid = np.linspace(-0.5, 0.5, 6)
-    sols = []
+    lo, _ = tree.level_slice(5)
+    sub, order = forward.extract_subtree(tree, lo)
+    m0 = M.scalar[order] - M.scalar[lo]
+    # two columns per sweep: the 6 points take 3 sweeps
+    monkeypatch.setattr(bsde, "SWEEP_BYTES", 2 * bsde._stream_bytes(sub, 1))
+    # level 1's y and the root's Z of every sweep
+    sweeps = []
 
-    def keep(*args, **kwargs):
-        sols.append(solve_lipschitz(*args, **kwargs))
-        return sols[-1]
-    monkeypatch.setattr(bsde, "solve_lipschitz", keep)
+    def keep(steps, take=None):
+        seen = {}
+        sweeps.append(seen)
+
+        def record(k, a, b, y, z, z_arg):
+            seen[k] = (y.copy(), z.copy())
+        return consume(steps, record)
+    consume = bsde._consume
+    monkeypatch.setattr(bsde, "_consume", keep)
     scan = regularity_scan(tree, M, 5, grid, sine(),
                            driver_from_catalog("pure_quadratic", gamma=1.0),
                            coeffs=forward.identity(), x_value=[0.0])
-    y, z = (np.concatenate([getattr(s, a).values for s in sols], axis=1)
-            for a in ("Y", "Z"))
-    sub, m0 = sols[0].tree, sols[0].M.scalar
+    assert len(sweeps) == 3
+    y = np.concatenate([s[1][0] for s in sweeps], axis=1)
+    z = np.concatenate([s[0][1] for s in sweeps], axis=1)
     a, b = sub.level_slice(1)
-    up, down = a + np.argmax(m0[a:b]), a + np.argmin(m0[a:b])
-    h = (m0[up] - m0[down]) / 2
+    up, down = np.argmax(m0[a:b]), np.argmin(m0[a:b])
+    h = (m0[a + up] - m0[a + down]) / 2
     npt.assert_allclose(z[0], (y[up] - y[down]) / (2 * h), rtol=0, atol=1e-12)
     assert np.array_equal(scan.z, z[0])
     dm = grid[1] - grid[0]
@@ -1085,9 +1097,23 @@ _batch_args = (st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
                st.sampled_from([1.0, 1e-8, 0.0]))
 
 
+def _per_level_bracket(sol):
+    """E[[N]_T] of a 1-D solve summed per level, then in level order."""
+    tree = sol.tree
+    res = _kernels.edge_sum(tree, tree.eprob * sol.dN * sol.dN, 0,
+                            tree.n_nonterminal)
+    bracket = 0.0
+    for k in range(tree.K - 1, -1, -1):
+        a, b = tree.level_slice(k)
+        bracket = bracket + np.sum(tree.path_prob[a:b] * res[a:b])
+    return bracket
+
+
 @settings(max_examples=60, deadline=None)
 @given(*_batch_args)
 def test_batched_columns_equal_1d_solves(seed, K, B, u, share, zscale):
+    """Each column of a batch of any width 1..6 on a random full tree is its
+    1-D solve, whose E[[N]_T] sums per level, then in level order."""
     tree, M, clock, zeta, ky, b, kz, c0 = _batch_setup(
         seed, K, B, u, share, zscale)
     batch = solve_lipschitz(tree, M, clock, None, zeta,
@@ -1101,6 +1127,7 @@ def test_batched_columns_equal_1d_solves(seed, K, B, u, share, zscale):
         assert np.array_equal(batch.Z.values[:, j], one.Z.values[:, 0])
         assert np.array_equal(batch.dN[:, j], one.dN)
         assert batch.bracketNN_T[j] == one.bracketNN_T
+        assert one.bracketNN_T == _per_level_bracket(one)
         assert batch.Y0[j] == one.Y0
 
 
@@ -1124,12 +1151,13 @@ def test_levels_columns_equal_solo_solves(seed, K, B, u, share, zscale):
             assert np.array_equal(z[:, j], one.Z.values[a:b_, 0])
             assert np.array_equal(z_arg[:, j], clock.q.values.reshape(
                 -1)[a:b_] * one.Z.values[a:b_, 0])
-    bracket, y0 = bsde._consume(bsde._levels(
+    bracket, root = bsde._consume(bsde._levels(
         tree, M, clock, None, zeta, _y_part_driver(ky, b, kz, c0)), check)
     assert seen == list(range(K - 1, -1, -1))
+    assert root[:3] == (0, 0, 1)
     for j, one in enumerate(solos):
         assert bracket[j] == one.bracketNN_T
-        assert y0[j] == one.Y0
+        assert root[3][0, j] == one.Y0
 
 
 @settings(max_examples=40, deadline=None)
@@ -1249,9 +1277,8 @@ def test_batched_campaign_rows_equal_per_seed_rows(seed, budget,
 def test_sweep_budget_holds_50_streamed_columns_at_K256():
     tree = build(ModelConfig("trinomial", K=256)).tree
     assert bsde.columns_per_sweep(tree) == 50
-    # one column: seven arrays of the widest level's 1533 edges and the
-    # open residual chunk
-    assert bsde._stream_bytes(tree) == 8 * (bsde.RESIDUAL_CHUNK + 7 * 1533)
+    # one column: nine arrays of the widest level's 1533 edges
+    assert bsde._stream_bytes(tree) == 8 * 9 * 1533
     assert 50 * bsde._stream_bytes(tree) <= bsde.SWEEP_BYTES
 
 
@@ -1278,3 +1305,35 @@ def test_streamed_compare_keeps_no_full_size_column():
     per_column = (peak(34) - peak(2)) / 64
     assert per_column <= bsde._stream_bytes(tree)
     assert per_column < 8 * (tree.n_nodes + tree.n_nonterminal) / 4
+
+
+def test_benchmark_scan_runs_one_streamed_sweep(monkeypatch):
+    """The 41-point restart scan at trinomial K = 128, t_idx = 48 fits one
+    sweep: one Euler pass and one _levels sweep, each column adding at most
+    what _stream_bytes budgets for it, its X included."""
+    built = build(ModelConfig("trinomial", K=128))
+    tree, M = built.tree, built.M
+    lo, _ = tree.level_slice(48)
+    sub, _ = forward.extract_subtree(tree, lo)
+    drv = driver_from_catalog("pure_quadratic", gamma=1.0)
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            regularity_scan(tree, M, 48, np.linspace(-1.0, 1.0, count),
+                            sine(), drv, coeffs=forward.identity(),
+                            x_value=[0.0])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_column = (peak(41) - peak(2)) / 39
+    assert per_column <= bsde._stream_bytes(sub, 1)
+    calls = {"euler": 0, "sweep": 0}
+    monkeypatch.setattr(bsde, "euler_forward",
+                        _counting(calls, "euler", forward.euler_forward))
+    monkeypatch.setattr(bsde, "_levels",
+                        _counting(calls, "sweep", bsde._levels))
+    regularity_scan(tree, M, 48, np.linspace(-1.0, 1.0, 41), sine(), drv,
+                    coeffs=forward.identity(), x_value=[0.0])
+    assert calls == {"euler": 1, "sweep": 1}
+

@@ -239,8 +239,8 @@ def reference_time_changed(config):
     states per level, merged through ``TreeBuilder`` on ``round(m, 12)``,
     which is numpy's rounding on a numpy float and Python's on a Python
     float (the states stay Python floats only when h_cap < h caps every
-    step).  A node's M is its first candidate; the state stepped from it is
-    its last, since ``nxt[cid]`` is overwritten."""
+    step).  A node's M is its first candidate, and its children step from
+    it: ``nxt[cid]`` keeps the first."""
     K, T = config.K, config.T
     kappa = float(config.params.get("kappa", 1.0))
     h0 = float(config.params.get("h", np.sqrt(T / K)))
@@ -258,7 +258,7 @@ def reference_time_changed(config):
                 cid = b.child(nid, 0.5, key=round(mc, 12))
                 if cid == len(mvals):
                     mvals.append(mc)
-                nxt[cid] = mc
+                nxt.setdefault(cid, mc)
         b.end_level()
         states = nxt
     return b.build(), np.array(mvals)
@@ -290,8 +290,7 @@ def time_changed_configs(draw):
 def test_time_changed_matches_reference_builder(config):
     tree, mvals = reference_time_changed(config)
     if not is_martingale(tree, AdaptedProcess(tree, mvals), 1e-12):
-        # a merged node keeps its first candidate's M but steps from its
-        # last, and both builders refuse the result alike
+        # both builders refuse a tree that is not a martingale alike
         with pytest.raises(ModelError, match="not a martingale"):
             build(config)
         return
@@ -301,6 +300,15 @@ def test_time_changed_matches_reference_builder(config):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), name
     assert built.M.values.tobytes() == mvals[:, None].tobytes()
+
+
+def test_time_changed_merged_nodes_step_from_their_own_M():
+    """Candidates merged on their rounded key agree only to 12 decimals, so
+    a merged node's children step from its recorded M: stepping from
+    another of its candidates misses the martingale property by 1.25e-12
+    on this config."""
+    built = build(ModelConfig("time_changed", K=12, params={"kappa": 1e-11}))
+    assert is_martingale(built.tree, built.M, 1e-12)
 
 
 def test_time_changed_cap_checked_per_level(monkeypatch):
