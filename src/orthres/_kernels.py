@@ -24,8 +24,9 @@ and the weights of the range's own edges, (E,) or (E, C) for C reweightings
 at once with one result column each, since the dual DP forms its weights
 level by level.
 
-Only the scalar-martingale (d = 1) projections are kernelized; general-d
-paths stay in numpy at the call sites since they only run on small trees.
+The projections are scalar-martingale (d = 1) only, as are the solvers and
+the decomposition that call them; a d-general per-node ``pinv`` loop is kept
+with the tests as a reference.
 """
 
 import numpy as np
@@ -33,6 +34,9 @@ import numpy as np
 # There is no compiled path; perfbench/worker.py records this flag with
 # each measurement.
 NUMBA_ENABLED = False
+# dY is projected on dM only where E[dm^2 | node] > PROJ_EPS, and Z is 0
+# elsewhere; the dual DP holds q and dC to the same threshold
+PROJ_EPS = 1e-14
 
 
 def _segments(tree, lo, hi):

@@ -3,11 +3,10 @@
 inf-convolution cascade kept as its own experiment, the dual control
 representation, comparison checks, and the vanishing-N experiment.
 
-Scalar martingales only (d = 1): every shipped model is one-dimensional and
-the multi-dimensional decomposition lives in the gkw module.
+Scalar martingales only (d = 1), as is the decomposition in the gkw module:
+every shipped model is one-dimensional.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +19,6 @@ from . import models as _models
 from .forward import euler_forward, extract_subtree
 
 FP_TOL = 1e-12
-PROJ_EPS = 1e-14
 # cascade: a decrease in n larger than MONOTONE_GUARD is a solver failure
 MONOTONE_GUARD = 1e-6
 # dual DP: the tilt nu is searched on DUAL_NU_POINTS points of [-p, p] next
@@ -252,8 +250,8 @@ def columns_per_sweep(tree, n_x=0):
 @dataclass
 class BsdeSolution:
     """One solve, or a batch of B independent solves on one tree: then zeta
-    is (leaves, B), Y and Z have B columns and bracketNN_T is (B,).  dN is
-    closed on first read."""
+    is (leaves, B), Y, Z and dN2 have B columns and bracketNN_T is (B,).
+    dN2 is E[dN^2 | node] per non-terminal node, as the solve formed it."""
 
     tree: object
     M: AdaptedProcess
@@ -262,6 +260,7 @@ class BsdeSolution:
     driver: DriverSpec
     Y: AdaptedProcess
     Z: PredictableField
+    dN2: np.ndarray
     bracketNN_T: object
     diagnostics: dict = field(default_factory=dict)
 
@@ -280,35 +279,20 @@ class BsdeSolution:
         y = self.Y.values
         return float(max(y.max(), -y.min()))
 
-    @functools.cached_property
-    def dN(self):
-        """Per-edge residual dN = dY - Z dM, (edges,) or (edges, B)."""
-        tree = self.tree
-        nt = tree.n_nonterminal
-        y = self._cols(self.Y)
-        dn = np.empty((len(tree.echild),) + y.shape[1:])
-        _kernels.edge_residuals_d1(
-            tree, _kernels.edge_increments(tree, self.M.scalar), y,
-            _kernels.backward_expect(tree, y, 0, nt), self._cols(self.Z),
-            0, nt, dn)
-        return dn
-
     def cond_var_profile(self):
         """Backward max of E[sum_{j>=k} (|Zq*|^2 dC + dN^2) | node] per level
-        k = 0..K of a single solve, from the stored Z, dN and the clock's
+        k = 0..K of a single solve, from the stored Z and dN2 and the clock's
         Sigma (d = 1)."""
         tree = self.tree
         nt = tree.n_nonterminal
         z = self.Z.values[:, 0]
         zsq_term = z * z * self.clock.sigma.reshape(nt)  # |Z q*|^2 dC
-        res_node = _kernels.edge_sum(tree, tree.eprob * self.dN * self.dN,
-                                     0, nt)
         R = np.zeros(tree.n_nodes)
         prof = np.zeros(tree.K + 1)
         for k in range(tree.K - 1, -1, -1):
             lo, hi = tree.level_slice(k)
             R[lo:hi] = (_kernels.backward_expect(tree, R, lo, hi)
-                        + zsq_term[lo:hi] + res_node[lo:hi])
+                        + zsq_term[lo:hi] + self.dN2[lo:hi])
             prof[k] = float(np.max(R[lo:hi]))
         return prof
 
@@ -352,15 +336,15 @@ def _leaf_values(tree, zeta):
 def _levels(tree, M, clock, X, zeta, driver):
     """The backward sweep of solve_lipschitz, one level at a time.
 
-    Yields ``(k, a, b, y, z, z_arg)`` for k = K-1 .. 0: level k's nodes
-    [a, b), their y and Z, and the z the driver was evaluated at, q Z; the
-    consumer must not write to them.  Only the level below's y and the
-    level's own per-edge dy are held: once the consumer has taken a level,
-    its E[dN^2 | node] is formed and path_prob times it summed into
-    E[[N]_T], which (a float, or (B,) for a batch) is returned once level 0
-    has been consumed.  Each column thus sums per level, then in level
-    order, as its 1-D solve does.  Every check of solve_lipschitz is made
-    here."""
+    Yields ``(k, a, b, y, z, z_arg, res)`` for k = K-1 .. 0: level k's
+    nodes [a, b), their y and Z, the z the driver was evaluated at, q Z, and
+    their E[dN^2 | node]; the consumer must not write to them.  Only the
+    level below's y and the level's own per-edge dy are held: E[dN^2 | node]
+    is formed from that dy, which it overwrites, and path_prob times it is
+    summed into E[[N]_T], which (a float, or (B,) for a batch) is returned
+    once level 0 has been consumed.  Each column thus sums per level, then
+    in level order, as its 1-D solve does.  Every check of solve_lipschitz
+    is made here."""
     if M.dim != 1:
         raise NotImplementedError("backward solvers are scalar-martingale only")
     zeta = _leaf_values(tree, zeta)
@@ -384,7 +368,7 @@ def _levels(tree, M, clock, X, zeta, driver):
     dC = dC[col]
     qdiag = clock.q.values.reshape(nt, -1)[:, 0][col]  # q[0,0] for d = 1
     s2 = clock.sigma.reshape(nt)[col]                  # E[dm^2 | node]
-    projects = s2 > PROJ_EPS
+    projects = s2 > _kernels.PROJ_EPS
     s2_safe = np.where(s2 > 0, s2, 1.0)
     path_prob = tree.path_prob[col]
     t = tree.grid.t
@@ -411,10 +395,10 @@ def _levels(tree, M, clock, X, zeta, driver):
             ok = miss <= FP_TOL * np.maximum(1.0, np.abs(y))
             if not ok.all():
                 raise _step_miss(k, miss, y, ok, driver.y_part)
-        yield k, a, b, y, z, z_arg
-        base = a
         res = _kernels.residual_moments_d1(tree, dm, dy, z, a, b)[1]
         bracket = bracket + _column_sums(path_prob[a:b] * res)
+        base = a
+        yield k, a, b, y, z, z_arg, res
     bad = np.flatnonzero(~np.isfinite(bracket))
     if bad.size:
         where = f" in column {bad[0]}" if zeta.ndim == 2 else ""
@@ -425,7 +409,7 @@ def _levels(tree, M, clock, X, zeta, driver):
 
 
 def _consume(steps, take=None):
-    """Run a _levels sweep, calling take(k, a, b, y, z, z_arg) on each
+    """Run a _levels sweep, calling take(k, a, b, y, z, z_arg, res) on each
     level; its E[[N]_T] and the root level's tuple."""
     while True:
         try:
@@ -455,8 +439,8 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
     step misses.  E[dN^2 | node] is closed per level from the projection's
     per-edge dy and summed into E[[N]_T] on that level, and a non-finite
     E[[N]_T] raises InvariantViolation (naming the first such column of a
-    batch).  The levels come from ``_levels``; this stores their
-    Y and Z at full size, and dN is computed when first read.
+    batch).  The levels come from ``_levels``; this stores their Y, Z and
+    E[dN^2 | node] at full size.
 
     Every experiment but ``cascade`` solves with it or streams ``_levels``:
     the zero driver's step is the closure y = E[y'] and its E[[N]_T] the GKW
@@ -468,16 +452,18 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
     yvals = np.empty((tree.n_nodes,) + zeta.shape[1:])
     yvals[tree.level_start[tree.K]:] = zeta
     zall = np.empty((nt,) + zeta.shape[1:])
+    dn2 = np.empty((nt,) + zeta.shape[1:])
 
-    def store(k, a, b, y, z, z_arg):
+    def store(k, a, b, y, z, z_arg, res):
         yvals[a:b] = y
         zall[a:b] = z
+        dn2[a:b] = res
     bracket, _ = _consume(_levels(tree, M, clock, X, zeta, driver), store)
     return BsdeSolution(
         tree=tree, M=M, clock=clock, zeta=zeta, driver=driver,
         Y=AdaptedProcess(tree, yvals),
         Z=PredictableField(tree, zall.reshape(nt, -1)),
-        bracketNN_T=bracket,
+        dN2=dn2, bracketNN_T=bracket,
         # the step is closed-form: no fixed-point iterations at any level
         diagnostics={"fixed_point_iters": [0] * tree.K})
 
@@ -490,16 +476,16 @@ class CascadeTrace:
     certified: bool = False
 
 
-def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
+def solve_quadratic(tree, M, clock, X, zeta, driver, p=1,
                     n_list=(4, 8, 16, 32)):
     """Approximation cascade for a nonnegative quadratic-growth driver.
 
     The cascade is the existence device of the quadratic theory; only the
     ``cascade`` experiment runs it, and every other experiment solves a
     quadratic driver directly with solve_lipschitz.  A nonnegative driver
-    needs no regularised negative part, so the truncation index only sets
+    needs no regularised negative part, so the truncation index p only sets
     where the n-sweep starts: the driver is inf-convolved along ``n_list``
-    from n = max(p_list[0], lip_y), giving monotone increasing solutions.
+    from n = max(p, lip_y), giving monotone increasing solutions.
     The sweep stops at the first stage whose own projection stays where the
     closed-form envelope is the quadratic, max|q Z| <= n/gamma: that stage
     is the direct solve bit for bit (with gamma = 0, the first stage is),
@@ -516,7 +502,6 @@ def solve_quadratic(tree, M, clock, X, zeta, driver, p_list=(1, 2, 4, 8),
     if not np.all(np.isfinite(zeta)):
         raise InvariantViolation("terminal condition must be bounded")
     trace = CascadeTrace()
-    p = p_list[0]
     n_min = max(p, driver.lip_y)
     q = clock.q.values.reshape(tree.n_nonterminal, -1)[:, 0]  # d = 1
     prev_y = None
@@ -593,7 +578,7 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
         m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)[1]
         dck = dC[a:bb]
         qk = qdiag[a:bb]
-        ok = (qk > PROJ_EPS) & (dck > PROJ_EPS)
+        ok = (qk > _kernels.PROJ_EPS) & (dck > _kernels.PROJ_EPS)
         z_hat = np.where(ok, m1 / np.where(ok, qk * dck, 1.0), 0.0)
         etak = eta_at(eta, tree.grid.t[k])
         # one column per candidate nu: the analytic maximizer, then the grid
@@ -665,7 +650,7 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11, pre_tol=1e-12):
     worst = diff[node, pairs]
     node = node + tree.level_start[tree.K]
     worst_pre = np.zeros(h)
-    for k, a, b, y, z, z_arg in _levels(tree, M, clock, X, zeta, driver):
+    for k, a, b, y, z, z_arg, _ in _levels(tree, M, clock, X, zeta, driver):
         xk = X.values[a:b] if X is not None else None
         if xk is not None and xk.ndim == 3:
             xk = np.concatenate([xk[..., lower]] * 2, axis=-1)
@@ -698,6 +683,17 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11, pre_tol=1e-12):
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
+
+def setup_problem(model, coeffs=None, x0=0.0):
+    """Build ``model`` and clock it, with the forward X of ``coeffs`` from
+    x0 if given: (tree, M, clock, X), X None without coefficients."""
+    built = _models.build(model)
+    tree, M = built.tree, built.M
+    clock = predictable_bracket(tree, M)
+    X = None if coeffs is None else euler_forward(tree, M, clock, coeffs,
+                                                  np.atleast_1d(x0))
+    return tree, M, clock, X
+
 
 def _terminal_values(tree, M, X, F, shifts=None):
     """F at the leaves, of (X, M) when its arity is theirs and of M otherwise:
@@ -755,21 +751,16 @@ class VanishingNReport:
 
 
 def vanishing_N_experiment(config_for, coeffs, F, driver, eps_list, K_list,
-                           x0=0.0, moll_nodes=64):
+                           x0=0.0):
     """Residual of the BSDE solution for raw and mollified terminal data
     across mesh refinements: per K, one streamed sweep of solve_lipschitz's
     levels with the raw column and one column per eps."""
     from .mollify import mollify
 
     report = VanishingNReport()
-    maps = [F] + [mollify(F, eps, moll_nodes) for eps in eps_list]
+    maps = [F] + [mollify(F, eps) for eps in eps_list]
     for K in K_list:
-        built = _models.build(config_for(K))
-        tree, M = built.tree, built.M
-        clock = predictable_bracket(tree, M)
-        X = None
-        if coeffs is not None:
-            X = euler_forward(tree, M, clock, coeffs, np.atleast_1d(x0))
+        tree, M, clock, X = setup_problem(config_for(K), coeffs, x0)
         zeta = np.column_stack([_terminal_values(tree, M, X, Fe)
                                 for Fe in maps])
         bracket, root = _consume(_levels(tree, M, clock, X, zeta, driver))

@@ -382,11 +382,8 @@ def _run_dual_check(cfg):
     points = {}
     for K in cfg.K_list:
         def setup():
-            built = build(config_for(K))
-            tree, M = built.tree, built.M
-            lo, hi = tree.level_slice(tree.K)
-            return (tree, M, predictable_bracket(tree, M),
-                    np.asarray(F(M.values[lo:hi]), dtype=float))
+            tree, M, clock, _ = bsde.setup_problem(config_for(K))
+            return tree, M, clock, bsde._terminal_values(tree, M, None, F)
         tree, M, clock, zeta = _with_coords(setup, model=cfg.model.kind, K=K)
         for p in cfg.p_list:
             def point():
@@ -428,18 +425,11 @@ def _run_cascade(cfg):
         raise ConfigError("cascade needs a quadratic-class driver")
 
     def point():
-        built = build(cfg.model)
-        tree, M = built.tree, built.M
-        clock = predictable_bracket(tree, M)
-        coeffs = cfg.coeffs()
-        X = None
-        if coeffs is not None:
-            X = forward.euler_forward(tree, M, clock, coeffs,
-                                      np.atleast_1d(cfg.x0))
+        tree, M, clock, X = bsde.setup_problem(cfg.model, cfg.coeffs(), cfg.x0)
         zeta = bsde._terminal_values(tree, M, X, F)
         kw = {}
         if cfg.p_list:
-            kw["p_list"] = tuple(cfg.p_list)
+            kw["p"] = cfg.p_list[0]
         if cfg.n_list:
             kw["n_list"] = tuple(cfg.n_list)
         return bsde.solve_quadratic(tree, M, clock, X, zeta, driver, **kw)

@@ -13,6 +13,9 @@ import numpy as np
 from .errors import InvariantViolation
 from .ftree import AdaptedProcess, ScenarioTree, TimeGrid
 
+# largest gap between the states two edges give one recombined node
+CONSISTENCY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SdeCoeffs:
@@ -27,8 +30,7 @@ class SdeCoeffs:
     b: callable
 
 
-def euler_forward(tree, M, clock, coeffs, x0, consistency_tol=1e-9,
-                  shifts=None):
+def euler_forward(tree, M, clock, coeffs, x0, shifts=None):
     """Run the explicit Euler scheme; returns X as an AdaptedProcess.
 
     With ``shifts`` a (B,) array, column j runs on M + shifts[j] and X is
@@ -70,7 +72,7 @@ def euler_forward(tree, M, clock, coeffs, x0, consistency_tol=1e-9,
         if dup.size:
             gap = np.abs(upd[order[dup + 1]] - upd[order[dup]])
             err = gap.max()
-            if err > consistency_tol:
+            if err > CONSISTENCY_TOL:
                 where = (f" in column {np.argwhere(gap == err)[0, 1]}"
                          if g is not None else "")
                 raise InvariantViolation(

@@ -110,8 +110,6 @@ class ScenarioTree:
         return slice(int(self.estart[lo]), int(self.estart[hi]))
 
     def validate(self):
-        if self.n_nodes != self.level_start[-1]:
-            raise InvariantViolation("levels do not partition the node set")
         if np.any(self.eprob <= 0) or np.any(self.eprob > 1):
             raise InvariantViolation("edge probabilities must lie in (0,1]")
         sums = np.zeros(self.n_nodes)

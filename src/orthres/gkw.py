@@ -12,11 +12,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantViolation
-from .ftree import (PredictableField, backward_closure,
-                    conditional_covariances, is_martingale)
+from .ftree import PredictableField, backward_closure, is_martingale
 from . import models
 
-PINV_RCOND = 1e-12
+# largest |E[Y' | node] - Y| that still counts as a martingale
+MARTINGALE_TOL = 1e-9
 
 
 @dataclass
@@ -32,47 +32,31 @@ def martingale_from_terminal(tree, zeta):
     return backward_closure(tree, zeta)
 
 
-def gkw_decompose(tree, M, Y, martingale_tol=1e-9):
-    """Least-squares projection of dY on dM node by node.
+def gkw_decompose(tree, M, Y):
+    """Least-squares projection of dY on dM node by node, for a scalar M.
 
     Y must already be a martingale (take ``martingale_from_terminal`` of the
     terminal variable first).
     """
-    chk = is_martingale(tree, Y, martingale_tol)
+    if M.dim != 1:
+        raise NotImplementedError("the decomposition is scalar-martingale "
+                                  "only")
+    chk = is_martingale(tree, Y, MARTINGALE_TOL)
     if not chk:
         raise InvariantViolation(
             f"Y is not a martingale (violation {chk.max_violation:.3e}); "
             "close the terminal variable with martingale_from_terminal first")
     nt = tree.n_nonterminal
-    d = M.dim
     dn = np.zeros(len(tree.echild))
-    if d == 1:
-        y = Y.scalar
-        m = M.scalar
-        dm = _kernels.edge_increments(tree, m)
-        pdm = tree.eprob * dm
-        ey, m1 = _kernels.level_moments_d1(tree, pdm, y, 0, nt)[:2]
-        s2 = _kernels.edge_sum(tree, pdm * dm, 0, nt)
-        z = np.where(s2 > PINV_RCOND, m1 / np.where(s2 > 0, s2, 1.0), 0.0)
-        res = _kernels.edge_residuals_d1(tree, dm, y, ey, z, 0, nt, dn)
-        Z = z[:, None]
-    else:
-        sigma = conditional_covariances(tree, M)
-        y = Y.scalar
-        Z = np.zeros((nt, d))
-        res = np.zeros(nt)
-        for i in range(nt):
-            e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
-            p = tree.eprob[e0:e1]
-            dm = M.values[tree.echild[e0:e1]] - M.values[i]
-            ey = float(p @ y[tree.echild[e0:e1]])
-            dy = y[tree.echild[e0:e1]] - ey
-            rhs = (p * dy) @ dm
-            Z[i] = np.linalg.pinv(sigma[i], rcond=PINV_RCOND) @ rhs
-            dn[e0:e1] = dy - dm @ Z[i]
-            res[i] = float(p @ dn[e0:e1] ** 2)
+    y = Y.scalar
+    dm = _kernels.edge_increments(tree, M.scalar)
+    pdm = tree.eprob * dm
+    ey, m1 = _kernels.level_moments_d1(tree, pdm, y, 0, nt)[:2]
+    s2 = _kernels.edge_sum(tree, pdm * dm, 0, nt)
+    z = np.where(s2 > _kernels.PROJ_EPS, m1 / np.where(s2 > 0, s2, 1.0), 0.0)
+    res = _kernels.edge_residuals_d1(tree, dm, y, ey, z, 0, nt, dn)
     return GkwResult(
-        Z=PredictableField(tree, Z),
+        Z=PredictableField(tree, z[:, None]),
         dN=dn,
         bracketNN_T=float(np.sum(tree.path_prob[:nt] * res)),
         Y0=float(Y.values[0, 0]),

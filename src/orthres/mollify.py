@@ -135,7 +135,6 @@ class TerminalMap:
 class MollifiedMap:
     base: TerminalMap
     epsilon: float
-    quad_nodes: int
     _gh: tuple = None
 
     def __call__(self, x):
@@ -177,7 +176,7 @@ def mollify(F, eps, quad_nodes=64):
     if F.halfspace is None:
         g, w = np.polynomial.hermite.hermgauss(quad_nodes)
         gh = (g, w)
-    return MollifiedMap(base=F, epsilon=eps, quad_nodes=quad_nodes, _gh=gh)
+    return MollifiedMap(base=F, epsilon=eps, _gh=gh)
 
 
 def clamp(F, n):

@@ -3,8 +3,9 @@
 Each is the plain loop that the library either replaced with a vectorised
 version or never needed outside the tests: the true-tree test, an incremental
 tree builder, exact conditional expectations, the pathwise bracket, a JSON
-round trip, the two-term bracket split, the Markov grouping spread, a
-driver growth check, and the comparison check on two stored solutions.
+round trip, the d-general GKW projection, a solve's per-edge dN, the two-term
+bracket split, the Markov grouping spread, a driver growth check, and the
+comparison check on two stored solutions.
 """
 
 import json
@@ -18,7 +19,7 @@ from orthres.bsde import CompareVerdict, eta_at
 from orthres.cli import _affine_driver, _random_affine_pair
 from orthres.errors import InvariantViolation
 from orthres.ftree import (AdaptedProcess, PredictableField, ScenarioTree,
-                           TimeGrid)
+                           TimeGrid, conditional_covariances)
 
 
 def is_tree(tree):
@@ -189,6 +190,41 @@ def tree_from_json(text):
 # GKW and BSDE checks
 # ---------------------------------------------------------------------------
 
+def gkw_pinv(tree, M, Y):
+    """Projection of dY on dM node by node for an M of any dimension d:
+    Z = pinv(E[dM dM* | node]) E[dY dM | node].  Returns (Z of shape (nt, d),
+    the per-edge dN = dY - dM Z, E[[N]_T])."""
+    sigma = conditional_covariances(tree, M)
+    nt = tree.n_nonterminal
+    y = Y.scalar
+    Z = np.zeros((nt, M.dim))
+    dn = np.zeros(len(tree.echild))
+    res = np.zeros(nt)
+    for i in range(nt):
+        e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
+        p = tree.eprob[e0:e1]
+        dm = M.values[tree.echild[e0:e1]] - M.values[i]
+        dy = y[tree.echild[e0:e1]] - float(p @ y[tree.echild[e0:e1]])
+        Z[i] = np.linalg.pinv(sigma[i], rcond=_kernels.PROJ_EPS) @ (
+            (p * dy) @ dm)
+        dn[e0:e1] = dy - dm @ Z[i]
+        res[i] = float(p @ dn[e0:e1] ** 2)
+    return Z, dn, float(np.sum(tree.path_prob[:nt] * res))
+
+
+def solution_dN(sol):
+    """Per-edge dN = dY - Z dM of a stored solve, (edges,) or (edges, B),
+    projected again over every edge from its Y and Z."""
+    tree = sol.tree
+    nt = tree.n_nonterminal
+    y = sol._cols(sol.Y)
+    dn = np.empty((len(tree.echild),) + y.shape[1:])
+    _kernels.edge_residuals_d1(
+        tree, _kernels.edge_increments(tree, sol.M.scalar), y,
+        _kernels.backward_expect(tree, y, 0, nt), sol._cols(sol.Z), 0, nt, dn)
+    return dn
+
+
 def bracket_split(tree, M, Y, gkw_result, u, markov_tol=1e-9):
     """Two-term split of the discrete covariation sums of [Y, N].
 
@@ -265,7 +301,7 @@ def columns(sol, cols, driver):
     return replace(sol, zeta=sol.zeta[:, cols], driver=driver,
                    Y=AdaptedProcess(sol.tree, sol.Y.values[:, cols]),
                    Z=PredictableField(sol.tree, sol.Z.values[:, cols]),
-                   bracketNN_T=sol.bracketNN_T[cols])
+                   dN2=sol.dN2[:, cols], bracketNN_T=sol.bracketNN_T[cols])
 
 
 def compare(sol1, sol2, tol_cmp=1e-11, pre_tol=1e-12, X=None):

@@ -24,7 +24,8 @@ from orthres.bsde import (DriverSpec, compare, driver_from_catalog,
 
 import reference
 from conftest import random_full_tree, random_martingale, small_trees
-from reference import check_growth, markov_grouping_check, product_noise_coin
+from reference import (check_growth, markov_grouping_check,
+                       product_noise_coin, solution_dN)
 
 
 def binary_setup(K=8, recombine=True):
@@ -196,7 +197,7 @@ def lipschitz_reference(tree, M, clock, zeta, driver, tol=bsde.FP_TOL):
             ey = sum(p[j] * y[c] for j, c in enumerate(ch))
             s2[i] = sum(p[j] * dm[j] ** 2 for j in range(len(ch)))
             m1 = sum(p[j] * dm[j] * (y[c] - ey) for j, c in enumerate(ch))
-            z[i] = m1 / s2[i] if s2[i] > bsde.PROJ_EPS else 0.0
+            z[i] = m1 / s2[i] if s2[i] > _kernels.PROJ_EPS else 0.0
             cur = ey
             for _ in range(10_000):
                 new = ey + float(driver(tree.grid.t[k], None, m[i:i + 1],
@@ -255,7 +256,8 @@ def test_solver_matches_per_node_reference(seed, K, kind, c, kz, scale):
     tol = dict(rtol=1e-9, atol=1e-10)
     npt.assert_allclose(sol.Y.values[:, 0], y, **tol)
     npt.assert_allclose(sol.Z.values[:, 0], z, **tol)
-    npt.assert_allclose(sol.dN, dn, **tol)
+    npt.assert_allclose(solution_dN(sol), dn, **tol)
+    npt.assert_allclose(sol.dN2, res, **tol)
     nt = tree.n_nonterminal
     npt.assert_allclose(sol.bracketNN_T, tree.path_prob[:nt] @ res, **tol)
     npt.assert_allclose(clock.sigma.ravel(), s2, rtol=1e-12, atol=1e-15)
@@ -307,7 +309,8 @@ def test_closed_form_step_matches_fixed_point(seed, K, u, share, b_neg, kz,
     npt.assert_allclose(sol.Y.values[:, 0], y, **tol)
     npt.assert_allclose(sol.Z.values[:, 0] * np.sqrt(s2), z * np.sqrt(s2),
                         **tol)
-    npt.assert_allclose(sol.dN, dn, **tol)
+    npt.assert_allclose(solution_dN(sol), dn, **tol)
+    npt.assert_allclose(sol.dN2, res, **tol)
     nt = tree.n_nonterminal
     npt.assert_allclose(sol.bracketNN_T, tree.path_prob[:nt] @ res, **tol)
     assert sol.diagnostics["fixed_point_iters"] == [0] * K
@@ -443,7 +446,7 @@ def test_cascade_handles_small_n_list():
     tree, M, clock, mterm = binary_setup(K=6)
     drv = driver_from_catalog("pure_quadratic", gamma=1.0)
     sol = solve_quadratic(tree, M, clock, None, 0.1 * mterm, drv,
-                          p_list=(4,), n_list=(1,))
+                          p=4, n_list=(1,))
     assert np.isfinite(sol.Y0)
 
 
@@ -566,7 +569,7 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
         a, bb = tree.level_slice(k)
         m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)[1]
         dck, qk = dC[a:bb], qdiag[a:bb]
-        ok = (qk > bsde.PROJ_EPS) & (dck > bsde.PROJ_EPS)
+        ok = (qk > _kernels.PROJ_EPS) & (dck > _kernels.PROJ_EPS)
         z_hat = np.where(ok, m1 / np.where(ok, qk * dck, 1.0), 0.0)
         etak = bsde.eta_at(eta, tree.grid.t[k])
         best = np.full(bb - a, -np.inf)
@@ -1026,7 +1029,7 @@ def test_regularity_scan_root_z_is_the_central_difference(monkeypatch):
         seen = {}
         sweeps.append(seen)
 
-        def record(k, a, b, y, z, z_arg):
+        def record(k, a, b, y, z, z_arg, res):
             seen[k] = (y.copy(), z.copy())
         return consume(steps, record)
     consume = bsde._consume
@@ -1055,7 +1058,7 @@ def test_cascade_runs_one_sweep_for_nonnegative_driver(drv, monkeypatch):
     tree, M, clock, mterm = binary_setup(K=10)
     zeta = 0.5 * np.clip(mterm, -1, 1)
     # p only sets the first n, so p = 1 alone is the sweep the p-loop repeated
-    once = solve_quadratic(tree, M, clock, None, zeta, drv, p_list=(1,))
+    once = solve_quadratic(tree, M, clock, None, zeta, drv, p=1)
     solves = []
 
     def counting(*args, **kwargs):
@@ -1100,8 +1103,8 @@ _batch_args = (st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
 def _per_level_bracket(sol):
     """E[[N]_T] of a 1-D solve summed per level, then in level order."""
     tree = sol.tree
-    res = _kernels.edge_sum(tree, tree.eprob * sol.dN * sol.dN, 0,
-                            tree.n_nonterminal)
+    dn = solution_dN(sol)
+    res = _kernels.edge_sum(tree, tree.eprob * dn * dn, 0, tree.n_nonterminal)
     bracket = 0.0
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
@@ -1119,23 +1122,49 @@ def test_batched_columns_equal_1d_solves(seed, K, B, u, share, zscale):
     batch = solve_lipschitz(tree, M, clock, None, zeta,
                             _y_part_driver(ky, b, kz, c0))
     assert batch.Y.values.shape == (tree.n_nodes, B)
-    assert batch.dN.shape == (len(tree.echild), B)
+    batch_dn = solution_dN(batch)
+    assert batch_dn.shape == (len(tree.echild), B)
+    assert batch.dN2.shape == (tree.n_nonterminal, B)
     for j in range(B):
         one = solve_lipschitz(tree, M, clock, None, zeta[:, j].copy(),
                               _y_part_driver(ky[j], b[j], kz[j], c0[j]))
         assert np.array_equal(batch.Y.values[:, j], one.Y.values[:, 0])
         assert np.array_equal(batch.Z.values[:, j], one.Z.values[:, 0])
-        assert np.array_equal(batch.dN[:, j], one.dN)
+        assert np.array_equal(batch_dn[:, j], solution_dN(one))
+        assert np.array_equal(batch.dN2[:, j], one.dN2)
         assert batch.bracketNN_T[j] == one.bracketNN_T
         assert one.bracketNN_T == _per_level_bracket(one)
         assert batch.Y0[j] == one.Y0
 
 
 @settings(max_examples=40, deadline=None)
+@given(small_trees(), st.integers(2, 4))
+def test_stored_residual_is_the_reprojected_dN_squared(tm, B):
+    """E[dN^2 | node] as a solve stores it is edge_sum(p dN dN) of the
+    per-edge dN projected again from its Y and Z, bit for bit: for a 1-D
+    solve and for each column of a batch, on every model kind."""
+    tree, M = tm
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(tree.K)
+    zeta = np.column_stack([np.sin((j + 1) * M.scalar[lo:hi])
+                            for j in range(B)])
+    drv = driver_from_catalog("quadratic_mixed", gamma=1.0, b=0.5, eta=0.1)
+    nt = tree.n_nonterminal
+    one = solve_lipschitz(tree, M, clock, None, zeta[:, 0].copy(), drv)
+    batch = solve_lipschitz(tree, M, clock, None, zeta, drv)
+    pairs = [(one.dN2, solution_dN(one))]
+    pairs += zip(batch.dN2.T, solution_dN(batch).T)
+    for got, dn in pairs:
+        want = _kernels.edge_sum(tree, tree.eprob * dn * dn, 0, nt)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=40, deadline=None)
 @given(*_batch_args)
 def test_levels_columns_equal_solo_solves(seed, K, B, u, share, zscale):
     """Each column of a streamed _levels sweep is its own solve_lipschitz:
-    level by level y and Z, then E[[N]_T]."""
+    level by level y, Z and E[dN^2 | node], then E[[N]_T]."""
     tree, M, clock, zeta, ky, b, kz, c0 = _batch_setup(
         seed, K, B, u, share, zscale)
     solos = [solve_lipschitz(tree, M, clock, None, zeta[:, j].copy(),
@@ -1143,12 +1172,13 @@ def test_levels_columns_equal_solo_solves(seed, K, B, u, share, zscale):
              for j in range(B)]
     seen = []
 
-    def check(k, a, b_, y, z, z_arg):
+    def check(k, a, b_, y, z, z_arg, res):
         seen.append(k)
-        assert y.shape == z.shape == (b_ - a, B)
+        assert y.shape == z.shape == res.shape == (b_ - a, B)
         for j, one in enumerate(solos):
             assert np.array_equal(y[:, j], one.Y.values[a:b_, 0])
             assert np.array_equal(z[:, j], one.Z.values[a:b_, 0])
+            assert np.array_equal(res[:, j], one.dN2[a:b_])
             assert np.array_equal(z_arg[:, j], clock.q.values.reshape(
                 -1)[a:b_] * one.Z.values[a:b_, 0])
     bracket, root = bsde._consume(bsde._levels(

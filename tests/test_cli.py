@@ -199,15 +199,18 @@ def test_preflight_sizes_the_model_a_cascade_builds(tmp_path, monkeypatch,
                                                     capsys):
     """A cascade builds the model block's K, not its K_list: K = 64 is over
     a cap of 100 nodes though K = 4 is not, and run stops before building."""
-    from orthres import cli
+    from orthres import cli, models
     monkeypatch.setenv("ORTHRES_NODE_CAP", "100")
     path, _ = write_cfg(
         tmp_path, experiment="cascade", model={"kind": "trinomial", "K": 64},
         K_list=[4], driver={"id": "pure_quadratic", "params": {"gamma": 1.0}})
     assert main(["verify", str(path)]) == 0
     assert f"{64:>6} {65 ** 2:>14}  OVER CAP" in capsys.readouterr().out
-    monkeypatch.setattr(cli, "build",
-                        lambda config: pytest.fail("built past the cap"))
+    # the runners build through cli.build or, via bsde.setup_problem,
+    # models.build
+    for owner in (cli, models):
+        monkeypatch.setattr(owner, "build",
+                            lambda config: pytest.fail("built past the cap"))
     assert main(["run", str(path)]) == 2
     assert "tree would need 4225 nodes" in capsys.readouterr().err
 
@@ -482,7 +485,7 @@ def test_fuzzed_config_ends_in_a_documented_exit_code(exp, mutations):
 
 
 def test_dual_check_builds_and_clocks_once_per_K(tmp_path, monkeypatch):
-    from orthres import bsde, cli
+    from orthres import bsde, models
     from orthres.ftree import predictable_bracket
     from orthres.models import ModelConfig, build
     from orthres.mollify import from_catalog
@@ -519,8 +522,9 @@ def test_dual_check_builds_and_clocks_once_per_K(tmp_path, monkeypatch):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapped
-    monkeypatch.setattr(cli, "build", counting("build", build))
-    monkeypatch.setattr(cli, "predictable_bracket",
+    # dual_check sets each K up with bsde.setup_problem
+    monkeypatch.setattr(models, "build", counting("build", build))
+    monkeypatch.setattr(bsde, "predictable_bracket",
                         counting("clock", predictable_bracket))
     assert main(["run", str(path)]) == 0
     assert calls == {"build": 2, "clock": 2}

@@ -1,15 +1,17 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthres.errors import InvariantViolation
-from orthres.ftree import AdaptedProcess, predictable_bracket
+from orthres.ftree import AdaptedProcess, TimeGrid, predictable_bracket
 from orthres.gkw import gkw_decompose, martingale_from_terminal, residual_sweep
 from orthres.models import ModelConfig, build
 from orthres.mollify import indicator_halfspace, square
 
 from conftest import random_full_tree, random_martingale
-from reference import bracket_split, running_sum
+from reference import TreeBuilder, bracket_split, gkw_pinv, running_sum
 
 
 def trinomial_k1(p=0.25, h=1.0):
@@ -109,6 +111,58 @@ def test_matches_brute_force_least_squares(rng):
         Z_ref, total_ref = brute_force_gkw(tree, M, Y)
         npt.assert_allclose(res.bracketNN_T, total_ref, atol=1e-10)
         npt.assert_allclose(res.Z.values, Z_ref, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(0.2, 2.0))
+def test_matches_pinv_reference(seed, K, scale):
+    """The kernel projection is the per-node pinv loop on scalar M."""
+    rng = np.random.default_rng(seed)
+    tree = random_full_tree(rng, K=K)
+    M = random_martingale(rng, tree, scale)
+    lo, hi = tree.level_slice(K)
+    Y = martingale_from_terminal(tree, np.sin(3.0 * M.scalar[lo:hi])
+                                 + rng.normal(size=hi - lo))
+    res = gkw_decompose(tree, M, Y)
+    Z, dn, bracket = gkw_pinv(tree, M, Y)
+    tol = dict(rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(res.Z.values, Z, **tol)
+    npt.assert_allclose(res.dN, dn, **tol)
+    npt.assert_allclose(res.bracketNN_T, bracket, **tol)
+
+
+def four_child_d2(s1, s2):
+    """One step to the four corners (+-s1, +-s2), each with probability 1/4,
+    and the corner indicator 1{m1 > 0, m2 > 0} closed into a martingale."""
+    b = TreeBuilder(TimeGrid.uniform(1), d=2)
+    b.begin_level()
+    for _ in range(4):
+        b.child(0, 0.25)
+    b.end_level()
+    tree = b.build()
+    M = AdaptedProcess(tree, np.array(
+        [[0, 0], [s1, s2], [s1, -s2], [-s1, s2], [-s1, -s2]], dtype=float))
+    leaves = M.values[1:]
+    Y = martingale_from_terminal(
+        tree, ((leaves[:, 0] > 0) & (leaves[:, 1] > 0)).astype(float))
+    return tree, M, Y
+
+
+def test_decompose_rejects_d2():
+    with pytest.raises(NotImplementedError):
+        gkw_decompose(*four_child_d2(0.3, 0.5))
+
+
+@pytest.mark.parametrize("s1,s2", [(1.0, 1.0), (0.3, 0.5)])
+def test_pinv_reference_d2_corner_indicator(s1, s2):
+    """dY = (3/4, -1/4, -1/4, -1/4) projects on the two coins with weight
+    1/4 each: Z = (1/(4 s1), 1/(4 s2)), and what is left is
+    Var(dY) - 1/8 = 3/16 - 1/8 = 1/16 at any scale."""
+    tree, M, Y = four_child_d2(s1, s2)
+    Z, dn, bracket = gkw_pinv(tree, M, Y)
+    npt.assert_allclose(Z, [[0.25 / s1, 0.25 / s2]], rtol=1e-14)
+    npt.assert_allclose(dn, [0.25, -0.25, -0.25, 0.25], atol=1e-15)
+    npt.assert_allclose(bracket, 0.0625, rtol=1e-14)
 
 
 def test_orthogonality_and_pythagoras(rng):
