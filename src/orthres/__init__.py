@@ -8,7 +8,7 @@ from .ftree import (AdaptedProcess, ClockAndFactor, PredictableField,
                     predictable_bracket)
 from .models import ModelConfig, build
 from .gkw import gkw_decompose, martingale_from_terminal, residual_sweep
-from .mollify import TerminalMap, clamp, l2_gap, lipschitz_scan, mollify
+from .mollify import TerminalMap, l2_gap, lipschitz_scan, mollify
 from .forward import SdeCoeffs, euler_forward, shift_start
 from .bsde import (BsdeSolution, DriverSpec, compare, dual_value,
                    inf_convolve, solve_lipschitz, solve_quadratic,

@@ -19,6 +19,8 @@ from . import models as _models
 from .forward import euler_forward, extract_subtree
 
 FP_TOL = 1e-12
+# compare: a terminal or driver gap below -PRE_TOL breaks a precondition
+PRE_TOL = 1e-12
 # cascade: a decrease in n larger than MONOTONE_GUARD is a solver failure
 MONOTONE_GUARD = 1e-6
 # dual DP: the tilt nu is searched on DUAL_NU_POINTS points of [-p, p] next
@@ -622,7 +624,7 @@ class CompareVerdict:
     reason: str = ""
 
 
-def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11, pre_tol=1e-12):
+def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
     """Comparison check on ordered pairs solved in one streamed sweep.
 
     ``zeta`` is (leaves, B) for an even B, solved with the batch ``driver``;
@@ -665,10 +667,10 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11, pre_tol=1e-12):
         node = np.where(take, a + i, node)
     out = []
     for j in range(h):
-        if zeta_gap[j] < -pre_tol:
+        if zeta_gap[j] < -PRE_TOL:
             out.append(CompareVerdict(False, False, math.inf, -1,
                                       "terminal conditions are not ordered"))
-        elif worst_pre[j] < -pre_tol:
+        elif worst_pre[j] < -PRE_TOL:
             out.append(CompareVerdict(
                 False, False, math.inf, -1,
                 f"drivers are not ordered along (Y2, Z2q*): "

@@ -26,15 +26,22 @@ from .mollify import (CATALOG as TERMINAL_CATALOG,
                       l2_gap, lipschitz_scan,
                       mollify as gaussian_mollify)
 from .errors import ConfigError, OrthresError, NodeCapExceeded
-from .ftree import predictable_bracket
 from .gkw import SweepResult, residual_sweep
 from .models import KINDS, ModelConfig, build, estimate_nodes, node_cap
 
 # Largest grid a regularity or Lipschitz scan may ask for.
 MAX_SCAN_POINTS = 10 ** 6
 
-EXPERIMENTS = ("residual_sweep", "vanishing_N", "dual_check", "cascade",
-               "comparison_campaign", "mollify_sweep", "regularity_scan")
+# Each experiment and the inputs it cannot run without.
+EXPERIMENTS = {
+    "residual_sweep": ("F", "K_list"),
+    "vanishing_N": ("F", "driver", "K_list", "eps_list"),
+    "dual_check": ("F", "driver", "K_list", "p_list"),
+    "cascade": ("F", "driver"),
+    "comparison_campaign": (),
+    "mollify_sweep": ("F", "eps_list"),
+    "regularity_scan": ("F", "driver"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +55,10 @@ class ExperimentConfig:
     # the experiment needs one, or else the model block's K alone
     models: list
     output: str
-    F_id: str = None
-    F_params: dict = field(default_factory=dict)
-    driver_id: str = None
-    driver_params: dict = field(default_factory=dict)
-    coeffs_id: str = None
-    coeffs_params: dict = field(default_factory=dict)
+    # the catalog objects of the F, driver and coeffs blocks, None without one
+    F: object = None
+    driver: object = None
+    coeffs: object = None
     x0: float = 0.0
     K_list: list = field(default_factory=list)
     eps_list: list = field(default_factory=list)
@@ -61,7 +66,12 @@ class ExperimentConfig:
     n_list: list = field(default_factory=list)
     seed: int = 0
     seeds: int = 100
-    tolerances: dict = field(default_factory=dict)
+    # the tolerances of the one experiment that reads each: a regularity
+    # scan's (t_idx, m_grid), a mollify sweep's slope window (scan_lo,
+    # scan_hi, scan_spacing) and a comparison campaign's tol_cmp
+    scan: tuple = None
+    window: tuple = None
+    tol_cmp: float = None
     raw: dict = field(default_factory=dict)
 
     @property
@@ -72,32 +82,6 @@ class ExperimentConfig:
     def config_hash(self):
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-    def terminal_map(self):
-        if self.F_id is None:
-            raise ConfigError("this experiment needs an F block")
-        return terminal_from_catalog(self.F_id, **self.F_params)
-
-    def driver(self):
-        if self.driver_id is None:
-            raise ConfigError("this experiment needs a driver block")
-        return bsde.driver_from_catalog(self.driver_id, **self.driver_params)
-
-    def coeffs(self):
-        if self.coeffs_id is None:
-            return None
-        return forward.from_catalog(self.coeffs_id, **self.coeffs_params)
-
-
-NEEDS = {
-    "residual_sweep": ("F", "K_list"),
-    "vanishing_N": ("F", "driver", "K_list", "eps_list"),
-    "dual_check": ("F", "driver", "K_list", "p_list"),
-    "cascade": ("F", "driver"),
-    "comparison_campaign": (),
-    "mollify_sweep": ("F", "eps_list"),
-    "regularity_scan": ("F", "driver"),
-}
 
 
 def _number(value, name, cast=float):
@@ -122,12 +106,42 @@ def _object(raw, name):
     return block
 
 
-def _lipschitz_window(cfg):
-    """(scan_lo, scan_hi, scan_spacing) of a mollify sweep's slope scan."""
-    tol = cfg.tolerances
-    lo = _number(tol.get("scan_lo", -2.0), "scan_lo")
-    hi = _number(tol.get("scan_hi", 2.0), "scan_hi")
-    spacing = _number(tol.get("scan_spacing", 1e-4), "scan_spacing")
+def _block(raw, name, catalog, make, what):
+    """``make(id, **params)`` of the optional block ``name``, whose id must
+    name an entry of catalog; None without the block."""
+    block = _object(raw, name)
+    if block is None:
+        return None
+    cid = block.get("id")
+    if not isinstance(cid, str) or cid not in catalog:
+        raise ConfigError(f"unknown {what} id {cid!r}")
+    try:
+        return make(cid, **block.get("params", {}))
+    except (TypeError, KeyError, ValueError) as e:
+        raise ConfigError(f"catalog construction failed: {e}")
+
+
+def _scan_grid(tol, K):
+    """(t_idx, m_grid) of a regularity scan, taken out of ``tol``."""
+    t_idx = _number(tol.pop("t_idx", 0), "t_idx", int)
+    lo = _number(tol.pop("m_lo", -1.0), "m_lo")
+    hi = _number(tol.pop("m_hi", 1.0), "m_hi")
+    count = _number(tol.pop("m_count", 21), "m_count", int)
+    if not 0 <= t_idx < K:
+        raise ConfigError(f"t_idx must lie in [0, K) = [0, {K}), "
+                          f"got {t_idx}")
+    if not 2 <= count <= MAX_SCAN_POINTS or not -math.inf < lo < hi < math.inf:
+        raise ConfigError(f"regularity_scan needs 2 <= m_count <= "
+                          f"{MAX_SCAN_POINTS} and finite m_lo < m_hi")
+    return t_idx, np.linspace(lo, hi, count)
+
+
+def _lipschitz_window(tol):
+    """(scan_lo, scan_hi, scan_spacing) of a mollify sweep's slope scan,
+    taken out of ``tol``."""
+    lo = _number(tol.pop("scan_lo", -2.0), "scan_lo")
+    hi = _number(tol.pop("scan_hi", 2.0), "scan_hi")
+    spacing = _number(tol.pop("scan_spacing", 1e-4), "scan_spacing")
     if not (-math.inf < lo < hi < math.inf and 0 < spacing <= hi - lo
             and (hi - lo) / spacing <= MAX_SCAN_POINTS):
         raise ConfigError(
@@ -137,37 +151,14 @@ def _lipschitz_window(cfg):
     return lo, hi, spacing
 
 
-def _catalog_id(block, catalog, what):
-    """The ``id`` of a config block, which must name an entry of catalog."""
-    cid = block.get("id")
-    if not isinstance(cid, str) or cid not in catalog:
-        raise ConfigError(f"unknown {what} id {cid!r}")
-    return cid
-
-
-def _scan_grid(cfg):
-    """(t_idx, m_lo, m_hi, m_count) of a regularity scan, from tolerances."""
-    tol = cfg.tolerances
-    t_idx = _number(tol.get("t_idx", 0), "t_idx", int)
-    lo = _number(tol.get("m_lo", -1.0), "m_lo")
-    hi = _number(tol.get("m_hi", 1.0), "m_hi")
-    count = _number(tol.get("m_count", 21), "m_count", int)
-    if not 0 <= t_idx < cfg.model.K:
-        raise ConfigError(f"t_idx must lie in [0, K) = [0, {cfg.model.K}), "
-                          f"got {t_idx}")
-    if not 2 <= count <= MAX_SCAN_POINTS or not -math.inf < lo < hi < math.inf:
-        raise ConfigError(f"regularity_scan needs 2 <= m_count <= "
-                          f"{MAX_SCAN_POINTS} and finite m_lo < m_hi")
-    return t_idx, lo, hi, count
-
-
 def parse_config(raw):
-    """Validate a decoded JSON dict into an ExperimentConfig."""
+    """Validate a decoded JSON dict into an ExperimentConfig, building its
+    catalog objects."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     exp = raw.get("experiment")
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
+    if not isinstance(exp, str) or exp not in EXPERIMENTS:
+        raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, "
                           f"got {exp!r}")
     mraw = _object(raw, "model")
     if mraw is None or "kind" not in mraw:
@@ -181,21 +172,19 @@ def parse_config(raw):
     if not output or not isinstance(output, str):
         raise ConfigError("config needs an output path prefix")
 
-    cfg = ExperimentConfig(experiment=exp, models=[], output=output,
-                           raw=raw)
-    fr = _object(raw, "F")
-    if fr is not None:
-        cfg.F_id = _catalog_id(fr, TERMINAL_CATALOG, "terminal map")
-        cfg.F_params = dict(fr.get("params", {}))
-    dr = _object(raw, "driver")
-    if dr is not None:
-        cfg.driver_id = _catalog_id(dr, bsde.DRIVER_CATALOG, "driver")
-        cfg.driver_params = dict(dr.get("params", {}))
-    cr = _object(raw, "coeffs")
-    if cr is not None:
-        cfg.coeffs_id = _catalog_id(cr, forward.CATALOG, "coefficient")
-        cfg.coeffs_params = dict(cr.get("params", {}))
-        cfg.x0 = _number(cr.get("x0", 0.0), "x0")
+    cfg = ExperimentConfig(
+        experiment=exp, models=[], output=output, raw=raw,
+        F=_block(raw, "F", TERMINAL_CATALOG, terminal_from_catalog,
+                 "terminal map"),
+        driver=_block(raw, "driver", bsde.DRIVER_CATALOG,
+                      bsde.driver_from_catalog, "driver"),
+        coeffs=_block(raw, "coeffs", forward.CATALOG, forward.from_catalog,
+                      "coefficient"))
+    if cfg.coeffs is not None:
+        cfg.x0 = _number(raw["coeffs"].get("x0", 0.0), "x0")
+        if cfg.coeffs.n != 1:
+            raise ConfigError("x0 is a scalar, so the forward state must "
+                              f"have n = 1, got n = {cfg.coeffs.n!r}")
     # K is a mesh size, eps a mollification variance, p and n are truncation
     # and inf-convolution indices
     for name, ok, want in (
@@ -211,7 +200,7 @@ def parse_config(raw):
         setattr(cfg, name, list(vals))
     # a parameter's range may depend on K, so the model of every K the
     # experiment builds is checked
-    for k in (cfg.K_list if "K_list" in NEEDS[exp] else []) or [K]:
+    for k in (cfg.K_list if "K_list" in EXPERIMENTS[exp] else []) or [K]:
         try:
             cfg.models.append(ModelConfig(
                 kind=mraw["kind"], K=int(k), d=d, T=T,
@@ -225,26 +214,22 @@ def parse_config(raw):
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object")
-    cfg.tolerances = dict(tol)
+    tol = dict(tol)
     if exp == "regularity_scan":
-        _scan_grid(cfg)
-    if exp == "mollify_sweep":
-        _lipschitz_window(cfg)
+        cfg.scan = _scan_grid(tol, cfg.model.K)
+    elif exp == "mollify_sweep":
+        cfg.window = _lipschitz_window(tol)
+    elif exp == "comparison_campaign":
+        cfg.tol_cmp = _number(tol.pop("tol_cmp", 1e-11), "tol_cmp")
+        if not 0 <= cfg.tol_cmp < math.inf:
+            raise ConfigError("tol_cmp must be a finite number >= 0, "
+                              f"got {cfg.tol_cmp!r}")
+    if tol:
+        raise ConfigError(f"{exp} reads no tolerances key {min(tol)!r}")
 
-    for need in NEEDS[exp]:
-        block = {"F": cfg.F_id, "driver": cfg.driver_id}.get(
-            need, getattr(cfg, need, None) or None)
-        if not block:
+    for need in EXPERIMENTS[exp]:
+        if not getattr(cfg, need):
             raise ConfigError(f"experiment {exp!r} requires {need}")
-    try:
-        cfg.terminal_map() if cfg.F_id else None
-        cfg.driver() if cfg.driver_id else None
-        coeffs = cfg.coeffs()
-    except (TypeError, KeyError, ValueError) as e:
-        raise ConfigError(f"catalog construction failed: {e}")
-    if coeffs is not None and coeffs.n != 1:
-        raise ConfigError("x0 is a scalar, so the forward state must have "
-                          f"n = 1, got n = {coeffs.n!r}")
     return cfg
 
 
@@ -310,12 +295,11 @@ def _loglog_slope(x, y):
 
 
 def _run_residual_sweep(cfg):
-    F = cfg.terminal_map()
     config_for = _model_for_K(cfg)
     sweep = SweepResult()
     for K in cfg.K_list:
         sweep.rows += _with_coords(
-            lambda: residual_sweep(config_for, lambda s: F(s), [int(K)]),
+            lambda: residual_sweep(config_for, cfg.F, [int(K)]),
             model=cfg.model.kind, K=K).rows
     rows = [{"K": r.K, "n_nodes": r.n_nodes, "bracketNN_T": r.bracketNN_T,
              "normalized": r.normalized} for r in sweep.rows]
@@ -334,16 +318,13 @@ def _run_residual_sweep(cfg):
 
 
 def _run_vanishing_N(cfg):
-    F = cfg.terminal_map()
-    driver = cfg.driver()
-    coeffs = cfg.coeffs()
     config_for = _model_for_K(cfg)
     report = bsde.VanishingNReport()
     for K in cfg.K_list:
         part = _with_coords(
             lambda: bsde.vanishing_N_experiment(
-                config_for, coeffs, F, driver, cfg.eps_list, [int(K)],
-                x0=cfg.x0),
+                config_for, cfg.coeffs, cfg.F, cfg.driver, cfg.eps_list,
+                [int(K)], x0=cfg.x0),
             model=cfg.model.kind, K=K)
         report.rows.extend(part.rows)
     rows, curves = [], {}
@@ -372,8 +353,7 @@ def _run_vanishing_N(cfg):
 
 
 def _run_dual_check(cfg):
-    F = cfg.terminal_map()
-    driver = cfg.driver()
+    F, driver = cfg.F, cfg.driver
     if driver.klass != "quadratic":
         raise ConfigError("dual_check needs a quadratic-class driver")
     config_for = _model_for_K(cfg)
@@ -419,20 +399,19 @@ def _run_dual_check(cfg):
 
 
 def _run_cascade(cfg):
-    F = cfg.terminal_map()
-    driver = cfg.driver()
-    if driver.klass != "quadratic":
+    if cfg.driver.klass != "quadratic":
         raise ConfigError("cascade needs a quadratic-class driver")
 
     def point():
-        tree, M, clock, X = bsde.setup_problem(cfg.model, cfg.coeffs(), cfg.x0)
-        zeta = bsde._terminal_values(tree, M, X, F)
+        tree, M, clock, X = bsde.setup_problem(cfg.model, cfg.coeffs, cfg.x0)
+        zeta = bsde._terminal_values(tree, M, X, cfg.F)
         kw = {}
         if cfg.p_list:
             kw["p"] = cfg.p_list[0]
         if cfg.n_list:
             kw["n_list"] = tuple(cfg.n_list)
-        return bsde.solve_quadratic(tree, M, clock, X, zeta, driver, **kw)
+        return bsde.solve_quadratic(tree, M, clock, X, zeta, cfg.driver,
+                                    **kw)
     sol = _with_coords(point, model=cfg.model.kind, K=cfg.model.K)
     trace = sol.diagnostics["cascade_trace"]
     rows = [dict(s) for s in trace.stages]
@@ -480,12 +459,9 @@ def _run_comparison_campaign(cfg):
     generator.  A group of h seeds is solved and compared in one streamed
     sweep of 2h columns (every seed's first solve, then every seed's
     second), sized by the sweep byte budget."""
-    built = build(cfg.model)
-    tree, M = built.tree, built.M
-    clock = predictable_bracket(tree, M)
+    tree, M, clock, _ = bsde.setup_problem(cfg.model)
     lo, hi = tree.level_slice(tree.K)
     mterm = M.scalar[lo:hi]
-    tol = _number(cfg.tolerances.get("tol_cmp", 1e-11), "tol_cmp")
     group = max(1, bsde.columns_per_sweep(tree) // 2)
     end = cfg.seed + cfg.seeds
     rows = []
@@ -499,7 +475,8 @@ def _run_comparison_campaign(cfg):
         ky, kz, c0 = np.array(p1 + p2).T
         verdicts = _with_coords(
             lambda: bsde.compare(tree, M, clock, None, zeta,
-                                 _affine_driver(ky, kz, c0), tol_cmp=tol),
+                                 _affine_driver(ky, kz, c0),
+                                 tol_cmp=cfg.tol_cmp),
             model=cfg.model.kind, seeds=f"{seeds[0]}..{seeds[-1]}")
         for seed, verdict in zip(seeds, verdicts):
             worst = max(worst, verdict.worst_violation)
@@ -516,10 +493,10 @@ def _run_comparison_campaign(cfg):
 
 
 def _run_mollify_sweep(cfg):
-    F = cfg.terminal_map()
+    F = cfg.F
     built = build(cfg.model)
     tree, M = built.tree, built.M
-    scan_lo, scan_hi, spacing = _lipschitz_window(cfg)
+    scan_lo, scan_hi, spacing = cfg.window
     rows, curves = [], {"lipschitz_vs_eps": [], "l2_gap_vs_eps": []}
     for eps in cfg.eps_list:
         def point():
@@ -527,7 +504,7 @@ def _run_mollify_sweep(cfg):
             lip = lipschitz_scan(Fe, scan_lo, scan_hi, spacing)
             gap = l2_gap(tree, M, F, Fe)
             return lip, gap
-        lip, gap = _with_coords(point, F=cfg.F_id, eps=eps)
+        lip, gap = _with_coords(point, F=F.id, eps=eps)
         rows.append({"eps": eps, "lipschitz_constant": lip, "l2_gap": gap})
         curves["lipschitz_vs_eps"].append((eps, lip))
         curves["l2_gap_vs_eps"].append((eps, gap))
@@ -541,18 +518,14 @@ def _run_mollify_sweep(cfg):
 
 
 def _run_regularity_scan(cfg):
-    F = cfg.terminal_map()
-    driver = cfg.driver()
-    coeffs = cfg.coeffs()
-    t_idx, lo, hi, count = _scan_grid(cfg)
-    m_grid = np.linspace(lo, hi, count)
+    t_idx, m_grid = cfg.scan
 
     def point():
         built = build(cfg.model)
         return bsde.regularity_scan(
-            built.tree, built.M, t_idx, m_grid, F, driver,
-            coeffs=coeffs, x_value=np.atleast_1d(cfg.x0)
-            if coeffs is not None else None)
+            built.tree, built.M, t_idx, m_grid, cfg.F, cfg.driver,
+            coeffs=cfg.coeffs, x_value=np.atleast_1d(cfg.x0)
+            if cfg.coeffs is not None else None)
     scan = _with_coords(point, model=cfg.model.kind, K=cfg.model.K,
                         t_idx=t_idx)
     rows = [{"m": float(m), "u": float(u)}
@@ -662,10 +635,10 @@ def cmd_verify(args):
     print(f"experiment: {cfg.experiment}")
     print(f"model: {cfg.model.kind} (T={cfg.model.T}, "
           f"params={cfg.model.params})")
-    if cfg.F_id:
-        print(f"terminal map: {cfg.F_id} {cfg.F_params}")
-    if cfg.driver_id:
-        print(f"driver: {cfg.driver_id} {cfg.driver_params}")
+    for name, what in (("F", "terminal map"), ("driver", "driver")):
+        if getattr(cfg, name) is not None:
+            block = cfg.raw[name]
+            print(f"{what}: {block['id']} {block.get('params', {})}")
     print(f"node cap: {cap}")
     print(f"{'K':>6} {'node estimate':>14}  status")
     for p in plan:

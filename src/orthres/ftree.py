@@ -253,11 +253,6 @@ def psd_cholesky_batch(A, tol=PSD_TOL):
     return L
 
 
-def psd_cholesky(A, tol=PSD_TOL):
-    """Lower-triangular factor of a PSD matrix, zeroing rank-deficient columns."""
-    return psd_cholesky_batch(np.asarray(A, dtype=float)[None], tol)[0]
-
-
 def conditional_covariances(tree, M):
     """Sigma_k = E[dM dM* | node] for every non-terminal node, shape (nt,d,d)."""
     nt = tree.n_nonterminal

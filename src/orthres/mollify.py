@@ -16,7 +16,7 @@ numpy 2.4.6, scipy 1.17.1); with ``math.exp`` it differed on none.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,19 +177,6 @@ def mollify(F, eps, quad_nodes=64):
         g, w = np.polynomial.hermite.hermgauss(quad_nodes)
         gh = (g, w)
     return MollifiedMap(base=F, epsilon=eps, _gh=gh)
-
-
-def clamp(F, n):
-    """Pointwise clamp of F to [-n, n]."""
-    if n < 1:
-        raise ValueError("clamp level must be >= 1")
-    base = F
-
-    def ev(x):
-        return np.clip(base(x), -n, n)
-
-    return replace(F, id=f"{F.id}~clamp{n}", evaluator=ev, bound=float(n),
-                   halfspace=None)
 
 
 def lipschitz_scan(F, lo, hi, spacing):

@@ -4,8 +4,9 @@ Each is the plain loop that the library either replaced with a vectorised
 version or never needed outside the tests: the true-tree test, an incremental
 tree builder, exact conditional expectations, the pathwise bracket, a JSON
 round trip, the d-general GKW projection, a solve's per-edge dN, the two-term
-bracket split, the Markov grouping spread, a driver growth check, and the
-comparison check on two stored solutions.
+bracket split, the Markov grouping spread, a driver growth check, the
+comparison check on two stored solutions, a one-matrix PSD factor and a
+clamped terminal map.
 """
 
 import json
@@ -18,8 +19,9 @@ from orthres import _kernels
 from orthres.bsde import CompareVerdict, eta_at
 from orthres.cli import _affine_driver, _random_affine_pair
 from orthres.errors import InvariantViolation
-from orthres.ftree import (AdaptedProcess, PredictableField, ScenarioTree,
-                           TimeGrid, conditional_covariances)
+from orthres.ftree import (PSD_TOL, AdaptedProcess, PredictableField,
+                           ScenarioTree, TimeGrid, conditional_covariances,
+                           psd_cholesky_batch)
 
 
 def is_tree(tree):
@@ -356,3 +358,21 @@ def compare(sol1, sol2, tol_cmp=1e-11, pre_tol=1e-12, X=None):
             out.append(CompareVerdict(True, worst >= -tol_cmp,
                                       max(0.0, -worst), node))
     return out if batch else out[0]
+
+
+def psd_cholesky(A, tol=PSD_TOL):
+    """Lower-triangular factor of a PSD matrix, zeroing rank-deficient columns."""
+    return psd_cholesky_batch(np.asarray(A, dtype=float)[None], tol)[0]
+
+
+def clamp(F, n):
+    """Pointwise clamp of F to [-n, n]."""
+    if n < 1:
+        raise ValueError("clamp level must be >= 1")
+    base = F
+
+    def ev(x):
+        return np.clip(base(x), -n, n)
+
+    return replace(F, id=f"{F.id}~clamp{n}", evaluator=ev, bound=float(n),
+                   halfspace=None)

@@ -94,9 +94,30 @@ def test_estimate_nodes_formulas():
 SCAN = {"experiment": "regularity_scan", "model": {"kind": "trinomial",
                                                   "K": 4},
         "driver": {"id": "pure_quadratic", "params": {"gamma": 1.0}}}
+CAMPAIGN = {"experiment": "comparison_campaign",
+            "model": {"kind": "binary", "K": 4}, "seeds": 2}
+
+# tolerances that verify once passed, and that run then refused or ran with a
+# default or a meaningless value
+TOLERANCE_ERRORS = [
+    pytest.param({**CAMPAIGN, "tolerances": {"tol_cmp": "x"}},
+                 id="tol_cmp_not_number"),
+    pytest.param({**CAMPAIGN, "tolerances": {"tol_cmp": -1}},
+                 id="tol_cmp_negative"),
+    pytest.param({**CAMPAIGN, "tolerances": {"tol_cmp": math.nan}},
+                 id="tol_cmp_nan"),
+    pytest.param({**CAMPAIGN, "tolerances": {"tol_cmp": math.inf}},
+                 id="tol_cmp_infinite"),
+    pytest.param({**SCAN, "tolerances": {"m_cout": 5}},
+                 id="tolerances_key_misspelt"),
+    pytest.param({**CAMPAIGN, "tolerances": {"t_idx": 1}},
+                 id="tolerances_key_of_another_experiment"),
+    pytest.param({"tolerances": {"tol_cmp": 1e-9}},
+                 id="tolerances_key_unread"),
+]
 
 
-@pytest.mark.parametrize("overrides", [
+@pytest.mark.parametrize("overrides", TOLERANCE_ERRORS + [
     pytest.param(None, id="malformed_json"),
     pytest.param({"model": {"kind": "trinomial", "K": "x"}}, id="K_not_int"),
     pytest.param({"model": {"kind": "trinomial", "params": {"p": "abc"}}},
@@ -156,6 +177,55 @@ def test_exit_3_on_malformed_config(tmp_path, capsys, overrides):
     assert main(["run", str(path)]) == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and "\n" not in err
+
+
+@pytest.mark.parametrize("overrides", TOLERANCE_ERRORS)
+def test_verify_exits_3_on_bad_tolerances(tmp_path, capsys, overrides):
+    path, _ = write_cfg(tmp_path, **overrides)
+    assert main(["verify", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_unknown_tolerances_key_is_named(tmp_path, capsys):
+    path, _ = write_cfg(tmp_path, **SCAN, tolerances={"m_cout": 5})
+    assert main(["run", str(path)]) == 3
+    assert "'m_cout'" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_tol_cmp_reaches_the_comparison(tmp_path, monkeypatch):
+    from orthres import bsde
+    real, seen = bsde.compare, []
+
+    def compare(*args, **kwargs):
+        seen.append(kwargs["tol_cmp"])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(bsde, "compare", compare)
+    path, _ = write_cfg(tmp_path, **CAMPAIGN, tolerances={"tol_cmp": 0.25})
+    assert main(["run", str(path)]) == 0
+    assert seen == [0.25]
+
+
+def test_parse_builds_each_catalog_input_once(tmp_path, monkeypatch):
+    """The run reads the objects parse_config built: one F and one driver
+    construction per run."""
+    from orthres import bsde
+    from orthres.mollify import CATALOG
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(**params):
+            calls.append(name)
+            return fn(**params)
+        return wrapped
+    monkeypatch.setitem(CATALOG, "sine", counting("F", CATALOG["sine"]))
+    monkeypatch.setitem(bsde.DRIVER_CATALOG, "pure_quadratic",
+                        counting("driver",
+                                 bsde.DRIVER_CATALOG["pure_quadratic"]))
+    path, _ = write_cfg(tmp_path, **SCAN, F={"id": "sine"},
+                        tolerances={"t_idx": 1, "m_count": 3})
+    assert main(["run", str(path)]) == 0
+    assert sorted(calls) == ["F", "driver"]
 
 
 def test_integral_floats_are_valid_integer_fields():
@@ -442,6 +512,7 @@ def _long_running(raw):
 @example("mollify_sweep", [(("tolerances", "scan_lo"), (2,))])
 @example("mollify_sweep", [(("tolerances", "scan_spacing"), (-1.0,))])
 @example("comparison_campaign", [(("seed",), (-1,))])
+@example("cascade", [(("experiment",), ([],))])
 @example("cascade", [(("F", "id"), ([],))])
 @example("cascade", [(("driver", "id"), ({},))])
 @example("cascade", [(("F", "params"), ({"omega": "x"},))])

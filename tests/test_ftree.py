@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from orthres.errors import InvariantViolation
 from orthres.ftree import (PSD_TOL, AdaptedProcess, TimeGrid,
                            backward_closure, is_martingale,
-                           predictable_bracket, psd_cholesky,
-                           psd_cholesky_batch)
+                           predictable_bracket, psd_cholesky_batch)
 from orthres.models import ModelConfig, build
 
 from conftest import random_full_tree, random_martingale
 from reference import (TreeBuilder, accumulated_trace, cond_exp, is_tree,
-                       pathwise_bracket, tree_from_json, tree_to_json)
+                       pathwise_bracket, psd_cholesky, tree_from_json,
+                       tree_to_json)
 
 
 def binary_tree(K=2, h=1.0, recombine=False):

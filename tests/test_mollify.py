@@ -11,10 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from orthres.mollify import (CATALOG, MAXLOG, TerminalMap, clamp, digital_box,
+from orthres.mollify import (CATALOG, MAXLOG, TerminalMap, digital_box,
                              from_catalog, indicator_halfspace, l2_gap,
                              lipschitz_scan, mollify, ndtr, sine, square)
 from orthres.models import ModelConfig, build
+
+from reference import clamp
 
 
 def dense_convolution(F, x, eps, half_width=8.0, n=20001):
