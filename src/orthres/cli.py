@@ -230,6 +230,9 @@ def parse_config(raw):
     for need in EXPERIMENTS[exp]:
         if not getattr(cfg, need):
             raise ConfigError(f"experiment {exp!r} requires {need}")
+    # the dual and the cascade are devices of the quadratic theory
+    if exp in ("dual_check", "cascade") and cfg.driver.klass != "quadratic":
+        raise ConfigError(f"{exp} needs a quadratic-class driver")
     return cfg
 
 
@@ -354,8 +357,6 @@ def _run_vanishing_N(cfg):
 
 def _run_dual_check(cfg):
     F, driver = cfg.F, cfg.driver
-    if driver.klass != "quadratic":
-        raise ConfigError("dual_check needs a quadratic-class driver")
     config_for = _model_for_K(cfg)
     # the tree and its clock depend only on K: build each once, solve every
     # p on it, and report the rows p-major
@@ -399,9 +400,6 @@ def _run_dual_check(cfg):
 
 
 def _run_cascade(cfg):
-    if cfg.driver.klass != "quadratic":
-        raise ConfigError("cascade needs a quadratic-class driver")
-
     def point():
         tree, M, clock, X = bsde.setup_problem(cfg.model, cfg.coeffs, cfg.x0)
         zeta = bsde._terminal_values(tree, M, X, cfg.F)

@@ -68,30 +68,49 @@ class ScenarioTree:
         self.eprob = np.asarray(eprob, dtype=float)
         n = int(self.level_start[-1])
         self.n_nodes = n
-        if np.any(np.diff(self.eparent) < 0):
+        ls = self.level_start
+        if len(ls) != self.K + 2 or ls[0] != 0 or np.any(np.diff(ls) < 1):
+            raise InvariantViolation("level_start must hold K + 2 increasing "
+                                     "node offsets from 0")
+        if np.any(self.eparent[1:] < self.eparent[:-1]):
             order = np.argsort(self.eparent, kind="stable")
             self.eparent = self.eparent[order]
             self.echild = self.echild[order]
             self.eprob = self.eprob[order]
+        # sorted, so the ends bound every parent; the children are bounded
+        # level by level in validate, before anything indexes with them
+        if self.eparent.size and not (0 <= self.eparent[0]
+                                      and self.eparent[-1] < n):
+            raise InvariantViolation(
+                f"edge parents must lie in [0, {n}), got "
+                f"{self.eparent[0]} .. {self.eparent[-1]}")
         self.estart = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.estart, self.eparent + 1, 1)
-        np.cumsum(self.estart, out=self.estart)
-        out_degree = np.unique(np.diff(self.estart[:self.n_nonterminal + 1]))
-        self.arity = int(out_degree[0]) if len(out_degree) == 1 else None
+        np.cumsum(np.bincount(self.eparent, minlength=n),
+                  out=self.estart[1:])
+        out_degree = np.diff(self.estart[:self.n_nonterminal + 1])
+        self.arity = (int(out_degree[0]) if out_degree.min()
+                      == out_degree.max() else None)
+        self.validate()
 
+        # bincount adds each child's incoming mass in edge order from 0.0
         self.path_prob = np.zeros(n)
         self.path_prob[0] = 1.0
         for k in range(self.K):
             sl = self._edge_slice(k)
-            np.add.at(self.path_prob, self.echild[sl],
-                      self.path_prob[self.eparent[sl]] * self.eprob[sl])
+            a, b = self.level_slice(k + 1)
+            self.path_prob[a:b] = np.bincount(
+                self.echild[sl] - a,
+                self.path_prob[self.eparent[sl]] * self.eprob[sl], b - a)
 
-        self.node_level = np.repeat(np.arange(self.K + 1),
-                                    np.diff(self.level_start))
+        self.node_level = np.repeat(np.arange(self.K + 1), np.diff(ls))
         for a in (self.level_start, self.eparent, self.echild, self.eprob,
                   self.estart, self.path_prob, self.node_level):
             a.flags.writeable = False
-        self.validate()
+        mass = np.add.reduceat(self.path_prob, ls[:-1])
+        bad = np.flatnonzero(np.abs(mass - 1.0) > MASS_TOL)
+        if bad.size:
+            raise InvariantViolation(
+                f"level {bad[0]} probability mass {float(mass[bad[0]])} != 1")
 
     # -- structure ---------------------------------------------------------
     @property
@@ -110,23 +129,24 @@ class ScenarioTree:
         return slice(int(self.estart[lo]), int(self.estart[hi]))
 
     def validate(self):
-        if np.any(self.eprob <= 0) or np.any(self.eprob > 1):
+        """Check the edges: probabilities in (0, 1] summing to 1 per
+        non-terminal node, and each level's edges ending on the next level.
+        """
+        # written so that NaN fails it
+        if not (np.all(self.eprob > 0) and np.all(self.eprob <= 1)):
             raise InvariantViolation("edge probabilities must lie in (0,1]")
-        sums = np.zeros(self.n_nodes)
-        np.add.at(sums, self.eparent, self.eprob)
-        bad = np.abs(sums[:self.n_nonterminal] - 1.0)
+        nt = self.n_nonterminal
+        sums = np.bincount(self.eparent, self.eprob, self.n_nodes)
+        bad = np.abs(sums[:nt] - 1.0)
         if bad.size and bad.max() > PROB_TOL:
             raise InvariantViolation(
                 f"outgoing probabilities sum to 1 violated by {bad.max():.3e}")
-        child_levels = self.node_level[self.echild]
-        if np.any(child_levels != self.node_level[self.eparent] + 1):
+        # every non-terminal node has an edge, so no level's block is empty
+        ls, first = self.level_start, self.estart[self.level_start[:-2]]
+        if (self.estart[nt] != len(self.echild)
+                or np.any(np.minimum.reduceat(self.echild, first) < ls[1:-1])
+                or np.any(np.maximum.reduceat(self.echild, first) >= ls[2:])):
             raise InvariantViolation("edges must connect consecutive levels")
-        for k in range(self.K + 1):
-            lo, hi = self.level_slice(k)
-            mass = float(np.sum(self.path_prob[lo:hi]))
-            if abs(mass - 1.0) > MASS_TOL:
-                raise InvariantViolation(
-                    f"level {k} probability mass {mass} != 1")
 
 
 @dataclass
@@ -277,22 +297,28 @@ def predictable_bracket(tree, M):
     sigma = conditional_covariances(tree, M)
     tr = np.einsum("kii->k", sigma)
     V = np.zeros(tree.n_nodes)
+    worst = 0.0
     for k in range(tree.K):
         sl = tree._edge_slice(k)
-        cand = V[tree.eparent[sl]] + tr[tree.eparent[sl]]
-        V[tree.echild[sl]] = cand
-    # re-check: every incoming edge must agree on the accumulated trace
-    sl = slice(0, int(tree.estart[nt]))
-    err = np.abs(V[tree.echild[sl]] - (V[tree.eparent[sl]] + tr[tree.eparent[sl]]))
-    if err.size and err.max() > 1e-9:
+        if tree.arity is None:
+            cand = V[tree.eparent[sl]] + tr[tree.eparent[sl]]
+        else:
+            lo, hi = tree.level_slice(k)
+            cand = np.repeat(V[lo:hi] + tr[lo:hi], tree.arity)
+        child = tree.echild[sl]
+        V[child] = cand
+        # every incoming edge must agree on the accumulated trace
+        worst = max(worst, float(np.max(np.abs(V[child] - cand))))
+    if worst > 1e-9:
         raise InvariantViolation(
             "recombined nodes disagree on the accumulated bracket trace "
-            f"(max {err.max():.3e}); use a non-recombining tree")
+            f"(max {worst:.3e}); use a non-recombining tree")
     C = np.arctan(V)
     dC = np.arctan(V[:nt] + tr) - C[:nt]
-    q = np.zeros_like(sigma)
-    pos = dC > 0
-    q[pos] = psd_cholesky_batch(sigma[pos] / dC[pos, None, None])
+    # where dC = 0 the factor of the zero matrix is 0
+    q = psd_cholesky_batch(np.divide(sigma, dC[:, None, None],
+                                     out=np.zeros_like(sigma),
+                                     where=dC[:, None, None] > 0))
     return ClockAndFactor(
         C=AdaptedProcess(tree, C),
         dC=PredictableField(tree, dC),

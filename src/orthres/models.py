@@ -6,12 +6,14 @@ T/K for the continuous-limit kinds.  Models whose filtration equals
 sigma(M) recombine into lattices; the product model keeps the full tree.
 
 ``binary``, ``trinomial``, ``compensated_jump`` and ``product_noise`` take
-fixed integer moves and share one vectorised ``_lattice_walk``, sized by
-``estimate_nodes``; ``product_noise`` walks with recombination off.
-``time_changed`` merges states by rounded float value, level by level.  Every
-builder numbers a level's children by ``_first_appearance``.  ``ModelConfig``
-checks every builder's parameters, so a bad one is refused before anything is
-built.
+fixed integer moves and share one ``_lattice_walk``, checked against
+``estimate_nodes``; ``product_noise`` walks with recombination off.  The
+recombining ``binary`` and ``trinomial`` lattices are built in closed form
+for all levels at once (``_line_walk``); every other walk goes level by level
+and numbers a level's children by ``_first_appearance``, the order the closed
+form reproduces.  ``time_changed`` merges states by rounded float value,
+level by level, numbered the same way.  ``ModelConfig`` checks every
+builder's parameters, so a bad one is refused before anything is built.
 """
 
 import math
@@ -139,23 +141,37 @@ def _first_appearance(keys):
     return rank[inverse], first[order]
 
 
-def _lattice_walk(config, moves, probs, value):
-    """Build a fixed-move lattice level by level over integer states.
+def _line_walk(K, moves, probs):
+    """The arrays of a recombining walk on one integer component in closed
+    form: ``moves`` ascending with a common step g, lo to hi.
 
-    ``moves`` is an (n_moves, n_comp) table of steps in {-1, 0, 1} taken
-    with ``probs``; ``value(states, level)`` maps node states to M.  Children are
-    numbered in the order of their first appearance among the parent-major,
-    move-minor candidates; with ``recombine`` off every candidate is a new
-    node.  The arrays are sized once from ``estimate_nodes``, which must match
-    the filled count.
+    Level k holds the states k*lo + g*j, j = 0 .. k*w with w = len(moves) - 1,
+    in ascending order, which is the order of their first appearance among
+    the parent-major, move-minor candidates.  So move i of parent j lands on
+    local child j + i: node id plus the size of its level plus i.
     """
+    r = len(moves)
+    lo, g = int(moves[0]), int(moves[1] - moves[0])
+    sizes = np.arange(K + 1) * (r - 1) + 1
+    level_start = np.zeros(K + 2, dtype=np.int64)
+    np.cumsum(sizes, out=level_start[1:])
+    n, nt = int(level_start[-1]), int(level_start[-2])
+    eparent = np.repeat(np.arange(nt), r)
+    step = np.repeat(sizes[:K], sizes[:K])
+    step += np.arange(nt)
+    echild = (step[:, None] + np.arange(r)).ravel()
+    eprob = np.tile(probs, nt)
+    # k*lo + g*j = g*id + (k*lo - g*level_start[k])
+    states = np.arange(n)
+    states *= g
+    states += np.repeat(lo * np.arange(K + 1) - g * level_start[:-1], sizes)
+    return level_start, eparent, echild, eprob, states[:, None]
+
+
+def _level_walk(config, moves, probs, recomb, n, n_edges):
+    """The arrays of any fixed-move walk, level by level, each level's
+    children numbered by ``_first_appearance``."""
     K = config.K
-    n = estimate_nodes(config.kind, K, config.params)
-    if n > node_cap():
-        raise NodeCapExceeded(n, node_cap())
-    recomb = bool(config.params.get("recombine", True))
-    moves = np.asarray(moves, dtype=np.int64)
-    n_edges = len(moves) * estimate_nodes(config.kind, K - 1, config.params)
     states = np.zeros((n, moves.shape[1]), dtype=np.int64)
     eparent = np.empty(n_edges, dtype=np.int64)
     echild = np.empty(n_edges, dtype=np.int64)
@@ -180,6 +196,33 @@ def _lattice_walk(config, moves, probs, value):
         eprob[e0:e1] = np.tile(probs, hi - lo)
         states[hi:hi + len(fresh)] = fresh
         level_start.append(hi + len(fresh))
+    return level_start, eparent, echild, eprob, states
+
+
+def _lattice_walk(config, moves, probs, value):
+    """Build a fixed-move lattice over integer states.
+
+    ``moves`` is an (n_moves, n_comp) table of steps in {-1, 0, 1} taken
+    with ``probs``; ``value(states, level)`` maps node states to M.  Children are
+    numbered in the order of their first appearance among the parent-major,
+    move-minor candidates; with ``recombine`` off every candidate is a new
+    node.  A recombining one-component walk is built in closed form
+    (``_line_walk``), any other level by level into arrays sized once from
+    ``estimate_nodes``.  Either must fill the estimated count.
+    """
+    K = config.K
+    n = estimate_nodes(config.kind, K, config.params)
+    if n > node_cap():
+        raise NodeCapExceeded(n, node_cap())
+    recomb = bool(config.params.get("recombine", True))
+    moves = np.asarray(moves, dtype=np.int64)
+    n_edges = len(moves) * estimate_nodes(config.kind, K - 1, config.params)
+    if recomb and moves.shape[1] == 1:
+        level_start, eparent, echild, eprob, states = _line_walk(
+            K, moves[:, 0], probs)
+    else:
+        level_start, eparent, echild, eprob, states = _level_walk(
+            config, moves, probs, recomb, n, n_edges)
     if level_start[-1] != n or len(moves) * level_start[-2] != n_edges:
         raise InvariantViolation(
             f"{config.kind} lattice filled {level_start[-1]} nodes, "

@@ -396,6 +396,21 @@ def test_run_dual_check(tmp_path):
     assert all(r["gap"] <= 1e-12 for r in rep["rows"])
 
 
+@pytest.mark.parametrize("exp", ["dual_check", "cascade"])
+def test_verify_and_run_refuse_a_non_quadratic_driver_alike(tmp_path, capsys,
+                                                            exp):
+    path, _ = write_cfg(tmp_path, experiment=exp,
+                        model={"kind": "binary", "K": 4},
+                        driver={"id": "zero"}, K_list=[4], p_list=[2])
+    errs = []
+    for cmd in ("verify", "run"):
+        assert main([cmd, str(path)]) == 3
+        errs.append(capsys.readouterr().err)
+    msg = f"config error: {exp} needs a quadratic-class driver\n"
+    assert errs == [msg, msg]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_run_regularity_scan_reports_the_gradient_gap(tmp_path):
     from orthres import bsde, forward
     from orthres.models import ModelConfig, build

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthres.errors import InvariantViolation
-from orthres.ftree import (PSD_TOL, AdaptedProcess, TimeGrid,
+from orthres.ftree import (PSD_TOL, AdaptedProcess, ScenarioTree, TimeGrid,
                            backward_closure, is_martingale,
                            predictable_bracket, psd_cholesky_batch)
 from orthres.models import ModelConfig, build
@@ -70,6 +70,34 @@ def test_validate_rejects_leaky_probabilities():
     b.end_level()
     with pytest.raises(InvariantViolation):
         b.build()
+
+
+@pytest.mark.parametrize("eparent,echild,match", [
+    # a child of -1 would wrap to the last leaf
+    ([0, 0, 1, 1, 2, 2], [1, 2, 3, 4, 4, -1], "consecutive levels"),
+    ([0, 0, 1, 1, 2, 2], [1, 2, 3, 4, 4, 6], "consecutive levels"),
+    ([0, 0, 1, 1, 2, 6], [1, 2, 3, 4, 4, 5], r"parents must lie in \[0, 6\)"),
+    ([0, 0, 1, 1, 2, -1], [1, 2, 3, 4, 4, 5], r"parents must lie in \[0, 6\)"),
+], ids=["child_-1", "child_n", "parent_n", "parent_-1"])
+def test_tree_rejects_edge_endpoints_out_of_range(eparent, echild, match):
+    with pytest.raises(InvariantViolation, match=match):
+        ScenarioTree(TimeGrid.uniform(2), 1, [0, 1, 3, 6], eparent, echild,
+                     [0.5] * 6)
+
+
+@pytest.mark.parametrize("eprob", [[np.nan, np.nan], [0.5, np.nan],
+                                   [1.5, -0.5]])
+def test_tree_rejects_edge_probabilities_outside_unit_interval(eprob):
+    with pytest.raises(InvariantViolation, match="must lie in"):
+        ScenarioTree(TimeGrid.uniform(1), 1, [0, 1, 3], [0, 0], [1, 2], eprob)
+
+
+@pytest.mark.parametrize("level_start", [[0, 1, 3], [0, 1, 1, 3],
+                                         [1, 2, 3, 6]])
+def test_tree_rejects_malformed_level_offsets(level_start):
+    with pytest.raises(InvariantViolation, match="level_start"):
+        ScenarioTree(TimeGrid.uniform(2), 1, level_start, [0, 0], [1, 2],
+                     [0.5, 0.5])
 
 
 def test_level_mass_is_one(rng):
@@ -330,6 +358,25 @@ def test_d2_independent_components_diagonal_q():
     q = clock.q.values[0]
     npt.assert_allclose(q, np.diag([np.sqrt(v1 / dC), np.sqrt(v2 / dC)]),
                         atol=1e-12)
+
+
+@pytest.mark.parametrize("level_start,eparent,echild,eprob,M,worst", [
+    # arity 2: the middle leaf's traces are 1 + 1 and 1 + 2.5
+    ([0, 1, 3, 6], [0, 0, 1, 1, 2, 2], [1, 2, 3, 4, 4, 5], [0.5] * 6,
+     [0, -1, 1, -2, 0, 3], "1.500e+00"),
+    # out-degrees 2, 2 and 3: node 4's traces are 1 + 1 and 1 + 2
+    ([0, 1, 3, 7], [0, 0, 1, 1, 2, 2, 2], [1, 2, 3, 4, 4, 5, 6],
+     [0.5] * 4 + [1 / 3] * 3, [0, -1, 1, -2, 0, 2, 3], "1.000e+00"),
+], ids=["fixed_arity", "arity_none"])
+def test_clock_rejects_recombined_nodes_with_different_traces(
+        level_start, eparent, echild, eprob, M, worst):
+    tree = ScenarioTree(TimeGrid.uniform(2), 1, level_start, eparent, echild,
+                        eprob)
+    assert tree.arity == (2 if len(eparent) == 6 else None)
+    with pytest.raises(InvariantViolation,
+                       match="recombined nodes disagree") as err:
+        predictable_bracket(tree, AdaptedProcess(tree, np.array(M, float)))
+    assert f"(max {worst})" in str(err.value)
 
 
 def test_pathwise_bracket_binary():

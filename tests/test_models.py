@@ -220,18 +220,48 @@ def lattice_configs(draw):
     return ModelConfig(kind, K=K, params=params)
 
 
-@settings(deadline=None)
-@given(lattice_configs())
-def test_lattice_walk_matches_reference_builder(config):
+def assert_matches_reference_lattice(config):
     built = build(config)
     tree, mvals, aux = reference_lattice(config)
     for name in ("level_start", "eparent", "echild", "eprob"):
         got, want = getattr(built.tree, name), getattr(tree, name)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), name
+    assert built.M.values.dtype == mvals.dtype
     assert built.M.values.tobytes() == mvals[:, None].tobytes()
     if aux is not None:
         assert product_noise_coin(built.tree).tobytes() == aux.tobytes()
+
+
+@settings(deadline=None)
+@given(lattice_configs())
+def test_lattice_walk_matches_reference_builder(config):
+    assert_matches_reference_lattice(config)
+
+
+@pytest.mark.parametrize("kind,K,params", [
+    ("binary", 64, {}), ("binary", 200, {}),
+    ("trinomial", 64, {}), ("trinomial", 200, {}),
+    ("binary", 200, {"h": 0.3}),
+    ("trinomial", 64, {"p": 0.1}), ("trinomial", 200, {"p": 0.4, "h": 0.05}),
+])
+def test_line_lattice_closed_form_matches_reference(monkeypatch, kind, K,
+                                                    params):
+    """Far past the property test's K <= 12, the closed-form line lattice
+    is the reference's lattice byte for byte."""
+    calls = []
+    line_walk = models._line_walk
+    monkeypatch.setattr(models, "_line_walk",
+                        lambda *a: calls.append(a) or line_walk(*a))
+    assert_matches_reference_lattice(ModelConfig(kind, K=K, params=params))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["binary", "trinomial"])
+def test_full_line_trees_take_the_level_walk(monkeypatch, kind):
+    monkeypatch.setattr(models, "_line_walk", None)
+    assert_matches_reference_lattice(
+        ModelConfig(kind, K=6, params={"recombine": False, "h": 0.5}))
 
 
 def reference_time_changed(config):
