@@ -1,28 +1,43 @@
-"""Hot per-level kernels over the flat edge arrays of a tree.
+"""Hot per-level kernels over the edges of a range of nodes.
 
-Each kernel is one segment sum over the edges of the nodes in ``[lo, hi)``
-(``_segment_sum``).  All kernels assume nodes are level-ordered and that
-every node in the requested range is non-terminal, so edge segments are
-contiguous and non-empty.  Per-edge inputs (``w`` of ``edge_sum``, ``pdm``,
-``dm``, ``dn``) are indexed by global edge id; ``edge_increments`` builds
-``dm`` once, so a solve need not redo it per level.  ``tests/test_kernels.py``
-keeps per-node loop versions as the reference.
+A kernel works on the nodes [lo, hi) of a tree and the edges out of them.
+Nodes are level-ordered and every node of a range is non-terminal, so the
+range's edges are one contiguous, non-empty block per node.
 
-On a tree of fixed arity r (``ScenarioTree.arity``) the edges of a range are
-an (n, r) grid: a segment sum adds the r strided slices in ``reduceat``'s
-order, and a node's value reaches its edges by broadcasting over that grid,
-not by an ``eparent`` gather.  Other trees take ``np.add.reduceat`` and the
-gather.
+**Layout.**  Per-edge arrays of a range (``pdm``, ``dm``, ``dy``, ``w``)
+hold that range's edges only, with the node axis last: on a tree of fixed
+arity r (``ScenarioTree.arity``) with 2 <= r <= 7, as ``(r, n)``, entry
+[i, j] being move i of node lo + j; on any other tree as ``(E,)`` in edge
+order.  ``edge_layout`` lays out a slice of a per-edge array of the tree
+(``tree.eprob``) that way and ``edge_increments`` forms dm in it, so no
+sweep holds a full-size per-edge array.
 
-Node values (``y``, ``vals``, ``ey``, ``z``) are ``(n,)`` for one solve or
-``(n, B)`` for B solves on the same tree; the per-edge inputs stay ``(E,)``
-and broadcast over the columns.  Both sums add each column's segments in the
-order of a 1-D input, so every column is bit-identical to the 1-D call.  A
-1-D input stays 1-D: an ``(n, 1)`` array costs more per call.
-``weighted_child_sum`` is the exception: it takes one ``vals`` of shape (n,)
-and the weights of the range's own edges, (E,) or (E, C) for C reweightings
-at once with one result column each, since the dual DP forms its weights
-level by level.
+**Columns.**  Node values (``y``, ``vals``, ``ey``, ``z``) are ``(n,)`` for
+one solve or ``(n, B)`` for B solves on one tree.  A kernel works on their
+transpose, columns leading, so every pass runs inner loops along the nodes:
+``(n, B)`` inputs should be Fortran-ordered, per-edge arrays with columns
+are ``(B, r, n)`` or ``(B, E)``, and per-node results come back ``(n, B)``
+as the transpose of a C-ordered ``(B, n)`` array.  A 1-D input stays 1-D.
+
+**Child paths.**  On a fixed-arity tree the moves are summed
+x0 + ((x1 + x2) + ...), which is ``np.add.reduceat``'s order for two to seven
+terms, signs of zero included, and a node's value reaches its edges by
+broadcasting.  When the range lies within one level of a tree with a
+``child_stride`` s (line lattices and their subtrees, full trees), move i of
+node j lands on s*j + i of the next level, so the children's values are a
+strided view of that level, no gather, and the range's per-edge arrays are
+contiguous (r, n): every pass runs along the nodes.  Any other fixed-arity
+range (the jump lattice, a run of levels) gathers its children in edge
+order and reads them, and its per-edge weights, through a transpose, whose
+passes run in edge order as a gather's do.  Other trees take
+``np.add.reduceat`` and gathers along the edge axis.  On every path each
+column sums in the order of a 1-D input, so every column is bit-identical to
+the 1-D call.  ``tests/test_kernels.py`` keeps per-node loop versions as the
+reference.
+
+``weighted_child_sum`` takes one ``vals`` of shape (n,) and the range's
+weights with C reweightings leading, ``(C, r, n)`` or ``(C, E)``, one result
+column each, since the dual DP forms its weights level by level.
 
 The projections are scalar-martingale (d = 1) only, as are the solvers and
 the decomposition that call them; a d-general per-node ``pinv`` loop is kept
@@ -39,108 +54,161 @@ NUMBA_ENABLED = False
 PROJ_EPS = 1e-14
 
 
-def _segments(tree, lo, hi):
-    base = tree.estart[lo]
-    return slice(base, tree.estart[hi]), tree.estart[lo:hi] - base
-
-
-def _per_edge(w, vals):
-    """Per-edge weights w shaped to broadcast against the columns of vals."""
-    return w if vals.ndim == 1 else w[:, None]
-
-
-def _by_node(tree, e):
-    """Per-edge e of a range as (nodes, arity, ...) on a fixed-arity tree;
-    unchanged otherwise."""
+def _strided(tree):
+    """Whether the edges of a range are laid out (r, n): fixed arity r with
+    2 <= r <= 7, where the strided sum is reduceat's order."""
     r = tree.arity
-    return e if r is None else e.reshape((-1, r) + e.shape[1:])
+    return r is not None and 2 <= r <= 7
 
 
-def _at_parent(tree, v, sl, lo):
-    """Per-node v of [lo, hi) at each edge of the range ``sl``: a gather, or
-    on a fixed-arity tree a view that broadcasts against ``_by_node``."""
-    return v[tree.eparent[sl] - lo] if tree.arity is None else v[:, None]
+def _edges(tree, lo, hi):
+    return slice(int(tree.estart[lo]), int(tree.estart[hi]))
 
 
-def _minus_parent(tree, e, v, sl, lo):
-    """e - v[parent] on every edge of the range, shaped as e."""
-    return (_by_node(tree, e) - _at_parent(tree, v, sl, lo)).reshape(e.shape)
+def _add_moves(x, axis):
+    """Sum over the move axis of x in reduceat's order, x0 + ((x1 + x2) +
+    ...): numpy adds up to seven terms that way, and beyond seven its
+    pairwise tail changes the order."""
+    at = (slice(None),) * (axis % x.ndim)
+    tail = x[at + (1,)]
+    for j in range(2, x.shape[axis]):
+        tail = tail + x[at + (j,)]
+    return x[at + (0,)] + tail
 
 
 def _segment_sum(tree, x, idx):
-    """Per-segment sums of the per-edge x (rows), segments starting at idx.
-
-    ``reduceat`` adds a segment [x0, ..., x_{r-1}] as
-    x0 + ((x1 + x2) + ...) up to seven terms, so on a tree of arity 2 to 7
-    the strided sum in that order is bit-identical to it, signs of zero
-    included; beyond seven numpy's pairwise tail changes the order."""
-    r = tree.arity
-    if r is None or not 2 <= r <= 7:
+    """Per-segment sums of the per-edge x in edge order (rows), segments
+    starting at idx: the strided sum on a tree ``_strided`` lays out,
+    bit-identical to ``np.add.reduceat``, which other trees take."""
+    if not _strided(tree):
         return np.add.reduceat(x, idx)
-    x = _by_node(tree, x)
-    tail = x[:, 1]
-    for j in range(2, r):
-        tail = tail + x[:, j]
-    return x[:, 0] + tail
+    return _add_moves(x.reshape((-1, tree.arity) + x.shape[1:]), 1)
 
 
-def edge_increments(tree, m):
-    """dm = m[child] - m[parent] on every edge."""
-    return m[tree.echild] - m[tree.eparent]
+def _first_child(tree, lo, hi):
+    """The first child's node id when [lo, hi) lies within one level of a
+    tree with a ``child_stride``, so that its children are a view of the
+    level below; None otherwise."""
+    s, ls = tree.child_stride, tree.level_start
+    if s is None:
+        return None
+    k = tree.node_level[lo]
+    return None if hi > ls[k + 1] else int(ls[k + 1] + s * (lo - ls[k]))
+
+
+def _gather(v, idx):
+    """v[..., idx]: numpy's 1-D fancy index, or np.take along the last
+    axis, which is the faster of the two for rows."""
+    return v[idx] if v.ndim == 1 else np.take(v, idx, axis=-1)
+
+
+def _children(tree, v, lo, hi, base):
+    """v (..., nodes) at the child of every edge of [lo, hi), in the range's
+    layout; ``v[..., i - base]`` is node i's value."""
+    strided = _strided(tree)
+    first = _first_child(tree, lo, hi) if strided else None
+    if first is None:
+        idx = tree.echild[_edges(tree, lo, hi)]
+        vc = _gather(v, idx - base if base else idx)
+        # on a strided tree, gathered in edge order and read as (..., r, n)
+        # through a transpose
+        return vc.reshape(v.shape[:-1] + (hi - lo, tree.arity)).swapaxes(
+            -1, -2) if strided else vc
+    # move i of node j is v[..., first - base + s*j + i]: a view of the
+    # children's window of v, which np.ndarray refuses if v stops short
+    s, r, n = tree.child_stride, tree.arity, hi - lo
+    first -= base
+    if first < 0:
+        raise IndexError(f"values from node {base} miss the children of "
+                         f"[{lo}, {hi})")
+    v = np.ascontiguousarray(v[..., first:first + s * (n - 1) + r])
+    w = v.itemsize
+    return np.ndarray(v.shape[:-1] + (r, n), v.dtype, v, 0,
+                      v.strides[:-1] + (w, s * w))
+
+
+def parent_values(tree, v, lo, hi):
+    """Per-node v (..., n) of [lo, hi) at each edge of the range, in its
+    layout: a view that broadcasts, or a gather."""
+    if _strided(tree):
+        return v[..., None, :]
+    return _gather(v, tree.eparent[_edges(tree, lo, hi)] - lo)
+
+
+def edge_layout(tree, w, lo, hi):
+    """The edges of [lo, hi) of the per-edge (E,) array w, in the range's
+    layout: contiguous where the range's children are a view, so that every
+    operand runs along the nodes, and a transposed view of w where they are
+    gathered, in the gather's edge order."""
+    w = w[_edges(tree, lo, hi)]
+    if not _strided(tree):
+        return w
+    w = w.reshape(hi - lo, -1).T
+    return w if _first_child(tree, lo, hi) is None else np.ascontiguousarray(w)
+
+
+def edge_increments(tree, m, lo, hi):
+    """dm = m[child] - m[parent] on the edges of [lo, hi), in their
+    layout."""
+    return _children(tree, m, lo, hi, 0) - parent_values(tree, m[lo:hi], lo,
+                                                         hi)
 
 
 def edge_sum(tree, w, lo, hi):
-    """sum_e w_e over the edges of each node in [lo, hi)."""
-    sl, idx = _segments(tree, lo, hi)
-    return _segment_sum(tree, w[sl], idx)
+    """sum_e w_e over the edges of each node in [lo, hi), from w (..., r, n)
+    or (..., E) in the range's layout: (..., n)."""
+    if _strided(tree):
+        return _add_moves(w, -2)
+    return np.add.reduceat(w, tree.estart[lo:hi] - tree.estart[lo], axis=-1)
 
 
 def backward_expect(tree, vals, lo, hi):
     """E[vals at children | node] for each node id in [lo, hi)."""
-    sl, idx = _segments(tree, lo, hi)
-    return _segment_sum(
-        tree, _per_edge(tree.eprob[sl], vals) * vals[tree.echild[sl]], idx)
+    vc = _children(tree, vals.T, lo, hi, 0)
+    return edge_sum(tree, edge_layout(tree, tree.eprob, lo, hi) * vc, lo,
+                    hi).T
 
 
 def level_moments_d1(tree, pdm, y, lo, hi, base=0):
     """One-step conditional moments (E[y'], E[dy dm]) per node, from the
-    per-edge ``pdm = p * dm``, plus the per-edge dy = y' - E[y'] of the
-    range's edges that they are formed from.  ``y[i - base]`` is node i's
-    value, so y may hold only the level below the range."""
-    sl, idx = _segments(tree, lo, hi)
-    yc = y[tree.echild[sl] - base]
-    ey = _segment_sum(tree, _per_edge(tree.eprob[sl], yc) * yc, idx)
-    dy = _minus_parent(tree, yc, ey, sl, lo)
-    return ey, _segment_sum(tree, _per_edge(pdm[sl], dy) * dy, idx), dy
-
-
-def _residuals(tree, sl, idx, lo, dm, dy, z):
-    zdm = _at_parent(tree, z, sl, lo) * _by_node(tree, _per_edge(dm[sl], dy))
-    dy -= zdm.reshape(dy.shape)  # now dn
-    return dy, _segment_sum(tree, _per_edge(tree.eprob[sl], dy) * dy * dy,
-                            idx)
+    range's ``pdm = p * dm``, plus the per-edge dy = y' - E[y'] of the
+    range's edges that they are formed from, in their layout.
+    ``y[i - base]`` is node i's value, so y may hold only the level below
+    the range."""
+    yc = _children(tree, y.T, lo, hi, base)
+    ey = edge_sum(tree, edge_layout(tree, tree.eprob, lo, hi) * yc, lo, hi)
+    dy = yc - parent_values(tree, ey, lo, hi)
+    return ey.T, edge_sum(tree, pdm * dy, lo, hi).T, dy
 
 
 def residual_moments_d1(tree, dm, dy, z, lo, hi):
     """Per-edge dn = dy - z*dm and E[dn^2 | node] per node of [lo, hi), from
-    the per-edge dy of the range (as ``level_moments_d1`` returns it), which
-    is overwritten by dn."""
-    sl, idx = _segments(tree, lo, hi)
-    return _residuals(tree, sl, idx, lo, dm, dy, z)
+    the range's dm and dy (as ``level_moments_d1`` returns it), which is
+    overwritten by dn."""
+    dy -= parent_values(tree, z.T, lo, hi) * dm  # now dn
+    p = edge_layout(tree, tree.eprob, lo, hi)
+    return dy, edge_sum(tree, p * dy * dy, lo, hi).T
 
 
 def edge_residuals_d1(tree, dm, y, ey, z, lo, hi, dn):
-    """Fill per-edge dn = dy - z*dm and return E[dn^2 | node] per node."""
-    sl, idx = _segments(tree, lo, hi)
-    dn[sl], res = _residuals(tree, sl, idx, lo, dm,
-                             _minus_parent(tree, y[tree.echild[sl]], ey, sl,
-                                           lo), z)
+    """Fill per-edge dn = dy - z*dm, in edge order into the range's rows of
+    the full-size ``dn``, and return E[dn^2 | node] per node; dm is the
+    range's, in its layout."""
+    dy = _children(tree, y.T, lo, hi, 0) - parent_values(tree, ey.T, lo, hi)
+    dy, res = residual_moments_d1(tree, dm, dy, z, lo, hi)
+    out = dn[_edges(tree, lo, hi)]
+    if _strided(tree):
+        for i in range(tree.arity):
+            out[i::tree.arity] = dy[..., i, :].T
+    else:
+        out[...] = dy.T
     return res
 
 
 def weighted_child_sum(tree, w, vals, lo, hi):
     """Reweighted one-step expectation sum_e p_e w_e vals[child_e] per node;
-    ``w`` holds the range's own edges, (E,) or (E, C) for C reweightings."""
-    sl, idx = _segments(tree, lo, hi)
-    return _segment_sum(tree, _per_edge(tree.eprob[sl], w) * w
-                        * _per_edge(vals[tree.echild[sl]], w), idx)
+    ``w`` holds the range's own edges in their layout, with C reweightings
+    leading, (C, r, n) or (C, E), for an (n, C) result."""
+    vc = _children(tree, vals, lo, hi, 0)
+    return edge_sum(tree, edge_layout(tree, tree.eprob, lo, hi) * w * vc,
+                    lo, hi).T

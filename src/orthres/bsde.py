@@ -219,17 +219,17 @@ def driver_from_catalog(did, **params):
 # solutions
 # ---------------------------------------------------------------------------
 
-# A streamed sweep keeps no full-size array: per column it holds about nine
-# arrays of the widest level's edges (per-edge and per-node together), and a
-# regularity scan's column its full-size n_x-dim X as well, 8 * (9 * widest
-# + n_x * n_nodes) bytes (tracemalloc puts the growth per column of a
-# trinomial comparison sweep at 8.5 to 8.8 arrays for K = 16 to 512, and
-# that of the benchmark's restart scan at 98% of the bound).  A batch of
-# solves on one tree is cut into sweeps that hold at most SWEEP_BYTES: 50
-# columns at trinomial K = 256, and the whole 41-point restart scan at
-# K = 128, t_idx = 48.  Wider sweeps were no faster for the comparison
-# campaign (it took about the same time at 36 to 150 columns), while every
-# column adds to the run's peak memory.
+# A streamed sweep keeps no full-size array: per column it holds at most
+# nine arrays of the widest level's edges (per-edge and per-node together),
+# and a regularity scan's column its full-size n_x-dim X as well,
+# 8 * (9 * widest + n_x * n_nodes) bytes (tracemalloc puts the growth per
+# column of a trinomial comparison sweep at 7.6 to 8.3 arrays for K = 16 to
+# 512, and that of the benchmark's restart scan at 92% of the bound).  A
+# batch of solves on one tree is cut into sweeps that hold at most
+# SWEEP_BYTES: 50 columns at trinomial K = 256, and the whole 41-point
+# restart scan at K = 128, t_idx = 48.  Wider sweeps were no faster for the
+# comparison campaign (it took about the same time at 36 to 150 columns),
+# while every column adds to the run's peak memory.
 SWEEP_BYTES = 5_600_000
 
 
@@ -340,13 +340,13 @@ def _levels(tree, M, clock, X, zeta, driver):
 
     Yields ``(k, a, b, y, z, z_arg, res)`` for k = K-1 .. 0: level k's
     nodes [a, b), their y and Z, the z the driver was evaluated at, q Z, and
-    their E[dN^2 | node]; the consumer must not write to them.  Only the
-    level below's y and the level's own per-edge dy are held: E[dN^2 | node]
-    is formed from that dy, which it overwrites, and path_prob times it is
-    summed into E[[N]_T], which (a float, or (B,) for a batch) is returned
-    once level 0 has been consumed.  Each column thus sums per level, then
-    in level order, as its 1-D solve does.  Every check of solve_lipschitz
-    is made here."""
+    their E[dN^2 | node], column-major; the consumer must not write to
+    them.  Only the level below's y and the level's own per-edge dm and dy
+    are held: E[dN^2 | node] is formed from that dy, which it overwrites,
+    and path_prob times it is summed into E[[N]_T], which (a float, or (B,)
+    for a batch) is returned once level 0 has been consumed.  Each column
+    thus sums per level, then in level order, as its 1-D solve does.  Every
+    check of solve_lipschitz is made here."""
     if M.dim != 1:
         raise NotImplementedError("backward solvers are scalar-martingale only")
     zeta = _leaf_values(tree, zeta)
@@ -364,9 +364,7 @@ def _levels(tree, M, clock, X, zeta, driver):
     # per-node arrays broadcast over the columns of a batch
     col = (slice(None),) + (None,) * (zeta.ndim - 1)
     m = M.scalar
-    dm = _kernels.edge_increments(tree, m)
-    pdm = tree.eprob * dm
-    m = m[col]
+    mcol = m[col]
     dC = dC[col]
     qdiag = clock.q.values.reshape(nt, -1)[:, 0][col]  # q[0,0] for d = 1
     s2 = clock.sigma.reshape(nt)[col]                  # E[dm^2 | node]
@@ -377,17 +375,22 @@ def _levels(tree, M, clock, X, zeta, driver):
     zero = np.zeros((int(np.diff(tree.level_start).max()),) + zeta.shape[1:],
                     order="F")
     bracket = 0.0
-    y, base = zeta, tree.level_start[tree.K]  # y[i - base] is node i's y
+    # column-major from zeta on: the kernels read the level below as (B, n)
+    # rows, and the level's (n, B) arithmetic with per-node and per-column
+    # operands runs B inner loops of n, not n loops of B
+    y = np.asfortranarray(zeta)
+    base = tree.level_start[tree.K]  # y[i - base] is node i's y
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
-        ey, m1, dy = _kernels.level_moments_d1(tree, pdm, y, a, b, base)
-        # column-major, the level's (n, B) arithmetic with per-node and
-        # per-column operands runs B inner loops of n, not n loops of B
-        ey, m1 = np.asfortranarray(ey), np.asfortranarray(m1)
+        # the level's own increments: no full-size dm is kept
+        dm = _kernels.edge_increments(tree, m, a, b)
+        ey, m1, dy = _kernels.level_moments_d1(
+            tree, _kernels.edge_layout(tree, tree.eprob, a, b) * dm, y, a, b,
+            base)
         z = np.where(projects[a:b], m1 / s2_safe[a:b], 0.0)
         z_arg = qdiag[a:b] * z
         xk = X.values[a:b] if X is not None else None
-        mk = m[a:b]
+        mk = mcol[a:b]
         dck = dC[a:b]
         r = ey + driver(t[k], xk, mk, zero[:b - a], z_arg) * dck
         y = r / (1.0 - np.where(r < 0, k_neg, k_pos) * dck)
@@ -451,10 +454,11 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
     """
     zeta = _leaf_values(tree, zeta)
     nt = tree.n_nonterminal
-    yvals = np.empty((tree.n_nodes,) + zeta.shape[1:])
+    # column-major, as _levels yields its levels
+    yvals = np.empty((tree.n_nodes,) + zeta.shape[1:], order="F")
     yvals[tree.level_start[tree.K]:] = zeta
-    zall = np.empty((nt,) + zeta.shape[1:])
-    dn2 = np.empty((nt,) + zeta.shape[1:])
+    zall = np.empty((nt,) + zeta.shape[1:], order="F")
+    dn2 = np.empty((nt,) + zeta.shape[1:], order="F")
 
     def store(k, a, b, y, z, z_arg, res):
         yvals[a:b] = y
@@ -573,36 +577,35 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
     W[lo:hi] = zeta
     floored = 0
     nu_grid = np.linspace(-float(p), float(p), DUAL_NU_POINTS)
-    dm_all = _kernels.edge_increments(tree, m)
-    pdm = tree.eprob * dm_all
     for k in range(tree.K - 1, -1, -1):
         a, bb = tree.level_slice(k)
-        m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)[1]
+        dm = _kernels.edge_increments(tree, m, a, bb)
+        m1 = _kernels.level_moments_d1(
+            tree, _kernels.edge_layout(tree, tree.eprob, a, bb) * dm, W, a,
+            bb)[1]
         dck = dC[a:bb]
         qk = qdiag[a:bb]
         ok = (qk > _kernels.PROJ_EPS) & (dck > _kernels.PROJ_EPS)
         z_hat = np.where(ok, m1 / np.where(ok, qk * dck, 1.0), 0.0)
         etak = eta_at(eta, tree.grid.t[k])
-        # one column per candidate nu: the analytic maximizer, then the grid
-        nu = np.empty((bb - a, 1 + DUAL_NU_POINTS))
-        nu[:, 0] = np.clip(z_hat, -p, p)
-        nu[:, 1:] = nu_grid
-        tilt = np.where(ok[:, None],
-                        gamma * nu / np.where(ok, qk, 1.0)[:, None], 0.0)
-        sl = tree._edge_slice(k)
-        par = tree.eparent[sl] - a
-        w = 1.0 + tilt[par] * dm_all[sl, None]
+        # one row per candidate nu: the analytic maximizer, then the grid
+        nu = np.empty((1 + DUAL_NU_POINTS, bb - a))
+        nu[0] = np.clip(z_hat, -p, p)
+        nu[1:] = nu_grid[:, None]
+        tilt = np.where(ok, gamma * nu / np.where(ok, qk, 1.0), 0.0)
+        w = 1.0 + _kernels.parent_values(tree, tilt, a, bb) * dm
         val = _kernels.weighted_child_sum(tree, np.maximum(w, DUAL_FLOOR), W,
-                                          a, bb)
+                                          a, bb).T
         # the better of beta = -b and beta = +b, the non-NaN one if one is
-        disc = np.fmax(np.exp(b * dck)[:, None] * val,
-                       np.exp(-b * dck)[:, None] * val)
-        cand = disc + (etak - 0.5 * gamma * nu ** 2) * dck[:, None]
+        disc = np.fmax(np.exp(b * dck) * val, np.exp(-b * dck) * val)
+        cand = disc + (etak - 0.5 * gamma * nu ** 2) * dck
         cand[np.isnan(cand)] = -np.inf      # a NaN candidate never wins
-        pick = np.argmax(cand, axis=1)      # the first of the largest
-        W[a:bb] = cand[np.arange(bb - a), pick]
-        floored += int(np.count_nonzero(
-            w[np.arange(len(par)), pick[par]] < DUAL_FLOOR))
+        pick = np.argmax(cand, axis=0)      # the first of the largest
+        W[a:bb] = cand[pick, np.arange(bb - a)]
+        # each edge's weight under its parent's pick
+        floored += int(np.count_nonzero(np.take_along_axis(
+            w, _kernels.parent_values(tree, pick, a, bb)[None], axis=0)
+            < DUAL_FLOOR))
     frac = floored / max(len(tree.eprob), 1)
     if frac > DUAL_FLOOR_BUDGET:
         raise SolverError(

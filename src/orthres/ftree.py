@@ -57,6 +57,11 @@ class ScenarioTree:
     eparent, echild, eprob : flat edge arrays grouped by parent
     path_prob : (n_nodes,) total probability mass reaching the node
     arity : r when every non-terminal node has r edges, else None
+    child_stride : s when, on every level, move i of level-local node j
+        lands on level-local node s*j + i of the next level (1 on line
+        lattices and their subtrees, r on full trees numbered level by
+        level), else None; the kernels then read a level's children as a
+        strided view of the level below
     """
 
     def __init__(self, grid, d, level_start, eparent, echild, eprob):
@@ -88,19 +93,33 @@ class ScenarioTree:
         np.cumsum(np.bincount(self.eparent, minlength=n),
                   out=self.estart[1:])
         out_degree = np.diff(self.estart[:self.n_nonterminal + 1])
+        if out_degree.size and out_degree.min() < 1:
+            raise InvariantViolation("every non-terminal node needs an edge")
         self.arity = (int(out_degree[0]) if out_degree.min()
                       == out_degree.max() else None)
         self.validate()
 
-        # bincount adds each child's incoming mass in edge order from 0.0
         self.path_prob = np.zeros(n)
         self.path_prob[0] = 1.0
+        s = self.child_stride
         for k in range(self.K):
             sl = self._edge_slice(k)
             a, b = self.level_slice(k + 1)
-            self.path_prob[a:b] = np.bincount(
-                self.echild[sl] - a,
-                self.path_prob[self.eparent[sl]] * self.eprob[sl], b - a)
+            if s is None:
+                # bincount adds each child's incoming mass in edge order
+                # from 0.0
+                self.path_prob[a:b] = np.bincount(
+                    self.echild[sl] - a,
+                    self.path_prob[self.eparent[sl]] * self.eprob[sl], b - a)
+                continue
+            # move i of the level's nodes feeds children i, i + s, ...:
+            # adding the highest move first adds each child's incoming mass
+            # in edge order (parent-major) from 0.0, as bincount does
+            lo, hi = self.level_slice(k)
+            w = (self.path_prob[lo:hi, None]
+                 * self.eprob[sl].reshape(hi - lo, -1)).T
+            for i in range(self.arity - 1, -1, -1):
+                self.path_prob[a + i:a + i + s * (hi - lo):s] += w[i]
 
         self.node_level = np.repeat(np.arange(self.K + 1), np.diff(ls))
         for a in (self.level_start, self.eparent, self.echild, self.eprob,
@@ -131,22 +150,59 @@ class ScenarioTree:
     def validate(self):
         """Check the edges: probabilities in (0, 1] summing to 1 per
         non-terminal node, and each level's edges ending on the next level.
+        Sets ``child_stride`` on the way.
         """
         # written so that NaN fails it
         if not (np.all(self.eprob > 0) and np.all(self.eprob <= 1)):
             raise InvariantViolation("edge probabilities must lie in (0,1]")
         nt = self.n_nonterminal
-        sums = np.bincount(self.eparent, self.eprob, self.n_nodes)
-        bad = np.abs(sums[:nt] - 1.0)
-        if bad.size and bad.max() > PROB_TOL:
+        if self.estart[nt] != len(self.echild):
+            raise InvariantViolation("edges must connect consecutive levels")
+        # __init__ gave every non-terminal node an edge, so no segment is
+        # empty
+        bad = np.abs(_kernels._segment_sum(self, self.eprob,
+                                           self.estart[:nt]) - 1.0)
+        if bad.max() > PROB_TOL:
             raise InvariantViolation(
                 f"outgoing probabilities sum to 1 violated by {bad.max():.3e}")
-        # every non-terminal node has an edge, so no level's block is empty
-        ls, first = self.level_start, self.estart[self.level_start[:-2]]
-        if (self.estart[nt] != len(self.echild)
-                or np.any(np.minimum.reduceat(self.echild, first) < ls[1:-1])
-                or np.any(np.maximum.reduceat(self.echild, first) >= ls[2:])):
+        ls = self.level_start
+        self.child_stride = s = self._closed_form_stride()
+        if s is None:
+            first = self.estart[ls[:-2]]
+            off = (np.any(np.minimum.reduceat(self.echild, first) < ls[1:-1])
+                   or np.any(np.maximum.reduceat(self.echild, first)
+                             >= ls[2:]))
+        else:
+            # level k's children run from ls[k+1] to its last node's last
+            # move
+            off = np.any(ls[1:-1] + s * (np.diff(ls[:-1]) - 1)
+                         + self.arity - 1 >= ls[2:])
+        if off:
             raise InvariantViolation("edges must connect consecutive levels")
+
+    def _closed_form_stride(self):
+        """The s >= 1 with which, on every level, move i of level-local node
+        j lands on level-local node s*j + i of the next level, or None.
+
+        s is read off the first level with two nodes (1 without one); the
+        children are then compared move by move with that closed form."""
+        r, ls, K = self.arity, self.level_start, self.K
+        if r is None:
+            return None
+        child = self.echild.reshape(-1, r)
+        wide = ls[:K][np.diff(ls[:K + 1]) > 1]
+        s = int(child[wide[0] + 1, 0] - child[wide[0], 0]) if wide.size else 1
+        if s < 1:
+            return None
+        # node i of level k: its move 0 lands on ls[k+1] + s*(i - ls[k])
+        want = np.repeat(ls[1:K + 1] - s * ls[:K], np.diff(ls[:K + 1]))
+        want += np.arange(0, s * len(child), s)
+        for i in range(r):
+            if i:
+                want += 1
+            if not np.array_equal(child[:, i], want):
+                return None
+        return s
 
 
 @dataclass
@@ -278,9 +334,9 @@ def conditional_covariances(tree, M):
     nt = tree.n_nonterminal
     d = M.dim
     if d == 1:
-        dm = _kernels.edge_increments(tree, M.scalar)
-        return _kernels.edge_sum(tree, tree.eprob * dm * dm, 0, nt).reshape(
-            nt, 1, 1)
+        dm = _kernels.edge_increments(tree, M.scalar, 0, nt)
+        p = _kernels.edge_layout(tree, tree.eprob, 0, nt)
+        return _kernels.edge_sum(tree, p * dm * dm, 0, nt).reshape(nt, 1, 1)
     sl = slice(0, int(tree.estart[nt]))
     dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]
     w = tree.eprob[sl][:, None, None] * (dm[:, :, None] * dm[:, None, :])

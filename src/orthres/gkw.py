@@ -33,7 +33,8 @@ def martingale_from_terminal(tree, zeta):
 
 
 def gkw_decompose(tree, M, Y):
-    """Least-squares projection of dY on dM node by node, for a scalar M.
+    """Least-squares projection of dY on dM node by node, for a scalar M,
+    level by level from each level's own increments.
 
     Y must already be a martingale (take ``martingale_from_terminal`` of the
     terminal variable first).
@@ -48,13 +49,18 @@ def gkw_decompose(tree, M, Y):
             "close the terminal variable with martingale_from_terminal first")
     nt = tree.n_nonterminal
     dn = np.zeros(len(tree.echild))
-    y = Y.scalar
-    dm = _kernels.edge_increments(tree, M.scalar)
-    pdm = tree.eprob * dm
-    ey, m1 = _kernels.level_moments_d1(tree, pdm, y, 0, nt)[:2]
-    s2 = _kernels.edge_sum(tree, pdm * dm, 0, nt)
-    z = np.where(s2 > _kernels.PROJ_EPS, m1 / np.where(s2 > 0, s2, 1.0), 0.0)
-    res = _kernels.edge_residuals_d1(tree, dm, y, ey, z, 0, nt, dn)
+    z, res = np.empty(nt), np.empty(nt)
+    y, m = Y.scalar, M.scalar
+    for k in range(tree.K):
+        a, b = tree.level_slice(k)
+        dm = _kernels.edge_increments(tree, m, a, b)
+        pdm = _kernels.edge_layout(tree, tree.eprob, a, b) * dm
+        ey, m1 = _kernels.level_moments_d1(tree, pdm, y, a, b)[:2]
+        s2 = _kernels.edge_sum(tree, pdm * dm, a, b)
+        z[a:b] = np.where(s2 > _kernels.PROJ_EPS,
+                          m1 / np.where(s2 > 0, s2, 1.0), 0.0)
+        res[a:b] = _kernels.edge_residuals_d1(tree, dm, y, ey, z[a:b], a, b,
+                                              dn)
     return GkwResult(
         Z=PredictableField(tree, z[:, None]),
         dN=dn,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from orthres.ftree import AdaptedProcess, TimeGrid
+from orthres.ftree import AdaptedProcess, ScenarioTree, TimeGrid
 from orthres.models import KINDS, ModelConfig, build
 
 from reference import TreeBuilder
@@ -47,6 +47,22 @@ def random_martingale(rng, tree, scale=1.0):
         chi = tree.echild[e0:e1]
         vals[chi] -= p @ (vals[chi] - vals[i]) / p.sum()
     return AdaptedProcess(tree, vals)
+
+
+def permute_last_level(tree, rng):
+    """A copy of ``tree`` whose leaves are renumbered by a random
+    permutation that moves the first leaf, and the new id of every old node.
+    Only leaves move, so every other node keeps its id and its edges in
+    their order, but no level-local closed form survives: the copy's
+    children are gathered where the original's are a view."""
+    lo, hi = tree.level_slice(tree.K)
+    perm = rng.permutation(hi - lo)
+    if perm[0] == 0:
+        perm[[0, -1]] = perm[[-1, 0]]
+    new_id = np.arange(tree.n_nodes)
+    new_id[lo:hi] = lo + perm
+    return ScenarioTree(tree.grid, tree.d, tree.level_start, tree.eparent,
+                        new_id[tree.echild], tree.eprob), new_id
 
 
 @st.composite

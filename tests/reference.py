@@ -5,8 +5,9 @@ version or never needed outside the tests: the true-tree test, an incremental
 tree builder, exact conditional expectations, the pathwise bracket, a JSON
 round trip, the d-general GKW projection, a solve's per-edge dN, the two-term
 bracket split, the Markov grouping spread, a driver growth check, the
-comparison check on two stored solutions, a one-matrix PSD factor and a
-clamped terminal map.
+comparison check on two stored solutions, a one-matrix PSD factor, a
+clamped terminal map, and a tree's path probabilities and closed-form child
+stride by their definitions.
 """
 
 import json
@@ -29,6 +30,40 @@ def is_tree(tree):
     a recombining lattice."""
     in_degree = np.bincount(tree.echild, minlength=tree.n_nodes)
     return bool(np.all(in_degree[tree.level_start[1]:] == 1))
+
+
+def path_prob_loop(tree):
+    """Each node's probability mass, by its definition: edge by edge in
+    order, each child adds its parent's mass times the edge's probability,
+    from 0.0."""
+    pp = [0.0] * tree.n_nodes
+    pp[0] = 1.0
+    for par, chi, p in zip(tree.eparent.tolist(), tree.echild.tolist(),
+                           tree.eprob.tolist()):
+        pp[chi] += pp[par] * p
+    return np.array(pp)
+
+
+def closed_form_stride(tree):
+    """The s >= 1 with which move i of level-local node j lands on
+    level-local node s*j + i of the next level on every level, or None, by
+    looking at every edge."""
+    r, ls = tree.arity, tree.level_start.tolist()
+    if r is None:
+        return None
+    strides = set()
+    for k in range(tree.K):
+        for j in range(ls[k + 1] - ls[k]):
+            e0 = int(tree.estart[ls[k] + j])
+            for i in range(r):
+                c = int(tree.echild[e0 + i]) - ls[k + 1] - i  # s*j if closed
+                if (c != 0) if j == 0 else (c % j or c // j < 1):
+                    return None
+                if j:
+                    strides.add(c // j)
+    if len(strides) > 1:
+        return None
+    return strides.pop() if strides else 1
 
 
 class TreeBuilder:
@@ -222,7 +257,7 @@ def solution_dN(sol):
     y = sol._cols(sol.Y)
     dn = np.empty((len(tree.echild),) + y.shape[1:])
     _kernels.edge_residuals_d1(
-        tree, _kernels.edge_increments(tree, sol.M.scalar), y,
+        tree, _kernels.edge_increments(tree, sol.M.scalar, 0, nt), y,
         _kernels.backward_expect(tree, y, 0, nt), sol._cols(sol.Z), 0, nt, dn)
     return dn
 

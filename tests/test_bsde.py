@@ -23,7 +23,8 @@ from orthres.bsde import (DriverSpec, compare, driver_from_catalog,
                           truncated_driver, vanishing_N_experiment)
 
 import reference
-from conftest import random_full_tree, random_martingale, small_trees
+from conftest import (permute_last_level, random_full_tree,
+                      random_martingale, small_trees)
 from reference import (check_growth, markov_grouping_check,
                        product_noise_coin, solution_dN)
 
@@ -338,9 +339,9 @@ def test_no_y_part_step_is_the_explicit_sum():
     nt = tree.n_nonterminal
     for k in range(tree.K):
         a, b = tree.level_slice(k)
-        ey = _kernels.level_moments_d1(
-            tree, tree.eprob * _kernels.edge_increments(tree, M.scalar),
-            y, a, b)[0]
+        pdm = (_kernels.edge_layout(tree, tree.eprob, a, b)
+               * _kernels.edge_increments(tree, M.scalar, a, b))
+        ey = _kernels.level_moments_d1(tree, pdm, y, a, b)[0]
         z = sol.Z.values[a:b, 0] * clock.q.values.reshape(nt, -1)[a:b, 0]
         g = huber_envelope(z, 2.0, 1.0) + 0.2
         assert np.array_equal(y[a:b], ey + g * clock.dC.values[a:b])
@@ -544,9 +545,9 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
     weighted child sum per candidate nu, a loop over beta = +-b, and the
     floored edges counted as a rounded float sum.  Kept as the reference."""
     def weighted_child_sum(w, vals, lo, hi):
-        sl, idx = _kernels._segments(tree, lo, hi)
+        sl = tree._edge_slice(int(tree.node_level[lo]))
         return np.add.reduceat(tree.eprob[sl] * w[sl] * vals[tree.echild[sl]],
-                               idx)
+                               tree.estart[lo:hi] - tree.estart[lo])
     b = float(growth["b"])
     gamma = float(growth["gamma"])
     if eta is None:
@@ -563,10 +564,11 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
     ones = np.ones(tree.n_nodes)
     wfull = np.ones(len(tree.eprob))
     flfull = np.zeros(len(tree.eprob))
-    dm_all = _kernels.edge_increments(tree, M.scalar)
-    pdm = tree.eprob * dm_all
+    dm_all = M.scalar[tree.echild] - M.scalar[tree.eparent]
     for k in range(tree.K - 1, -1, -1):
         a, bb = tree.level_slice(k)
+        pdm = (_kernels.edge_layout(tree, tree.eprob, a, bb)
+               * _kernels.edge_increments(tree, M.scalar, a, bb))
         m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)[1]
         dck, qk = dC[a:bb], qdiag[a:bb]
         ok = (qk > _kernels.PROJ_EPS) & (dck > _kernels.PROJ_EPS)
@@ -1104,7 +1106,8 @@ def _per_level_bracket(sol):
     """E[[N]_T] of a 1-D solve summed per level, then in level order."""
     tree = sol.tree
     dn = solution_dN(sol)
-    res = _kernels.edge_sum(tree, tree.eprob * dn * dn, 0, tree.n_nonterminal)
+    res = _kernels._segment_sum(tree, tree.eprob * dn * dn,
+                                tree.estart[:tree.n_nonterminal])
     bracket = 0.0
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
@@ -1155,7 +1158,8 @@ def test_stored_residual_is_the_reprojected_dN_squared(tm, B):
     pairs = [(one.dN2, solution_dN(one))]
     pairs += zip(batch.dN2.T, solution_dN(batch).T)
     for got, dn in pairs:
-        want = _kernels.edge_sum(tree, tree.eprob * dn * dn, 0, nt)
+        want = _kernels._segment_sum(tree, tree.eprob * dn * dn,
+                                     tree.estart[:nt])
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -1188,6 +1192,61 @@ def test_levels_columns_equal_solo_solves(seed, K, B, u, share, zscale):
     for j, one in enumerate(solos):
         assert bracket[j] == one.bracketNN_T
         assert root[3][0, j] == one.Y0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["binary", "trinomial"]),
+       st.integers(1, 9), st.sampled_from([1, 2, 3, 50]),
+       st.sampled_from(["C", "F"]))
+def test_lattice_sweep_columns_equal_1d_solves_on_both_child_paths(
+        seed, kind, K, B, order):
+    """Each column of a B-column _levels sweep is its 1-D solve bit for bit,
+    for C- and F-ordered zeta, on a line lattice, whose levels read their
+    children as a view, and on its copy with permuted leaves, which gathers
+    them; the two copies agree bit for bit on every level."""
+    rng = np.random.default_rng(seed)
+    built = build(ModelConfig(kind, K=K))
+    tree, M = built.tree, built.M
+    lo, hi = tree.level_slice(K)
+    zeta = (np.sin(3.0 * M.scalar[lo:hi])[:, None]
+            + 0.5 * rng.normal(size=(hi - lo, B)))
+    perm, new_id = permute_last_level(tree, rng)
+    m_perm = np.empty_like(M.values)
+    m_perm[new_id] = M.values
+    zeta_perm = np.empty_like(zeta)
+    zeta_perm[new_id[lo:hi] - lo] = zeta
+    assert tree.child_stride == 1 and perm.child_stride is None
+    # the leaves' order leaves dC alone: one set of coefficients serves both
+    u = 0.8 / float(predictable_bracket(tree, M).dC.values.max())
+    ky, b = (u / 2 * rng.uniform(-1, 1, size=B) for _ in range(2))
+    kz, c0 = rng.uniform(-1, 1, size=B), rng.uniform(-0.5, 0.5, size=B)
+    sweeps = []
+    for tr, m, z0 in ((tree, M.values, zeta), (perm, m_perm, zeta_perm)):
+        Mt = AdaptedProcess(tr, m)
+        clock = predictable_bracket(tr, Mt)
+        z0 = np.asarray(z0, order=order)
+        solos = [solve_lipschitz(tr, Mt, clock, None, z0[:, j].copy(),
+                                 _y_part_driver(ky[j], b[j], kz[j], c0[j]))
+                 for j in range(B)]
+        levels = []
+
+        def check(k, a, b_, y, z, z_arg, res):
+            for j, one in enumerate(solos):
+                assert np.array_equal(y[:, j], one.Y.values[a:b_, 0])
+                assert np.array_equal(z[:, j], one.Z.values[a:b_, 0])
+                assert np.array_equal(res[:, j], one.dN2[a:b_])
+            levels.append((y.copy(), z.copy(), res.copy()))
+        bracket, root = bsde._consume(bsde._levels(
+            tr, Mt, clock, None, z0, _y_part_driver(ky, b, kz, c0)), check)
+        for j, one in enumerate(solos):
+            assert bracket[j] == one.bracketNN_T
+            assert root[3][0, j] == one.Y0
+        sweeps.append((levels, bracket))
+    (lv1, br1), (lv2, br2) = sweeps
+    assert np.array_equal(br1, br2)
+    for a, b in zip(lv1, lv2):
+        for x1, x2 in zip(a, b):
+            assert np.array_equal(x1, x2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,10 +11,13 @@ from orthres.ftree import (PSD_TOL, AdaptedProcess, ScenarioTree, TimeGrid,
                            predictable_bracket, psd_cholesky_batch)
 from orthres.models import ModelConfig, build
 
-from conftest import random_full_tree, random_martingale
-from reference import (TreeBuilder, accumulated_trace, cond_exp, is_tree,
-                       pathwise_bracket, psd_cholesky, tree_from_json,
-                       tree_to_json)
+from orthres.forward import extract_subtree
+
+from conftest import (permute_last_level, random_full_tree,
+                      random_martingale, small_trees)
+from reference import (TreeBuilder, accumulated_trace, closed_form_stride,
+                       cond_exp, is_tree, path_prob_loop, pathwise_bracket,
+                       psd_cholesky, tree_from_json, tree_to_json)
 
 
 def binary_tree(K=2, h=1.0, recombine=False):
@@ -76,13 +79,23 @@ def test_validate_rejects_leaky_probabilities():
     # a child of -1 would wrap to the last leaf
     ([0, 0, 1, 1, 2, 2], [1, 2, 3, 4, 4, -1], "consecutive levels"),
     ([0, 0, 1, 1, 2, 2], [1, 2, 3, 4, 4, 6], "consecutive levels"),
+    # in closed form with child stride 2, which runs past the last level
+    ([0, 0, 1, 1, 2, 2], [1, 2, 3, 4, 5, 6], "consecutive levels"),
     ([0, 0, 1, 1, 2, 6], [1, 2, 3, 4, 4, 5], r"parents must lie in \[0, 6\)"),
     ([0, 0, 1, 1, 2, -1], [1, 2, 3, 4, 4, 5], r"parents must lie in \[0, 6\)"),
-], ids=["child_-1", "child_n", "parent_n", "parent_-1"])
+], ids=["child_-1", "child_n", "closed_form_child_n", "parent_n",
+        "parent_-1"])
 def test_tree_rejects_edge_endpoints_out_of_range(eparent, echild, match):
     with pytest.raises(InvariantViolation, match=match):
         ScenarioTree(TimeGrid.uniform(2), 1, [0, 1, 3, 6], eparent, echild,
                      [0.5] * 6)
+
+
+def test_tree_rejects_a_non_terminal_node_without_edges():
+    # node 2's probabilities would otherwise be read off node 1's segment
+    with pytest.raises(InvariantViolation, match="needs an edge"):
+        ScenarioTree(TimeGrid.uniform(2), 1, [0, 1, 3, 6], [0, 0, 1],
+                     [1, 2, 3], [0.5, 0.5, 1.0])
 
 
 @pytest.mark.parametrize("eprob", [[np.nan, np.nan], [0.5, np.nan],
@@ -455,3 +468,51 @@ def test_arity_is_none_when_out_degrees_differ():
     # the terminal level's nodes have no edges and do not count
     assert random_full_tree(np.random.default_rng(0), K=1,
                             max_branch=2).arity == 2
+
+
+# -- closed-form children and path probabilities ------------------------------
+
+@st.composite
+def line_trees(draw):
+    """Binary and trinomial walks with random K, p and h, recombining (line
+    lattices) or full: as built, as the subtree of a random non-terminal
+    node, or with their leaves permuted.  Returns (tree, stride), the
+    child_stride its kind has, None where it may have none."""
+    kind = draw(st.sampled_from(["binary", "trinomial"]))
+    recomb = draw(st.booleans())
+    params = {"recombine": recomb, "h": draw(st.floats(0.01, 2.0))}
+    if kind == "trinomial":
+        params["p"] = draw(st.floats(0.01, 0.49))
+    tree = build(ModelConfig(kind, K=draw(st.integers(1, 12 if recomb else 6)),
+                             params=params)).tree
+    variant = draw(st.sampled_from(["built", "subtree", "permuted"]))
+    if variant == "subtree":
+        tree = extract_subtree(
+            tree, draw(st.integers(0, tree.n_nonterminal - 1)))[0]
+    if variant == "permuted":
+        tree = permute_last_level(
+            tree, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))[0]
+        return tree, None
+    # with one node on every non-terminal level any stride fits; it reads 1
+    wide = np.diff(tree.level_start[:tree.K + 1]).max() > 1
+    return tree, (1 if recomb or not wide else tree.arity)
+
+
+@settings(deadline=None)
+@given(line_trees())
+def test_child_stride_is_set_iff_children_are_in_closed_form(tree_stride):
+    """Line lattices and their subtrees step by 1 and full trees by their
+    arity; a copy with permuted children is not flagged.  path_prob adds
+    each child's mass in edge order, byte for byte, on either path."""
+    tree, stride = tree_stride
+    assert closed_form_stride(tree) == stride
+    assert tree.child_stride == stride
+    assert tree.path_prob.tobytes() == path_prob_loop(tree).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_trees())
+def test_child_stride_and_path_prob_on_every_model_kind(tree_m):
+    tree, _ = tree_m
+    assert tree.child_stride == closed_form_stride(tree)
+    assert tree.path_prob.tobytes() == path_prob_loop(tree).tobytes()

@@ -1,5 +1,6 @@
 """The numpy kernels against per-node loop references kept here."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from orthres import _kernels
 from orthres.models import ModelConfig, build
 
-from conftest import random_full_tree
+from conftest import permute_last_level, random_full_tree
 
 
 # ---------------------------------------------------------------------------
@@ -78,24 +79,60 @@ KERNELS = ("edge_sum", "backward_expect", "level_moments_d1",
 
 
 def cases(rng):
-    """Fixed-arity trees (strided sums, parent broadcasts) of arity 2, 3 and
-    4, then mixed-arity ones (reduceat, parent gathers)."""
+    """Line lattices, whose level's children are a view (child_stride 1), a
+    full tree (child_stride 4), the jump lattice and a line lattice with
+    permuted leaves (fixed arity, children gathered), then mixed-arity
+    trees (reduceat, parent gathers)."""
     yield build(ModelConfig("binary", K=9)).tree
     yield build(ModelConfig("trinomial", K=12)).tree
     yield build(ModelConfig("compensated_jump", K=10)).tree
     yield build(ModelConfig("product_noise", K=4)).tree
+    yield permute_last_level(build(ModelConfig("trinomial", K=7)).tree,
+                             rng)[0]
     for _ in range(4):
         yield random_full_tree(rng, K=4)
 
 
 def test_cases_cover_fixed_and_mixed_arity(rng):
-    arities = [tree.arity for tree in cases(rng)]
-    assert arities[:4] == [2, 3, 3, 4]
-    assert None in arities[4:]
+    paths = [(tree.arity, tree.child_stride) for tree in cases(rng)]
+    assert paths[:5] == [(2, 1), (3, 1), (3, None), (4, 4), (3, None)]
+    assert (None, None) in paths[5:]
+
+
+def node_range(tree, rng):
+    """A level, part of a level or a run of levels: the children of the
+    first two are a view on a tree with a child_stride, of the last a
+    gather."""
+    k = int(rng.integers(0, tree.K))
+    lo, hi = tree.level_slice(k)
+    pick = rng.integers(3)
+    if pick == 1 and hi - lo > 1:
+        lo = int(rng.integers(lo, hi))
+        hi = int(rng.integers(lo + 1, hi + 1))
+    if pick == 2:
+        hi = tree.level_slice(int(rng.integers(k, tree.K)))[1]
+    return lo, hi
+
+
+def in_layout(tree, w, lo, hi):
+    """The per-edge w of [lo, hi), (E,) or (E, C) in edge order, in the
+    kernels' layout: (r, n) or (C, r, n) on a strided tree, else (E,) or
+    (C, E)."""
+    w = w.T
+    if _kernels._strided(tree):
+        w = w.reshape(w.shape[:-1] + (hi - lo, tree.arity)).swapaxes(-1, -2)
+    return np.ascontiguousarray(w)
+
+
+def edge_order(tree, x):
+    """``in_layout`` undone: (E,) or (E, B) in edge order."""
+    if _kernels._strided(tree):
+        x = x.swapaxes(-1, -2).reshape(x.shape[:-2] + (-1,))
+    return x.T
 
 
 def run_loop(name, tree, rng):
-    lo, hi = tree.level_slice(rng.integers(0, tree.K))
+    lo, hi = node_range(tree, rng)
     args = (tree.estart, tree.echild, tree.eprob)
     y = rng.normal(size=tree.n_nodes)
     m = rng.normal(size=tree.n_nodes)
@@ -135,45 +172,56 @@ def _range_weights(tree, lo, hi, rng):
     return rng.uniform(0.5, 1.5, size=E), rng.uniform(0.5, 1.5, size=(E, 3))
 
 
+def _pdm(tree, m, lo, hi):
+    return (_kernels.edge_layout(tree, tree.eprob, lo, hi)
+            * _kernels.edge_increments(tree, m, lo, hi))
+
+
 def _numpy_ey_z(tree, m, y, lo, hi):
-    dm = _kernels.edge_increments(tree, m)
-    ey, m1, _ = _kernels.level_moments_d1(tree, tree.eprob * dm, y, lo, hi)
-    s2 = _kernels.edge_sum(tree, tree.eprob * dm * dm, lo, hi)
+    dm = _kernels.edge_increments(tree, m, lo, hi)
+    pdm = _kernels.edge_layout(tree, tree.eprob, lo, hi) * dm
+    ey, m1, _ = _kernels.level_moments_d1(tree, pdm, y, lo, hi)
+    s2 = _kernels.edge_sum(tree, pdm * dm, lo, hi)
     return ey, m1 / np.maximum(s2, 1e-300)
 
 
 def run_numpy(name, tree, rng):
-    lo, hi = tree.level_slice(rng.integers(0, tree.K))
+    lo, hi = node_range(tree, rng)
     y = rng.normal(size=tree.n_nodes)
     m = rng.normal(size=tree.n_nodes)
-    dm = _kernels.edge_increments(tree, m)
     if name == "edge_sum":
         w = rng.normal(size=len(tree.eprob))
-        return (_kernels.edge_sum(tree, w, lo, hi),)
+        return (_kernels.edge_sum(tree, _kernels.edge_layout(tree, w, lo, hi),
+                                  lo, hi),)
     if name == "backward_expect":
         return (_kernels.backward_expect(tree, y, lo, hi),)
     if name == "level_moments_d1":
-        return _kernels.level_moments_d1(tree, tree.eprob * dm, y, lo, hi)
+        return _kernels.level_moments_d1(tree, _pdm(tree, m, lo, hi), y, lo,
+                                         hi)
     if name == "edge_residuals_d1":
         ey, z = _numpy_ey_z(tree, m, y, lo, hi)
         dn = np.zeros(len(tree.eprob))
-        res = _kernels.edge_residuals_d1(tree, dm, y, ey, z, lo, hi, dn)
+        res = _kernels.edge_residuals_d1(
+            tree, _kernels.edge_increments(tree, m, lo, hi), y, ey, z, lo, hi,
+            dn)
         return dn, res
     if name == "weighted_child_sum":
-        return tuple(_kernels.weighted_child_sum(tree, w, y, lo, hi)
-                     for w in _range_weights(tree, lo, hi, rng))
+        return tuple(_kernels.weighted_child_sum(
+            tree, in_layout(tree, w, lo, hi), y, lo, hi)
+            for w in _range_weights(tree, lo, hi, rng))
     raise KeyError(name)
 
 
 @pytest.mark.parametrize("name", KERNELS)
 def test_loop_matches_numpy(name, rng):
     for tree in cases(rng):
-        seed = int(rng.integers(1 << 31))
-        a = run_loop(name, tree, np.random.default_rng(seed))
-        b = run_numpy(name, tree, np.random.default_rng(seed))
-        for x, y in zip(a, b):
-            assert x.shape == y.shape
-            npt.assert_allclose(x, y, atol=1e-13)
+        for _ in range(3):
+            seed = int(rng.integers(1 << 31))
+            a = run_loop(name, tree, np.random.default_rng(seed))
+            b = run_numpy(name, tree, np.random.default_rng(seed))
+            for x, y in zip(a, b):
+                assert x.shape == y.shape
+                npt.assert_allclose(x, y, atol=1e-13)
 
 
 def test_wrappers_agree_with_direct_expectation(rng):
@@ -188,82 +236,127 @@ def test_wrappers_agree_with_direct_expectation(rng):
 
 
 def test_edge_increments_per_edge(rng):
-    tree = random_full_tree(rng, K=4)
-    m = rng.normal(size=tree.n_nodes)
-    dm = _kernels.edge_increments(tree, m)
-    for e in range(len(tree.echild)):
-        assert dm[e] == m[tree.echild[e]] - m[tree.eparent[e]]
+    for tree in cases(rng):
+        m = rng.normal(size=tree.n_nodes)
+        lo, hi = node_range(tree, rng)
+        dm = edge_order(tree, _kernels.edge_increments(tree, m, lo, hi))
+        p = edge_order(tree, _kernels.edge_layout(tree, tree.eprob, lo, hi))
+        for e in range(tree.estart[lo], tree.estart[hi]):
+            assert dm[e - tree.estart[lo]] == (m[tree.echild[e]]
+                                               - m[tree.eparent[e]])
+            assert p[e - tree.estart[lo]] == tree.eprob[e]
+
+
+def test_children_view_refuses_values_that_stop_short():
+    """The strided view of a level's children is checked against the
+    values it reads: a y that does not reach the last child is refused, as
+    a gather would refuse it."""
+    tree = build(ModelConfig("trinomial", K=4)).tree
+    lo, hi = tree.level_slice(2)
+    y = np.zeros(tree.level_start[4] - tree.level_start[3] - 1)
+    with pytest.raises((ValueError, TypeError)):
+        _kernels.level_moments_d1(tree, np.zeros((3, hi - lo)), y, lo, hi,
+                                  tree.level_start[3])
 
 
 def test_level_moments_dy_and_residual_moments_match_loops(rng):
     for tree in cases(rng):
-        lo, hi = tree.level_slice(int(rng.integers(0, tree.K)))
+        lo, hi = node_range(tree, rng)
         y = rng.normal(size=tree.n_nodes)
         m = rng.normal(size=tree.n_nodes)
-        dm = _kernels.edge_increments(tree, m)
-        ey, m1, dy = _kernels.level_moments_d1(tree, tree.eprob * dm, y,
-                                               lo, hi)
+        dm = _kernels.edge_increments(tree, m, lo, hi)
+        ey, m1, dy = _kernels.level_moments_d1(tree, _pdm(tree, m, lo, hi),
+                                               y, lo, hi)
         sl = slice(tree.estart[lo], tree.estart[hi])
+        dy_e = edge_order(tree, dy)
         for e in range(sl.start, sl.stop):
-            assert dy[e - sl.start] == (y[tree.echild[e]]
-                                        - ey[tree.eparent[e] - lo])
+            assert dy_e[e - sl.start] == (y[tree.echild[e]]
+                                          - ey[tree.eparent[e] - lo])
         z = rng.normal(size=hi - lo)
         dn_ref = np.zeros(len(tree.eprob))
         res_ref = np.empty(hi - lo)
         _edge_residuals_d1_loop(tree.estart, tree.echild, tree.eprob, m, y,
                                 ey, z, lo, hi, dn_ref, res_ref)
         dn, res = _kernels.residual_moments_d1(tree, dm, dy, z, lo, hi)
-        npt.assert_allclose(dn, dn_ref[sl], atol=1e-13)
+        npt.assert_allclose(edge_order(tree, dn), dn_ref[sl], atol=1e-13)
         npt.assert_allclose(res, res_ref, atol=1e-13)
 
 
 @pytest.mark.parametrize("B", [1, 2, 5])
 def test_batched_columns_are_the_1d_calls(B, rng):
-    """Every column of an (n, B) call is bit for bit the 1-D call on it, and
-    a 1-D input stays 1-D."""
-    for tree in cases(rng):
-        lo, hi = tree.level_slice(int(rng.integers(0, tree.K)))
+    """Every column of an (n, B) call, of either memory order, is bit for
+    bit the 1-D call on it, and a 1-D input stays 1-D."""
+    for tree, order in itertools.product(cases(rng), "CF"):
+        lo, hi = node_range(tree, rng)
         nt = tree.n_nonterminal
-        y = rng.normal(size=(tree.n_nodes, B))
-        ey = rng.normal(size=(nt, B))
-        z = rng.normal(size=(nt, B))
-        dm = _kernels.edge_increments(tree, rng.normal(size=tree.n_nodes))
-        pdm = tree.eprob * dm
+        y = np.asarray(rng.normal(size=(tree.n_nodes, B)), order=order)
+        ey = np.asarray(rng.normal(size=(nt, B)), order=order)
+        z = np.asarray(rng.normal(size=(nt, B)), order=order)
+        m = rng.normal(size=tree.n_nodes)
+        pdm = _pdm(tree, m, lo, hi)
+        dm_all = _kernels.edge_increments(tree, m, 0, nt)
         dn = np.empty((len(tree.eprob), B))
         batched = (
             (_kernels.backward_expect(tree, y, lo, hi),),
-            _kernels.level_moments_d1(tree, pdm, y, lo, hi),
-            (_kernels.edge_residuals_d1(tree, dm, y, ey, z, 0, nt, dn), dn))
+            _kernels.level_moments_d1(tree, pdm, y, lo, hi)[:2],
+            (_kernels.edge_residuals_d1(tree, dm_all, y, ey, z, 0, nt, dn),
+             dn))
         for j in range(B):
             yj = y[:, j].copy()
             dnj = np.empty(len(tree.eprob))
             single = (
                 (_kernels.backward_expect(tree, yj, lo, hi),),
-                _kernels.level_moments_d1(tree, pdm, yj, lo, hi),
-                (_kernels.edge_residuals_d1(tree, dm, yj, ey[:, j].copy(),
+                _kernels.level_moments_d1(tree, pdm, yj, lo, hi)[:2],
+                (_kernels.edge_residuals_d1(tree, dm_all, yj, ey[:, j].copy(),
                                             z[:, j].copy(), 0, nt, dnj),
                  dnj))
             for outs_b, outs_1 in zip(batched, single):
                 for ob, o1 in zip(outs_b, outs_1):
                     assert o1.ndim == 1
                     assert np.array_equal(ob[:, j], o1)
-        w = rng.uniform(0.5, 1.5, size=(tree.estart[hi] - tree.estart[lo], B))
+        E = tree.estart[hi] - tree.estart[lo]
+        w = in_layout(tree, rng.uniform(0.5, 1.5, size=(E, B)), lo, hi)
         vals = rng.normal(size=tree.n_nodes)
         wcs = _kernels.weighted_child_sum(tree, w, vals, lo, hi)
         for j in range(B):
             assert np.array_equal(wcs[:, j], _kernels.weighted_child_sum(
-                tree, w[:, j].copy(), vals, lo, hi))
+                tree, w[j].copy(), vals, lo, hi))
         # residual_moments_d1 overwrites dy with dn: columns are copied first
-        dy = batched[1][2]
-        columns = [dy[:, j].copy() for j in range(B)]
+        dy = _kernels.level_moments_d1(tree, pdm, y, lo, hi)[2]
+        columns = [dy[j].copy() for j in range(B)]
         z_level = z[lo:hi]
+        dm = _kernels.edge_increments(tree, m, lo, hi)
         dn_b, res_b = _kernels.residual_moments_d1(tree, dm, dy, z_level,
                                                   lo, hi)
         for j in range(B):
             dn_1, res_1 = _kernels.residual_moments_d1(
                 tree, dm, columns[j], z_level[:, j].copy(), lo, hi)
-            assert np.array_equal(dn_b[:, j], dn_1)
+            assert np.array_equal(dn_b[j], dn_1)
             assert np.array_equal(res_b[:, j], res_1)
+
+
+def test_a_view_and_a_gather_give_the_same_bits(rng):
+    """On a line lattice and its copy with permuted leaves, every kernel
+    gives each node the same bits: the copy reads its children through a
+    gather, the lattice through a view."""
+    built = build(ModelConfig("trinomial", K=9))
+    tree, m = built.tree, built.M.scalar
+    perm, new_id = permute_last_level(tree, rng)
+    assert tree.child_stride == 1 and perm.child_stride is None
+    y = rng.normal(size=(tree.n_nodes, 3))
+    y_perm = np.empty_like(y)
+    y_perm[new_id] = y
+    m_perm = np.empty_like(m)
+    m_perm[new_id] = m
+    for k in range(tree.K):
+        lo, hi = tree.level_slice(k)
+        pdm = _pdm(tree, m, lo, hi)
+        assert np.array_equal(pdm, _pdm(perm, m_perm, lo, hi))
+        for a, b in zip(_kernels.level_moments_d1(tree, pdm, y, lo, hi),
+                        _kernels.level_moments_d1(perm, pdm, y_perm, lo, hi)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(_kernels.backward_expect(tree, y, lo, hi),
+                              _kernels.backward_expect(perm, y_perm, lo, hi))
 
 
 # ---------------------------------------------------------------------------

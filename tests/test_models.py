@@ -11,7 +11,8 @@ from orthres.ftree import (AdaptedProcess, TimeGrid, is_martingale,
                            predictable_bracket)
 from orthres.models import ModelConfig, build, estimate_nodes, node_cap
 
-from reference import TreeBuilder, is_tree, product_noise_coin
+from reference import (TreeBuilder, is_tree, path_prob_loop,
+                       product_noise_coin)
 
 
 def terminal_law(built):
@@ -229,6 +230,7 @@ def assert_matches_reference_lattice(config):
         assert got.tobytes() == want.tobytes(), name
     assert built.M.values.dtype == mvals.dtype
     assert built.M.values.tobytes() == mvals[:, None].tobytes()
+    assert built.tree.path_prob.tobytes() == path_prob_loop(tree).tobytes()
     if aux is not None:
         assert product_noise_coin(built.tree).tobytes() == aux.tobytes()
 

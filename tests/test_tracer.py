@@ -5,13 +5,14 @@ their results. Installing it fails if a name is gone, a traced solve fails if
 a field it reads is gone, and uninstalling must put every name back.
 """
 
+import inspect
 import os
 import sys
 
 import orthres
 # cli too, which install() would import: every wrapped module is loaded first
-from orthres import _kernels, bsde, cli, forward, ftree, models  # noqa: F401
-from orthres.mollify import MollifiedMap, TerminalMap
+from orthres import _kernels, bsde, cli, forward, ftree, gkw, models  # noqa: F401
+from orthres.mollify import MollifiedMap, TerminalMap, indicator_halfspace
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -65,3 +66,51 @@ def test_tracer_wraps_a_solve_and_uninstall_restores_every_name(monkeypatch):
     # the worker records whether the numba kernels are on
     assert isinstance(_kernels.NUMBA_ENABLED, bool)
     assert orthres.build is models.build
+
+
+def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
+    """The tracer reads each kernel's tree, lo and hi by position. Against
+    the arguments bound by name, it counts K level_moments_d1 calls, one per
+    level, for one B = 2 vanishing-N sweep and K more for a GKW
+    decomposition, and as many edges as the calls' [lo, hi) ranges span."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracer as tracing
+
+    calls = []
+    for name in tracing.KERNELS:
+        kernel = getattr(_kernels, name)
+
+        def recording(*args, _kernel=kernel, _name=name, **kwargs):
+            bound = inspect.signature(_kernel).bind(*args, **kwargs).arguments
+            calls.append((_name, bound["tree"], bound["lo"], bound["hi"]))
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(_kernels, name, recording)
+    K = 8
+    tr = tracing.Tracer()
+    tracing.install(tr)
+    try:
+        report = bsde.vanishing_N_experiment(
+            lambda K: models.ModelConfig("trinomial", K=K), None,
+            indicator_halfspace(), bsde.zero_driver(), [0.01], [K])
+        sweep = [c for c in calls if c[0] == "level_moments_d1"]
+        built = models.build(models.ModelConfig("trinomial", K=K))
+        tree, M = built.tree, built.M
+        lo, hi = tree.level_slice(K)
+        gkw.gkw_decompose(tree, M, gkw.martingale_from_terminal(
+            tree, (M.scalar[lo:hi] > 0).astype(float)))
+        metrics = tracing.layer_metrics(tr, 1.0)
+    finally:
+        tr.uninstall()
+    assert len(report.rows) == 2
+    assert len(sweep) == K
+    levels = [c for c in calls if c[0] == "level_moments_d1"]
+    assert {c[1].level_slice(c[1].node_level[c[2]]) == c[2:]
+            for c in levels} == {True}
+    assert metrics["kernels.level_moments_d1_calls"] == len(levels) == 2 * K
+    assert metrics["kernels.edge_residuals_d1_calls"] == K
+    assert metrics["gkw.decompose_calls"] == 1
+    for name in tracing.KERNELS:
+        assert metrics[f"kernels.{name}_calls"] == sum(
+            c[0] == name for c in calls)
+    assert metrics["kernels.edges"] == sum(
+        int(t.estart[hi]) - int(t.estart[lo]) for _, t, lo, hi in calls)
