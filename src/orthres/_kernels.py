@@ -36,8 +36,9 @@ the 1-D call.  ``tests/test_kernels.py`` keeps per-node loop versions as the
 reference.
 
 ``weighted_child_sum`` takes one ``vals`` of shape (n,) and the range's
-weights with C reweightings leading, ``(C, r, n)`` or ``(C, E)``, one result
-column each, since the dual DP forms its weights level by level.
+weights with C reweightings leading, ``(C, r, n)`` or ``(C, E)``, and returns
+one row per reweighting, ``(C, n)``, since the dual DP forms its weights level
+by level.
 
 The projections are scalar-martingale (d = 1) only, as are the solvers and
 the decomposition that call them; a d-general per-node ``pinv`` loop is kept
@@ -115,7 +116,10 @@ def _children(tree, v, lo, hi, base):
         return vc.reshape(v.shape[:-1] + (hi - lo, tree.arity)).swapaxes(
             -1, -2) if strided else vc
     # move i of node j is v[..., first - base + s*j + i]: a view of the
-    # children's window of v, which np.ndarray refuses if v stops short
+    # children's window of v, which np.ndarray refuses if v stops short.  The
+    # window is copied first where its rows are not contiguous (a part of a
+    # level of an (n, B) input); the solvers pass one level's values, whose
+    # window is all of them, so they never copy
     s, r, n = tree.child_stride, tree.arity, hi - lo
     first -= base
     if first < 0:
@@ -208,7 +212,7 @@ def edge_residuals_d1(tree, dm, y, ey, z, lo, hi, dn):
 def weighted_child_sum(tree, w, vals, lo, hi):
     """Reweighted one-step expectation sum_e p_e w_e vals[child_e] per node;
     ``w`` holds the range's own edges in their layout, with C reweightings
-    leading, (C, r, n) or (C, E), for an (n, C) result."""
+    leading, (C, r, n) or (C, E), for a (C, n) result."""
     vc = _children(tree, vals, lo, hi, 0)
     return edge_sum(tree, edge_layout(tree, tree.eprob, lo, hi) * w * vc,
-                    lo, hi).T
+                    lo, hi)

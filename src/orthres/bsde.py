@@ -595,7 +595,7 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
         tilt = np.where(ok, gamma * nu / np.where(ok, qk, 1.0), 0.0)
         w = 1.0 + _kernels.parent_values(tree, tilt, a, bb) * dm
         val = _kernels.weighted_child_sum(tree, np.maximum(w, DUAL_FLOOR), W,
-                                          a, bb).T
+                                          a, bb)
         # the better of beta = -b and beta = +b, the non-NaN one if one is
         disc = np.fmax(np.exp(b * dck) * val, np.exp(-b * dck) * val)
         cand = disc + (etak - 0.5 * gamma * nu ** 2) * dck

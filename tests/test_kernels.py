@@ -161,7 +161,7 @@ def run_loop(name, tree, rng):
         for w in _range_weights(tree, lo, hi, rng):
             out = np.empty((hi - lo,) + w.shape[1:])
             _weighted_child_sum_loop(*args, w, y, lo, hi, out)
-            outs.append(out)
+            outs.append(out.T)
         return tuple(outs)
     raise KeyError(name)
 
@@ -296,17 +296,21 @@ def test_batched_columns_are_the_1d_calls(B, rng):
         pdm = _pdm(tree, m, lo, hi)
         dm_all = _kernels.edge_increments(tree, m, 0, nt)
         dn = np.empty((len(tree.eprob), B))
+        ey_b, m1_b, dy = _kernels.level_moments_d1(tree, pdm, y, lo, hi)
         batched = (
             (_kernels.backward_expect(tree, y, lo, hi),),
-            _kernels.level_moments_d1(tree, pdm, y, lo, hi)[:2],
+            (ey_b, m1_b),
             (_kernels.edge_residuals_d1(tree, dm_all, y, ey, z, 0, nt, dn),
              dn))
         for j in range(B):
             yj = y[:, j].copy()
             dnj = np.empty(len(tree.eprob))
+            ey_1, m1_1, dy_1 = _kernels.level_moments_d1(tree, pdm, yj, lo, hi)
+            assert dy_1.ndim == dy.ndim - 1
+            assert np.array_equal(dy[j], dy_1)
             single = (
                 (_kernels.backward_expect(tree, yj, lo, hi),),
-                _kernels.level_moments_d1(tree, pdm, yj, lo, hi)[:2],
+                (ey_1, m1_1),
                 (_kernels.edge_residuals_d1(tree, dm_all, yj, ey[:, j].copy(),
                                             z[:, j].copy(), 0, nt, dnj),
                  dnj))
@@ -319,10 +323,9 @@ def test_batched_columns_are_the_1d_calls(B, rng):
         vals = rng.normal(size=tree.n_nodes)
         wcs = _kernels.weighted_child_sum(tree, w, vals, lo, hi)
         for j in range(B):
-            assert np.array_equal(wcs[:, j], _kernels.weighted_child_sum(
+            assert np.array_equal(wcs[j], _kernels.weighted_child_sum(
                 tree, w[j].copy(), vals, lo, hi))
         # residual_moments_d1 overwrites dy with dn: columns are copied first
-        dy = _kernels.level_moments_d1(tree, pdm, y, lo, hi)[2]
         columns = [dy[j].copy() for j in range(B)]
         z_level = z[lo:hi]
         dm = _kernels.edge_increments(tree, m, lo, hi)
