@@ -1,19 +1,21 @@
 """Exact orthogonal decomposition of tree martingales against M.
 
-At every non-terminal node the increment of Y is split into its least-squares
-projection on the increment of M plus a residual dN that is conditionally
-uncorrelated with M.  The terminal expectation of the summed squared
-residuals is the discrete analogue of E[[N]_T].
+The decomposition Y = Y0 + int Z dM + N of a martingale Y is the zero-driver
+case of the backward solver: ``bsde._levels`` with the zero driver takes the
+step y = E[y' | node], projects each level's dy on dm (reading
+E[dm^2 | node] from the clock's Sigma) and closes E[dN^2 | node] on that
+level, so its E[[N]_T] is the discrete analogue of the orthogonal part's
+bracket.  This module runs that sweep; it has no level loop of its own.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, bsde
 from .errors import InvariantViolation
-from .ftree import PredictableField, backward_closure, is_martingale
-from . import models
+from .ftree import (PredictableField, backward_closure, is_martingale,
+                    predictable_bracket)
 
 # largest |E[Y' | node] - Y| that still counts as a martingale
 MARTINGALE_TOL = 1e-9
@@ -33,40 +35,32 @@ def martingale_from_terminal(tree, zeta):
 
 
 def gkw_decompose(tree, M, Y):
-    """Least-squares projection of dY on dM node by node, for a scalar M,
-    level by level from each level's own increments.
+    """Least-squares projection of dY on dM node by node, for a scalar M:
+    the zero-driver solve of Y's leaf values, plus its per-edge dN.
 
     Y must already be a martingale (take ``martingale_from_terminal`` of the
-    terminal variable first).
+    terminal variable first).  The solve needs the clock of M, so recombined
+    nodes must agree on the accumulated bracket trace, as every solver
+    experiment requires; every shipped model does, and a tree that does not
+    raises InvariantViolation from ``predictable_bracket``.
     """
-    if M.dim != 1:
-        raise NotImplementedError("the decomposition is scalar-martingale "
-                                  "only")
     chk = is_martingale(tree, Y, MARTINGALE_TOL)
     if not chk:
         raise InvariantViolation(
             f"Y is not a martingale (violation {chk.max_violation:.3e}); "
             "close the terminal variable with martingale_from_terminal first")
     nt = tree.n_nonterminal
-    dn = np.zeros(len(tree.echild))
-    z, res = np.empty(nt), np.empty(nt)
-    y, m = Y.scalar, M.scalar
-    for k in range(tree.K):
-        a, b = tree.level_slice(k)
-        dm = _kernels.edge_increments(tree, m, a, b)
-        pdm = _kernels.edge_layout(tree, tree.eprob, a, b) * dm
-        ey, m1 = _kernels.level_moments_d1(tree, pdm, y, a, b)[:2]
-        s2 = _kernels.edge_sum(tree, pdm * dm, a, b)
-        z[a:b] = np.where(s2 > _kernels.PROJ_EPS,
-                          m1 / np.where(s2 > 0, s2, 1.0), 0.0)
-        res[a:b] = _kernels.edge_residuals_d1(tree, dm, y, ey, z[a:b], a, b,
-                                              dn)
-    return GkwResult(
-        Z=PredictableField(tree, z[:, None]),
-        dN=dn,
-        bracketNN_T=float(np.sum(tree.path_prob[:nt] * res)),
-        Y0=float(Y.values[0, 0]),
-    )
+    lo = tree.level_start[tree.K]
+    sol = bsde.solve_lipschitz(tree, M, predictable_bracket(tree, M), None,
+                               Y.scalar[lo:], bsde.zero_driver())
+    # the zero driver's y is E[y'], so the solved y is its own ey
+    y, z = sol.Y.scalar, sol.Z.values[:, 0]
+    dn = np.empty(len(tree.echild))
+    _kernels.edge_residuals_d1(
+        tree, _kernels.edge_increments(tree, M.scalar, 0, nt), y, y[:nt], z,
+        0, nt, dn)
+    return GkwResult(Z=sol.Z, dN=dn, bracketNN_T=sol.bracketNN_T,
+                     Y0=sol.Y0)
 
 
 @dataclass
@@ -99,22 +93,22 @@ class SweepResult:
 
 
 def residual_sweep(config_for, F, K_list):
-    """GKW residual of E[F(M_K)|F] across mesh refinements.
+    """GKW residual of E[F(M_K)|F] across mesh refinements: per K, one
+    streamed zero-driver sweep of the solver's levels.
 
     ``config_for(K)`` returns a ModelConfig; F maps terminal martingale
     states (array of shape (leaves, d)) to terminal values.
     """
     out = SweepResult()
     for K in K_list:
-        built = models.build(config_for(K))
-        tree, M = built.tree, built.M
+        tree, M, clock, _ = bsde.setup_problem(config_for(K))
         lo, hi = tree.level_slice(tree.K)
         zeta = np.asarray(F(M.values[lo:hi]), dtype=float)
-        Y = martingale_from_terminal(tree, zeta)
-        res = gkw_decompose(tree, M, Y)
+        bracket, _ = bsde._consume(bsde._levels(tree, M, clock, None, zeta,
+                                                bsde.zero_driver()))
         var = float(tree.path_prob[lo:hi] @ (zeta - zeta @ tree.path_prob[lo:hi]) ** 2)
         out.rows.append(SweepRow(
-            K=K, bracketNN_T=res.bracketNN_T,
-            normalized=res.bracketNN_T / var if var > 0 else 0.0,
+            K=K, bracketNN_T=bracket,
+            normalized=bracket / var if var > 0 else 0.0,
             n_nodes=tree.n_nodes))
     return out

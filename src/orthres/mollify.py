@@ -123,7 +123,6 @@ class TerminalMap:
     arity: int
     evaluator: callable
     declared_class: str = "bounded_borelian"
-    bound: float = None
     halfspace: tuple = None
 
     def __call__(self, x):
@@ -217,7 +216,7 @@ def indicator_halfspace(threshold=0.0, strict=True):
         return op(x[:, 0], threshold).astype(float)
 
     return TerminalMap(id="indicator_halfspace", arity=1, evaluator=ev,
-                       declared_class="bounded_borelian", bound=1.0,
+                       declared_class="bounded_borelian",
                        halfspace=(np.array([1.0]), threshold))
 
 
@@ -231,7 +230,7 @@ def sine(omega=np.pi, amp=1.0):
     return TerminalMap(
         id="sine", arity=1,
         evaluator=lambda x: amp * np.sin(omega * x[:, 0]),
-        declared_class="smooth", bound=abs(amp))
+        declared_class="smooth")
 
 
 def digital_box(a=-0.5, b=0.5):
@@ -241,7 +240,7 @@ def digital_box(a=-0.5, b=0.5):
         return ((x[:, 0] >= a) & (x[:, 0] <= b)).astype(float)
 
     return TerminalMap(id="digital_box", arity=1, evaluator=ev,
-                       declared_class="bounded_borelian", bound=1.0)
+                       declared_class="bounded_borelian")
 
 
 def custom_polynomial(coeffs):
@@ -262,7 +261,7 @@ def clipped_linear(scale=1.0, cap=1.0):
         return np.clip(scale * x[:, 0], -cap, cap)
 
     return TerminalMap(id="clipped_linear", arity=1, evaluator=ev,
-                       declared_class="lipschitz", bound=float(cap))
+                       declared_class="lipschitz")
 
 
 CATALOG = {

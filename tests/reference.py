@@ -3,11 +3,11 @@
 Each is the plain loop that the library either replaced with a vectorised
 version or never needed outside the tests: the true-tree test, an incremental
 tree builder, exact conditional expectations, the pathwise bracket, a JSON
-round trip, the d-general GKW projection, a solve's per-edge dN, the two-term
-bracket split, the Markov grouping spread, a driver growth check, the
-comparison check on two stored solutions, a one-matrix PSD factor, a
-clamped terminal map, and a tree's path probabilities and closed-form child
-stride by their definitions.
+round trip, the level-by-level and the d-general GKW projections, a solve's
+per-edge dN, the two-term bracket split, the Markov grouping spread, a driver
+growth check, the comparison check on two stored solutions, a one-matrix PSD
+factor, a clamped terminal map, and a tree's path probabilities and
+closed-form child stride by their definitions.
 """
 
 import json
@@ -227,6 +227,28 @@ def tree_from_json(text):
 # GKW and BSDE checks
 # ---------------------------------------------------------------------------
 
+def gkw_levels(tree, M, Y):
+    """Projection of dY on dM for a scalar M, level by level from each
+    level's own increments and E[dm^2 | node], as a loop of its own rather
+    than gkw_decompose's zero-driver solve.  Returns (Z of shape (nt,), the
+    per-edge dN, E[[N]_T] summed over every node at once)."""
+    nt = tree.n_nonterminal
+    dn = np.zeros(len(tree.echild))
+    z, res = np.empty(nt), np.empty(nt)
+    y, m = Y.scalar, M.scalar
+    for k in range(tree.K):
+        a, b = tree.level_slice(k)
+        dm = _kernels.edge_increments(tree, m, a, b)
+        pdm = _kernels.edge_layout(tree, tree.eprob, a, b) * dm
+        ey, m1 = _kernels.level_moments_d1(tree, pdm, y, a, b)[:2]
+        s2 = _kernels.edge_sum(tree, pdm * dm, a, b)
+        z[a:b] = np.where(s2 > _kernels.PROJ_EPS,
+                          m1 / np.where(s2 > 0, s2, 1.0), 0.0)
+        res[a:b] = _kernels.edge_residuals_d1(tree, dm, y, ey, z[a:b], a, b,
+                                              dn)
+    return z, dn, float(np.sum(tree.path_prob[:nt] * res))
+
+
 def gkw_pinv(tree, M, Y):
     """Projection of dY on dM node by node for an M of any dimension d:
     Z = pinv(E[dM dM* | node]) E[dY dM | node].  Returns (Z of shape (nt, d),
@@ -409,5 +431,4 @@ def clamp(F, n):
     def ev(x):
         return np.clip(base(x), -n, n)
 
-    return replace(F, id=f"{F.id}~clamp{n}", evaluator=ev, bound=float(n),
-                   halfspace=None)
+    return replace(F, id=f"{F.id}~clamp{n}", evaluator=ev, halfspace=None)

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from orthres import bsde
@@ -134,6 +135,24 @@ def test_A4_negative_controls():
             f"jump floor ok: {floor_ok} (min ratio "
             f"{(sw.residuals / sw.residuals[0]).min():.2f}), "
             f"independence residual {res.bracketNN_T:.12f} >= {var_floor}")
+
+
+def test_A4_product_noise_control_as_a_rate():
+    """The coin-only terminal keeps its whole variance in N at every mesh:
+    the residual is Var(coin) = 1 for K = 2..6, a log-log slope of 0."""
+    Ks = list(range(2, 7))
+    residuals = []
+    for K in Ks:
+        built = build(ModelConfig("product_noise", K=K))
+        tree, M = built.tree, built.M
+        assert tree.child_stride == 4
+        lo, hi = tree.level_slice(K)
+        zeta = product_noise_coin(tree)[lo:hi]
+        residuals.append(gkw_decompose(
+            tree, M, martingale_from_terminal(tree, zeta)).bracketNN_T)
+    slope = float(np.polyfit(np.log(Ks), np.log(residuals), 1)[0])
+    npt.assert_allclose(residuals, 1.0, rtol=0, atol=1e-12)
+    assert abs(slope) <= 1e-9, slope
 
 
 def test_A5_cascade_correctness():

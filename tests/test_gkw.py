@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthres.bsde import vanishing_N_experiment, zero_driver
 from orthres.errors import InvariantViolation
-from orthres.ftree import AdaptedProcess, TimeGrid, predictable_bracket
+from orthres.ftree import (AdaptedProcess, ScenarioTree, TimeGrid,
+                           predictable_bracket)
 from orthres.gkw import gkw_decompose, martingale_from_terminal, residual_sweep
 from orthres.models import ModelConfig, build
-from orthres.mollify import indicator_halfspace, square
+from orthres.mollify import indicator_halfspace, sine, square
 
-from conftest import random_full_tree, random_martingale
-from reference import TreeBuilder, bracket_split, gkw_pinv, running_sum
+from conftest import random_full_tree, random_martingale, small_trees
+from reference import (TreeBuilder, bracket_split, gkw_levels, gkw_pinv,
+                       running_sum)
 
 
 def trinomial_k1(p=0.25, h=1.0):
@@ -129,6 +132,54 @@ def test_matches_pinv_reference(seed, K, scale):
     npt.assert_allclose(res.Z.values, Z, **tol)
     npt.assert_allclose(res.dN, dn, **tol)
     npt.assert_allclose(res.bracketNN_T, bracket, **tol)
+
+
+# -- the zero-driver solve against the level loop it replaced -----------------
+
+def assert_matches_level_loop(tree, M, zeta):
+    """Z and dN bit for bit; E[[N]_T], which the solve sums per level and
+    the loop over every node at once, to 1e-14 relative."""
+    Y = martingale_from_terminal(tree, zeta)
+    res = gkw_decompose(tree, M, Y)
+    z, dn, bracket = gkw_levels(tree, M, Y)
+    assert np.array_equal(res.Z.values[:, 0], z)
+    assert np.array_equal(res.dN, dn)
+    npt.assert_allclose(res.bracketNN_T, bracket, rtol=1e-14, atol=0)
+    assert res.Y0 == Y.values[0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_trees(), st.sampled_from((indicator_halfspace(), sine())))
+def test_matches_level_loop_on_small_trees(tm, F):
+    tree, M = tm
+    lo, hi = tree.level_slice(tree.K)
+    assert_matches_level_loop(tree, M, F(M.values[lo:hi]))
+
+
+@pytest.mark.parametrize("kind,K", [("trinomial", 64),
+                                    ("compensated_jump", 48),
+                                    ("binary", 32), ("product_noise", 6),
+                                    ("time_changed", 12)])
+@pytest.mark.parametrize("F", [indicator_halfspace(), sine()],
+                         ids=["indicator", "sine"])
+def test_matches_level_loop_on_every_kind(kind, K, F):
+    built = build(ModelConfig(kind, K=K))
+    lo, hi = built.tree.level_slice(K)
+    assert_matches_level_loop(built.tree, built.M, F(built.M.values[lo:hi]))
+
+
+def test_decompose_needs_a_clock():
+    """Recombined node 4 is reached with accumulated traces 1 + 1 (from
+    node 1) and 1 + 2 (from node 2): the martingale has no clock, so it has
+    no decomposition either."""
+    tree = ScenarioTree(TimeGrid.uniform(2), 1, [0, 1, 3, 6],
+                        [0, 0, 1, 1, 2, 2], [1, 2, 3, 4, 4, 5],
+                        [0.5, 0.5, 0.5, 0.5, 2 / 3, 1 / 3])
+    M = AdaptedProcess(tree, np.array([0.0, -1.0, 1.0, -2.0, 0.0, 3.0]))
+    lo, hi = tree.level_slice(2)
+    Y = martingale_from_terminal(tree, M.scalar[lo:hi] ** 2)
+    with pytest.raises(InvariantViolation, match="recombined nodes disagree"):
+        gkw_decompose(tree, M, Y)
 
 
 def four_child_d2(s1, s2):
@@ -261,6 +312,16 @@ def test_residual_sweep_jump_floor():
                         lambda s: F(s), [8, 16, 32])
     assert np.all(sw.residuals >= 0.5 * sw.residuals[0])
     assert sw.residuals.min() > 1.0
+
+
+def test_residual_sweep_row_is_the_vanishing_N_raw_column():
+    F = indicator_halfspace()
+    for kind, K in (("trinomial", 32), ("compensated_jump", 16)):
+        row, = residual_sweep(lambda K: ModelConfig(kind, K=K), F, [K]).rows
+        report = vanishing_N_experiment(lambda K: ModelConfig(kind, K=K),
+                                        None, F, zero_driver(), [0.01], [K])
+        raw = next(r for r in report.rows if np.isnan(r.eps))
+        assert row.bracketNN_T == raw.bracketNN_T
 
 
 # -- bracket split ----------------------------------------------------------

@@ -101,7 +101,7 @@ def test_clamp_bounds_and_id():
     Fc = clamp(F, 2)
     x = np.array([[-3.0], [0.5], [3.0]])
     npt.assert_allclose(Fc(x), [2.0, 0.25, 2.0])
-    assert Fc.bound == 2.0
+    assert Fc.id == "square~clamp2"
     with pytest.raises(ValueError):
         clamp(F, 0)
 

@@ -31,10 +31,29 @@ def bindings():
     return out
 
 
-def test_tracer_wraps_a_solve_and_uninstall_restores_every_name(monkeypatch):
+def import_tracer(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     import tracer as tracing
+    return tracing
 
+
+def record_kernel_calls(monkeypatch, tracing):
+    """A list that each traced kernel's call appends its (name, tree, lo,
+    hi) to, from the arguments bound by name."""
+    calls = []
+    for name in tracing.KERNELS:
+        kernel = getattr(_kernels, name)
+
+        def recording(*args, _kernel=kernel, _name=name, **kwargs):
+            bound = inspect.signature(_kernel).bind(*args, **kwargs).arguments
+            calls.append((_name, bound["tree"], bound["lo"], bound["hi"]))
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(_kernels, name, recording)
+    return calls
+
+
+def test_tracer_wraps_a_solve_and_uninstall_restores_every_name(monkeypatch):
+    tracing = import_tracer(monkeypatch)
     before = bindings()
     tr = tracing.Tracer()
     tracing.install(tr)
@@ -72,19 +91,10 @@ def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
     """The tracer reads each kernel's tree, lo and hi by position. Against
     the arguments bound by name, it counts K level_moments_d1 calls, one per
     level, for one B = 2 vanishing-N sweep and K more for a GKW
-    decomposition, and as many edges as the calls' [lo, hi) ranges span."""
-    monkeypatch.syspath_prepend(PERFBENCH)
-    import tracer as tracing
-
-    calls = []
-    for name in tracing.KERNELS:
-        kernel = getattr(_kernels, name)
-
-        def recording(*args, _kernel=kernel, _name=name, **kwargs):
-            bound = inspect.signature(_kernel).bind(*args, **kwargs).arguments
-            calls.append((_name, bound["tree"], bound["lo"], bound["hi"]))
-            return _kernel(*args, **kwargs)
-        monkeypatch.setattr(_kernels, name, recording)
+    decomposition, whose one edge_residuals_d1 call spans every non-terminal
+    node, and as many edges as the calls' [lo, hi) ranges span."""
+    tracing = import_tracer(monkeypatch)
+    calls = record_kernel_calls(monkeypatch, tracing)
     K = 8
     tr = tracing.Tracer()
     tracing.install(tr)
@@ -107,10 +117,37 @@ def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
     assert {c[1].level_slice(c[1].node_level[c[2]]) == c[2:]
             for c in levels} == {True}
     assert metrics["kernels.level_moments_d1_calls"] == len(levels) == 2 * K
-    assert metrics["kernels.edge_residuals_d1_calls"] == K
+    residual_calls = [c for c in calls if c[0] == "edge_residuals_d1"]
+    assert [c[2:] for c in residual_calls] == [(0, tree.n_nonterminal)]
+    assert metrics["kernels.edge_residuals_d1_calls"] == 1
     assert metrics["gkw.decompose_calls"] == 1
     for name in tracing.KERNELS:
         assert metrics[f"kernels.{name}_calls"] == sum(
             c[0] == name for c in calls)
     assert metrics["kernels.edges"] == sum(
         int(t.estart[hi]) - int(t.estart[lo]) for _, t, lo, hi in calls)
+
+
+def test_residual_sweep_runs_one_solver_sweep_and_no_decomposition(
+        monkeypatch):
+    """A residual sweep streams one zero-driver level sweep per K: K
+    level_moments_d1 calls, and no gkw_decompose or edge_residuals_d1
+    call."""
+    tracing = import_tracer(monkeypatch)
+    calls = record_kernel_calls(monkeypatch, tracing)
+    K = 8
+    tr = tracing.Tracer()
+    tracing.install(tr)
+    try:
+        sweep = gkw.residual_sweep(
+            lambda K: models.ModelConfig("compensated_jump", K=K),
+            indicator_halfspace(), [K])
+        metrics = tracing.layer_metrics(tr, 1.0)
+    finally:
+        tr.uninstall()
+    assert len(sweep.rows) == 1
+    assert metrics["gkw.decompose_calls"] == 0
+    assert metrics["kernels.edge_residuals_d1_calls"] == 0
+    assert sum(c[0] == "level_moments_d1" for c in calls) == K
+    assert "edge_residuals_d1" not in {c[0] for c in calls}
+    assert metrics["ftree.clock_calls"] == 1
