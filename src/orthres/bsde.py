@@ -327,11 +327,15 @@ def _step_miss(k, miss, y, ok, y_part):
 
 
 def _leaf_values(tree, zeta):
-    """zeta as floats, (leaves,) or (leaves, B)."""
+    """zeta as floats, (leaves,) or (leaves, B), every value finite."""
     zeta = np.asarray(zeta, dtype=float)
     lo, hi = tree.level_slice(tree.K)
     if zeta.ndim not in (1, 2) or zeta.shape[0] != hi - lo:
         raise InvariantViolation("zeta needs one value per leaf")
+    bad = np.argwhere(~np.isfinite(zeta))
+    if bad.size:
+        at = ", column ".join(map(str, bad[0]))
+        raise InvariantViolation(f"zeta is {zeta[tuple(bad[0])]} at leaf {at}")
     return zeta
 
 
@@ -504,9 +508,6 @@ def solve_quadratic(tree, M, clock, X, zeta, driver, p=1,
     if not driver.nonnegative:
         raise ValueError("solve_quadratic expects a driver declared "
                          "nonnegative; signed drivers are not supported")
-    zeta = np.asarray(zeta, dtype=float)
-    if not np.all(np.isfinite(zeta)):
-        raise InvariantViolation("terminal condition must be bounded")
     trace = CascadeTrace()
     n_min = max(p, driver.lip_y)
     q = clock.q.values.reshape(tree.n_nonterminal, -1)[:, 0]  # d = 1

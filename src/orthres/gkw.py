@@ -1,11 +1,11 @@
 """Exact orthogonal decomposition of tree martingales against M.
 
-The decomposition Y = Y0 + int Z dM + N of a martingale Y is the zero-driver
-case of the backward solver: ``bsde._levels`` with the zero driver takes the
-step y = E[y' | node], projects each level's dy on dm (reading
-E[dm^2 | node] from the clock's Sigma) and closes E[dN^2 | node] on that
-level, so its E[[N]_T] is the discrete analogue of the orthogonal part's
-bracket.  This module runs that sweep; it has no level loop of its own.
+The decomposition Y = Y0 + int Z dM + N of Y = E[zeta | F_k] is the
+zero-driver case of the backward solver: ``bsde._levels`` with the zero
+driver takes the step y = E[y' | node], projects each level's dy on dm
+(reading E[dm^2 | node] from the clock's Sigma) and closes E[dN^2 | node] on
+that level, so its E[[N]_T] is the discrete analogue of the orthogonal
+part's bracket.  This module runs that sweep; it has no level loop of its own.
 """
 
 from dataclasses import dataclass, field
@@ -13,20 +13,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, bsde
-from .errors import InvariantViolation
-from .ftree import (PredictableField, backward_closure, is_martingale,
-                    predictable_bracket)
-
-# largest |E[Y' | node] - Y| that still counts as a martingale
-MARTINGALE_TOL = 1e-9
+from .ftree import AdaptedProcess, PredictableField, backward_closure
 
 
 @dataclass
 class GkwResult:
+    Y: AdaptedProcess                  # E[zeta | F_k]
     Z: PredictableField
     dN: np.ndarray                     # per edge
     bracketNN_T: float                 # realized E[[N]_T]
-    Y0: float
+
+    @property
+    def Y0(self):
+        return float(self.Y.values[0, 0])
 
 
 def martingale_from_terminal(tree, zeta):
@@ -34,33 +33,33 @@ def martingale_from_terminal(tree, zeta):
     return backward_closure(tree, zeta)
 
 
-def gkw_decompose(tree, M, Y):
-    """Least-squares projection of dY on dM node by node, for a scalar M:
-    the zero-driver solve of Y's leaf values, plus its per-edge dN.
+def gkw_decompose(tree, M, clock, zeta):
+    """Least-squares projection of dY on dM node by node, for a scalar M and
+    the martingale Y = E[zeta | F_k] of the leaf values zeta, (leaves,).
 
-    Y must already be a martingale (take ``martingale_from_terminal`` of the
-    terminal variable first).  The solve needs the clock of M, so recombined
-    nodes must agree on the accumulated bracket trace, as every solver
-    experiment requires; every shipped model does, and a tree that does not
-    raises InvariantViolation from ``predictable_bracket``.
+    One zero-driver sweep of the solver's levels on the caller's clock of M
+    builds Y and Z and sums E[[N]_T]; each level's per-edge dN is filled as
+    the sweep passes it, reading the level's children as the sweep does.
+    Returns Y with the decomposition.
     """
-    chk = is_martingale(tree, Y, MARTINGALE_TOL)
-    if not chk:
-        raise InvariantViolation(
-            f"Y is not a martingale (violation {chk.max_violation:.3e}); "
-            "close the terminal variable with martingale_from_terminal first")
-    nt = tree.n_nonterminal
-    lo = tree.level_start[tree.K]
-    sol = bsde.solve_lipschitz(tree, M, predictable_bracket(tree, M), None,
-                               Y.scalar[lo:], bsde.zero_driver())
-    # the zero driver's y is E[y'], so the solved y is its own ey
-    y, z = sol.Y.scalar, sol.Z.values[:, 0]
+    zeta = bsde._leaf_values(tree, zeta)
+    y_all = np.empty(tree.n_nodes)
+    y_all[tree.level_start[tree.K]:] = zeta
+    z_all = np.empty((tree.n_nonterminal, 1))
     dn = np.empty(len(tree.echild))
-    _kernels.edge_residuals_d1(
-        tree, _kernels.edge_increments(tree, M.scalar, 0, nt), y, y[:nt], z,
-        0, nt, dn)
-    return GkwResult(Z=sol.Z, dN=dn, bracketNN_T=sol.bracketNN_T,
-                     Y0=sol.Y0)
+
+    def take(k, a, b, y, z, z_arg, res):
+        y_all[a:b] = y
+        z_all[a:b, 0] = z
+        # the zero driver's y is E[y'], so the level's y is its own ey
+        _kernels.edge_residuals_d1(
+            tree, _kernels.edge_increments(tree, M.scalar, a, b), y_all, y, z,
+            a, b, dn)
+    bracket, _ = bsde._consume(bsde._levels(tree, M, clock, None, zeta,
+                                            bsde.zero_driver()), take)
+    return GkwResult(Y=AdaptedProcess(tree, y_all),
+                     Z=PredictableField(tree, z_all), dN=dn,
+                     bracketNN_T=bracket)
 
 
 @dataclass

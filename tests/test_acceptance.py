@@ -16,7 +16,7 @@ import pytest
 from orthres import bsde
 from orthres.cli import main as cli_main
 from orthres.ftree import predictable_bracket
-from orthres.gkw import gkw_decompose, martingale_from_terminal, residual_sweep
+from orthres.gkw import gkw_decompose, residual_sweep
 from orthres.mollify import (CATALOG as TERMINAL_CATALOG, from_catalog,
                              indicator_halfspace, lipschitz_scan, mollify)
 from orthres.models import ModelConfig, build
@@ -61,8 +61,8 @@ def test_A1_exact_representation_on_complete_branching():
         for fid in sorted(TERMINAL_CATALOG):
             F = from_catalog(fid, **TERMINAL_DEFAULTS.get(fid, {}))
             t0 = time.perf_counter()
-            Y = martingale_from_terminal(tree, F(M.values[lo:hi]))
-            res = gkw_decompose(tree, M, Y)
+            res = gkw_decompose(tree, M, predictable_bracket(tree, M),
+                                F(M.values[lo:hi]))
             assert time.perf_counter() - t0 < 1.0
             worst = max(worst, res.bracketNN_T)
     _report("A1", worst <= 1e-12, f"worst residual {worst:.3e}")
@@ -128,7 +128,7 @@ def test_A4_negative_controls():
     built, tree, M, clock, _ = _setup("product_noise", 6)
     lo, hi = tree.level_slice(tree.K)
     zeta = product_noise_coin(tree)[lo:hi]
-    res = gkw_decompose(tree, M, martingale_from_terminal(tree, zeta))
+    res = gkw_decompose(tree, M, clock, zeta)
     var_floor = 1.0  # fair coin: E=0, Var=1, independent of M
     indep_ok = res.bracketNN_T >= var_floor - 1e-10
     _report("A4", floor_ok and indep_ok,
@@ -149,7 +149,7 @@ def test_A4_product_noise_control_as_a_rate():
         lo, hi = tree.level_slice(K)
         zeta = product_noise_coin(tree)[lo:hi]
         residuals.append(gkw_decompose(
-            tree, M, martingale_from_terminal(tree, zeta)).bracketNN_T)
+            tree, M, predictable_bracket(tree, M), zeta).bracketNN_T)
     slope = float(np.polyfit(np.log(Ks), np.log(residuals), 1)[0])
     npt.assert_allclose(residuals, 1.0, rtol=0, atol=1e-12)
     assert abs(slope) <= 1e-9, slope

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -120,7 +121,7 @@ def test_zero_driver_reduces_to_gkw():
     sol = solve_lipschitz(tree, M, clock, None, zeta,
                           driver_from_catalog("zero"))
     Y = martingale_from_terminal(tree, zeta)
-    res = gkw_decompose(tree, M, Y)
+    res = gkw_decompose(tree, M, clock, zeta)
     npt.assert_allclose(sol.Y.values, Y.values, atol=1e-12)
     npt.assert_allclose(sol.bracketNN_T, res.bracketNN_T, atol=1e-14)
 
@@ -809,7 +810,7 @@ def test_zero_driver_solve_is_closure_plus_gkw(seed, K):
     sol = solve_lipschitz(tree, M, clock, None, zeta,
                           driver_from_catalog("zero"))
     Y = martingale_from_terminal(tree, zeta)
-    ref = gkw_decompose(tree, M, Y)
+    ref = gkw_decompose(tree, M, clock, zeta)
     assert np.array_equal(sol.Y.values, Y.values)
     assert np.array_equal(sol.Z.values, ref.Z.values)
     npt.assert_allclose(sol.bracketNN_T, ref.bracketNN_T, rtol=1e-12,
@@ -833,6 +834,30 @@ def test_non_finite_bracket_is_an_invariant_violation():
                            match="not finite in column 1"):
             solve_lipschitz(tree, M, clock, None,
                             np.column_stack([zeta, huge, huge]), f)
+
+
+def test_non_finite_terminal_value_is_an_invariant_violation():
+    """A NaN or inf leaf is refused before the sweep, naming the leaf and
+    the column of a batch, not blamed on the driver, and with no numpy
+    warning on the way."""
+    tree, M, clock, mterm = binary_setup(K=4)
+    f = driver_from_catalog("linear_y", coef=0.5)
+    zeta = mterm.copy()
+    zeta[2] = math.nan
+    batch = np.column_stack([mterm, mterm])
+    batch[3, 1] = -math.inf
+    quadratic = driver_from_catalog("pure_quadratic", gamma=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation,
+                           match="^zeta is nan at leaf 2$"):
+            solve_lipschitz(tree, M, clock, None, zeta, f)
+        with pytest.raises(InvariantViolation,
+                           match="^zeta is -inf at leaf 3, column 1$"):
+            solve_lipschitz(tree, M, clock, None, batch, f)
+        with pytest.raises(InvariantViolation,
+                           match="^zeta is nan at leaf 2$"):
+            solve_quadratic(tree, M, clock, None, zeta, quadratic)
 
 
 def test_vanishing_N_report_structure(monkeypatch):

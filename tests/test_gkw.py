@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from orthres.bsde import vanishing_N_experiment, zero_driver
 from orthres.errors import InvariantViolation
-from orthres.ftree import (AdaptedProcess, ScenarioTree, TimeGrid,
+from orthres.ftree import (AdaptedProcess, TimeGrid, is_martingale,
                            predictable_bracket)
 from orthres.gkw import gkw_decompose, martingale_from_terminal, residual_sweep
 from orthres.models import ModelConfig, build
@@ -20,6 +22,11 @@ from reference import (TreeBuilder, bracket_split, gkw_levels, gkw_pinv,
 def trinomial_k1(p=0.25, h=1.0):
     built = build(ModelConfig("trinomial", K=1, params={"p": p, "h": h}))
     return built.tree, built.M
+
+
+def decompose(tree, M, zeta):
+    """gkw_decompose of zeta on the clock of M."""
+    return gkw_decompose(tree, M, predictable_bracket(tree, M), zeta)
 
 
 def brute_force_gkw(tree, M, Y):
@@ -82,9 +89,7 @@ def test_binary_residual_is_zero():
     built = build(ModelConfig("binary", K=8))
     tree, M = built.tree, built.M
     lo, hi = tree.level_slice(tree.K)
-    zeta = np.sin(3.0 * M.scalar[lo:hi])
-    Y = martingale_from_terminal(tree, zeta)
-    res = gkw_decompose(tree, M, Y)
+    res = decompose(tree, M, np.sin(3.0 * M.scalar[lo:hi]))
     assert res.bracketNN_T <= 1e-15
     npt.assert_allclose(res.dN, 0.0, atol=1e-12)
 
@@ -93,9 +98,7 @@ def test_binary_residual_is_zero():
 
 def test_trinomial_square_one_step_oracle():
     tree, M = trinomial_k1()
-    zeta = M.scalar[1:4] ** 2
-    Y = martingale_from_terminal(tree, zeta)
-    res = gkw_decompose(tree, M, Y)
+    res = decompose(tree, M, M.scalar[1:4] ** 2)
     # symmetric states, even payoff: projection on dM vanishes
     npt.assert_allclose(res.Z.values, 0.0, atol=1e-14)
     order = np.argsort(M.scalar[1:4])
@@ -109,9 +112,10 @@ def test_matches_brute_force_least_squares(rng):
         tree = random_full_tree(rng, K=3)
         M = random_martingale(rng, tree)
         lo, hi = tree.level_slice(tree.K)
-        Y = martingale_from_terminal(tree, rng.normal(size=hi - lo))
-        res = gkw_decompose(tree, M, Y)
-        Z_ref, total_ref = brute_force_gkw(tree, M, Y)
+        zeta = rng.normal(size=hi - lo)
+        res = decompose(tree, M, zeta)
+        Z_ref, total_ref = brute_force_gkw(
+            tree, M, martingale_from_terminal(tree, zeta))
         npt.assert_allclose(res.bracketNN_T, total_ref, atol=1e-10)
         npt.assert_allclose(res.Z.values, Z_ref, atol=1e-8)
 
@@ -124,10 +128,9 @@ def test_matches_pinv_reference(seed, K, scale):
     tree = random_full_tree(rng, K=K)
     M = random_martingale(rng, tree, scale)
     lo, hi = tree.level_slice(K)
-    Y = martingale_from_terminal(tree, np.sin(3.0 * M.scalar[lo:hi])
-                                 + rng.normal(size=hi - lo))
-    res = gkw_decompose(tree, M, Y)
-    Z, dn, bracket = gkw_pinv(tree, M, Y)
+    zeta = np.sin(3.0 * M.scalar[lo:hi]) + rng.normal(size=hi - lo)
+    res = decompose(tree, M, zeta)
+    Z, dn, bracket = gkw_pinv(tree, M, martingale_from_terminal(tree, zeta))
     tol = dict(rtol=1e-12, atol=1e-12)
     npt.assert_allclose(res.Z.values, Z, **tol)
     npt.assert_allclose(res.dN, dn, **tol)
@@ -137,11 +140,14 @@ def test_matches_pinv_reference(seed, K, scale):
 # -- the zero-driver solve against the level loop it replaced -----------------
 
 def assert_matches_level_loop(tree, M, zeta):
-    """Z and dN bit for bit; E[[N]_T], which the solve sums per level and
-    the loop over every node at once, to 1e-14 relative."""
+    """Y, Z and dN bit for bit; E[[N]_T], which the solve sums per level and
+    the loop over every node at once, to 1e-14 relative.  The returned Y is
+    the closure of zeta and a martingale."""
     Y = martingale_from_terminal(tree, zeta)
-    res = gkw_decompose(tree, M, Y)
+    res = decompose(tree, M, zeta)
     z, dn, bracket = gkw_levels(tree, M, Y)
+    assert np.array_equal(res.Y.values, Y.values)
+    assert is_martingale(tree, res.Y)
     assert np.array_equal(res.Z.values[:, 0], z)
     assert np.array_equal(res.dN, dn)
     npt.assert_allclose(res.bracketNN_T, bracket, rtol=1e-14, atol=0)
@@ -168,20 +174,6 @@ def test_matches_level_loop_on_every_kind(kind, K, F):
     assert_matches_level_loop(built.tree, built.M, F(built.M.values[lo:hi]))
 
 
-def test_decompose_needs_a_clock():
-    """Recombined node 4 is reached with accumulated traces 1 + 1 (from
-    node 1) and 1 + 2 (from node 2): the martingale has no clock, so it has
-    no decomposition either."""
-    tree = ScenarioTree(TimeGrid.uniform(2), 1, [0, 1, 3, 6],
-                        [0, 0, 1, 1, 2, 2], [1, 2, 3, 4, 4, 5],
-                        [0.5, 0.5, 0.5, 0.5, 2 / 3, 1 / 3])
-    M = AdaptedProcess(tree, np.array([0.0, -1.0, 1.0, -2.0, 0.0, 3.0]))
-    lo, hi = tree.level_slice(2)
-    Y = martingale_from_terminal(tree, M.scalar[lo:hi] ** 2)
-    with pytest.raises(InvariantViolation, match="recombined nodes disagree"):
-        gkw_decompose(tree, M, Y)
-
-
 def four_child_d2(s1, s2):
     """One step to the four corners (+-s1, +-s2), each with probability 1/4,
     and the corner indicator 1{m1 > 0, m2 > 0} closed into a martingale."""
@@ -200,8 +192,17 @@ def four_child_d2(s1, s2):
 
 
 def test_decompose_rejects_d2():
+    tree, M, Y = four_child_d2(0.3, 0.5)
     with pytest.raises(NotImplementedError):
-        gkw_decompose(*four_child_d2(0.3, 0.5))
+        decompose(tree, M, Y.scalar[1:])
+
+
+def test_decompose_rejects_non_finite_terminal_values():
+    tree, M = trinomial_k1()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="zeta is nan at leaf 1$"):
+            decompose(tree, M, [0.0, np.nan, 1.0])
 
 
 @pytest.mark.parametrize("s1,s2", [(1.0, 1.0), (0.3, 0.5)])
@@ -221,8 +222,7 @@ def test_orthogonality_and_pythagoras(rng):
     M = random_martingale(rng, tree)
     lo, hi = tree.level_slice(tree.K)
     zeta = rng.normal(size=hi - lo)
-    Y = martingale_from_terminal(tree, zeta)
-    res = gkw_decompose(tree, M, Y)
+    res = decompose(tree, M, zeta)
     # E[dN dM | node] = 0 at every node
     for i in range(tree.n_nonterminal):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
@@ -239,20 +239,13 @@ def test_orthogonality_and_pythagoras(rng):
     npt.assert_allclose(var, zpart + res.bracketNN_T, atol=1e-9)
 
 
-def test_requires_martingale_input():
-    tree, M = trinomial_k1()
-    not_mart = AdaptedProcess(tree, np.array([5.0, 1.0, 0.0, 1.0]))
-    with pytest.raises(InvariantViolation):
-        gkw_decompose(tree, M, not_mart)
-
-
 def test_running_N_on_tree_telescopes():
     built = build(ModelConfig("trinomial", K=3,
                               params={"recombine": False}))
     tree, M = built.tree, built.M
     lo, hi = tree.level_slice(tree.K)
-    Y = martingale_from_terminal(tree, (M.scalar[lo:hi] > 0).astype(float))
-    res = gkw_decompose(tree, M, Y)
+    res = decompose(tree, M, (M.scalar[lo:hi] > 0).astype(float))
+    Y = res.Y
     # Y - Y0 = int Z dM + N pathwise
     recon = np.zeros(tree.n_nodes)
     for k in range(tree.K):
@@ -268,8 +261,7 @@ def test_level_profile_sums_to_total(rng):
     tree = random_full_tree(rng, K=4)
     M = random_martingale(rng, tree)
     lo, hi = tree.level_slice(tree.K)
-    Y = martingale_from_terminal(tree, rng.normal(size=hi - lo))
-    res = gkw_decompose(tree, M, Y)
+    res = decompose(tree, M, rng.normal(size=hi - lo))
     # E[dN^2] of each step, weighted by the mass reaching its parent
     profile = np.zeros(tree.K)
     for k in range(tree.K):
@@ -331,8 +323,8 @@ def test_bracket_split_binary_zero():
     tree, M = built.tree, built.M
     lo, hi = tree.level_slice(tree.K)
     zeta = M.scalar[lo:hi] ** 2
-    Y = martingale_from_terminal(tree, zeta)
-    res = gkw_decompose(tree, M, Y)
+    res = decompose(tree, M, zeta)
+    Y = res.Y
 
     ts = tree.grid.t
 
@@ -347,8 +339,8 @@ def test_bracket_split_binary_zero():
 def test_bracket_split_trinomial_one_step_oracle():
     tree, M = trinomial_k1()
     zeta = M.scalar[1:4] ** 2
-    Y = martingale_from_terminal(tree, zeta)
-    res = gkw_decompose(tree, M, Y)
+    res = decompose(tree, M, zeta)
+    Y = res.Y
     var_step = 2 * 0.25 * 1.0  # E[dM^2] at the root
 
     def u(level, m):
@@ -361,10 +353,9 @@ def test_bracket_split_trinomial_one_step_oracle():
 
 def test_bracket_split_rejects_non_markov_u():
     tree, M = trinomial_k1()
-    Y = martingale_from_terminal(tree, M.scalar[1:4] ** 2)
-    res = gkw_decompose(tree, M, Y)
+    res = decompose(tree, M, M.scalar[1:4] ** 2)
     with pytest.raises(InvariantViolation):
-        bracket_split(tree, M, Y, res, lambda level, m: 0.0)
+        bracket_split(tree, M, res.Y, res, lambda level, m: 0.0)
 
 
 def test_bracket_split_matches_telescoped_covariation():
@@ -373,8 +364,8 @@ def test_bracket_split_matches_telescoped_covariation():
     tree, M = built.tree, built.M
     lo, hi = tree.level_slice(tree.K)
     zeta = M.scalar[lo:hi] ** 2
-    Y = martingale_from_terminal(tree, zeta)
-    res = gkw_decompose(tree, M, Y)
+    res = decompose(tree, M, zeta)
+    Y = res.Y
     yv = Y.scalar
     var_step = 1.0 / 3  # per-step variance T/K
 

@@ -91,8 +91,9 @@ def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
     """The tracer reads each kernel's tree, lo and hi by position. Against
     the arguments bound by name, it counts K level_moments_d1 calls, one per
     level, for one B = 2 vanishing-N sweep and K more for a GKW
-    decomposition, whose one edge_residuals_d1 call spans every non-terminal
-    node, and as many edges as the calls' [lo, hi) ranges span."""
+    decomposition, which makes one edge_residuals_d1 call per level and
+    neither clocks M nor checks a martingale, and as many edges as the
+    calls' [lo, hi) ranges span."""
     tracing = import_tracer(monkeypatch)
     calls = record_kernel_calls(monkeypatch, tracing)
     K = 8
@@ -105,9 +106,10 @@ def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
         sweep = [c for c in calls if c[0] == "level_moments_d1"]
         built = models.build(models.ModelConfig("trinomial", K=K))
         tree, M = built.tree, built.M
+        clock = ftree.predictable_bracket(tree, M)
         lo, hi = tree.level_slice(K)
-        gkw.gkw_decompose(tree, M, gkw.martingale_from_terminal(
-            tree, (M.scalar[lo:hi] > 0).astype(float)))
+        gkw.gkw_decompose(tree, M, clock,
+                          (M.scalar[lo:hi] > 0).astype(float))
         metrics = tracing.layer_metrics(tr, 1.0)
     finally:
         tr.uninstall()
@@ -118,9 +120,18 @@ def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
             for c in levels} == {True}
     assert metrics["kernels.level_moments_d1_calls"] == len(levels) == 2 * K
     residual_calls = [c for c in calls if c[0] == "edge_residuals_d1"]
-    assert [c[2:] for c in residual_calls] == [(0, tree.n_nonterminal)]
-    assert metrics["kernels.edge_residuals_d1_calls"] == 1
+    assert [c[2:] for c in residual_calls] == [
+        tree.level_slice(k) for k in range(K - 1, -1, -1)]
+    assert metrics["kernels.edge_residuals_d1_calls"] == K
     assert metrics["gkw.decompose_calls"] == 1
+    # the spans opened inside the decomposition, a parent before its child
+    inside = set()
+    for i, (name, _, _, parent) in enumerate(tr.spans):
+        if name == "gkw.decompose" or parent in inside:
+            inside.add(i)
+    names = {tr.spans[i][0] for i in inside}
+    assert "kernels.edge_residuals_d1" in names
+    assert not names & {"ftree.clock", "ftree.mart_check"}
     for name in tracing.KERNELS:
         assert metrics[f"kernels.{name}_calls"] == sum(
             c[0] == name for c in calls)
