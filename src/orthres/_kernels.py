@@ -10,7 +10,8 @@ arity r (``ScenarioTree.arity``) with 2 <= r <= 7, as ``(r, n)``, entry
 [i, j] being move i of node lo + j; on any other tree as ``(E,)`` in edge
 order.  ``edge_layout`` lays out a slice of a per-edge array of the tree
 (``tree.eprob``) that way and ``edge_increments`` forms dm in it, so no
-sweep holds a full-size per-edge array.
+sweep holds a full-size per-edge array; ``store_edges`` writes one back in
+edge order.
 
 **Columns.**  Node values (``y``, ``vals``, ``ey``, ``z``) are ``(n,)`` for
 one solve or ``(n, B)`` for B solves on one tree.  A kernel works on their
@@ -42,7 +43,8 @@ by level.
 
 The projections are scalar-martingale (d = 1) only, as are the solvers and
 the decomposition that call them; a d-general per-node ``pinv`` loop is kept
-with the tests as a reference.
+with the tests as a reference.  ``edge_residuals_d1`` forms dn again from
+stored y, ey and z, for the tests' oracles of the sweep's dn.
 """
 
 import numpy as np
@@ -200,13 +202,19 @@ def edge_residuals_d1(tree, dm, y, ey, z, lo, hi, dn):
     range's, in its layout."""
     dy = _children(tree, y.T, lo, hi, 0) - parent_values(tree, ey.T, lo, hi)
     dy, res = residual_moments_d1(tree, dm, dy, z, lo, hi)
-    out = dn[_edges(tree, lo, hi)]
+    store_edges(tree, dy, lo, hi, dn)
+    return res
+
+
+def store_edges(tree, x, lo, hi, out):
+    """Write the range's per-edge x, in its layout, in edge order into the
+    range's rows of the full-size (E,) or (E, B) out."""
+    out = out[_edges(tree, lo, hi)]
     if _strided(tree):
         for i in range(tree.arity):
-            out[i::tree.arity] = dy[..., i, :].T
+            out[i::tree.arity] = x[..., i, :].T
     else:
-        out[...] = dy.T
-    return res
+        out[...] = x.T
 
 
 def weighted_child_sum(tree, w, vals, lo, hi):

@@ -54,15 +54,14 @@ class DriverSpec:
     form from it and checks the declaration at every level; ``lip_y`` =
     |k_y| + |b| (the largest over columns) follows from it.  ``huber`` =
     (gamma, eta) marks f = (gamma/2)z^2 + b|y| + eta, with y-part (0, b),
-    which unlocks closed-form inf-convolutions.  ``eta`` is a constant or a
-    callable of time.
+    which unlocks closed-form inf-convolutions.
     """
 
     id: str
     f: callable
     growth: dict = field(default_factory=lambda: {"a": 0.0, "b": 0.0,
                                                   "gamma": 0.0})
-    eta: object = 0.0
+    eta: float = 0.0
     klass: str = "lipschitz"
     y_part: tuple = (0.0, 0.0)
     huber: tuple = None            # (gamma, eta) when f has that exact form
@@ -74,10 +73,6 @@ class DriverSpec:
 
     def __call__(self, t, x, m, y, z):
         return np.asarray(self.f(t, x, m, y, z), dtype=float)
-
-
-def eta_at(eta, t):
-    return float(eta(t)) if callable(eta) else float(eta)
 
 
 def huber_envelope(z, thresh, gamma):
@@ -93,11 +88,10 @@ def truncated_driver(p, growth, eta=None):
         raise ValueError("truncation index p must be >= 1")
     b = float(growth["b"])
     gamma = float(growth["gamma"])
-    if eta is None:
-        eta = float(growth.get("a", 0.0))
+    eta = float(growth.get("a", 0.0) if eta is None else eta)
 
     def f(t, x, m, y, z):
-        return huber_envelope(z, p, gamma) + b * np.abs(y) + eta_at(eta, t)
+        return huber_envelope(z, p, gamma) + b * np.abs(y) + eta
 
     return DriverSpec(id=f"q_p[{p}]", f=f, growth=dict(growth), eta=eta,
                       klass="lipschitz", y_part=(0.0, b), nonnegative=True)
@@ -119,12 +113,12 @@ def inf_convolve(driver, n):
                          f"driver's lip_y = {driver.lip_y}")
     ky, by = driver.y_part
     if driver.huber is not None:
-        gamma, eta = driver.huber
+        gamma, eta = driver.huber[0], float(driver.huber[1])
         thresh = n / gamma if gamma > 0 else math.inf
 
         def f(t, x, m, y, z):
             quad = huber_envelope(z, thresh, gamma) if gamma > 0 else 0.0
-            return quad + by * np.abs(y) + eta_at(eta, t)
+            return quad + by * np.abs(y) + eta
     else:
         def f(t, x, m, y, z):
             z = np.asarray(z, dtype=float)
@@ -342,13 +336,14 @@ def _leaf_values(tree, zeta):
 def _levels(tree, M, clock, X, zeta, driver):
     """The backward sweep of solve_lipschitz, one level at a time.
 
-    Yields ``(k, a, b, y, z, z_arg, res)`` for k = K-1 .. 0: level k's
-    nodes [a, b), their y and Z, the z the driver was evaluated at, q Z, and
-    their E[dN^2 | node], column-major; the consumer must not write to
+    Yields ``(k, a, b, y, z, z_arg, res, dn)`` for k = K-1 .. 0: level k's
+    nodes [a, b), their y and Z, the z the driver was evaluated at, q Z,
+    their E[dN^2 | node], column-major, and the per-edge dN of the level's
+    edges in its layout (see _kernels); the consumer must not write to
     them.  Only the level below's y and the level's own per-edge dm and dy
-    are held: E[dN^2 | node] is formed from that dy, which it overwrites,
-    and path_prob times it is summed into E[[N]_T], which (a float, or (B,)
-    for a batch) is returned once level 0 has been consumed.  Each column
+    are held: dy is overwritten by dn, E[dN^2 | node] is formed from it,
+    and path_prob times that is summed into E[[N]_T], which (a float, or
+    (B,) for a batch) is returned once level 0 has been consumed.  Each column
     thus sums per level, then in level order, as its 1-D solve does.  Every
     check of solve_lipschitz is made here."""
     if M.dim != 1:
@@ -404,10 +399,10 @@ def _levels(tree, M, clock, X, zeta, driver):
             ok = miss <= FP_TOL * np.maximum(1.0, np.abs(y))
             if not ok.all():
                 raise _step_miss(k, miss, y, ok, driver.y_part)
-        res = _kernels.residual_moments_d1(tree, dm, dy, z, a, b)[1]
+        dy, res = _kernels.residual_moments_d1(tree, dm, dy, z, a, b)
         bracket = bracket + _column_sums(path_prob[a:b] * res)
         base = a
-        yield k, a, b, y, z, z_arg, res
+        yield k, a, b, y, z, z_arg, res, dy
     bad = np.flatnonzero(~np.isfinite(bracket))
     if bad.size:
         where = f" in column {bad[0]}" if zeta.ndim == 2 else ""
@@ -418,8 +413,8 @@ def _levels(tree, M, clock, X, zeta, driver):
 
 
 def _consume(steps, take=None):
-    """Run a _levels sweep, calling take(k, a, b, y, z, z_arg, res) on each
-    level; its E[[N]_T] and the root level's tuple."""
+    """Run a _levels sweep, calling take(k, a, b, y, z, z_arg, res, dn) on
+    each level; its E[[N]_T] and the root level's tuple, less its dn."""
     while True:
         try:
             level = next(steps)
@@ -427,6 +422,7 @@ def _consume(steps, take=None):
             return done.value, level
         if take is not None:
             take(*level)
+        level = level[:-1]  # no dn is held while the next level is formed
 
 
 def solve_lipschitz(tree, M, clock, X, zeta, driver):
@@ -464,7 +460,7 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
     zall = np.empty((nt,) + zeta.shape[1:], order="F")
     dn2 = np.empty((nt,) + zeta.shape[1:], order="F")
 
-    def store(k, a, b, y, z, z_arg, res):
+    def store(k, a, b, y, z, z_arg, res, dn):
         yvals[a:b] = y
         zall[a:b] = z
         dn2[a:b] = res
@@ -564,11 +560,10 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
     """
     if M.dim != 1:
         raise NotImplementedError("dual DP is scalar-martingale only")
+    zeta = _leaf_values(tree, zeta)
     b = float(growth["b"])
     gamma = float(growth["gamma"])
-    if eta is None:
-        eta = float(growth.get("a", 0.0))
-    zeta = np.asarray(zeta, dtype=float)
+    eta = float(growth.get("a", 0.0) if eta is None else eta)
     nt = tree.n_nonterminal
     m = M.scalar
     dC = clock.dC.values
@@ -588,7 +583,6 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
         qk = qdiag[a:bb]
         ok = (qk > _kernels.PROJ_EPS) & (dck > _kernels.PROJ_EPS)
         z_hat = np.where(ok, m1 / np.where(ok, qk * dck, 1.0), 0.0)
-        etak = eta_at(eta, tree.grid.t[k])
         # one row per candidate nu: the analytic maximizer, then the grid
         nu = np.empty((1 + DUAL_NU_POINTS, bb - a))
         nu[0] = np.clip(z_hat, -p, p)
@@ -599,7 +593,7 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
                                           a, bb)
         # the better of beta = -b and beta = +b, the non-NaN one if one is
         disc = np.fmax(np.exp(b * dck) * val, np.exp(-b * dck) * val)
-        cand = disc + (etak - 0.5 * gamma * nu ** 2) * dck
+        cand = disc + (eta - 0.5 * gamma * nu ** 2) * dck
         cand[np.isnan(cand)] = -np.inf      # a NaN candidate never wins
         pick = np.argmax(cand, axis=0)      # the first of the largest
         W[a:bb] = cand[pick, np.arange(bb - a)]
@@ -656,7 +650,9 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
     worst = diff[node, pairs]
     node = node + tree.level_start[tree.K]
     worst_pre = np.zeros(h)
-    for k, a, b, y, z, z_arg, _ in _levels(tree, M, clock, X, zeta, driver):
+
+    def check(k, a, b, y, z, z_arg, res, dn):
+        nonlocal worst_pre, worst, node
         xk = X.values[a:b] if X is not None else None
         if xk is not None and xk.ndim == 3:
             xk = np.concatenate([xk[..., lower]] * 2, axis=-1)
@@ -669,6 +665,7 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
         take = low <= worst
         worst = np.where(take, low, worst)
         node = np.where(take, a + i, node)
+    _consume(_levels(tree, M, clock, X, zeta, driver), check)
     out = []
     for j in range(h):
         if zeta_gap[j] < -PRE_TOL:

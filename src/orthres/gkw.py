@@ -3,9 +3,9 @@
 The decomposition Y = Y0 + int Z dM + N of Y = E[zeta | F_k] is the
 zero-driver case of the backward solver: ``bsde._levels`` with the zero
 driver takes the step y = E[y' | node], projects each level's dy on dm
-(reading E[dm^2 | node] from the clock's Sigma) and closes E[dN^2 | node] on
-that level, so its E[[N]_T] is the discrete analogue of the orthogonal
-part's bracket.  This module runs that sweep; it has no level loop of its own.
+(reading E[dm^2 | node] from the clock's Sigma) and forms dN and
+E[dN^2 | node] on that level, so its E[[N]_T] is the discrete analogue of the
+orthogonal part's bracket; this module stores what that sweep yields.
 """
 
 from dataclasses import dataclass, field
@@ -38,9 +38,8 @@ def gkw_decompose(tree, M, clock, zeta):
     the martingale Y = E[zeta | F_k] of the leaf values zeta, (leaves,).
 
     One zero-driver sweep of the solver's levels on the caller's clock of M
-    builds Y and Z and sums E[[N]_T]; each level's per-edge dN is filled as
-    the sweep passes it, reading the level's children as the sweep does.
-    Returns Y with the decomposition.
+    forms Y, Z, each level's per-edge dN and E[[N]_T]; this stores them at
+    full size, dN in edge order.  Returns Y with the decomposition.
     """
     zeta = bsde._leaf_values(tree, zeta)
     y_all = np.empty(tree.n_nodes)
@@ -48,13 +47,10 @@ def gkw_decompose(tree, M, clock, zeta):
     z_all = np.empty((tree.n_nonterminal, 1))
     dn = np.empty(len(tree.echild))
 
-    def take(k, a, b, y, z, z_arg, res):
+    def take(k, a, b, y, z, z_arg, res, dn_level):
         y_all[a:b] = y
         z_all[a:b, 0] = z
-        # the zero driver's y is E[y'], so the level's y is its own ey
-        _kernels.edge_residuals_d1(
-            tree, _kernels.edge_increments(tree, M.scalar, a, b), y_all, y, z,
-            a, b, dn)
+        _kernels.store_edges(tree, dn_level, a, b, dn)
     bracket, _ = bsde._consume(bsde._levels(tree, M, clock, None, zeta,
                                             bsde.zero_driver()), take)
     return GkwResult(Y=AdaptedProcess(tree, y_all),

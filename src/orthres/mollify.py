@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_QUAD_ARITY = 3
+QUAD_NODES = 64
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1; erfc(x) =
 # exp(-x^2) P(x) / Q(x) for 1 <= x < 8 and exp(-x^2) R(x) / S(x) beyond.
@@ -162,18 +163,16 @@ class MollifiedMap:
         return self.base.arity
 
 
-def mollify(F, eps, quad_nodes=64):
+def mollify(F, eps):
     """Gaussian convolution F * phi_eps as a new evaluable map."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    if quad_nodes < 8:
-        raise ValueError("need at least 8 quadrature nodes per axis")
     if F.halfspace is None and F.arity > MAX_QUAD_ARITY:
         raise ValueError(
             f"tensor quadrature limited to arity <= {MAX_QUAD_ARITY}")
     gh = None
     if F.halfspace is None:
-        g, w = np.polynomial.hermite.hermgauss(quad_nodes)
+        g, w = np.polynomial.hermite.hermgauss(QUAD_NODES)
         gh = (g, w)
     return MollifiedMap(base=F, epsilon=eps, _gh=gh)
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from orthres import _kernels
-from orthres.bsde import CompareVerdict, eta_at
+from orthres.bsde import CompareVerdict
 from orthres.cli import _affine_driver, _random_affine_pair
 from orthres.errors import InvariantViolation
 from orthres.ftree import (PSD_TOL, AdaptedProcess, PredictableField,
@@ -333,7 +333,7 @@ def check_growth(driver, y_grid, z_grid, t=0.0):
     worst exceedance (<= 0 means the declared growth holds there)."""
     g = driver.growth
     worst = -math.inf
-    eta = eta_at(driver.eta, t)
+    eta = float(driver.eta)
     for y in y_grid:
         yv = np.full(len(z_grid), float(y))
         zv = np.asarray(z_grid, dtype=float)

@@ -574,7 +574,7 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
         dck, qk = dC[a:bb], qdiag[a:bb]
         ok = (qk > _kernels.PROJ_EPS) & (dck > _kernels.PROJ_EPS)
         z_hat = np.where(ok, m1 / np.where(ok, qk * dck, 1.0), 0.0)
-        etak = bsde.eta_at(eta, tree.grid.t[k])
+        etak = float(eta)
         best = np.full(bb - a, -np.inf)
         best_floor = np.zeros(bb - a, dtype=np.int64)
         sl = tree._edge_slice(k)
@@ -860,6 +860,26 @@ def test_non_finite_terminal_value_is_an_invariant_violation():
             solve_quadratic(tree, M, clock, None, zeta, quadratic)
 
 
+def test_dual_value_checks_its_leaves_before_the_dp():
+    """The dual DP refuses a NaN leaf and a short zeta as the solvers do,
+    before any arithmetic: no numpy warning and no broadcast error."""
+    built = build(ModelConfig("trinomial", K=6))
+    tree, M = built.tree, built.M
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(6)
+    zeta = np.sin(3.0 * M.scalar[lo:hi])
+    zeta[4] = math.nan
+    growth = {"a": 0.0, "b": 0.5, "gamma": 1.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation,
+                           match="^zeta is nan at leaf 4$"):
+            dual_value(tree, M, clock, zeta, growth, 1.0)
+        with pytest.raises(InvariantViolation,
+                           match="^zeta needs one value per leaf$"):
+            dual_value(tree, M, clock, zeta[1:], growth, 1.0)
+
+
 def test_vanishing_N_report_structure(monkeypatch):
     F = indicator_halfspace()
     drv = driver_from_catalog("pure_quadratic", gamma=1.0)
@@ -904,7 +924,7 @@ def test_vanishing_N_rows_equal_per_eps_solves(kind, coeffs):
         X = None if co is None else forward.euler_forward(
             tree, M, clock, co, np.atleast_1d(0.2))
         for eps in [None] + eps_list:
-            Fe = F if eps is None else mollify(F, eps, 64)
+            Fe = F if eps is None else mollify(F, eps)
             sol = solve_lipschitz(tree, M, clock, X,
                                   bsde._terminal_values(tree, M, X, Fe), drv)
             rows.append((K, eps, sol.bracketNN_T, sol.Y0))
@@ -1056,7 +1076,7 @@ def test_regularity_scan_root_z_is_the_central_difference(monkeypatch):
         seen = {}
         sweeps.append(seen)
 
-        def record(k, a, b, y, z, z_arg, res):
+        def record(k, a, b, y, z, z_arg, res, dn):
             seen[k] = (y.copy(), z.copy())
         return consume(steps, record)
     consume = bsde._consume
@@ -1201,7 +1221,7 @@ def test_levels_columns_equal_solo_solves(seed, K, B, u, share, zscale):
              for j in range(B)]
     seen = []
 
-    def check(k, a, b_, y, z, z_arg, res):
+    def check(k, a, b_, y, z, z_arg, res, dn):
         seen.append(k)
         assert y.shape == z.shape == res.shape == (b_ - a, B)
         for j, one in enumerate(solos):
@@ -1255,7 +1275,7 @@ def test_lattice_sweep_columns_equal_1d_solves_on_both_child_paths(
                  for j in range(B)]
         levels = []
 
-        def check(k, a, b_, y, z, z_arg, res):
+        def check(k, a, b_, y, z, z_arg, res, dn):
             for j, one in enumerate(solos):
                 assert np.array_equal(y[:, j], one.Y.values[a:b_, 0])
                 assert np.array_equal(z[:, j], one.Z.values[a:b_, 0])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthres import _kernels
 from orthres.bsde import vanishing_N_experiment, zero_driver
 from orthres.errors import InvariantViolation
 from orthres.ftree import (AdaptedProcess, TimeGrid, is_martingale,
@@ -154,6 +155,11 @@ def assert_matches_level_loop(tree, M, zeta):
     assert res.Y0 == Y.values[0, 0]
 
 
+# one lattice of each model kind, small enough for the per-level loops
+EVERY_KIND = [("trinomial", 64), ("compensated_jump", 48), ("binary", 32),
+              ("product_noise", 6), ("time_changed", 12)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_trees(), st.sampled_from((indicator_halfspace(), sine())))
 def test_matches_level_loop_on_small_trees(tm, F):
@@ -162,16 +168,34 @@ def test_matches_level_loop_on_small_trees(tm, F):
     assert_matches_level_loop(tree, M, F(M.values[lo:hi]))
 
 
-@pytest.mark.parametrize("kind,K", [("trinomial", 64),
-                                    ("compensated_jump", 48),
-                                    ("binary", 32), ("product_noise", 6),
-                                    ("time_changed", 12)])
+@pytest.mark.parametrize("kind,K", EVERY_KIND)
 @pytest.mark.parametrize("F", [indicator_halfspace(), sine()],
                          ids=["indicator", "sine"])
 def test_matches_level_loop_on_every_kind(kind, K, F):
     built = build(ModelConfig(kind, K=K))
     lo, hi = built.tree.level_slice(K)
     assert_matches_level_loop(built.tree, built.M, F(built.M.values[lo:hi]))
+
+
+@pytest.mark.parametrize("kind,K", EVERY_KIND)
+@pytest.mark.parametrize("F", [indicator_halfspace(), sine()],
+                         ids=["indicator", "sine"])
+def test_sweep_dn_is_edge_residuals_on_its_own_y(kind, K, F):
+    """The dN the sweep forms is byte for byte edge_residuals_d1's, run
+    level by level on edge_increments of M with the level's own y as ey, so
+    the sweep and the kernel the oracles use cannot drift apart."""
+    built = build(ModelConfig(kind, K=K))
+    tree, M = built.tree, built.M
+    lo, hi = tree.level_slice(K)
+    res = decompose(tree, M, F(M.values[lo:hi]))
+    y, z = res.Y.scalar, res.Z.values[:, 0]
+    dn = np.empty(len(tree.echild))
+    for k in range(K):
+        a, b = tree.level_slice(k)
+        _kernels.edge_residuals_d1(
+            tree, _kernels.edge_increments(tree, M.scalar, a, b), y, y[a:b],
+            z[a:b], a, b, dn)
+    assert res.dN.tobytes() == dn.tobytes()
 
 
 def four_child_d2(s1, s2):

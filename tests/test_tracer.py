@@ -14,6 +14,8 @@ import orthres
 from orthres import _kernels, bsde, cli, forward, ftree, gkw, models  # noqa: F401
 from orthres.mollify import MollifiedMap, TerminalMap, indicator_halfspace
 
+from reference import gkw_levels
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
 WRAPPED_CLASSES = (ftree.ScenarioTree, TerminalMap, MollifiedMap)
@@ -91,9 +93,10 @@ def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
     """The tracer reads each kernel's tree, lo and hi by position. Against
     the arguments bound by name, it counts K level_moments_d1 calls, one per
     level, for one B = 2 vanishing-N sweep and K more for a GKW
-    decomposition, which makes one edge_residuals_d1 call per level and
-    neither clocks M nor checks a martingale, and as many edges as the
-    calls' [lo, hi) ranges span."""
+    decomposition, which calls no other kernel and neither clocks M nor
+    checks a martingale; the tests' level-by-level oracle then adds one
+    level_moments_d1 and one edge_residuals_d1 call per level, and the
+    edges counted are those the calls' [lo, hi) ranges span."""
     tracing = import_tracer(monkeypatch)
     calls = record_kernel_calls(monkeypatch, tracing)
     K = 8
@@ -108,8 +111,12 @@ def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
         tree, M = built.tree, built.M
         clock = ftree.predictable_bracket(tree, M)
         lo, hi = tree.level_slice(K)
-        gkw.gkw_decompose(tree, M, clock,
-                          (M.scalar[lo:hi] > 0).astype(float))
+        before = len(calls)
+        res = gkw.gkw_decompose(tree, M, clock,
+                                (M.scalar[lo:hi] > 0).astype(float))
+        decompose = calls[before:]
+        # edge_residuals_d1's only callers are the tests' oracles
+        gkw_levels(tree, M, res.Y)
         metrics = tracing.layer_metrics(tr, 1.0)
     finally:
         tr.uninstall()
@@ -118,10 +125,13 @@ def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
     levels = [c for c in calls if c[0] == "level_moments_d1"]
     assert {c[1].level_slice(c[1].node_level[c[2]]) == c[2:]
             for c in levels} == {True}
-    assert metrics["kernels.level_moments_d1_calls"] == len(levels) == 2 * K
+    assert metrics["kernels.level_moments_d1_calls"] == len(levels) == 3 * K
+    assert [c[0] for c in decompose] == ["level_moments_d1"] * K
+    assert [c[2:] for c in decompose] == [
+        tree.level_slice(k) for k in range(K - 1, -1, -1)]
     residual_calls = [c for c in calls if c[0] == "edge_residuals_d1"]
     assert [c[2:] for c in residual_calls] == [
-        tree.level_slice(k) for k in range(K - 1, -1, -1)]
+        tree.level_slice(k) for k in range(K)]
     assert metrics["kernels.edge_residuals_d1_calls"] == K
     assert metrics["gkw.decompose_calls"] == 1
     # the spans opened inside the decomposition, a parent before its child
@@ -130,7 +140,8 @@ def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
         if name == "gkw.decompose" or parent in inside:
             inside.add(i)
     names = {tr.spans[i][0] for i in inside}
-    assert "kernels.edge_residuals_d1" in names
+    assert {n for n in names if n.startswith("kernels.")} == {
+        "kernels.level_moments_d1"}
     assert not names & {"ftree.clock", "ftree.mart_check"}
     for name in tracing.KERNELS:
         assert metrics[f"kernels.{name}_calls"] == sum(
