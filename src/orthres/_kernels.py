@@ -11,7 +11,11 @@ arity r (``ScenarioTree.arity``) with 2 <= r <= 7, as ``(r, n)``, entry
 order.  ``edge_layout`` lays out a slice of a per-edge array of the tree
 (``tree.eprob``) that way and ``edge_increments`` forms dm in it, so no
 sweep holds a full-size per-edge array; ``store_edges`` writes one back in
-edge order.
+edge order.  ``level_moments_d1`` and ``residual_moments_d1`` take the
+range's laid-out ``tree.eprob`` as ``p``, so a caller lays it out once per
+level; the martingale check and the clock (``ftree``) call the kernels one
+level, or one run of narrow levels, at a time, so no temporary of theirs
+outgrows a level or a run.
 
 **Columns.**  Node values (``y``, ``vals``, ``ey``, ``z``) are ``(n,)`` for
 one solve or ``(n, B)`` for B solves on one tree.  A kernel works on their
@@ -175,24 +179,28 @@ def backward_expect(tree, vals, lo, hi):
                     hi).T
 
 
-def level_moments_d1(tree, pdm, y, lo, hi, base=0):
+def level_moments_d1(tree, pdm, y, lo, hi, base=0, p=None):
     """One-step conditional moments (E[y'], E[dy dm]) per node, from the
     range's ``pdm = p * dm``, plus the per-edge dy = y' - E[y'] of the
     range's edges that they are formed from, in their layout.
     ``y[i - base]`` is node i's value, so y may hold only the level below
-    the range."""
+    the range.  ``p`` is the range's ``edge_layout`` of ``tree.eprob``,
+    laid out here when not given."""
+    if p is None:
+        p = edge_layout(tree, tree.eprob, lo, hi)
     yc = _children(tree, y.T, lo, hi, base)
-    ey = edge_sum(tree, edge_layout(tree, tree.eprob, lo, hi) * yc, lo, hi)
+    ey = edge_sum(tree, p * yc, lo, hi)
     dy = yc - parent_values(tree, ey, lo, hi)
     return ey.T, edge_sum(tree, pdm * dy, lo, hi).T, dy
 
 
-def residual_moments_d1(tree, dm, dy, z, lo, hi):
+def residual_moments_d1(tree, dm, dy, z, lo, hi, p=None):
     """Per-edge dn = dy - z*dm and E[dn^2 | node] per node of [lo, hi), from
     the range's dm and dy (as ``level_moments_d1`` returns it), which is
-    overwritten by dn."""
+    overwritten by dn; ``p`` as in ``level_moments_d1``."""
     dy -= parent_values(tree, z.T, lo, hi) * dm  # now dn
-    p = edge_layout(tree, tree.eprob, lo, hi)
+    if p is None:
+        p = edge_layout(tree, tree.eprob, lo, hi)
     return dy, edge_sum(tree, p * dy * dy, lo, hi).T
 
 

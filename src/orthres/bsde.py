@@ -340,12 +340,13 @@ def _levels(tree, M, clock, X, zeta, driver):
     nodes [a, b), their y and Z, the z the driver was evaluated at, q Z,
     their E[dN^2 | node], column-major, and the per-edge dN of the level's
     edges in its layout (see _kernels); the consumer must not write to
-    them.  Only the level below's y and the level's own per-edge dm and dy
-    are held: dy is overwritten by dn, E[dN^2 | node] is formed from it,
-    and path_prob times that is summed into E[[N]_T], which (a float, or
-    (B,) for a batch) is returned once level 0 has been consumed.  Each column
-    thus sums per level, then in level order, as its 1-D solve does.  Every
-    check of solve_lipschitz is made here."""
+    them.  Only the level below's y and the level's own per-edge p, dm and
+    dy are held, p laid out once for both kernels: dy is overwritten by dn,
+    E[dN^2 | node] is formed from it, and path_prob times that is summed
+    into E[[N]_T], which (a float, or (B,) for a batch) is returned once
+    level 0 has been consumed.  Each column thus sums per level, then in
+    level order, as its 1-D solve does.  Every check of solve_lipschitz is
+    made here."""
     if M.dim != 1:
         raise NotImplementedError("backward solvers are scalar-martingale only")
     zeta = _leaf_values(tree, zeta)
@@ -367,8 +368,6 @@ def _levels(tree, M, clock, X, zeta, driver):
     dC = dC[col]
     qdiag = clock.q.values.reshape(nt, -1)[:, 0][col]  # q[0,0] for d = 1
     s2 = clock.sigma.reshape(nt)[col]                  # E[dm^2 | node]
-    projects = s2 > _kernels.PROJ_EPS
-    s2_safe = np.where(s2 > 0, s2, 1.0)
     path_prob = tree.path_prob[col]
     t = tree.grid.t
     zero = np.zeros((int(np.diff(tree.level_start).max()),) + zeta.shape[1:],
@@ -383,10 +382,12 @@ def _levels(tree, M, clock, X, zeta, driver):
         a, b = tree.level_slice(k)
         # the level's own increments: no full-size dm is kept
         dm = _kernels.edge_increments(tree, m, a, b)
-        ey, m1, dy = _kernels.level_moments_d1(
-            tree, _kernels.edge_layout(tree, tree.eprob, a, b) * dm, y, a, b,
-            base)
-        z = np.where(projects[a:b], m1 / s2_safe[a:b], 0.0)
+        p = _kernels.edge_layout(tree, tree.eprob, a, b)
+        ey, m1, dy = _kernels.level_moments_d1(tree, p * dm, y, a, b, base,
+                                               p=p)
+        s2k = s2[a:b]
+        z = np.where(s2k > _kernels.PROJ_EPS,
+                     m1 / np.where(s2k > 0, s2k, 1.0), 0.0)
         z_arg = qdiag[a:b] * z
         xk = X.values[a:b] if X is not None else None
         mk = mcol[a:b]
@@ -399,7 +400,7 @@ def _levels(tree, M, clock, X, zeta, driver):
             ok = miss <= FP_TOL * np.maximum(1.0, np.abs(y))
             if not ok.all():
                 raise _step_miss(k, miss, y, ok, driver.y_part)
-        dy, res = _kernels.residual_moments_d1(tree, dm, dy, z, a, b)
+        dy, res = _kernels.residual_moments_d1(tree, dm, dy, z, a, b, p=p)
         bracket = bracket + _column_sums(path_prob[a:b] * res)
         base = a
         yield k, a, b, y, z, z_arg, res, dy
@@ -561,6 +562,8 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
     if M.dim != 1:
         raise NotImplementedError("dual DP is scalar-martingale only")
     zeta = _leaf_values(tree, zeta)
+    if zeta.ndim != 1:
+        raise InvariantViolation("dual_value takes one column of leaf values")
     b = float(growth["b"])
     gamma = float(growth["gamma"])
     eta = float(growth.get("a", 0.0) if eta is None else eta)
@@ -576,9 +579,8 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
     for k in range(tree.K - 1, -1, -1):
         a, bb = tree.level_slice(k)
         dm = _kernels.edge_increments(tree, m, a, bb)
-        m1 = _kernels.level_moments_d1(
-            tree, _kernels.edge_layout(tree, tree.eprob, a, bb) * dm, W, a,
-            bb)[1]
+        p_e = _kernels.edge_layout(tree, tree.eprob, a, bb)
+        m1 = _kernels.level_moments_d1(tree, p_e * dm, W, a, bb, p=p_e)[1]
         dck = dC[a:bb]
         qk = qdiag[a:bb]
         ok = (qk > _kernels.PROJ_EPS) & (dck > _kernels.PROJ_EPS)

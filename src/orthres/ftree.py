@@ -3,6 +3,12 @@
 A tree is stored as flat arrays: nodes are numbered level by level, edges are
 grouped by parent node.  Recombining lattices are supported as level-layered
 DAGs: a node may have several incoming edges.
+
+The martingale check, the conditional covariances, the clock and its factor
+run one level at a time, narrow levels merged into runs of at most
+``RUN_NODES`` nodes, and read a level's children as a view where the tree
+has a ``child_stride``: beyond their outputs no temporary outgrows a level or
+a run.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +21,10 @@ from .errors import InvariantViolation
 PROB_TOL = 1e-14
 MASS_TOL = 1e-12
 PSD_TOL = 1e-12
+# the martingale check, Sigma and q merge consecutive levels into runs of at
+# most this many nodes: a narrow level costs more in calls than in work,
+# while a wider level runs alone and reads its children as a view
+RUN_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -274,6 +284,18 @@ class MartingaleCheck:
 # operations
 # ---------------------------------------------------------------------------
 
+def _runs(tree):
+    """[lo, hi) node ranges of whole non-terminal levels, in level order:
+    as many consecutive levels as hold at most RUN_NODES nodes, or one."""
+    ls, K = tree.level_start, tree.K
+    k = 0
+    while k < K:
+        j = int(np.searchsorted(ls, ls[k] + RUN_NODES, "right")) - 1
+        j = min(K, max(k + 1, j))
+        yield int(ls[k]), int(ls[j])
+        k = j
+
+
 def backward_closure(tree, leaf_values):
     """Fill the whole tree with E[zeta | F_k] from leaf values (all levels)."""
     leaf_values = np.asarray(leaf_values, dtype=float)
@@ -289,58 +311,72 @@ def backward_closure(tree, leaf_values):
 
 
 def is_martingale(tree, M, tol=1e-12):
-    """Check E[M_{k+1} | node] == M_k at every non-terminal node."""
+    """Check E[M_{k+1} | node] == M_k at every non-terminal node, one run
+    of levels at a time, so that no temporary outgrows a run."""
     worst = 0.0
-    nt = tree.n_nonterminal
     for c in range(M.dim):
-        ey = _kernels.backward_expect(tree, M.values[:, c], 0, nt)
-        worst = max(worst, float(np.max(np.abs(ey - M.values[:nt, c]))))
+        v = M.values[:, c]
+        for lo, hi in _runs(tree):
+            ey = _kernels.backward_expect(tree, v, lo, hi)
+            worst = max(worst, float(np.max(np.abs(ey - v[lo:hi]))))
     return MartingaleCheck(worst <= tol, worst)
 
 
-def psd_cholesky_batch(A, tol=PSD_TOL):
+def psd_cholesky_batch(A, tol=PSD_TOL, first=None):
     """Lower-triangular factors of a (n, d, d) stack of PSD matrices.
 
     Column j is computed for every matrix at once.  Each matrix is judged
     against its own scale max(1, max|A|): a pivot below -tol*scale raises,
     naming the worst one, and a pivot at most tol*scale leaves its column
-    zero (rank deficiency).
+    zero (rank deficiency).  When A is part of a larger stack starting at
+    index ``first``, the error names the matrix by its index there.
     """
     A = np.asarray(A, dtype=float)
     n, d = A.shape[0], A.shape[-1]
-    tols = tol * np.maximum(1.0, np.abs(A).reshape(n, d * d).max(
-        axis=1, initial=0.0))
+    # at d = 1 max|A| is |A| itself, no reduction
+    scale = np.abs(A.reshape(n, d * d))
+    scale = scale[:, 0] if d == 1 else scale.max(axis=1, initial=0.0)
+    tols = tol * np.maximum(1.0, scale)
     L = np.zeros_like(A)
     for j in range(d):
         row = L[:, j, :j]
-        s = A[:, j, j] - np.einsum("nk,nk->n", row, row)
+        # column 0 has no earlier columns to subtract
+        s = A[:, j, j] - np.einsum("nk,nk->n", row, row) if j else A[:, 0, 0]
         bad = s < -tols
         if bad.any():
             i = np.flatnonzero(bad)[np.argmin(s[bad] / tols[bad])]
-            where = f" in matrix {i}" if n > 1 else ""
+            where = (f" in matrix {i + (first or 0)}"
+                     if n > 1 or first is not None else "")
             raise InvariantViolation(
                 f"matrix not PSD within tolerance (pivot {s[i]:.3e}{where})")
         live = s > tols
         np.sqrt(s, out=L[:, j, j], where=live)
         if j + 1 < d:
-            r = A[:, j + 1:, j] - np.einsum("nik,nk->ni", L[:, j + 1:, :j], row)
+            r = A[:, j + 1:, j]
+            if j:
+                r = r - np.einsum("nik,nk->ni", L[:, j + 1:, :j], row)
             np.divide(r, L[:, j, j, None], out=L[:, j + 1:, j],
                       where=live[:, None])
     return L
 
 
 def conditional_covariances(tree, M):
-    """Sigma_k = E[dM dM* | node] for every non-terminal node, shape (nt,d,d)."""
-    nt = tree.n_nonterminal
-    d = M.dim
-    if d == 1:
-        dm = _kernels.edge_increments(tree, M.scalar, 0, nt)
-        p = _kernels.edge_layout(tree, tree.eprob, 0, nt)
-        return _kernels.edge_sum(tree, p * dm * dm, 0, nt).reshape(nt, 1, 1)
-    sl = slice(0, int(tree.estart[nt]))
-    dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]
-    w = tree.eprob[sl][:, None, None] * (dm[:, :, None] * dm[:, None, :])
-    return _kernels._segment_sum(tree, w, tree.estart[:nt])
+    """Sigma_k = E[dM dM* | node] for every non-terminal node, shape
+    (nt, d, d), filled one run of levels at a time."""
+    nt, d = tree.n_nonterminal, M.dim
+    sigma = np.empty((nt, d, d))
+    for lo, hi in _runs(tree):
+        if d == 1:
+            dm = _kernels.edge_increments(tree, M.scalar, lo, hi)
+            p = _kernels.edge_layout(tree, tree.eprob, lo, hi)
+            sigma[lo:hi, 0, 0] = _kernels.edge_sum(tree, p * dm * dm, lo, hi)
+            continue
+        sl = _kernels._edges(tree, lo, hi)
+        dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]
+        w = tree.eprob[sl][:, None, None] * (dm[:, :, None] * dm[:, None, :])
+        sigma[lo:hi] = _kernels._segment_sum(
+            tree, w, tree.estart[lo:hi] - tree.estart[lo])
+    return sigma
 
 
 def predictable_bracket(tree, M):
@@ -348,33 +384,51 @@ def predictable_bracket(tree, M):
 
     Built from conditional covariances so that C, dC and q are predictable.
     Requires the accumulated trace to be consistent across recombined paths.
+    Every pass runs one level, or one run of levels, at a time: beyond its
+    outputs (C, dC, q and sigma) no temporary outgrows a level or a run.
     """
     nt = tree.n_nonterminal
     sigma = conditional_covariances(tree, M)
-    tr = np.einsum("kii->k", sigma)
-    V = np.zeros(tree.n_nodes)
+    s, r = tree.child_stride, tree.arity
+    # the accumulated trace V, turned into C in place; dC first holds
+    # V + tr, each node's candidate for its children's V
+    C = np.zeros(tree.n_nodes)
+    dC = np.empty(nt)
     worst = 0.0
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
-        if tree.arity is None:
-            cand = V[tree.eparent[sl]] + tr[tree.eparent[sl]]
-        else:
-            lo, hi = tree.level_slice(k)
-            cand = np.repeat(V[lo:hi] + tr[lo:hi], tree.arity)
-        child = tree.echild[sl]
-        V[child] = cand
-        # every incoming edge must agree on the accumulated trace
-        worst = max(worst, float(np.max(np.abs(V[child] - cand))))
+        lo, hi = tree.level_slice(k)
+        cand = np.add(C[lo:hi], np.einsum("kii->k", sigma[lo:hi]),
+                      out=dC[lo:hi])
+        if s is None:
+            sl = tree._edge_slice(k)
+            child = tree.echild[sl]
+            cand = cand[tree.eparent[sl] - lo]
+            C[child] = cand
+            # every incoming edge must agree on the accumulated trace
+            worst = max(worst, float(np.max(np.abs(C[child] - cand))))
+            continue
+        # move i of node lo + j lands on child a + s*j + i: row i of an
+        # (r, n) view of C.  Writing the highest move first lets the last
+        # edge in edge order win, as the gathered store does
+        a, w = int(tree.level_start[k + 1]), C.itemsize
+        child = np.ndarray((r, hi - lo), C.dtype, C, a * w, (w, s * w))
+        for i in range(r - 1, -1, -1):
+            child[i] = cand
+        worst = max(worst, float(np.max(np.abs(child - cand))))
     if worst > 1e-9:
         raise InvariantViolation(
             "recombined nodes disagree on the accumulated bracket trace "
             f"(max {worst:.3e}); use a non-recombining tree")
-    C = np.arctan(V)
-    dC = np.arctan(V[:nt] + tr) - C[:nt]
+    np.arctan(dC, out=dC)
+    np.arctan(C, out=C)
+    dC -= C[:nt]
     # where dC = 0 the factor of the zero matrix is 0
-    q = psd_cholesky_batch(np.divide(sigma, dC[:, None, None],
-                                     out=np.zeros_like(sigma),
-                                     where=dC[:, None, None] > 0))
+    q = np.empty_like(sigma)
+    for lo, hi in _runs(tree):
+        dc = dC[lo:hi, None, None]
+        q[lo:hi] = psd_cholesky_batch(
+            np.divide(sigma[lo:hi], dc, out=np.zeros_like(sigma[lo:hi]),
+                      where=dc > 0), first=lo if nt > 1 else None)
     return ClockAndFactor(
         C=AdaptedProcess(tree, C),
         dC=PredictableField(tree, dC),

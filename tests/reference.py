@@ -6,8 +6,9 @@ tree builder, exact conditional expectations, the pathwise bracket, a JSON
 round trip, the level-by-level and the d-general GKW projections, a solve's
 per-edge dN, the two-term bracket split, the Markov grouping spread, a driver
 growth check, the comparison check on two stored solutions, a one-matrix PSD
-factor, a clamped terminal map, and a tree's path probabilities and
-closed-form child stride by their definitions.
+factor, a clamped terminal map, a tree's path probabilities and
+closed-form child stride by their definitions, and the martingale check and
+the clock over all non-terminal nodes at once.
 """
 
 import json
@@ -20,8 +21,9 @@ from orthres import _kernels
 from orthres.bsde import CompareVerdict
 from orthres.cli import _affine_driver, _random_affine_pair
 from orthres.errors import InvariantViolation
-from orthres.ftree import (PSD_TOL, AdaptedProcess, PredictableField,
-                           ScenarioTree, TimeGrid, conditional_covariances,
+from orthres.ftree import (PSD_TOL, AdaptedProcess, ClockAndFactor,
+                           MartingaleCheck, PredictableField, ScenarioTree,
+                           TimeGrid, conditional_covariances,
                            psd_cholesky_batch)
 
 
@@ -432,3 +434,86 @@ def clamp(F, n):
         return np.clip(base(x), -n, n)
 
     return replace(F, id=f"{F.id}~clamp{n}", evaluator=ev, halfspace=None)
+
+
+def is_martingale_range(tree, M, tol=1e-12):
+    """The martingale check as one backward_expect call over every
+    non-terminal node."""
+    worst = 0.0
+    nt = tree.n_nonterminal
+    for c in range(M.dim):
+        ey = _kernels.backward_expect(tree, M.values[:, c], 0, nt)
+        worst = max(worst, float(np.max(np.abs(ey - M.values[:nt, c]))))
+    return MartingaleCheck(worst <= tol, worst)
+
+
+def psd_cholesky_stack(A, tol=PSD_TOL):
+    """Lower-triangular factors of a (n, d, d) stack, column j for every
+    matrix at once, each judged against max(1, max|A|)."""
+    A = np.asarray(A, dtype=float)
+    n, d = A.shape[0], A.shape[-1]
+    tols = tol * np.maximum(1.0, np.abs(A).reshape(n, d * d).max(
+        axis=1, initial=0.0))
+    L = np.zeros_like(A)
+    for j in range(d):
+        row = L[:, j, :j]
+        s = A[:, j, j] - np.einsum("nk,nk->n", row, row)
+        bad = s < -tols
+        if bad.any():
+            i = np.flatnonzero(bad)[np.argmin(s[bad] / tols[bad])]
+            where = f" in matrix {i}" if n > 1 else ""
+            raise InvariantViolation(
+                f"matrix not PSD within tolerance (pivot {s[i]:.3e}{where})")
+        live = s > tols
+        np.sqrt(s, out=L[:, j, j], where=live)
+        if j + 1 < d:
+            r = A[:, j + 1:, j] - np.einsum("nik,nk->ni", L[:, j + 1:, :j], row)
+            np.divide(r, L[:, j, j, None], out=L[:, j + 1:, j],
+                      where=live[:, None])
+    return L
+
+
+def covariances_range(tree, M):
+    """Sigma = E[dM dM* | node] over every non-terminal node at once."""
+    nt = tree.n_nonterminal
+    if M.dim == 1:
+        dm = _kernels.edge_increments(tree, M.scalar, 0, nt)
+        p = _kernels.edge_layout(tree, tree.eprob, 0, nt)
+        return _kernels.edge_sum(tree, p * dm * dm, 0, nt).reshape(nt, 1, 1)
+    sl = slice(0, int(tree.estart[nt]))
+    dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]
+    w = tree.eprob[sl][:, None, None] * (dm[:, :, None] * dm[:, None, :])
+    return _kernels._segment_sum(tree, w, tree.estart[:nt])
+
+
+def predictable_bracket_range(tree, M):
+    """The clock with full-size temporaries: Sigma, the trace and the
+    factor's input over every non-terminal node, and each level's edges
+    stored by a gather, the last edge in edge order winning."""
+    nt = tree.n_nonterminal
+    sigma = covariances_range(tree, M)
+    tr = np.einsum("kii->k", sigma)
+    V = np.zeros(tree.n_nodes)
+    worst = 0.0
+    for k in range(tree.K):
+        sl = tree._edge_slice(k)
+        if tree.arity is None:
+            cand = V[tree.eparent[sl]] + tr[tree.eparent[sl]]
+        else:
+            lo, hi = tree.level_slice(k)
+            cand = np.repeat(V[lo:hi] + tr[lo:hi], tree.arity)
+        child = tree.echild[sl]
+        V[child] = cand
+        worst = max(worst, float(np.max(np.abs(V[child] - cand))))
+    if worst > 1e-9:
+        raise InvariantViolation(
+            "recombined nodes disagree on the accumulated bracket trace "
+            f"(max {worst:.3e}); use a non-recombining tree")
+    C = np.arctan(V)
+    dC = np.arctan(V[:nt] + tr) - C[:nt]
+    q = psd_cholesky_stack(np.divide(sigma, dC[:, None, None],
+                                     out=np.zeros_like(sigma),
+                                     where=dC[:, None, None] > 0))
+    return ClockAndFactor(C=AdaptedProcess(tree, C),
+                          dC=PredictableField(tree, dC),
+                          q=PredictableField(tree, q), sigma=sigma)

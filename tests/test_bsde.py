@@ -880,6 +880,26 @@ def test_dual_value_checks_its_leaves_before_the_dp():
             dual_value(tree, M, clock, zeta[1:], growth, 1.0)
 
 
+def test_dual_value_refuses_a_batch_of_leaf_values(monkeypatch):
+    """The dual DP is 1-D: a (leaves, B) zeta passes the solvers' leaf check
+    but is refused before any level is formed, not by numpy's broadcast."""
+    built = build(ModelConfig("trinomial", K=6))
+    tree, M = built.tree, built.M
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(6)
+    zeta = np.sin(3.0 * M.scalar[lo:hi])
+    growth = {"a": 0.0, "b": 0.5, "gamma": 1.0}
+
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was formed")
+
+    monkeypatch.setattr(bsde._kernels, "edge_increments", no_level)
+    with pytest.raises(InvariantViolation,
+                       match="^dual_value takes one column of leaf values$"):
+        dual_value(tree, M, clock, np.column_stack([zeta, zeta]), growth,
+                   1.0)
+
+
 def test_vanishing_N_report_structure(monkeypatch):
     F = indicator_halfspace()
     drv = driver_from_catalog("pure_quadratic", gamma=1.0)

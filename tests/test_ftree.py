@@ -1,10 +1,13 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orthres import ftree
 from orthres.errors import InvariantViolation
 from orthres.ftree import (PSD_TOL, AdaptedProcess, ScenarioTree, TimeGrid,
                            backward_closure, is_martingale,
@@ -16,7 +19,8 @@ from orthres.forward import extract_subtree
 from conftest import (permute_last_level, random_full_tree,
                       random_martingale, small_trees)
 from reference import (TreeBuilder, accumulated_trace, closed_form_stride,
-                       cond_exp, is_tree, path_prob_loop, pathwise_bracket,
+                       cond_exp, is_martingale_range, is_tree, path_prob_loop,
+                       pathwise_bracket, predictable_bracket_range,
                        psd_cholesky, tree_from_json, tree_to_json)
 
 
@@ -516,3 +520,105 @@ def test_child_stride_and_path_prob_on_every_model_kind(tree_m):
     tree, _ = tree_m
     assert tree.child_stride == closed_form_stride(tree)
     assert tree.path_prob.tobytes() == path_prob_loop(tree).tobytes()
+
+
+# -- level-by-level clock and martingale check against the full-range ones --
+
+# runs of one level each, of a few levels, and of every level of a small tree
+RUN_SIZES = (1, 5, ftree.RUN_NODES)
+
+
+def assert_clock_matches_range(tree, M):
+    want = predictable_bracket_range(tree, M)
+    for run_nodes in RUN_SIZES:
+        with mock.patch.object(ftree, "RUN_NODES", run_nodes):
+            got = predictable_bracket(tree, M)
+        for name in ("C", "dC", "q"):
+            g, w = getattr(got, name).values, getattr(want, name).values
+            assert g.shape == w.shape and np.array_equal(g, w), name
+        assert np.array_equal(got.sigma, want.sigma)
+
+
+def assert_check_matches_range(tree, M, rng):
+    """The check of M and of M with noise on every node."""
+    noisy = AdaptedProcess(tree, M.values + rng.normal(
+        0.0, 1e-3, M.values.shape))
+    for X in (M, noisy):
+        want = is_martingale_range(tree, X)
+        for run_nodes in RUN_SIZES:
+            with mock.patch.object(ftree, "RUN_NODES", run_nodes):
+                got = is_martingale(tree, X)
+            assert (got.ok, got.max_violation) == (want.ok,
+                                                   want.max_violation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_trees(), st.integers(0, 2 ** 32 - 1))
+def test_level_clock_and_check_equal_the_range_ones(tree_m, seed):
+    """Random full trees (d = 1) and every model kind at small K, full-tree
+    and recombining variants included, and a copy with permuted leaves,
+    whose children are gathered: C, dC, q, Sigma and max_violation are
+    bit-identical to the full-range code, with levels run one by one or
+    merged into runs."""
+    tree, M = tree_m
+    rng = np.random.default_rng(seed)
+    assert_clock_matches_range(tree, M)
+    assert_check_matches_range(tree, M, rng)
+    if tree.arity is not None:
+        perm, new_id = permute_last_level(tree, rng)
+        Mp = np.empty(tree.n_nodes)
+        Mp[new_id] = M.scalar
+        Mp = AdaptedProcess(perm, Mp)
+        assert_clock_matches_range(perm, Mp)
+        assert_check_matches_range(perm, Mp, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(1, 4))
+def test_level_clock_and_check_equal_the_range_ones_in_d(seed, d, K):
+    """Random full trees with a d = 2 or 3 martingale of independent
+    random components."""
+    rng = np.random.default_rng(seed)
+    tree = random_full_tree(rng, K=K, max_branch=4)
+    M = AdaptedProcess(tree, np.column_stack(
+        [random_martingale(rng, tree).scalar for _ in range(d)]))
+    assert_clock_matches_range(tree, M)
+    assert_check_matches_range(tree, M, rng)
+
+
+def test_factor_error_names_the_matrix_in_the_whole_stack():
+    A = np.zeros((3, 2, 2))
+    A[1] = [[1.0, 0.0], [0.0, -1.0]]
+    with pytest.raises(InvariantViolation, match=r"in matrix 41\)"):
+        psd_cholesky_batch(A, first=40)
+    with pytest.raises(InvariantViolation, match=r"in matrix 7\)"):
+        psd_cholesky_batch(A[1:2], first=7)
+
+
+def test_check_and_clock_hold_no_temporary_beyond_a_level():
+    """On trinomial K = 256 (66,049 nodes, levels of at most 513 nodes),
+    the martingale check and the clock, less its outputs, each peak below
+    8 bytes per node: no temporary is the size of the tree's edges or
+    nodes, only of a level or a run of levels."""
+    built = build(ModelConfig("trinomial", K=256))
+    tree, M = built.tree, built.M
+    budget = 8 * tree.n_nodes
+
+    def peak(f):
+        """f's result and the traced memory it peaked at above the start."""
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = f(tree, M)
+        return out, tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        check, check_peak = peak(is_martingale)
+        clock, clock_peak = peak(predictable_bracket)
+    finally:
+        tracemalloc.stop()
+    assert check
+    outputs = sum(a.nbytes for a in (clock.C.values, clock.dC.values,
+                                     clock.q.values, clock.sigma))
+    assert check_peak < budget
+    assert clock_peak - outputs < budget
