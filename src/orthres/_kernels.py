@@ -33,8 +33,9 @@ node j lands on s*j + i of the next level, so the children's values are a
 strided view of that level, no gather, and the range's per-edge arrays are
 contiguous (r, n): every pass runs along the nodes.  Any other fixed-arity
 range (the jump lattice, a run of levels) gathers its children in edge
-order and reads them, and its per-edge weights, through a transpose, whose
-passes run in edge order as a gather's do.  Other trees take
+order, at the ids ``ScenarioTree.edge_children`` gives, and reads them, and
+its per-edge weights, through a transpose, whose passes run in edge order as
+a gather's do.  Other trees take
 ``np.add.reduceat`` and gathers along the edge axis.  On every path each
 column sums in the order of a 1-D input, so every column is bit-identical to
 the 1-D call.  ``tests/test_kernels.py`` keeps per-node loop versions as the
@@ -115,7 +116,7 @@ def _children(tree, v, lo, hi, base):
     strided = _strided(tree)
     first = _first_child(tree, lo, hi) if strided else None
     if first is None:
-        idx = tree.echild[_edges(tree, lo, hi)]
+        idx = tree.edge_children(lo, hi)
         vc = _gather(v, idx - base if base else idx)
         # on a strided tree, gathered in edge order and read as (..., r, n)
         # through a transpose
@@ -142,7 +143,7 @@ def parent_values(tree, v, lo, hi):
     layout: a view that broadcasts, or a gather."""
     if _strided(tree):
         return v[..., None, :]
-    return _gather(v, tree.eparent[_edges(tree, lo, hi)] - lo)
+    return _gather(v, tree.edge_parents(lo, hi) - lo)
 
 
 def edge_layout(tree, w, lo, hi):

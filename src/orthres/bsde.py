@@ -755,6 +755,16 @@ class VanishingNReport:
         return raw, out
 
 
+def _vanishing_sweep(model, coeffs, x0, maps, driver):
+    """E[[N]_T] and Y_0 per terminal map on ``model``, from one streamed
+    sweep; its tree, M, clock and X are freed on return, before the next
+    model is built."""
+    tree, M, clock, X = setup_problem(model, coeffs, x0)
+    zeta = np.column_stack([_terminal_values(tree, M, X, Fe) for Fe in maps])
+    bracket, root = _consume(_levels(tree, M, clock, X, zeta, driver))
+    return bracket, root[3][0]
+
+
 def vanishing_N_experiment(config_for, coeffs, F, driver, eps_list, K_list,
                            x0=0.0):
     """Residual of the BSDE solution for raw and mollified terminal data
@@ -765,12 +775,9 @@ def vanishing_N_experiment(config_for, coeffs, F, driver, eps_list, K_list,
     report = VanishingNReport()
     maps = [F] + [mollify(F, eps) for eps in eps_list]
     for K in K_list:
-        tree, M, clock, X = setup_problem(config_for(K), coeffs, x0)
-        zeta = np.column_stack([_terminal_values(tree, M, X, Fe)
-                                for Fe in maps])
-        bracket, root = _consume(_levels(tree, M, clock, X, zeta, driver))
-        for eps, y0, res in zip([math.nan] + list(eps_list), root[3][0],
-                                bracket):
+        bracket, y0s = _vanishing_sweep(config_for(K), coeffs, x0, maps,
+                                        driver)
+        for eps, y0, res in zip([math.nan] + list(eps_list), y0s, bracket):
             report.rows.append(VanishingNRow(K=K, eps=eps,
                                              bracketNN_T=float(res),
                                              y0=float(y0)))

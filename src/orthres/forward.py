@@ -52,8 +52,8 @@ def euler_forward(tree, M, clock, coeffs, x0, shifts=None):
     dC = clock.dC.values
     t = tree.grid.t
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
-        par, chi = tree.eparent[sl], tree.echild[sl]
+        lo, hi = tree.level_slice(k)
+        par, chi = tree.edge_parents(lo, hi), tree.edge_children(lo, hi)
         xp, mp, mc = X[par].reshape(-1, n), M.values[par], M.values[chi]
         if g is not None:
             mp = (mp[:, None, :] + g[:, None]).reshape(-1, d)
@@ -87,18 +87,23 @@ def euler_forward(tree, M, clock, coeffs, x0, shifts=None):
 def extract_subtree(tree, node):
     """Sub-DAG reachable from a node, as a fresh tree plus the node map."""
     level0 = int(tree.node_level[node])
+    nt = tree.n_nonterminal
+    # every kept parent lies in [node, nt): the edges out of those nodes,
+    # level by level from node on
+    par, chi = tree.edge_parents(node, nt), tree.edge_children(node, nt)
+    ends = tree.estart[np.maximum(tree.level_start[level0:], node)]
+    ends -= ends[0]
     keep = np.zeros(tree.n_nodes, dtype=bool)
     keep[node] = True
-    for k in range(level0, tree.K):
-        sl = tree._edge_slice(k)
-        keep[tree.echild[sl][keep[tree.eparent[sl]]]] = True
+    for a, b in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        keep[chi[a:b][keep[par[a:b]]]] = True
     # new id of old node i: the number of kept nodes before it
     new_id = np.concatenate([[0], np.cumsum(keep)])
-    ekeep = keep[tree.eparent]
+    ekeep = keep[par]
     grid = TimeGrid(tree.grid.t[level0:] - tree.grid.t[level0])
     sub = ScenarioTree(grid, tree.d, new_id[tree.level_start[level0:]],
-                       new_id[tree.eparent[ekeep]],
-                       new_id[tree.echild[ekeep]], tree.eprob[ekeep])
+                       new_id[par[ekeep]], new_id[chi[ekeep]],
+                       tree.eprob[tree.estart[node]:tree.estart[nt]][ekeep])
     return sub, np.flatnonzero(keep)
 
 

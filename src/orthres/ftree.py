@@ -2,7 +2,9 @@
 
 A tree is stored as flat arrays: nodes are numbered level by level, edges are
 grouped by parent node.  Recombining lattices are supported as level-layered
-DAGs: a node may have several incoming edges.
+DAGs: a node may have several incoming edges.  Where a tree's children follow
+one closed form (a ``child_stride``), its edges' parents and children are
+computed from it and no per-edge index array is stored.
 
 The martingale check, the conditional covariances, the clock and its factor
 run one level at a time, narrow levels merged into runs of at most
@@ -55,6 +57,16 @@ class TimeGrid:
         return float(self.t[-1])
 
 
+def _per_move(first, r, step):
+    """The (n*r,) edge-order array whose move i of node j is first[j] +
+    step*i, filled move by move: numpy runs a broadcast over rows r wide
+    several times slower."""
+    out = np.empty((len(first), r), dtype=np.int64)
+    for i in range(r):
+        np.add(first, step * i, out=out[:, i])
+    return out.ravel()
+
+
 class ScenarioTree:
     """Level-ordered finite filtered probability space.
 
@@ -63,52 +75,53 @@ class ScenarioTree:
     grid : TimeGrid
     d : martingale dimension
     level_start : (K+2,) node-id offset of each level
-    estart : (n_nodes+1,) per-node offset into the edge arrays
-    eparent, echild, eprob : flat edge arrays grouped by parent
+    estart : (n_nodes+1,) per-node offset into the edges
+    eprob : (E,) edge probabilities, grouped by parent
     path_prob : (n_nodes,) total probability mass reaching the node
+    node_level : (n_nodes,) level of each node
     arity : r when every non-terminal node has r edges, else None
     child_stride : s when, on every level, move i of level-local node j
         lands on level-local node s*j + i of the next level (1 on line
         lattices and their subtrees, r on full trees numbered level by
         level), else None; the kernels then read a level's children as a
         strided view of the level below
+
+    The edges are given as ``eparent`` and ``echild`` arrays, or in closed
+    form as None for both: then every non-terminal node has r =
+    len(eprob) / n_nonterminal edges, and each level's size must be
+    s*(n - 1) + r for the n nodes above it and one stride s.  A tree with a
+    ``child_stride`` keeps no per-edge index arrays, however it was given;
+    ``edge_parents`` and ``edge_children`` give the edges of any node range,
+    from the closed form or as slices of the kept arrays.
     """
 
     def __init__(self, grid, d, level_start, eparent, echild, eprob):
         self.grid = grid
         self.d = int(d)
-        self.level_start = np.asarray(level_start, dtype=np.int64)
-        self.eparent = np.asarray(eparent, dtype=np.int64)
-        self.echild = np.asarray(echild, dtype=np.int64)
+        self.level_start = ls = np.asarray(level_start, dtype=np.int64)
         self.eprob = np.asarray(eprob, dtype=float)
-        n = int(self.level_start[-1])
+        n = int(ls[-1])
         self.n_nodes = n
-        ls = self.level_start
         if len(ls) != self.K + 2 or ls[0] != 0 or np.any(np.diff(ls) < 1):
             raise InvariantViolation("level_start must hold K + 2 increasing "
                                      "node offsets from 0")
-        if np.any(self.eparent[1:] < self.eparent[:-1]):
-            order = np.argsort(self.eparent, kind="stable")
-            self.eparent = self.eparent[order]
-            self.echild = self.echild[order]
-            self.eprob = self.eprob[order]
-        # sorted, so the ends bound every parent; the children are bounded
-        # level by level in validate, before anything indexes with them
-        if self.eparent.size and not (0 <= self.eparent[0]
-                                      and self.eparent[-1] < n):
-            raise InvariantViolation(
-                f"edge parents must lie in [0, {n}), got "
-                f"{self.eparent[0]} .. {self.eparent[-1]}")
-        self.estart = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.eparent, minlength=n),
-                  out=self.estart[1:])
-        out_degree = np.diff(self.estart[:self.n_nonterminal + 1])
-        if out_degree.size and out_degree.min() < 1:
-            raise InvariantViolation("every non-terminal node needs an edge")
-        self.arity = (int(out_degree[0]) if out_degree.min()
-                      == out_degree.max() else None)
+        nt = self.n_nonterminal
+        if eparent is None:
+            self._eparent = self._echild = None
+            r = len(self.eprob) // nt
+            if r < 1 or r * nt != len(self.eprob):
+                raise InvariantViolation(
+                    f"closed-form edges need the same number out of each of "
+                    f"{nt} non-terminal nodes, got {len(self.eprob)} edges")
+            self.estart = np.minimum(np.arange(n + 1), nt) * r
+            self.arity = r
+        else:
+            self._set_edge_arrays(eparent, echild)
         self.validate()
+        if self.child_stride is not None:
+            self._eparent = self._echild = None
 
+        self.node_level = np.repeat(np.arange(self.K + 1), np.diff(ls))
         self.path_prob = np.zeros(n)
         self.path_prob[0] = 1.0
         s = self.child_stride
@@ -119,8 +132,8 @@ class ScenarioTree:
                 # bincount adds each child's incoming mass in edge order
                 # from 0.0
                 self.path_prob[a:b] = np.bincount(
-                    self.echild[sl] - a,
-                    self.path_prob[self.eparent[sl]] * self.eprob[sl], b - a)
+                    self._echild[sl] - a,
+                    self.path_prob[self._eparent[sl]] * self.eprob[sl], b - a)
                 continue
             # move i of the level's nodes feeds children i, i + s, ...:
             # adding the highest move first adds each child's incoming mass
@@ -131,15 +144,41 @@ class ScenarioTree:
             for i in range(self.arity - 1, -1, -1):
                 self.path_prob[a + i:a + i + s * (hi - lo):s] += w[i]
 
-        self.node_level = np.repeat(np.arange(self.K + 1), np.diff(ls))
-        for a in (self.level_start, self.eparent, self.echild, self.eprob,
+        for a in (self.level_start, self._eparent, self._echild, self.eprob,
                   self.estart, self.path_prob, self.node_level):
-            a.flags.writeable = False
+            if a is not None:
+                a.flags.writeable = False
         mass = np.add.reduceat(self.path_prob, ls[:-1])
         bad = np.flatnonzero(np.abs(mass - 1.0) > MASS_TOL)
         if bad.size:
             raise InvariantViolation(
                 f"level {bad[0]} probability mass {float(mass[bad[0]])} != 1")
+
+    def _set_edge_arrays(self, eparent, echild):
+        """Store the given edges sorted by parent, with estart and arity."""
+        n = self.n_nodes
+        self._eparent = np.asarray(eparent, dtype=np.int64)
+        self._echild = np.asarray(echild, dtype=np.int64)
+        if np.any(self._eparent[1:] < self._eparent[:-1]):
+            order = np.argsort(self._eparent, kind="stable")
+            self._eparent = self._eparent[order]
+            self._echild = self._echild[order]
+            self.eprob = self.eprob[order]
+        # sorted, so the ends bound every parent; the children are bounded
+        # level by level in validate, before anything indexes with them
+        if self._eparent.size and not (0 <= self._eparent[0]
+                                       and self._eparent[-1] < n):
+            raise InvariantViolation(
+                f"edge parents must lie in [0, {n}), got "
+                f"{self._eparent[0]} .. {self._eparent[-1]}")
+        self.estart = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._eparent, minlength=n),
+                  out=self.estart[1:])
+        out_degree = np.diff(self.estart[:self.n_nonterminal + 1])
+        if out_degree.size and out_degree.min() < 1:
+            raise InvariantViolation("every non-terminal node needs an edge")
+        self.arity = (int(out_degree[0]) if out_degree.min()
+                      == out_degree.max() else None)
 
     # -- structure ---------------------------------------------------------
     @property
@@ -157,6 +196,38 @@ class ScenarioTree:
         lo, hi = self.level_slice(k)
         return slice(int(self.estart[lo]), int(self.estart[hi]))
 
+    def edge_parents(self, lo, hi):
+        """The parent of every edge out of the nodes [lo, hi), in edge
+        order."""
+        if self._eparent is not None:
+            return self._eparent[self.estart[lo]:self.estart[hi]]
+        nt = self.n_nonterminal
+        return _per_move(np.arange(min(lo, nt), min(hi, nt)), self.arity, 0)
+
+    def edge_children(self, lo, hi):
+        """The child of every edge out of the nodes [lo, hi), in edge
+        order; the range may span levels."""
+        if self._echild is not None:
+            return self._echild[self.estart[lo]:self.estart[hi]]
+        nt, ls, s = self.n_nonterminal, self.level_start, self.child_stride
+        # move 0 of node j on level k lands on ls[k+1] + s*(j - ls[k])
+        lo, hi = min(lo, nt), min(hi, nt)
+        first = (ls[1:] - s * ls[:-1])[self.node_level[lo:hi]]
+        first += np.arange(s * lo, s * hi, s)
+        return _per_move(first, self.arity, 1)
+
+    @property
+    def eparent(self):
+        """(E,) parent of every edge, built on each read where the tree
+        keeps no index arrays."""
+        return self.edge_parents(0, self.n_nodes)
+
+    @property
+    def echild(self):
+        """(E,) child of every edge, built on each read where the tree
+        keeps no index arrays."""
+        return self.edge_children(0, self.n_nodes)
+
     def validate(self):
         """Check the edges: probabilities in (0, 1] summing to 1 per
         non-terminal node, and each level's edges ending on the next level.
@@ -166,7 +237,7 @@ class ScenarioTree:
         if not (np.all(self.eprob > 0) and np.all(self.eprob <= 1)):
             raise InvariantViolation("edge probabilities must lie in (0,1]")
         nt = self.n_nonterminal
-        if self.estart[nt] != len(self.echild):
+        if self._echild is not None and self.estart[nt] != len(self._echild):
             raise InvariantViolation("edges must connect consecutive levels")
         # __init__ gave every non-terminal node an edge, so no segment is
         # empty
@@ -179,8 +250,9 @@ class ScenarioTree:
         self.child_stride = s = self._closed_form_stride()
         if s is None:
             first = self.estart[ls[:-2]]
-            off = (np.any(np.minimum.reduceat(self.echild, first) < ls[1:-1])
-                   or np.any(np.maximum.reduceat(self.echild, first)
+            off = (np.any(np.minimum.reduceat(self._echild, first)
+                          < ls[1:-1])
+                   or np.any(np.maximum.reduceat(self._echild, first)
                              >= ls[2:]))
         else:
             # level k's children run from ls[k+1] to its last node's last
@@ -194,18 +266,35 @@ class ScenarioTree:
         """The s >= 1 with which, on every level, move i of level-local node
         j lands on level-local node s*j + i of the next level, or None.
 
-        s is read off the first level with two nodes (1 without one); the
-        children are then compared move by move with that closed form."""
+        s is read off the first level with two nodes (1 without one): from
+        the given children, which are then compared move by move with that
+        closed form, or from the level sizes in closed form, which must
+        then all be s*(n - 1) + r."""
         r, ls, K = self.arity, self.level_start, self.K
         if r is None:
             return None
-        child = self.echild.reshape(-1, r)
-        wide = ls[:K][np.diff(ls[:K + 1]) > 1]
-        s = int(child[wide[0] + 1, 0] - child[wide[0], 0]) if wide.size else 1
+        sizes = np.diff(ls)
+        wide = np.flatnonzero(sizes[:K] > 1)
+        if self._echild is None:
+            s, rem = 1, 0
+            if wide.size:
+                s, rem = divmod(int(sizes[wide[0] + 1]) - r,
+                                int(sizes[wide[0]]) - 1)
+            bad = (np.flatnonzero(sizes[1:] != s * (sizes[:-1] - 1) + r)
+                   if s >= 1 and not rem else wide[:1])
+            if bad.size:
+                k = int(bad[0]) + 1
+                raise InvariantViolation(
+                    f"closed-form level {k} holds {sizes[k]} nodes, not "
+                    f"s*({sizes[k - 1]} - 1) + {r} for one stride s >= 1")
+            return s
+        child = self._echild.reshape(-1, r)
+        s = (int(child[ls[wide[0]] + 1, 0] - child[ls[wide[0]], 0])
+             if wide.size else 1)
         if s < 1:
             return None
         # node i of level k: its move 0 lands on ls[k+1] + s*(i - ls[k])
-        want = np.repeat(ls[1:K + 1] - s * ls[:K], np.diff(ls[:K + 1]))
+        want = np.repeat(ls[1:K + 1] - s * ls[:K], sizes[:K])
         want += np.arange(0, s * len(child), s)
         for i in range(r):
             if i:
@@ -372,7 +461,8 @@ def conditional_covariances(tree, M):
             sigma[lo:hi, 0, 0] = _kernels.edge_sum(tree, p * dm * dm, lo, hi)
             continue
         sl = _kernels._edges(tree, lo, hi)
-        dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]
+        dm = (M.values[tree.edge_children(lo, hi)]
+              - M.values[tree.edge_parents(lo, hi)])
         w = tree.eprob[sl][:, None, None] * (dm[:, :, None] * dm[:, None, :])
         sigma[lo:hi] = _kernels._segment_sum(
             tree, w, tree.estart[lo:hi] - tree.estart[lo])
@@ -400,9 +490,8 @@ def predictable_bracket(tree, M):
         cand = np.add(C[lo:hi], np.einsum("kii->k", sigma[lo:hi]),
                       out=dC[lo:hi])
         if s is None:
-            sl = tree._edge_slice(k)
-            child = tree.echild[sl]
-            cand = cand[tree.eparent[sl] - lo]
+            child = tree.edge_children(lo, hi)
+            cand = cand[tree.edge_parents(lo, hi) - lo]
             C[child] = cand
             # every incoming edge must agree on the accumulated trace
             worst = max(worst, float(np.max(np.abs(C[child] - cand))))

@@ -45,7 +45,7 @@ def gkw_decompose(tree, M, clock, zeta):
     y_all = np.empty(tree.n_nodes)
     y_all[tree.level_start[tree.K]:] = zeta
     z_all = np.empty((tree.n_nonterminal, 1))
-    dn = np.empty(len(tree.echild))
+    dn = np.empty(int(tree.estart[-1]))
 
     def take(k, a, b, y, z, z_arg, res, dn_level):
         y_all[a:b] = y
@@ -94,16 +94,19 @@ def residual_sweep(config_for, F, K_list):
     ``config_for(K)`` returns a ModelConfig; F maps terminal martingale
     states (array of shape (leaves, d)) to terminal values.
     """
-    out = SweepResult()
-    for K in K_list:
-        tree, M, clock, _ = bsde.setup_problem(config_for(K))
-        lo, hi = tree.level_slice(tree.K)
-        zeta = np.asarray(F(M.values[lo:hi]), dtype=float)
-        bracket, _ = bsde._consume(bsde._levels(tree, M, clock, None, zeta,
-                                                bsde.zero_driver()))
-        var = float(tree.path_prob[lo:hi] @ (zeta - zeta @ tree.path_prob[lo:hi]) ** 2)
-        out.rows.append(SweepRow(
-            K=K, bracketNN_T=bracket,
-            normalized=bracket / var if var > 0 else 0.0,
-            n_nodes=tree.n_nodes))
-    return out
+    return SweepResult([_sweep_row(K, config_for(K), F) for K in K_list])
+
+
+def _sweep_row(K, model, F):
+    """The sweep's row for ``model``; its tree, M and clock are freed on
+    return, before the next model is built."""
+    tree, M, clock, _ = bsde.setup_problem(model)
+    lo, hi = tree.level_slice(tree.K)
+    zeta = np.asarray(F(M.values[lo:hi]), dtype=float)
+    bracket, _ = bsde._consume(bsde._levels(tree, M, clock, None, zeta,
+                                            bsde.zero_driver()))
+    w = tree.path_prob[lo:hi]
+    var = float(w @ (zeta - zeta @ w) ** 2)
+    return SweepRow(K=K, bracketNN_T=bracket,
+                    normalized=bracket / var if var > 0 else 0.0,
+                    n_nodes=tree.n_nodes)

@@ -7,13 +7,16 @@ sigma(M) recombine into lattices; the product model keeps the full tree.
 
 ``binary``, ``trinomial``, ``compensated_jump`` and ``product_noise`` take
 fixed integer moves and share one ``_lattice_walk``, checked against
-``estimate_nodes``; ``product_noise`` walks with recombination off.  The
-recombining ``binary`` and ``trinomial`` lattices are built in closed form
-for all levels at once (``_line_walk``); every other walk goes level by level
-and numbers a level's children by ``_first_appearance``, the order the closed
-form reproduces.  ``time_changed`` merges states by rounded float value,
-level by level, numbered the same way.  ``ModelConfig`` checks every
-builder's parameters, so a bad one is refused before anything is built.
+``estimate_nodes``; ``product_noise`` walks with recombination off.  Every
+such walk is built in closed form, one builder per lattice shape, numbering
+children in the order of their first appearance: full trees
+(``_full_walk``) and recombining walks on one component (``_line_walk``:
+``binary``, ``trinomial``, the one-sided jump) have a child stride, so their
+trees keep no edge arrays; the two-sided jump lattice (``_simplex_walk``)
+has none and passes its arrays.  ``time_changed`` merges states by rounded
+float value, level by level, numbered by ``_first_appearance``.
+``ModelConfig`` checks every builder's parameters, so a bad one is refused
+before anything is built.
 """
 
 import math
@@ -142,61 +145,77 @@ def _first_appearance(keys):
 
 
 def _line_walk(K, moves, probs):
-    """The arrays of a recombining walk on one integer component in closed
-    form: ``moves`` ascending with a common step g, lo to hi.
+    """A recombining walk on one integer component in closed form:
+    ``moves`` any arithmetic progression m0 + g*i, ascending (g > 0) or
+    descending (g < 0).
 
-    Level k holds the states k*lo + g*j, j = 0 .. k*w with w = len(moves) - 1,
-    in ascending order, which is the order of their first appearance among
-    the parent-major, move-minor candidates.  So move i of parent j lands on
-    local child j + i: node id plus the size of its level plus i.
+    Level k holds the states k*m0 + g*j, j = 0 .. k*w with w = len(moves) - 1,
+    which is the order of their first appearance among the parent-major,
+    move-minor candidates.  So move i of local node j lands on local child
+    j + i: child stride 1, and the tree needs no edge arrays.  Returns
+    level_start, eprob and the (n, 1) states.
     """
     r = len(moves)
-    lo, g = int(moves[0]), int(moves[1] - moves[0])
+    m0, g = int(moves[0]), int(moves[1] - moves[0])
     sizes = np.arange(K + 1) * (r - 1) + 1
     level_start = np.zeros(K + 2, dtype=np.int64)
     np.cumsum(sizes, out=level_start[1:])
     n, nt = int(level_start[-1]), int(level_start[-2])
-    eparent = np.repeat(np.arange(nt), r)
-    step = np.repeat(sizes[:K], sizes[:K])
-    step += np.arange(nt)
-    echild = (step[:, None] + np.arange(r)).ravel()
     eprob = np.tile(probs, nt)
-    # k*lo + g*j = g*id + (k*lo - g*level_start[k])
+    # k*m0 + g*j = g*id + (k*m0 - g*level_start[k])
     states = np.arange(n)
     states *= g
-    states += np.repeat(lo * np.arange(K + 1) - g * level_start[:-1], sizes)
-    return level_start, eparent, echild, eprob, states[:, None]
+    states += np.repeat(m0 * np.arange(K + 1) - g * level_start[:-1], sizes)
+    return level_start, eprob, states[:, None]
 
 
-def _level_walk(config, moves, probs, recomb, n, n_edges):
-    """The arrays of any fixed-move walk, level by level, each level's
-    children numbered by ``_first_appearance``."""
-    K = config.K
+def _full_walk(K, moves, probs):
+    """A non-recombining walk in closed form: every candidate is a new node,
+    so move i of local node j lands on local child r*j + i (child stride r)
+    and the tree needs no edge arrays.  Each level's states are its parents'
+    plus every move, by broadcasting.  Returns level_start, eprob and the
+    (n, n_comp) states."""
+    r = len(moves)
+    level_start = np.zeros(K + 2, dtype=np.int64)
+    np.cumsum(r ** np.arange(K + 1), out=level_start[1:])
+    n, nt = int(level_start[-1]), int(level_start[-2])
     states = np.zeros((n, moves.shape[1]), dtype=np.int64)
-    eparent = np.empty(n_edges, dtype=np.int64)
-    echild = np.empty(n_edges, dtype=np.int64)
-    eprob = np.empty(n_edges)
-    # states lie in [-K, K] per component, so this key is one-to-one
-    radix = (2 * K + 1) ** np.arange(moves.shape[1], dtype=np.int64)
-    level_start = [0, 1]
     for k in range(K):
-        lo, hi = level_start[-2], level_start[-1]
-        e0, e1 = len(moves) * lo, len(moves) * hi
-        cand = (states[lo:hi, None, :] + moves).reshape(-1, moves.shape[1])
-        if recomb:
-            children, first = _first_appearance((cand + K) @ radix)
-            fresh = cand[first]
-        else:
-            children, fresh = np.arange(len(cand)), cand
-        if hi + len(fresh) > n or e1 > n_edges:
-            raise InvariantViolation(
-                f"{config.kind} lattice outgrew its estimate of {n} nodes")
-        eparent[e0:e1] = np.repeat(np.arange(lo, hi), len(moves))
-        echild[e0:e1] = hi + children
-        eprob[e0:e1] = np.tile(probs, hi - lo)
-        states[hi:hi + len(fresh)] = fresh
-        level_start.append(hi + len(fresh))
-    return level_start, eparent, echild, eprob, states
+        lo, hi = int(level_start[k]), int(level_start[k + 1])
+        states[hi:hi + r * (hi - lo)] = (
+            states[lo:hi, None, :] + moves).reshape(-1, moves.shape[1])
+    return level_start, np.tile(probs, nt), states
+
+
+def _simplex_walk(K, probs):
+    """The recombining two-sided jump walk in closed form: moves (1, 0),
+    (0, 0) and (0, 1) on the (up, down) jump counts.
+
+    Level k lists the states (i, j) for i = k .. 0 and j = 0 .. k - i, the
+    order of their first appearance among the parent-major, move-minor
+    candidates.  With u = k - i, state (i, j) is local node u(u+1)/2 + j, and
+    its moves land on local children of the next level at that index plus
+    0, u + 1 and u + 2.  Levels grow by k + 2 nodes, which no one child
+    stride fits, so this walk returns level_start, eparent, echild, eprob
+    and the (n, 2) states.
+    """
+    sizes = (np.arange(K + 1) + 1) * (np.arange(K + 1) + 2) // 2
+    level_start = np.zeros(K + 2, dtype=np.int64)
+    np.cumsum(sizes, out=level_start[1:])
+    n, nt = int(level_start[-1]), int(level_start[-2])
+    # (u, j) of each local index of level K; every level's is a prefix
+    u = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
+    j = np.arange(len(u)) - u * (u + 1) // 2
+    level = np.repeat(np.arange(K + 1), sizes)
+    local = np.arange(n) - np.repeat(level_start[:-1], sizes)
+    u, j = u[local], j[local]
+    states = np.column_stack([level - u, j])
+    child = np.empty((nt, 3), dtype=np.int64)
+    child[:, 0] = level_start[1:-1][level[:nt]] + local[:nt]
+    child[:, 1] = child[:, 0] + u[:nt] + 1
+    child[:, 2] = child[:, 1] + 1
+    return (level_start, np.repeat(np.arange(nt), 3), child.ravel(),
+            np.tile(probs, nt), states)
 
 
 def _lattice_walk(config, moves, probs, value):
@@ -206,24 +225,26 @@ def _lattice_walk(config, moves, probs, value):
     with ``probs``; ``value(states, level)`` maps node states to M.  Children are
     numbered in the order of their first appearance among the parent-major,
     move-minor candidates; with ``recombine`` off every candidate is a new
-    node.  A recombining one-component walk is built in closed form
-    (``_line_walk``), any other level by level into arrays sized once from
-    ``estimate_nodes``.  Either must fill the estimated count.
+    node.  Each shape has its closed form: a full tree (``_full_walk``), a
+    recombining walk on one component (``_line_walk``) and the two-sided
+    jump walk (``_simplex_walk``), the one recombining walk on two.  It must
+    fill ``estimate_nodes``, which is checked against the cap first.
     """
     K = config.K
     n = estimate_nodes(config.kind, K, config.params)
     if n > node_cap():
         raise NodeCapExceeded(n, node_cap())
-    recomb = bool(config.params.get("recombine", True))
     moves = np.asarray(moves, dtype=np.int64)
-    n_edges = len(moves) * estimate_nodes(config.kind, K - 1, config.params)
-    if recomb and moves.shape[1] == 1:
-        level_start, eparent, echild, eprob, states = _line_walk(
-            K, moves[:, 0], probs)
+    eparent = echild = None
+    if not config.params.get("recombine", True):
+        level_start, eprob, states = _full_walk(K, moves, probs)
+    elif moves[:, 1:].any():
+        level_start, eparent, echild, eprob, states = _simplex_walk(K, probs)
     else:
-        level_start, eparent, echild, eprob, states = _level_walk(
-            config, moves, probs, recomb, n, n_edges)
-    if level_start[-1] != n or len(moves) * level_start[-2] != n_edges:
+        level_start, eprob, states = _line_walk(K, moves[:, 0], probs)
+        if moves.shape[1] > 1:
+            states = np.pad(states, ((0, 0), (0, moves.shape[1] - 1)))
+    if level_start[-1] != n:
         raise InvariantViolation(
             f"{config.kind} lattice filled {level_start[-1]} nodes, "
             f"estimate is {n}")

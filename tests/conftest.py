@@ -12,7 +12,7 @@ from reference import TreeBuilder
 settings.register_profile("ci", derandomize=True)
 
 
-def random_full_tree(rng, K=3, max_branch=3, T=1.0):
+def random_full_tree(rng, K=3, max_branch=3, T=1.0, min_branch=2):
     """Small non-recombining tree with random branch counts and probabilities."""
     b = TreeBuilder(TimeGrid.uniform(K, T))
     frontier = [0]
@@ -20,7 +20,7 @@ def random_full_tree(rng, K=3, max_branch=3, T=1.0):
         b.begin_level()
         nxt = []
         for nid in frontier:
-            nb = int(rng.integers(2, max_branch + 1))
+            nb = int(rng.integers(min_branch, max_branch + 1))
             probs = rng.dirichlet(np.ones(nb))
             # exact renormalization so the validator's 1e-14 gate holds
             probs = probs / probs.sum()
@@ -35,16 +35,17 @@ def random_full_tree(rng, K=3, max_branch=3, T=1.0):
 def random_martingale(rng, tree, scale=1.0):
     """Backward-centered random walk: a valid martingale on any tree."""
     vals = np.zeros(tree.n_nodes)
+    ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
         sl = tree._edge_slice(k)
-        par, chi = tree.eparent[sl], tree.echild[sl]
+        par, chi = ep[sl], ec[sl]
         step = rng.normal(0.0, scale, size=len(chi))
         vals[chi] = vals[par] + step
     # recenter increments node by node so E[dM | node] = 0
     for i in range(tree.n_nonterminal):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
         p = tree.eprob[e0:e1]
-        chi = tree.echild[e0:e1]
+        chi = ec[e0:e1]
         vals[chi] -= p @ (vals[chi] - vals[i]) / p.sum()
     return AdaptedProcess(tree, vals)
 

@@ -53,12 +53,13 @@ def closed_form_stride(tree):
     r, ls = tree.arity, tree.level_start.tolist()
     if r is None:
         return None
+    echild = tree.echild
     strides = set()
     for k in range(tree.K):
         for j in range(ls[k + 1] - ls[k]):
             e0 = int(tree.estart[ls[k] + j])
             for i in range(r):
-                c = int(tree.echild[e0 + i]) - ls[k + 1] - i  # s*j if closed
+                c = int(echild[e0 + i]) - ls[k + 1] - i  # s*j if closed
                 if (c != 0) if j == 0 else (c % j or c // j < 1):
                     return None
                 if j:
@@ -144,10 +145,11 @@ def pathwise_bracket(tree, M):
         raise InvariantViolation("pathwise bracket needs a non-recombining tree")
     d = M.dim
     B = np.zeros((tree.n_nodes, d, d))
+    ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
         sl = tree._edge_slice(k)
-        dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]
-        B[tree.echild[sl]] = B[tree.eparent[sl]] + dm[:, :, None] * dm[:, None, :]
+        dm = M.values[ec[sl]] - M.values[ep[sl]]
+        B[ec[sl]] = B[ep[sl]] + dm[:, :, None] * dm[:, None, :]
     return AdaptedProcess(tree, B.reshape(tree.n_nodes, d * d))
 
 
@@ -156,18 +158,20 @@ def accumulated_trace(tree, clock):
     whose arctan is the clock C."""
     tr = np.einsum("kii->k", clock.sigma)
     V = np.zeros(tree.n_nodes)
+    ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
         sl = tree._edge_slice(k)
-        V[tree.echild[sl]] = V[tree.eparent[sl]] + tr[tree.eparent[sl]]
+        V[ec[sl]] = V[ep[sl]] + tr[ep[sl]]
     return V
 
 
 def running_sum(tree, dN):
     """N: the per-edge dN summed along each node's path (true trees only)."""
     N = np.zeros(tree.n_nodes)
+    ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
         sl = tree._edge_slice(k)
-        N[tree.echild[sl]] = N[tree.eparent[sl]] + dN[sl]
+        N[ec[sl]] = N[ep[sl]] + dN[sl]
     return N
 
 
@@ -261,11 +265,12 @@ def gkw_pinv(tree, M, Y):
     Z = np.zeros((nt, M.dim))
     dn = np.zeros(len(tree.echild))
     res = np.zeros(nt)
+    ec = tree.echild
     for i in range(nt):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
         p = tree.eprob[e0:e1]
-        dm = M.values[tree.echild[e0:e1]] - M.values[i]
-        dy = y[tree.echild[e0:e1]] - float(p @ y[tree.echild[e0:e1]])
+        dm = M.values[ec[e0:e1]] - M.values[i]
+        dy = y[ec[e0:e1]] - float(p @ y[ec[e0:e1]])
         Z[i] = np.linalg.pinv(sigma[i], rcond=_kernels.PROJ_EPS) @ (
             (p * dy) @ dm)
         dn[e0:e1] = dy - dm @ Z[i]
@@ -302,9 +307,10 @@ def bracket_split(tree, M, Y, gkw_result, u, markov_tol=1e-9):
     dn = gkw_result.dN
     A1 = np.zeros(tree.K)
     A2 = np.zeros(tree.K)
+    ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
         sl = tree._edge_slice(k)
-        par, chi = tree.eparent[sl], tree.echild[sl]
+        par, chi = ep[sl], ec[sl]
         w = tree.path_prob[par] * tree.eprob[sl]
         u_next_here = np.array([u(k + 1, M.values[i]) for i in par])
         a1 = (u_next_here - uvals[par]) * dn[sl]
@@ -495,14 +501,15 @@ def predictable_bracket_range(tree, M):
     tr = np.einsum("kii->k", sigma)
     V = np.zeros(tree.n_nodes)
     worst = 0.0
+    ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
         sl = tree._edge_slice(k)
         if tree.arity is None:
-            cand = V[tree.eparent[sl]] + tr[tree.eparent[sl]]
+            cand = V[ep[sl]] + tr[ep[sl]]
         else:
             lo, hi = tree.level_slice(k)
             cand = np.repeat(V[lo:hi] + tr[lo:hi], tree.arity)
-        child = tree.echild[sl]
+        child = ec[sl]
         V[child] = cand
         worst = max(worst, float(np.max(np.abs(V[child] - cand))))
     if worst > 1e-9:

@@ -189,11 +189,12 @@ def lipschitz_reference(tree, M, clock, zeta, driver, tol=bsde.FP_TOL):
     y[lo:hi] = zeta
     z, s2, res = np.zeros(nt), np.zeros(nt), np.zeros(nt)
     dn = np.zeros(len(tree.echild))
+    ec = tree.echild
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
         for i in range(a, b):
             e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
-            ch = tree.echild[e0:e1]
+            ch = ec[e0:e1]
             p = tree.eprob[e0:e1]
             dm = m[ch] - m[i]
             ey = sum(p[j] * y[c] for j, c in enumerate(ch))
@@ -389,13 +390,14 @@ def cond_second_moment_loop(tree, xi, y):
     pushed forward edge by edge to the leaves."""
     lo, hi = tree.level_slice(tree.K)
     out = np.empty(tree.n_nodes)
+    ep, ec = tree.eparent, tree.echild
     for i in range(tree.n_nodes):
         mass = np.zeros(tree.n_nodes)
         mass[i] = 1.0
         for k in range(int(tree.node_level[i]), tree.K):
             sl = tree._edge_slice(k)
-            np.add.at(mass, tree.echild[sl],
-                      mass[tree.eparent[sl]] * tree.eprob[sl])
+            np.add.at(mass, ec[sl],
+                      mass[ep[sl]] * tree.eprob[sl])
         out[i] = mass[lo:hi] @ (xi - y[i]) ** 2
     return out
 
@@ -545,9 +547,11 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
     """The dual DP as it was before its candidates became columns: one
     weighted child sum per candidate nu, a loop over beta = +-b, and the
     floored edges counted as a rounded float sum.  Kept as the reference."""
+    ep, ec = tree.eparent, tree.echild
+
     def weighted_child_sum(w, vals, lo, hi):
         sl = tree._edge_slice(int(tree.node_level[lo]))
-        return np.add.reduceat(tree.eprob[sl] * w[sl] * vals[tree.echild[sl]],
+        return np.add.reduceat(tree.eprob[sl] * w[sl] * vals[ec[sl]],
                                tree.estart[lo:hi] - tree.estart[lo])
     b = float(growth["b"])
     gamma = float(growth["gamma"])
@@ -565,7 +569,7 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
     ones = np.ones(tree.n_nodes)
     wfull = np.ones(len(tree.eprob))
     flfull = np.zeros(len(tree.eprob))
-    dm_all = M.scalar[tree.echild] - M.scalar[tree.eparent]
+    dm_all = M.scalar[ec] - M.scalar[ep]
     for k in range(tree.K - 1, -1, -1):
         a, bb = tree.level_slice(k)
         pdm = (_kernels.edge_layout(tree, tree.eprob, a, bb)
@@ -578,7 +582,7 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
         best = np.full(bb - a, -np.inf)
         best_floor = np.zeros(bb - a, dtype=np.int64)
         sl = tree._edge_slice(k)
-        par, dm = tree.eparent[sl], dm_all[sl]
+        par, dm = ep[sl], dm_all[sl]
         for nu in [np.clip(z_hat, -p, p)] + [np.full(bb - a, g)
                                              for g in nu_grid]:
             tilt = np.where(ok, gamma * nu / np.where(ok, qk, 1.0), 0.0)
@@ -920,6 +924,35 @@ def test_vanishing_N_report_structure(monkeypatch):
     assert rep.decreasing_in_K()
     raw, gaps = rep.eps_gap_at_max_K()
     assert raw > 0 and 0.1 in gaps
+
+
+@pytest.mark.parametrize("experiment", ["vanishing_N", "residual_sweep"])
+def test_refinement_frees_each_K_before_building_the_next(experiment):
+    """Over K = 64 after 32, or after 64 again, the traced peak is that of
+    K = 64 alone: the previous K's tree, M and clock are not alive while
+    the next K is set up (K = 32's would add over 100 kB)."""
+    from orthres.gkw import residual_sweep
+    config_for = lambda K: ModelConfig("trinomial", K=K)  # noqa: E731
+    F = indicator_halfspace()
+
+    def run(K_list):
+        if experiment == "vanishing_N":
+            vanishing_N_experiment(config_for, None, F, bsde.zero_driver(),
+                                   [0.01], K_list)
+        else:
+            residual_sweep(config_for, F, K_list)
+
+    def peak(K_list):
+        tracemalloc.start()
+        try:
+            run(K_list)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    run([4])  # first-call allocations are not the experiment's
+    alone = peak([64])
+    assert peak([32, 64]) < alone + 16 * 1024
+    assert peak([64, 64]) < alone + 16 * 1024
 
 
 @pytest.mark.parametrize("kind,coeffs", [("trinomial", None),

@@ -158,13 +158,14 @@ def _extract_subtree_reference(tree, node):
     """Breadth-first extraction over dicts and sets, as it was before the
     level mask; kept as the reference."""
     level0 = int(tree.node_level[node])
+    echild = tree.echild
     keep = {node}
     frontier = [node]
     for k in range(level0, tree.K):
         nxt = []
         for i in frontier:
             for e in range(int(tree.estart[i]), int(tree.estart[i + 1])):
-                c = int(tree.echild[e])
+                c = int(echild[e])
                 if c not in keep:
                     keep.add(c)
                     nxt.append(c)
@@ -181,7 +182,7 @@ def _extract_subtree_reference(tree, node):
             continue
         for e in range(int(tree.estart[i]), int(tree.estart[i + 1])):
             ep.append(remap[i])
-            ec.append(remap[int(tree.echild[e])])
+            ec.append(remap[int(echild[e])])
             pr.append(float(tree.eprob[e]))
     grid = TimeGrid(tree.grid.t[level0:] - tree.grid.t[level0])
     sub = ScenarioTree(grid, tree.d, level_start, ep, ec, pr)

@@ -522,6 +522,76 @@ def test_child_stride_and_path_prob_on_every_model_kind(tree_m):
     assert tree.path_prob.tobytes() == path_prob_loop(tree).tobytes()
 
 
+# -- closed-form edges against the index arrays they replace ------------------
+
+@st.composite
+def edge_trees(draw):
+    """A random full tree of one arity r = 1 .. 4 (in closed form with
+    stride r), or a small_trees tree (mixed arity or any built kind), as it
+    is or with its leaves permuted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 4))
+        tree = random_full_tree(rng, K=draw(st.integers(1, 4)),
+                                min_branch=r, max_branch=r)
+    else:
+        tree, _ = draw(small_trees())
+    return permute_last_level(tree, rng)[0] if draw(st.booleans()) else tree
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_trees(), st.data())
+def test_closed_form_edges_equal_the_index_arrays(tree, data):
+    """A tree given its edges as arrays and its twin given them in closed
+    form store the same thing and agree byte for byte; no closed form
+    reproduces a tree without a child stride.  On any node range, runs of
+    levels and leaves included, the accessors are slices of the arrays."""
+    grid, ls, eprob = tree.grid, tree.level_start, tree.eprob
+    ep, ec = tree.eparent, tree.echild
+    given_arrays = ScenarioTree(grid, tree.d, ls, ep, ec, eprob)
+    trees = [tree, given_arrays]
+    if given_arrays.child_stride is None:
+        assert given_arrays._echild is not None
+        try:
+            twin = ScenarioTree(grid, tree.d, ls, None, None, eprob)
+        except InvariantViolation:
+            twin = None
+        assert twin is None or not np.array_equal(twin.echild, ec)
+    else:
+        assert given_arrays._eparent is None and given_arrays._echild is None
+        trees.append(ScenarioTree(grid, tree.d, ls, None, None, eprob))
+    for t in trees[1:]:
+        for name in ("eparent", "echild", "estart", "path_prob",
+                     "node_level"):
+            got, want = getattr(t, name), getattr(tree, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+        assert (t.arity, t.child_stride) == (tree.arity, tree.child_stride)
+    for _ in range(5):
+        lo = data.draw(st.integers(0, tree.n_nodes))
+        hi = data.draw(st.integers(lo, tree.n_nodes))
+        e = slice(int(tree.estart[lo]), int(tree.estart[hi]))
+        for t in trees:
+            assert t.edge_parents(lo, hi).tobytes() == ep[e].tobytes()
+            assert t.edge_children(lo, hi).tobytes() == ec[e].tobytes()
+
+
+@pytest.mark.parametrize("level_start,eprob,match", [
+    ([0, 1, 3, 6], [0.5] * 4, "3 non-terminal nodes, got 4 edges"),
+    # sizes 1, 2, 3 step by 1, and 5 does not
+    ([0, 1, 3, 6, 11], [0.5] * 12, "level 3 holds 5 nodes"),
+    # sizes 1, 2, 2: a stride of 0, both nodes on the same two children
+    ([0, 1, 3, 5], [0.5] * 6, "level 2 holds 2 nodes"),
+    # sizes 1, 3, 4 at arity 3: a stride of 1/2
+    ([0, 1, 4, 8], [0.5, 0.25, 0.25] * 4, "level 2 holds 4 nodes"),
+], ids=["edges_per_node", "odd_size", "stride_0", "stride_fraction"])
+def test_closed_form_tree_refuses_level_sizes_off_its_stride(level_start,
+                                                              eprob, match):
+    K = len(level_start) - 2
+    with pytest.raises(InvariantViolation, match=match):
+        ScenarioTree(TimeGrid.uniform(K), 1, level_start, None, None, eprob)
+
+
 # -- level-by-level clock and martingale check against the full-range ones --
 
 # runs of one level each, of a few levels, and of every level of a small tree
@@ -529,7 +599,17 @@ RUN_SIZES = (1, 5, ftree.RUN_NODES)
 
 
 def assert_clock_matches_range(tree, M):
-    want = predictable_bracket_range(tree, M)
+    try:
+        want = predictable_bracket_range(tree, M)
+    except InvariantViolation:
+        # at d > 1 a node with at most d children has a singular Sigma,
+        # whose factor can meet a pivot below the tolerance (seed 0, d = 3,
+        # K = 4 does): the clock must refuse it too
+        for run_nodes in RUN_SIZES:
+            with mock.patch.object(ftree, "RUN_NODES", run_nodes), \
+                    pytest.raises(InvariantViolation, match="not PSD"):
+                predictable_bracket(tree, M)
+        return
     for run_nodes in RUN_SIZES:
         with mock.patch.object(ftree, "RUN_NODES", run_nodes):
             got = predictable_bracket(tree, M)

@@ -36,11 +36,12 @@ def brute_force_gkw(tree, M, Y):
     y, m = Y.values[:, 0], M.values
     total = 0.0
     Z = np.zeros((nt, M.dim))
+    ec = tree.echild
     for i in range(nt):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
         p = tree.eprob[e0:e1]
-        dm = m[tree.echild[e0:e1]] - m[i]
-        dy = y[tree.echild[e0:e1]] - y[i]
+        dm = m[ec[e0:e1]] - m[i]
+        dy = y[ec[e0:e1]] - y[i]
         A = np.sqrt(p)[:, None] * dm
         b = np.sqrt(p) * dy
         z = np.linalg.lstsq(A, b, rcond=None)[0]
@@ -248,10 +249,11 @@ def test_orthogonality_and_pythagoras(rng):
     zeta = rng.normal(size=hi - lo)
     res = decompose(tree, M, zeta)
     # E[dN dM | node] = 0 at every node
+    ec = tree.echild
     for i in range(tree.n_nonterminal):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
         p = tree.eprob[e0:e1]
-        dm = M.scalar[tree.echild[e0:e1]] - M.scalar[i]
+        dm = M.scalar[ec[e0:e1]] - M.scalar[i]
         assert abs(p @ (res.dN[e0:e1] * dm)) < 1e-10
     # Var(zeta) = E[int Z^2 d[M]] + E[[N]_T]
     w = tree.path_prob[lo:hi]
@@ -272,9 +274,10 @@ def test_running_N_on_tree_telescopes():
     Y = res.Y
     # Y - Y0 = int Z dM + N pathwise
     recon = np.zeros(tree.n_nodes)
+    ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
         sl = tree._edge_slice(k)
-        par, chi = tree.eparent[sl], tree.echild[sl]
+        par, chi = ep[sl], ec[sl]
         dm = M.scalar[chi] - M.scalar[par]
         recon[chi] = recon[par] + res.Z.values[par, 0] * dm
     npt.assert_allclose(Y.scalar - Y.scalar[0],
@@ -288,9 +291,10 @@ def test_level_profile_sums_to_total(rng):
     res = decompose(tree, M, rng.normal(size=hi - lo))
     # E[dN^2] of each step, weighted by the mass reaching its parent
     profile = np.zeros(tree.K)
+    ep = tree.eparent
     for k in range(tree.K):
         sl = tree._edge_slice(k)
-        w = tree.path_prob[tree.eparent[sl]] * tree.eprob[sl]
+        w = tree.path_prob[ep[sl]] * tree.eprob[sl]
         profile[k] = w @ res.dN[sl] ** 2
     npt.assert_allclose(profile.sum(), res.bracketNN_T, atol=1e-12)
 
@@ -398,9 +402,10 @@ def test_bracket_split_matches_telescoped_covariation():
 
     A1, A2 = bracket_split(tree, M, Y, res, u)
     total = 0.0
+    ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
         sl = tree._edge_slice(k)
-        par, chi = tree.eparent[sl], tree.echild[sl]
+        par, chi = ep[sl], ec[sl]
         w = tree.path_prob[par] * tree.eprob[sl]
         total += float(w @ ((yv[chi] - yv[par]) * res.dN[sl]))
     npt.assert_allclose(A1[-1] + A2[-1], total, atol=1e-12)

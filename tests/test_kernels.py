@@ -229,9 +229,10 @@ def test_wrappers_agree_with_direct_expectation(rng):
     vals = rng.normal(size=tree.n_nodes)
     lo, hi = tree.level_slice(3)
     out = _kernels.backward_expect(tree, vals, lo, hi)
+    ec = tree.echild
     for i in range(lo, hi):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
-        ref = float(tree.eprob[e0:e1] @ vals[tree.echild[e0:e1]])
+        ref = float(tree.eprob[e0:e1] @ vals[ec[e0:e1]])
         npt.assert_allclose(out[i - lo], ref, atol=1e-14)
 
 
@@ -241,9 +242,9 @@ def test_edge_increments_per_edge(rng):
         lo, hi = node_range(tree, rng)
         dm = edge_order(tree, _kernels.edge_increments(tree, m, lo, hi))
         p = edge_order(tree, _kernels.edge_layout(tree, tree.eprob, lo, hi))
+        ep, ec = tree.eparent, tree.echild
         for e in range(tree.estart[lo], tree.estart[hi]):
-            assert dm[e - tree.estart[lo]] == (m[tree.echild[e]]
-                                               - m[tree.eparent[e]])
+            assert dm[e - tree.estart[lo]] == m[ec[e]] - m[ep[e]]
             assert p[e - tree.estart[lo]] == tree.eprob[e]
 
 
@@ -269,13 +270,13 @@ def test_level_moments_dy_and_residual_moments_match_loops(rng):
                                                y, lo, hi)
         sl = slice(tree.estart[lo], tree.estart[hi])
         dy_e = edge_order(tree, dy)
+        ep, ec = tree.eparent, tree.echild
         for e in range(sl.start, sl.stop):
-            assert dy_e[e - sl.start] == (y[tree.echild[e]]
-                                          - ey[tree.eparent[e] - lo])
+            assert dy_e[e - sl.start] == y[ec[e]] - ey[ep[e] - lo]
         z = rng.normal(size=hi - lo)
         dn_ref = np.zeros(len(tree.eprob))
         res_ref = np.empty(hi - lo)
-        _edge_residuals_d1_loop(tree.estart, tree.echild, tree.eprob, m, y,
+        _edge_residuals_d1_loop(tree.estart, ec, tree.eprob, m, y,
                                 ey, z, lo, hi, dn_ref, res_ref)
         dn, res = _kernels.residual_moments_d1(tree, dm, dy, z, lo, hi)
         npt.assert_allclose(edge_order(tree, dn), dn_ref[sl], atol=1e-13)

@@ -246,24 +246,51 @@ def test_lattice_walk_matches_reference_builder(config):
     ("trinomial", 64, {}), ("trinomial", 200, {}),
     ("binary", 200, {"h": 0.3}),
     ("trinomial", 64, {"p": 0.1}), ("trinomial", 200, {"p": 0.4, "h": 0.05}),
+    ("compensated_jump", 64, {}), ("compensated_jump", 128, {}),
+    ("compensated_jump", 64, {"lam_down": 0.0}),
+    ("compensated_jump", 128, {"lam_down": 0.0, "lam": 5.0}),
 ])
 def test_line_lattice_closed_form_matches_reference(monkeypatch, kind, K,
                                                     params):
-    """Far past the property test's K <= 12, the closed-form line lattice
-    is the reference's lattice byte for byte."""
+    """Far past the property test's K <= 12, the closed-form lattices are
+    the reference's byte for byte: the line walk, with descending moves on
+    the one-sided jump, and the two-sided jump's simplex walk."""
+    two_sided = kind == "compensated_jump" and "lam_down" not in params
+    name = "_simplex_walk" if two_sided else "_line_walk"
     calls = []
-    line_walk = models._line_walk
-    monkeypatch.setattr(models, "_line_walk",
-                        lambda *a: calls.append(a) or line_walk(*a))
+    walk = getattr(models, name)
+    monkeypatch.setattr(models, name, lambda *a: calls.append(a) or walk(*a))
     assert_matches_reference_lattice(ModelConfig(kind, K=K, params=params))
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("kind", ["binary", "trinomial"])
-def test_full_line_trees_take_the_level_walk(monkeypatch, kind):
+@pytest.mark.parametrize("kind", ["binary", "trinomial", "compensated_jump"])
+def test_full_trees_take_the_full_walk(monkeypatch, kind):
+    """With recombination off every kind is a full tree in closed form,
+    child stride r, that keeps no edge index arrays."""
     monkeypatch.setattr(models, "_line_walk", None)
-    assert_matches_reference_lattice(
-        ModelConfig(kind, K=6, params={"recombine": False, "h": 0.5}))
+    monkeypatch.setattr(models, "_simplex_walk", None)
+    config = ModelConfig(kind, K=6, params={"recombine": False, "h": 0.5})
+    assert_matches_reference_lattice(config)
+    tree = build(config).tree
+    assert tree.child_stride == tree.arity
+    assert tree._eparent is None and tree._echild is None
+
+
+def test_build_keeps_no_edge_index_arrays():
+    """Building trinomial K = 256 (66,049 nodes, 196,608 edges) holds and
+    peaks below 16 bytes per edge and 40 per node: eprob and the per-node
+    arrays fit, but not with the 16 bytes per edge of eparent and echild."""
+    tracemalloc.start()
+    try:
+        built = build(ModelConfig("trinomial", K=256))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tree = built.tree
+    budget = 16 * int(tree.estart[-1]) + 40 * tree.n_nodes
+    assert current < budget
+    assert peak < budget
 
 
 def reference_time_changed(config):
