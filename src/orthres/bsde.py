@@ -404,6 +404,9 @@ def _levels(tree, M, clock, X, zeta, driver):
         bracket = bracket + _column_sums(path_prob[a:b] * res)
         base = a
         yield k, a, b, y, z, z_arg, res, dy
+        # the consumed level's per-edge arrays are not held while the next
+        # level's are formed
+        del dm, p, dy
     bad = np.flatnonzero(~np.isfinite(bracket))
     if bad.size:
         where = f" in column {bad[0]}" if zeta.ndim == 2 else ""
@@ -423,7 +426,9 @@ def _consume(steps, take=None):
             return done.value, level
         if take is not None:
             take(*level)
-        level = level[:-1]  # no dn is held while the next level is formed
+        # with _levels' own references dropped, this frees the level's dn
+        # before the next level is formed
+        level = level[:-1]
 
 
 def solve_lipschitz(tree, M, clock, X, zeta, driver):

@@ -65,27 +65,29 @@ def euler_forward(tree, M, clock, coeffs, x0, shifts=None):
         if not np.all(np.isfinite(upd)):
             raise InvariantViolation("coefficient evaluation produced "
                                      "non-finite forward state")
-        # every edge into one child must give it the same state, per column
-        order = np.argsort(chi, kind="stable")
-        into = chi[order]
-        dup = np.flatnonzero(into[1:] == into[:-1])
-        if dup.size:
-            gap = np.abs(upd[order[dup + 1]] - upd[order[dup]])
-            err = gap.max()
-            if err > CONSISTENCY_TOL:
-                where = (f" in column {np.argwhere(gap == err)[0, 1]}"
-                         if g is not None else "")
-                raise InvariantViolation(
-                    "forward state is path-dependent on a recombining "
-                    f"lattice (mismatch {err:.3e}{where}); rebuild as a "
-                    "full tree")
+        # every edge into one child must give it the state stored there
+        # (the last edge's), per column
         X[chi] = upd
+        gap = np.abs(X[chi] - upd)
+        err = gap.max()
+        if err > CONSISTENCY_TOL:
+            where = (f" in column {np.argwhere(gap == err)[0, 1]}"
+                     if g is not None else "")
+            raise InvariantViolation(
+                "forward state is path-dependent on a recombining "
+                f"lattice (mismatch {err:.3e}{where}); rebuild as a "
+                "full tree")
     return AdaptedProcess(tree, X[:, 0] if g is None
                           else X.transpose(0, 2, 1))
 
 
 def extract_subtree(tree, node):
-    """Sub-DAG reachable from a node, as a fresh tree plus the node map."""
+    """Sub-DAG reachable from a node, as a fresh tree plus the node map.
+
+    The subtree of a tree with a ``child_stride`` is given in closed form:
+    each level's kept nodes, renumbered in order, are children s*j + i of
+    the level above, so the new tree finds its stride from its level
+    sizes.  Any other tree's subtree is given its kept edges as arrays."""
     level0 = int(tree.node_level[node])
     nt = tree.n_nonterminal
     # every kept parent lies in [node, nt): the edges out of those nodes,
@@ -100,10 +102,12 @@ def extract_subtree(tree, node):
     # new id of old node i: the number of kept nodes before it
     new_id = np.concatenate([[0], np.cumsum(keep)])
     ekeep = keep[par]
+    ep = ec = None
+    if tree.child_stride is None:
+        ep, ec = new_id[par[ekeep]], new_id[chi[ekeep]]
     grid = TimeGrid(tree.grid.t[level0:] - tree.grid.t[level0])
-    sub = ScenarioTree(grid, tree.d, new_id[tree.level_start[level0:]],
-                       new_id[par[ekeep]], new_id[chi[ekeep]],
-                       tree.eprob[tree.estart[node]:tree.estart[nt]][ekeep])
+    sub = ScenarioTree(grid, tree.d, new_id[tree.level_start[level0:]], ep,
+                       ec, tree.eprob[tree.estart[node]:tree.estart[nt]][ekeep])
     return sub, np.flatnonzero(keep)
 
 

@@ -2,9 +2,10 @@
 
 A tree is stored as flat arrays: nodes are numbered level by level, edges are
 grouped by parent node.  Recombining lattices are supported as level-layered
-DAGs: a node may have several incoming edges.  Where a tree's children follow
-one closed form (a ``child_stride``), its edges' parents and children are
-computed from it and no per-edge index array is stored.
+DAGs: a node may have several incoming edges.  A tree's builder gives its
+edges as index arrays, which the tree keeps, or in one closed form (a
+``child_stride``), from which their parents and children are computed and no
+per-edge index array is stored.
 
 The martingale check, the conditional covariances, the clock and its factor
 run one level at a time, narrow levels merged into runs of at most
@@ -80,17 +81,18 @@ class ScenarioTree:
     path_prob : (n_nodes,) total probability mass reaching the node
     node_level : (n_nodes,) level of each node
     arity : r when every non-terminal node has r edges, else None
-    child_stride : s when, on every level, move i of level-local node j
-        lands on level-local node s*j + i of the next level (1 on line
-        lattices and their subtrees, r on full trees numbered level by
-        level), else None; the kernels then read a level's children as a
+    child_stride : s on a tree given its edges in closed form, where on
+        every level move i of level-local node j lands on level-local node
+        s*j + i of the next level (1 on line lattices and their subtrees, r
+        on full trees numbered level by level), None on a tree given
+        arrays; where it is set, the kernels read a level's children as a
         strided view of the level below
 
-    The edges are given as ``eparent`` and ``echild`` arrays, or in closed
-    form as None for both: then every non-terminal node has r =
-    len(eprob) / n_nonterminal edges, and each level's size must be
-    s*(n - 1) + r for the n nodes above it and one stride s.  A tree with a
-    ``child_stride`` keeps no per-edge index arrays, however it was given;
+    The edges are given as ``eparent`` and ``echild`` arrays, which the tree
+    keeps and then has no ``child_stride``, or in closed form as None for
+    both: then every non-terminal node has r = len(eprob) / n_nonterminal
+    edges, each level's size must be s*(n - 1) + r for the n nodes above it
+    and one stride 1 <= s <= r, and the tree keeps no per-edge index arrays.
     ``edge_parents`` and ``edge_children`` give the edges of any node range,
     from the closed form or as slices of the kept arrays.
     """
@@ -118,8 +120,6 @@ class ScenarioTree:
         else:
             self._set_edge_arrays(eparent, echild)
         self.validate()
-        if self.child_stride is not None:
-            self._eparent = self._echild = None
 
         self.node_level = np.repeat(np.arange(self.K + 1), np.diff(ls))
         self.path_prob = np.zeros(n)
@@ -246,61 +246,37 @@ class ScenarioTree:
         if bad.max() > PROB_TOL:
             raise InvariantViolation(
                 f"outgoing probabilities sum to 1 violated by {bad.max():.3e}")
+        if self._echild is None:
+            self.child_stride = self._closed_form_stride()
+            return
+        self.child_stride = None
         ls = self.level_start
-        self.child_stride = s = self._closed_form_stride()
-        if s is None:
-            first = self.estart[ls[:-2]]
-            off = (np.any(np.minimum.reduceat(self._echild, first)
-                          < ls[1:-1])
-                   or np.any(np.maximum.reduceat(self._echild, first)
-                             >= ls[2:]))
-        else:
-            # level k's children run from ls[k+1] to its last node's last
-            # move
-            off = np.any(ls[1:-1] + s * (np.diff(ls[:-1]) - 1)
-                         + self.arity - 1 >= ls[2:])
-        if off:
+        first = self.estart[ls[:-2]]
+        if (np.any(np.minimum.reduceat(self._echild, first) < ls[1:-1])
+                or np.any(np.maximum.reduceat(self._echild, first)
+                          >= ls[2:])):
             raise InvariantViolation("edges must connect consecutive levels")
 
     def _closed_form_stride(self):
-        """The s >= 1 with which, on every level, move i of level-local node
-        j lands on level-local node s*j + i of the next level, or None.
-
-        s is read off the first level with two nodes (1 without one): from
-        the given children, which are then compared move by move with that
-        closed form, or from the level sizes in closed form, which must
-        then all be s*(n - 1) + r."""
-        r, ls, K = self.arity, self.level_start, self.K
-        if r is None:
-            return None
-        sizes = np.diff(ls)
-        wide = np.flatnonzero(sizes[:K] > 1)
-        if self._echild is None:
-            s, rem = 1, 0
-            if wide.size:
-                s, rem = divmod(int(sizes[wide[0] + 1]) - r,
-                                int(sizes[wide[0]]) - 1)
-            bad = (np.flatnonzero(sizes[1:] != s * (sizes[:-1] - 1) + r)
-                   if s >= 1 and not rem else wide[:1])
-            if bad.size:
-                k = int(bad[0]) + 1
-                raise InvariantViolation(
-                    f"closed-form level {k} holds {sizes[k]} nodes, not "
-                    f"s*({sizes[k - 1]} - 1) + {r} for one stride s >= 1")
-            return s
-        child = self._echild.reshape(-1, r)
-        s = (int(child[ls[wide[0]] + 1, 0] - child[ls[wide[0]], 0])
-             if wide.size else 1)
-        if s < 1:
-            return None
-        # node i of level k: its move 0 lands on ls[k+1] + s*(i - ls[k])
-        want = np.repeat(ls[1:K + 1] - s * ls[:K], sizes[:K])
-        want += np.arange(0, s * len(child), s)
-        for i in range(r):
-            if i:
-                want += 1
-            if not np.array_equal(child[:, i], want):
-                return None
+        """The stride s of a tree given its edges in closed form, read off
+        the first level with two nodes (1 without one): every level's size
+        must then be s*(n - 1) + r for the n nodes above it, with
+        1 <= s <= r, so that each level's children end on the next level
+        and every node of it has an incoming edge."""
+        r, sizes = self.arity, np.diff(self.level_start)
+        wide = np.flatnonzero(sizes[:self.K] > 1)
+        s, rem = 1, 0
+        if wide.size:
+            s, rem = divmod(int(sizes[wide[0] + 1]) - r,
+                            int(sizes[wide[0]]) - 1)
+        bad = (np.flatnonzero(sizes[1:] != s * (sizes[:-1] - 1) + r)
+               if 1 <= s <= r and not rem else wide[:1])
+        if bad.size:
+            k = int(bad[0]) + 1
+            raise InvariantViolation(
+                f"closed-form level {k} holds {sizes[k]} nodes, not "
+                f"s*({sizes[k - 1]} - 1) + {r} for one stride "
+                f"1 <= s <= {r}")
         return s
 
 

@@ -32,6 +32,13 @@ def random_full_tree(rng, K=3, max_branch=3, T=1.0, min_branch=2):
     return b.build()
 
 
+def closed_form_twin(tree):
+    """``tree`` given its edges in closed form: the same levels and
+    probabilities, no index arrays, the stride read off the level sizes."""
+    return ScenarioTree(tree.grid, tree.d, tree.level_start, None, None,
+                        tree.eprob)
+
+
 def random_martingale(rng, tree, scale=1.0):
     """Backward-centered random walk: a valid martingale on any tree."""
     vals = np.zeros(tree.n_nodes)
@@ -69,11 +76,19 @@ def permute_last_level(tree, rng):
 @st.composite
 def small_trees(draw):
     """(tree, M): a random full tree with a random martingale, or a small
-    built model of any kind, full-tree variants included."""
+    built model of any kind, full-tree variants included.  A random tree
+    has random branch counts and is given as arrays, or has one arity and
+    is given in closed form, so its children are read as views."""
     kind = draw(st.sampled_from(("random",) + KINDS))
     if kind == "random":
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        tree = random_full_tree(rng, K=draw(st.integers(1, 4)))
+        K = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            tree = random_full_tree(rng, K=K)
+        else:
+            r = draw(st.integers(2, 3))
+            tree = closed_form_twin(random_full_tree(rng, K=K, min_branch=r,
+                                                     max_branch=r))
         return tree, random_martingale(rng, tree)
     # the default jump intensities need K >= 5; product noise grows like 4^K
     K = draw(st.integers(5 if kind == "compensated_jump" else 1,

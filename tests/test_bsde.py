@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -953,6 +954,31 @@ def test_refinement_frees_each_K_before_building_the_next(experiment):
     alone = peak([64])
     assert peak([32, 64]) < alone + 16 * 1024
     assert peak([64, 64]) < alone + 16 * 1024
+
+
+def test_sweep_frees_each_consumed_level(monkeypatch):
+    """When the next level's moments are formed, the consumed level's dn is
+    gone: neither _levels nor _consume still holds its per-edge arrays."""
+    built = build(ModelConfig("trinomial", K=16))
+    tree, M = built.tree, built.M
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(tree.K)
+    zeta = np.random.default_rng(3).normal(size=(hi - lo, 4))
+    moments, taken, alive = _kernels.level_moments_d1, [], []
+
+    def spy(*args, **kwargs):
+        if taken:
+            alive.append(taken[-1]() is not None)
+        return moments(*args, **kwargs)
+
+    def take(k, a, b, y, z, z_arg, res, dn):
+        taken.append(weakref.ref(dn))
+
+    monkeypatch.setattr(_kernels, "level_moments_d1", spy)
+    bsde._consume(bsde._levels(tree, M, clock, None, zeta,
+                               bsde.linear_y(0.1)), take)
+    assert len(taken) == tree.K
+    assert alive == [False] * (tree.K - 1)
 
 
 @pytest.mark.parametrize("kind,coeffs", [("trinomial", None),

@@ -199,8 +199,12 @@ def subtree_cases(draw):
 @settings(deadline=None, max_examples=80)
 @given(subtree_cases())
 def test_extract_subtree_matches_breadth_first_reference(case):
+    """The subtree equals the reference's byte for byte and keeps the
+    parent's edge form: closed form with a stride, or arrays without."""
     tree, node = case
     sub, order = extract_subtree(tree, node)
+    assert (sub._echild is None) == (tree._echild is None)
+    assert (sub.child_stride is None) == (tree.child_stride is None)
     ref, ref_order = _extract_subtree_reference(tree, node)
     assert order.dtype == ref_order.dtype
     assert order.tobytes() == ref_order.tobytes()

@@ -1,5 +1,7 @@
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,8 +18,8 @@ from orthres.models import ModelConfig, build
 
 from orthres.forward import extract_subtree
 
-from conftest import (permute_last_level, random_full_tree,
-                      random_martingale, small_trees)
+from conftest import (closed_form_twin, permute_last_level,
+                      random_full_tree, random_martingale, small_trees)
 from reference import (TreeBuilder, accumulated_trace, closed_form_stride,
                        cond_exp, is_martingale_range, is_tree, path_prob_loop,
                        pathwise_bracket, predictable_bracket_range,
@@ -517,8 +519,15 @@ def test_child_stride_is_set_iff_children_are_in_closed_form(tree_stride):
 @settings(max_examples=60, deadline=None)
 @given(small_trees())
 def test_child_stride_and_path_prob_on_every_model_kind(tree_m):
+    """A tree given its edges as arrays keeps them and has no stride; one
+    given them in closed form keeps none and its children follow its
+    stride."""
     tree, _ = tree_m
-    assert tree.child_stride == closed_form_stride(tree)
+    if tree._echild is None:
+        assert tree._eparent is None
+        assert tree.child_stride == closed_form_stride(tree)
+    else:
+        assert tree._eparent is not None and tree.child_stride is None
     assert tree.path_prob.tobytes() == path_prob_loop(tree).tobytes()
 
 
@@ -526,9 +535,9 @@ def test_child_stride_and_path_prob_on_every_model_kind(tree_m):
 
 @st.composite
 def edge_trees(draw):
-    """A random full tree of one arity r = 1 .. 4 (in closed form with
-    stride r), or a small_trees tree (mixed arity or any built kind), as it
-    is or with its leaves permuted."""
+    """A random full tree of one arity r = 1 .. 4 (whose closed-form twin
+    has stride r), or a small_trees tree (mixed arity or any built kind),
+    as it is or with its leaves permuted."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         r = draw(st.integers(1, 4))
@@ -542,31 +551,37 @@ def edge_trees(draw):
 @settings(max_examples=80, deadline=None)
 @given(edge_trees(), st.data())
 def test_closed_form_edges_equal_the_index_arrays(tree, data):
-    """A tree given its edges as arrays and its twin given them in closed
-    form store the same thing and agree byte for byte; no closed form
-    reproduces a tree without a child stride.  On any node range, runs of
-    levels and leaves included, the accessors are slices of the arrays."""
-    grid, ls, eprob = tree.grid, tree.level_start, tree.eprob
+    """A tree given its edges as arrays keeps them and has no child stride.
+    Where its children follow a closed form, its twin given them in closed
+    form agrees with it byte for byte and has that stride; no closed form
+    reproduces any other tree.  On any node range, runs of levels and
+    leaves included, the accessors are slices of the arrays."""
     ep, ec = tree.eparent, tree.echild
-    given_arrays = ScenarioTree(grid, tree.d, ls, ep, ec, eprob)
+    given_arrays = ScenarioTree(tree.grid, tree.d, tree.level_start, ep, ec,
+                                tree.eprob)
+    assert given_arrays._eparent is not None
+    assert given_arrays._echild is not None
+    assert given_arrays.child_stride is None
     trees = [tree, given_arrays]
-    if given_arrays.child_stride is None:
-        assert given_arrays._echild is not None
+    stride = closed_form_stride(given_arrays)
+    if stride is None:
         try:
-            twin = ScenarioTree(grid, tree.d, ls, None, None, eprob)
+            twin = closed_form_twin(tree)
         except InvariantViolation:
             twin = None
         assert twin is None or not np.array_equal(twin.echild, ec)
     else:
-        assert given_arrays._eparent is None and given_arrays._echild is None
-        trees.append(ScenarioTree(grid, tree.d, ls, None, None, eprob))
+        twin = closed_form_twin(tree)
+        assert twin._eparent is None and twin._echild is None
+        assert twin.child_stride == stride
+        trees.append(twin)
     for t in trees[1:]:
         for name in ("eparent", "echild", "estart", "path_prob",
                      "node_level"):
             got, want = getattr(t, name), getattr(tree, name)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), name
-        assert (t.arity, t.child_stride) == (tree.arity, tree.child_stride)
+        assert t.arity == tree.arity
     for _ in range(5):
         lo = data.draw(st.integers(0, tree.n_nodes))
         hi = data.draw(st.integers(lo, tree.n_nodes))
@@ -584,12 +599,28 @@ def test_closed_form_edges_equal_the_index_arrays(tree, data):
     ([0, 1, 3, 5], [0.5] * 6, "level 2 holds 2 nodes"),
     # sizes 1, 3, 4 at arity 3: a stride of 1/2
     ([0, 1, 4, 8], [0.5, 0.25, 0.25] * 4, "level 2 holds 4 nodes"),
-], ids=["edges_per_node", "odd_size", "stride_0", "stride_fraction"])
+    # sizes 1, 2, 5 at arity 2: a stride of 3 leaves node 5 no parent
+    ([0, 1, 3, 8], [0.5] * 6, "level 2 holds 5 nodes"),
+], ids=["edges_per_node", "odd_size", "stride_0", "stride_fraction",
+        "stride_above_arity"])
 def test_closed_form_tree_refuses_level_sizes_off_its_stride(level_start,
                                                               eprob, match):
     K = len(level_start) - 2
     with pytest.raises(InvariantViolation, match=match):
         ScenarioTree(TimeGrid.uniform(K), 1, level_start, None, None, eprob)
+
+
+def test_no_library_module_reads_the_whole_edge_arrays():
+    """The library reads edges through edge_parents and edge_children on a
+    node range: on a closed-form tree each read of ``.eparent`` or
+    ``.echild`` builds the whole array.  ScenarioTree's own definitions of
+    those properties are not reads."""
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(ftree.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("eparent", "echild")]
+    assert reads == []
 
 
 # -- level-by-level clock and martingale check against the full-range ones --
