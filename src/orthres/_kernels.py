@@ -46,9 +46,10 @@ weights with C reweightings leading, ``(C, r, n)`` or ``(C, E)``, and returns
 one row per reweighting, ``(C, n)``, since the dual DP forms its weights level
 by level.
 
-The projections are scalar-martingale (d = 1) only, as are the solvers and
-the decomposition that call them; a d-general per-node ``pinv`` loop is kept
-with the tests as a reference.  ``edge_residuals_d1`` forms dn again from
+The martingale is scalar (d = 1) throughout, so the projections divide by
+E[dm^2 | node] and the clock's factor is a square root; the d-general
+per-node ``pinv`` projection, covariances and PSD factor are kept with the
+tests as references.  ``edge_residuals_d1`` forms dn again from
 stored y, ey and z, for the tests' oracles of the sweep's dn.
 """
 

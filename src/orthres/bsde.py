@@ -3,8 +3,8 @@
 inf-convolution cascade kept as its own experiment, the dual control
 representation, comparison checks, and the vanishing-N experiment.
 
-Scalar martingales only (d = 1), as is the decomposition in the gkw module:
-every shipped model is one-dimensional.
+The martingale is scalar (d = 1), as in the gkw module and the clock: a
+process of another dimension is refused where its values are read.
 """
 
 import math
@@ -278,11 +278,10 @@ class BsdeSolution:
     def cond_var_profile(self):
         """Backward max of E[sum_{j>=k} (|Zq*|^2 dC + dN^2) | node] per level
         k = 0..K of a single solve, from the stored Z and dN2 and the clock's
-        Sigma (d = 1)."""
+        Sigma."""
         tree = self.tree
-        nt = tree.n_nonterminal
         z = self.Z.values[:, 0]
-        zsq_term = z * z * self.clock.sigma.reshape(nt)  # |Z q*|^2 dC
+        zsq_term = z * z * self.clock.sigma  # |Z q*|^2 dC
         R = np.zeros(tree.n_nodes)
         prof = np.zeros(tree.K + 1)
         for k in range(tree.K - 1, -1, -1):
@@ -347,8 +346,6 @@ def _levels(tree, M, clock, X, zeta, driver):
     level 0 has been consumed.  Each column thus sums per level, then in
     level order, as its 1-D solve does.  Every check of solve_lipschitz is
     made here."""
-    if M.dim != 1:
-        raise NotImplementedError("backward solvers are scalar-martingale only")
     zeta = _leaf_values(tree, zeta)
     dC = clock.dC.values
     dc_max = float(dC.max()) if dC.size else 0.0
@@ -360,14 +357,12 @@ def _levels(tree, M, clock, X, zeta, driver):
     # 1 - k_neg dC below
     ky, by = driver.y_part
     k_pos, k_neg = ky + by, ky - by
-    nt = tree.n_nonterminal
     # per-node arrays broadcast over the columns of a batch
     col = (slice(None),) + (None,) * (zeta.ndim - 1)
     m = M.scalar
     mcol = m[col]
     dC = dC[col]
-    qdiag = clock.q.values.reshape(nt, -1)[:, 0][col]  # q[0,0] for d = 1
-    s2 = clock.sigma.reshape(nt)[col]                  # E[dm^2 | node]
+    s2 = clock.sigma[col]  # E[dm^2 | node]
     path_prob = tree.path_prob[col]
     t = tree.grid.t
     zero = np.zeros((int(np.diff(tree.level_start).max()),) + zeta.shape[1:],
@@ -388,7 +383,7 @@ def _levels(tree, M, clock, X, zeta, driver):
         s2k = s2[a:b]
         z = np.where(s2k > _kernels.PROJ_EPS,
                      m1 / np.where(s2k > 0, s2k, 1.0), 0.0)
-        z_arg = qdiag[a:b] * z
+        z_arg = clock.factor(a, b)[col] * z
         xk = X.values[a:b] if X is not None else None
         mk = mcol[a:b]
         dck = dC[a:b]
@@ -512,7 +507,7 @@ def solve_quadratic(tree, M, clock, X, zeta, driver, p=1,
                          "nonnegative; signed drivers are not supported")
     trace = CascadeTrace()
     n_min = max(p, driver.lip_y)
-    q = clock.q.values.reshape(tree.n_nonterminal, -1)[:, 0]  # d = 1
+    q = clock.factor(0, tree.n_nonterminal)
     prev_y = None
     for n in [n for n in n_list if n >= n_min] or [n_min]:
         sol = solve_lipschitz(tree, M, clock, X, zeta, inf_convolve(driver, n))
@@ -564,18 +559,14 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
     reweighting per level; for each the better of beta = +-b is taken in
     closed form, and the first candidate with the largest value wins.
     """
-    if M.dim != 1:
-        raise NotImplementedError("dual DP is scalar-martingale only")
     zeta = _leaf_values(tree, zeta)
     if zeta.ndim != 1:
         raise InvariantViolation("dual_value takes one column of leaf values")
     b = float(growth["b"])
     gamma = float(growth["gamma"])
     eta = float(growth.get("a", 0.0) if eta is None else eta)
-    nt = tree.n_nonterminal
     m = M.scalar
     dC = clock.dC.values
-    qdiag = clock.q.values.reshape(nt, -1)[:, 0]
     W = np.empty(tree.n_nodes)
     lo, hi = tree.level_slice(tree.K)
     W[lo:hi] = zeta
@@ -587,7 +578,7 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
         p_e = _kernels.edge_layout(tree, tree.eprob, a, bb)
         m1 = _kernels.level_moments_d1(tree, p_e * dm, W, a, bb, p=p_e)[1]
         dck = dC[a:bb]
-        qk = qdiag[a:bb]
+        qk = clock.factor(a, bb)
         ok = (qk > _kernels.PROJ_EPS) & (dck > _kernels.PROJ_EPS)
         z_hat = np.where(ok, m1 / np.where(ok, qk * dck, 1.0), 0.0)
         # one row per candidate nu: the analytic maximizer, then the grid

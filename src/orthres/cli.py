@@ -166,7 +166,8 @@ def parse_config(raw):
     if mraw["kind"] not in KINDS:
         raise ConfigError(f"unknown model kind {mraw['kind']!r}")
     K = _number(mraw.get("K", 8), "K", int)
-    d = _number(mraw.get("d", 1), "d", int)
+    if _number(mraw.get("d", 1), "d", int) != 1:
+        raise ConfigError(f"d must be 1 (M is scalar), got {mraw['d']!r}")
     T = _number(mraw.get("T", 1.0), "T")
     output = raw.get("output")
     if not output or not isinstance(output, str):
@@ -182,6 +183,8 @@ def parse_config(raw):
                       "coefficient"))
     if cfg.coeffs is not None:
         cfg.x0 = _number(raw["coeffs"].get("x0", 0.0), "x0")
+        if not math.isfinite(cfg.x0):
+            raise ConfigError(f"x0 must be finite, got {cfg.x0!r}")
         if cfg.coeffs.n != 1:
             raise ConfigError("x0 is a scalar, so the forward state must "
                               f"have n = 1, got n = {cfg.coeffs.n!r}")
@@ -203,7 +206,7 @@ def parse_config(raw):
     for k in (cfg.K_list if "K_list" in EXPERIMENTS[exp] else []) or [K]:
         try:
             cfg.models.append(ModelConfig(
-                kind=mraw["kind"], K=int(k), d=d, T=T,
+                kind=mraw["kind"], K=int(k), T=T,
                 params=dict(mraw.get("params", {}))))
         except OrthresError as e:
             raise ConfigError(f"{e} (at K = {k})")

@@ -6,6 +6,7 @@ consistent across incoming edges (it is whenever X is a function of the
 lattice state, e.g. constant coefficients); otherwise a full tree is needed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,8 @@ def extract_subtree(tree, node):
     if tree.child_stride is None:
         ep, ec = new_id[par[ekeep]], new_id[chi[ekeep]]
     grid = TimeGrid(tree.grid.t[level0:] - tree.grid.t[level0])
-    sub = ScenarioTree(grid, tree.d, new_id[tree.level_start[level0:]], ep,
-                       ec, tree.eprob[tree.estart[node]:tree.estart[nt]][ekeep])
+    sub = ScenarioTree(grid, new_id[tree.level_start[level0:]], ep, ec,
+                       tree.eprob[tree.estart[node]:tree.estart[nt]][ekeep])
     return sub, np.flatnonzero(keep)
 
 
@@ -141,6 +142,15 @@ def shift_start(tree, M, t_idx, node, m, coeffs=None, clock=None, x=None):
 # coefficient catalog
 # ---------------------------------------------------------------------------
 
+def _param(value, name):
+    """A catalog parameter as a float, which must be finite."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"coefficient parameter {name} must be finite, "
+                         f"got {v!r}")
+    return v
+
+
 def identity(n=1):
     """sigma = I, b = 0: X - x0 tracks M."""
     return SdeCoeffs(
@@ -151,7 +161,7 @@ def identity(n=1):
 
 
 def constant_drift(c=1.0, n=1):
-    c = float(c)
+    c = _param(c, "c")
     return SdeCoeffs(
         id="constant_drift", n=n,
         sigma=lambda t, x, m: np.zeros((x.shape[0], n, m.shape[1])),
@@ -160,18 +170,20 @@ def constant_drift(c=1.0, n=1):
 
 def linear_sigma(a=1.0):
     """sigma(x) = a*x (n = d = 1): discrete stochastic exponential."""
+    a = _param(a, "a")
     return SdeCoeffs(
         id="linear_sigma", n=1,
-        sigma=lambda t, x, m: (float(a) * x)[:, :, None],
+        sigma=lambda t, x, m: (a * x)[:, :, None],
         b=lambda t, x, m: np.zeros((x.shape[0], 1)))
 
 
 def affine(a=1.0, c=0.0):
     """sigma(x) = a*x, b(x) = c*x (n = d = 1)."""
+    a, c = _param(a, "a"), _param(c, "c")
     return SdeCoeffs(
         id="affine", n=1,
-        sigma=lambda t, x, m: (float(a) * x)[:, :, None],
-        b=lambda t, x, m: float(c) * x)
+        sigma=lambda t, x, m: (a * x)[:, :, None],
+        b=lambda t, x, m: c * x)
 
 
 CATALOG = {

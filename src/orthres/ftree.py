@@ -7,11 +7,12 @@ edges as index arrays, which the tree keeps, or in one closed form (a
 ``child_stride``), from which their parents and children are computed and no
 per-edge index array is stored.
 
-The martingale check, the conditional covariances, the clock and its factor
-run one level at a time, narrow levels merged into runs of at most
-``RUN_NODES`` nodes, and read a level's children as a view where the tree
-has a ``child_stride``: beyond their outputs no temporary outgrows a level or
-a run.
+The martingale M is scalar (d = 1).  The martingale check, the conditional
+variances and the clock run one level at a time, narrow levels merged into
+runs of at most ``RUN_NODES`` nodes, and read a level's children as a view
+where the tree has a ``child_stride``: beyond their outputs no temporary
+outgrows a level or a run.  The clock's factor q is formed on demand for a
+node range, so no clock holds it.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .errors import InvariantViolation
 PROB_TOL = 1e-14
 MASS_TOL = 1e-12
 PSD_TOL = 1e-12
-# the martingale check, Sigma and q merge consecutive levels into runs of at
+# the martingale check and Sigma merge consecutive levels into runs of at
 # most this many nodes: a narrow level costs more in calls than in work,
 # while a wider level runs alone and reads its children as a view
 RUN_NODES = 1024
@@ -74,7 +75,6 @@ class ScenarioTree:
     Attributes
     ----------
     grid : TimeGrid
-    d : martingale dimension
     level_start : (K+2,) node-id offset of each level
     estart : (n_nodes+1,) per-node offset into the edges
     eprob : (E,) edge probabilities, grouped by parent
@@ -97,9 +97,8 @@ class ScenarioTree:
     from the closed form or as slices of the kept arrays.
     """
 
-    def __init__(self, grid, d, level_start, eparent, echild, eprob):
+    def __init__(self, grid, level_start, eparent, echild, eprob):
         self.grid = grid
-        self.d = int(d)
         self.level_start = ls = np.asarray(level_start, dtype=np.int64)
         self.eprob = np.asarray(eprob, dtype=float)
         n = int(ls[-1])
@@ -303,7 +302,11 @@ class AdaptedProcess:
 
     @property
     def scalar(self):
-        """(n_nodes,) view, valid when dim == 1."""
+        """(n_nodes,) view of the values; a process of any other dimension
+        is refused, not read by its first column."""
+        if self.dim != 1:
+            raise InvariantViolation("a scalar process (d = 1) is needed, "
+                                     f"got dimension {self.dim}")
         return self.values[:, 0]
 
 
@@ -328,12 +331,27 @@ class PredictableField:
 
 @dataclass
 class ClockAndFactor:
-    """Clock C = arctan of the accumulated bracket trace, with its factor q."""
+    """Clock C = arctan of the accumulated bracket trace and the conditional
+    variances Sigma it is built from; ``factor`` forms its factor q on a
+    node range."""
 
     C: AdaptedProcess                 # scalar, per node
     dC: PredictableField              # scalar, per non-terminal node
-    q: PredictableField               # (d, d) lower-triangular, per non-terminal node
-    sigma: np.ndarray = field(repr=False, default=None)  # conditional covariances
+    sigma: np.ndarray = field(repr=False)  # (nt,) E[dM^2 | node]
+
+    def factor(self, lo, hi):
+        """q = sqrt(Sigma/dC) on the non-terminal nodes [lo, hi), so that
+        q^2 dC = Sigma: 0 where dC <= 0, and where Sigma/dC is at most
+        PSD_TOL * max(1, Sigma/dC).  Besides the (hi - lo,) result it holds
+        only boolean masks of that size."""
+        dc = self.dC.values[lo:hi]
+        q = np.divide(self.sigma[lo:hi], dc, out=np.zeros(hi - lo),
+                      where=dc > 0)
+        # q >= 0, so q > PSD_TOL * max(1, q) reads PSD_TOL < q < inf
+        live = (q > PSD_TOL) & (q < np.inf)
+        np.sqrt(q, out=q, where=live)
+        q[~live] = 0.0
+        return q
 
 
 class MartingaleCheck:
@@ -378,93 +396,45 @@ def backward_closure(tree, leaf_values):
 def is_martingale(tree, M, tol=1e-12):
     """Check E[M_{k+1} | node] == M_k at every non-terminal node, one run
     of levels at a time, so that no temporary outgrows a run."""
+    v = M.scalar
     worst = 0.0
-    for c in range(M.dim):
-        v = M.values[:, c]
-        for lo, hi in _runs(tree):
-            ey = _kernels.backward_expect(tree, v, lo, hi)
-            worst = max(worst, float(np.max(np.abs(ey - v[lo:hi]))))
+    for lo, hi in _runs(tree):
+        ey = _kernels.backward_expect(tree, v, lo, hi)
+        worst = max(worst, float(np.max(np.abs(ey - v[lo:hi]))))
     return MartingaleCheck(worst <= tol, worst)
 
 
-def psd_cholesky_batch(A, tol=PSD_TOL, first=None):
-    """Lower-triangular factors of a (n, d, d) stack of PSD matrices.
-
-    Column j is computed for every matrix at once.  Each matrix is judged
-    against its own scale max(1, max|A|): a pivot below -tol*scale raises,
-    naming the worst one, and a pivot at most tol*scale leaves its column
-    zero (rank deficiency).  When A is part of a larger stack starting at
-    index ``first``, the error names the matrix by its index there.
-    """
-    A = np.asarray(A, dtype=float)
-    n, d = A.shape[0], A.shape[-1]
-    # at d = 1 max|A| is |A| itself, no reduction
-    scale = np.abs(A.reshape(n, d * d))
-    scale = scale[:, 0] if d == 1 else scale.max(axis=1, initial=0.0)
-    tols = tol * np.maximum(1.0, scale)
-    L = np.zeros_like(A)
-    for j in range(d):
-        row = L[:, j, :j]
-        # column 0 has no earlier columns to subtract
-        s = A[:, j, j] - np.einsum("nk,nk->n", row, row) if j else A[:, 0, 0]
-        bad = s < -tols
-        if bad.any():
-            i = np.flatnonzero(bad)[np.argmin(s[bad] / tols[bad])]
-            where = (f" in matrix {i + (first or 0)}"
-                     if n > 1 or first is not None else "")
-            raise InvariantViolation(
-                f"matrix not PSD within tolerance (pivot {s[i]:.3e}{where})")
-        live = s > tols
-        np.sqrt(s, out=L[:, j, j], where=live)
-        if j + 1 < d:
-            r = A[:, j + 1:, j]
-            if j:
-                r = r - np.einsum("nik,nk->ni", L[:, j + 1:, :j], row)
-            np.divide(r, L[:, j, j, None], out=L[:, j + 1:, j],
-                      where=live[:, None])
-    return L
-
-
 def conditional_covariances(tree, M):
-    """Sigma_k = E[dM dM* | node] for every non-terminal node, shape
-    (nt, d, d), filled one run of levels at a time."""
-    nt, d = tree.n_nonterminal, M.dim
-    sigma = np.empty((nt, d, d))
+    """Sigma_k = E[dM^2 | node] for every non-terminal node, shape (nt,),
+    filled one run of levels at a time."""
+    m = M.scalar
+    sigma = np.empty(tree.n_nonterminal)
     for lo, hi in _runs(tree):
-        if d == 1:
-            dm = _kernels.edge_increments(tree, M.scalar, lo, hi)
-            p = _kernels.edge_layout(tree, tree.eprob, lo, hi)
-            sigma[lo:hi, 0, 0] = _kernels.edge_sum(tree, p * dm * dm, lo, hi)
-            continue
-        sl = _kernels._edges(tree, lo, hi)
-        dm = (M.values[tree.edge_children(lo, hi)]
-              - M.values[tree.edge_parents(lo, hi)])
-        w = tree.eprob[sl][:, None, None] * (dm[:, :, None] * dm[:, None, :])
-        sigma[lo:hi] = _kernels._segment_sum(
-            tree, w, tree.estart[lo:hi] - tree.estart[lo])
+        dm = _kernels.edge_increments(tree, m, lo, hi)
+        p = _kernels.edge_layout(tree, tree.eprob, lo, hi)
+        sigma[lo:hi] = _kernels.edge_sum(tree, p * dm * dm, lo, hi)
     return sigma
 
 
 def predictable_bracket(tree, M):
-    """Clock C = arctan(sum of bracket traces) and Cholesky factor q.
+    """Clock C = arctan(sum of conditional variances), with dC and Sigma.
 
-    Built from conditional covariances so that C, dC and q are predictable.
+    Built from conditional variances so that C and dC are predictable.
     Requires the accumulated trace to be consistent across recombined paths.
     Every pass runs one level, or one run of levels, at a time: beyond its
-    outputs (C, dC, q and sigma) no temporary outgrows a level or a run.
+    outputs (C, dC and sigma) no temporary outgrows a level or a run.
     """
     nt = tree.n_nonterminal
     sigma = conditional_covariances(tree, M)
     s, r = tree.child_stride, tree.arity
     # the accumulated trace V, turned into C in place; dC first holds
-    # V + tr, each node's candidate for its children's V
+    # V + Sigma, each node's candidate for its children's V
     C = np.zeros(tree.n_nodes)
     dC = np.empty(nt)
     worst = 0.0
     for k in range(tree.K):
         lo, hi = tree.level_slice(k)
-        cand = np.add(C[lo:hi], np.einsum("kii->k", sigma[lo:hi]),
-                      out=dC[lo:hi])
+        cand = np.add(C[lo:hi], sigma[lo:hi], out=dC[lo:hi])
         if s is None:
             child = tree.edge_children(lo, hi)
             cand = cand[tree.edge_parents(lo, hi) - lo]
@@ -487,16 +457,8 @@ def predictable_bracket(tree, M):
     np.arctan(dC, out=dC)
     np.arctan(C, out=C)
     dC -= C[:nt]
-    # where dC = 0 the factor of the zero matrix is 0
-    q = np.empty_like(sigma)
-    for lo, hi in _runs(tree):
-        dc = dC[lo:hi, None, None]
-        q[lo:hi] = psd_cholesky_batch(
-            np.divide(sigma[lo:hi], dc, out=np.zeros_like(sigma[lo:hi]),
-                      where=dc > 0), first=lo if nt > 1 else None)
     return ClockAndFactor(
         C=AdaptedProcess(tree, C),
         dC=PredictableField(tree, dC),
-        q=PredictableField(tree, q),
         sigma=sigma,
     )

@@ -46,7 +46,6 @@ def node_cap():
 class ModelConfig:
     kind: str
     K: int
-    d: int = 1
     T: float = 1.0
     params: dict = field(default_factory=dict)
 
@@ -55,9 +54,6 @@ class ModelConfig:
             raise ModelError(f"unknown model kind {self.kind!r}")
         if self.K < 1:
             raise ModelError("K must be >= 1")
-        if self.d != 1:
-            raise ModelError("builders ship with d=1; higher-dimensional "
-                             "martingales are constructed by hand in tests")
         if not 0 < self.T < math.inf:
             raise ModelError(f"T must be positive and finite, got {self.T!r}")
         prm = {}
@@ -248,7 +244,7 @@ def _lattice_walk(config, moves, probs, value):
         raise InvariantViolation(
             f"{config.kind} lattice filled {level_start[-1]} nodes, "
             f"estimate is {n}")
-    tree = ScenarioTree(TimeGrid.uniform(K, config.T), 1, level_start,
+    tree = ScenarioTree(TimeGrid.uniform(K, config.T), level_start,
                         eparent, echild, eprob)
     mvals = value(states, tree.node_level)
     mvals[0] = 0.0      # a literal, as a negative step would give -0.0
@@ -332,7 +328,7 @@ def build_time_changed(config):
         n += len(first)
     level_start = np.cumsum([0] + [len(v) for v in mvals])
     nt = int(level_start[-2])
-    tree = ScenarioTree(TimeGrid.uniform(K, T), 1, level_start,
+    tree = ScenarioTree(TimeGrid.uniform(K, T), level_start,
                         np.repeat(np.arange(nt), 2), np.concatenate(echild),
                         np.full(2 * nt, 0.5))
     return tree, _validated(tree, np.concatenate(mvals))

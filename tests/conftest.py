@@ -35,8 +35,7 @@ def random_full_tree(rng, K=3, max_branch=3, T=1.0, min_branch=2):
 def closed_form_twin(tree):
     """``tree`` given its edges in closed form: the same levels and
     probabilities, no index arrays, the stride read off the level sizes."""
-    return ScenarioTree(tree.grid, tree.d, tree.level_start, None, None,
-                        tree.eprob)
+    return ScenarioTree(tree.grid, tree.level_start, None, None, tree.eprob)
 
 
 def random_martingale(rng, tree, scale=1.0):
@@ -69,7 +68,7 @@ def permute_last_level(tree, rng):
         perm[[0, -1]] = perm[[-1, 0]]
     new_id = np.arange(tree.n_nodes)
     new_id[lo:hi] = lo + perm
-    return ScenarioTree(tree.grid, tree.d, tree.level_start, tree.eparent,
+    return ScenarioTree(tree.grid, tree.level_start, tree.eparent,
                         new_id[tree.echild], tree.eprob), new_id
 
 

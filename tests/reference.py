@@ -5,14 +5,17 @@ version or never needed outside the tests: the true-tree test, an incremental
 tree builder, exact conditional expectations, the pathwise bracket, a JSON
 round trip, the level-by-level and the d-general GKW projections, a solve's
 per-edge dN, the two-term bracket split, the Markov grouping spread, a driver
-growth check, the comparison check on two stored solutions, a one-matrix PSD
-factor, a clamped terminal map, a tree's path probabilities and
-closed-form child stride by their definitions, and the martingale check and
-the clock over all non-terminal nodes at once.
+growth check, the comparison check on two stored solutions, a clamped
+terminal map, a tree's path probabilities and closed-form child stride by
+their definitions, and the martingale check and the clock over all
+non-terminal nodes at once.  The library's martingale is scalar (d = 1); the
+d-general covariances, PSD factor and GKW projection are kept here, built on
+nothing from the library but its kernels.
 """
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -21,10 +24,8 @@ from orthres import _kernels
 from orthres.bsde import CompareVerdict
 from orthres.cli import _affine_driver, _random_affine_pair
 from orthres.errors import InvariantViolation
-from orthres.ftree import (PSD_TOL, AdaptedProcess, ClockAndFactor,
-                           MartingaleCheck, PredictableField, ScenarioTree,
-                           TimeGrid, conditional_covariances,
-                           psd_cholesky_batch)
+from orthres.ftree import (PSD_TOL, AdaptedProcess, MartingaleCheck,
+                           PredictableField, ScenarioTree, TimeGrid)
 
 
 def is_tree(tree):
@@ -77,9 +78,8 @@ class TreeBuilder:
     creates a fresh node.
     """
 
-    def __init__(self, grid, d=1):
+    def __init__(self, grid):
         self.grid = grid
-        self.d = d
         self.level_start = [0, 1]
         self.eparent = []
         self.echild = []
@@ -111,7 +111,7 @@ class TreeBuilder:
         self.level_start.append(self._next_id)
 
     def build(self):
-        return ScenarioTree(self.grid, self.d, self.level_start,
+        return ScenarioTree(self.grid, self.level_start,
                             self.eparent, self.echild, self.eprob)
 
 
@@ -154,9 +154,9 @@ def pathwise_bracket(tree, M):
 
 
 def accumulated_trace(tree, clock):
-    """V: the bracket trace tr(Sigma) summed along the path to each node,
+    """V: the conditional variance Sigma summed along the path to each node,
     whose arctan is the clock C."""
-    tr = np.einsum("kii->k", clock.sigma)
+    tr = clock.sigma
     V = np.zeros(tree.n_nodes)
     ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
@@ -193,7 +193,6 @@ def product_noise_coin(tree):
 def tree_to_json(tree, M=None):
     doc = {
         "grid": tree.grid.t.tolist(),
-        "d": tree.d,
         "nodes": [{"id": int(i), "level": int(tree.node_level[i])}
                   for i in range(tree.n_nodes)],
     }
@@ -222,7 +221,7 @@ def tree_from_json(text):
         ep = np.array([n["parent"] for n in nodes if "parent" in n])
         ec = np.array([n["id"] for n in nodes if "parent" in n])
         pr = np.array([n["prob"] for n in nodes if "parent" in n])
-    tree = ScenarioTree(grid, doc["d"], level_start, ep, ec, pr)
+    tree = ScenarioTree(grid, level_start, ep, ec, pr)
     M = None
     if "mart_values" in doc:
         M = AdaptedProcess(tree, np.asarray(doc["mart_values"]))
@@ -259,7 +258,7 @@ def gkw_pinv(tree, M, Y):
     """Projection of dY on dM node by node for an M of any dimension d:
     Z = pinv(E[dM dM* | node]) E[dY dM | node].  Returns (Z of shape (nt, d),
     the per-edge dN = dY - dM Z, E[[N]_T])."""
-    sigma = conditional_covariances(tree, M)
+    sigma = covariances_range(tree, M)
     nt = tree.n_nonterminal
     y = Y.scalar
     Z = np.zeros((nt, M.dim))
@@ -389,7 +388,7 @@ def compare(sol1, sol2, tol_cmp=1e-11, pre_tol=1e-12, X=None):
     nt = tree.n_nonterminal
     col = (slice(None),) + (None,) * batch
     m = sol2.M.scalar[:nt][col]
-    qdiag = sol2.clock.q.values.reshape(nt, -1)[:, 0][col]
+    qdiag = sol2.clock.factor(0, nt)[col]
     y2, z2 = sol2._cols(sol2.Y), sol2._cols(sol2.Z)
     x2 = X.values if X is not None else None
     worst_pre = np.zeros(sol2.zeta.shape[1:])
@@ -423,11 +422,6 @@ def compare(sol1, sol2, tol_cmp=1e-11, pre_tol=1e-12, X=None):
             out.append(CompareVerdict(True, worst >= -tol_cmp,
                                       max(0.0, -worst), node))
     return out if batch else out[0]
-
-
-def psd_cholesky(A, tol=PSD_TOL):
-    """Lower-triangular factor of a PSD matrix, zeroing rank-deficient columns."""
-    return psd_cholesky_batch(np.asarray(A, dtype=float)[None], tol)[0]
 
 
 def clamp(F, n):
@@ -479,6 +473,12 @@ def psd_cholesky_stack(A, tol=PSD_TOL):
     return L
 
 
+def psd_cholesky(A, tol=PSD_TOL):
+    """Lower-triangular factor of a PSD matrix, zeroing rank-deficient
+    columns."""
+    return psd_cholesky_stack(np.asarray(A, dtype=float)[None], tol)[0]
+
+
 def covariances_range(tree, M):
     """Sigma = E[dM dM* | node] over every non-terminal node at once."""
     nt = tree.n_nonterminal
@@ -490,6 +490,11 @@ def covariances_range(tree, M):
     dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]
     w = tree.eprob[sl][:, None, None] * (dm[:, :, None] * dm[:, None, :])
     return _kernels._segment_sum(tree, w, tree.estart[:nt])
+
+
+# the range oracle's clock as arrays: C (n_nodes,), dC (nt,), Sigma
+# (nt, d, d) and q, the PSD factor of Sigma/dC, (nt, d, d)
+RangeClock = namedtuple("RangeClock", "C dC sigma q")
 
 
 def predictable_bracket_range(tree, M):
@@ -521,6 +526,4 @@ def predictable_bracket_range(tree, M):
     q = psd_cholesky_stack(np.divide(sigma, dC[:, None, None],
                                      out=np.zeros_like(sigma),
                                      where=dC[:, None, None] > 0))
-    return ClockAndFactor(C=AdaptedProcess(tree, C),
-                          dC=PredictableField(tree, dC),
-                          q=PredictableField(tree, q), sigma=sigma)
+    return RangeClock(C, dC, sigma, q)

@@ -184,7 +184,7 @@ def lipschitz_reference(tree, M, clock, zeta, driver, tol=bsde.FP_TOL):
     m = M.scalar
     nt = tree.n_nonterminal
     dC = clock.dC.values
-    q = clock.q.values.reshape(nt, -1)[:, 0]
+    q = clock.factor(0, nt)
     y = np.zeros(tree.n_nodes)
     lo, hi = tree.level_slice(tree.K)
     y[lo:hi] = zeta
@@ -339,13 +339,12 @@ def test_no_y_part_step_is_the_explicit_sum():
                           truncated_driver(2.0, {"b": 0.0, "gamma": 1.0,
                                                  "a": 0.2}))
     y = sol.Y.values[:, 0]
-    nt = tree.n_nonterminal
     for k in range(tree.K):
         a, b = tree.level_slice(k)
         pdm = (_kernels.edge_layout(tree, tree.eprob, a, b)
                * _kernels.edge_increments(tree, M.scalar, a, b))
         ey = _kernels.level_moments_d1(tree, pdm, y, a, b)[0]
-        z = sol.Z.values[a:b, 0] * clock.q.values.reshape(nt, -1)[a:b, 0]
+        z = sol.Z.values[a:b, 0] * clock.factor(a, b)
         g = huber_envelope(z, 2.0, 1.0) + 0.2
         assert np.array_equal(y[a:b], ey + g * clock.dC.values[a:b])
 
@@ -497,7 +496,7 @@ def test_cascade_stops_at_its_certificate_on_the_direct_solve(
     sol = solve_quadratic(tree, M, clock, None, zeta, drv, n_list=n_list)
     stages = sol.diagnostics["cascade_trace"].stages
     assert [s["n"] for s in stages] == list(n_list[:n_list.index(n_cert) + 1])
-    q = clock.q.values.reshape(tree.n_nonterminal, -1)[:, 0]
+    q = clock.factor(0, tree.n_nonterminal)
     if params["gamma"] > 0:
         assert np.abs(q * sol.Z.values[:, 0]).max() <= n_cert / params["gamma"]
     direct = solve_lipschitz(tree, M, clock, None, zeta, drv)
@@ -560,7 +559,7 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
         eta = float(growth.get("a", 0.0))
     nt = tree.n_nonterminal
     dC = clock.dC.values
-    qdiag = clock.q.values.reshape(nt, -1)[:, 0]
+    qdiag = clock.factor(0, nt)
     W = np.empty(tree.n_nodes)
     lo, hi = tree.level_slice(tree.K)
     W[lo:hi] = zeta
@@ -1307,8 +1306,8 @@ def test_levels_columns_equal_solo_solves(seed, K, B, u, share, zscale):
             assert np.array_equal(y[:, j], one.Y.values[a:b_, 0])
             assert np.array_equal(z[:, j], one.Z.values[a:b_, 0])
             assert np.array_equal(res[:, j], one.dN2[a:b_])
-            assert np.array_equal(z_arg[:, j], clock.q.values.reshape(
-                -1)[a:b_] * one.Z.values[a:b_, 0])
+            assert np.array_equal(z_arg[:, j], clock.factor(a, b_)
+                                  * one.Z.values[a:b_, 0])
     bracket, root = bsde._consume(bsde._levels(
         tree, M, clock, None, zeta, _y_part_driver(ky, b, kz, c0)), check)
     assert seen == list(range(K - 1, -1, -1))

@@ -20,6 +20,9 @@ from orthres.errors import ConfigError
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
+    """The config file of the default residual sweep with ``overrides``.
+    The string "1e400" is written as that number, which JSON reads as
+    inf."""
     raw = {
         "experiment": "residual_sweep",
         "model": {"kind": "trinomial", "K": 4},
@@ -29,7 +32,7 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
     }
     raw.update(overrides)
     path = tmp_path / name
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw).replace('"1e400"', "1e400"))
     return path, raw
 
 
@@ -133,6 +136,7 @@ TOLERANCE_ERRORS = [
                  id="K_fractional"),
     pytest.param({"model": {"kind": "trinomial", "d": 1.5}},
                  id="d_fractional"),
+    pytest.param({"model": {"kind": "trinomial", "d": 2}}, id="d_two"),
     pytest.param({"K_list": [4, 2.5]}, id="K_list_fractional"),
     pytest.param({"seed": 0.5}, id="seed_fractional"),
     pytest.param({"experiment": "comparison_campaign", "seeds": 2.5},
@@ -167,6 +171,18 @@ TOLERANCE_ERRORS = [
                  id="trinomial_h_negative"),
     pytest.param({"model": {"kind": "time_changed", "params": {"h_cap": 0}}},
                  id="time_changed_h_cap_zero"),
+    # non-finite forward coefficients, which once built and clocked the
+    # model and then exited 2
+    *(pytest.param({**SCAN, "coeffs": {"id": "identity", "x0": x0}},
+                   id=f"x0_{name}")
+      for name, x0 in (("nan", math.nan), ("nan_string", "nan"),
+                       ("1e400", "1e400"))),
+    *(pytest.param({**SCAN, "coeffs": {"id": cid, "params": {p: v}}},
+                   id=f"{cid}_{p}_{name}")
+      for cid, p in (("affine", "a"), ("affine", "c"), ("linear_sigma", "a"),
+                     ("constant_drift", "c"))
+      for name, v in (("nan", math.nan), ("inf", math.inf),
+                      ("1e400", "1e400"))),
 ])
 def test_exit_3_on_malformed_config(tmp_path, capsys, overrides):
     if overrides is None:
@@ -236,7 +252,7 @@ def test_integral_floats_are_valid_integer_fields():
         "driver": {"id": "pure_quadratic", "params": {"gamma": 1.0}},
         "seed": 3.0, "seeds": 2.0,
         "tolerances": {"t_idx": 2.0, "m_count": 5.0}})
-    assert (cfg.model.K, cfg.model.d, cfg.seed, cfg.seeds) == (8, 1, 3, 2)
+    assert (cfg.model.K, cfg.seed, cfg.seeds) == (8, 3, 2)
 
 
 def test_sweep_checks_the_models_it_builds():

@@ -185,7 +185,7 @@ def _extract_subtree_reference(tree, node):
             ec.append(remap[int(echild[e])])
             pr.append(float(tree.eprob[e]))
     grid = TimeGrid(tree.grid.t[level0:] - tree.grid.t[level0])
-    sub = ScenarioTree(grid, tree.d, level_start, ep, ec, pr)
+    sub = ScenarioTree(grid, level_start, ep, ec, pr)
     return sub, np.array(order)
 
 

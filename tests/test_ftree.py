@@ -13,7 +13,7 @@ from orthres import ftree
 from orthres.errors import InvariantViolation
 from orthres.ftree import (PSD_TOL, AdaptedProcess, ScenarioTree, TimeGrid,
                            backward_closure, is_martingale,
-                           predictable_bracket, psd_cholesky_batch)
+                           predictable_bracket)
 from orthres.models import ModelConfig, build
 
 from orthres.forward import extract_subtree
@@ -23,7 +23,8 @@ from conftest import (closed_form_twin, permute_last_level,
 from reference import (TreeBuilder, accumulated_trace, closed_form_stride,
                        cond_exp, is_martingale_range, is_tree, path_prob_loop,
                        pathwise_bracket, predictable_bracket_range,
-                       psd_cholesky, tree_from_json, tree_to_json)
+                       psd_cholesky, psd_cholesky_stack, tree_from_json,
+                       tree_to_json)
 
 
 def binary_tree(K=2, h=1.0, recombine=False):
@@ -93,14 +94,14 @@ def test_validate_rejects_leaky_probabilities():
         "parent_-1"])
 def test_tree_rejects_edge_endpoints_out_of_range(eparent, echild, match):
     with pytest.raises(InvariantViolation, match=match):
-        ScenarioTree(TimeGrid.uniform(2), 1, [0, 1, 3, 6], eparent, echild,
+        ScenarioTree(TimeGrid.uniform(2), [0, 1, 3, 6], eparent, echild,
                      [0.5] * 6)
 
 
 def test_tree_rejects_a_non_terminal_node_without_edges():
     # node 2's probabilities would otherwise be read off node 1's segment
     with pytest.raises(InvariantViolation, match="needs an edge"):
-        ScenarioTree(TimeGrid.uniform(2), 1, [0, 1, 3, 6], [0, 0, 1],
+        ScenarioTree(TimeGrid.uniform(2), [0, 1, 3, 6], [0, 0, 1],
                      [1, 2, 3], [0.5, 0.5, 1.0])
 
 
@@ -108,14 +109,14 @@ def test_tree_rejects_a_non_terminal_node_without_edges():
                                    [1.5, -0.5]])
 def test_tree_rejects_edge_probabilities_outside_unit_interval(eprob):
     with pytest.raises(InvariantViolation, match="must lie in"):
-        ScenarioTree(TimeGrid.uniform(1), 1, [0, 1, 3], [0, 0], [1, 2], eprob)
+        ScenarioTree(TimeGrid.uniform(1), [0, 1, 3], [0, 0], [1, 2], eprob)
 
 
 @pytest.mark.parametrize("level_start", [[0, 1, 3], [0, 1, 1, 3],
                                          [1, 2, 3, 6]])
 def test_tree_rejects_malformed_level_offsets(level_start):
     with pytest.raises(InvariantViolation, match="level_start"):
-        ScenarioTree(TimeGrid.uniform(2), 1, level_start, [0, 0], [1, 2],
+        ScenarioTree(TimeGrid.uniform(2), level_start, [0, 0], [1, 2],
                      [0.5, 0.5])
 
 
@@ -168,7 +169,7 @@ def test_is_martingale_detects_drift():
     npt.assert_allclose(chk.max_violation, 0.1, atol=1e-12)
 
 
-# -- psd_cholesky -----------------------------------------------------------
+# -- the d-general PSD factor oracle ------------------------------------------
 
 def test_psd_cholesky_reconstructs(rng):
     for _ in range(20):
@@ -192,7 +193,7 @@ def test_psd_cholesky_rejects_indefinite():
         psd_cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
-# -- batched factor against the per-matrix reference -----------------------
+# -- stacked factor oracle against the per-matrix one -------------------------
 
 def psd_cholesky_loop(A, tol=PSD_TOL):
     """Per-matrix reference: one matrix, one column and one row at a time."""
@@ -247,7 +248,7 @@ def psd_stacks(draw):
 @settings(deadline=None)
 @given(psd_stacks())
 def test_batched_factor_matches_per_matrix_reference(A):
-    got = psd_cholesky_batch(A)
+    got = psd_cholesky_stack(A)
     want = np.stack([psd_cholesky_loop(a) for a in A])
     if A.shape[-1] == 1:
         assert np.array_equal(got, want)
@@ -269,7 +270,7 @@ def test_batched_factor_rejects_one_indefinite_member(A, seed):
     bad = int(rng.integers(0, n + 1))
     A = np.insert(A, bad, (Q * lam) @ Q.T, axis=0)
     with pytest.raises(InvariantViolation, match=f"in matrix {bad}\\)"):
-        psd_cholesky_batch(A)
+        psd_cholesky_stack(A)
     with pytest.raises(InvariantViolation):
         psd_cholesky_loop(A[bad])
 
@@ -280,16 +281,16 @@ def test_batched_factor_names_the_worst_pivot():
                   np.diag([-2.0, 1.0])])
     with pytest.raises(InvariantViolation,
                        match=r"pivot -2\.000e\+00 in matrix 2\)"):
-        psd_cholesky_batch(A)
+        psd_cholesky_stack(A)
 
 
-def q_reference(clock):
-    """Per-node factor of Sigma/dC, the loop the clock used to run."""
-    q = np.zeros_like(clock.sigma)
-    for i, dc in enumerate(clock.dC.values):
-        if dc > 0:
-            q[i] = psd_cholesky_loop(clock.sigma[i] / dc)
-    return q
+def factor_reference(clock):
+    """q by the d-general oracle: the PSD factor of each node's 1 x 1
+    Sigma/dC, 0 where dC <= 0."""
+    dc = clock.dC.values
+    a = np.divide(clock.sigma, dc, out=np.zeros_like(clock.sigma),
+                  where=dc > 0)
+    return psd_cholesky_stack(a.reshape(-1, 1, 1))[:, 0, 0]
 
 
 @pytest.mark.parametrize("kind,K,params", [
@@ -298,30 +299,18 @@ def q_reference(clock):
     ("time_changed", 9, {"kappa": 2.0}),
 ])
 def test_clock_factor_matches_per_node_reference(kind, K, params):
+    """q over every node, and level by level, is the stacked oracle's and
+    the per-node loop's byte for byte."""
     built = build(ModelConfig(kind, K=K, params=params))
-    clock = predictable_bracket(built.tree, built.M)
-    assert np.array_equal(clock.q.values, q_reference(clock))
-
-
-def test_clock_factor_matches_reference_binary_d2():
-    # (M, M^2 - [M]) on a binary tree: a rank-one 2 x 2 bracket at every node
-    tree, M = binary_tree(K=5, h=0.5)
-    vals = np.column_stack([M.scalar, M.scalar ** 2 - 0.25 * tree.node_level])
-    M2 = AdaptedProcess(tree, vals)
-    assert is_martingale(tree, M2)
-    clock = predictable_bracket(tree, M2)
-    want = q_reference(clock)
-    assert np.all(want[:, 1, 1] == 0.0)
-    npt.assert_allclose(clock.q.values, want, rtol=1e-12, atol=1e-15)
-
-
-def test_clock_factor_matches_reference_random_d2(rng):
-    tree = random_full_tree(rng, K=3, max_branch=4)
-    M2 = AdaptedProcess(tree, np.column_stack(
-        [random_martingale(rng, tree).scalar for _ in range(2)]))
-    clock = predictable_bracket(tree, M2)
-    npt.assert_allclose(clock.q.values, q_reference(clock),
-                        rtol=1e-12, atol=1e-15)
+    tree = built.tree
+    clock = predictable_bracket(tree, built.M)
+    got = clock.factor(0, tree.n_nonterminal)
+    assert got.tobytes() == factor_reference(clock).tobytes()
+    loop = [psd_cholesky_loop([[s / dc]])[0, 0] if dc > 0 else 0.0
+            for s, dc in zip(clock.sigma, clock.dC.values)]
+    assert got.tobytes() == np.array(loop).tobytes()
+    levels = [clock.factor(*tree.level_slice(k)) for k in range(tree.K)]
+    assert np.concatenate(levels).tobytes() == got.tobytes()
 
 
 # -- brackets and clock -----------------------------------------------------
@@ -338,7 +327,7 @@ def test_binary_clock_closed_form():
         npt.assert_allclose(clock.C.values[lo:hi, 0], np.arctan(k * h ** 2),
                             atol=1e-14)
     dC = clock.dC.values
-    q = clock.q.values.reshape(nt)
+    q = clock.factor(0, nt)
     npt.assert_allclose(q ** 2 * dC, h ** 2, atol=1e-14)
 
 
@@ -355,28 +344,8 @@ def test_zero_variance_step_degenerates():
     M = AdaptedProcess(tree, np.array([0.0, 0.0, -1.0, 1.0]))
     clock = predictable_bracket(tree, M)
     assert clock.dC.values[0] == 0.0
-    assert clock.q.values[0, 0, 0] == 0.0
+    assert clock.factor(0, 1)[0] == 0.0
     assert clock.dC.values[1] > 0
-
-
-def test_d2_independent_components_diagonal_q():
-    v1, v2 = 0.09, 0.25
-    b = TreeBuilder(TimeGrid.uniform(1), d=2)
-    b.begin_level()
-    for _ in range(4):
-        b.child(0, 0.25)
-    b.end_level()
-    tree = b.build()
-    s1, s2 = np.sqrt(v1), np.sqrt(v2)
-    vals = np.array([[0, 0], [s1, s2], [s1, -s2], [-s1, s2], [-s1, -s2]],
-                    dtype=float)
-    M = AdaptedProcess(tree, vals)
-    assert is_martingale(tree, M)
-    clock = predictable_bracket(tree, M)
-    dC = clock.dC.values[0]
-    q = clock.q.values[0]
-    npt.assert_allclose(q, np.diag([np.sqrt(v1 / dC), np.sqrt(v2 / dC)]),
-                        atol=1e-12)
 
 
 @pytest.mark.parametrize("level_start,eparent,echild,eprob,M,worst", [
@@ -389,7 +358,7 @@ def test_d2_independent_components_diagonal_q():
 ], ids=["fixed_arity", "arity_none"])
 def test_clock_rejects_recombined_nodes_with_different_traces(
         level_start, eparent, echild, eprob, M, worst):
-    tree = ScenarioTree(TimeGrid.uniform(2), 1, level_start, eparent, echild,
+    tree = ScenarioTree(TimeGrid.uniform(2), level_start, eparent, echild,
                         eprob)
     assert tree.arity == (2 if len(eparent) == 6 else None)
     with pytest.raises(InvariantViolation,
@@ -557,7 +526,7 @@ def test_closed_form_edges_equal_the_index_arrays(tree, data):
     reproduces any other tree.  On any node range, runs of levels and
     leaves included, the accessors are slices of the arrays."""
     ep, ec = tree.eparent, tree.echild
-    given_arrays = ScenarioTree(tree.grid, tree.d, tree.level_start, ep, ec,
+    given_arrays = ScenarioTree(tree.grid, tree.level_start, ep, ec,
                                 tree.eprob)
     assert given_arrays._eparent is not None
     assert given_arrays._echild is not None
@@ -607,7 +576,7 @@ def test_closed_form_tree_refuses_level_sizes_off_its_stride(level_start,
                                                               eprob, match):
     K = len(level_start) - 2
     with pytest.raises(InvariantViolation, match=match):
-        ScenarioTree(TimeGrid.uniform(K), 1, level_start, None, None, eprob)
+        ScenarioTree(TimeGrid.uniform(K), level_start, None, None, eprob)
 
 
 def test_no_library_module_reads_the_whole_edge_arrays():
@@ -630,24 +599,18 @@ RUN_SIZES = (1, 5, ftree.RUN_NODES)
 
 
 def assert_clock_matches_range(tree, M):
-    try:
-        want = predictable_bracket_range(tree, M)
-    except InvariantViolation:
-        # at d > 1 a node with at most d children has a singular Sigma,
-        # whose factor can meet a pivot below the tolerance (seed 0, d = 3,
-        # K = 4 does): the clock must refuse it too
-        for run_nodes in RUN_SIZES:
-            with mock.patch.object(ftree, "RUN_NODES", run_nodes), \
-                    pytest.raises(InvariantViolation, match="not PSD"):
-                predictable_bracket(tree, M)
-        return
+    """C, dC, Sigma and the factor over every node, with runs of any size,
+    are the range oracle's byte for byte."""
+    want = predictable_bracket_range(tree, M)
+    nt = tree.n_nonterminal
     for run_nodes in RUN_SIZES:
         with mock.patch.object(ftree, "RUN_NODES", run_nodes):
             got = predictable_bracket(tree, M)
-        for name in ("C", "dC", "q"):
-            g, w = getattr(got, name).values, getattr(want, name).values
-            assert g.shape == w.shape and np.array_equal(g, w), name
-        assert np.array_equal(got.sigma, want.sigma)
+        for name, g, w in (("C", got.C.values.ravel(), want.C),
+                           ("dC", got.dC.values, want.dC),
+                           ("sigma", got.sigma, want.sigma.ravel()),
+                           ("q", got.factor(0, nt), want.q[:, 0, 0])):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
 
 
 def assert_check_matches_range(tree, M, rng):
@@ -666,9 +629,9 @@ def assert_check_matches_range(tree, M, rng):
 @settings(max_examples=60, deadline=None)
 @given(small_trees(), st.integers(0, 2 ** 32 - 1))
 def test_level_clock_and_check_equal_the_range_ones(tree_m, seed):
-    """Random full trees (d = 1) and every model kind at small K, full-tree
-    and recombining variants included, and a copy with permuted leaves,
-    whose children are gathered: C, dC, q, Sigma and max_violation are
+    """Random full trees and every model kind at small K, full-tree and
+    recombining variants included, and a copy with permuted leaves, whose
+    children are gathered: C, dC, Sigma, the factor q and max_violation are
     bit-identical to the full-range code, with levels run one by one or
     merged into runs."""
     tree, M = tree_m
@@ -684,52 +647,49 @@ def test_level_clock_and_check_equal_the_range_ones(tree_m, seed):
         assert_check_matches_range(perm, Mp, rng)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(1, 4))
-def test_level_clock_and_check_equal_the_range_ones_in_d(seed, d, K):
-    """Random full trees with a d = 2 or 3 martingale of independent
-    random components."""
-    rng = np.random.default_rng(seed)
-    tree = random_full_tree(rng, K=K, max_branch=4)
-    M = AdaptedProcess(tree, np.column_stack(
-        [random_martingale(rng, tree).scalar for _ in range(d)]))
-    assert_clock_matches_range(tree, M)
-    assert_check_matches_range(tree, M, rng)
-
-
 def test_factor_error_names_the_matrix_in_the_whole_stack():
     A = np.zeros((3, 2, 2))
     A[1] = [[1.0, 0.0], [0.0, -1.0]]
-    with pytest.raises(InvariantViolation, match=r"in matrix 41\)"):
-        psd_cholesky_batch(A, first=40)
-    with pytest.raises(InvariantViolation, match=r"in matrix 7\)"):
-        psd_cholesky_batch(A[1:2], first=7)
+    with pytest.raises(InvariantViolation, match=r"in matrix 1\)"):
+        psd_cholesky_stack(A)
+    for factor in (lambda: psd_cholesky_stack(A[1:2]),
+                   lambda: psd_cholesky_loop(A[1])):
+        with pytest.raises(InvariantViolation,
+                           match=r"\(pivot -1\.000e\+00\)"):
+            factor()
 
 
 def test_check_and_clock_hold_no_temporary_beyond_a_level():
     """On trinomial K = 256 (66,049 nodes, levels of at most 513 nodes),
-    the martingale check and the clock, less its outputs, each peak below
-    8 bytes per node: no temporary is the size of the tree's edges or
-    nodes, only of a level or a run of levels."""
+    the martingale check and the clock less its outputs each peak below 8
+    bytes per node, and its factor taken level by level below 8 bytes per
+    non-terminal node, the nodes it is defined on: no temporary is the size
+    of the tree's edges or nodes, only of a level or a run of levels."""
     built = build(ModelConfig("trinomial", K=256))
     tree, M = built.tree, built.M
     budget = 8 * tree.n_nodes
 
-    def peak(f):
+    def peak(f, *args):
         """f's result and the traced memory it peaked at above the start."""
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        out = f(tree, M)
+        out = f(*args)
         return out, tracemalloc.get_traced_memory()[1] - start
+
+    def factor_by_level(clock):
+        for k in range(tree.K):
+            clock.factor(*tree.level_slice(k))
 
     tracemalloc.start()
     try:
-        check, check_peak = peak(is_martingale)
-        clock, clock_peak = peak(predictable_bracket)
+        check, check_peak = peak(is_martingale, tree, M)
+        clock, clock_peak = peak(predictable_bracket, tree, M)
+        _, factor_peak = peak(factor_by_level, clock)
     finally:
         tracemalloc.stop()
     assert check
     outputs = sum(a.nbytes for a in (clock.C.values, clock.dC.values,
-                                     clock.q.values, clock.sigma))
+                                     clock.sigma))
     assert check_peak < budget
     assert clock_peak - outputs < budget
+    assert factor_peak < 8 * tree.n_nonterminal

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthres import _kernels
-from orthres.bsde import vanishing_N_experiment, zero_driver
+from orthres.bsde import dual_value, vanishing_N_experiment, zero_driver
 from orthres.errors import InvariantViolation
 from orthres.ftree import (AdaptedProcess, TimeGrid, is_martingale,
                            predictable_bracket)
@@ -202,7 +202,7 @@ def test_sweep_dn_is_edge_residuals_on_its_own_y(kind, K, F):
 def four_child_d2(s1, s2):
     """One step to the four corners (+-s1, +-s2), each with probability 1/4,
     and the corner indicator 1{m1 > 0, m2 > 0} closed into a martingale."""
-    b = TreeBuilder(TimeGrid.uniform(1), d=2)
+    b = TreeBuilder(TimeGrid.uniform(1))
     b.begin_level()
     for _ in range(4):
         b.child(0, 0.25)
@@ -216,10 +216,20 @@ def four_child_d2(s1, s2):
     return tree, M, Y
 
 
-def test_decompose_rejects_d2():
+def test_d2_martingale_is_refused():
+    """A two-dimensional M is refused wherever its values are read, not
+    read by its first column: by the martingale check and the clock, and
+    by the decomposition and the dual DP given the first column's clock."""
     tree, M, Y = four_child_d2(0.3, 0.5)
-    with pytest.raises(NotImplementedError):
-        decompose(tree, M, Y.scalar[1:])
+    zeta = Y.scalar[1:]
+    clock = predictable_bracket(tree, AdaptedProcess(tree, M.values[:, 0]))
+    for refused in (lambda: is_martingale(tree, M),
+                    lambda: predictable_bracket(tree, M),
+                    lambda: gkw_decompose(tree, M, clock, zeta),
+                    lambda: dual_value(tree, M, clock, zeta,
+                                       {"b": 0.0, "gamma": 1.0}, 1)):
+        with pytest.raises(InvariantViolation, match="got dimension 2$"):
+            refused()
 
 
 def test_decompose_rejects_non_finite_terminal_values():

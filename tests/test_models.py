@@ -29,8 +29,6 @@ def test_config_validation():
     with pytest.raises(ModelError):
         ModelConfig("binary", K=0)
     with pytest.raises(ModelError):
-        ModelConfig("binary", K=4, d=2)
-    with pytest.raises(ModelError):
         ModelConfig("binary", K=4, T=-1.0)
 
 
