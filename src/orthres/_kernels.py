@@ -8,14 +8,16 @@ range's edges are one contiguous, non-empty block per node.
 hold that range's edges only, with the node axis last: on a tree of fixed
 arity r (``ScenarioTree.arity``) with 2 <= r <= 7, as ``(r, n)``, entry
 [i, j] being move i of node lo + j; on any other tree as ``(E,)`` in edge
-order.  ``edge_layout`` lays out a slice of a per-edge array of the tree
-(``tree.eprob``) that way and ``edge_increments`` forms dm in it, so no
-sweep holds a full-size per-edge array; ``store_edges`` writes one back in
-edge order.  ``level_moments_d1`` and ``residual_moments_d1`` take the
-range's laid-out ``tree.eprob`` as ``p``, so a caller lays it out once per
-level; the martingale check and the clock (``ftree``) call the kernels one
-level, or one run of narrow levels, at a time, so no temporary of theirs
-outgrows a level or a run.
+order.  ``edge_probs`` lays out the range's probabilities that way, a
+tree's move row (``ScenarioTree.probs`` of shape (1, r)) as an (r, 1) view
+that broadcasts over the nodes and a per-edge array as its slice, and
+``edge_increments`` forms dm in it, so no sweep holds a full-size per-edge
+array; ``store_edges`` writes one back in edge order.
+``level_moments_d1`` and ``residual_moments_d1`` take the range's
+``edge_probs`` as ``p``, so a caller lays them out once per level; the
+martingale check and the clock (``ftree``) call the kernels one level, or
+one run of narrow levels, at a time, so no temporary of theirs outgrows a
+level or a run.
 
 **Columns.**  Node values (``y``, ``vals``, ``ey``, ``z``) are ``(n,)`` for
 one solve or ``(n, B)`` for B solves on one tree.  A kernel works on their
@@ -101,7 +103,7 @@ def _first_child(tree, lo, hi):
     s, ls = tree.child_stride, tree.level_start
     if s is None:
         return None
-    k = tree.node_level[lo]
+    k = tree.level_of(lo)
     return None if hi > ls[k + 1] else int(ls[k + 1] + s * (lo - ls[k]))
 
 
@@ -147,16 +149,22 @@ def parent_values(tree, v, lo, hi):
     return _gather(v, tree.edge_parents(lo, hi) - lo)
 
 
-def edge_layout(tree, w, lo, hi):
-    """The edges of [lo, hi) of the per-edge (E,) array w, in the range's
-    layout: contiguous where the range's children are a view, so that every
-    operand runs along the nodes, and a transposed view of w where they are
-    gathered, in the gather's edge order."""
-    w = w[_edges(tree, lo, hi)]
+def edge_probs(tree, lo, hi):
+    """The probabilities of the edges of [lo, hi), in the range's layout.
+    A tree's move row is its (r, 1) transpose, which broadcasts over the
+    nodes with no copy, whether the children are a view or gathered (or
+    tiled over the range's (E,) edge order).  A per-edge array's slice is
+    made contiguous where the children are a view, so that every operand
+    runs along the nodes, and is a transposed view where they are gathered,
+    in the gather's edge order."""
+    p = tree.probs
+    if p.ndim == 2:
+        return p.T if _strided(tree) else np.tile(p[0], hi - lo)
+    p = p[_edges(tree, lo, hi)]
     if not _strided(tree):
-        return w
-    w = w.reshape(hi - lo, -1).T
-    return w if _first_child(tree, lo, hi) is None else np.ascontiguousarray(w)
+        return p
+    p = p.reshape(hi - lo, -1).T
+    return p if _first_child(tree, lo, hi) is None else np.ascontiguousarray(p)
 
 
 def edge_increments(tree, m, lo, hi):
@@ -177,8 +185,7 @@ def edge_sum(tree, w, lo, hi):
 def backward_expect(tree, vals, lo, hi):
     """E[vals at children | node] for each node id in [lo, hi)."""
     vc = _children(tree, vals.T, lo, hi, 0)
-    return edge_sum(tree, edge_layout(tree, tree.eprob, lo, hi) * vc, lo,
-                    hi).T
+    return edge_sum(tree, edge_probs(tree, lo, hi) * vc, lo, hi).T
 
 
 def level_moments_d1(tree, pdm, y, lo, hi, base=0, p=None):
@@ -186,10 +193,10 @@ def level_moments_d1(tree, pdm, y, lo, hi, base=0, p=None):
     range's ``pdm = p * dm``, plus the per-edge dy = y' - E[y'] of the
     range's edges that they are formed from, in their layout.
     ``y[i - base]`` is node i's value, so y may hold only the level below
-    the range.  ``p`` is the range's ``edge_layout`` of ``tree.eprob``,
-    laid out here when not given."""
+    the range.  ``p`` is the range's ``edge_probs``, laid out here when not
+    given."""
     if p is None:
-        p = edge_layout(tree, tree.eprob, lo, hi)
+        p = edge_probs(tree, lo, hi)
     yc = _children(tree, y.T, lo, hi, base)
     ey = edge_sum(tree, p * yc, lo, hi)
     dy = yc - parent_values(tree, ey, lo, hi)
@@ -202,7 +209,7 @@ def residual_moments_d1(tree, dm, dy, z, lo, hi, p=None):
     overwritten by dn; ``p`` as in ``level_moments_d1``."""
     dy -= parent_values(tree, z.T, lo, hi) * dm  # now dn
     if p is None:
-        p = edge_layout(tree, tree.eprob, lo, hi)
+        p = edge_probs(tree, lo, hi)
     return dy, edge_sum(tree, p * dy * dy, lo, hi).T
 
 
@@ -232,5 +239,4 @@ def weighted_child_sum(tree, w, vals, lo, hi):
     ``w`` holds the range's own edges in their layout, with C reweightings
     leading, (C, r, n) or (C, E), for a (C, n) result."""
     vc = _children(tree, vals, lo, hi, 0)
-    return edge_sum(tree, edge_layout(tree, tree.eprob, lo, hi) * w * vc,
-                    lo, hi)
+    return edge_sum(tree, edge_probs(tree, lo, hi) * w * vc, lo, hi)

@@ -377,7 +377,7 @@ def _levels(tree, M, clock, X, zeta, driver):
         a, b = tree.level_slice(k)
         # the level's own increments: no full-size dm is kept
         dm = _kernels.edge_increments(tree, m, a, b)
-        p = _kernels.edge_layout(tree, tree.eprob, a, b)
+        p = _kernels.edge_probs(tree, a, b)
         ey, m1, dy = _kernels.level_moments_d1(tree, p * dm, y, a, b, base,
                                                p=p)
         s2k = s2[a:b]
@@ -575,7 +575,7 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
     for k in range(tree.K - 1, -1, -1):
         a, bb = tree.level_slice(k)
         dm = _kernels.edge_increments(tree, m, a, bb)
-        p_e = _kernels.edge_layout(tree, tree.eprob, a, bb)
+        p_e = _kernels.edge_probs(tree, a, bb)
         m1 = _kernels.level_moments_d1(tree, p_e * dm, W, a, bb, p=p_e)[1]
         dck = dC[a:bb]
         qk = clock.factor(a, bb)
@@ -599,7 +599,7 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
         floored += int(np.count_nonzero(np.take_along_axis(
             w, _kernels.parent_values(tree, pick, a, bb)[None], axis=0)
             < DUAL_FLOOR))
-    frac = floored / max(len(tree.eprob), 1)
+    frac = floored / max(int(tree.estart[-1]), 1)
     if frac > DUAL_FLOOR_BUDGET:
         raise SolverError(
             f"measure-change floor triggered on {frac:.1%} of edges; the "

@@ -7,6 +7,7 @@ lattice state, e.g. constant coefficients); otherwise a full tree is needed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,16 +86,39 @@ def euler_forward(tree, M, clock, coeffs, x0, shifts=None):
 def extract_subtree(tree, node):
     """Sub-DAG reachable from a node, as a fresh tree plus the node map.
 
-    The subtree of a tree with a ``child_stride`` is given in closed form:
-    each level's kept nodes, renumbered in order, are children s*j + i of
-    the level above, so the new tree finds its stride from its level
-    sizes.  Any other tree's subtree is given its kept edges as arrays."""
-    level0 = int(tree.node_level[node])
-    nt = tree.n_nonterminal
+    The subtree of a tree with a ``child_stride`` s is given in closed form:
+    the kept local range [a, b) of one level keeps [s*a, s*(b - 1) + r) of
+    the next, so its level sizes and node map follow level by level, with
+    no walk over the edges, and the new tree finds its stride from its
+    level sizes.  Any other tree's subtree is found by a walk over the
+    edges out of [node, nt) and given its kept edges as arrays.  A subtree
+    shares its tree's move row."""
+    level0 = tree.level_of(node)
+    grid = TimeGrid(tree.grid.t[level0:] - tree.grid.t[level0])
+    nt, ls, p = tree.n_nonterminal, tree.level_start, tree.probs
+    s = tree.child_stride
+    if s is not None:
+        # the kept range [first, first + size) of each level
+        first, size = [], []
+        a, b = node - int(ls[level0]), node - int(ls[level0]) + 1
+        for k in range(level0, tree.K + 1):
+            first.append(int(ls[k]) + a)
+            size.append(b - a)
+            a, b = s * a, s * (b - 1) + tree.arity
+        sub_ls = np.zeros(len(size) + 1, dtype=np.int64)
+        np.cumsum(size, out=sub_ls[1:])
+        # new id i on level k is old node i + first[k] - sub_ls[k]
+        order = np.arange(sub_ls[-1])
+        order += np.repeat(np.array(first) - sub_ls[:-1], size)
+        if p.ndim == 1:
+            es = tree.estart
+            p = np.concatenate([p[es[f]:es[f + n]]
+                                for f, n in zip(first[:-1], size[:-1])])
+        return ScenarioTree(grid, sub_ls, None, None, p), order
     # every kept parent lies in [node, nt): the edges out of those nodes,
     # level by level from node on
     par, chi = tree.edge_parents(node, nt), tree.edge_children(node, nt)
-    ends = tree.estart[np.maximum(tree.level_start[level0:], node)]
+    ends = tree.estart[np.maximum(ls[level0:], node)]
     ends -= ends[0]
     keep = np.zeros(tree.n_nodes, dtype=bool)
     keep[node] = True
@@ -103,12 +127,10 @@ def extract_subtree(tree, node):
     # new id of old node i: the number of kept nodes before it
     new_id = np.concatenate([[0], np.cumsum(keep)])
     ekeep = keep[par]
-    ep = ec = None
-    if tree.child_stride is None:
-        ep, ec = new_id[par[ekeep]], new_id[chi[ekeep]]
-    grid = TimeGrid(tree.grid.t[level0:] - tree.grid.t[level0])
-    sub = ScenarioTree(grid, new_id[tree.level_start[level0:]], ep, ec,
-                       tree.eprob[tree.estart[node]:tree.estart[nt]][ekeep])
+    if p.ndim == 1:
+        p = p[tree.estart[node]:tree.estart[nt]][ekeep]
+    sub = ScenarioTree(grid, new_id[ls[level0:]], new_id[par[ekeep]],
+                       new_id[chi[ekeep]], p)
     return sub, np.flatnonzero(keep)
 
 
@@ -125,7 +147,7 @@ def shift_start(tree, M, t_idx, node, m, coeffs=None, clock=None, x=None):
     coefficients are supplied.  ``clock`` is the clock of the restarted
     subtree; it is computed from M_shifted when omitted.
     """
-    if int(tree.node_level[node]) != t_idx:
+    if tree.level_of(node) != t_idx:
         raise ValueError(f"node {node} is not at level {t_idx}")
     sub, order = extract_subtree(tree, node)
     Msub = shift_martingale(sub, order, M, node, m)
@@ -151,8 +173,20 @@ def _param(value, name):
     return v
 
 
+def _dim(value):
+    """A catalog dimension as an int: an integer, or a float of integral
+    value, so that 1.0 reads as 1; a string, a bool or a fractional value
+    is refused."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"coefficient dimension n must be an integer, "
+                         f"got {value!r}")
+    return int(value)
+
+
 def identity(n=1):
     """sigma = I, b = 0: X - x0 tracks M."""
+    n = _dim(n)
     return SdeCoeffs(
         id="identity", n=n,
         sigma=lambda t, x, m: np.broadcast_to(
@@ -161,7 +195,7 @@ def identity(n=1):
 
 
 def constant_drift(c=1.0, n=1):
-    c = _param(c, "c")
+    c, n = _param(c, "c"), _dim(n)
     return SdeCoeffs(
         id="constant_drift", n=n,
         sigma=lambda t, x, m: np.zeros((x.shape[0], n, m.shape[1])),

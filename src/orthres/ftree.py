@@ -5,7 +5,10 @@ grouped by parent node.  Recombining lattices are supported as level-layered
 DAGs: a node may have several incoming edges.  A tree's builder gives its
 edges as index arrays, which the tree keeps, or in one closed form (a
 ``child_stride``), from which their parents and children are computed and no
-per-edge index array is stored.
+per-edge index array is stored.  It gives their probabilities as one move
+row that every non-terminal node shares, or one per edge; a node's level is
+read off ``level_start``.  So a closed-form lattice keeps per node only its
+edge offset and its path probability.
 
 The martingale M is scalar (d = 1).  The martingale check, the conditional
 variances and the clock run one level at a time, narrow levels merged into
@@ -77,9 +80,9 @@ class ScenarioTree:
     grid : TimeGrid
     level_start : (K+2,) node-id offset of each level
     estart : (n_nodes+1,) per-node offset into the edges
-    eprob : (E,) edge probabilities, grouped by parent
+    probs : (1, r) move row that every non-terminal node takes, or (E,)
+        edge probabilities grouped by parent
     path_prob : (n_nodes,) total probability mass reaching the node
-    node_level : (n_nodes,) level of each node
     arity : r when every non-terminal node has r edges, else None
     child_stride : s on a tree given its edges in closed form, where on
         every level move i of level-local node j lands on level-local node
@@ -88,63 +91,78 @@ class ScenarioTree:
         arrays; where it is set, the kernels read a level's children as a
         strided view of the level below
 
-    The edges are given as ``eparent`` and ``echild`` arrays, which the tree
-    keeps and then has no ``child_stride``, or in closed form as None for
-    both: then every non-terminal node has r = len(eprob) / n_nonterminal
-    edges, each level's size must be s*(n - 1) + r for the n nodes above it
-    and one stride 1 <= s <= r, and the tree keeps no per-edge index arrays.
-    ``edge_parents`` and ``edge_children`` give the edges of any node range,
-    from the closed form or as slices of the kept arrays.
+    The probabilities are given as one (1, r) row, move i of every
+    non-terminal node being its i-th edge, or as an (E,) array, one per
+    edge.  The edges are given as ``eparent`` and ``echild`` arrays, which
+    the tree keeps and then has no ``child_stride``, or in closed form as
+    None for both: then every non-terminal node has r edges (the row's r,
+    or len(eprob) / n_nonterminal), each level's size must be s*(n - 1) + r
+    for the n nodes above it and one stride 1 <= s <= r, and the tree keeps
+    no per-edge index arrays.  ``edge_parents`` and ``edge_children`` give
+    the edges of any node range, from the closed form or as slices of the
+    kept arrays; ``level_of`` gives a node's level from ``level_start``.
+    ``eprob``, ``node_level``, ``eparent`` and ``echild`` build the whole
+    array on each read.
     """
 
     def __init__(self, grid, level_start, eparent, echild, eprob):
         self.grid = grid
         self.level_start = ls = np.asarray(level_start, dtype=np.int64)
-        self.eprob = np.asarray(eprob, dtype=float)
+        self.probs = p = np.asarray(eprob, dtype=float)
         n = int(ls[-1])
         self.n_nodes = n
         if len(ls) != self.K + 2 or ls[0] != 0 or np.any(np.diff(ls) < 1):
             raise InvariantViolation("level_start must hold K + 2 increasing "
                                      "node offsets from 0")
+        if not (p.ndim == 1 or p.ndim == 2 and p.shape[0] == 1):
+            raise InvariantViolation("edge probabilities must be a (1, r) "
+                                     f"move row or one per edge, got shape "
+                                     f"{p.shape}")
         nt = self.n_nonterminal
         if eparent is None:
             self._eparent = self._echild = None
-            r = len(self.eprob) // nt
-            if r < 1 or r * nt != len(self.eprob):
+            r = p.shape[1] if p.ndim == 2 else len(p) // nt
+            if r < 1 or p.ndim == 1 and r * nt != len(p):
                 raise InvariantViolation(
                     f"closed-form edges need the same number out of each of "
-                    f"{nt} non-terminal nodes, got {len(self.eprob)} edges")
-            self.estart = np.minimum(np.arange(n + 1), nt) * r
+                    f"{nt} non-terminal nodes, got {p.size} edges")
+            # min(i, nt) * r, formed in place
+            self.estart = np.arange(n + 1)
+            np.minimum(self.estart, nt, out=self.estart)
+            self.estart *= r
             self.arity = r
         else:
             self._set_edge_arrays(eparent, echild)
+            if p.ndim == 2 and self.arity != p.shape[1]:
+                raise InvariantViolation(
+                    f"a move row of {p.shape[1]} probabilities needs that "
+                    f"many edges out of every non-terminal node")
         self.validate()
 
-        self.node_level = np.repeat(np.arange(self.K + 1), np.diff(ls))
-        self.path_prob = np.zeros(n)
-        self.path_prob[0] = 1.0
-        s = self.child_stride
+        self.path_prob = pp = np.zeros(n)
+        pp[0] = 1.0
+        s, p, bounds = self.child_stride, self.probs, ls.tolist()
         for k in range(self.K):
-            sl = self._edge_slice(k)
-            a, b = self.level_slice(k + 1)
+            # level k is [lo, hi), level k + 1 is [hi, b)
+            lo, hi, b = bounds[k:k + 3]
+            sl = slice(int(self.estart[lo]), int(self.estart[hi]))
             if s is None:
                 # bincount adds each child's incoming mass in edge order
                 # from 0.0
-                self.path_prob[a:b] = np.bincount(
-                    self._echild[sl] - a,
-                    self.path_prob[self._eparent[sl]] * self.eprob[sl], b - a)
+                w = ((pp[lo:hi, None] * p).ravel() if p.ndim == 2
+                     else pp[self._eparent[sl]] * p[sl])
+                pp[hi:b] = np.bincount(self._echild[sl] - hi, w, b - hi)
                 continue
             # move i of the level's nodes feeds children i, i + s, ...:
             # adding the highest move first adds each child's incoming mass
             # in edge order (parent-major) from 0.0, as bincount does
-            lo, hi = self.level_slice(k)
-            w = (self.path_prob[lo:hi, None]
-                 * self.eprob[sl].reshape(hi - lo, -1)).T
+            row = p if p.ndim == 2 else p[sl].reshape(hi - lo, -1)
+            w = (pp[lo:hi, None] * row).T
             for i in range(self.arity - 1, -1, -1):
-                self.path_prob[a + i:a + i + s * (hi - lo):s] += w[i]
+                pp[hi + i:hi + i + s * (hi - lo):s] += w[i]
 
-        for a in (self.level_start, self._eparent, self._echild, self.eprob,
-                  self.estart, self.path_prob, self.node_level):
+        for a in (self.level_start, self._eparent, self._echild, self.probs,
+                  self.estart, self.path_prob):
             if a is not None:
                 a.flags.writeable = False
         mass = np.add.reduceat(self.path_prob, ls[:-1])
@@ -162,7 +180,8 @@ class ScenarioTree:
             order = np.argsort(self._eparent, kind="stable")
             self._eparent = self._eparent[order]
             self._echild = self._echild[order]
-            self.eprob = self.eprob[order]
+            if self.probs.ndim == 1:
+                self.probs = self.probs[order]
         # sorted, so the ends bound every parent; the children are bounded
         # level by level in validate, before anything indexes with them
         if self._eparent.size and not (0 <= self._eparent[0]
@@ -191,6 +210,10 @@ class ScenarioTree:
     def level_slice(self, k):
         return int(self.level_start[k]), int(self.level_start[k + 1])
 
+    def level_of(self, node):
+        """The level of node id ``node``."""
+        return int(np.searchsorted(self.level_start, node, "right")) - 1
+
     def _edge_slice(self, k):
         lo, hi = self.level_slice(k)
         return slice(int(self.estart[lo]), int(self.estart[hi]))
@@ -209,11 +232,28 @@ class ScenarioTree:
         if self._echild is not None:
             return self._echild[self.estart[lo]:self.estart[hi]]
         nt, ls, s = self.n_nonterminal, self.level_start, self.child_stride
-        # move 0 of node j on level k lands on ls[k+1] + s*(j - ls[k])
         lo, hi = min(lo, nt), min(hi, nt)
-        first = (ls[1:] - s * ls[:-1])[self.node_level[lo:hi]]
-        first += np.arange(s * lo, s * hi, s)
+        first = np.arange(s * lo, s * hi, s)
+        # move 0 of node j on level k lands on ls[k+1] + s*(j - ls[k]): each
+        # level the range meets adds its own offset
+        k, at = self.level_of(lo), lo
+        while at < hi:
+            end = min(int(ls[k + 1]), hi)
+            first[at - lo:end - lo] += int(ls[k + 1]) - s * int(ls[k])
+            at, k = end, k + 1
         return _per_move(first, self.arity, 1)
+
+    @property
+    def eprob(self):
+        """(E,) probability of every edge, built on each read from a move
+        row."""
+        p = self.probs
+        return np.tile(p[0], self.n_nonterminal) if p.ndim == 2 else p
+
+    @property
+    def node_level(self):
+        """(n_nodes,) level of every node, built on each read."""
+        return np.repeat(np.arange(self.K + 1), np.diff(self.level_start))
 
     @property
     def eparent(self):
@@ -229,19 +269,20 @@ class ScenarioTree:
 
     def validate(self):
         """Check the edges: probabilities in (0, 1] summing to 1 per
-        non-terminal node, and each level's edges ending on the next level.
-        Sets ``child_stride`` on the way.
+        non-terminal node (once for a move row), and each level's edges
+        ending on the next level.  Sets ``child_stride`` on the way.
         """
+        p = self.probs
         # written so that NaN fails it
-        if not (np.all(self.eprob > 0) and np.all(self.eprob <= 1)):
+        if not (np.all(p > 0) and np.all(p <= 1)):
             raise InvariantViolation("edge probabilities must lie in (0,1]")
         nt = self.n_nonterminal
         if self._echild is not None and self.estart[nt] != len(self._echild):
             raise InvariantViolation("edges must connect consecutive levels")
         # __init__ gave every non-terminal node an edge, so no segment is
         # empty
-        bad = np.abs(_kernels._segment_sum(self, self.eprob,
-                                           self.estart[:nt]) - 1.0)
+        p, at = (p[0], [0]) if p.ndim == 2 else (p, self.estart[:nt])
+        bad = np.abs(_kernels._segment_sum(self, p, at) - 1.0)
         if bad.max() > PROB_TOL:
             raise InvariantViolation(
                 f"outgoing probabilities sum to 1 violated by {bad.max():.3e}")
@@ -411,7 +452,7 @@ def conditional_covariances(tree, M):
     sigma = np.empty(tree.n_nonterminal)
     for lo, hi in _runs(tree):
         dm = _kernels.edge_increments(tree, m, lo, hi)
-        p = _kernels.edge_layout(tree, tree.eprob, lo, hi)
+        p = _kernels.edge_probs(tree, lo, hi)
         sigma[lo:hi] = _kernels.edge_sum(tree, p * dm * dm, lo, hi)
     return sigma
 

@@ -13,8 +13,11 @@ children in the order of their first appearance: full trees
 (``_full_walk``) and recombining walks on one component (``_line_walk``:
 ``binary``, ``trinomial``, the one-sided jump) have a child stride, so their
 trees keep no edge arrays; the two-sided jump lattice (``_simplex_walk``)
-has none and passes its arrays.  ``time_changed`` merges states by rounded
-float value, level by level, numbered by ``_first_appearance``.
+has none and passes its arrays.  Every node of such a walk takes the same
+moves, so its tree holds their probabilities as one move row, not one per
+edge.  ``time_changed`` merges states by rounded float value, level by
+level, numbered by ``_first_appearance``, and gives one probability per
+edge.
 ``ModelConfig`` checks every builder's parameters, so a bad one is refused
 before anything is built.
 """
@@ -140,7 +143,7 @@ def _first_appearance(keys):
     return rank[inverse], first[order]
 
 
-def _line_walk(K, moves, probs):
+def _line_walk(K, moves):
     """A recombining walk on one integer component in closed form:
     ``moves`` any arithmetic progression m0 + g*i, ascending (g > 0) or
     descending (g < 0).
@@ -149,41 +152,40 @@ def _line_walk(K, moves, probs):
     which is the order of their first appearance among the parent-major,
     move-minor candidates.  So move i of local node j lands on local child
     j + i: child stride 1, and the tree needs no edge arrays.  Returns
-    level_start, eprob and the (n, 1) states.
+    level_start and the (n, 1) states; every node shares the move row.
     """
     r = len(moves)
     m0, g = int(moves[0]), int(moves[1] - moves[0])
     sizes = np.arange(K + 1) * (r - 1) + 1
     level_start = np.zeros(K + 2, dtype=np.int64)
     np.cumsum(sizes, out=level_start[1:])
-    n, nt = int(level_start[-1]), int(level_start[-2])
-    eprob = np.tile(probs, nt)
+    n = int(level_start[-1])
     # k*m0 + g*j = g*id + (k*m0 - g*level_start[k])
     states = np.arange(n)
     states *= g
     states += np.repeat(m0 * np.arange(K + 1) - g * level_start[:-1], sizes)
-    return level_start, eprob, states[:, None]
+    return level_start, states[:, None]
 
 
-def _full_walk(K, moves, probs):
+def _full_walk(K, moves):
     """A non-recombining walk in closed form: every candidate is a new node,
     so move i of local node j lands on local child r*j + i (child stride r)
     and the tree needs no edge arrays.  Each level's states are its parents'
-    plus every move, by broadcasting.  Returns level_start, eprob and the
-    (n, n_comp) states."""
+    plus every move, by broadcasting.  Returns level_start and the
+    (n, n_comp) states; every node shares the move row."""
     r = len(moves)
     level_start = np.zeros(K + 2, dtype=np.int64)
     np.cumsum(r ** np.arange(K + 1), out=level_start[1:])
-    n, nt = int(level_start[-1]), int(level_start[-2])
+    n = int(level_start[-1])
     states = np.zeros((n, moves.shape[1]), dtype=np.int64)
     for k in range(K):
         lo, hi = int(level_start[k]), int(level_start[k + 1])
         states[hi:hi + r * (hi - lo)] = (
             states[lo:hi, None, :] + moves).reshape(-1, moves.shape[1])
-    return level_start, np.tile(probs, nt), states
+    return level_start, states
 
 
-def _simplex_walk(K, probs):
+def _simplex_walk(K):
     """The recombining two-sided jump walk in closed form: moves (1, 0),
     (0, 0) and (0, 1) on the (up, down) jump counts.
 
@@ -192,8 +194,8 @@ def _simplex_walk(K, probs):
     candidates.  With u = k - i, state (i, j) is local node u(u+1)/2 + j, and
     its moves land on local children of the next level at that index plus
     0, u + 1 and u + 2.  Levels grow by k + 2 nodes, which no one child
-    stride fits, so this walk returns level_start, eparent, echild, eprob
-    and the (n, 2) states.
+    stride fits, so this walk returns level_start, eparent, echild and the
+    (n, 2) states; every node shares the move row.
     """
     sizes = (np.arange(K + 1) + 1) * (np.arange(K + 1) + 2) // 2
     level_start = np.zeros(K + 2, dtype=np.int64)
@@ -211,14 +213,15 @@ def _simplex_walk(K, probs):
     child[:, 1] = child[:, 0] + u[:nt] + 1
     child[:, 2] = child[:, 1] + 1
     return (level_start, np.repeat(np.arange(nt), 3), child.ravel(),
-            np.tile(probs, nt), states)
+            states)
 
 
 def _lattice_walk(config, moves, probs, value):
     """Build a fixed-move lattice over integer states.
 
     ``moves`` is an (n_moves, n_comp) table of steps in {-1, 0, 1} taken
-    with ``probs``; ``value(states, level)`` maps node states to M.  Children are
+    with ``probs``, one row that every node shares; ``value(states,
+    level_start)`` maps node states to M.  Children are
     numbered in the order of their first appearance among the parent-major,
     move-minor candidates; with ``recombine`` off every candidate is a new
     node.  Each shape has its closed form: a full tree (``_full_walk``), a
@@ -233,21 +236,22 @@ def _lattice_walk(config, moves, probs, value):
     moves = np.asarray(moves, dtype=np.int64)
     eparent = echild = None
     if not config.params.get("recombine", True):
-        level_start, eprob, states = _full_walk(K, moves, probs)
+        level_start, states = _full_walk(K, moves)
     elif moves[:, 1:].any():
-        level_start, eparent, echild, eprob, states = _simplex_walk(K, probs)
+        level_start, eparent, echild, states = _simplex_walk(K)
     else:
-        level_start, eprob, states = _line_walk(K, moves[:, 0], probs)
+        level_start, states = _line_walk(K, moves[:, 0])
         if moves.shape[1] > 1:
             states = np.pad(states, ((0, 0), (0, moves.shape[1] - 1)))
     if level_start[-1] != n:
         raise InvariantViolation(
             f"{config.kind} lattice filled {level_start[-1]} nodes, "
             f"estimate is {n}")
-    tree = ScenarioTree(TimeGrid.uniform(K, config.T), level_start,
-                        eparent, echild, eprob)
-    mvals = value(states, tree.node_level)
+    mvals = value(states, level_start)
     mvals[0] = 0.0      # a literal, as a negative step would give -0.0
+    del states          # so the tree's arrays do not sit on top of it
+    tree = ScenarioTree(TimeGrid.uniform(K, config.T), level_start,
+                        eparent, echild, np.asarray(probs, dtype=float)[None])
     return tree, _validated(tree, mvals)
 
 
@@ -255,7 +259,7 @@ def build_binary(config):
     """Symmetric +-h walk; recombining lattice; h defaults to sqrt(T/K)."""
     h = float(config.params.get("h", np.sqrt(config.T / config.K)))
     return _lattice_walk(config, [[-1], [1]], [0.5, 0.5],
-                         lambda s, level: s[:, 0] * h)
+                         lambda s, ls: s[:, 0] * h)
 
 
 def build_trinomial(config):
@@ -263,7 +267,7 @@ def build_trinomial(config):
     p = float(config.params.get("p", 0.25))
     h = float(config.params.get("h", np.sqrt(config.T / (2 * p * config.K))))
     return _lattice_walk(config, [[-1], [0], [1]], [p, 1 - 2 * p, p],
-                         lambda s, level: s[:, 0] * h)
+                         lambda s, ls: s[:, 0] * h)
 
 
 def build_compensated_jump(config):
@@ -289,9 +293,14 @@ def build_compensated_jump(config):
     if pd > 0:
         moves.append([0, 1])
         probs.append(pd)
-    return _lattice_walk(
-        config, moves, probs,
-        lambda s, level: jump * s[:, 0] - jump_down * s[:, 1] - level * comp)
+
+    def value(s, ls):
+        v = jump * s[:, 0] - jump_down * s[:, 1]
+        # less the compensator, k * comp on level k
+        for k in range(1, len(ls) - 1):
+            v[ls[k]:ls[k + 1]] -= k * comp
+        return v
+    return _lattice_walk(config, moves, probs, value)
 
 
 def build_time_changed(config):
@@ -346,7 +355,7 @@ def build_product_noise(config):
     moves = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])  # (step, coin)
     return _lattice_walk(
         replace(config, params={**config.params, "recombine": False}),
-        moves, [0.25] * 4, lambda s, level: s[:, 0] * h)
+        moves, [0.25] * 4, lambda s, ls: s[:, 0] * h)
 
 
 BUILDERS = {"binary": build_binary, "trinomial": build_trinomial,

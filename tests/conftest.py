@@ -41,7 +41,7 @@ def closed_form_twin(tree):
 def random_martingale(rng, tree, scale=1.0):
     """Backward-centered random walk: a valid martingale on any tree."""
     vals = np.zeros(tree.n_nodes)
-    ep, ec = tree.eparent, tree.echild
+    ep, ec, pr = tree.eparent, tree.echild, tree.eprob
     for k in range(tree.K):
         sl = tree._edge_slice(k)
         par, chi = ep[sl], ec[sl]
@@ -50,7 +50,7 @@ def random_martingale(rng, tree, scale=1.0):
     # recenter increments node by node so E[dM | node] = 0
     for i in range(tree.n_nonterminal):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
-        p = tree.eprob[e0:e1]
+        p = pr[e0:e1]
         chi = ec[e0:e1]
         vals[chi] -= p @ (vals[chi] - vals[i]) / p.sum()
     return AdaptedProcess(tree, vals)

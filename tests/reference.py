@@ -3,14 +3,15 @@
 Each is the plain loop that the library either replaced with a vectorised
 version or never needed outside the tests: the true-tree test, an incremental
 tree builder, exact conditional expectations, the pathwise bracket, a JSON
-round trip, the level-by-level and the d-general GKW projections, a solve's
-per-edge dN, the two-term bracket split, the Markov grouping spread, a driver
-growth check, the comparison check on two stored solutions, a clamped
-terminal map, a tree's path probabilities and closed-form child stride by
-their definitions, and the martingale check and the clock over all
-non-terminal nodes at once.  The library's martingale is scalar (d = 1); the
-d-general covariances, PSD factor and GKW projection are kept here, built on
-nothing from the library but its kernels.
+round trip, the level-by-level and the d-general GKW projections, any
+per-edge array in the kernels' layout, a solve's per-edge dN, the two-term
+bracket split, the Markov grouping spread, a driver growth check, the
+comparison check on two stored solutions, a clamped terminal map, a tree's
+path probabilities and closed-form child stride by their definitions, and
+the martingale check and the clock over all non-terminal nodes at once.
+The library's martingale is scalar (d = 1); the d-general covariances, PSD
+factor and GKW projection are kept here, built on nothing from the library
+but its kernels.
 """
 
 import json
@@ -232,6 +233,19 @@ def tree_from_json(text):
 # GKW and BSDE checks
 # ---------------------------------------------------------------------------
 
+def edge_layout(tree, w, lo, hi):
+    """The edges of [lo, hi) of any per-edge (E,) array w, in the kernels'
+    layout of the range: contiguous where the range's children are a view,
+    and a transposed view of w where they are gathered, in the gather's edge
+    order.  The library lays out only probabilities (``edge_probs``)."""
+    w = w[_kernels._edges(tree, lo, hi)]
+    if not _kernels._strided(tree):
+        return w
+    w = w.reshape(hi - lo, -1).T
+    return (w if _kernels._first_child(tree, lo, hi) is None
+            else np.ascontiguousarray(w))
+
+
 def gkw_levels(tree, M, Y):
     """Projection of dY on dM for a scalar M, level by level from each
     level's own increments and E[dm^2 | node], as a loop of its own rather
@@ -244,7 +258,7 @@ def gkw_levels(tree, M, Y):
     for k in range(tree.K):
         a, b = tree.level_slice(k)
         dm = _kernels.edge_increments(tree, m, a, b)
-        pdm = _kernels.edge_layout(tree, tree.eprob, a, b) * dm
+        pdm = edge_layout(tree, tree.eprob, a, b) * dm
         ey, m1 = _kernels.level_moments_d1(tree, pdm, y, a, b)[:2]
         s2 = _kernels.edge_sum(tree, pdm * dm, a, b)
         z[a:b] = np.where(s2 > _kernels.PROJ_EPS,
@@ -264,10 +278,10 @@ def gkw_pinv(tree, M, Y):
     Z = np.zeros((nt, M.dim))
     dn = np.zeros(len(tree.echild))
     res = np.zeros(nt)
-    ec = tree.echild
+    ec, pr = tree.echild, tree.eprob
     for i in range(nt):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
-        p = tree.eprob[e0:e1]
+        p = pr[e0:e1]
         dm = M.values[ec[e0:e1]] - M.values[i]
         dy = y[ec[e0:e1]] - float(p @ y[ec[e0:e1]])
         Z[i] = np.linalg.pinv(sigma[i], rcond=_kernels.PROJ_EPS) @ (
@@ -297,7 +311,8 @@ def bracket_split(tree, M, Y, gkw_result, u, markov_tol=1e-9):
     Returns per-level cumulative expectations (A1_k, A2_k) with
     A1 + A2 equal to the telescoped E[sum dY dN] edge-exactly.
     """
-    uvals = np.array([u(int(tree.node_level[i]), M.values[i])
+    level = tree.node_level
+    uvals = np.array([u(int(level[i]), M.values[i])
                       for i in range(tree.n_nodes)], dtype=float)
     spread = float(np.max(np.abs(uvals - Y.scalar)))
     if spread > markov_tol:
@@ -306,11 +321,11 @@ def bracket_split(tree, M, Y, gkw_result, u, markov_tol=1e-9):
     dn = gkw_result.dN
     A1 = np.zeros(tree.K)
     A2 = np.zeros(tree.K)
-    ep, ec = tree.eparent, tree.echild
+    ep, ec, pr = tree.eparent, tree.echild, tree.eprob
     for k in range(tree.K):
         sl = tree._edge_slice(k)
         par, chi = ep[sl], ec[sl]
-        w = tree.path_prob[par] * tree.eprob[sl]
+        w = tree.path_prob[par] * pr[sl]
         u_next_here = np.array([u(k + 1, M.values[i]) for i in par])
         a1 = (u_next_here - uvals[par]) * dn[sl]
         a2 = (uvals[chi] - u_next_here) * dn[sl]
@@ -322,9 +337,9 @@ def bracket_split(tree, M, Y, gkw_result, u, markov_tol=1e-9):
 def markov_grouping_check(tree, X, M, sol, decimals=9):
     """Max spread of Y within groups of equal (level, X-value, M-value)."""
     groups = {}
-    y = sol.Y.values[:, 0]
+    y, level = sol.Y.values[:, 0], tree.node_level
     for i in range(tree.n_nodes):
-        key = (int(tree.node_level[i]),
+        key = (int(level[i]),
                tuple(np.round(X.values[i], decimals)) if X is not None else (),
                tuple(np.round(M.values[i], decimals)))
         groups.setdefault(key, []).append(y[i])
@@ -484,7 +499,7 @@ def covariances_range(tree, M):
     nt = tree.n_nonterminal
     if M.dim == 1:
         dm = _kernels.edge_increments(tree, M.scalar, 0, nt)
-        p = _kernels.edge_layout(tree, tree.eprob, 0, nt)
+        p = edge_layout(tree, tree.eprob, 0, nt)
         return _kernels.edge_sum(tree, p * dm * dm, 0, nt).reshape(nt, 1, 1)
     sl = slice(0, int(tree.estart[nt]))
     dm = M.values[tree.echild[sl]] - M.values[tree.eparent[sl]]

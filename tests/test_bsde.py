@@ -27,7 +27,7 @@ from orthres.bsde import (DriverSpec, compare, driver_from_catalog,
 import reference
 from conftest import (permute_last_level, random_full_tree,
                       random_martingale, small_trees)
-from reference import (check_growth, markov_grouping_check,
+from reference import (check_growth, edge_layout, markov_grouping_check,
                        product_noise_coin, solution_dN)
 
 
@@ -190,13 +190,13 @@ def lipschitz_reference(tree, M, clock, zeta, driver, tol=bsde.FP_TOL):
     y[lo:hi] = zeta
     z, s2, res = np.zeros(nt), np.zeros(nt), np.zeros(nt)
     dn = np.zeros(len(tree.echild))
-    ec = tree.echild
+    ec, pr = tree.echild, tree.eprob
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
         for i in range(a, b):
             e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
             ch = ec[e0:e1]
-            p = tree.eprob[e0:e1]
+            p = pr[e0:e1]
             dm = m[ch] - m[i]
             ey = sum(p[j] * y[c] for j, c in enumerate(ch))
             s2[i] = sum(p[j] * dm[j] ** 2 for j in range(len(ch)))
@@ -341,7 +341,7 @@ def test_no_y_part_step_is_the_explicit_sum():
     y = sol.Y.values[:, 0]
     for k in range(tree.K):
         a, b = tree.level_slice(k)
-        pdm = (_kernels.edge_layout(tree, tree.eprob, a, b)
+        pdm = (edge_layout(tree, tree.eprob, a, b)
                * _kernels.edge_increments(tree, M.scalar, a, b))
         ey = _kernels.level_moments_d1(tree, pdm, y, a, b)[0]
         z = sol.Z.values[a:b, 0] * clock.factor(a, b)
@@ -390,14 +390,13 @@ def cond_second_moment_loop(tree, xi, y):
     pushed forward edge by edge to the leaves."""
     lo, hi = tree.level_slice(tree.K)
     out = np.empty(tree.n_nodes)
-    ep, ec = tree.eparent, tree.echild
+    ep, ec, pr = tree.eparent, tree.echild, tree.eprob
     for i in range(tree.n_nodes):
         mass = np.zeros(tree.n_nodes)
         mass[i] = 1.0
-        for k in range(int(tree.node_level[i]), tree.K):
+        for k in range(tree.level_of(i), tree.K):
             sl = tree._edge_slice(k)
-            np.add.at(mass, ec[sl],
-                      mass[ep[sl]] * tree.eprob[sl])
+            np.add.at(mass, ec[sl], mass[ep[sl]] * pr[sl])
         out[i] = mass[lo:hi] @ (xi - y[i]) ** 2
     return out
 
@@ -572,7 +571,7 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
     dm_all = M.scalar[ec] - M.scalar[ep]
     for k in range(tree.K - 1, -1, -1):
         a, bb = tree.level_slice(k)
-        pdm = (_kernels.edge_layout(tree, tree.eprob, a, bb)
+        pdm = (edge_layout(tree, tree.eprob, a, bb)
                * _kernels.edge_increments(tree, M.scalar, a, bb))
         m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)[1]
         dck, qk = dC[a:bb], qdiag[a:bb]

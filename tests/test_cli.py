@@ -183,6 +183,12 @@ TOLERANCE_ERRORS = [
                      ("constant_drift", "c"))
       for name, v in (("nan", math.nan), ("inf", math.inf),
                       ("1e400", "1e400"))),
+    # a coefficient dimension reads as an integer, 1.0 as 1
+    *(pytest.param({**SCAN, "coeffs": {"id": cid, "params": {"n": v}}},
+                   id=f"{cid}_n_{name}")
+      for cid in ("identity", "constant_drift")
+      for name, v in (("fractional", 1.5), ("string", "1"), ("bool", True),
+                      ("two", 2))),
 ])
 def test_exit_3_on_malformed_config(tmp_path, capsys, overrides):
     if overrides is None:
@@ -253,6 +259,27 @@ def test_integral_floats_are_valid_integer_fields():
         "seed": 3.0, "seeds": 2.0,
         "tolerances": {"t_idx": 2.0, "m_count": 5.0}})
     assert (cfg.model.K, cfg.seed, cfg.seeds) == (8, 3, 2)
+
+
+def test_integral_float_coefficient_dimension_runs_as_an_integer(tmp_path):
+    """``n: 1.0`` gives the report of ``n: 1``, apart from the config it
+    echoes and its hash."""
+    reports = []
+    for n in (1, 1.0):
+        out = tmp_path / f"n{n!r}"
+        path, _ = write_cfg(
+            tmp_path, output=str(out), experiment="regularity_scan",
+            model={"kind": "trinomial", "K": 8}, F={"id": "sine"},
+            driver={"id": "pure_quadratic", "params": {"gamma": 1.0}},
+            coeffs={"id": "identity", "params": {"n": n}}, K_list=[],
+            tolerances={"t_idx": 3, "m_count": 5})
+        assert main(["run", str(path)]) == 0
+        rep = json.loads((tmp_path / f"n{n!r}.json").read_text())
+        csv = (tmp_path / f"n{n!r}.csv").read_text().splitlines()
+        reports.append((rep["rows"], rep["summary"],
+                        [line.rsplit(",", 1)[0] for line in csv],
+                        (tmp_path / f"n{n!r}.curves.tsv").read_bytes()))
+    assert reports[0] == reports[1]
 
 
 def test_sweep_checks_the_models_it_builds():

@@ -40,7 +40,7 @@ def test_linear_sigma_stochastic_exponential():
     h = np.sqrt(1.0 / 5)
     # X_k = x0 (1+a h)^{ups} (1-a h)^{downs}; on the lattice state m = (u-d)h
     for i in range(tree.n_nodes):
-        k = int(tree.node_level[i])
+        k = tree.level_of(i)
         m = M.scalar[i]
         ups = (k + m / h) / 2
         downs = k - ups
@@ -157,8 +157,8 @@ def test_extract_subtree_mass_and_levels():
 def _extract_subtree_reference(tree, node):
     """Breadth-first extraction over dicts and sets, as it was before the
     level mask; kept as the reference."""
-    level0 = int(tree.node_level[node])
-    echild = tree.echild
+    level, echild, eprob = tree.node_level, tree.echild, tree.eprob
+    level0 = int(level[node])
     keep = {node}
     frontier = [node]
     for k in range(level0, tree.K):
@@ -170,20 +170,20 @@ def _extract_subtree_reference(tree, node):
                     keep.add(c)
                     nxt.append(c)
         frontier = nxt
-    order = sorted(keep, key=lambda i: (int(tree.node_level[i]), i))
+    order = sorted(keep, key=lambda i: (int(level[i]), i))
     remap = {old: new for new, old in enumerate(order)}
     counts = np.zeros(tree.K - level0 + 1, dtype=np.int64)
     for i in order:
-        counts[int(tree.node_level[i]) - level0] += 1
+        counts[int(level[i]) - level0] += 1
     level_start = np.concatenate([[0], np.cumsum(counts)])
     ep, ec, pr = [], [], []
     for i in order:
-        if int(tree.node_level[i]) == tree.K:
+        if int(level[i]) == tree.K:
             continue
         for e in range(int(tree.estart[i]), int(tree.estart[i + 1])):
             ep.append(remap[i])
             ec.append(remap[int(echild[e])])
-            pr.append(float(tree.eprob[e]))
+            pr.append(float(eprob[e]))
     grid = TimeGrid(tree.grid.t[level0:] - tree.grid.t[level0])
     sub = ScenarioTree(grid, level_start, ep, ec, pr)
     return sub, np.array(order)

@@ -9,14 +9,16 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthres import ftree
-from orthres.errors import InvariantViolation
+from orthres import _kernels, ftree
+from orthres.bsde import dual_value, solve_lipschitz, truncated_driver
+from orthres.errors import InvariantViolation, OrthresError
 from orthres.ftree import (PSD_TOL, AdaptedProcess, ScenarioTree, TimeGrid,
                            backward_closure, is_martingale,
                            predictable_bracket)
 from orthres.models import ModelConfig, build
 
 from orthres.forward import extract_subtree
+from orthres.gkw import gkw_decompose
 
 from conftest import (closed_form_twin, permute_last_level,
                       random_full_tree, random_martingale, small_trees)
@@ -581,15 +583,135 @@ def test_closed_form_tree_refuses_level_sizes_off_its_stride(level_start,
 
 def test_no_library_module_reads_the_whole_edge_arrays():
     """The library reads edges through edge_parents and edge_children on a
-    node range: on a closed-form tree each read of ``.eparent`` or
-    ``.echild`` builds the whole array.  ScenarioTree's own definitions of
-    those properties are not reads."""
+    node range, probabilities through ``probs`` per range and levels from
+    ``level_start``: on a closed-form tree each read of ``.eparent`` or
+    ``.echild``, on a tree with a move row each read of ``.eprob``, and on
+    every tree each read of ``.node_level`` builds the whole array.
+    ScenarioTree's own definitions of those properties are not reads."""
     reads = [f"{path.name}:{node.lineno}"
              for path in sorted(Path(ftree.__file__).parent.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute)
-             and node.attr in ("eparent", "echild")]
+             and node.attr in ("eparent", "echild", "eprob", "node_level")]
     assert reads == []
+
+
+# -- a move row against its per-edge twin -----------------------------------
+
+@st.composite
+def move_row_trees(draw):
+    """(tree, M) on a tree given one move row of arity 2 .. 4: a built
+    lattice (recombining or full, the two-sided jump given as arrays) or a
+    random full tree, as built, given its edges as arrays, or with its
+    leaves permuted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("random", "binary", "trinomial",
+                                 "compensated_jump", "product_noise")))
+    if kind == "random":
+        r, K = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+        row = rng.uniform(0.1, 1.0, r)
+        row /= row.sum()
+        row[-1] = 1.0 - row[:-1].sum()
+        ls = np.concatenate([[0], np.cumsum(r ** np.arange(K + 1))])
+        tree = ScenarioTree(TimeGrid.uniform(K), ls, None, None, row[None])
+        M = random_martingale(rng, tree)
+    else:
+        K = draw(st.integers(5 if kind == "compensated_jump" else 1,
+                             4 if kind == "product_noise" else 10))
+        params = {"recombine": draw(st.booleans())} if K <= 6 else {}
+        if kind == "compensated_jump":
+            params["lam_down"] = draw(st.sampled_from((0.0, 2.0)))
+        built = build(ModelConfig(kind, K=K, params=params))
+        tree, M = built.tree, built.M
+    form = draw(st.sampled_from(("as built", "arrays", "permuted")))
+    if form == "arrays":
+        tree = ScenarioTree(tree.grid, tree.level_start, tree.eparent,
+                            tree.echild, tree.probs)
+    if form == "permuted":
+        new_id = permute_last_level(tree, rng)[1]
+        tree = ScenarioTree(tree.grid, tree.level_start, tree.eparent,
+                            new_id[tree.echild], tree.probs)
+        vals = np.empty_like(M.values)
+        vals[new_id] = M.values
+        M = AdaptedProcess(tree, vals)
+    assert tree.probs.shape == (1, tree.arity)
+    return tree, M
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except OrthresError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(move_row_trees(), st.data())
+def test_move_row_tree_equals_its_per_edge_twin(case, data):
+    """A tree given one move row and its twin given the same probabilities
+    per edge agree byte for byte: path probabilities, the probabilities of
+    any node range in the kernels' layout, the clock, a Lipschitz solve, the
+    GKW dN and the dual value."""
+    tree, M = case
+    twin = ScenarioTree(tree.grid, tree.level_start, tree._eparent,
+                        tree._echild, tree.eprob)
+    assert twin.probs.shape == (tree.estart[-1],)
+    assert twin.child_stride == tree.child_stride
+    assert tree.path_prob.tobytes() == twin.path_prob.tobytes()
+    nt = tree.n_nonterminal
+    for _ in range(5):
+        lo = data.draw(st.integers(0, nt - 1))
+        hi = data.draw(st.integers(lo + 1, nt))
+        want = _kernels.edge_probs(twin, lo, hi)
+        got = np.broadcast_to(_kernels.edge_probs(tree, lo, hi), want.shape)
+        assert (np.ascontiguousarray(got).tobytes()
+                == np.ascontiguousarray(want).tobytes())
+    Mt = AdaptedProcess(twin, M.values)
+    clock = _outcome(predictable_bracket, tree, M)
+    clock_t = _outcome(predictable_bracket, twin, Mt)
+    if isinstance(clock, tuple):
+        assert clock == clock_t
+        return
+    for name, g, w in (("C", clock.C.values, clock_t.C.values),
+                       ("dC", clock.dC.values, clock_t.dC.values),
+                       ("sigma", clock.sigma, clock_t.sigma),
+                       ("q", clock.factor(0, nt), clock_t.factor(0, nt))):
+        assert g.tobytes() == w.tobytes(), name
+    lo, hi = tree.level_slice(tree.K)
+    zeta = np.sin(3 * M.scalar[lo:hi])
+    driver = truncated_driver(2.0, {"b": 0.2, "gamma": 1.0, "a": 0.1})
+    got = _outcome(solve_lipschitz, tree, M, clock, None, zeta, driver)
+    want = _outcome(solve_lipschitz, twin, Mt, clock_t, None, zeta, driver)
+    if isinstance(got, tuple):
+        assert got == want
+    else:
+        for name in ("Y", "Z"):
+            assert (getattr(got, name).values.tobytes()
+                    == getattr(want, name).values.tobytes()), name
+        assert got.dN2.tobytes() == want.dN2.tobytes()
+    got = _outcome(gkw_decompose, tree, M, clock, zeta)
+    want = _outcome(gkw_decompose, twin, Mt, clock_t, zeta)
+    assert (got == want if isinstance(got, tuple)
+            else got.dN.tobytes() == want.dN.tobytes())
+    growth = {"b": 0.5, "gamma": 1.0}
+    got = _outcome(dual_value, tree, M, clock, zeta, growth, 2.0)
+    want = _outcome(dual_value, twin, Mt, clock_t, zeta, growth, 2.0)
+    if isinstance(got, tuple):
+        assert got == want
+    else:
+        assert got.value.values.tobytes() == want.value.values.tobytes()
+        assert got.floored_fraction == want.floored_fraction
+
+
+def test_move_row_needs_its_arity_out_of_every_node():
+    """A move row given with edge arrays must match each node's out-degree,
+    and a probability array must be one row or one per edge."""
+    grid = TimeGrid.uniform(1)
+    with pytest.raises(InvariantViolation, match="move row of 2"):
+        ScenarioTree(grid, [0, 1, 4], [0, 0, 0], [1, 2, 3], [[0.5, 0.5]])
+    with pytest.raises(InvariantViolation, match="one per edge"):
+        ScenarioTree(grid, [0, 1, 3], None, None, [[0.5, 0.5]] * 2)
 
 
 # -- level-by-level clock and martingale check against the full-range ones --

@@ -36,10 +36,10 @@ def brute_force_gkw(tree, M, Y):
     y, m = Y.values[:, 0], M.values
     total = 0.0
     Z = np.zeros((nt, M.dim))
-    ec = tree.echild
+    ec, pr = tree.echild, tree.eprob
     for i in range(nt):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
-        p = tree.eprob[e0:e1]
+        p = pr[e0:e1]
         dm = m[ec[e0:e1]] - m[i]
         dy = y[ec[e0:e1]] - y[i]
         A = np.sqrt(p)[:, None] * dm
@@ -259,10 +259,10 @@ def test_orthogonality_and_pythagoras(rng):
     zeta = rng.normal(size=hi - lo)
     res = decompose(tree, M, zeta)
     # E[dN dM | node] = 0 at every node
-    ec = tree.echild
+    ec, pr = tree.echild, tree.eprob
     for i in range(tree.n_nonterminal):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
-        p = tree.eprob[e0:e1]
+        p = pr[e0:e1]
         dm = M.scalar[ec[e0:e1]] - M.scalar[i]
         assert abs(p @ (res.dN[e0:e1] * dm)) < 1e-10
     # Var(zeta) = E[int Z^2 d[M]] + E[[N]_T]

@@ -13,6 +13,7 @@ from orthres import _kernels
 from orthres.models import ModelConfig, build
 
 from conftest import permute_last_level, random_full_tree
+from reference import edge_layout
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +174,13 @@ def _range_weights(tree, lo, hi, rng):
 
 
 def _pdm(tree, m, lo, hi):
-    return (_kernels.edge_layout(tree, tree.eprob, lo, hi)
+    return (edge_layout(tree, tree.eprob, lo, hi)
             * _kernels.edge_increments(tree, m, lo, hi))
 
 
 def _numpy_ey_z(tree, m, y, lo, hi):
     dm = _kernels.edge_increments(tree, m, lo, hi)
-    pdm = _kernels.edge_layout(tree, tree.eprob, lo, hi) * dm
+    pdm = edge_layout(tree, tree.eprob, lo, hi) * dm
     ey, m1, _ = _kernels.level_moments_d1(tree, pdm, y, lo, hi)
     s2 = _kernels.edge_sum(tree, pdm * dm, lo, hi)
     return ey, m1 / np.maximum(s2, 1e-300)
@@ -191,7 +192,7 @@ def run_numpy(name, tree, rng):
     m = rng.normal(size=tree.n_nodes)
     if name == "edge_sum":
         w = rng.normal(size=len(tree.eprob))
-        return (_kernels.edge_sum(tree, _kernels.edge_layout(tree, w, lo, hi),
+        return (_kernels.edge_sum(tree, edge_layout(tree, w, lo, hi),
                                   lo, hi),)
     if name == "backward_expect":
         return (_kernels.backward_expect(tree, y, lo, hi),)
@@ -229,23 +230,30 @@ def test_wrappers_agree_with_direct_expectation(rng):
     vals = rng.normal(size=tree.n_nodes)
     lo, hi = tree.level_slice(3)
     out = _kernels.backward_expect(tree, vals, lo, hi)
-    ec = tree.echild
+    ec, pr = tree.echild, tree.eprob
     for i in range(lo, hi):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
-        ref = float(tree.eprob[e0:e1] @ vals[ec[e0:e1]])
+        ref = float(pr[e0:e1] @ vals[ec[e0:e1]])
         npt.assert_allclose(out[i - lo], ref, atol=1e-14)
 
 
 def test_edge_increments_per_edge(rng):
+    """dm and the probabilities on every edge of a range, in its layout; a
+    move row is laid out as a view of itself, not a copy."""
     for tree in cases(rng):
         m = rng.normal(size=tree.n_nodes)
         lo, hi = node_range(tree, rng)
-        dm = edge_order(tree, _kernels.edge_increments(tree, m, lo, hi))
-        p = edge_order(tree, _kernels.edge_layout(tree, tree.eprob, lo, hi))
-        ep, ec = tree.eparent, tree.echild
+        dm = _kernels.edge_increments(tree, m, lo, hi)
+        p = _kernels.edge_probs(tree, lo, hi)
+        if tree.probs.ndim == 2 and _kernels._strided(tree):
+            assert p.shape == (tree.arity, 1)
+            assert np.shares_memory(p, tree.probs)
+        p = edge_order(tree, np.broadcast_to(p, dm.shape))
+        dm = edge_order(tree, dm)
+        ep, ec, pr = tree.eparent, tree.echild, tree.eprob
         for e in range(tree.estart[lo], tree.estart[hi]):
             assert dm[e - tree.estart[lo]] == m[ec[e]] - m[ep[e]]
-            assert p[e - tree.estart[lo]] == tree.eprob[e]
+            assert p[e - tree.estart[lo]] == pr[e]
 
 
 def test_children_view_refuses_values_that_stop_short():
