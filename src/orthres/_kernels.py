@@ -60,8 +60,9 @@ import numpy as np
 # There is no compiled path; perfbench/worker.py records this flag with
 # each measurement.
 NUMBA_ENABLED = False
-# dY is projected on dM only where E[dm^2 | node] > PROJ_EPS, and Z is 0
-# elsewhere; the dual DP holds q and dC to the same threshold
+# dY is projected on dM only where E[dm^2 | node] exceeds PROJ_EPS times
+# its largest value over the tree, and Z is 0 elsewhere; the dual DP tilts
+# on the same nodes
 PROJ_EPS = 1e-14
 
 

@@ -14,7 +14,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import ContractionError, InvariantViolation, SolverError
-from .ftree import AdaptedProcess, PredictableField, predictable_bracket
+from .ftree import (AdaptedProcess, PredictableField,
+                    conditional_covariances, level_variances,
+                    predictable_bracket)
 from . import models as _models
 from .forward import euler_forward, extract_subtree
 
@@ -277,17 +279,18 @@ class BsdeSolution:
 
     def cond_var_profile(self):
         """Backward max of E[sum_{j>=k} (|Zq*|^2 dC + dN^2) | node] per level
-        k = 0..K of a single solve, from the stored Z and dN2 and the clock's
-        Sigma."""
+        k = 0..K of a single solve, from the stored Z and dN2 and Sigma,
+        formed level by level."""
         tree = self.tree
         z = self.Z.values[:, 0]
-        zsq_term = z * z * self.clock.sigma  # |Z q*|^2 dC
         R = np.zeros(tree.n_nodes)
         prof = np.zeros(tree.K + 1)
         for k in range(tree.K - 1, -1, -1):
             lo, hi = tree.level_slice(k)
+            s2 = conditional_covariances(tree, self.M, lo, hi)
+            zk = z[lo:hi]
             R[lo:hi] = (_kernels.backward_expect(tree, R, lo, hi)
-                        + zsq_term[lo:hi] + self.dN2[lo:hi])
+                        + zk * zk * s2 + self.dN2[lo:hi])  # |Z q*|^2 dC
             prof[k] = float(np.max(R[lo:hi]))
         return prof
 
@@ -339,8 +342,9 @@ def _levels(tree, M, clock, X, zeta, driver):
     nodes [a, b), their y and Z, the z the driver was evaluated at, q Z,
     their E[dN^2 | node], column-major, and the per-edge dN of the level's
     edges in its layout (see _kernels); the consumer must not write to
-    them.  Only the level below's y and the level's own per-edge p, dm and
-    dy are held, p laid out once for both kernels: dy is overwritten by dn,
+    them.  Only the level below's y and the level's own per-edge p, p dm,
+    dm and dy are held, p laid out once for both kernels, and E[dm^2 | node]
+    is formed from p dm and dm: dy is overwritten by dn,
     E[dN^2 | node] is formed from it, and path_prob times that is summed
     into E[[N]_T], which (a float, or (B,) for a batch) is returned once
     level 0 has been consumed.  Each column thus sums per level, then in
@@ -362,7 +366,6 @@ def _levels(tree, M, clock, X, zeta, driver):
     m = M.scalar
     mcol = m[col]
     dC = dC[col]
-    s2 = clock.sigma[col]  # E[dm^2 | node]
     path_prob = tree.path_prob[col]
     t = tree.grid.t
     zero = np.zeros((int(np.diff(tree.level_start).max()),) + zeta.shape[1:],
@@ -378,12 +381,12 @@ def _levels(tree, M, clock, X, zeta, driver):
         # the level's own increments: no full-size dm is kept
         dm = _kernels.edge_increments(tree, m, a, b)
         p = _kernels.edge_probs(tree, a, b)
-        ey, m1, dy = _kernels.level_moments_d1(tree, p * dm, y, a, b, base,
-                                               p=p)
-        s2k = s2[a:b]
-        z = np.where(s2k > _kernels.PROJ_EPS,
-                     m1 / np.where(s2k > 0, s2k, 1.0), 0.0)
-        z_arg = clock.factor(a, b)[col] * z
+        pdm = p * dm
+        s2 = level_variances(tree, pdm, dm, a, b)  # E[dm^2 | node]
+        ey, m1, dy = _kernels.level_moments_d1(tree, pdm, y, a, b, base, p=p)
+        live = clock.projects(s2)[col]
+        z = np.where(live, m1 / np.where(live, s2[col], 1.0), 0.0)
+        z_arg = clock.factor(a, b, s2)[col] * z
         xk = X.values[a:b] if X is not None else None
         mk = mcol[a:b]
         dck = dC[a:b]
@@ -401,7 +404,7 @@ def _levels(tree, M, clock, X, zeta, driver):
         yield k, a, b, y, z, z_arg, res, dy
         # the consumed level's per-edge arrays are not held while the next
         # level's are formed
-        del dm, p, dy
+        del dm, p, pdm, dy
     bad = np.flatnonzero(~np.isfinite(bracket))
     if bad.size:
         where = f" in column {bad[0]}" if zeta.ndim == 2 else ""
@@ -433,9 +436,10 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
     same tree and clock in one sweep; the driver's parameters and y-part may
     then be (B,) arrays, X may carry a column axis, (n_nodes, n_x, B), which
     reaches the driver unchanged, and each column is bit-identical to its own
-    1-D solve.  Each level projects the just-solved y onto dM (reading
-    E[dm^2 | node] from ``clock.sigma``) and takes the implicit step in
-    closed form from the driver's declared y-part (k_y, b): with
+    1-D solve.  Each level projects the just-solved y onto dM (forming
+    E[dm^2 | node] from the level's increments; ``clock.projects`` says
+    where) and takes the implicit step in closed form from the driver's
+    declared y-part (k_y, b): with
     r = E[y'] + f(t, x, m, 0, z) dC, y = r / (1 - (k_y + b sign(r)) dC).
     This is exact because y -> y - (k_y y + b|y|) dC is increasing,
     piecewise linear and zero at 0 when lip_y dC < 1.  A second driver
@@ -576,10 +580,13 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
         a, bb = tree.level_slice(k)
         dm = _kernels.edge_increments(tree, m, a, bb)
         p_e = _kernels.edge_probs(tree, a, bb)
-        m1 = _kernels.level_moments_d1(tree, p_e * dm, W, a, bb, p=p_e)[1]
+        pdm = p_e * dm
+        s2 = level_variances(tree, pdm, dm, a, bb)
+        m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb, p=p_e)[1]
         dck = dC[a:bb]
-        qk = clock.factor(a, bb)
-        ok = (qk > _kernels.PROJ_EPS) & (dck > _kernels.PROJ_EPS)
+        qk = clock.factor(a, bb, s2)
+        # q > 0 only where dC > 0
+        ok = clock.projects(s2) & (qk > 0)
         z_hat = np.where(ok, m1 / np.where(ok, qk * dck, 1.0), 0.0)
         # one row per candidate nu: the analytic maximizer, then the grid
         nu = np.empty((1 + DUAL_NU_POINTS, bb - a))

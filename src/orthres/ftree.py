@@ -3,19 +3,22 @@
 A tree is stored as flat arrays: nodes are numbered level by level, edges are
 grouped by parent node.  Recombining lattices are supported as level-layered
 DAGs: a node may have several incoming edges.  A tree's builder gives its
-edges as index arrays, which the tree keeps, or in one closed form (a
-``child_stride``), from which their parents and children are computed and no
-per-edge index array is stored.  It gives their probabilities as one move
-row that every non-terminal node shares, or one per edge; a node's level is
-read off ``level_start``.  So a closed-form lattice keeps per node only its
-edge offset and its path probability.
+edges as index arrays, which the tree keeps, as children alone where every
+node has the same number of edges, whose parents are then computed, or in
+one closed form (a ``child_stride``), from which their parents and children
+are computed and no per-edge index array is stored.  It gives their
+probabilities as one move row that every non-terminal node shares, or one
+per edge; a node's level is read off ``level_start``.  So a closed-form
+lattice keeps per node only its edge offset and its path probability.
 
 The martingale M is scalar (d = 1).  The martingale check, the conditional
 variances and the clock run one level at a time, narrow levels merged into
 runs of at most ``RUN_NODES`` nodes, and read a level's children as a view
 where the tree has a ``child_stride``: beyond their outputs no temporary
-outgrows a level or a run.  The clock's factor q is formed on demand for a
-node range, so no clock holds it.
+outgrows a level or a run.  The clock stores only its increments dC: it
+carries the accumulated trace for two levels, and the conditional variances
+Sigma and its factor q are formed on demand for a node range where they are
+read.
 """
 
 from dataclasses import dataclass, field
@@ -94,15 +97,17 @@ class ScenarioTree:
     The probabilities are given as one (1, r) row, move i of every
     non-terminal node being its i-th edge, or as an (E,) array, one per
     edge.  The edges are given as ``eparent`` and ``echild`` arrays, which
-    the tree keeps and then has no ``child_stride``, or in closed form as
-    None for both: then every non-terminal node has r edges (the row's r,
-    or len(eprob) / n_nonterminal), each level's size must be s*(n - 1) + r
-    for the n nodes above it and one stride 1 <= s <= r, and the tree keeps
-    no per-edge index arrays.  ``edge_parents`` and ``edge_children`` give
-    the edges of any node range, from the closed form or as slices of the
-    kept arrays; ``level_of`` gives a node's level from ``level_start``.
-    ``eprob``, ``node_level``, ``eparent`` and ``echild`` build the whole
-    array on each read.
+    the tree keeps and then has no ``child_stride``; as ``echild`` alone,
+    grouped by parent with r edges out of every non-terminal node, whose
+    parents the tree derives; or in closed form as None for both: then
+    every non-terminal node has r edges (the row's r, or len(eprob) /
+    n_nonterminal), each level's size must be s*(n - 1) + r for the n nodes
+    above it and one stride 1 <= s <= r, and the tree keeps no per-edge
+    index arrays.  ``edge_parents`` and ``edge_children`` give the edges of
+    any node range, from the closed form or as slices of the kept arrays;
+    ``level_of`` gives a node's level from ``level_start``.  ``eprob``,
+    ``node_level``, ``eparent`` and ``echild`` build the whole array on
+    each read where the tree does not keep it.
     """
 
     def __init__(self, grid, level_start, eparent, echild, eprob):
@@ -120,12 +125,21 @@ class ScenarioTree:
                                      f"{p.shape}")
         nt = self.n_nonterminal
         if eparent is None:
-            self._eparent = self._echild = None
-            r = p.shape[1] if p.ndim == 2 else len(p) // nt
-            if r < 1 or p.ndim == 1 and r * nt != len(p):
+            # r edges out of every non-terminal node, in parent order
+            self._eparent = None
+            self._echild = (None if echild is None
+                            else np.asarray(echild, dtype=np.int64))
+            n_edges = (len(self._echild) if echild is not None
+                       else len(p) if p.ndim == 1 else p.shape[1] * nt)
+            r = n_edges // nt
+            if r < 1 or r * nt != n_edges:
                 raise InvariantViolation(
-                    f"closed-form edges need the same number out of each of "
-                    f"{nt} non-terminal nodes, got {p.size} edges")
+                    f"edges without parents need the same number out of "
+                    f"each of {nt} non-terminal nodes, got {n_edges} edges")
+            if p.ndim == 1 and len(p) != n_edges:
+                raise InvariantViolation(
+                    f"{n_edges} edges need one probability each, got "
+                    f"{len(p)}")
             # min(i, nt) * r, formed in place
             self.estart = np.arange(n + 1)
             np.minimum(self.estart, nt, out=self.estart)
@@ -133,10 +147,10 @@ class ScenarioTree:
             self.arity = r
         else:
             self._set_edge_arrays(eparent, echild)
-            if p.ndim == 2 and self.arity != p.shape[1]:
-                raise InvariantViolation(
-                    f"a move row of {p.shape[1]} probabilities needs that "
-                    f"many edges out of every non-terminal node")
+        if p.ndim == 2 and self.arity != p.shape[1]:
+            raise InvariantViolation(
+                f"a move row of {p.shape[1]} probabilities needs that "
+                f"many edges out of every non-terminal node")
         self.validate()
 
         self.path_prob = pp = np.zeros(n)
@@ -150,7 +164,7 @@ class ScenarioTree:
                 # bincount adds each child's incoming mass in edge order
                 # from 0.0
                 w = ((pp[lo:hi, None] * p).ravel() if p.ndim == 2
-                     else pp[self._eparent[sl]] * p[sl])
+                     else pp[self.edge_parents(lo, hi)] * p[sl])
                 pp[hi:b] = np.bincount(self._echild[sl] - hi, w, b - hi)
                 continue
             # move i of the level's nodes feeds children i, i + s, ...:
@@ -220,7 +234,7 @@ class ScenarioTree:
 
     def edge_parents(self, lo, hi):
         """The parent of every edge out of the nodes [lo, hi), in edge
-        order."""
+        order: a slice of the kept array, or each node repeated r times."""
         if self._eparent is not None:
             return self._eparent[self.estart[lo]:self.estart[hi]]
         nt = self.n_nonterminal
@@ -372,22 +386,32 @@ class PredictableField:
 
 @dataclass
 class ClockAndFactor:
-    """Clock C = arctan of the accumulated bracket trace and the conditional
-    variances Sigma it is built from; ``factor`` forms its factor q on a
-    node range."""
+    """The increments dC of the clock C = arctan of the accumulated bracket
+    trace, per non-terminal node.  Sigma = E[dM^2 | node], which the clock is
+    built from, is formed again from the tree and M where it is read, and
+    ``factor`` forms the clock's factor q on a node range; only dC is
+    stored."""
 
-    C: AdaptedProcess                 # scalar, per node
+    tree: ScenarioTree = field(repr=False)
+    M: AdaptedProcess = field(repr=False)
     dC: PredictableField              # scalar, per non-terminal node
-    sigma: np.ndarray = field(repr=False)  # (nt,) E[dM^2 | node]
+    sigma_max: float                  # the largest Sigma, its scale
 
-    def factor(self, lo, hi):
+    def projects(self, sigma):
+        """Where dY is projected on dM: Sigma above PROJ_EPS times the
+        largest Sigma, a test that scaling M leaves unchanged."""
+        return sigma > _kernels.PROJ_EPS * self.sigma_max
+
+    def factor(self, lo, hi, sigma=None):
         """q = sqrt(Sigma/dC) on the non-terminal nodes [lo, hi), so that
         q^2 dC = Sigma: 0 where dC <= 0, and where Sigma/dC is at most
-        PSD_TOL * max(1, Sigma/dC).  Besides the (hi - lo,) result it holds
+        PSD_TOL * max(1, Sigma/dC).  ``sigma`` is the range's Sigma, formed
+        here when not given.  Besides it and the (hi - lo,) result it holds
         only boolean masks of that size."""
+        if sigma is None:
+            sigma = conditional_covariances(self.tree, self.M, lo, hi)
         dc = self.dC.values[lo:hi]
-        q = np.divide(self.sigma[lo:hi], dc, out=np.zeros(hi - lo),
-                      where=dc > 0)
+        q = np.divide(sigma, dc, out=np.zeros(hi - lo), where=dc > 0)
         # q >= 0, so q > PSD_TOL * max(1, q) reads PSD_TOL < q < inf
         live = (q > PSD_TOL) & (q < np.inf)
         np.sqrt(q, out=q, where=live)
@@ -408,16 +432,19 @@ class MartingaleCheck:
 # operations
 # ---------------------------------------------------------------------------
 
-def _runs(tree):
-    """[lo, hi) node ranges of whole non-terminal levels, in level order:
-    as many consecutive levels as hold at most RUN_NODES nodes, or one."""
+def _runs(tree, lo=0, hi=None):
+    """[a, b) node ranges that cover the non-terminal nodes [lo, hi), in
+    level order: as many consecutive levels as hold at most RUN_NODES nodes,
+    or one, the first and last cut to the range."""
     ls, K = tree.level_start, tree.K
-    k = 0
-    while k < K:
+    hi = tree.n_nonterminal if hi is None else hi
+    k = tree.level_of(lo)
+    while lo < hi:
         j = int(np.searchsorted(ls, ls[k] + RUN_NODES, "right")) - 1
         j = min(K, max(k + 1, j))
-        yield int(ls[k]), int(ls[j])
-        k = j
+        b = min(int(ls[j]), hi)
+        yield lo, b
+        lo, k = b, j
 
 
 def backward_closure(tree, leaf_values):
@@ -445,61 +472,83 @@ def is_martingale(tree, M, tol=1e-12):
     return MartingaleCheck(worst <= tol, worst)
 
 
-def conditional_covariances(tree, M):
-    """Sigma_k = E[dM^2 | node] for every non-terminal node, shape (nt,),
-    filled one run of levels at a time."""
+def level_variances(tree, pdm, dm, lo, hi):
+    """Sigma = E[dm^2 | node] on the nodes [lo, hi) from the range's p*dm and
+    dm, in their layout; a Sigma that is not finite is refused."""
+    sigma = _kernels.edge_sum(tree, pdm * dm, lo, hi)
+    # Sigma >= 0, so this fails on inf and NaN alone
+    if not sigma.max() < np.inf:
+        i = int(np.flatnonzero(~np.isfinite(sigma))[0])
+        raise InvariantViolation(
+            f"E[dM^2 | node] is {sigma[i]} at node {lo + i}: the increments "
+            "of M overflow")
+    return sigma
+
+
+def conditional_covariances(tree, M, lo=0, hi=None):
+    """Sigma = E[dM^2 | node] on the non-terminal nodes [lo, hi) (all of
+    them by default), shape (hi - lo,), filled one run of levels at a
+    time."""
     m = M.scalar
-    sigma = np.empty(tree.n_nonterminal)
-    for lo, hi in _runs(tree):
-        dm = _kernels.edge_increments(tree, m, lo, hi)
-        p = _kernels.edge_probs(tree, lo, hi)
-        sigma[lo:hi] = _kernels.edge_sum(tree, p * dm * dm, lo, hi)
+    hi = tree.n_nonterminal if hi is None else hi
+    sigma = np.empty(hi - lo)
+    for a, b in _runs(tree, lo, hi):
+        dm = _kernels.edge_increments(tree, m, a, b)
+        pdm = _kernels.edge_probs(tree, a, b) * dm
+        sigma[a - lo:b - lo] = level_variances(tree, pdm, dm, a, b)
     return sigma
 
 
 def predictable_bracket(tree, M):
-    """Clock C = arctan(sum of conditional variances), with dC and Sigma.
+    """The clock C = arctan(V) of the accumulated trace V of the conditional
+    variances Sigma, as its increments dC = arctan(V + Sigma) - arctan(V).
 
-    Built from conditional variances so that C and dC are predictable.
-    Requires the accumulated trace to be consistent across recombined paths.
-    Every pass runs one level, or one run of levels, at a time: beyond its
-    outputs (C, dC and sigma) no temporary outgrows a level or a run.
+    Built from conditional variances so that dC is predictable.  Requires
+    the accumulated trace to be consistent across recombined paths.  Sigma
+    and V are held for one run of levels at a time, V also on the level
+    below the run, so beyond dC no temporary outgrows a level or a run.
     """
-    nt = tree.n_nonterminal
-    sigma = conditional_covariances(tree, M)
-    s, r = tree.child_stride, tree.arity
-    # the accumulated trace V, turned into C in place; dC first holds
-    # V + Sigma, each node's candidate for its children's V
-    C = np.zeros(tree.n_nodes)
-    dC = np.empty(nt)
-    worst = 0.0
-    for k in range(tree.K):
-        lo, hi = tree.level_slice(k)
-        cand = np.add(C[lo:hi], sigma[lo:hi], out=dC[lo:hi])
-        if s is None:
-            child = tree.edge_children(lo, hi)
-            cand = cand[tree.edge_parents(lo, hi) - lo]
-            C[child] = cand
-            # every incoming edge must agree on the accumulated trace
-            worst = max(worst, float(np.max(np.abs(C[child] - cand))))
-            continue
-        # move i of node lo + j lands on child a + s*j + i: row i of an
-        # (r, n) view of C.  Writing the highest move first lets the last
-        # edge in edge order win, as the gathered store does
-        a, w = int(tree.level_start[k + 1]), C.itemsize
-        child = np.ndarray((r, hi - lo), C.dtype, C, a * w, (w, s * w))
-        for i in range(r - 1, -1, -1):
-            child[i] = cand
-        worst = max(worst, float(np.max(np.abs(child - cand))))
+    ls, s, r = tree.level_start, tree.child_stride, tree.arity
+    dC = np.empty(tree.n_nonterminal)
+    V = np.zeros(1)     # the accumulated trace on the run's first level
+    worst = sigma_max = 0.0
+    for a, b in _runs(tree):
+        sigma = conditional_covariances(tree, M, a, b)
+        sigma_max = max(sigma_max, float(sigma.max()))
+        # V on the run's levels and the level below them
+        k = tree.level_of(a)
+        buf = np.zeros(int(ls[tree.level_of(b - 1) + 2]) - a)
+        buf[:len(V)] = V
+        lo = a
+        while lo < b:
+            hi, end = int(ls[k + 1]), int(ls[k + 2])
+            # each node's candidate for its children's V
+            cand = np.add(buf[lo - a:hi - a], sigma[lo - a:hi - a],
+                          out=dC[lo:hi])
+            nxt = buf[hi - a:end - a]
+            if s is None:
+                child = tree.edge_children(lo, hi) - hi
+                cand = cand[tree.edge_parents(lo, hi) - lo]
+                nxt[child] = cand
+                # every incoming edge must agree on the accumulated trace
+                worst = max(worst, float(np.max(np.abs(nxt[child] - cand))))
+            else:
+                # move i of node lo + j lands on child s*j + i: row i of an
+                # (r, n) view of nxt.  Writing the highest move first lets
+                # the last edge in edge order win, as the gathered store does
+                w = nxt.itemsize
+                child = np.ndarray((r, hi - lo), nxt.dtype, nxt, 0,
+                                   (w, s * w))
+                for i in range(r - 1, -1, -1):
+                    child[i] = cand
+                worst = max(worst, float(np.max(np.abs(child - cand))))
+            lo, k = hi, k + 1
+        np.arctan(dC[a:b], out=dC[a:b])
+        dC[a:b] -= np.arctan(buf[:b - a])
+        V = buf[b - a:]
     if worst > 1e-9:
         raise InvariantViolation(
             "recombined nodes disagree on the accumulated bracket trace "
             f"(max {worst:.3e}); use a non-recombining tree")
-    np.arctan(dC, out=dC)
-    np.arctan(C, out=C)
-    dC -= C[:nt]
-    return ClockAndFactor(
-        C=AdaptedProcess(tree, C),
-        dC=PredictableField(tree, dC),
-        sigma=sigma,
-    )
+    return ClockAndFactor(tree=tree, M=M, dC=PredictableField(tree, dC),
+                          sigma_max=sigma_max)

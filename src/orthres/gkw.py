@@ -3,7 +3,7 @@
 The decomposition Y = Y0 + int Z dM + N of Y = E[zeta | F_k] is the
 zero-driver case of the backward solver: ``bsde._levels`` with the zero
 driver takes the step y = E[y' | node], projects each level's dy on dm
-(reading E[dm^2 | node] from the clock's Sigma) and forms dN and
+(forming E[dm^2 | node] from the level's increments) and forms dN and
 E[dN^2 | node] on that level, so its E[[N]_T] is the discrete analogue of the
 orthogonal part's bracket; this module stores what that sweep yields.
 """

@@ -13,11 +13,11 @@ children in the order of their first appearance: full trees
 (``_full_walk``) and recombining walks on one component (``_line_walk``:
 ``binary``, ``trinomial``, the one-sided jump) have a child stride, so their
 trees keep no edge arrays; the two-sided jump lattice (``_simplex_walk``)
-has none and passes its arrays.  Every node of such a walk takes the same
-moves, so its tree holds their probabilities as one move row, not one per
-edge.  ``time_changed`` merges states by rounded float value, level by
-level, numbered by ``_first_appearance``, and gives one probability per
-edge.
+has none and passes its children, whose parents the tree derives.  Every
+node of such a walk takes the same moves, so its tree holds their
+probabilities as one move row, not one per edge.  ``time_changed`` merges states by rounded float value, level by
+level, numbered by ``_first_appearance``, and gives its children and one
+probability per edge.
 ``ModelConfig`` checks every builder's parameters, so a bad one is refused
 before anything is built.
 """
@@ -194,26 +194,31 @@ def _simplex_walk(K):
     candidates.  With u = k - i, state (i, j) is local node u(u+1)/2 + j, and
     its moves land on local children of the next level at that index plus
     0, u + 1 and u + 2.  Levels grow by k + 2 nodes, which no one child
-    stride fits, so this walk returns level_start, eparent, echild and the
-    (n, 2) states; every node shares the move row.
+    stride fits, so this walk returns level_start, echild and the (n, 2)
+    states: every node has three edges, so the tree derives their parents,
+    and every node shares the move row.
     """
     sizes = (np.arange(K + 1) + 1) * (np.arange(K + 1) + 2) // 2
     level_start = np.zeros(K + 2, dtype=np.int64)
     np.cumsum(sizes, out=level_start[1:])
     n, nt = int(level_start[-1]), int(level_start[-2])
-    # (u, j) of each local index of level K; every level's is a prefix
+    # (u, j) of each local index of level K; every level's is a prefix, so
+    # the states and children are filled level by level from it
     u = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
     j = np.arange(len(u)) - u * (u + 1) // 2
-    level = np.repeat(np.arange(K + 1), sizes)
-    local = np.arange(n) - np.repeat(level_start[:-1], sizes)
-    u, j = u[local], j[local]
-    states = np.column_stack([level - u, j])
+    states = np.empty((n, 2), dtype=np.int64)
     child = np.empty((nt, 3), dtype=np.int64)
-    child[:, 0] = level_start[1:-1][level[:nt]] + local[:nt]
-    child[:, 1] = child[:, 0] + u[:nt] + 1
-    child[:, 2] = child[:, 1] + 1
-    return (level_start, np.repeat(np.arange(nt), 3), child.ravel(),
-            states)
+    bounds = level_start.tolist()
+    for k in range(K + 1):
+        lo, hi = bounds[k:k + 2]
+        np.subtract(k, u[:hi - lo], out=states[lo:hi, 0])
+        states[lo:hi, 1] = j[:hi - lo]
+        if k < K:
+            c = child[lo:hi]
+            c[:, 0] = np.arange(hi, 2 * hi - lo)
+            np.add(c[:, 0], u[:hi - lo] + 1, out=c[:, 1])
+            np.add(c[:, 1], 1, out=c[:, 2])
+    return level_start, child.ravel(), states
 
 
 def _lattice_walk(config, moves, probs, value):
@@ -234,11 +239,11 @@ def _lattice_walk(config, moves, probs, value):
     if n > node_cap():
         raise NodeCapExceeded(n, node_cap())
     moves = np.asarray(moves, dtype=np.int64)
-    eparent = echild = None
+    echild = None
     if not config.params.get("recombine", True):
         level_start, states = _full_walk(K, moves)
     elif moves[:, 1:].any():
-        level_start, eparent, echild, states = _simplex_walk(K)
+        level_start, echild, states = _simplex_walk(K)
     else:
         level_start, states = _line_walk(K, moves[:, 0])
         if moves.shape[1] > 1:
@@ -251,7 +256,7 @@ def _lattice_walk(config, moves, probs, value):
     mvals[0] = 0.0      # a literal, as a negative step would give -0.0
     del states          # so the tree's arrays do not sit on top of it
     tree = ScenarioTree(TimeGrid.uniform(K, config.T), level_start,
-                        eparent, echild, np.asarray(probs, dtype=float)[None])
+                        None, echild, np.asarray(probs, dtype=float)[None])
     return tree, _validated(tree, mvals)
 
 
@@ -337,9 +342,9 @@ def build_time_changed(config):
         n += len(first)
     level_start = np.cumsum([0] + [len(v) for v in mvals])
     nt = int(level_start[-2])
-    tree = ScenarioTree(TimeGrid.uniform(K, T), level_start,
-                        np.repeat(np.arange(nt), 2), np.concatenate(echild),
-                        np.full(2 * nt, 0.5))
+    # two edges out of every node: the tree derives their parents
+    tree = ScenarioTree(TimeGrid.uniform(K, T), level_start, None,
+                        np.concatenate(echild), np.full(2 * nt, 0.5))
     return tree, _validated(tree, np.concatenate(mvals))
 
 

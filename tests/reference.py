@@ -8,7 +8,9 @@ per-edge array in the kernels' layout, a solve's per-edge dN, the two-term
 bracket split, the Markov grouping spread, a driver growth check, the
 comparison check on two stored solutions, a clamped terminal map, a tree's
 path probabilities and closed-form child stride by their definitions, and
-the martingale check and the clock over all non-terminal nodes at once.
+the martingale check and the clock over all non-terminal nodes at once; the
+clock C itself, which the library keeps only as its increments dC, lives
+here.
 The library's martingale is scalar (d = 1); the d-general covariances, PSD
 factor and GKW projection are kept here, built on nothing from the library
 but its kernels.
@@ -154,16 +156,26 @@ def pathwise_bracket(tree, M):
     return AdaptedProcess(tree, B.reshape(tree.n_nodes, d * d))
 
 
-def accumulated_trace(tree, clock):
-    """V: the conditional variance Sigma summed along the path to each node,
-    whose arctan is the clock C."""
-    tr = clock.sigma
+def accumulated_trace(tree, sigma):
+    """V: the conditional variances ``sigma``, (nt,), summed along the path
+    to each node, whose arctan is the clock C."""
     V = np.zeros(tree.n_nodes)
     ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
         sl = tree._edge_slice(k)
-        V[ec[sl]] = V[ep[sl]] + tr[ep[sl]]
+        V[ec[sl]] = V[ep[sl]] + sigma[ep[sl]]
     return V
+
+
+def clock_from_increments(tree, dC):
+    """C: the increments dC, (nt,), summed along the path to each node from
+    0 at the root, the last edge into a node in edge order winning."""
+    C = np.zeros(tree.n_nodes)
+    ep, ec = tree.eparent, tree.echild
+    for k in range(tree.K):
+        sl = tree._edge_slice(k)
+        C[ec[sl]] = C[ep[sl]] + dC[ep[sl]]
+    return C
 
 
 def running_sum(tree, dN):
@@ -255,14 +267,16 @@ def gkw_levels(tree, M, Y):
     dn = np.zeros(len(tree.echild))
     z, res = np.empty(nt), np.empty(nt)
     y, m = Y.scalar, M.scalar
+    # projected where Sigma exceeds PROJ_EPS times its largest value
+    floor = _kernels.PROJ_EPS * covariances_range(tree, M).max()
     for k in range(tree.K):
         a, b = tree.level_slice(k)
         dm = _kernels.edge_increments(tree, m, a, b)
         pdm = edge_layout(tree, tree.eprob, a, b) * dm
         ey, m1 = _kernels.level_moments_d1(tree, pdm, y, a, b)[:2]
         s2 = _kernels.edge_sum(tree, pdm * dm, a, b)
-        z[a:b] = np.where(s2 > _kernels.PROJ_EPS,
-                          m1 / np.where(s2 > 0, s2, 1.0), 0.0)
+        z[a:b] = np.where(s2 > floor, m1 / np.where(s2 > floor, s2, 1.0),
+                          0.0)
         res[a:b] = _kernels.edge_residuals_d1(tree, dm, y, ey, z[a:b], a, b,
                                               dn)
     return z, dn, float(np.sum(tree.path_prob[:nt] * res))

@@ -21,7 +21,8 @@ from orthres.mollify import (CATALOG as TERMINAL_CATALOG, from_catalog,
                              indicator_halfspace, lipschitz_scan, mollify)
 from orthres.models import ModelConfig, build
 
-from reference import markov_grouping_check, product_noise_coin
+from reference import (markov_grouping_check, predictable_bracket_range,
+                       product_noise_coin)
 
 K_SWEEP = [8, 16, 32, 64]
 
@@ -165,7 +166,7 @@ def test_A5_cascade_correctness():
     sol = bsde.solve_quadratic(tree, M, clock, None, zeta, drv)
     trace = sol.diagnostics["cascade_trace"]
     mono_ok = trace.monotone_violation_n <= 1e-8
-    C_K = float(clock.C.values[-1, 0])
+    C_K = float(predictable_bracket_range(tree, M).C[-1])
     bound = math.exp(0.5 * C_K) * (0.5 + 0.2 * C_K) + 1e-8
     bound_ok = all(s["y_sup"] <= bound for s in trace.stages)
 

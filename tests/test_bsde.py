@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from orthres import _kernels
 from orthres.errors import ContractionError, InvariantViolation
-from orthres.ftree import AdaptedProcess, predictable_bracket
+from orthres.ftree import (AdaptedProcess, conditional_covariances,
+                           predictable_bracket)
 from orthres.gkw import gkw_decompose, martingale_from_terminal
 from orthres.models import ModelConfig, build
 from orthres.mollify import TerminalMap, indicator_halfspace, sine
@@ -28,7 +29,8 @@ import reference
 from conftest import (permute_last_level, random_full_tree,
                       random_martingale, small_trees)
 from reference import (check_growth, edge_layout, markov_grouping_check,
-                       product_noise_coin, solution_dN)
+                       predictable_bracket_range, product_noise_coin,
+                       solution_dN)
 
 
 def binary_setup(K=8, recombine=True):
@@ -133,7 +135,7 @@ def test_constant_driver_clock_oracle():
     zeta = mterm ** 2
     sol = solve_lipschitz(tree, M, clock, None, zeta,
                           driver_from_catalog("constant", c=c))
-    C_K = float(clock.C.values[-1, 0])
+    C_K = float(predictable_bracket_range(tree, M).C[-1])
     e_zeta = float(tree.path_prob[tree.level_slice(8)[0]:] @ zeta)
     npt.assert_allclose(sol.Y0, e_zeta + c * C_K, atol=1e-12)
 
@@ -191,6 +193,8 @@ def lipschitz_reference(tree, M, clock, zeta, driver, tol=bsde.FP_TOL):
     z, s2, res = np.zeros(nt), np.zeros(nt), np.zeros(nt)
     dn = np.zeros(len(tree.echild))
     ec, pr = tree.echild, tree.eprob
+    # projected where Sigma exceeds PROJ_EPS times its largest value
+    floor = _kernels.PROJ_EPS * predictable_bracket_range(tree, M).sigma.max()
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
         for i in range(a, b):
@@ -201,7 +205,7 @@ def lipschitz_reference(tree, M, clock, zeta, driver, tol=bsde.FP_TOL):
             ey = sum(p[j] * y[c] for j, c in enumerate(ch))
             s2[i] = sum(p[j] * dm[j] ** 2 for j in range(len(ch)))
             m1 = sum(p[j] * dm[j] * (y[c] - ey) for j, c in enumerate(ch))
-            z[i] = m1 / s2[i] if s2[i] > _kernels.PROJ_EPS else 0.0
+            z[i] = m1 / s2[i] if s2[i] > floor else 0.0
             cur = ey
             for _ in range(10_000):
                 new = ey + float(driver(tree.grid.t[k], None, m[i:i + 1],
@@ -264,7 +268,8 @@ def test_solver_matches_per_node_reference(seed, K, kind, c, kz, scale):
     npt.assert_allclose(sol.dN2, res, **tol)
     nt = tree.n_nonterminal
     npt.assert_allclose(sol.bracketNN_T, tree.path_prob[:nt] @ res, **tol)
-    npt.assert_allclose(clock.sigma.ravel(), s2, rtol=1e-12, atol=1e-15)
+    npt.assert_allclose(conditional_covariances(tree, M), s2, rtol=1e-12,
+                        atol=1e-15)
     prof = cond_var_profile_loop(tree, z * z * s2, res)
     npt.assert_allclose(sol.cond_var_profile(), prof, **tol)
     npt.assert_allclose(sol.bmo_norm(), prof.max(), **tol)
@@ -439,7 +444,7 @@ def test_cascade_monotone_and_bounded():
     sol = solve_quadratic(tree, M, clock, None, zeta, drv)
     trace = sol.diagnostics["cascade_trace"]
     assert trace.monotone_violation_n <= 1e-8
-    C_K = float(clock.C.values[-1, 0])
+    C_K = float(predictable_bracket_range(tree, M).C[-1])
     bound = 1.05 * math.exp(0.5 * C_K) * (0.5 + 0.1 * C_K)
     for stage in trace.stages:
         assert stage["y_sup"] <= bound
@@ -529,6 +534,25 @@ def test_dual_exact_without_discounting():
     assert dv.floored_fraction == 0.0
 
 
+@pytest.mark.parametrize("h", [1e-9, 1e-7, 1e-3, 1.0, 1e3])
+def test_dual_exact_at_every_scale_of_M(h):
+    """Without discounting the dual DP is the primal solve at any step h of
+    M: both project and tilt where E[dm^2 | node] is large against its
+    largest value, so a small h (Sigma = h^2 = 1e-14, dC as small) is not
+    left unprojected by one and tilted by the other."""
+    built = build(ModelConfig("binary", K=10, params={"h": h}))
+    tree, M = built.tree, built.M
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(tree.K)
+    zeta = 0.5 * np.clip(M.scalar[lo:hi] / h * np.sqrt(0.1), -1, 1)
+    growth = {"a": 0.0, "b": 0.0, "gamma": 1.0}
+    sol = solve_lipschitz(tree, M, clock, None, zeta,
+                          truncated_driver(2.0, growth))
+    dv = dual_value(tree, M, clock, zeta, growth, 2.0)
+    assert sol.Y0 > 0
+    npt.assert_allclose(dv.value.values[0, 0], sol.Y0, rtol=0, atol=1e-13)
+
+
 def test_dual_gap_shrinks_with_refinement():
     growth = {"a": 0.2, "b": 1.0, "gamma": 1.0}
     gaps = []
@@ -559,6 +583,7 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
     nt = tree.n_nonterminal
     dC = clock.dC.values
     qdiag = clock.factor(0, nt)
+    sigma = predictable_bracket_range(tree, M).sigma.ravel()
     W = np.empty(tree.n_nodes)
     lo, hi = tree.level_slice(tree.K)
     W[lo:hi] = zeta
@@ -575,7 +600,8 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
                * _kernels.edge_increments(tree, M.scalar, a, bb))
         m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)[1]
         dck, qk = dC[a:bb], qdiag[a:bb]
-        ok = (qk > _kernels.PROJ_EPS) & (dck > _kernels.PROJ_EPS)
+        # tilted where Sigma is projected and q > 0
+        ok = (sigma[a:bb] > _kernels.PROJ_EPS * sigma.max()) & (qk > 0)
         z_hat = np.where(ok, m1 / np.where(ok, qk * dck, 1.0), 0.0)
         etak = float(eta)
         best = np.full(bb - a, -np.inf)

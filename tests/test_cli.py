@@ -300,6 +300,16 @@ def test_exit_2_when_over_node_cap(tmp_path, monkeypatch, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+def test_exit_2_when_the_conditional_variance_overflows(tmp_path, capsys):
+    """A step h = 1e160 squares to inf: the run is refused where Sigma is
+    formed, not reported as the unprojected Var(F)."""
+    path, _ = write_cfg(tmp_path, model={"kind": "binary",
+                                         "params": {"h": 1e160}},
+                        K_list=[4, 6])
+    assert main(["run", str(path)]) == 2
+    assert "E[dM^2 | node] is inf at node 0" in capsys.readouterr().err
+
+
 def test_verify_warns_but_exits_zero_over_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ORTHRES_NODE_CAP", "10")
     path, _ = write_cfg(tmp_path)

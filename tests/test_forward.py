@@ -12,6 +12,7 @@ from orthres.ftree import (AdaptedProcess, ScenarioTree, TimeGrid,
 from orthres.models import ModelConfig, build
 
 from conftest import small_trees
+from reference import predictable_bracket_range
 
 
 def model(kind="binary", K=6, **params):
@@ -29,7 +30,8 @@ def test_identity_tracks_martingale():
 def test_constant_drift_tracks_clock():
     tree, M, clock = model()
     X = euler_forward(tree, M, clock, constant_drift(c=2.0), [0.0])
-    npt.assert_allclose(X.values[:, 0], 2.0 * clock.C.values[:, 0],
+    npt.assert_allclose(X.values[:, 0],
+                        2.0 * predictable_bracket_range(tree, M).C,
                         atol=1e-14)
 
 

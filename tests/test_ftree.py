@@ -13,8 +13,8 @@ from orthres import _kernels, ftree
 from orthres.bsde import dual_value, solve_lipschitz, truncated_driver
 from orthres.errors import InvariantViolation, OrthresError
 from orthres.ftree import (PSD_TOL, AdaptedProcess, ScenarioTree, TimeGrid,
-                           backward_closure, is_martingale,
-                           predictable_bracket)
+                           backward_closure, conditional_covariances,
+                           is_martingale, predictable_bracket)
 from orthres.models import ModelConfig, build
 
 from orthres.forward import extract_subtree
@@ -22,11 +22,11 @@ from orthres.gkw import gkw_decompose
 
 from conftest import (closed_form_twin, permute_last_level,
                       random_full_tree, random_martingale, small_trees)
-from reference import (TreeBuilder, accumulated_trace, closed_form_stride,
-                       cond_exp, is_martingale_range, is_tree, path_prob_loop,
-                       pathwise_bracket, predictable_bracket_range,
-                       psd_cholesky, psd_cholesky_stack, tree_from_json,
-                       tree_to_json)
+from reference import (TreeBuilder, accumulated_trace, clock_from_increments,
+                       closed_form_stride, cond_exp, is_martingale_range,
+                       is_tree, path_prob_loop, pathwise_bracket,
+                       predictable_bracket_range, psd_cholesky,
+                       psd_cholesky_stack, tree_from_json, tree_to_json)
 
 
 def binary_tree(K=2, h=1.0, recombine=False):
@@ -286,12 +286,11 @@ def test_batched_factor_names_the_worst_pivot():
         psd_cholesky_stack(A)
 
 
-def factor_reference(clock):
+def factor_reference(sigma, clock):
     """q by the d-general oracle: the PSD factor of each node's 1 x 1
     Sigma/dC, 0 where dC <= 0."""
     dc = clock.dC.values
-    a = np.divide(clock.sigma, dc, out=np.zeros_like(clock.sigma),
-                  where=dc > 0)
+    a = np.divide(sigma, dc, out=np.zeros_like(sigma), where=dc > 0)
     return psd_cholesky_stack(a.reshape(-1, 1, 1))[:, 0, 0]
 
 
@@ -306,10 +305,11 @@ def test_clock_factor_matches_per_node_reference(kind, K, params):
     built = build(ModelConfig(kind, K=K, params=params))
     tree = built.tree
     clock = predictable_bracket(tree, built.M)
+    sigma = predictable_bracket_range(tree, built.M).sigma.ravel()
     got = clock.factor(0, tree.n_nonterminal)
-    assert got.tobytes() == factor_reference(clock).tobytes()
+    assert got.tobytes() == factor_reference(sigma, clock).tobytes()
     loop = [psd_cholesky_loop([[s / dc]])[0, 0] if dc > 0 else 0.0
-            for s, dc in zip(clock.sigma, clock.dC.values)]
+            for s, dc in zip(sigma, clock.dC.values)]
     assert got.tobytes() == np.array(loop).tobytes()
     levels = [clock.factor(*tree.level_slice(k)) for k in range(tree.K)]
     assert np.concatenate(levels).tobytes() == got.tobytes()
@@ -321,14 +321,15 @@ def test_binary_clock_closed_form():
     h = 0.5
     tree, M = binary_tree(K=3, h=h)
     clock = predictable_bracket(tree, M)
+    ref = predictable_bracket_range(tree, M)
     nt = tree.n_nonterminal
-    npt.assert_allclose(clock.sigma.ravel(), h ** 2, atol=1e-14)
+    npt.assert_allclose(ref.sigma.ravel(), h ** 2, atol=1e-14)
     # deterministic clock: C_k = arctan(k h^2)
     for k in range(tree.K + 1):
         lo, hi = tree.level_slice(k)
-        npt.assert_allclose(clock.C.values[lo:hi, 0], np.arctan(k * h ** 2),
-                            atol=1e-14)
+        npt.assert_allclose(ref.C[lo:hi], np.arctan(k * h ** 2), atol=1e-14)
     dC = clock.dC.values
+    assert dC.tobytes() == ref.dC.tobytes()
     q = clock.factor(0, nt)
     npt.assert_allclose(q ** 2 * dC, h ** 2, atol=1e-14)
 
@@ -387,13 +388,13 @@ def test_pathwise_bracket_rejects_lattice():
 def test_predictable_equals_mean_pathwise(rng):
     tree = random_full_tree(rng, K=3)
     M = random_martingale(rng, tree)
-    clock = predictable_bracket(tree, M)
+    sigma = conditional_covariances(tree, M)
     B = pathwise_bracket(tree, M)
     lo, hi = tree.level_slice(tree.K)
     # E[[M]_T] equals the terminal accumulated conditional-variance trace
     npt.assert_allclose(tree.path_prob[lo:hi] @ B.values[lo:hi, 0],
                         tree.path_prob[lo:hi]
-                        @ accumulated_trace(tree, clock)[lo:hi],
+                        @ accumulated_trace(tree, sigma)[lo:hi],
                         atol=1e-10)
 
 
@@ -490,15 +491,19 @@ def test_child_stride_is_set_iff_children_are_in_closed_form(tree_stride):
 @settings(max_examples=60, deadline=None)
 @given(small_trees())
 def test_child_stride_and_path_prob_on_every_model_kind(tree_m):
-    """A tree given its edges as arrays keeps them and has no stride; one
-    given them in closed form keeps none and its children follow its
+    """A tree given its edges as arrays keeps its children and has no
+    stride, and keeps its parents where it was given them: a tree with the
+    same number of edges out of every node may be given its children alone
+    (the jump lattice and ``time_changed`` are) and derive its parents.  One
+    given its edges in closed form keeps none and its children follow its
     stride."""
     tree, _ = tree_m
     if tree._echild is None:
         assert tree._eparent is None
         assert tree.child_stride == closed_form_stride(tree)
     else:
-        assert tree._eparent is not None and tree.child_stride is None
+        assert tree.child_stride is None
+        assert tree._eparent is not None or tree.arity is not None
     assert tree.path_prob.tobytes() == path_prob_loop(tree).tobytes()
 
 
@@ -673,9 +678,9 @@ def test_move_row_tree_equals_its_per_edge_twin(case, data):
     if isinstance(clock, tuple):
         assert clock == clock_t
         return
-    for name, g, w in (("C", clock.C.values, clock_t.C.values),
-                       ("dC", clock.dC.values, clock_t.dC.values),
-                       ("sigma", clock.sigma, clock_t.sigma),
+    for name, g, w in (("dC", clock.dC.values, clock_t.dC.values),
+                       ("sigma", conditional_covariances(tree, M),
+                        conditional_covariances(twin, Mt)),
                        ("q", clock.factor(0, nt), clock_t.factor(0, nt))):
         assert g.tobytes() == w.tobytes(), name
     lo, hi = tree.level_slice(tree.K)
@@ -721,18 +726,22 @@ RUN_SIZES = (1, 5, ftree.RUN_NODES)
 
 
 def assert_clock_matches_range(tree, M):
-    """C, dC, Sigma and the factor over every node, with runs of any size,
-    are the range oracle's byte for byte."""
+    """dC, Sigma and the factor over every node, with runs of any size, are
+    the range oracle's byte for byte, and dC summed along every path is its
+    clock C to rounding."""
     want = predictable_bracket_range(tree, M)
     nt = tree.n_nonterminal
     for run_nodes in RUN_SIZES:
         with mock.patch.object(ftree, "RUN_NODES", run_nodes):
             got = predictable_bracket(tree, M)
-        for name, g, w in (("C", got.C.values.ravel(), want.C),
-                           ("dC", got.dC.values, want.dC),
-                           ("sigma", got.sigma, want.sigma.ravel()),
-                           ("q", got.factor(0, nt), want.q[:, 0, 0])):
+            sigma = conditional_covariances(tree, M)
+            q = got.factor(0, nt)
+        for name, g, w in (("dC", got.dC.values, want.dC),
+                           ("sigma", sigma, want.sigma.ravel()),
+                           ("q", q, want.q[:, 0, 0])):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+        npt.assert_allclose(clock_from_increments(tree, got.dC.values),
+                            want.C, rtol=0, atol=1e-13)
 
 
 def assert_check_matches_range(tree, M, rng):
@@ -769,6 +778,123 @@ def test_level_clock_and_check_equal_the_range_ones(tree_m, seed):
         assert_check_matches_range(perm, Mp, rng)
 
 
+@st.composite
+def clock_trees(draw):
+    """(tree, M): a random full tree of random branch counts (arrays) or of
+    one arity (closed form, or its children alone with the leaves
+    permuted), a strided lattice (binary or trinomial, recombining or
+    full), the two-sided jump lattice or the one-sided one (lam_down 0), or
+    ``time_changed``."""
+    kind = draw(st.sampled_from(("random", "random_arity", "binary",
+                                 "trinomial", "jump", "jump_one_sided",
+                                 "time_changed")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        tree = random_full_tree(rng, K=draw(st.integers(1, 4)))
+    elif kind == "random_arity":
+        r = draw(st.integers(2, 3))
+        tree = random_full_tree(rng, K=draw(st.integers(1, 4)),
+                                min_branch=r, max_branch=r)
+        if draw(st.booleans()):
+            tree = closed_form_twin(tree)
+        else:
+            perm = permute_last_level(tree, rng)[0]
+            tree = ScenarioTree(perm.grid, perm.level_start, None,
+                                perm.echild, perm.eprob)
+    else:
+        K = draw(st.integers(5, 12))
+        params = {"jump": {}, "jump_one_sided": {"lam_down": 0.0},
+                  "time_changed": {"kappa": 2.0}}.get(kind, {})
+        if kind in ("binary", "trinomial") and K <= 6:
+            params["recombine"] = draw(st.booleans())
+        model = "compensated_jump" if kind.startswith("jump") else kind
+        built = build(ModelConfig(model, K=K, params=params))
+        return built.tree, built.M
+    return tree, random_martingale(rng, tree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(clock_trees(), st.data())
+def test_streamed_clock_equals_the_range_clock(case, data):
+    """The clock streamed level by level keeps dC alone, and it is the range
+    oracle's byte for byte; Sigma formed on demand and the factor, on random
+    node ranges, are the oracle's slices byte for byte, the factor whether
+    it forms Sigma or is given it."""
+    tree, M = case
+    want = predictable_bracket_range(tree, M)
+    clock = predictable_bracket(tree, M)
+    assert clock.dC.values.tobytes() == want.dC.tobytes()
+    assert clock.sigma_max == want.sigma.max()
+    nt = tree.n_nonterminal
+    for _ in range(5):
+        lo = data.draw(st.integers(0, nt - 1))
+        hi = data.draw(st.integers(lo + 1, nt))
+        sigma = conditional_covariances(tree, M, lo, hi)
+        assert sigma.tobytes() == want.sigma[lo:hi, 0, 0].tobytes()
+        q = clock.factor(lo, hi)
+        assert q.tobytes() == want.q[lo:hi, 0, 0].tobytes()
+        assert clock.factor(lo, hi, sigma).tobytes() == q.tobytes()
+
+
+@st.composite
+def implicit_parent_trees(draw):
+    """(tree, M) on a tree given its children alone, r out of every node:
+    the two-sided jump lattice, ``time_changed`` (one probability per
+    edge), or a random full tree of one arity with its leaves permuted."""
+    kind = draw(st.sampled_from(("jump", "time_changed", "random")))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        r = draw(st.integers(2, 4))
+        perm = permute_last_level(random_full_tree(
+            rng, K=draw(st.integers(1, 4)), min_branch=r, max_branch=r),
+            rng)[0]
+        tree = ScenarioTree(perm.grid, perm.level_start, None, perm.echild,
+                            perm.probs)
+        return tree, random_martingale(rng, tree)
+    K = draw(st.integers(5, 12))
+    built = build(ModelConfig(
+        "compensated_jump" if kind == "jump" else kind, K=K,
+        params={"kappa": 2.0} if kind == "time_changed" else {}))
+    return built.tree, built.M
+
+
+@settings(max_examples=60, deadline=None)
+@given(implicit_parent_trees(), st.data())
+def test_implicit_parent_tree_equals_its_explicit_twin(case, data):
+    """A tree that derives its edges' parents and its twin given them as an
+    array agree byte for byte: path probabilities, the parents of random
+    node ranges (runs of levels and leaves included), a solve's Y, Z and
+    E[dN^2 | node], and the GKW dN."""
+    tree, M = case
+    assert tree._eparent is None and tree._echild is not None
+    twin = ScenarioTree(tree.grid, tree.level_start, tree.eparent,
+                        tree.echild, tree.probs)
+    assert twin._eparent is not None
+    assert (twin.arity, twin.child_stride) == (tree.arity, None)
+    assert tree.estart.tobytes() == twin.estart.tobytes()
+    assert tree.path_prob.tobytes() == twin.path_prob.tobytes()
+    for _ in range(5):
+        lo = data.draw(st.integers(0, tree.n_nodes))
+        hi = data.draw(st.integers(lo, tree.n_nodes))
+        got, want = tree.edge_parents(lo, hi), twin.edge_parents(lo, hi)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    Mt = AdaptedProcess(twin, M.values)
+    clock, clock_t = predictable_bracket(tree, M), predictable_bracket(twin,
+                                                                       Mt)
+    assert clock.dC.values.tobytes() == clock_t.dC.values.tobytes()
+    lo, hi = tree.level_slice(tree.K)
+    zeta = np.sin(3 * M.scalar[lo:hi])
+    driver = truncated_driver(2.0, {"b": 0.2, "gamma": 1.0, "a": 0.1})
+    got = solve_lipschitz(tree, M, clock, None, zeta, driver)
+    want = solve_lipschitz(twin, Mt, clock_t, None, zeta, driver)
+    for name in ("Y", "Z"):
+        assert (getattr(got, name).values.tobytes()
+                == getattr(want, name).values.tobytes()), name
+    assert got.dN2.tobytes() == want.dN2.tobytes()
+    assert (gkw_decompose(tree, M, clock, zeta).dN.tobytes()
+            == gkw_decompose(twin, Mt, clock_t, zeta).dN.tobytes())
+
+
 def test_factor_error_names_the_matrix_in_the_whole_stack():
     A = np.zeros((3, 2, 2))
     A[1] = [[1.0, 0.0], [0.0, -1.0]]
@@ -783,10 +909,12 @@ def test_factor_error_names_the_matrix_in_the_whole_stack():
 
 def test_check_and_clock_hold_no_temporary_beyond_a_level():
     """On trinomial K = 256 (66,049 nodes, levels of at most 513 nodes),
-    the martingale check and the clock less its outputs each peak below 8
-    bytes per node, and its factor taken level by level below 8 bytes per
+    the martingale check and the clock less its dC each peak below 8 bytes
+    per node, and its factor taken level by level below 8 bytes per
     non-terminal node, the nodes it is defined on: no temporary is the size
-    of the tree's edges or nodes, only of a level or a run of levels."""
+    of the tree's edges or nodes, only of a level or a run of levels.  The
+    clock keeps dC alone, 8 bytes per non-terminal node: no C, Sigma or
+    factor beside it."""
     built = build(ModelConfig("trinomial", K=256))
     tree, M = built.tree, built.M
     budget = 8 * tree.n_nodes
@@ -798,6 +926,12 @@ def test_check_and_clock_hold_no_temporary_beyond_a_level():
         out = f(*args)
         return out, tracemalloc.get_traced_memory()[1] - start
 
+    def held(f, *args):
+        """f's result and the traced memory it still holds on return."""
+        start = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[0] - start
+
     def factor_by_level(clock):
         for k in range(tree.K):
             clock.factor(*tree.level_slice(k))
@@ -806,12 +940,15 @@ def test_check_and_clock_hold_no_temporary_beyond_a_level():
     try:
         check, check_peak = peak(is_martingale, tree, M)
         clock, clock_peak = peak(predictable_bracket, tree, M)
+        _, clock_held = held(predictable_bracket, tree, M)
         _, factor_peak = peak(factor_by_level, clock)
     finally:
         tracemalloc.stop()
     assert check
-    outputs = sum(a.nbytes for a in (clock.C.values, clock.dC.values,
-                                     clock.sigma))
+    outputs = clock.dC.values.nbytes
+    assert outputs == 8 * tree.n_nonterminal
     assert check_peak < budget
     assert clock_peak - outputs < budget
+    # dC and the clock's few Python objects
+    assert clock_held < outputs + 4096
     assert factor_peak < 8 * tree.n_nonterminal

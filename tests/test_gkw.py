@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from orthres import _kernels
 from orthres.bsde import dual_value, vanishing_N_experiment, zero_driver
 from orthres.errors import InvariantViolation
-from orthres.ftree import (AdaptedProcess, TimeGrid, is_martingale,
-                           predictable_bracket)
+from orthres.ftree import (AdaptedProcess, TimeGrid, conditional_covariances,
+                           is_martingale, predictable_bracket)
 from orthres.gkw import gkw_decompose, martingale_from_terminal, residual_sweep
 from orthres.models import ModelConfig, build
 from orthres.mollify import indicator_halfspace, sine, square
@@ -268,10 +268,9 @@ def test_orthogonality_and_pythagoras(rng):
     # Var(zeta) = E[int Z^2 d[M]] + E[[N]_T]
     w = tree.path_prob[lo:hi]
     var = float(w @ (zeta - w @ zeta) ** 2)
-    clock = predictable_bracket(tree, M)
     nt = tree.n_nonterminal
-    zpart = float(tree.path_prob[:nt]
-                  @ (res.Z.values[:, 0] ** 2 * clock.sigma.ravel()))
+    zpart = float(tree.path_prob[:nt] @ (res.Z.values[:, 0] ** 2
+                                         * conditional_covariances(tree, M)))
     npt.assert_allclose(var, zpart + res.bracketNN_T, atol=1e-9)
 
 
@@ -325,6 +324,30 @@ def test_residual_sweep_trinomial_decreasing():
     assert sw.strictly_decreasing()
     assert sw.trend_statistic() > 0
     assert all(r.n_nodes == (r.K + 1) ** 2 for r in sw.rows)
+
+
+# the step h of M, from far below to far above unit scale
+SCALES = (1e-9, 1e-7, 1e-3, 1.0, 1e3)
+
+
+@pytest.mark.parametrize("kind", ["binary", "trinomial"])
+def test_residual_is_invariant_under_the_scale_of_M(kind):
+    """E[[N]_T] of the indicator does not depend on the scale of M: dY is
+    projected where E[dm^2 | node] is large against its largest value, not
+    against an absolute floor, so a step h = 1e-7 (Sigma = 1e-14) is still
+    projected.  The binary walk is complete, so its residual is 0 at every
+    h; the trinomial one is not, and is the same at every h."""
+    F = indicator_halfspace()
+    got = [residual_sweep(
+        lambda K: ModelConfig(kind, K=K, params={"h": h}),
+        lambda s: F(s), [4, 6]).residuals for h in SCALES]
+    want = got[SCALES.index(1.0)]
+    for h, r in zip(SCALES, got):
+        npt.assert_allclose(r, want, rtol=0, atol=1e-12, err_msg=f"h = {h}")
+    if kind == "binary":
+        npt.assert_allclose(want, 0.0, atol=1e-12)
+    else:
+        assert want.min() > 0.01
 
 
 def test_residual_sweep_trinomial_indicator_matches_exact_reference():

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from orthres import models
 from orthres.errors import InvariantViolation, ModelError, NodeCapExceeded
-from orthres.ftree import (AdaptedProcess, TimeGrid, is_martingale,
-                           predictable_bracket)
+from orthres.ftree import (AdaptedProcess, TimeGrid, conditional_covariances,
+                           is_martingale)
 from orthres.models import ModelConfig, build, estimate_nodes, node_cap
 
 from reference import (TreeBuilder, is_tree, path_prob_loop,
@@ -76,9 +76,9 @@ def test_binary_lattice_matches_full_tree_law():
 def test_trinomial_step_variance_calibration():
     for p in (0.1, 0.25, 0.4):
         built = build(ModelConfig("trinomial", K=8, params={"p": p}))
-        clock = predictable_bracket(built.tree, built.M)
+        sigma = conditional_covariances(built.tree, built.M)
         # per-step conditional variance is T/K everywhere
-        npt.assert_allclose(clock.sigma.ravel(), 1.0 / 8, atol=1e-13)
+        npt.assert_allclose(sigma, 1.0 / 8, atol=1e-13)
 
 
 def test_trinomial_rejects_bad_probability():
@@ -91,8 +91,8 @@ def test_compensated_jump_one_sided_bernoulli_variance():
     built = build(ModelConfig("compensated_jump", K=K,
                               params={"lam": lam, "lam_down": 0.0}))
     dt = 1.0 / K
-    clock = predictable_bracket(built.tree, built.M)
-    npt.assert_allclose(clock.sigma.ravel(), lam * dt * (1 - lam * dt),
+    sigma = conditional_covariances(built.tree, built.M)
+    npt.assert_allclose(sigma, lam * dt * (1 - lam * dt),
                         atol=1e-13)
 
 
@@ -111,8 +111,7 @@ def test_compensated_jump_rejects_saturated_intensity():
 
 def test_time_changed_state_dependent_bracket():
     built = build(ModelConfig("time_changed", K=6, params={"kappa": 2.0}))
-    clock = predictable_bracket(built.tree, built.M)
-    sig = clock.sigma.ravel()
+    sig = conditional_covariances(built.tree, built.M)
     assert sig.max() > sig.min() + 1e-6   # genuinely non-deterministic bracket
 
 
@@ -290,6 +289,25 @@ def test_build_keeps_no_edge_index_arrays():
         tracemalloc.stop()
     tree = built.tree
     budget = 32 * tree.n_nodes
+    assert current < budget
+    assert peak < budget
+
+
+def test_jump_lattice_build_keeps_no_parent_array():
+    """Building the two-sided jump lattice at K = 64 (47,905 nodes, 137,280
+    edges, three out of every non-terminal node) holds and peaks below 60
+    bytes per node: its children (22.9 B/node), estart, path_prob and M fit
+    (47.1 B/node, 56.4 at the peak), but not with a stored parent array
+    (22.9 B/node more), nor with one built only for the tree to drop."""
+    tracemalloc.start()
+    try:
+        built = build(ModelConfig("compensated_jump", K=64))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tree = built.tree
+    assert tree._eparent is None and tree.arity == 3
+    budget = 60 * tree.n_nodes
     assert current < budget
     assert peak < budget
 
