@@ -336,20 +336,20 @@ def _leaf_values(tree, zeta):
 
 
 def _levels(tree, M, clock, X, zeta, driver):
-    """The backward sweep of solve_lipschitz, one level at a time.
+    """The backward step of solve_lipschitz, one level at a time.
 
-    Yields ``(k, a, b, y, z, z_arg, res, dn)`` for k = K-1 .. 0: level k's
-    nodes [a, b), their y and Z, the z the driver was evaluated at, q Z,
-    their E[dN^2 | node], column-major, and the per-edge dN of the level's
-    edges in its layout (see _kernels); the consumer must not write to
-    them.  Only the level below's y and the level's own per-edge p, p dm,
-    dm and dy are held, p laid out once for both kernels, and E[dm^2 | node]
-    is formed from p dm and dm: dy is overwritten by dn,
-    E[dN^2 | node] is formed from it, and path_prob times that is summed
-    into E[[N]_T], which (a float, or (B,) for a batch) is returned once
-    level 0 has been consumed.  Each column thus sums per level, then in
-    level order, as its 1-D solve does.  Every check of solve_lipschitz is
-    made here."""
+    Yields ``(k, a, b, y, z, z_arg, edges)`` for k = K-1 .. 0: level k's
+    nodes [a, b), their y and Z, and the z the driver was evaluated at,
+    q Z, column-major, then the level's per-edge ``edges = (dm, dy, p)`` in
+    its layout (see _kernels), which ``_closed`` turns into the level's
+    residuals; the consumer must not write to y, z or z_arg.  Only the
+    level below's y and the level's own per-edge p, p dm, dm and dy are
+    held, p laid out once for both kernels, and E[dm^2 | node] is formed
+    from p dm and dm.  Every check of solve_lipschitz but the finiteness
+    of E[[N]_T] is made here: the leaf values, the contraction, a Sigma
+    that is not finite, the projection test and the implicit step's
+    miss.  A sweep that reads only y and Z consumes these levels as they
+    are and forms no residual."""
     zeta = _leaf_values(tree, zeta)
     dC = clock.dC.values
     dc_max = float(dC.max()) if dC.size else 0.0
@@ -366,11 +366,9 @@ def _levels(tree, M, clock, X, zeta, driver):
     m = M.scalar
     mcol = m[col]
     dC = dC[col]
-    path_prob = tree.path_prob[col]
     t = tree.grid.t
     zero = np.zeros((int(np.diff(tree.level_start).max()),) + zeta.shape[1:],
                     order="F")
-    bracket = 0.0
     # column-major from zeta on: the kernels read the level below as (B, n)
     # rows, and the level's (n, B) arithmetic with per-node and per-column
     # operands runs B inner loops of n, not n loops of B
@@ -398,25 +396,48 @@ def _levels(tree, M, clock, X, zeta, driver):
             ok = miss <= FP_TOL * np.maximum(1.0, np.abs(y))
             if not ok.all():
                 raise _step_miss(k, miss, y, ok, driver.y_part)
-        dy, res = _kernels.residual_moments_d1(tree, dm, dy, z, a, b, p=p)
-        bracket = bracket + _column_sums(path_prob[a:b] * res)
         base = a
-        yield k, a, b, y, z, z_arg, res, dy
+        yield k, a, b, y, z, z_arg, (dm, dy, p)
         # the consumed level's per-edge arrays are not held while the next
         # level's are formed
         del dm, p, pdm, dy
+
+
+def _closed(tree, M, clock, X, zeta, driver):
+    """The ``_levels`` sweep with each level's residuals closed.
+
+    Yields ``(k, a, b, y, z, z_arg, res, dn)``: a level of ``_levels``
+    with its E[dN^2 | node], column-major, and its per-edge dN in its
+    layout, formed over the level's dy, which is overwritten.
+    path_prob times E[dN^2 | node] is summed into E[[N]_T], which (a float,
+    or (B,) for a batch) is returned once level 0 has been consumed, so
+    each column sums per level, then in level order, as its 1-D solve
+    does; a non-finite E[[N]_T] raises InvariantViolation, naming the first
+    such column of a batch."""
+    pp = tree.path_prob
+    bracket = 0.0
+    for k, a, b, y, z, z_arg, (dm, dy, p) in _levels(tree, M, clock, X,
+                                                     zeta, driver):
+        dn, res = _kernels.residual_moments_d1(tree, dm, dy, z, a, b, p=p)
+        w = pp[a:b] if y.ndim == 1 else pp[a:b, None]
+        bracket = bracket + _column_sums(w * res)
+        yield k, a, b, y, z, z_arg, res, dn
+        # nor are they held here while the next level is formed
+        del dm, dy, p, dn
     bad = np.flatnonzero(~np.isfinite(bracket))
     if bad.size:
-        where = f" in column {bad[0]}" if zeta.ndim == 2 else ""
+        where = f" in column {bad[0]}" if y.ndim == 2 else ""
         raise InvariantViolation(
             f"E[[N]_T] is not finite{where}: the solution's increments "
             "overflow")
-    return float(bracket) if zeta.ndim == 1 else bracket
+    return float(bracket) if y.ndim == 1 else bracket
 
 
 def _consume(steps, take=None):
-    """Run a _levels sweep, calling take(k, a, b, y, z, z_arg, res, dn) on
-    each level; its E[[N]_T] and the root level's tuple, less its dn."""
+    """Run a ``_levels`` or ``_closed`` sweep, calling take(*level) on each
+    level's tuple; the value the sweep returns (E[[N]_T] for ``_closed``,
+    None for ``_levels``) and the root level's tuple, less its last entry
+    (the per-edge arrays)."""
     while True:
         try:
             level = next(steps)
@@ -424,8 +445,8 @@ def _consume(steps, take=None):
             return done.value, level
         if take is not None:
             take(*level)
-        # with _levels' own references dropped, this frees the level's dn
-        # before the next level is formed
+        # with the sweep's own references dropped, this frees the level's
+        # per-edge arrays before the next level is formed
         level = level[:-1]
 
 
@@ -449,10 +470,10 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
     step misses.  E[dN^2 | node] is closed per level from the projection's
     per-edge dy and summed into E[[N]_T] on that level, and a non-finite
     E[[N]_T] raises InvariantViolation (naming the first such column of a
-    batch).  The levels come from ``_levels``; this stores their Y, Z and
+    batch).  The levels come from ``_closed``; this stores their Y, Z and
     E[dN^2 | node] at full size.
 
-    Every experiment but ``cascade`` solves with it or streams ``_levels``:
+    Every experiment but ``cascade`` solves with it or streams its levels:
     the zero driver's step is the closure y = E[y'] and its E[[N]_T] the GKW
     residual, and a quadratic driver is solved directly (see
     solve_quadratic).
@@ -469,7 +490,7 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
         yvals[a:b] = y
         zall[a:b] = z
         dn2[a:b] = res
-    bracket, _ = _consume(_levels(tree, M, clock, X, zeta, driver), store)
+    bracket, _ = _consume(_closed(tree, M, clock, X, zeta, driver), store)
     return BsdeSolution(
         tree=tree, M=M, clock=clock, zeta=zeta, driver=driver,
         Y=AdaptedProcess(tree, yvals),
@@ -636,9 +657,11 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
     Y_j >= Y_{j+B/2}.  Preconditions are verified, not assumed.  Per level
     the driver is evaluated once, on the lower half's (y, q z) twice over,
     and the running min of Y_j - Y_{j+B/2} keeps the lowest node of a tie,
-    as argmin does; no full-size array is kept.  X, if given, is shared by
-    the columns or carries a column axis, as in solve_lipschitz.  Returns
-    B/2 verdicts."""
+    as argmin does; no full-size array is kept.  The sweep is the step
+    alone (``_levels``): it makes every check of solve_lipschitz but forms
+    no residual, so a solution whose E[[N]_T] would overflow still gets
+    its verdicts.  X, if given, is shared by the columns or carries a
+    column axis, as in solve_lipschitz.  Returns B/2 verdicts."""
     zeta = _leaf_values(tree, zeta)
     if zeta.ndim != 2 or zeta.shape[1] % 2:
         raise ValueError("compare needs (leaves, B) terminal data with B "
@@ -656,7 +679,7 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
     node = node + tree.level_start[tree.K]
     worst_pre = np.zeros(h)
 
-    def check(k, a, b, y, z, z_arg, res, dn):
+    def check(k, a, b, y, z, z_arg, edges):
         nonlocal worst_pre, worst, node
         xk = X.values[a:b] if X is not None else None
         if xk is not None and xk.ndim == 3:
@@ -764,7 +787,7 @@ def _vanishing_sweep(model, coeffs, x0, maps, driver):
     model is built."""
     tree, M, clock, X = setup_problem(model, coeffs, x0)
     zeta = np.column_stack([_terminal_values(tree, M, X, Fe) for Fe in maps])
-    bracket, root = _consume(_levels(tree, M, clock, X, zeta, driver))
+    bracket, root = _consume(_closed(tree, M, clock, X, zeta, driver))
     return bracket, root[3][0]
 
 
@@ -802,7 +825,8 @@ class RegularityScan:
 
 def _scan_sweep(sub, M0, clock, g, F, driver, coeffs, x_value):
     """Y and Z at the root of ``sub`` for the columns M0 + g[j], from one
-    streamed sweep; its X is freed before the next sweep makes its own."""
+    streamed sweep of the step alone; its X is freed before the next sweep
+    makes its own."""
     X = None if coeffs is None else euler_forward(
         sub, M0, clock, coeffs, x_value, shifts=g)
     zeta = _terminal_values(sub, M0, X, F, shifts=g)
@@ -824,7 +848,9 @@ def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None,
     batched Euler pass, one stacked evaluation of F and one streamed B-column
     sweep of _levels each, the driver seeing each column's own m.  Only the
     root's Y and Z are read: the root Z of each column, the gradient of u
-    along M, is kept next to u.
+    along M, is kept next to u.  The sweeps take the step alone and form no
+    residual, so a solution whose E[[N]_T] would overflow is still scanned;
+    every check of the step is made.
     """
     lo, _ = tree.level_slice(t_idx)
     sub, order = extract_subtree(tree, lo)

@@ -1,9 +1,11 @@
 """Forward state X driven by M and the clock on a tree.
 
 Explicit Euler along edges: X_{k+1} = X_k + sigma(t_k, X_k, M_k) dM
-+ b(t_k, X_k, M_k) dC_k.  On recombining lattices the update must be
-consistent across incoming edges (it is whenever X is a function of the
-lattice state, e.g. constant coefficients); otherwise a full tree is needed.
++ b(t_k, X_k, M_k) dC_k, with the coefficients evaluated once per node and
+M scalar (d = 1), so sigma dM is a product.  On recombining lattices the
+update must be consistent across incoming edges (it is whenever X is a
+function of the lattice state, e.g. constant coefficients); otherwise a
+full tree is needed.
 """
 
 import math
@@ -37,9 +39,14 @@ def euler_forward(tree, M, clock, coeffs, x0, shifts=None):
 
     With ``shifts`` a (B,) array, column j runs on M + shifts[j] and X is
     (n_nodes, n, B), each column bit-identical to the run on that shifted
-    martingale: the coefficients are evaluated once per level on the stacked
-    (edges * B) rows, and the finiteness and consistency checks cover every
-    column.
+    martingale.  The coefficients are evaluated once per level on the
+    level's stacked (nodes * B) rows, node-major, and each edge takes its
+    parent's values.  On a tree with a ``child_stride`` each move i of the
+    level reads and writes the next level through a strided view, the
+    highest move first, so that the last edge in edge order sets a
+    recombined node; any other tree gathers its parents and scatters into
+    its children.  The finiteness and consistency checks cover every edge
+    and column.
     """
     n = coeffs.n
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -47,38 +54,67 @@ def euler_forward(tree, M, clock, coeffs, x0, shifts=None):
         raise ValueError(f"x0 must have shape ({n},)")
     g = None if shifts is None else np.asarray(shifts, dtype=float).ravel()
     B = 1 if g is None else len(g)
-    d = M.dim
-    # column-minor rows: edge e of column j is row e * B + j
+    m = M.scalar
+
+    def shifted(at):
+        """M at the nodes ``at``, one column per shift: (nodes, B)."""
+        v = m[at, None]
+        return v if g is None else v + g
+    # column-minor rows: node i of column j is row i * B + j
     X = np.zeros((tree.n_nodes, B, n))
     X[0] = x0
     dC = clock.dC.values
-    t = tree.grid.t
+    t, ls = tree.grid.t, tree.level_start.tolist()
+    s, r = tree.child_stride, tree.arity
+    mk = shifted(slice(0, ls[1]))
     for k in range(tree.K):
-        lo, hi = tree.level_slice(k)
-        par, chi = tree.edge_parents(lo, hi), tree.edge_children(lo, hi)
-        xp, mp, mc = X[par].reshape(-1, n), M.values[par], M.values[chi]
-        if g is not None:
-            mp = (mp[:, None, :] + g[:, None]).reshape(-1, d)
-            mc = (mc[:, None, :] + g[:, None]).reshape(-1, d)
-        sig = np.asarray(coeffs.sigma(t[k], xp, mp), dtype=float)
-        drift = np.asarray(coeffs.b(t[k], xp, mp), dtype=float)
-        upd = (xp + np.einsum("eij,ej->ei", sig, mc - mp)).reshape(-1, B, n)
-        upd += drift.reshape(upd.shape) * dC[par][:, None, None]
-        if not np.all(np.isfinite(upd)):
-            raise InvariantViolation("coefficient evaluation produced "
-                                     "non-finite forward state")
+        lo, hi, end = ls[k:k + 3]
+        # sigma dm is added to x + 0.0, which turns a -0.0 state to +0.0:
+        # the per-edge reference sums sigma dm from +0.0 (an einsum), and
+        # (x + 0.0) + sigma dm is x + (0.0 + sigma dm) bit for bit
+        xk = X[lo:hi] + 0.0
+        rows = X[lo:hi].reshape(-1, n), mk.reshape(-1, 1)
+        sig = np.asarray(coeffs.sigma(t[k], *rows), dtype=float)
+        sig = sig.reshape(xk.shape)
+        drift = np.asarray(coeffs.b(t[k], *rows), dtype=float)
+        drift = drift.reshape(xk.shape) * dC[lo:hi, None, None]
+        # the next level's M and X, indexed from its first node
+        mc, xc = shifted(slice(hi, end)), X[hi:end]
+        if s is None:
+            moves = [(tree.edge_parents(lo, hi) - lo,
+                      tree.edge_children(lo, hi) - hi)]
+        else:
+            moves = [(slice(None), slice(i, i + s * (hi - lo - 1) + 1, s))
+                     for i in range(r - 1, -1, -1)]
+        upd = []
+        for par, chi in moves:
+            u = (mc[chi] - mk[par])[..., None] * sig[par]
+            u += xk[par]
+            u += drift[par]
+            xc[chi] = u
+            upd.append(u)
         # every edge into one child must give it the state stored there
-        # (the last edge's), per column
-        X[chi] = upd
-        gap = np.abs(X[chi] - upd)
-        err = gap.max()
-        if err > CONSISTENCY_TOL:
+        # (the last edge's), per column; a move's children are distinct, so
+        # the move a strided tree wrote last gave each its own state
+        gap = [np.abs(xc[chi] - u) for (_, chi), u in
+               zip(moves[:-1] if s is not None else moves, upd)]
+        err = float(np.max([d.max() for d in gap], initial=0.0))
+        # a non-finite state is stored, or gives a non-finite gap
+        if not (err <= CONSISTENCY_TOL and np.isfinite(xc).all()):
+            if not all(np.isfinite(u).all() for u in upd):
+                raise InvariantViolation("coefficient evaluation produced "
+                                         "non-finite forward state")
+            # edge order: node-major, move-minor
+            gap = np.stack([np.abs(xc[chi] - u) for (_, chi), u
+                            in zip(moves, upd)][::-1], axis=1)
+            gap = gap.reshape(-1, B, n)
             where = (f" in column {np.argwhere(gap == err)[0, 1]}"
                      if g is not None else "")
             raise InvariantViolation(
                 "forward state is path-dependent on a recombining "
                 f"lattice (mismatch {err:.3e}{where}); rebuild as a "
                 "full tree")
+        mk = mc
     return AdaptedProcess(tree, X[:, 0] if g is None
                           else X.transpose(0, 2, 1))
 
@@ -91,8 +127,9 @@ def extract_subtree(tree, node):
     the next, so its level sizes and node map follow level by level, with
     no walk over the edges, and the new tree finds its stride from its
     level sizes.  Any other tree's subtree is found by a walk over the
-    edges out of [node, nt) and given its kept edges as arrays.  A subtree
-    shares its tree's move row."""
+    edges out of [node, nt) and given its kept edges as arrays, as its
+    children alone where the tree has a fixed arity.  A subtree shares its
+    tree's move row."""
     level0 = tree.level_of(node)
     grid = TimeGrid(tree.grid.t[level0:] - tree.grid.t[level0])
     nt, ls, p = tree.n_nonterminal, tree.level_start, tree.probs
@@ -129,7 +166,10 @@ def extract_subtree(tree, node):
     ekeep = keep[par]
     if p.ndim == 1:
         p = p[tree.estart[node]:tree.estart[nt]][ekeep]
-    sub = ScenarioTree(grid, new_id[ls[level0:]], new_id[par[ekeep]],
+    # a kept node keeps all its edges, so a fixed arity stays fixed and the
+    # subtree derives its parents
+    sub = ScenarioTree(grid, new_id[ls[level0:]],
+                       None if tree.arity else new_id[par[ekeep]],
                        new_id[chi[ekeep]], p)
     return sub, np.flatnonzero(keep)
 

@@ -528,7 +528,10 @@ def predictable_bracket(tree, M):
             nxt = buf[hi - a:end - a]
             if s is None:
                 child = tree.edge_children(lo, hi) - hi
-                cand = cand[tree.edge_parents(lo, hi) - lo]
+                # with r edges out of every node, node j's are r*j .. r*j +
+                # r - 1: no parent array is needed
+                cand = (cand[tree.edge_parents(lo, hi) - lo] if r is None
+                        else np.repeat(cand, r))
                 nxt[child] = cand
                 # every incoming edge must agree on the accumulated trace
                 worst = max(worst, float(np.max(np.abs(nxt[child] - cand))))

@@ -2,10 +2,11 @@
 
 The decomposition Y = Y0 + int Z dM + N of Y = E[zeta | F_k] is the
 zero-driver case of the backward solver: ``bsde._levels`` with the zero
-driver takes the step y = E[y' | node], projects each level's dy on dm
-(forming E[dm^2 | node] from the level's increments) and forms dN and
-E[dN^2 | node] on that level, so its E[[N]_T] is the discrete analogue of the
-orthogonal part's bracket; this module stores what that sweep yields.
+driver takes the step y = E[y' | node] and projects each level's dy on dm
+(forming E[dm^2 | node] from the level's increments), and ``bsde._closed``
+forms dN and E[dN^2 | node] on that level, so its E[[N]_T] is the discrete
+analogue of the orthogonal part's bracket; this module stores what that
+sweep yields.
 """
 
 from dataclasses import dataclass, field
@@ -51,7 +52,7 @@ def gkw_decompose(tree, M, clock, zeta):
         y_all[a:b] = y
         z_all[a:b, 0] = z
         _kernels.store_edges(tree, dn_level, a, b, dn)
-    bracket, _ = bsde._consume(bsde._levels(tree, M, clock, None, zeta,
+    bracket, _ = bsde._consume(bsde._closed(tree, M, clock, None, zeta,
                                             bsde.zero_driver()), take)
     return GkwResult(Y=AdaptedProcess(tree, y_all),
                      Z=PredictableField(tree, z_all), dN=dn,
@@ -103,7 +104,7 @@ def _sweep_row(K, model, F):
     tree, M, clock, _ = bsde.setup_problem(model)
     lo, hi = tree.level_slice(tree.K)
     zeta = np.asarray(F(M.values[lo:hi]), dtype=float)
-    bracket, _ = bsde._consume(bsde._levels(tree, M, clock, None, zeta,
+    bracket, _ = bsde._consume(bsde._closed(tree, M, clock, None, zeta,
                                             bsde.zero_driver()))
     w = tree.path_prob[lo:hi]
     var = float(w @ (zeta - zeta @ w) ** 2)

@@ -8,9 +8,9 @@ per-edge array in the kernels' layout, a solve's per-edge dN, the two-term
 bracket split, the Markov grouping spread, a driver growth check, the
 comparison check on two stored solutions, a clamped terminal map, a tree's
 path probabilities and closed-form child stride by their definitions, and
-the martingale check and the clock over all non-terminal nodes at once; the
-clock C itself, which the library keeps only as its increments dC, lives
-here.
+the martingale check and the clock over all non-terminal nodes at once, and
+the Euler pass with its coefficients evaluated per edge; the clock C itself,
+which the library keeps only as its increments dC, lives here.
 The library's martingale is scalar (d = 1); the d-general covariances, PSD
 factor and GKW projection are kept here, built on nothing from the library
 but its kernels.
@@ -27,6 +27,7 @@ from orthres import _kernels
 from orthres.bsde import CompareVerdict
 from orthres.cli import _affine_driver, _random_affine_pair
 from orthres.errors import InvariantViolation
+from orthres.forward import CONSISTENCY_TOL
 from orthres.ftree import (PSD_TOL, AdaptedProcess, MartingaleCheck,
                            PredictableField, ScenarioTree, TimeGrid)
 
@@ -556,3 +557,56 @@ def predictable_bracket_range(tree, M):
                                      out=np.zeros_like(sigma),
                                      where=dC[:, None, None] > 0))
     return RangeClock(C, dC, sigma, q)
+
+
+def euler_forward_edges(tree, M, clock, coeffs, x0, shifts=None):
+    """The explicit Euler scheme with its coefficients evaluated once per
+    edge, on the parent's repeated rows, and sigma dM as an einsum over the
+    d components of M; returns X as an AdaptedProcess.
+
+    With ``shifts`` a (B,) array, column j runs on M + shifts[j] and X is
+    (n_nodes, n, B), each column bit-identical to the run on that shifted
+    martingale: the coefficients are evaluated once per level on the stacked
+    (edges * B) rows, and the finiteness and consistency checks cover every
+    column.
+    """
+    n = coeffs.n
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (n,):
+        raise ValueError(f"x0 must have shape ({n},)")
+    g = None if shifts is None else np.asarray(shifts, dtype=float).ravel()
+    B = 1 if g is None else len(g)
+    d = M.dim
+    # column-minor rows: edge e of column j is row e * B + j
+    X = np.zeros((tree.n_nodes, B, n))
+    X[0] = x0
+    dC = clock.dC.values
+    t = tree.grid.t
+    for k in range(tree.K):
+        lo, hi = tree.level_slice(k)
+        par, chi = tree.edge_parents(lo, hi), tree.edge_children(lo, hi)
+        xp, mp, mc = X[par].reshape(-1, n), M.values[par], M.values[chi]
+        if g is not None:
+            mp = (mp[:, None, :] + g[:, None]).reshape(-1, d)
+            mc = (mc[:, None, :] + g[:, None]).reshape(-1, d)
+        sig = np.asarray(coeffs.sigma(t[k], xp, mp), dtype=float)
+        drift = np.asarray(coeffs.b(t[k], xp, mp), dtype=float)
+        upd = (xp + np.einsum("eij,ej->ei", sig, mc - mp)).reshape(-1, B, n)
+        upd += drift.reshape(upd.shape) * dC[par][:, None, None]
+        if not np.all(np.isfinite(upd)):
+            raise InvariantViolation("coefficient evaluation produced "
+                                     "non-finite forward state")
+        # every edge into one child must give it the state stored there
+        # (the last edge's), per column
+        X[chi] = upd
+        gap = np.abs(X[chi] - upd)
+        err = gap.max()
+        if err > CONSISTENCY_TOL:
+            where = (f" in column {np.argwhere(gap == err)[0, 1]}"
+                     if g is not None else "")
+            raise InvariantViolation(
+                "forward state is path-dependent on a recombining "
+                f"lattice (mismatch {err:.3e}{where}); rebuild as a "
+                "full tree")
+    return AdaptedProcess(tree, X[:, 0] if g is None
+                          else X.transpose(0, 2, 1))

@@ -865,6 +865,31 @@ def test_non_finite_bracket_is_an_invariant_violation():
                             np.column_stack([zeta, huge, huge]), f)
 
 
+def test_step_only_sweeps_form_no_residual_to_overflow():
+    """compare and regularity_scan take the step alone and form no
+    E[[N]_T], so a solution whose residual increments overflow when squared
+    gets its verdicts and its scan, while solve_lipschitz, which closes the
+    residuals, refuses it."""
+    built = build(ModelConfig("trinomial", K=4))
+    tree, M = built.tree, built.M
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(tree.K)
+    huge = 1e200 * np.sin(3.0 * M.scalar[lo:hi])
+    f = driver_from_catalog("zero")
+    F = TerminalMap(id="huge_sine", arity=1,
+                    evaluator=lambda s: 1e200 * np.sin(3.0 * s[:, 0]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvariantViolation,
+                           match=r"E\[\[N\]_T\] is not finite"):
+            solve_lipschitz(tree, M, clock, None, huge, f)
+        verdicts = compare(tree, M, clock, None,
+                           np.column_stack([huge + 1e190, huge]), f)
+        scan = regularity_scan(tree, M, 1, np.linspace(-0.5, 0.5, 5), F, f)
+    assert [(v.applicable, v.ok) for v in verdicts] == [(True, True)]
+    assert np.all(np.isfinite(scan.u)) and np.abs(scan.u).max() > 1e197
+    assert np.all(np.isfinite(scan.z))
+
+
 def test_non_finite_terminal_value_is_an_invariant_violation():
     """A NaN or inf leaf is refused before the sweep, naming the leaf and
     the column of a batch, not blamed on the driver, and with no numpy
@@ -982,7 +1007,8 @@ def test_refinement_frees_each_K_before_building_the_next(experiment):
 
 def test_sweep_frees_each_consumed_level(monkeypatch):
     """When the next level's moments are formed, the consumed level's dn is
-    gone: neither _levels nor _consume still holds its per-edge arrays."""
+    gone: neither _levels, _closed nor _consume still holds its per-edge
+    arrays; nor, in a sweep of the step alone, its dm and dy."""
     built = build(ModelConfig("trinomial", K=16))
     tree, M = built.tree, built.M
     clock = predictable_bracket(tree, M)
@@ -992,15 +1018,24 @@ def test_sweep_frees_each_consumed_level(monkeypatch):
 
     def spy(*args, **kwargs):
         if taken:
-            alive.append(taken[-1]() is not None)
+            alive.append(any(ref() is not None for ref in taken[-1]))
         return moments(*args, **kwargs)
 
     def take(k, a, b, y, z, z_arg, res, dn):
-        taken.append(weakref.ref(dn))
+        taken.append([weakref.ref(dn)])
+
+    def take_step(k, a, b, y, z, z_arg, edges):
+        taken.append([weakref.ref(e) for e in edges[:2]])
 
     monkeypatch.setattr(_kernels, "level_moments_d1", spy)
-    bsde._consume(bsde._levels(tree, M, clock, None, zeta,
+    bsde._consume(bsde._closed(tree, M, clock, None, zeta,
                                bsde.linear_y(0.1)), take)
+    assert len(taken) == tree.K
+    assert alive == [False] * (tree.K - 1)
+    taken.clear()
+    alive.clear()
+    bsde._consume(bsde._levels(tree, M, clock, None, zeta,
+                               bsde.linear_y(0.1)), take_step)
     assert len(taken) == tree.K
     assert alive == [False] * (tree.K - 1)
 
@@ -1179,7 +1214,7 @@ def test_regularity_scan_root_z_is_the_central_difference(monkeypatch):
         seen = {}
         sweeps.append(seen)
 
-        def record(k, a, b, y, z, z_arg, res, dn):
+        def record(k, a, b, y, z, z_arg, edges):
             seen[k] = (y.copy(), z.copy())
         return consume(steps, record)
     consume = bsde._consume
@@ -1333,13 +1368,75 @@ def test_levels_columns_equal_solo_solves(seed, K, B, u, share, zscale):
             assert np.array_equal(res[:, j], one.dN2[a:b_])
             assert np.array_equal(z_arg[:, j], clock.factor(a, b_)
                                   * one.Z.values[a:b_, 0])
-    bracket, root = bsde._consume(bsde._levels(
+    bracket, root = bsde._consume(bsde._closed(
         tree, M, clock, None, zeta, _y_part_driver(ky, b, kz, c0)), check)
     assert seen == list(range(K - 1, -1, -1))
     assert root[:3] == (0, 0, 1)
     for j, one in enumerate(solos):
         assert bracket[j] == one.bracketNN_T
         assert root[3][0, j] == one.Y0
+
+
+@st.composite
+def step_sweeps(draw):
+    """A tree of any kind with its M and clock, leaf values as one column
+    or a batch, an X that is absent, shared by the columns or has a column
+    axis, and a driver that reads X and declares a y-part."""
+    tree, M = draw(small_trees())
+    clock = predictable_bracket(tree, M)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    B = draw(st.sampled_from([None, 1, 3]))
+    lo, hi = tree.level_slice(tree.K)
+    zeta = np.sin(3.0 * M.scalar[lo:hi])
+    if B is not None:
+        zeta = zeta[:, None] + 0.5 * rng.normal(size=(hi - lo, B))
+    X = None
+    x_kind = draw(st.sampled_from(["none", "shared"]
+                                  + (["columns"] if B else [])))
+    if x_kind != "none":
+        X = forward.euler_forward(
+            tree, M, clock, forward.identity(n=2), [0.5, -0.25],
+            shifts=rng.normal(size=B) if x_kind == "columns" else None)
+    ky = 0.4 / max(float(clock.dC.values.max()), 1.0)
+
+    def f(t, x, m, y, z):
+        xs = 0.0 if x is None else (
+            x[:, :1] if x.ndim == 2 and y.ndim == 2 else x[:, 0])
+        return ky * y + 0.3 * z + 0.1 * xs
+    return tree, M, clock, X, zeta, DriverSpec(id="x_read", f=f,
+                                               y_part=(ky, 0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_sweeps())
+def test_step_only_sweep_equals_the_closed_sweep(case):
+    """Per level, the step alone (_levels) yields the y, Z and q Z of the
+    sweep whose residuals are closed (_closed), byte for byte, on random
+    full trees, strided lattices, the jump lattice and the rest, for one
+    column or a batch, with or without X and its column axis; the step
+    returns nothing and the closed sweep E[[N]_T]."""
+    tree, M, clock, X, zeta, driver = case
+    seen = {"step": [], "closed": []}
+
+    def step(k, a, b, y, z, z_arg, edges):
+        seen["step"].append((k, a, b, y.copy(), z.copy(), z_arg.copy()))
+
+    def closed(k, a, b, y, z, z_arg, res, dn):
+        seen["closed"].append((k, a, b, y.copy(), z.copy(), z_arg.copy()))
+    value, root = bsde._consume(
+        bsde._levels(tree, M, clock, X, zeta, driver), step)
+    bracket, closed_root = bsde._consume(
+        bsde._closed(tree, M, clock, X, zeta, driver), closed)
+    assert value is None and len(root) == 6 and len(closed_root) == 7
+    assert np.all(np.isfinite(bracket))
+    assert len(seen["step"]) == len(seen["closed"]) == tree.K
+    for got, want in zip(seen["step"], seen["closed"]):
+        assert got[:3] == want[:3]
+        for x, w in zip(got[3:], want[3:]):
+            assert x.shape == w.shape and x.tobytes() == w.tobytes()
+    sol = solve_lipschitz(tree, M, clock, X, zeta, driver)
+    assert np.array_equal(bracket, sol.bracketNN_T)
+    assert np.array_equal(root[3], sol.Y.values[:1].reshape(root[3].shape))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1384,7 +1481,7 @@ def test_lattice_sweep_columns_equal_1d_solves_on_both_child_paths(
                 assert np.array_equal(z[:, j], one.Z.values[a:b_, 0])
                 assert np.array_equal(res[:, j], one.dN2[a:b_])
             levels.append((y.copy(), z.copy(), res.copy()))
-        bracket, root = bsde._consume(bsde._levels(
+        bracket, root = bsde._consume(bsde._closed(
             tr, Mt, clock, None, z0, _y_part_driver(ky, b, kz, c0)), check)
         for j, one in enumerate(solos):
             assert bracket[j] == one.bracketNN_T

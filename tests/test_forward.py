@@ -11,8 +11,8 @@ from orthres.ftree import (AdaptedProcess, ScenarioTree, TimeGrid,
                            is_martingale, predictable_bracket)
 from orthres.models import ModelConfig, build
 
-from conftest import small_trees
-from reference import predictable_bracket_range
+from conftest import permute_last_level, small_trees
+from reference import euler_forward_edges, predictable_bracket_range
 
 
 def model(kind="binary", K=6, **params):
@@ -144,6 +144,105 @@ def test_path_dependent_column_rejected_in_a_batch():
         euler_forward(tree, M, clock, relu_m, [0.0], shifts=[-10.0, 0.0])
 
 
+def _outcome(run, *args, **kwargs):
+    """X's values, or the message of the InvariantViolation raised."""
+    try:
+        return run(*args, **kwargs).values
+    except InvariantViolation as e:
+        return str(e)
+
+
+def _assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def oracle_runs(draw):
+    """A tree (every kind, with its leaves permuted or not), coefficients,
+    a start x0 whose entries may be -0.0, and no shifts or a few."""
+    tree, M = draw(small_trees())
+    if draw(st.booleans()):
+        tree, new_id = permute_last_level(
+            tree, np.random.default_rng(draw(st.integers(0, 2 ** 16))))
+        m = np.empty_like(M.values)
+        m[new_id] = M.values
+        M = AdaptedProcess(tree, m)
+    # a -0.0 drift keeps a -0.0 state's sign unless sigma dM was summed from
+    # +0.0
+    coeffs = draw(st.sampled_from(COEFF_SETS + (affine(a=-1.3, c=-0.6),
+                                                constant_drift(c=-0.0))))
+    x0 = np.array(draw(st.lists(st.sampled_from((-0.0, 0.0, 0.5, -1.25)),
+                                min_size=coeffs.n, max_size=coeffs.n)))
+    g = draw(st.none() | st.lists(
+        st.sampled_from((-0.0, 0.0, 0.375, -1.5)) | st.floats(-2.0, 2.0),
+        min_size=1, max_size=4))
+    return tree, M, coeffs, x0, g
+
+
+@settings(deadline=None, max_examples=100)
+@given(oracle_runs())
+def test_euler_equals_the_per_edge_pass(case):
+    """X equals the per-edge pass with its einsum byte for byte (signs of
+    zero included), with or without shifts and for n_x = 1 or 2, on strided
+    trees, which step through per-move views, and on the rest, which
+    gather; where the per-edge pass refuses, the same message is raised."""
+    tree, M, coeffs, x0, g = case
+    clock = predictable_bracket(tree, M)
+    _assert_same_outcome(
+        _outcome(euler_forward, tree, M, clock, coeffs, x0, shifts=g),
+        _outcome(euler_forward_edges, tree, M, clock, coeffs, x0, shifts=g))
+
+
+def test_euler_keeps_the_einsums_sign_of_zero():
+    """From x0 = -0.0 with sigma = a x and b = c x, sigma dM and b dC are
+    -0.0 on some edges: the per-edge einsum summed sigma dM from +0.0, so
+    the state there is +0.0, and so it is here."""
+    tree, M, clock = model("binary", K=3)
+    co = affine(a=1.0, c=1.0)
+    X = euler_forward(tree, M, clock, co, [-0.0])
+    want = euler_forward_edges(tree, M, clock, co, [-0.0])
+    assert X.values.tobytes() == want.values.tobytes()
+    assert not np.signbit(X.values[1:]).any()
+    Xg = euler_forward(tree, M, clock, co, [-0.0], shifts=[0.0, -0.0])
+    assert Xg.values.tobytes() == euler_forward_edges(
+        tree, M, clock, co, [-0.0], shifts=[0.0, -0.0]).values.tobytes()
+
+
+@pytest.mark.parametrize("shifts", [None, [-10.0, 0.0]])
+@pytest.mark.parametrize("permuted", [False, True])
+def test_euler_refusals_keep_their_messages(shifts, permuted):
+    """A non-finite state and a path-dependent update are refused with the
+    per-edge pass's messages, the column included, whether the children
+    are per-move views or gathered."""
+    tree, M, clock = model("trinomial", K=4)
+    if permuted:
+        tree, new_id = permute_last_level(tree, np.random.default_rng(5))
+        m = np.empty_like(M.values)
+        m[new_id] = M.values
+        M = AdaptedProcess(tree, m)
+        clock = predictable_bracket(tree, M)
+    nan = SdeCoeffs(
+        id="nan", n=1,
+        sigma=lambda t, x, m: np.where(m > 0.5, np.nan, 1.0)[:, :, None],
+        b=lambda t, x, m: np.zeros((x.shape[0], 1)))
+    relu_m = SdeCoeffs(
+        id="relu_m_drift", n=1,
+        sigma=lambda t, x, m: np.ones((x.shape[0], 1, 1)),
+        b=lambda t, x, m: np.maximum(m, 0.0) * 5.0)
+    for co, match in ((nan, "non-finite forward state"),
+                      (relu_m, "path-dependent")):
+        want = _outcome(euler_forward_edges, tree, M, clock, co, [0.0],
+                        shifts=shifts)
+        assert match in want
+        assert _outcome(euler_forward, tree, M, clock, co, [0.0],
+                        shifts=shifts) == want
+
+
 def test_extract_subtree_mass_and_levels():
     built = build(ModelConfig("binary", K=4, params={"recombine": False}))
     tree = built.tree
@@ -207,6 +306,8 @@ def test_extract_subtree_matches_breadth_first_reference(case):
     sub, order = extract_subtree(tree, node)
     assert (sub._echild is None) == (tree._echild is None)
     assert (sub.child_stride is None) == (tree.child_stride is None)
+    # a fixed arity's subtree derives its parents
+    assert (sub._eparent is None) == (tree.arity is not None)
     ref, ref_order = _extract_subtree_reference(tree, node)
     assert order.dtype == ref_order.dtype
     assert order.tobytes() == ref_order.tobytes()
@@ -215,6 +316,37 @@ def test_extract_subtree_matches_breadth_first_reference(case):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), name
     assert sub.grid.t.tobytes() == ref.grid.t.tobytes()
+
+
+@pytest.mark.parametrize("K,node", [(12, 5), (12, 40), (64, 5)])
+def test_jump_subtree_keeps_no_parent_array(K, node):
+    """The two-sided jump lattice derives its parents, and so does its
+    subtree: no parent array is stored (at K = 64, node 5 one would hold
+    43,680 nodes' edges, 1.0 MB), and the subtree equals its twin given the
+    same edges as arrays in every structure array, its clock and a solve."""
+    from orthres.bsde import linear_y, solve_lipschitz
+    built = build(ModelConfig("compensated_jump", K=K))
+    tree, M = built.tree, built.M
+    sub, order = extract_subtree(tree, node)
+    assert sub._eparent is None and sub.child_stride is None
+    twin = ScenarioTree(sub.grid, sub.level_start, sub.eparent, sub.echild,
+                        sub.probs)
+    assert twin._eparent is not None
+    for name in ("estart", "path_prob", "eparent", "echild"):
+        assert getattr(sub, name).tobytes() == getattr(twin, name).tobytes()
+    if K > 12:
+        return
+    Ms = AdaptedProcess(sub, M.values[order] - M.values[node])
+    Mt = AdaptedProcess(twin, Ms.values)
+    cs, ct = predictable_bracket(sub, Ms), predictable_bracket(twin, Mt)
+    assert cs.dC.values.tobytes() == ct.dC.values.tobytes()
+    lo, hi = sub.level_slice(sub.K)
+    zeta = np.sin(3.0 * Ms.scalar[lo:hi])
+    a = solve_lipschitz(sub, Ms, cs, None, zeta, linear_y(0.5))
+    b = solve_lipschitz(twin, Mt, ct, None, zeta, linear_y(0.5))
+    for x, y in ((a.Y.values, b.Y.values), (a.Z.values, b.Z.values),
+                 (a.dN2, b.dN2)):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_shift_start_recenters_martingale():

@@ -836,6 +836,24 @@ def test_streamed_clock_equals_the_range_clock(case, data):
         assert clock.factor(lo, hi, sigma).tobytes() == q.tobytes()
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("compensated_jump", {}), ("time_changed", {"kappa": 2.0})])
+def test_clock_of_a_fixed_arity_tree_builds_no_edge_parents(kind, params,
+                                                            monkeypatch):
+    """On a tree that derives its parents (the two-sided jump lattice,
+    time_changed) the clock repeats each node's candidate over its r edges:
+    no parent array is built, and dC is the range clock's byte for byte."""
+    built = build(ModelConfig(kind, K=16, params=params))
+    tree, M = built.tree, built.M
+    assert tree._eparent is None and tree.child_stride is None
+    want = predictable_bracket_range(tree, M).dC
+
+    def refuse(*args):
+        raise AssertionError("edge_parents called")
+    monkeypatch.setattr(ScenarioTree, "edge_parents", refuse)
+    assert predictable_bracket(tree, M).dC.values.tobytes() == want.tobytes()
+
+
 @st.composite
 def implicit_parent_trees(draw):
     """(tree, M) on a tree given its children alone, r out of every node:
