@@ -217,15 +217,14 @@ def driver_from_catalog(did, **params):
 
 # A streamed sweep keeps no full-size array: per column it holds at most
 # nine arrays of the widest level's edges (per-edge and per-node together),
-# and a regularity scan's column its full-size n_x-dim X as well,
-# 8 * (9 * widest + n_x * n_nodes) bytes (tracemalloc puts the growth per
-# column of a trinomial comparison sweep at 7.6 to 8.3 arrays for K = 16 to
-# 512, and that of the benchmark's restart scan at 92% of the bound).  A
-# batch of solves on one tree is cut into sweeps that hold at most
-# SWEEP_BYTES: 50 columns at trinomial K = 256, and the whole 41-point
-# restart scan at K = 128, t_idx = 48.  Wider sweeps were no faster for the
-# comparison campaign (it took about the same time at 36 to 150 columns),
-# while every column adds to the run's peak memory.
+# 8 * 9 * widest bytes (tracemalloc puts the growth per column of a
+# trinomial comparison sweep at 7.6 to 8.3 arrays for K = 16 to 512, and
+# that of the benchmark's restart scan, whose columns share one X, at 70%
+# of the bound).  A batch of solves on one tree is cut into sweeps that
+# hold at most SWEEP_BYTES: 50 columns at trinomial K = 256, and the whole
+# 41-point restart scan at K = 128, t_idx = 48.  Wider sweeps were no
+# faster for the comparison campaign (it took about the same time at 36 to
+# 150 columns), while every column adds to the run's peak memory.
 SWEEP_BYTES = 5_600_000
 
 
@@ -234,15 +233,15 @@ def _widest(tree):
     return int(np.diff(tree.estart[tree.level_start[:-1]]).max())
 
 
-def _stream_bytes(tree, n_x=0):
+def _stream_bytes(tree):
     """Bytes one streamed column holds on ``tree`` (see SWEEP_BYTES)."""
-    return 8 * (9 * _widest(tree) + n_x * tree.n_nodes)
+    return 8 * 9 * _widest(tree)
 
 
-def columns_per_sweep(tree, n_x=0):
-    """How many streamed columns, each with an n_x-dim X at full size, one
-    sweep on ``tree`` may carry within SWEEP_BYTES."""
-    return max(1, SWEEP_BYTES // _stream_bytes(tree, n_x))
+def columns_per_sweep(tree):
+    """How many streamed columns one sweep on ``tree`` may carry within
+    SWEEP_BYTES."""
+    return max(1, SWEEP_BYTES // _stream_bytes(tree))
 
 
 @dataclass
@@ -455,12 +454,11 @@ def solve_lipschitz(tree, M, clock, X, zeta, driver):
 
     ``zeta`` is (leaves,) for one solve or (leaves, B) for B solves on the
     same tree and clock in one sweep; the driver's parameters and y-part may
-    then be (B,) arrays, X may carry a column axis, (n_nodes, n_x, B), which
-    reaches the driver unchanged, and each column is bit-identical to its own
-    1-D solve.  Each level projects the just-solved y onto dM (forming
-    E[dm^2 | node] from the level's increments; ``clock.projects`` says
-    where) and takes the implicit step in closed form from the driver's
-    declared y-part (k_y, b): with
+    then be (B,) arrays, X is shared by the columns, and each column is
+    bit-identical to its own 1-D solve.  Each level projects the just-solved
+    y onto dM (forming E[dm^2 | node] from the level's increments;
+    ``clock.projects`` says where) and takes the implicit step in closed
+    form from the driver's declared y-part (k_y, b): with
     r = E[y'] + f(t, x, m, 0, z) dC, y = r / (1 - (k_y + b sign(r)) dC).
     This is exact because y -> y - (k_y y + b|y|) dC is increasing,
     piecewise linear and zero at 0 when lip_y dC < 1.  A second driver
@@ -660,8 +658,8 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
     as argmin does; no full-size array is kept.  The sweep is the step
     alone (``_levels``): it makes every check of solve_lipschitz but forms
     no residual, so a solution whose E[[N]_T] would overflow still gets
-    its verdicts.  X, if given, is shared by the columns or carries a
-    column axis, as in solve_lipschitz.  Returns B/2 verdicts."""
+    its verdicts.  X, if given, is shared by the columns.  Returns B/2
+    verdicts."""
     zeta = _leaf_values(tree, zeta)
     if zeta.ndim != 2 or zeta.shape[1] % 2:
         raise ValueError("compare needs (leaves, B) terminal data with B "
@@ -682,8 +680,6 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
     def check(k, a, b, y, z, z_arg, edges):
         nonlocal worst_pre, worst, node
         xk = X.values[a:b] if X is not None else None
-        if xk is not None and xk.ndim == 3:
-            xk = np.concatenate([xk[..., lower]] * 2, axis=-1)
         f = driver(t[k], xk, m[a:b], np.concatenate([y[:, lower]] * 2, axis=1),
                    np.concatenate([z_arg[:, lower]] * 2, axis=1))
         worst_pre = np.minimum(worst_pre, np.min(f[:, :h] - f[:, h:], axis=0))
@@ -728,9 +724,9 @@ def setup_problem(model, coeffs=None, x0=0.0):
 
 def _terminal_values(tree, M, X, F, shifts=None):
     """F at the leaves, of (X, M) when its arity is theirs and of M otherwise:
-    (leaves,), or (leaves, B) when column j runs on M + shifts[j] and X, if
-    given, is (n_nodes, n_x, B).  A batch evaluates F once on the stacked
-    leaf rows, each the row of its own column's evaluation."""
+    (leaves,), or (leaves, B) when column j runs on M + shifts[j], X being
+    the same in every column.  A batch evaluates F once on the stacked leaf
+    rows, each the row of its own column's evaluation."""
     lo, hi = tree.level_slice(tree.K)
     m = M.values[lo:hi]
     if shifts is not None:
@@ -739,7 +735,7 @@ def _terminal_values(tree, M, X, F, shifts=None):
     if X is not None and F.arity == X.dim + M.dim:
         x = X.values[lo:hi]
         if shifts is not None:
-            x = x.transpose(0, 2, 1).reshape(-1, X.dim)
+            x = np.repeat(x, len(shifts), axis=0)
         states = np.concatenate([x, m], axis=1)
     else:
         states = m
@@ -823,12 +819,9 @@ class RegularityScan:
     max_grad_gap: float
 
 
-def _scan_sweep(sub, M0, clock, g, F, driver, coeffs, x_value):
+def _scan_sweep(sub, M0, clock, X, g, F, driver):
     """Y and Z at the root of ``sub`` for the columns M0 + g[j], from one
-    streamed sweep of the step alone; its X is freed before the next sweep
-    makes its own."""
-    X = None if coeffs is None else euler_forward(
-        sub, M0, clock, coeffs, x_value, shifts=g)
+    streamed sweep of the step alone, every column on the same X."""
     zeta = _terminal_values(sub, M0, X, F, shifts=g)
     # the solve runs on M0, and column j's driver sees its own m + g[j]
     shifted = replace(driver,
@@ -845,24 +838,28 @@ def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None,
     clocked once, from M0 = M_sub - M[node]; shifting M by a constant leaves
     the subtree and its node order alone.  The grid is solved in column
     sweeps of at most SWEEP_BYTES: column j runs on M0 + m_j, with one
-    batched Euler pass, one stacked evaluation of F and one streamed B-column
-    sweep of _levels each, the driver seeing each column's own m.  Only the
-    root's Y and Z are read: the root Z of each column, the gradient of u
-    along M, is kept next to u.  The sweeps take the step alone and form no
-    residual, so a solution whose E[[N]_T] would overflow is still scanned;
-    every check of the step is made.
+    stacked evaluation of F and one streamed B-column sweep of _levels each,
+    the driver seeing each column's own m.  The coefficients read (t, x)
+    alone, so a shift of M leaves X unchanged: one Euler pass on M0 gives
+    the X that every sweep shares.  Only the root's Y and Z are read: the
+    root Z of each column, the gradient of u along M, is kept next to u.
+    The sweeps take the step alone and form no residual, so a solution
+    whose E[[N]_T] would overflow is still scanned; every check of the step
+    is made.
     """
     lo, _ = tree.level_slice(t_idx)
     sub, order = extract_subtree(tree, lo)
     M0 = AdaptedProcess(sub, M.values[order] - M.values[lo])
     clock = predictable_bracket(sub, M0)
     m_grid = np.asarray(m_grid, dtype=float)
-    width = columns_per_sweep(sub, 0 if coeffs is None else coeffs.n)
+    X = None if coeffs is None else euler_forward(sub, M0, clock, coeffs,
+                                                  x_value)
+    width = columns_per_sweep(sub)
     u = np.empty(len(m_grid))
     z = np.empty(len(m_grid))
     for a in range(0, len(m_grid), width):
         u[a:a + width], z[a:a + width] = _scan_sweep(
-            sub, M0, clock, m_grid[a:a + width], F, driver, coeffs, x_value)
+            sub, M0, clock, X, m_grid[a:a + width], F, driver)
     h = float(m_grid[1] - m_grid[0])
     d1 = np.diff(u) / h
     d2 = np.abs(np.diff(u, 2)) / h ** 2 if len(u) > 2 else np.array([0.0])

@@ -1,11 +1,12 @@
 """Forward state X driven by M and the clock on a tree.
 
-Explicit Euler along edges: X_{k+1} = X_k + sigma(t_k, X_k, M_k) dM
-+ b(t_k, X_k, M_k) dC_k, with the coefficients evaluated once per node and
-M scalar (d = 1), so sigma dM is a product.  On recombining lattices the
-update must be consistent across incoming edges (it is whenever X is a
-function of the lattice state, e.g. constant coefficients); otherwise a
-full tree is needed.
+Explicit Euler along edges: X_{k+1} = X_k + sigma(t_k, X_k) dM
++ b(t_k, X_k) dC_k, with the coefficients evaluated once per node and M
+scalar (d = 1), so sigma dM is a product.  The coefficients read (t, x)
+alone, so a shift of M by a constant leaves X unchanged.  On recombining
+lattices the update must be consistent across incoming edges (it is
+whenever X is a function of the lattice state, e.g. constant
+coefficients); otherwise a full tree is needed.
 """
 
 import math
@@ -23,9 +24,9 @@ CONSISTENCY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SdeCoeffs:
-    """sigma(t, x, m) -> (n, d) matrix, b(t, x, m) -> (n,) drift.
+    """sigma(t, x) -> (n,) diffusion, b(t, x) -> (n,) drift.
 
-    Both evaluators are vectorized: x (N, n), m (N, d) -> (N, n, d) / (N, n).
+    Both evaluators are vectorized: x (N, n) -> (N, n).
     """
 
     id: str
@@ -34,52 +35,40 @@ class SdeCoeffs:
     b: callable
 
 
-def euler_forward(tree, M, clock, coeffs, x0, shifts=None):
+def euler_forward(tree, M, clock, coeffs, x0):
     """Run the explicit Euler scheme; returns X as an AdaptedProcess.
 
-    With ``shifts`` a (B,) array, column j runs on M + shifts[j] and X is
-    (n_nodes, n, B), each column bit-identical to the run on that shifted
-    martingale.  The coefficients are evaluated once per level on the
-    level's stacked (nodes * B) rows, node-major, and each edge takes its
-    parent's values.  On a tree with a ``child_stride`` each move i of the
-    level reads and writes the next level through a strided view, the
-    highest move first, so that the last edge in edge order sets a
-    recombined node; any other tree gathers its parents and scatters into
-    its children.  The finiteness and consistency checks cover every edge
-    and column.
+    The coefficients are evaluated once per level on the level's rows, and
+    each edge takes its parent's values.  On a tree with a
+    ``child_stride`` each move i of the level reads and writes the next
+    level through a strided view, the highest move first, so that the last
+    edge in edge order sets a recombined node; any other tree gathers its
+    parents and scatters into its children.  The finiteness and
+    consistency checks cover every edge.
     """
     n = coeffs.n
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
-    g = None if shifts is None else np.asarray(shifts, dtype=float).ravel()
-    B = 1 if g is None else len(g)
     m = M.scalar
-
-    def shifted(at):
-        """M at the nodes ``at``, one column per shift: (nodes, B)."""
-        v = m[at, None]
-        return v if g is None else v + g
-    # column-minor rows: node i of column j is row i * B + j
-    X = np.zeros((tree.n_nodes, B, n))
+    X = np.zeros((tree.n_nodes, n))
     X[0] = x0
     dC = clock.dC.values
     t, ls = tree.grid.t, tree.level_start.tolist()
     s, r = tree.child_stride, tree.arity
-    mk = shifted(slice(0, ls[1]))
     for k in range(tree.K):
         lo, hi, end = ls[k:k + 3]
         # sigma dm is added to x + 0.0, which turns a -0.0 state to +0.0:
         # the per-edge reference sums sigma dm from +0.0 (an einsum), and
         # (x + 0.0) + sigma dm is x + (0.0 + sigma dm) bit for bit
         xk = X[lo:hi] + 0.0
-        rows = X[lo:hi].reshape(-1, n), mk.reshape(-1, 1)
-        sig = np.asarray(coeffs.sigma(t[k], *rows), dtype=float)
+        sig = np.asarray(coeffs.sigma(t[k], X[lo:hi]), dtype=float)
         sig = sig.reshape(xk.shape)
-        drift = np.asarray(coeffs.b(t[k], *rows), dtype=float)
-        drift = drift.reshape(xk.shape) * dC[lo:hi, None, None]
-        # the next level's M and X, indexed from its first node
-        mc, xc = shifted(slice(hi, end)), X[hi:end]
+        drift = np.asarray(coeffs.b(t[k], X[lo:hi]), dtype=float)
+        drift = drift.reshape(xk.shape) * dC[lo:hi, None]
+        # the level's and the next level's M and X, indexed from their
+        # first nodes
+        mk, mc, xc = m[lo:hi, None], m[hi:end, None], X[hi:end]
         if s is None:
             moves = [(tree.edge_parents(lo, hi) - lo,
                       tree.edge_children(lo, hi) - hi)]
@@ -88,14 +77,14 @@ def euler_forward(tree, M, clock, coeffs, x0, shifts=None):
                      for i in range(r - 1, -1, -1)]
         upd = []
         for par, chi in moves:
-            u = (mc[chi] - mk[par])[..., None] * sig[par]
+            u = (mc[chi] - mk[par]) * sig[par]
             u += xk[par]
             u += drift[par]
             xc[chi] = u
             upd.append(u)
         # every edge into one child must give it the state stored there
-        # (the last edge's), per column; a move's children are distinct, so
-        # the move a strided tree wrote last gave each its own state
+        # (the last edge's); a move's children are distinct, so the move a
+        # strided tree wrote last gave each its own state
         gap = [np.abs(xc[chi] - u) for (_, chi), u in
                zip(moves[:-1] if s is not None else moves, upd)]
         err = float(np.max([d.max() for d in gap], initial=0.0))
@@ -104,19 +93,10 @@ def euler_forward(tree, M, clock, coeffs, x0, shifts=None):
             if not all(np.isfinite(u).all() for u in upd):
                 raise InvariantViolation("coefficient evaluation produced "
                                          "non-finite forward state")
-            # edge order: node-major, move-minor
-            gap = np.stack([np.abs(xc[chi] - u) for (_, chi), u
-                            in zip(moves, upd)][::-1], axis=1)
-            gap = gap.reshape(-1, B, n)
-            where = (f" in column {np.argwhere(gap == err)[0, 1]}"
-                     if g is not None else "")
             raise InvariantViolation(
                 "forward state is path-dependent on a recombining "
-                f"lattice (mismatch {err:.3e}{where}); rebuild as a "
-                "full tree")
-        mk = mc
-    return AdaptedProcess(tree, X[:, 0] if g is None
-                          else X.transpose(0, 2, 1))
+                f"lattice (mismatch {err:.3e}); rebuild as a full tree")
+    return AdaptedProcess(tree, X)
 
 
 def extract_subtree(tree, node):
@@ -225,39 +205,39 @@ def _dim(value):
 
 
 def identity(n=1):
-    """sigma = I, b = 0: X - x0 tracks M."""
+    """sigma = e_1, b = 0: X_1 - x0_1 tracks M, the rest stays at x0."""
     n = _dim(n)
     return SdeCoeffs(
         id="identity", n=n,
-        sigma=lambda t, x, m: np.broadcast_to(
-            np.eye(n, m.shape[1]), (x.shape[0], n, m.shape[1])),
-        b=lambda t, x, m: np.zeros((x.shape[0], n)))
+        sigma=lambda t, x: np.broadcast_to(np.eye(n, 1)[:, 0],
+                                           (x.shape[0], n)),
+        b=lambda t, x: np.zeros((x.shape[0], n)))
 
 
 def constant_drift(c=1.0, n=1):
     c, n = _param(c, "c"), _dim(n)
     return SdeCoeffs(
         id="constant_drift", n=n,
-        sigma=lambda t, x, m: np.zeros((x.shape[0], n, m.shape[1])),
-        b=lambda t, x, m: np.full((x.shape[0], n), c))
+        sigma=lambda t, x: np.zeros((x.shape[0], n)),
+        b=lambda t, x: np.full((x.shape[0], n), c))
 
 
 def linear_sigma(a=1.0):
-    """sigma(x) = a*x (n = d = 1): discrete stochastic exponential."""
+    """sigma(x) = a*x (n = 1): discrete stochastic exponential."""
     a = _param(a, "a")
     return SdeCoeffs(
         id="linear_sigma", n=1,
-        sigma=lambda t, x, m: (a * x)[:, :, None],
-        b=lambda t, x, m: np.zeros((x.shape[0], 1)))
+        sigma=lambda t, x: a * x,
+        b=lambda t, x: np.zeros((x.shape[0], 1)))
 
 
 def affine(a=1.0, c=0.0):
-    """sigma(x) = a*x, b(x) = c*x (n = d = 1)."""
+    """sigma(x) = a*x, b(x) = c*x (n = 1)."""
     a, c = _param(a, "a"), _param(c, "c")
     return SdeCoeffs(
         id="affine", n=1,
-        sigma=lambda t, x, m: (a * x)[:, :, None],
-        b=lambda t, x, m: c * x)
+        sigma=lambda t, x: a * x,
+        b=lambda t, x: c * x)
 
 
 CATALOG = {

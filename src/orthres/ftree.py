@@ -119,6 +119,9 @@ class ScenarioTree:
         if len(ls) != self.K + 2 or ls[0] != 0 or np.any(np.diff(ls) < 1):
             raise InvariantViolation("level_start must hold K + 2 increasing "
                                      "node offsets from 0")
+        if ls[1] != 1:
+            raise InvariantViolation(f"level 0 must hold one root node, got "
+                                     f"{ls[1]}")
         if not (p.ndim == 1 or p.ndim == 2 and p.shape[0] == 1):
             raise InvariantViolation("edge probabilities must be a (1, r) "
                                      f"move row or one per edge, got shape "
@@ -227,10 +230,6 @@ class ScenarioTree:
     def level_of(self, node):
         """The level of node id ``node``."""
         return int(np.searchsorted(self.level_start, node, "right")) - 1
-
-    def _edge_slice(self, k):
-        lo, hi = self.level_slice(k)
-        return slice(int(self.estart[lo]), int(self.estart[hi]))
 
     def edge_parents(self, lo, hi):
         """The parent of every edge out of the nodes [lo, hi), in edge

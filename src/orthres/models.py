@@ -81,6 +81,13 @@ class ModelConfig:
                 raise ModelError("need lam > 0 and lam_down >= 0")
             if not lam * dt + lam_down * dt < 1:
                 raise ModelError("need (lam + lam_down)*dt < 1")
+            # a positive intensity must give its jump a positive step
+            # probability, or the lattice loses the branch estimate_nodes
+            # counts
+            for name, rate in (("lam", lam), ("lam_down", lam_down)):
+                if rate > 0 and rate * dt == 0:
+                    raise ModelError(f"{name} = {rate!r} is positive but "
+                                     f"{name}*dt underflows to 0")
         if self.kind == "time_changed" and not prm.get("kappa", 1.0) >= 0:
             raise ModelError("kappa must be >= 0")
         if self.kind == "time_changed" and not prm.get("h_cap", 1.0) > 0:
@@ -295,7 +302,7 @@ def build_compensated_jump(config):
     pu, pd = lam * dt, lam_down * dt
     comp = (lam * jump - lam_down * jump_down) * dt
     moves, probs = [[1, 0], [0, 0]], [pu, 1 - pu - pd]
-    if pd > 0:
+    if lam_down > 0:
         moves.append([0, 1])
         probs.append(pd)
 

@@ -42,8 +42,9 @@ def random_martingale(rng, tree, scale=1.0):
     """Backward-centered random walk: a valid martingale on any tree."""
     vals = np.zeros(tree.n_nodes)
     ep, ec, pr = tree.eparent, tree.echild, tree.eprob
+    es, ls = tree.estart, tree.level_start
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
+        sl = slice(int(es[ls[k]]), int(es[ls[k + 1]]))
         par, chi = ep[sl], ec[sl]
         step = rng.normal(0.0, scale, size=len(chi))
         vals[chi] = vals[par] + step

@@ -32,6 +32,12 @@ from orthres.ftree import (PSD_TOL, AdaptedProcess, MartingaleCheck,
                            PredictableField, ScenarioTree, TimeGrid)
 
 
+def edge_slice(tree, k):
+    """The slice of the edges out of level k, in edge order."""
+    lo, hi = tree.level_slice(k)
+    return slice(int(tree.estart[lo]), int(tree.estart[hi]))
+
+
 def is_tree(tree):
     """True when every non-root node has exactly one incoming edge, False on
     a recombining lattice."""
@@ -151,7 +157,7 @@ def pathwise_bracket(tree, M):
     B = np.zeros((tree.n_nodes, d, d))
     ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
+        sl = edge_slice(tree, k)
         dm = M.values[ec[sl]] - M.values[ep[sl]]
         B[ec[sl]] = B[ep[sl]] + dm[:, :, None] * dm[:, None, :]
     return AdaptedProcess(tree, B.reshape(tree.n_nodes, d * d))
@@ -163,7 +169,7 @@ def accumulated_trace(tree, sigma):
     V = np.zeros(tree.n_nodes)
     ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
+        sl = edge_slice(tree, k)
         V[ec[sl]] = V[ep[sl]] + sigma[ep[sl]]
     return V
 
@@ -174,7 +180,7 @@ def clock_from_increments(tree, dC):
     C = np.zeros(tree.n_nodes)
     ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
+        sl = edge_slice(tree, k)
         C[ec[sl]] = C[ep[sl]] + dC[ep[sl]]
     return C
 
@@ -184,7 +190,7 @@ def running_sum(tree, dN):
     N = np.zeros(tree.n_nodes)
     ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
+        sl = edge_slice(tree, k)
         N[ec[sl]] = N[ep[sl]] + dN[sl]
     return N
 
@@ -338,7 +344,7 @@ def bracket_split(tree, M, Y, gkw_result, u, markov_tol=1e-9):
     A2 = np.zeros(tree.K)
     ep, ec, pr = tree.eparent, tree.echild, tree.eprob
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
+        sl = edge_slice(tree, k)
         par, chi = ep[sl], ec[sl]
         w = tree.path_prob[par] * pr[sl]
         u_next_here = np.array([u(k + 1, M.values[i]) for i in par])
@@ -538,7 +544,7 @@ def predictable_bracket_range(tree, M):
     worst = 0.0
     ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
+        sl = edge_slice(tree, k)
         if tree.arity is None:
             cand = V[ep[sl]] + tr[ep[sl]]
         else:
@@ -559,54 +565,38 @@ def predictable_bracket_range(tree, M):
     return RangeClock(C, dC, sigma, q)
 
 
-def euler_forward_edges(tree, M, clock, coeffs, x0, shifts=None):
+def euler_forward_edges(tree, M, clock, coeffs, x0):
     """The explicit Euler scheme with its coefficients evaluated once per
     edge, on the parent's repeated rows, and sigma dM as an einsum over the
-    d components of M; returns X as an AdaptedProcess.
-
-    With ``shifts`` a (B,) array, column j runs on M + shifts[j] and X is
-    (n_nodes, n, B), each column bit-identical to the run on that shifted
-    martingale: the coefficients are evaluated once per level on the stacked
-    (edges * B) rows, and the finiteness and consistency checks cover every
-    column.
+    one component of M; returns X as an AdaptedProcess.
     """
     n = coeffs.n
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
-    g = None if shifts is None else np.asarray(shifts, dtype=float).ravel()
-    B = 1 if g is None else len(g)
-    d = M.dim
-    # column-minor rows: edge e of column j is row e * B + j
-    X = np.zeros((tree.n_nodes, B, n))
+    X = np.zeros((tree.n_nodes, n))
     X[0] = x0
     dC = clock.dC.values
     t = tree.grid.t
     for k in range(tree.K):
         lo, hi = tree.level_slice(k)
         par, chi = tree.edge_parents(lo, hi), tree.edge_children(lo, hi)
-        xp, mp, mc = X[par].reshape(-1, n), M.values[par], M.values[chi]
-        if g is not None:
-            mp = (mp[:, None, :] + g[:, None]).reshape(-1, d)
-            mc = (mc[:, None, :] + g[:, None]).reshape(-1, d)
-        sig = np.asarray(coeffs.sigma(t[k], xp, mp), dtype=float)
-        drift = np.asarray(coeffs.b(t[k], xp, mp), dtype=float)
-        upd = (xp + np.einsum("eij,ej->ei", sig, mc - mp)).reshape(-1, B, n)
-        upd += drift.reshape(upd.shape) * dC[par][:, None, None]
+        xp = X[par]
+        sig = np.asarray(coeffs.sigma(t[k], xp), dtype=float)
+        drift = np.asarray(coeffs.b(t[k], xp), dtype=float)
+        # sigma as an (n, 1) matrix against dM as a 1-vector
+        upd = xp + np.einsum("eij,ej->ei", sig.reshape(-1, n, 1),
+                             M.values[chi] - M.values[par])
+        upd += drift.reshape(upd.shape) * dC[par][:, None]
         if not np.all(np.isfinite(upd)):
             raise InvariantViolation("coefficient evaluation produced "
                                      "non-finite forward state")
         # every edge into one child must give it the state stored there
-        # (the last edge's), per column
+        # (the last edge's)
         X[chi] = upd
-        gap = np.abs(X[chi] - upd)
-        err = gap.max()
+        err = np.abs(X[chi] - upd).max()
         if err > CONSISTENCY_TOL:
-            where = (f" in column {np.argwhere(gap == err)[0, 1]}"
-                     if g is not None else "")
             raise InvariantViolation(
                 "forward state is path-dependent on a recombining "
-                f"lattice (mismatch {err:.3e}{where}); rebuild as a "
-                "full tree")
-    return AdaptedProcess(tree, X[:, 0] if g is None
-                          else X.transpose(0, 2, 1))
+                f"lattice (mismatch {err:.3e}); rebuild as a full tree")
+    return AdaptedProcess(tree, X)

@@ -28,9 +28,9 @@ from orthres.bsde import (DriverSpec, compare, driver_from_catalog,
 import reference
 from conftest import (permute_last_level, random_full_tree,
                       random_martingale, small_trees)
-from reference import (check_growth, edge_layout, markov_grouping_check,
-                       predictable_bracket_range, product_noise_coin,
-                       solution_dN)
+from reference import (check_growth, edge_layout, edge_slice,
+                       markov_grouping_check, predictable_bracket_range,
+                       product_noise_coin, solution_dN)
 
 
 def binary_setup(K=8, recombine=True):
@@ -400,7 +400,7 @@ def cond_second_moment_loop(tree, xi, y):
         mass = np.zeros(tree.n_nodes)
         mass[i] = 1.0
         for k in range(tree.level_of(i), tree.K):
-            sl = tree._edge_slice(k)
+            sl = edge_slice(tree, k)
             np.add.at(mass, ec[sl], mass[ep[sl]] * pr[sl])
         out[i] = mass[lo:hi] @ (xi - y[i]) ** 2
     return out
@@ -573,7 +573,7 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
     ep, ec = tree.eparent, tree.echild
 
     def weighted_child_sum(w, vals, lo, hi):
-        sl = tree._edge_slice(int(tree.node_level[lo]))
+        sl = edge_slice(tree, tree.level_of(lo))
         return np.add.reduceat(tree.eprob[sl] * w[sl] * vals[ec[sl]],
                                tree.estart[lo:hi] - tree.estart[lo])
     b = float(growth["b"])
@@ -606,7 +606,7 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
         etak = float(eta)
         best = np.full(bb - a, -np.inf)
         best_floor = np.zeros(bb - a, dtype=np.int64)
-        sl = tree._edge_slice(k)
+        sl = edge_slice(tree, k)
         par, dm = ep[sl], dm_all[sl]
         for nu in [np.clip(z_hat, -p, p)] + [np.full(bb - a, g)
                                              for g in nu_grid]:
@@ -727,8 +727,8 @@ def test_compare_property_random_ordered_data(seed):
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_compare_reads_the_lower_columns_x(seed):
-    """With an X that carries a column axis, each pair's drivers are
-    compared at the lower column's X, as the reference does with the second
+    """With an X that the columns share, each pair's drivers are compared
+    at that X, the lower column's, as the reference does with the second
     solution's X."""
     rng = np.random.default_rng(seed)
     tree = random_full_tree(rng, K=3)
@@ -736,27 +736,24 @@ def test_compare_reads_the_lower_columns_x(seed):
     clock = predictable_bracket(tree, M)
     lo, hi = tree.level_slice(tree.K)
     B = 3
-    X = rng.normal(size=(tree.n_nodes, 1, 2 * B))
-    # the upper drivers sit 0.3 above the lower ones at the lower X, but
-    # 0.1 below them at their own X in the pair whose X is 1 lower
-    X[:, 0, :B] = X[:, 0, B:] - np.array([0.0, 1.0, 0.5])
+    X = AdaptedProcess(tree, rng.normal(size=(tree.n_nodes, 1)))
     zeta = rng.normal(size=(hi - lo, B))
     zeta = np.hstack([zeta + 0.2, zeta])
-    c0 = np.repeat([0.3, 0.0], B)
+    # the upper drivers sit 0.3 above the lower ones in the first pair and
+    # 0.1 below them in the last, at every X
+    c0 = np.concatenate([[0.3, 0.0, -0.1], np.zeros(B)])
 
     def drv(c):
         return DriverSpec(id="x", klass="lipschitz",
-                          f=lambda t, x, m, y, z: 0.2 * z + c + 0.4 * x[:, 0])
-    verdicts = compare(tree, M, clock, AdaptedProcess(tree, X), zeta,
-                       drv(c0))
+                          f=lambda t, x, m, y, z: 0.2 * z + c + 0.4 * x[:, :1]
+                          if y.ndim == 2 else 0.2 * z + c + 0.4 * x[:, 0])
+    verdicts = compare(tree, M, clock, X, zeta, drv(c0))
     for j, v in enumerate(verdicts):
-        s1, s2 = (solve_lipschitz(tree, M, clock,
-                                  AdaptedProcess(tree, X[:, :, c]),
-                                  zeta[:, c].copy(), drv(c0[c]))
+        s1, s2 = (solve_lipschitz(tree, M, clock, X, zeta[:, c].copy(),
+                                  drv(c0[c]))
                   for c in (j, j + B))
-        assert v == reference.compare(s1, s2, X=AdaptedProcess(
-            tree, X[:, :, j + B]))
-    assert all(v.applicable for v in verdicts)
+        assert v == reference.compare(s1, s2, X=X)
+    assert [v.applicable for v in verdicts] == [True, True, False]
 
 
 def _pair_data(draw, tree, M, B):
@@ -1085,18 +1082,18 @@ def test_regularity_scan_bounded_derivatives():
 
 
 def _scan_per_column(tree, M, t_idx, grid, F, drv, coeffs, x):
-    """The scan's columns one at a time: 1-D Euler on M0 + m, F on its
-    leaves, and a 1-D solve on M0 with the shared clock and the driver seeing
-    m; the reference for the batched sweeps."""
+    """The scan's columns one at a time: one Euler pass on M0, F on the
+    leaves of (X, M0 + m), and a 1-D solve on M0 with the shared clock and
+    the driver seeing m; the reference for the batched sweeps."""
     lo, _ = tree.level_slice(t_idx)
     sub, order = forward.extract_subtree(tree, lo)
     M0 = AdaptedProcess(sub, M.values[order] - M.values[lo])
     clock = predictable_bracket(sub, M0)
+    X = None if coeffs is None else forward.euler_forward(
+        sub, M0, clock, coeffs, x)
     sols = []
     for m in grid:
         Mm = AdaptedProcess(sub, M0.values + m)
-        X = None if coeffs is None else forward.euler_forward(
-            sub, Mm, clock, coeffs, x)
         zeta = bsde._terminal_values(sub, Mm, X, F)
         shifted = replace(drv, f=lambda t, x, mm, y, z, m=m: drv.f(
             t, x, mm + m, y, z))
@@ -1131,27 +1128,29 @@ F_XM = TerminalMap(id="x_and_m", arity=3,
 def test_regularity_scan_sweeps_equal_per_column_solves(columns, drv, F,
                                                         coeffs, monkeypatch):
     """u and the root Z equal per-column 1-D solves bit for bit, whatever the
-    sweep width, and a grid wider than one sweep issues ceil(count/width)
-    sweeps."""
+    sweep width, a grid wider than one sweep issues ceil(count/width)
+    sweeps, and the scan makes one Euler pass whatever the sweep count."""
     built = build(ModelConfig("trinomial", K=10))
     tree, M = built.tree, built.M
     grid = np.linspace(-1.0, 1.0, 7)
     x = None if coeffs is None else np.linspace(0.25, -0.5, coeffs.n)
     lo, _ = tree.level_slice(3)
     sub, _ = forward.extract_subtree(tree, lo)
-    n_x = 0 if coeffs is None else coeffs.n
     if columns is not None:
         width = len(grid) if columns == "all" else columns
         monkeypatch.setattr(bsde, "SWEEP_BYTES",
-                            width * bsde._stream_bytes(sub, n_x))
-    width = bsde.columns_per_sweep(sub, n_x)
+                            width * bsde._stream_bytes(sub))
+    width = bsde.columns_per_sweep(sub)
     want = _scan_per_column(tree, M, 3, grid, F, drv, coeffs, x)
-    calls = {"sweep": 0}
+    calls = {"sweep": 0, "euler": 0}
     monkeypatch.setattr(bsde, "_levels",
                         _counting(calls, "sweep", bsde._levels))
+    monkeypatch.setattr(bsde, "euler_forward",
+                        _counting(calls, "euler", forward.euler_forward))
     scan = regularity_scan(tree, M, 3, grid, F, drv, coeffs=coeffs,
                            x_value=x)
     assert calls["sweep"] == math.ceil(len(grid) / width)
+    assert calls["euler"] == (coeffs is not None)
     assert np.array_equal(scan.u, [s.Y0 for s in want])
     assert np.array_equal(scan.z, [s.Z.values[0, 0] for s in want])
 
@@ -1165,7 +1164,7 @@ def test_regularity_scan_extracts_once_and_clocks_once(monkeypatch):
     lo, _ = tree.level_slice(4)
     # two columns per sweep: the 5 points take 3 sweeps
     sub, _ = forward.extract_subtree(tree, lo)
-    monkeypatch.setattr(bsde, "SWEEP_BYTES", 2 * bsde._stream_bytes(sub, 1))
+    monkeypatch.setattr(bsde, "SWEEP_BYTES", 2 * bsde._stream_bytes(sub))
     # the per-point restart the scan replaced: extract, shift, clock, solve
     per_point = []
     for m in grid:
@@ -1206,7 +1205,7 @@ def test_regularity_scan_root_z_is_the_central_difference(monkeypatch):
     sub, order = forward.extract_subtree(tree, lo)
     m0 = M.scalar[order] - M.scalar[lo]
     # two columns per sweep: the 6 points take 3 sweeps
-    monkeypatch.setattr(bsde, "SWEEP_BYTES", 2 * bsde._stream_bytes(sub, 1))
+    monkeypatch.setattr(bsde, "SWEEP_BYTES", 2 * bsde._stream_bytes(sub))
     # level 1's y and the root's Z of every sweep
     sweeps = []
 
@@ -1380,8 +1379,8 @@ def test_levels_columns_equal_solo_solves(seed, K, B, u, share, zscale):
 @st.composite
 def step_sweeps(draw):
     """A tree of any kind with its M and clock, leaf values as one column
-    or a batch, an X that is absent, shared by the columns or has a column
-    axis, and a driver that reads X and declares a y-part."""
+    or a batch, an X that is absent or shared by the columns, and a driver
+    that reads X and declares a y-part."""
     tree, M = draw(small_trees())
     clock = predictable_bracket(tree, M)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -1391,17 +1390,13 @@ def step_sweeps(draw):
     if B is not None:
         zeta = zeta[:, None] + 0.5 * rng.normal(size=(hi - lo, B))
     X = None
-    x_kind = draw(st.sampled_from(["none", "shared"]
-                                  + (["columns"] if B else [])))
-    if x_kind != "none":
-        X = forward.euler_forward(
-            tree, M, clock, forward.identity(n=2), [0.5, -0.25],
-            shifts=rng.normal(size=B) if x_kind == "columns" else None)
+    if draw(st.booleans()):
+        X = forward.euler_forward(tree, M, clock, forward.identity(n=2),
+                                  [0.5, -0.25])
     ky = 0.4 / max(float(clock.dC.values.max()), 1.0)
 
     def f(t, x, m, y, z):
-        xs = 0.0 if x is None else (
-            x[:, :1] if x.ndim == 2 and y.ndim == 2 else x[:, 0])
+        xs = 0.0 if x is None else (x[:, :1] if y.ndim == 2 else x[:, 0])
         return ky * y + 0.3 * z + 0.1 * xs
     return tree, M, clock, X, zeta, DriverSpec(id="x_read", f=f,
                                                y_part=(ky, 0.0))
@@ -1413,7 +1408,7 @@ def test_step_only_sweep_equals_the_closed_sweep(case):
     """Per level, the step alone (_levels) yields the y, Z and q Z of the
     sweep whose residuals are closed (_closed), byte for byte, on random
     full trees, strided lattices, the jump lattice and the rest, for one
-    column or a batch, with or without X and its column axis; the step
+    column or a batch, with or without X; the step
     returns nothing and the closed sweep E[[N]_T]."""
     tree, M, clock, X, zeta, driver = case
     seen = {"step": [], "closed": []}
@@ -1644,7 +1639,7 @@ def test_streamed_compare_keeps_no_full_size_column():
 def test_benchmark_scan_runs_one_streamed_sweep(monkeypatch):
     """The 41-point restart scan at trinomial K = 128, t_idx = 48 fits one
     sweep: one Euler pass and one _levels sweep, each column adding at most
-    what _stream_bytes budgets for it, its X included."""
+    what _stream_bytes budgets for it."""
     built = build(ModelConfig("trinomial", K=128))
     tree, M = built.tree, built.M
     lo, _ = tree.level_slice(48)
@@ -1661,7 +1656,7 @@ def test_benchmark_scan_runs_one_streamed_sweep(monkeypatch):
         finally:
             tracemalloc.stop()
     per_column = (peak(41) - peak(2)) / 39
-    assert per_column <= bsde._stream_bytes(sub, 1)
+    assert per_column <= bsde._stream_bytes(sub)
     calls = {"euler": 0, "sweep": 0}
     monkeypatch.setattr(bsde, "euler_forward",
                         _counting(calls, "euler", forward.euler_forward))
@@ -1671,3 +1666,28 @@ def test_benchmark_scan_runs_one_streamed_sweep(monkeypatch):
                     coeffs=forward.identity(), x_value=[0.0])
     assert calls == {"euler": 1, "sweep": 1}
 
+
+def test_scan_columns_share_one_x(monkeypatch):
+    """Doubling a restart scan's grid adds no full-size X per column: the
+    columns share the one X of the scan's Euler pass, so each adds less than
+    X's 8 * n_x * n_nodes bytes, and at most what _stream_bytes budgets."""
+    built = build(ModelConfig("trinomial", K=96))
+    tree, M = built.tree, built.M
+    lo, _ = tree.level_slice(16)
+    sub, _ = forward.extract_subtree(tree, lo)
+    coeffs = forward.identity(n=2)
+    drv = driver_from_catalog("pure_quadratic", gamma=1.0)
+    # one sweep at either width, whatever each column holds
+    monkeypatch.setattr(bsde, "SWEEP_BYTES", 10 ** 12)
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            regularity_scan(tree, M, 16, np.linspace(-1.0, 1.0, count),
+                            sine(), drv, coeffs=coeffs, x_value=[0.0, 0.5])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_column = (peak(64) - peak(32)) / 32
+    assert per_column <= bsde._stream_bytes(sub)
+    assert per_column < 8 * coeffs.n * sub.n_nodes

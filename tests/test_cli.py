@@ -293,6 +293,20 @@ def test_sweep_checks_the_models_it_builds():
         parse_config({**raw, "K_list": [16, 8]})
 
 
+@pytest.mark.parametrize("param", ["lam", "lam_down"])
+def test_jump_intensity_whose_step_probability_underflows_exits_3(
+        tmp_path, capsys, param):
+    """A positive intensity of 5e-324 has a step probability of 0 at
+    dt = 1/8: it is refused as a config error naming the parameter, not
+    built into a lattice smaller than its node estimate."""
+    path, _ = write_cfg(tmp_path, model={"kind": "compensated_jump", "K": 8,
+                                         "params": {param: 5e-324}},
+                        K_list=[8])
+    assert main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {param} = 5e-324 is positive")
+
+
 def test_exit_2_when_over_node_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ORTHRES_NODE_CAP", "10")
     path, _ = write_cfg(tmp_path)

@@ -76,8 +76,8 @@ def test_path_dependent_update_rejected_on_lattice():
     # live on a recombining lattice
     bad = SdeCoeffs(
         id="relu_drift", n=1,
-        sigma=lambda t, x, m: np.ones((x.shape[0], 1, 1)),
-        b=lambda t, x, m: np.maximum(x[:, 0], 0.0)[:, None] * 5.0)
+        sigma=lambda t, x: np.ones((x.shape[0], 1)),
+        b=lambda t, x: np.maximum(x, 0.0) * 5.0)
     with pytest.raises(InvariantViolation):
         euler_forward(tree, M, clock, bad, [0.0])
 
@@ -86,8 +86,8 @@ def test_nonfinite_coefficients_rejected():
     tree, M, clock = model(K=2)
     bad = SdeCoeffs(
         id="nan", n=1,
-        sigma=lambda t, x, m: np.full((x.shape[0], 1, 1), np.nan),
-        b=lambda t, x, m: np.zeros((x.shape[0], 1)))
+        sigma=lambda t, x: np.full((x.shape[0], 1), np.nan),
+        b=lambda t, x: np.zeros((x.shape[0], 1)))
     with pytest.raises(InvariantViolation):
         euler_forward(tree, M, clock, bad, [0.0])
 
@@ -95,53 +95,6 @@ def test_nonfinite_coefficients_rejected():
 COEFF_SETS = (identity(), identity(n=2), constant_drift(c=0.7),
               constant_drift(c=-0.3, n=2), linear_sigma(a=0.6),
               affine(a=0.4, c=0.9))
-
-
-@st.composite
-def shifted_runs(draw):
-    tree, M = draw(small_trees())
-    coeffs = draw(st.sampled_from(COEFF_SETS))
-    g = np.array(draw(st.lists(
-        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
-        min_size=1, max_size=5)))
-    return tree, M, coeffs, g
-
-
-@settings(deadline=None, max_examples=60)
-@given(shifted_runs())
-def test_batched_euler_columns_equal_1d_runs_on_shifted_martingales(case):
-    """Column j of one batched pass is the 1-D pass on M + g_j bit for bit;
-    when a column's 1-D pass is path-dependent, the batched pass raises."""
-    tree, M, coeffs, g = case
-    clock = predictable_bracket(tree, M)
-    x0 = np.linspace(0.5, 1.0, coeffs.n)
-    try:
-        want = [euler_forward(tree, AdaptedProcess(tree, M.values + gj),
-                              clock, coeffs, x0).values for gj in g]
-    except InvariantViolation:
-        with pytest.raises(InvariantViolation):
-            euler_forward(tree, M, clock, coeffs, x0, shifts=g)
-        return
-    X = euler_forward(tree, M, clock, coeffs, x0, shifts=g)
-    assert X.values.shape == (tree.n_nodes, coeffs.n, len(g))
-    for j, w in enumerate(want):
-        assert np.array_equal(X.values[:, :, j], w)
-
-
-def test_path_dependent_column_rejected_in_a_batch():
-    tree, M, clock = model(K=4)
-    # the drift is on where m > 0: shifted far down, no path ever turns it on
-    # and the lattice is consistent; unshifted, the update is path-dependent
-    relu_m = SdeCoeffs(
-        id="relu_m_drift", n=1,
-        sigma=lambda t, x, m: np.ones((x.shape[0], 1, 1)),
-        b=lambda t, x, m: np.maximum(m, 0.0) * 5.0)
-    X = euler_forward(tree, M, clock, relu_m, [0.0], shifts=[-10.0])
-    down = AdaptedProcess(tree, M.values - 10.0)
-    assert np.array_equal(X.values[:, :, 0],
-                          euler_forward(tree, down, clock, relu_m, [0.0]).values)
-    with pytest.raises(InvariantViolation, match="in column 1"):
-        euler_forward(tree, M, clock, relu_m, [0.0], shifts=[-10.0, 0.0])
 
 
 def _outcome(run, *args, **kwargs):
@@ -163,8 +116,8 @@ def _assert_same_outcome(got, want):
 
 @st.composite
 def oracle_runs(draw):
-    """A tree (every kind, with its leaves permuted or not), coefficients,
-    a start x0 whose entries may be -0.0, and no shifts or a few."""
+    """A tree (every kind, with its leaves permuted or not), coefficients
+    and a start x0 whose entries may be -0.0."""
     tree, M = draw(small_trees())
     if draw(st.booleans()):
         tree, new_id = permute_last_level(
@@ -178,24 +131,21 @@ def oracle_runs(draw):
                                                 constant_drift(c=-0.0))))
     x0 = np.array(draw(st.lists(st.sampled_from((-0.0, 0.0, 0.5, -1.25)),
                                 min_size=coeffs.n, max_size=coeffs.n)))
-    g = draw(st.none() | st.lists(
-        st.sampled_from((-0.0, 0.0, 0.375, -1.5)) | st.floats(-2.0, 2.0),
-        min_size=1, max_size=4))
-    return tree, M, coeffs, x0, g
+    return tree, M, coeffs, x0
 
 
 @settings(deadline=None, max_examples=100)
 @given(oracle_runs())
 def test_euler_equals_the_per_edge_pass(case):
     """X equals the per-edge pass with its einsum byte for byte (signs of
-    zero included), with or without shifts and for n_x = 1 or 2, on strided
-    trees, which step through per-move views, and on the rest, which
-    gather; where the per-edge pass refuses, the same message is raised."""
-    tree, M, coeffs, x0, g = case
+    zero included), for n_x = 1 or 2, on strided trees, which step through
+    per-move views, and on the rest, which gather; where the per-edge pass
+    refuses, the same message is raised."""
+    tree, M, coeffs, x0 = case
     clock = predictable_bracket(tree, M)
     _assert_same_outcome(
-        _outcome(euler_forward, tree, M, clock, coeffs, x0, shifts=g),
-        _outcome(euler_forward_edges, tree, M, clock, coeffs, x0, shifts=g))
+        _outcome(euler_forward, tree, M, clock, coeffs, x0),
+        _outcome(euler_forward_edges, tree, M, clock, coeffs, x0))
 
 
 def test_euler_keeps_the_einsums_sign_of_zero():
@@ -208,17 +158,13 @@ def test_euler_keeps_the_einsums_sign_of_zero():
     want = euler_forward_edges(tree, M, clock, co, [-0.0])
     assert X.values.tobytes() == want.values.tobytes()
     assert not np.signbit(X.values[1:]).any()
-    Xg = euler_forward(tree, M, clock, co, [-0.0], shifts=[0.0, -0.0])
-    assert Xg.values.tobytes() == euler_forward_edges(
-        tree, M, clock, co, [-0.0], shifts=[0.0, -0.0]).values.tobytes()
 
 
-@pytest.mark.parametrize("shifts", [None, [-10.0, 0.0]])
 @pytest.mark.parametrize("permuted", [False, True])
-def test_euler_refusals_keep_their_messages(shifts, permuted):
+def test_euler_refusals_keep_their_messages(permuted):
     """A non-finite state and a path-dependent update are refused with the
-    per-edge pass's messages, the column included, whether the children
-    are per-move views or gathered."""
+    per-edge pass's messages, whether the children are per-move views or
+    gathered."""
     tree, M, clock = model("trinomial", K=4)
     if permuted:
         tree, new_id = permute_last_level(tree, np.random.default_rng(5))
@@ -226,21 +172,21 @@ def test_euler_refusals_keep_their_messages(shifts, permuted):
         m[new_id] = M.values
         M = AdaptedProcess(tree, m)
         clock = predictable_bracket(tree, M)
+    # with sigma = 1 and b = 0 below 0.5, X tracks M from 0 until it
+    # passes 0.5
     nan = SdeCoeffs(
         id="nan", n=1,
-        sigma=lambda t, x, m: np.where(m > 0.5, np.nan, 1.0)[:, :, None],
-        b=lambda t, x, m: np.zeros((x.shape[0], 1)))
-    relu_m = SdeCoeffs(
-        id="relu_m_drift", n=1,
-        sigma=lambda t, x, m: np.ones((x.shape[0], 1, 1)),
-        b=lambda t, x, m: np.maximum(m, 0.0) * 5.0)
+        sigma=lambda t, x: np.where(x > 0.5, np.nan, 1.0),
+        b=lambda t, x: np.zeros((x.shape[0], 1)))
+    relu_x = SdeCoeffs(
+        id="relu_x_drift", n=1,
+        sigma=lambda t, x: np.ones((x.shape[0], 1)),
+        b=lambda t, x: np.maximum(x, 0.0) * 5.0)
     for co, match in ((nan, "non-finite forward state"),
-                      (relu_m, "path-dependent")):
-        want = _outcome(euler_forward_edges, tree, M, clock, co, [0.0],
-                        shifts=shifts)
+                      (relu_x, "path-dependent")):
+        want = _outcome(euler_forward_edges, tree, M, clock, co, [0.0])
         assert match in want
-        assert _outcome(euler_forward, tree, M, clock, co, [0.0],
-                        shifts=shifts) == want
+        assert _outcome(euler_forward, tree, M, clock, co, [0.0]) == want
 
 
 def test_extract_subtree_mass_and_levels():

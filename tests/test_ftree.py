@@ -122,6 +122,16 @@ def test_tree_rejects_malformed_level_offsets(level_start):
                      [0.5, 0.5])
 
 
+@pytest.mark.parametrize("eparent", [[0, 0, 1, 1], None],
+                         ids=["arrays", "closed_form"])
+def test_tree_rejects_a_level_0_of_two_roots(eparent):
+    """Two roots of mass 1 and 0 would make a tree whose level masses all
+    sum to 1."""
+    with pytest.raises(InvariantViolation, match="one root node, got 2"):
+        ScenarioTree(TimeGrid.uniform(1), [0, 2, 4], eparent,
+                     [2, 3, 2, 3] if eparent else None, [0.5] * 4)
+
+
 def test_level_mass_is_one(rng):
     tree = random_full_tree(rng, K=4)
     for k in range(tree.K + 1):

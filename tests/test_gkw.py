@@ -16,8 +16,8 @@ from orthres.models import ModelConfig, build
 from orthres.mollify import indicator_halfspace, sine, square
 
 from conftest import random_full_tree, random_martingale, small_trees
-from reference import (TreeBuilder, bracket_split, gkw_levels, gkw_pinv,
-                       running_sum)
+from reference import (TreeBuilder, bracket_split, edge_slice, gkw_levels,
+                       gkw_pinv, running_sum)
 
 
 def trinomial_k1(p=0.25, h=1.0):
@@ -285,7 +285,7 @@ def test_running_N_on_tree_telescopes():
     recon = np.zeros(tree.n_nodes)
     ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
+        sl = edge_slice(tree, k)
         par, chi = ep[sl], ec[sl]
         dm = M.scalar[chi] - M.scalar[par]
         recon[chi] = recon[par] + res.Z.values[par, 0] * dm
@@ -302,7 +302,7 @@ def test_level_profile_sums_to_total(rng):
     profile = np.zeros(tree.K)
     ep = tree.eparent
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
+        sl = edge_slice(tree, k)
         w = tree.path_prob[ep[sl]] * tree.eprob[sl]
         profile[k] = w @ res.dN[sl] ** 2
     npt.assert_allclose(profile.sum(), res.bracketNN_T, atol=1e-12)
@@ -437,7 +437,7 @@ def test_bracket_split_matches_telescoped_covariation():
     total = 0.0
     ep, ec = tree.eparent, tree.echild
     for k in range(tree.K):
-        sl = tree._edge_slice(k)
+        sl = edge_slice(tree, k)
         par, chi = ep[sl], ec[sl]
         w = tree.path_prob[par] * tree.eprob[sl]
         total += float(w @ ((yv[chi] - yv[par]) * res.dN[sl]))
