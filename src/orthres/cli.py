@@ -25,12 +25,15 @@ from .mollify import (CATALOG as TERMINAL_CATALOG,
                       from_catalog as terminal_from_catalog,
                       l2_gap, lipschitz_scan,
                       mollify as gaussian_mollify)
-from .errors import ConfigError, OrthresError, NodeCapExceeded
+from .errors import (ConfigError, OrthresError, NodeCapExceeded,
+                     node_count_text)
 from .gkw import SweepResult, residual_sweep
 from .models import KINDS, ModelConfig, build, estimate_nodes, node_cap
 
-# Largest grid a regularity or Lipschitz scan may ask for.
+# Largest grid a regularity or Lipschitz scan may ask for, and the most
+# seeds a comparison campaign may run.
 MAX_SCAN_POINTS = 10 ** 6
+MAX_SEEDS = 10 ** 6
 
 # Each experiment and the inputs it cannot run without.
 EXPERIMENTS = {
@@ -191,7 +194,8 @@ def parse_config(raw):
     # K is a mesh size, eps a mollification variance, p and n are truncation
     # and inf-convolution indices
     for name, ok, want in (
-            ("K_list", lambda v: 0 < v < math.inf and float(v).is_integer(),
+            ("K_list", lambda v: 0 < v <= sys.float_info.max
+             and float(v).is_integer(),
              "positive integers"),
             ("eps_list", lambda v: 0 < v < 1, "numbers in (0, 1)"),
             ("p_list", lambda v: 1 <= v < math.inf, "finite numbers >= 1"),
@@ -212,8 +216,8 @@ def parse_config(raw):
             raise ConfigError(f"{e} (at K = {k})")
     cfg.seed = _number(raw.get("seed", 0), "seed", int)
     cfg.seeds = _number(raw.get("seeds", 100), "seeds", int)
-    if cfg.seed < 0 or cfg.seeds < 1:
-        raise ConfigError("seed must be >= 0 and seeds >= 1")
+    if cfg.seed < 0 or not 1 <= cfg.seeds <= MAX_SEEDS:
+        raise ConfigError(f"seed must be >= 0 and 1 <= seeds <= {MAX_SEEDS}")
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object")
@@ -245,7 +249,8 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # a JSONDecodeError, or an integer literal past Python's digit limit
         raise ConfigError(f"malformed JSON in {path}: {e}")
     return parse_config(raw)
 
@@ -644,7 +649,8 @@ def cmd_verify(args):
     print(f"{'K':>6} {'node estimate':>14}  status")
     for p in plan:
         flag = "OVER CAP" if p["over_cap"] else "ok"
-        print(f"{p['K']:>6} {p['node_estimate']:>14}  {flag}")
+        count = node_count_text(p["node_estimate"], cap)
+        print(f"{p['K']:>6} {count:>14}  {flag}")
     if any(p["over_cap"] for p in plan):
         print("warning: at least one sweep point exceeds the node cap; "
               "run would abort (raise ORTHRES_NODE_CAP to proceed)")

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import math
+
 
 class OrthresError(Exception):
     """Base class for all package errors."""
@@ -18,11 +20,17 @@ class NodeCapExceeded(ModelError):
 
     def __init__(self, requested, cap):
         super().__init__(
-            f"tree would need {requested} nodes, cap is {cap} "
-            "(set ORTHRES_NODE_CAP to raise)"
+            f"tree would need {node_count_text(requested, cap)} nodes, cap "
+            f"is {cap} (set ORTHRES_NODE_CAP to raise)"
         )
         self.requested = requested
         self.cap = cap
+
+
+def node_count_text(n, cap):
+    """A node count as printed: exact, or "more than {cap}" for one that
+    ``estimate_nodes`` gives as math.inf."""
+    return f"more than {cap}" if n == math.inf else str(n)
 
 
 class SolverError(OrthresError):

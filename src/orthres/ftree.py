@@ -8,8 +8,10 @@ node has the same number of edges, whose parents are then computed, or in
 one closed form (a ``child_stride``), from which their parents and children
 are computed and no per-edge index array is stored.  It gives their
 probabilities as one move row that every non-terminal node shares, or one
-per edge; a node's level is read off ``level_start``.  So a closed-form
-lattice keeps per node only its edge offset and its path probability.
+per edge; a node's level is read off ``level_start``.  A tree with r edges
+out of every non-terminal node computes its edge offsets where they are
+read (``EdgeOffsets``).  So a closed-form lattice keeps per node only its
+path probability.
 
 The martingale M is scalar (d = 1).  The martingale check, the conditional
 variances and the clock run one level at a time, narrow levels merged into
@@ -21,6 +23,7 @@ Sigma and its factor q are formed on demand for a node range where they are
 read.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +78,47 @@ def _per_move(first, r, step):
     return out.ravel()
 
 
+class EdgeOffsets:
+    """The (n_nodes + 1,) int64 edge offsets min(i, nt)*r of a tree with r
+    edges out of each of its nt non-terminal nodes, computed where they are
+    indexed and never stored: an int (negative too) gives an int, a slice or
+    an integer array an int64 array, as indexing the array would."""
+
+    itemsize = 8
+
+    def __init__(self, n, nt, r):
+        self._len, self._nt, self._r = n + 1, nt, r
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        n = self._len
+        if isinstance(i, slice):
+            return self._at(np.arange(*i.indices(n)))
+        try:
+            j = operator.index(i)
+        except TypeError:
+            idx = np.asarray(i)
+            if idx.size and idx.dtype.kind not in "iu":
+                raise IndexError("edge offsets take an int, a slice or an "
+                                 f"integer array, got {idx.dtype}")
+            idx = idx.astype(np.int64)
+            if idx.size and not (-n <= idx.min() and idx.max() < n):
+                raise IndexError(f"index out of bounds for {n} edge offsets")
+            idx[idx < 0] += n
+            return self._at(idx)
+        if not -n <= j < n:
+            raise IndexError(f"index {j} out of bounds for {n} edge offsets")
+        return min(j % n, self._nt) * self._r
+
+    def _at(self, idx):
+        """min(idx, nt)*r of the non-negative int64 idx, formed in place."""
+        np.minimum(idx, self._nt, out=idx)
+        idx *= self._r
+        return idx
+
+
 class ScenarioTree:
     """Level-ordered finite filtered probability space.
 
@@ -82,7 +126,8 @@ class ScenarioTree:
     ----------
     grid : TimeGrid
     level_start : (K+2,) node-id offset of each level
-    estart : (n_nodes+1,) per-node offset into the edges
+    estart : (n_nodes+1,) per-node offset into the edges: an int64 array
+        on a tree given its edges' parents, an ``EdgeOffsets`` on any other
     probs : (1, r) move row that every non-terminal node takes, or (E,)
         edge probabilities grouped by parent
     path_prob : (n_nodes,) total probability mass reaching the node
@@ -143,10 +188,7 @@ class ScenarioTree:
                 raise InvariantViolation(
                     f"{n_edges} edges need one probability each, got "
                     f"{len(p)}")
-            # min(i, nt) * r, formed in place
-            self.estart = np.arange(n + 1)
-            np.minimum(self.estart, nt, out=self.estart)
-            self.estart *= r
+            self.estart = EdgeOffsets(n, nt, r)
             self.arity = r
         else:
             self._set_edge_arrays(eparent, echild)
@@ -162,25 +204,27 @@ class ScenarioTree:
         for k in range(self.K):
             # level k is [lo, hi), level k + 1 is [hi, b)
             lo, hi, b = bounds[k:k + 3]
-            sl = slice(int(self.estart[lo]), int(self.estart[hi]))
             if s is None:
                 # bincount adds each child's incoming mass in edge order
                 # from 0.0
                 w = ((pp[lo:hi, None] * p).ravel() if p.ndim == 2
-                     else pp[self.edge_parents(lo, hi)] * p[sl])
-                pp[hi:b] = np.bincount(self._echild[sl] - hi, w, b - hi)
+                     else pp[self.edge_parents(lo, hi)]
+                     * p[_kernels._edges(self, lo, hi)])
+                pp[hi:b] = np.bincount(self.edge_children(lo, hi) - hi, w,
+                                       b - hi)
                 continue
             # move i of the level's nodes feeds children i, i + s, ...:
             # adding the highest move first adds each child's incoming mass
             # in edge order (parent-major) from 0.0, as bincount does
-            row = p if p.ndim == 2 else p[sl].reshape(hi - lo, -1)
+            row = (p if p.ndim == 2 else
+                   p[_kernels._edges(self, lo, hi)].reshape(hi - lo, -1))
             w = (pp[lo:hi, None] * row).T
             for i in range(self.arity - 1, -1, -1):
                 pp[hi + i:hi + i + s * (hi - lo):s] += w[i]
 
         for a in (self.level_start, self._eparent, self._echild, self.probs,
                   self.estart, self.path_prob):
-            if a is not None:
+            if isinstance(a, np.ndarray):
                 a.flags.writeable = False
         mass = np.add.reduceat(self.path_prob, ls[:-1])
         bad = np.flatnonzero(np.abs(mass - 1.0) > MASS_TOL)
@@ -293,8 +337,9 @@ class ScenarioTree:
         if self._echild is not None and self.estart[nt] != len(self._echild):
             raise InvariantViolation("edges must connect consecutive levels")
         # __init__ gave every non-terminal node an edge, so no segment is
-        # empty
-        p, at = (p[0], [0]) if p.ndim == 2 else (p, self.estart[:nt])
+        # empty; a strided sum reads no offsets, so none are formed for it
+        p, at = ((p[0], [0]) if p.ndim == 2 else
+                 (p, None if _kernels._strided(self) else self.estart[:nt]))
         bad = np.abs(_kernels._segment_sum(self, p, at) - 1.0)
         if bad.max() > PROB_TOL:
             raise InvariantViolation(
@@ -346,7 +391,9 @@ class AdaptedProcess:
             v = v[:, None]
         if v.shape[0] != self.tree.n_nodes:
             raise InvariantViolation("adapted process needs one value per node")
-        if not np.all(np.isfinite(v)):
+        # min and max propagate NaN, so this refuses NaN and +-inf without a
+        # full-size mask
+        if not -np.inf < v.min(initial=0.0) <= v.max(initial=0.0) < np.inf:
             raise InvariantViolation("adapted process has non-finite entries")
         self.values = v
 

@@ -13,17 +13,20 @@ children in the order of their first appearance: full trees
 (``_full_walk``) and recombining walks on one component (``_line_walk``:
 ``binary``, ``trinomial``, the one-sided jump) have a child stride, so their
 trees keep no edge arrays; the two-sided jump lattice (``_simplex_walk``)
-has none and passes its children, whose parents the tree derives.  Every
-node of such a walk takes the same moves, so its tree holds their
-probabilities as one move row, not one per edge.  ``time_changed`` merges states by rounded float value, level by
-level, numbered by ``_first_appearance``, and gives its children and one
-probability per edge.
+has none and passes its children, whose parents the tree derives.  Each
+walk yields its integer states one level at a time, mapped to that level's
+M, so no build holds or frees a full-size state array.  Every node of such
+a walk takes the same moves, so its tree holds their probabilities as one
+move row, not one per edge.  ``time_changed`` merges states by rounded
+float value, level by level, numbered by ``_first_appearance``, and gives
+its children and one probability per edge.
 ``ModelConfig`` checks every builder's parameters, so a bad one is refused
 before anything is built.
 """
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,8 +58,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
-        if self.K < 1:
-            raise ModelError("K must be >= 1")
+        # a K past the largest float is refused, as the jump's T/K would
+        # overflow forming it
+        if not 1 <= self.K <= sys.float_info.max:
+            raise ModelError("K must be >= 1 and at most the largest float")
         if not 0 < self.T < math.inf:
             raise ModelError(f"T must be positive and finite, got {self.T!r}")
         prm = {}
@@ -113,28 +118,36 @@ def _validated(tree, mvals, tol=1e-12):
 
 def estimate_nodes(kind, K, params=None):
     """Node count of one built model: exact for the fixed-move lattices,
-    an upper bound for ``time_changed``."""
+    an upper bound for ``time_changed``.  A count over both the node cap
+    and 2**63 is math.inf: it is found so from the
+    logarithm of a lower bound, base**K on a full tree and (K + 1)**d / d!
+    on a lattice whose count has degree d in K, before the count is formed,
+    so that no K forms a number too large to compute or to print."""
     params = params or {}
+    if kind not in KINDS:
+        raise ModelError(f"unknown model kind {kind!r}")
     recomb = bool(params.get("recombine", True))
-    if kind == "binary":
-        return (K + 1) * (K + 2) // 2 if recomb else 2 ** (K + 1) - 1
+    two_sided = kind == "compensated_jump" and float(
+        params.get("lam_down", params.get("lam", 2.0))) != 0.0
+    # a full tree's branching (time_changed merges by value, so its bound
+    # is the full binary tree), None on a lattice
+    base = {"product_noise": 4, "time_changed": 2}.get(
+        kind, None if recomb else 3 if kind == "trinomial" or two_sided
+        else 2)
+    d = 3 if two_sided else 2
+    limit = math.log(max(node_cap(), 2 ** 63))
+    if base:
+        # K log(base) > limit, with no float formed from a huge K
+        if K > limit / math.log(base):
+            return math.inf
+        return (base ** (K + 1) - 1) // (base - 1)
+    if d * math.log(K + 1) - math.log(math.factorial(d)) > limit:
+        return math.inf
     if kind == "trinomial":
-        return (K + 1) ** 2 if recomb else (3 ** (K + 1) - 1) // 2
-    if kind == "compensated_jump":
-        one_sided = float(params.get("lam_down",
-                                     params.get("lam", 2.0))) == 0.0
-        if not recomb:
-            base = 2 if one_sided else 3
-            return (base ** (K + 1) - 1) // (base - 1)
-        if one_sided:
-            return (K + 1) * (K + 2) // 2
+        return (K + 1) ** 2
+    if d == 3:
         return (K + 1) * (K + 2) * (K + 3) // 6
-    if kind == "time_changed":
-        # merging is value-driven; report the no-merge upper bound
-        return 2 ** (K + 1) - 1
-    if kind == "product_noise":
-        return (4 ** (K + 1) - 1) // 3
-    raise ModelError(f"unknown model kind {kind!r}")
+    return (K + 1) * (K + 2) // 2
 
 
 def _first_appearance(keys):
@@ -150,7 +163,7 @@ def _first_appearance(keys):
     return rank[inverse], first[order]
 
 
-def _line_walk(K, moves):
+def _line_walk(K, moves, n_comp):
     """A recombining walk on one integer component in closed form:
     ``moves`` any arithmetic progression m0 + g*i, ascending (g > 0) or
     descending (g < 0).
@@ -159,37 +172,43 @@ def _line_walk(K, moves):
     which is the order of their first appearance among the parent-major,
     move-minor candidates.  So move i of local node j lands on local child
     j + i: child stride 1, and the tree needs no edge arrays.  Returns
-    level_start and the (n, 1) states; every node shares the move row.
+    level_start and an iterator over the levels' (size, n_comp) states, 0
+    past the first component; every node shares the move row.
     """
     r = len(moves)
     m0, g = int(moves[0]), int(moves[1] - moves[0])
     sizes = np.arange(K + 1) * (r - 1) + 1
     level_start = np.zeros(K + 2, dtype=np.int64)
     np.cumsum(sizes, out=level_start[1:])
-    n = int(level_start[-1])
-    # k*m0 + g*j = g*id + (k*m0 - g*level_start[k])
-    states = np.arange(n)
-    states *= g
-    states += np.repeat(m0 * np.arange(K + 1) - g * level_start[:-1], sizes)
-    return level_start, states[:, None]
+
+    def levels():
+        # g*j on the widest level, whose prefix is every level's
+        gj = np.arange(sizes[-1]) * g
+        for k, size in enumerate(sizes.tolist()):
+            states = np.zeros((size, n_comp), dtype=np.int64)
+            np.add(gj[:size], k * m0, out=states[:, 0])
+            yield states
+    return level_start, levels()
 
 
 def _full_walk(K, moves):
     """A non-recombining walk in closed form: every candidate is a new node,
     so move i of local node j lands on local child r*j + i (child stride r)
     and the tree needs no edge arrays.  Each level's states are its parents'
-    plus every move, by broadcasting.  Returns level_start and the
-    (n, n_comp) states; every node shares the move row."""
+    plus every move, by broadcasting, so two levels are held at a time.
+    Returns level_start and an iterator over the levels' (size, n_comp)
+    states; every node shares the move row."""
     r = len(moves)
     level_start = np.zeros(K + 2, dtype=np.int64)
     np.cumsum(r ** np.arange(K + 1), out=level_start[1:])
-    n = int(level_start[-1])
-    states = np.zeros((n, moves.shape[1]), dtype=np.int64)
-    for k in range(K):
-        lo, hi = int(level_start[k]), int(level_start[k + 1])
-        states[hi:hi + r * (hi - lo)] = (
-            states[lo:hi, None, :] + moves).reshape(-1, moves.shape[1])
-    return level_start, states
+
+    def levels():
+        states = np.zeros((1, moves.shape[1]), dtype=np.int64)
+        yield states
+        for _ in range(K):
+            states = (states[:, None, :] + moves).reshape(-1, moves.shape[1])
+            yield states
+    return level_start, levels()
 
 
 def _simplex_walk(K):
@@ -201,45 +220,50 @@ def _simplex_walk(K):
     candidates.  With u = k - i, state (i, j) is local node u(u+1)/2 + j, and
     its moves land on local children of the next level at that index plus
     0, u + 1 and u + 2.  Levels grow by k + 2 nodes, which no one child
-    stride fits, so this walk returns level_start, echild and the (n, 2)
-    states: every node has three edges, so the tree derives their parents,
-    and every node shares the move row.
+    stride fits, so this walk returns level_start, echild and an iterator
+    over the levels' (size, 2) states, which fills each level's children as
+    it yields its states: every node has three edges, so the tree derives
+    their parents, and every node shares the move row.
     """
     sizes = (np.arange(K + 1) + 1) * (np.arange(K + 1) + 2) // 2
     level_start = np.zeros(K + 2, dtype=np.int64)
     np.cumsum(sizes, out=level_start[1:])
-    n, nt = int(level_start[-1]), int(level_start[-2])
-    # (u, j) of each local index of level K; every level's is a prefix, so
-    # the states and children are filled level by level from it
-    u = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
-    j = np.arange(len(u)) - u * (u + 1) // 2
-    states = np.empty((n, 2), dtype=np.int64)
+    nt = int(level_start[-2])
     child = np.empty((nt, 3), dtype=np.int64)
     bounds = level_start.tolist()
-    for k in range(K + 1):
-        lo, hi = bounds[k:k + 2]
-        np.subtract(k, u[:hi - lo], out=states[lo:hi, 0])
-        states[lo:hi, 1] = j[:hi - lo]
-        if k < K:
-            c = child[lo:hi]
-            c[:, 0] = np.arange(hi, 2 * hi - lo)
-            np.add(c[:, 0], u[:hi - lo] + 1, out=c[:, 1])
-            np.add(c[:, 1], 1, out=c[:, 2])
-    return level_start, child.ravel(), states
+
+    def levels():
+        # (u, j) of each local index of level K; every level's is a prefix
+        u = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
+        j = np.arange(len(u)) - u * (u + 1) // 2
+        for k in range(K + 1):
+            lo, hi = bounds[k:k + 2]
+            states = np.empty((hi - lo, 2), dtype=np.int64)
+            np.subtract(k, u[:hi - lo], out=states[:, 0])
+            states[:, 1] = j[:hi - lo]
+            if k < K:
+                c = child[lo:hi]
+                c[:, 0] = np.arange(hi, 2 * hi - lo)
+                np.add(c[:, 0], u[:hi - lo] + 1, out=c[:, 1])
+                np.add(c[:, 1], 1, out=c[:, 2])
+            yield states
+    return level_start, child.ravel(), levels()
 
 
 def _lattice_walk(config, moves, probs, value):
     """Build a fixed-move lattice over integer states.
 
     ``moves`` is an (n_moves, n_comp) table of steps in {-1, 0, 1} taken
-    with ``probs``, one row that every node shares; ``value(states,
-    level_start)`` maps node states to M.  Children are
+    with ``probs``, one row that every node shares; ``value(states, k)``
+    maps level k's (size, n_comp) states to its M.  Children are
     numbered in the order of their first appearance among the parent-major,
     move-minor candidates; with ``recombine`` off every candidate is a new
     node.  Each shape has its closed form: a full tree (``_full_walk``), a
     recombining walk on one component (``_line_walk``) and the two-sided
-    jump walk (``_simplex_walk``), the one recombining walk on two.  It must
-    fill ``estimate_nodes``, which is checked against the cap first.
+    jump walk (``_simplex_walk``), the one recombining walk on two.  Each
+    yields its states one level at a time, so no state array outgrows two
+    levels.  It must fill ``estimate_nodes``, which is checked against the
+    cap first.
     """
     K = config.K
     n = estimate_nodes(config.kind, K, config.params)
@@ -248,20 +272,20 @@ def _lattice_walk(config, moves, probs, value):
     moves = np.asarray(moves, dtype=np.int64)
     echild = None
     if not config.params.get("recombine", True):
-        level_start, states = _full_walk(K, moves)
+        level_start, levels = _full_walk(K, moves)
     elif moves[:, 1:].any():
-        level_start, echild, states = _simplex_walk(K)
+        level_start, echild, levels = _simplex_walk(K)
     else:
-        level_start, states = _line_walk(K, moves[:, 0])
-        if moves.shape[1] > 1:
-            states = np.pad(states, ((0, 0), (0, moves.shape[1] - 1)))
+        level_start, levels = _line_walk(K, moves[:, 0], moves.shape[1])
     if level_start[-1] != n:
         raise InvariantViolation(
             f"{config.kind} lattice filled {level_start[-1]} nodes, "
             f"estimate is {n}")
-    mvals = value(states, level_start)
+    mvals = np.empty(n)
+    bounds = level_start.tolist()
+    for k, states in enumerate(levels):
+        mvals[bounds[k]:bounds[k + 1]] = value(states, k)
     mvals[0] = 0.0      # a literal, as a negative step would give -0.0
-    del states          # so the tree's arrays do not sit on top of it
     tree = ScenarioTree(TimeGrid.uniform(K, config.T), level_start,
                         None, echild, np.asarray(probs, dtype=float)[None])
     return tree, _validated(tree, mvals)
@@ -271,7 +295,7 @@ def build_binary(config):
     """Symmetric +-h walk; recombining lattice; h defaults to sqrt(T/K)."""
     h = float(config.params.get("h", np.sqrt(config.T / config.K)))
     return _lattice_walk(config, [[-1], [1]], [0.5, 0.5],
-                         lambda s, ls: s[:, 0] * h)
+                         lambda s, k: s[:, 0] * h)
 
 
 def build_trinomial(config):
@@ -279,7 +303,7 @@ def build_trinomial(config):
     p = float(config.params.get("p", 0.25))
     h = float(config.params.get("h", np.sqrt(config.T / (2 * p * config.K))))
     return _lattice_walk(config, [[-1], [0], [1]], [p, 1 - 2 * p, p],
-                         lambda s, ls: s[:, 0] * h)
+                         lambda s, k: s[:, 0] * h)
 
 
 def build_compensated_jump(config):
@@ -306,13 +330,10 @@ def build_compensated_jump(config):
         moves.append([0, 1])
         probs.append(pd)
 
-    def value(s, ls):
-        v = jump * s[:, 0] - jump_down * s[:, 1]
-        # less the compensator, k * comp on level k
-        for k in range(1, len(ls) - 1):
-            v[ls[k]:ls[k + 1]] -= k * comp
-        return v
-    return _lattice_walk(config, moves, probs, value)
+    # less the compensator, k * comp on level k
+    return _lattice_walk(
+        config, moves, probs,
+        lambda s, k: jump * s[:, 0] - jump_down * s[:, 1] - k * comp)
 
 
 def build_time_changed(config):
@@ -367,7 +388,7 @@ def build_product_noise(config):
     moves = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])  # (step, coin)
     return _lattice_walk(
         replace(config, params={**config.params, "recombine": False}),
-        moves, [0.25] * 4, lambda s, ls: s[:, 0] * h)
+        moves, [0.25] * 4, lambda s, k: s[:, 0] * h)
 
 
 BUILDERS = {"binary": build_binary, "trinomial": build_trinomial,

@@ -16,6 +16,8 @@ numpy 2.4.6, scipy 1.17.1); with ``math.exp`` it differed on none.
 """
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,7 +245,14 @@ def digital_box(a=-0.5, b=0.5):
 
 
 def custom_polynomial(coeffs):
-    c = np.asarray(coeffs, dtype=float)
+    """The polynomial with ``coeffs``, highest power first: anything but a
+    non-empty list of finite numbers is refused."""
+    if not (isinstance(coeffs, (list, tuple)) and coeffs and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max for v in coeffs)):
+        raise ValueError("custom_polynomial coeffs must be a non-empty list "
+                         f"of finite numbers, got {coeffs!r}")
+    c = np.array(coeffs, dtype=float)
 
     def ev(x):
         return np.polyval(c, x[:, 0])

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from orthres.cli import (MAX_SCAN_POINTS, estimate_nodes, load_config, main,
-                         parse_config)
+from orthres.cli import (MAX_SCAN_POINTS, MAX_SEEDS, estimate_nodes,
+                         load_config, main, parse_config)
 from orthres.errors import ConfigError
 
 
@@ -183,6 +183,12 @@ TOLERANCE_ERRORS = [
                      ("constant_drift", "c"))
       for name, v in (("nan", math.nan), ("inf", math.inf),
                       ("1e400", "1e400"))),
+    # a polynomial's coefficients must be a non-empty list of finite
+    # numbers; each of these once failed in np.polyval and exited 1
+    *(pytest.param({"F": {"id": "custom_polynomial",
+                          "params": {"coeffs": v}}}, id=f"coeffs_{name}")
+      for name, v in (("false", False), ("one", 1), ("null", None),
+                      ("nested", [[1]]), ("empty", []), ("nan", [math.nan]))),
     # a coefficient dimension reads as an integer, 1.0 as 1
     *(pytest.param({**SCAN, "coeffs": {"id": cid, "params": {"n": v}}},
                    id=f"{cid}_n_{name}")
@@ -350,6 +356,99 @@ def test_preflight_sizes_the_model_a_cascade_builds(tmp_path, monkeypatch,
                             lambda config: pytest.fail("built past the cap"))
     assert main(["run", str(path)]) == 2
     assert "tree would need 4225 nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "binary", "params": {"recombine": False}, "K": 14300},
+    {"kind": "product_noise", "K": 65536}], ids=["binary_full", "product"])
+def test_huge_node_counts_exit_2_under_run_and_0_under_verify(
+        tmp_path, monkeypatch, capsys, model):
+    """A node count past 4,300 digits, which Python refuses to print, is
+    printed as "more than" the cap: run exits 2 before it builds, verify
+    exits 0 with the row flagged."""
+    monkeypatch.setenv("ORTHRES_NODE_CAP", "5000000")
+    path, _ = write_cfg(tmp_path, model=model, K_list=[model["K"]])
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "tree would need more than 5000000 nodes, cap is 5000000" in err
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"{model['K']:>6} more than 5000000  OVER CAP" in out
+
+
+def test_huge_counts_are_decided_before_they_are_formed(monkeypatch):
+    """Over the cap and 2**63 a count is math.inf, without forming the
+    power; at or below 2**63 it stays exact, over the cap too."""
+    assert estimate_nodes("binary", 62, {"recombine": False}) == 2 ** 63 - 1
+    assert estimate_nodes("binary", 63, {"recombine": False}) == 2 ** 64 - 1
+    assert estimate_nodes("binary", 64, {"recombine": False}) == math.inf
+    for kind in ("binary", "trinomial", "compensated_jump", "time_changed",
+                 "product_noise"):
+        assert estimate_nodes(kind, 10 ** 4000) == math.inf
+    monkeypatch.setenv("ORTHRES_NODE_CAP", "100")
+    assert estimate_nodes("trinomial", 2000) == 2001 ** 2
+    monkeypatch.setenv("ORTHRES_NODE_CAP", str(10 ** 4000))
+    assert estimate_nodes("binary", 10 ** 1000) == (
+        (10 ** 1000 + 1) * (10 ** 1000 + 2) // 2)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("binary", {}), ("binary", {"recombine": False}), ("trinomial", {}),
+    ("compensated_jump", {}), ("time_changed", {}), ("product_noise", {})])
+def test_K_1e160_exits_promptly(tmp_path, kind, params):
+    """K = 1e160 once formed 2**(K + 1) and never returned: run exits 2
+    and verify 0, each in a fresh process within the timeout."""
+    import orthres
+    path, _ = write_cfg(tmp_path, model={"kind": kind, "K": 1e160,
+                                         "params": params}, K_list=[1e160])
+    src = os.path.dirname(os.path.dirname(orthres.__file__))
+    for cmd, code in (("run", 2), ("verify", 0)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orthres.cli", cmd, str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == code, proc.stderr
+        assert "more than" in proc.stderr + proc.stdout
+
+
+@pytest.mark.parametrize("seeds", [MAX_SEEDS + 1, 1e160])
+def test_unbounded_seeds_exit_3(tmp_path, capsys, seeds):
+    """A campaign of more than MAX_SEEDS seeds is refused before it starts,
+    where 1e160 seeds once ran an unbounded loop."""
+    path, _ = write_cfg(tmp_path, **{**CAMPAIGN, "seeds": seeds})
+    for cmd in ("verify", "run"):
+        assert main([cmd, str(path)]) == 3
+        assert "seeds <= 1000000" in capsys.readouterr().err
+    path, _ = write_cfg(tmp_path, **{**CAMPAIGN, "seeds": MAX_SEEDS})
+    assert main(["verify", str(path)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["binary", "compensated_jump"])
+@pytest.mark.parametrize("experiment", ["comparison_campaign",
+                                        "residual_sweep"])
+def test_K_past_the_largest_float_exits_3(tmp_path, capsys, kind,
+                                          experiment):
+    """A K of 401 digits, in the model block of a campaign or in a sweep's
+    K_list, once overflowed converting to a float (exit 1): it is refused
+    as a config error."""
+    raw = {"experiment": experiment, "model": {"kind": kind, "K": "big"},
+           "output": str(tmp_path / "out"), "F": {"id": "sine"},
+           "K_list": ["big"]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw).replace('"big"', "1" + "0" * 400))
+    for cmd in ("run", "verify"):
+        assert main([cmd, str(path)]) == 3
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_integer_past_the_digit_limit_exits_3(tmp_path, capsys):
+    """An integer literal of more than 4,300 digits is refused by the JSON
+    reader with a plain ValueError: it is a malformed config."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"experiment": "residual_sweep", "model": {"kind": '
+                    '"binary", "K": ' + "9" * 5000 + "}}")
+    assert main(["verify", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("config error: malformed JSON")
 
 
 def test_verify_prints_plan(tmp_path, capsys):

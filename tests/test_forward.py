@@ -257,8 +257,9 @@ def test_extract_subtree_matches_breadth_first_reference(case):
     ref, ref_order = _extract_subtree_reference(tree, node)
     assert order.dtype == ref_order.dtype
     assert order.tobytes() == ref_order.tobytes()
+    # [:] reads the whole array, stored or computed where indexed
     for name in ("level_start", "eparent", "echild", "eprob", "estart"):
-        got, want = getattr(sub, name), getattr(ref, name)
+        got, want = getattr(sub, name)[:], getattr(ref, name)[:]
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), name
     assert sub.grid.t.tobytes() == ref.grid.t.tobytes()
@@ -279,7 +280,8 @@ def test_jump_subtree_keeps_no_parent_array(K, node):
                         sub.probs)
     assert twin._eparent is not None
     for name in ("estart", "path_prob", "eparent", "echild"):
-        assert getattr(sub, name).tobytes() == getattr(twin, name).tobytes()
+        assert (getattr(sub, name)[:].tobytes()
+                == getattr(twin, name)[:].tobytes())
     if K > 12:
         return
     Ms = AdaptedProcess(sub, M.values[order] - M.values[node])

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from orthres import _kernels, ftree
 from orthres.bsde import dual_value, solve_lipschitz, truncated_driver
 from orthres.errors import InvariantViolation, OrthresError
-from orthres.ftree import (PSD_TOL, AdaptedProcess, ScenarioTree, TimeGrid,
-                           backward_closure, conditional_covariances,
+from orthres.ftree import (PSD_TOL, AdaptedProcess, EdgeOffsets,
+                           ScenarioTree, TimeGrid, backward_closure, conditional_covariances,
                            is_martingale, predictable_bracket)
 from orthres.models import ModelConfig, build
 
@@ -562,9 +562,10 @@ def test_closed_form_edges_equal_the_index_arrays(tree, data):
         assert twin.child_stride == stride
         trees.append(twin)
     for t in trees[1:]:
+        # [:] reads the whole array, stored or computed where indexed
         for name in ("eparent", "echild", "estart", "path_prob",
                      "node_level"):
-            got, want = getattr(t, name), getattr(tree, name)
+            got, want = getattr(t, name)[:], getattr(tree, name)[:]
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), name
         assert t.arity == tree.arity
@@ -575,6 +576,33 @@ def test_closed_form_edges_equal_the_index_arrays(tree, data):
         for t in trees:
             assert t.edge_parents(lo, hi).tobytes() == ep[e].tobytes()
             assert t.edge_children(lo, hi).tobytes() == ec[e].tobytes()
+
+
+@settings(deadline=None)
+@given(st.integers(0, 40), st.data())
+def test_edge_offsets_index_as_their_array(n, data):
+    """The offsets a tree with r edges out of each of its nt non-terminal
+    nodes computes where they are read equal the array
+    min(arange(n + 1), nt) * r under int, negative-int, stepped-slice and
+    integer-array indexing, and refuse an index the array refuses."""
+    nt, r = data.draw(st.integers(0, n)), data.draw(st.integers(1, 7))
+    off, ref = EdgeOffsets(n, nt, r), np.minimum(np.arange(n + 1), nt) * r
+    assert len(off) == len(ref) and off.itemsize == ref.itemsize
+    i = data.draw(st.integers(-(n + 1), n))
+    assert off[i] == ref[i] and off[np.int64(i)] == ref[i]
+    ends = st.none() | st.integers(-(n + 3), n + 3)
+    sl = slice(data.draw(ends), data.draw(ends),
+               data.draw(st.none() | st.integers(-4, 4).filter(bool)))
+    idx = np.array(data.draw(st.lists(st.integers(-(n + 1), n),
+                                      max_size=8)), dtype=np.int64)
+    for at in (sl, idx):
+        got = off[at]
+        assert got.dtype == ref.dtype and got.tobytes() == ref[at].tobytes()
+    for bad in (n + 1, -(n + 2), np.array([n + 1])):
+        with pytest.raises(IndexError):
+            ref[bad]
+        with pytest.raises(IndexError):
+            off[bad]
 
 
 @pytest.mark.parametrize("level_start,eprob,match", [
@@ -899,7 +927,7 @@ def test_implicit_parent_tree_equals_its_explicit_twin(case, data):
                         tree.echild, tree.probs)
     assert twin._eparent is not None
     assert (twin.arity, twin.child_stride) == (tree.arity, None)
-    assert tree.estart.tobytes() == twin.estart.tobytes()
+    assert tree.estart[:].tobytes() == twin.estart[:].tobytes()
     assert tree.path_prob.tobytes() == twin.path_prob.tobytes()
     for _ in range(5):
         lo = data.draw(st.integers(0, tree.n_nodes))
