@@ -154,12 +154,6 @@ def extract_subtree(tree, node):
     return sub, np.flatnonzero(keep)
 
 
-def shift_martingale(sub, order, M, node, m):
-    """M on a subtree extracted from ``node``, shifted to start at m."""
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    return AdaptedProcess(sub, M.values[order] - M.values[node] + m)
-
-
 def shift_start(tree, M, t_idx, node, m, coeffs=None, clock=None, x=None):
     """Restart (M, X) from a node at level t_idx with M shifted to start at m.
 
@@ -170,7 +164,8 @@ def shift_start(tree, M, t_idx, node, m, coeffs=None, clock=None, x=None):
     if tree.level_of(node) != t_idx:
         raise ValueError(f"node {node} is not at level {t_idx}")
     sub, order = extract_subtree(tree, node)
-    Msub = shift_martingale(sub, order, M, node, m)
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    Msub = AdaptedProcess(sub, M.values[order] - M.values[node] + m)
     if coeffs is None:
         return sub, Msub
     if clock is None:

@@ -7,11 +7,11 @@ edges as index arrays, which the tree keeps, as children alone where every
 node has the same number of edges, whose parents are then computed, or in
 one closed form (a ``child_stride``), from which their parents and children
 are computed and no per-edge index array is stored.  It gives their
-probabilities as one move row that every non-terminal node shares, or one
-per edge; a node's level is read off ``level_start``.  A tree with r edges
-out of every non-terminal node computes its edge offsets where they are
-read (``EdgeOffsets``).  So a closed-form lattice keeps per node only its
-path probability.
+probabilities as one move row that every non-terminal node shares (every
+model builder does), or one per edge; a node's level is read off
+``level_start``.  A tree with r edges out of every non-terminal node
+computes its edge offsets where they are read (``EdgeOffsets``).  So a
+closed-form lattice keeps per node only its path probability.
 
 The martingale M is scalar (d = 1).  The martingale check, the conditional
 variances and the clock run one level at a time, narrow levels merged into
@@ -140,19 +140,20 @@ class ScenarioTree:
         strided view of the level below
 
     The probabilities are given as one (1, r) row, move i of every
-    non-terminal node being its i-th edge, or as an (E,) array, one per
-    edge.  The edges are given as ``eparent`` and ``echild`` arrays, which
-    the tree keeps and then has no ``child_stride``; as ``echild`` alone,
-    grouped by parent with r edges out of every non-terminal node, whose
-    parents the tree derives; or in closed form as None for both: then
-    every non-terminal node has r edges (the row's r, or len(eprob) /
-    n_nonterminal), each level's size must be s*(n - 1) + r for the n nodes
-    above it and one stride 1 <= s <= r, and the tree keeps no per-edge
-    index arrays.  ``edge_parents`` and ``edge_children`` give the edges of
-    any node range, from the closed form or as slices of the kept arrays;
-    ``level_of`` gives a node's level from ``level_start``.  ``eprob``,
-    ``node_level``, ``eparent`` and ``echild`` build the whole array on
-    each read where the tree does not keep it.
+    non-terminal node being its i-th edge, as every model builder gives
+    them, or as an (E,) array, one per edge.  The edges are given as
+    ``eparent`` and ``echild`` arrays, which the tree keeps and then has no
+    ``child_stride``; as ``echild`` alone, grouped by parent with r edges
+    out of every non-terminal node, whose parents the tree derives; or in
+    closed form as None for both: then every non-terminal node has r edges
+    (the row's r, or len(eprob) / n_nonterminal), each level's size must be
+    s*(n - 1) + r for the n nodes above it and one stride 1 <= s <= r, and
+    the tree keeps no per-edge index arrays.  ``edge_parents`` and
+    ``edge_children`` give the edges of any node range, from the closed form
+    or as slices of the kept arrays; ``level_of`` gives a node's level from
+    ``level_start``, and no tree holds one level per node.  ``eprob``,
+    ``eparent`` and ``echild`` build the whole array on each read where the
+    tree does not keep it.
     """
 
     def __init__(self, grid, level_start, eparent, echild, eprob):
@@ -306,11 +307,6 @@ class ScenarioTree:
         row."""
         p = self.probs
         return np.tile(p[0], self.n_nonterminal) if p.ndim == 2 else p
-
-    @property
-    def node_level(self):
-        """(n_nodes,) level of every node, built on each read."""
-        return np.repeat(np.arange(self.K + 1), np.diff(self.level_start))
 
     @property
     def eparent(self):

@@ -8,18 +8,18 @@ sigma(M) recombine into lattices; the product model keeps the full tree.
 ``binary``, ``trinomial``, ``compensated_jump`` and ``product_noise`` take
 fixed integer moves and share one ``_lattice_walk``, checked against
 ``estimate_nodes``; ``product_noise`` walks with recombination off.  Every
-such walk is built in closed form, one builder per lattice shape, numbering
-children in the order of their first appearance: full trees
-(``_full_walk``) and recombining walks on one component (``_line_walk``:
-``binary``, ``trinomial``, the one-sided jump) have a child stride, so their
-trees keep no edge arrays; the two-sided jump lattice (``_simplex_walk``)
-has none and passes its children, whose parents the tree derives.  Each
-walk yields its integer states one level at a time, mapped to that level's
-M, so no build holds or frees a full-size state array.  Every node of such
-a walk takes the same moves, so its tree holds their probabilities as one
-move row, not one per edge.  ``time_changed`` merges states by rounded
-float value, level by level, numbered by ``_first_appearance``, and gives
-its children and one probability per edge.
+such walk is built in closed form, numbering children in the order of their
+first appearance.  One stride walk (``_stride_walk``) builds every lattice
+with a child stride s, whose trees keep no edge arrays: full trees (s = r)
+and recombining walks on one component (s = 1: ``binary``, ``trinomial``,
+the one-sided jump).  The two-sided jump lattice (``_simplex_walk``) has no
+stride and passes its children, whose parents the tree derives.  Each walk
+yields its integer states one level at a time, mapped to that level's M, so
+no build holds or frees a full-size state array.  ``time_changed`` merges
+states by rounded float value, level by level, numbered by
+``_first_appearance``, and passes its children.  Every node of every built
+model takes its moves with the same probabilities, so each builder passes
+them as one move row, not one per edge.
 ``ModelConfig`` checks every builder's parameters, so a bad one is refused
 before anything is built.
 """
@@ -163,52 +163,48 @@ def _first_appearance(keys):
     return rank[inverse], first[order]
 
 
-def _line_walk(K, moves, n_comp):
-    """A recombining walk on one integer component in closed form:
-    ``moves`` any arithmetic progression m0 + g*i, ascending (g > 0) or
-    descending (g < 0).
+def _stride_walk(K, moves, s):
+    """A walk in closed form with child stride s = 1 or r = len(moves):
+    move i of local node j lands on local child s*j + i, so the tree needs
+    no edge arrays.  s = r gives a full tree, s = 1 a recombining walk on
+    one component, whose moves must be an arithmetic progression.
 
-    Level k holds the states k*m0 + g*j, j = 0 .. k*w with w = len(moves) - 1,
-    which is the order of their first appearance among the parent-major,
-    move-minor candidates.  So move i of local node j lands on local child
-    j + i: child stride 1, and the tree needs no edge arrays.  Returns
-    level_start and an iterator over the levels' (size, n_comp) states, 0
-    past the first component; every node shares the move row.
+    A level of n nodes is followed by one of s*(n - 1) + r: moves 0 .. s-1
+    of every node, then the last node's other moves.  The last node of
+    level k is k*moves[r-1], so those r - s children are move 0 of virtual
+    nodes past the level, set in both level buffers before the walk, which
+    no level reaches before they are read: a level takes s adds and no
+    temporary.  Returns level_start and an iterator over the levels'
+    (size, n_comp) states, each a view that the level after next
+    overwrites.
     """
-    r = len(moves)
-    m0, g = int(moves[0]), int(moves[1] - moves[0])
-    sizes = np.arange(K + 1) * (r - 1) + 1
+    r, c = moves.shape
+    # level k holds 1 + (r - 1)(1 + s + ... + s**(k - 1)) nodes
+    powers = np.full(K + 1, s, dtype=np.int64)
+    powers[0] = 1
+    np.multiply.accumulate(powers, out=powers)
+    sizes = (np.cumsum(powers) - powers) * (r - 1) + 1
     level_start = np.zeros(K + 2, dtype=np.int64)
     np.cumsum(sizes, out=level_start[1:])
+    sizes = sizes.tolist()
+    # level k lives in buffer k % 2, beside the virtual nodes of every
+    # level; column-major, so each add runs along one component's rows
+    last, other = (np.zeros((rows, c), dtype=np.int64, order="F")
+                   for rows in (sizes[-1], sizes[-2] + r - s))
+    src, dst = (other, last) if K % 2 else (last, other)
+    virtual = (np.arange(K)[:, None, None] * moves[-1]
+               + (moves[s:] - moves[0])).reshape(-1, c)
+    src[1:1 + len(virtual)] = dst[1:1 + len(virtual)] = virtual
+    step = list(enumerate(moves[:s]))
 
-    def levels():
-        # g*j on the widest level, whose prefix is every level's
-        gj = np.arange(sizes[-1]) * g
-        for k, size in enumerate(sizes.tolist()):
-            states = np.zeros((size, n_comp), dtype=np.int64)
-            np.add(gj[:size], k * m0, out=states[:, 0])
-            yield states
-    return level_start, levels()
-
-
-def _full_walk(K, moves):
-    """A non-recombining walk in closed form: every candidate is a new node,
-    so move i of local node j lands on local child r*j + i (child stride r)
-    and the tree needs no edge arrays.  Each level's states are its parents'
-    plus every move, by broadcasting, so two levels are held at a time.
-    Returns level_start and an iterator over the levels' (size, n_comp)
-    states; every node shares the move row."""
-    r = len(moves)
-    level_start = np.zeros(K + 2, dtype=np.int64)
-    np.cumsum(r ** np.arange(K + 1), out=level_start[1:])
-
-    def levels():
-        states = np.zeros((1, moves.shape[1]), dtype=np.int64)
-        yield states
-        for _ in range(K):
-            states = (states[:, None, :] + moves).reshape(-1, moves.shape[1])
-            yield states
-    return level_start, levels()
+    def levels(src, dst):
+        yield src[:1]
+        for n, size in zip(sizes, sizes[1:]):
+            for i, m in step:
+                np.add(src[:n + r - s], m, dst[i:size:s])
+            yield dst[:size]
+            src, dst = dst, src
+    return level_start, levels(src, dst)
 
 
 def _simplex_walk(K):
@@ -258,25 +254,24 @@ def _lattice_walk(config, moves, probs, value):
     maps level k's (size, n_comp) states to its M.  Children are
     numbered in the order of their first appearance among the parent-major,
     move-minor candidates; with ``recombine`` off every candidate is a new
-    node.  Each shape has its closed form: a full tree (``_full_walk``), a
-    recombining walk on one component (``_line_walk``) and the two-sided
-    jump walk (``_simplex_walk``), the one recombining walk on two.  Each
-    yields its states one level at a time, so no state array outgrows two
-    levels.  It must fill ``estimate_nodes``, which is checked against the
-    cap first.
+    node.  One stride walk builds every shape with a child stride: a full
+    tree (``_stride_walk`` at s = r) and a recombining walk on one component
+    (at s = 1); the two-sided jump walk (``_simplex_walk``), the one
+    recombining walk on two, has its own.  Each yields its states one level
+    at a time, so no state array outgrows two levels.  It must fill
+    ``estimate_nodes``, which is checked against the cap first.
     """
     K = config.K
     n = estimate_nodes(config.kind, K, config.params)
     if n > node_cap():
         raise NodeCapExceeded(n, node_cap())
     moves = np.asarray(moves, dtype=np.int64)
-    echild = None
-    if not config.params.get("recombine", True):
-        level_start, levels = _full_walk(K, moves)
-    elif moves[:, 1:].any():
+    recombine, echild = config.params.get("recombine", True), None
+    if recombine and moves[:, 1:].any():
         level_start, echild, levels = _simplex_walk(K)
     else:
-        level_start, levels = _line_walk(K, moves[:, 0], moves.shape[1])
+        level_start, levels = _stride_walk(
+            K, moves, 1 if recombine else len(moves))
     if level_start[-1] != n:
         raise InvariantViolation(
             f"{config.kind} lattice filled {level_start[-1]} nodes, "
@@ -369,10 +364,10 @@ def build_time_changed(config):
         mvals.append(m)
         n += len(first)
     level_start = np.cumsum([0] + [len(v) for v in mvals])
-    nt = int(level_start[-2])
-    # two edges out of every node: the tree derives their parents
+    # two edges out of every node, down and up with probability 1/2 each:
+    # the tree derives their parents and holds one move row
     tree = ScenarioTree(TimeGrid.uniform(K, T), level_start, None,
-                        np.concatenate(echild), np.full(2 * nt, 0.5))
+                        np.concatenate(echild), [[0.5, 0.5]])
     return tree, _validated(tree, np.concatenate(mvals))
 
 

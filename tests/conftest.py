@@ -10,6 +10,8 @@ from reference import TreeBuilder
 # CI runs the suite with --hypothesis-profile=ci: every run draws the same
 # examples, so a failing property there fails the same way locally
 settings.register_profile("ci", derandomize=True)
+# CI's fuzz step: the config fuzzer alone, on many more examples
+settings.register_profile("fuzz", derandomize=True, max_examples=2000)
 
 
 def random_full_tree(rng, K=3, max_branch=3, T=1.0, min_branch=2):

@@ -32,6 +32,11 @@ from orthres.ftree import (PSD_TOL, AdaptedProcess, MartingaleCheck,
                            PredictableField, ScenarioTree, TimeGrid)
 
 
+def node_level(tree):
+    """(n_nodes,) level of every node, read off ``level_start``."""
+    return np.repeat(np.arange(tree.K + 1), np.diff(tree.level_start))
+
+
 def edge_slice(tree, k):
     """The slice of the edges out of level k, in edge order."""
     lo, hi = tree.level_slice(k)
@@ -201,7 +206,7 @@ def product_noise_coin(tree):
     moves' coins are (-1, 1, -1, 1)."""
     moves = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
     i = np.arange(tree.n_nodes)
-    coin = moves[(i - tree.level_start[tree.node_level]) % 4, 1].astype(float)
+    coin = moves[(i - tree.level_start[node_level(tree)]) % 4, 1].astype(float)
     coin[0] = 0.0
     return coin
 
@@ -211,9 +216,10 @@ def product_noise_coin(tree):
 # ---------------------------------------------------------------------------
 
 def tree_to_json(tree, M=None):
+    level = node_level(tree)
     doc = {
         "grid": tree.grid.t.tolist(),
-        "nodes": [{"id": int(i), "level": int(tree.node_level[i])}
+        "nodes": [{"id": int(i), "level": int(level[i])}
                   for i in range(tree.n_nodes)],
     }
     if is_tree(tree):
@@ -332,7 +338,7 @@ def bracket_split(tree, M, Y, gkw_result, u, markov_tol=1e-9):
     Returns per-level cumulative expectations (A1_k, A2_k) with
     A1 + A2 equal to the telescoped E[sum dY dN] edge-exactly.
     """
-    level = tree.node_level
+    level = node_level(tree)
     uvals = np.array([u(int(level[i]), M.values[i])
                       for i in range(tree.n_nodes)], dtype=float)
     spread = float(np.max(np.abs(uvals - Y.scalar)))
@@ -358,7 +364,7 @@ def bracket_split(tree, M, Y, gkw_result, u, markov_tol=1e-9):
 def markov_grouping_check(tree, X, M, sol, decimals=9):
     """Max spread of Y within groups of equal (level, X-value, M-value)."""
     groups = {}
-    y, level = sol.Y.values[:, 0], tree.node_level
+    y, level = sol.Y.values[:, 0], node_level(tree)
     for i in range(tree.n_nodes):
         key = (int(level[i]),
                tuple(np.round(X.values[i], decimals)) if X is not None else (),

@@ -623,18 +623,57 @@ FUZZ_BASES = {
                         "tolerances": {"t_idx": 1, "m_count": 3}},
 }
 
+# a valid block for every model kind (and both lattice shapes), terminal
+# map, driver and coefficient set, which a mutation may swap in
+FUZZ_BLOCKS = {
+    ("model",): [
+        {"kind": "binary", "K": 4},
+        {"kind": "binary", "K": 3, "params": {"recombine": False}},
+        {"kind": "trinomial", "K": 4, "params": {"p": 0.2}},
+        {"kind": "trinomial", "K": 3, "params": {"recombine": False}},
+        {"kind": "compensated_jump", "K": 6, "params": {"lam": 0.5}},
+        {"kind": "compensated_jump", "K": 6,
+         "params": {"lam": 1.0, "lam_down": 0.0}},
+        {"kind": "time_changed", "K": 4, "params": {"kappa": 2.0}},
+        {"kind": "product_noise", "K": 3}],
+    ("F",): [
+        {"id": "indicator_halfspace", "params": {"threshold": 0.1}},
+        {"id": "square"}, {"id": "sine", "params": {"omega": 2.0}},
+        {"id": "digital_box"},
+        {"id": "custom_polynomial", "params": {"coeffs": [0.5, -1.0, 0.0]}},
+        {"id": "clipped_linear", "params": {"scale": 0.5}}],
+    ("driver",): [
+        {"id": "zero"}, {"id": "constant", "params": {"c": 0.3}},
+        {"id": "linear_y", "params": {"coef": 0.5}},
+        {"id": "pure_quadratic", "params": {"gamma": 1.0}},
+        {"id": "quadratic_mixed",
+         "params": {"gamma": 1.0, "b": 0.5, "eta": 0.1}}],
+    ("coeffs",): [
+        {"id": "identity", "x0": 0.0},
+        {"id": "constant_drift", "params": {"c": 0.5}},
+        {"id": "linear_sigma", "params": {"a": 0.5}, "x0": 1.0},
+        {"id": "affine", "params": {"a": 0.5, "c": 0.1}, "x0": 1.0}],
+}
+
 FUZZ_PATHS = [
     ("experiment",), ("model",), ("model", "kind"), ("model", "K"),
     ("model", "T"), ("model", "d"), ("model", "params"),
     ("model", "params", "p"), ("model", "params", "h"),
     ("model", "params", "lam"), ("model", "params", "jump"),
-    ("model", "params", "lam_down"), ("model", "params", "recombine"),
+    ("model", "params", "lam_down"), ("model", "params", "jump_down"),
+    ("model", "params", "kappa"), ("model", "params", "h_cap"),
+    ("model", "params", "recombine"),
     ("F",), ("F", "id"), ("F", "params"), ("F", "params", "threshold"),
-    ("F", "params", "coeffs"), ("driver",), ("driver", "id"),
+    ("F", "params", "strict"), ("F", "params", "omega"),
+    ("F", "params", "amp"), ("F", "params", "a"), ("F", "params", "b"),
+    ("F", "params", "coeffs"), ("F", "params", "scale"),
+    ("F", "params", "cap"), ("driver",), ("driver", "id"),
     ("driver", "params"), ("driver", "params", "gamma"),
     ("driver", "params", "b"), ("driver", "params", "eta"),
     ("driver", "params", "c"), ("driver", "params", "coef"), ("coeffs",),
-    ("coeffs", "id"), ("coeffs", "x0"), ("coeffs", "params"), ("K_list",),
+    ("coeffs", "id"), ("coeffs", "x0"), ("coeffs", "params"),
+    ("coeffs", "params", "n"), ("coeffs", "params", "a"),
+    ("coeffs", "params", "c"), ("K_list",),
     ("eps_list",), ("p_list",), ("n_list",), ("seed",), ("seeds",),
     ("tolerances",), ("tolerances", "t_idx"), ("tolerances", "m_lo"),
     ("tolerances", "m_hi"), ("tolerances", "m_count"),
@@ -645,6 +684,10 @@ FUZZ_PATHS = [
 
 _scalars = (st.none() | st.booleans() | st.integers(-3, 40)
             | st.sampled_from([2 ** 31, -2 ** 63, 10 ** 30])
+            # the odd floats behind earlier exit-code fixes: non-finite,
+            # subnormal, huge and past any node count
+            | st.sampled_from([math.nan, math.inf, -math.inf, 5e-324,
+                               1e308, 1e160, -1e160])
             | st.floats(allow_nan=True, allow_infinity=True)
             | st.text(max_size=4)
             | st.sampled_from(["trinomial", "binary", "compensated_jump",
@@ -655,10 +698,13 @@ _scalars = (st.none() | st.booleans() | st.integers(-3, 40)
                                "cascade", "dual_check"]))
 _values = _scalars | st.lists(_scalars, max_size=3) | st.dictionaries(
     st.text(max_size=3), _scalars, max_size=2)
-# the output prefix is never fuzzed into a string, so reports stay in the
-# test's temporary directory
-_mutation = st.tuples(st.sampled_from(FUZZ_PATHS),
-                      st.just(None) | st.tuples(_values))
+# a key deleted, set to an odd value, or to a valid block; the output
+# prefix is never fuzzed into a string, so reports stay in the test's
+# temporary directory
+_mutation = st.sampled_from(FUZZ_PATHS).flatmap(lambda path: st.tuples(
+    st.just(path), st.just(None) | st.tuples(
+        st.sampled_from(FUZZ_BLOCKS[path]) | _values
+        if path in FUZZ_BLOCKS else _values)))
 
 
 def _mutate(raw, path, value):
@@ -672,23 +718,44 @@ def _mutate(raw, path, value):
     if value is None:
         node.pop(path[-1], None)
     else:
-        node[path[-1]] = value[0]
+        node[path[-1]] = copy.deepcopy(value[0])
 
 
 def _long_running(raw):
     """A valid but large campaign or scan: legitimate work, not an input
-    error, so it is left out of the fuzz."""
-    def big(v, hi=math.inf):
+    error, so it is left out of the fuzz.  Counts past the caps stay in, as
+    they must exit 3."""
+    def big(v, cap):
         return (isinstance(v, (int, float)) and not isinstance(v, bool)
-                and 40 < v <= hi)
+                and 40 < v <= cap)
     tol = raw.get("tolerances")
-    return big(raw.get("seeds")) or (isinstance(tol, dict) and big(
+    return big(raw.get("seeds"), MAX_SEEDS) or (isinstance(tol, dict) and big(
         tol.get("m_count"), MAX_SCAN_POINTS))
 
 
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(sorted(FUZZ_BASES)), st.lists(_mutation, max_size=4))
+def test_fuzz_blocks_cover_every_catalog_entry():
+    """The fuzzer can swap in every model kind, both lattice shapes of the
+    fixed-move kinds, and every terminal map, driver and coefficient set."""
+    from orthres.bsde import DRIVER_CATALOG
+    from orthres.forward import CATALOG as COEFF_CATALOG
+    from orthres.models import KINDS
+    from orthres.mollify import CATALOG as TERMINAL_CATALOG
+    models = FUZZ_BLOCKS[("model",)]
+    assert {b["kind"] for b in models} == set(KINDS)
+    assert {b["kind"] for b in models
+            if b.get("params", {}).get("recombine") is False} == {
+        "binary", "trinomial"}
+    for path, catalog in ((("F",), TERMINAL_CATALOG),
+                          (("driver",), DRIVER_CATALOG),
+                          (("coeffs",), COEFF_CATALOG)):
+        assert {b["id"] for b in FUZZ_BLOCKS[path]} == set(catalog)
+
+
+# tier-1 draws 150 examples; a profile asking for more (CI's "fuzz") gets
+# them
+@settings(max_examples=max(150, settings.default.max_examples),
+          deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(FUZZ_BASES)), st.lists(_mutation, max_size=5))
 # inputs that once escaped with a traceback
 @example("mollify_sweep", [(("tolerances", "scan_lo"), (2,))])
 @example("mollify_sweep", [(("tolerances", "scan_spacing"), (-1.0,))])
@@ -710,13 +777,16 @@ def _long_running(raw):
 @example("vanishing_N", [(("driver",), ({"id": "constant",
                                          "params": {"c": math.inf}},))])
 def test_fuzzed_config_ends_in_a_documented_exit_code(exp, mutations):
+    """A small valid config of each experiment, with keys deleted or set to
+    odd values or to other valid blocks, runs in-process under a small node
+    cap to exit 0, 2 or 3, with one line on stderr and no traceback."""
     raw = {"experiment": exp, "model": {"kind": "trinomial", "K": 4},
            **copy.deepcopy(FUZZ_BASES[exp])}
     for path, value in mutations:
         _mutate(raw, path, value)
     assume(not _long_running(raw))
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.dict(os.environ, {"ORTHRES_NODE_CAP": "400"}):
+            mock.patch.dict(os.environ, {"ORTHRES_NODE_CAP": "30000"}):
         if "output" not in raw or isinstance(raw.get("output"), str):
             raw["output"] = os.path.join(tmp, "out")
         try:

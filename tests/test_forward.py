@@ -12,7 +12,8 @@ from orthres.ftree import (AdaptedProcess, ScenarioTree, TimeGrid,
 from orthres.models import ModelConfig, build
 
 from conftest import permute_last_level, small_trees
-from reference import euler_forward_edges, predictable_bracket_range
+from reference import (euler_forward_edges, node_level,
+                       predictable_bracket_range)
 
 
 def model(kind="binary", K=6, **params):
@@ -204,7 +205,7 @@ def test_extract_subtree_mass_and_levels():
 def _extract_subtree_reference(tree, node):
     """Breadth-first extraction over dicts and sets, as it was before the
     level mask; kept as the reference."""
-    level, echild, eprob = tree.node_level, tree.echild, tree.eprob
+    level, echild, eprob = node_level(tree), tree.echild, tree.eprob
     level0 = int(level[node])
     keep = {node}
     frontier = [node]

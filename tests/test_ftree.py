@@ -24,8 +24,9 @@ from conftest import (closed_form_twin, permute_last_level,
                       random_full_tree, random_martingale, small_trees)
 from reference import (TreeBuilder, accumulated_trace, clock_from_increments,
                        closed_form_stride, cond_exp, is_martingale_range,
-                       is_tree, path_prob_loop, pathwise_bracket,
-                       predictable_bracket_range, psd_cholesky,
+                       is_tree, node_level, path_prob_loop,
+                       pathwise_bracket, predictable_bracket_range,
+                       psd_cholesky,
                        psd_cholesky_stack, tree_from_json, tree_to_json)
 
 
@@ -175,7 +176,7 @@ def test_backward_closure_is_martingale(rng):
 
 def test_is_martingale_detects_drift():
     tree, M = binary_tree(K=3, h=0.5)
-    drift = AdaptedProcess(tree, M.scalar + 0.1 * tree.node_level)
+    drift = AdaptedProcess(tree, M.scalar + 0.1 * node_level(tree))
     chk = is_martingale(tree, drift)
     assert not chk
     npt.assert_allclose(chk.max_violation, 0.1, atol=1e-12)
@@ -563,11 +564,12 @@ def test_closed_form_edges_equal_the_index_arrays(tree, data):
         trees.append(twin)
     for t in trees[1:]:
         # [:] reads the whole array, stored or computed where indexed
-        for name in ("eparent", "echild", "estart", "path_prob",
-                     "node_level"):
-            got, want = getattr(t, name)[:], getattr(tree, name)[:]
+        for got, want in [(getattr(t, name)[:], getattr(tree, name)[:])
+                          for name in ("eparent", "echild", "estart",
+                                       "path_prob")] + [
+                (node_level(t), node_level(tree))]:
             assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes(), name
+            assert got.tobytes() == want.tobytes()
         assert t.arity == tree.arity
     for _ in range(5):
         lo = data.draw(st.integers(0, tree.n_nodes))

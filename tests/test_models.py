@@ -250,25 +250,35 @@ def test_lattice_walk_matches_reference_builder(config):
 def test_line_lattice_closed_form_matches_reference(monkeypatch, kind, K,
                                                     params):
     """Far past the property test's K <= 12, the closed-form lattices are
-    the reference's byte for byte: the line walk, with descending moves on
-    the one-sided jump, and the two-sided jump's simplex walk."""
+    the reference's byte for byte: the stride walk at stride 1, with
+    descending moves on the one-sided jump, and the two-sided jump's simplex
+    walk."""
     two_sided = kind == "compensated_jump" and "lam_down" not in params
-    name = "_simplex_walk" if two_sided else "_line_walk"
+    name = "_simplex_walk" if two_sided else "_stride_walk"
     calls = []
     walk = getattr(models, name)
     monkeypatch.setattr(models, name, lambda *a: calls.append(a) or walk(*a))
     assert_matches_reference_lattice(ModelConfig(kind, K=K, params=params))
     assert len(calls) == 1
+    if not two_sided:
+        assert calls[0][2] == 1
 
 
-@pytest.mark.parametrize("kind", ["binary", "trinomial", "compensated_jump"])
+@pytest.mark.parametrize("kind", ["binary", "trinomial", "compensated_jump",
+                                  "product_noise"])
 def test_full_trees_take_the_full_walk(monkeypatch, kind):
     """With recombination off every kind is a full tree in closed form,
-    child stride r, that keeps no edge index arrays."""
-    monkeypatch.setattr(models, "_line_walk", None)
+    built by one stride walk at stride r, that keeps no edge index
+    arrays."""
+    calls = []
+    walk = models._stride_walk
+    monkeypatch.setattr(models, "_stride_walk",
+                        lambda *a: calls.append(a) or walk(*a))
     monkeypatch.setattr(models, "_simplex_walk", None)
-    config = ModelConfig(kind, K=6, params={"recombine": False, "h": 0.5})
+    K = 4 if kind == "product_noise" else 6
+    config = ModelConfig(kind, K=K, params={"recombine": False, "h": 0.5})
     assert_matches_reference_lattice(config)
+    assert len(calls) == 1 and calls[0][2] == len(calls[0][1])
     tree = build(config).tree
     assert tree.child_stride == tree.arity
     assert tree._eparent is None and tree._echild is None
@@ -380,6 +390,18 @@ def test_time_changed_matches_reference_builder(config):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), name
     assert built.M.values.tobytes() == mvals[:, None].tobytes()
+
+
+@pytest.mark.parametrize("params", [{}, {"kappa": 2.0}, {"h_cap": 0.1}])
+def test_time_changed_shares_one_move_row(params):
+    """Every node of ``time_changed`` steps down and up with probability
+    1/2, so its tree holds one (1, 2) move row, as the lattices do, and its
+    edges' probabilities are that row repeated."""
+    tree = build(ModelConfig("time_changed", K=9, params=params)).tree
+    assert tree.probs.shape == (1, 2)
+    assert tree.probs.tobytes() == np.array([[0.5, 0.5]]).tobytes()
+    assert tree.eprob.tobytes() == np.full(2 * tree.n_nonterminal,
+                                           0.5).tobytes()
 
 
 def test_time_changed_merged_nodes_step_from_their_own_M():

@@ -123,7 +123,7 @@ def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
     assert len(report.rows) == 2
     assert len(sweep) == K
     levels = [c for c in calls if c[0] == "level_moments_d1"]
-    assert {c[1].level_slice(c[1].node_level[c[2]]) == c[2:]
+    assert {c[1].level_slice(c[1].level_of(c[2])) == c[2:]
             for c in levels} == {True}
     assert metrics["kernels.level_moments_d1_calls"] == len(levels) == 3 * K
     assert [c[0] for c in decompose] == ["level_moments_d1"] * K
