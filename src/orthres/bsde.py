@@ -408,17 +408,18 @@ def _closed(tree, M, clock, X, zeta, driver):
     Yields ``(k, a, b, y, z, z_arg, res, dn)``: a level of ``_levels``
     with its E[dN^2 | node], column-major, and its per-edge dN in its
     layout, formed over the level's dy, which is overwritten.
-    path_prob times E[dN^2 | node] is summed into E[[N]_T], which (a float,
-    or (B,) for a batch) is returned once level 0 has been consumed, so
-    each column sums per level, then in level order, as its 1-D solve
-    does; a non-finite E[[N]_T] raises InvariantViolation, naming the first
-    such column of a batch."""
-    pp = tree.path_prob
-    bracket = 0.0
+    The level's path probabilities, streamed from the tree's checkpoints,
+    times E[dN^2 | node] are summed into E[[N]_T], which (a float, or (B,)
+    for a batch) is returned once level 0 has been consumed, so each column
+    sums per level, then in level order, as its 1-D solve does; a
+    non-finite E[[N]_T] raises InvariantViolation, naming the first such
+    column of a batch."""
+    bracket, path_probs = 0.0, tree.descending_path_probs()
     for k, a, b, y, z, z_arg, (dm, dy, p) in _levels(tree, M, clock, X,
                                                      zeta, driver):
+        pp = next(path_probs)[1]
         dn, res = _kernels.residual_moments_d1(tree, dm, dy, z, a, b, p=p)
-        w = pp[a:b] if y.ndim == 1 else pp[a:b, None]
+        w = pp if y.ndim == 1 else pp[:, None]
         bracket = bracket + _column_sums(w * res)
         yield k, a, b, y, z, z_arg, res, dn
         # nor are they held here while the next level is formed

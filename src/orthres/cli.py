@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 invariant/solver violation, 3 config error.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -29,6 +28,15 @@ from .errors import (ConfigError, OrthresError, NodeCapExceeded,
                      node_count_text)
 from .gkw import SweepResult, residual_sweep
 from .models import KINDS, ModelConfig, build, estimate_nodes, node_cap
+
+# CPython's SHA-256 (_sha2 from 3.12): hashlib would map OpenSSL for one digest
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 # Largest grid a regularity or Lipschitz scan may ask for, and the most
 # seeds a comparison campaign may run.
@@ -84,7 +92,7 @@ class ExperimentConfig:
     @property
     def config_hash(self):
         blob = json.dumps(self.raw, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return sha256(blob).hexdigest()[:16]
 
 
 def _number(value, name, cast=float):

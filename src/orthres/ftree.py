@@ -10,8 +10,10 @@ are computed and no per-edge index array is stored.  It gives their
 probabilities as one move row that every non-terminal node shares (every
 model builder does), or one per edge; a node's level is read off
 ``level_start``.  A tree with r edges out of every non-terminal node
-computes its edge offsets where they are read (``EdgeOffsets``).  So a
-closed-form lattice keeps per node only its path probability.
+computes its edge offsets where they are read (``EdgeOffsets``).  A tree
+keeps its path probabilities only on every c-th level, c = floor(sqrt(K)),
+and steps a level forward from the checkpoint above it where it is read.
+So a closed-form lattice keeps no per-node array.
 
 The martingale M is scalar (d = 1).  The martingale check, the conditional
 variances and the clock run one level at a time, narrow levels merged into
@@ -23,6 +25,7 @@ Sigma and its factor q are formed on demand for a node range where they are
 read.
 """
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -130,7 +133,6 @@ class ScenarioTree:
         on a tree given its edges' parents, an ``EdgeOffsets`` on any other
     probs : (1, r) move row that every non-terminal node takes, or (E,)
         edge probabilities grouped by parent
-    path_prob : (n_nodes,) total probability mass reaching the node
     arity : r when every non-terminal node has r edges, else None
     child_stride : s on a tree given its edges in closed form, where on
         every level move i of level-local node j lands on level-local node
@@ -154,6 +156,13 @@ class ScenarioTree:
     ``level_start``, and no tree holds one level per node.  ``eprob``,
     ``eparent`` and ``echild`` build the whole array on each read where the
     tree does not keep it.
+
+    The path probabilities, the mass reaching each node, are formed level by
+    level in one forward pass, which refuses a level whose mass is not 1
+    within MASS_TOL, and kept only on every c-th level, c = max(1,
+    floor(sqrt(K))).  ``level_path_prob(k)`` steps level k forward from the
+    checkpoint at or below it, and ``descending_path_probs()`` streams the
+    non-terminal levels from K - 1 to 0, one block of c levels at a time.
     """
 
     def __init__(self, grid, level_start, eparent, echild, eprob):
@@ -199,39 +208,26 @@ class ScenarioTree:
                 f"many edges out of every non-terminal node")
         self.validate()
 
-        self.path_prob = pp = np.zeros(n)
-        pp[0] = 1.0
-        s, p, bounds = self.child_stride, self.probs, ls.tolist()
-        for k in range(self.K):
-            # level k is [lo, hi), level k + 1 is [hi, b)
-            lo, hi, b = bounds[k:k + 3]
-            if s is None:
-                # bincount adds each child's incoming mass in edge order
-                # from 0.0
-                w = ((pp[lo:hi, None] * p).ravel() if p.ndim == 2
-                     else pp[self.edge_parents(lo, hi)]
-                     * p[_kernels._edges(self, lo, hi)])
-                pp[hi:b] = np.bincount(self.edge_children(lo, hi) - hi, w,
-                                       b - hi)
-                continue
-            # move i of the level's nodes feeds children i, i + s, ...:
-            # adding the highest move first adds each child's incoming mass
-            # in edge order (parent-major) from 0.0, as bincount does
-            row = (p if p.ndim == 2 else
-                   p[_kernels._edges(self, lo, hi)].reshape(hi - lo, -1))
-            w = (pp[lo:hi, None] * row).T
-            for i in range(self.arity - 1, -1, -1):
-                pp[hi + i:hi + i + s * (hi - lo):s] += w[i]
-
         for a in (self.level_start, self._eparent, self._echild, self.probs,
-                  self.estart, self.path_prob):
+                  self.estart):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-        mass = np.add.reduceat(self.path_prob, ls[:-1])
-        bad = np.flatnonzero(np.abs(mass - 1.0) > MASS_TOL)
-        if bad.size:
-            raise InvariantViolation(
-                f"level {bad[0]} probability mass {float(mass[bad[0]])} != 1")
+        # the forward mass pass keeps every c-th level's path probabilities:
+        # a level is then stepped from at most c - 1 levels above it
+        self._every = c = max(1, math.isqrt(self.K))
+        self._checkpoints = []
+        pp = np.ones(1)
+        for k in range(self.K + 1):
+            if k % c == 0:
+                pp.flags.writeable = False
+                self._checkpoints.append(pp)
+            # summed in np.add.reduceat's order, not np.sum's pairwise one
+            mass = float(np.add.reduceat(pp, [0])[0])
+            if abs(mass - 1.0) > MASS_TOL:
+                raise InvariantViolation(
+                    f"level {k} probability mass {mass} != 1")
+            if k < self.K:
+                pp = self._step(k, pp)
 
     def _set_edge_arrays(self, eparent, echild):
         """Store the given edges sorted by parent, with estart and arity."""
@@ -300,6 +296,50 @@ class ScenarioTree:
             first[at - lo:end - lo] += int(ls[k + 1]) - s * int(ls[k])
             at, k = end, k + 1
         return _per_move(first, self.arity, 1)
+
+    # -- path probabilities ------------------------------------------------
+    def _step(self, k, pp):
+        """Level k + 1's path probabilities from level k's, ``pp``: each
+        child adds its incoming mass in edge order from 0.0."""
+        lo, hi, b = self.level_start[k:k + 3].tolist()
+        p, s = self.probs, self.child_stride
+        if s is None:
+            w = ((pp[:, None] * p).ravel() if p.ndim == 2
+                 else pp[self.edge_parents(lo, hi) - lo]
+                 * p[_kernels._edges(self, lo, hi)])
+            return np.bincount(self.edge_children(lo, hi) - hi, w, b - hi)
+        # move i of the level's nodes feeds children i, i + s, ...: adding
+        # the highest move first adds each child's incoming mass in edge
+        # order (parent-major), as bincount does
+        row = (p[0] if p.ndim == 2 else
+               p[_kernels._edges(self, lo, hi)].reshape(hi - lo, -1).T)
+        out, n = np.zeros(b - hi), hi - lo
+        for i in range(self.arity - 1, -1, -1):
+            out[i:i + s * n:s] += pp * row[i]
+        return out
+
+    def level_path_prob(self, k):
+        """(level size,) probability mass reaching each node of level k,
+        stepped forward from the checkpoint at or below k."""
+        if not 0 <= k <= self.K:
+            raise IndexError(f"level {k} out of range 0 .. {self.K}")
+        j = k - k % self._every
+        pp = self._checkpoints[j // self._every]
+        for i in range(j, k):
+            pp = self._step(i, pp)
+        return pp
+
+    def descending_path_probs(self):
+        """Yield (k, level k's path probabilities) for k = K - 1 .. 0,
+        stepping one block of levels forward from its checkpoint at a time,
+        so that at most one block is held."""
+        c = self._every
+        for j in range((self.K - 1) // c * c, -1, -c):
+            block = [self._checkpoints[j // c]]
+            for i in range(j, min(j + c, self.K) - 1):
+                block.append(self._step(i, block[-1]))
+            while block:
+                yield j + len(block) - 1, block.pop()
 
     @property
     def eprob(self):

@@ -106,7 +106,7 @@ def _sweep_row(K, model, F):
     zeta = np.asarray(F(M.values[lo:hi]), dtype=float)
     bracket, _ = bsde._consume(bsde._closed(tree, M, clock, None, zeta,
                                             bsde.zero_driver()))
-    w = tree.path_prob[lo:hi]
+    w = tree.level_path_prob(tree.K)
     var = float(w @ (zeta - zeta @ w) ** 2)
     return SweepRow(K=K, bracketNN_T=bracket,
                     normalized=bracket / var if var > 0 else 0.0,

@@ -201,7 +201,7 @@ def l2_gap(tree, M, F, Feps):
     lo, hi = tree.level_slice(tree.K)
     states = M.values[lo:hi]
     gap = F(states) - Feps(states)
-    return float(tree.path_prob[lo:hi] @ gap ** 2)
+    return float(tree.level_path_prob(tree.K) @ gap ** 2)
 
 
 # ---------------------------------------------------------------------------

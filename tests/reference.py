@@ -50,6 +50,13 @@ def is_tree(tree):
     return bool(np.all(in_degree[tree.level_start[1]:] == 1))
 
 
+def path_prob(tree):
+    """(n_nodes,) probability mass reaching every node, built from the
+    tree's level reads."""
+    return np.concatenate([tree.level_path_prob(k)
+                           for k in range(tree.K + 1)])
+
+
 def path_prob_loop(tree):
     """Each node's probability mass, by its definition: edge by edge in
     order, each child adds its parent's mass times the edge's probability,
@@ -292,7 +299,7 @@ def gkw_levels(tree, M, Y):
                           0.0)
         res[a:b] = _kernels.edge_residuals_d1(tree, dm, y, ey, z[a:b], a, b,
                                               dn)
-    return z, dn, float(np.sum(tree.path_prob[:nt] * res))
+    return z, dn, float(np.sum(path_prob(tree)[:nt] * res))
 
 
 def gkw_pinv(tree, M, Y):
@@ -315,7 +322,7 @@ def gkw_pinv(tree, M, Y):
             (p * dy) @ dm)
         dn[e0:e1] = dy - dm @ Z[i]
         res[i] = float(p @ dn[e0:e1] ** 2)
-    return Z, dn, float(np.sum(tree.path_prob[:nt] * res))
+    return Z, dn, float(np.sum(path_prob(tree)[:nt] * res))
 
 
 def solution_dN(sol):
@@ -348,11 +355,11 @@ def bracket_split(tree, M, Y, gkw_result, u, markov_tol=1e-9):
     dn = gkw_result.dN
     A1 = np.zeros(tree.K)
     A2 = np.zeros(tree.K)
-    ep, ec, pr = tree.eparent, tree.echild, tree.eprob
+    ep, ec, pr, pp = tree.eparent, tree.echild, tree.eprob, path_prob(tree)
     for k in range(tree.K):
         sl = edge_slice(tree, k)
         par, chi = ep[sl], ec[sl]
-        w = tree.path_prob[par] * pr[sl]
+        w = pp[par] * pr[sl]
         u_next_here = np.array([u(k + 1, M.values[i]) for i in par])
         a1 = (u_next_here - uvals[par]) * dn[sl]
         a2 = (uvals[chi] - u_next_here) * dn[sl]

@@ -21,8 +21,8 @@ from orthres.mollify import (CATALOG as TERMINAL_CATALOG, from_catalog,
                              indicator_halfspace, lipschitz_scan, mollify)
 from orthres.models import ModelConfig, build
 
-from reference import (markov_grouping_check, predictable_bracket_range,
-                       product_noise_coin)
+from reference import (markov_grouping_check, path_prob,
+                       predictable_bracket_range, product_noise_coin)
 
 K_SWEEP = [8, 16, 32, 64]
 
@@ -179,7 +179,7 @@ def test_A5_cascade_correctness():
                                  bsde.driver_from_catalog("pure_quadratic",
                                                           gamma=1.0))
         lo = tr.level_slice(K)[0]
-        ref = math.log(float(tr.path_prob[lo:] @ np.exp(zk)))
+        ref = math.log(float(path_prob(tr)[lo:] @ np.exp(zk)))
         errs.append(abs(s.Y0 - ref))
     ch_ok = errs[-1] <= 2e-2 and all(b < a for a, b in zip(errs, errs[1:]))
     elapsed = time.perf_counter() - t0

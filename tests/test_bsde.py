@@ -29,8 +29,9 @@ import reference
 from conftest import (permute_last_level, random_full_tree,
                       random_martingale, small_trees)
 from reference import (check_growth, edge_layout, edge_slice,
-                       markov_grouping_check, predictable_bracket_range,
-                       product_noise_coin, solution_dN)
+                       markov_grouping_check, path_prob,
+                       predictable_bracket_range, product_noise_coin,
+                       solution_dN)
 
 
 def binary_setup(K=8, recombine=True):
@@ -136,7 +137,7 @@ def test_constant_driver_clock_oracle():
     sol = solve_lipschitz(tree, M, clock, None, zeta,
                           driver_from_catalog("constant", c=c))
     C_K = float(predictable_bracket_range(tree, M).C[-1])
-    e_zeta = float(tree.path_prob[tree.level_slice(8)[0]:] @ zeta)
+    e_zeta = float(path_prob(tree)[tree.level_slice(8)[0]:] @ zeta)
     npt.assert_allclose(sol.Y0, e_zeta + c * C_K, atol=1e-12)
 
 
@@ -148,7 +149,7 @@ def test_linear_y_driver_product_oracle():
                           driver_from_catalog("linear_y", coef=beta))
     # deterministic clock: implicit Euler multiplies by 1/(1 - beta dC_k)
     lo = tree.level_slice(6)[0]
-    e_zeta = float(tree.path_prob[lo:] @ zeta)
+    e_zeta = float(path_prob(tree)[lo:] @ zeta)
     fac = 1.0
     for k in range(tree.K):
         a, _ = tree.level_slice(k)
@@ -267,7 +268,7 @@ def test_solver_matches_per_node_reference(seed, K, kind, c, kz, scale):
     npt.assert_allclose(solution_dN(sol), dn, **tol)
     npt.assert_allclose(sol.dN2, res, **tol)
     nt = tree.n_nonterminal
-    npt.assert_allclose(sol.bracketNN_T, tree.path_prob[:nt] @ res, **tol)
+    npt.assert_allclose(sol.bracketNN_T, path_prob(tree)[:nt] @ res, **tol)
     npt.assert_allclose(conditional_covariances(tree, M), s2, rtol=1e-12,
                         atol=1e-15)
     prof = cond_var_profile_loop(tree, z * z * s2, res)
@@ -321,7 +322,7 @@ def test_closed_form_step_matches_fixed_point(seed, K, u, share, b_neg, kz,
     npt.assert_allclose(solution_dN(sol), dn, **tol)
     npt.assert_allclose(sol.dN2, res, **tol)
     nt = tree.n_nonterminal
-    npt.assert_allclose(sol.bracketNN_T, tree.path_prob[:nt] @ res, **tol)
+    npt.assert_allclose(sol.bracketNN_T, path_prob(tree)[:nt] @ res, **tol)
     assert sol.diagnostics["fixed_point_iters"] == [0] * K
 
 
@@ -516,7 +517,7 @@ def test_cole_hopf_oracle():
     drv = driver_from_catalog("pure_quadratic", gamma=gamma)
     sol = solve_quadratic(tree, M, clock, None, zeta, drv)
     lo = tree.level_slice(16)[0]
-    ref = math.log(float(tree.path_prob[lo:] @ np.exp(gamma * zeta))) / gamma
+    ref = math.log(float(path_prob(tree)[lo:] @ np.exp(gamma * zeta))) / gamma
     npt.assert_allclose(sol.Y0, ref, atol=1e-3)
 
 
@@ -1290,10 +1291,10 @@ def _per_level_bracket(sol):
     dn = solution_dN(sol)
     res = _kernels._segment_sum(tree, tree.eprob * dn * dn,
                                 tree.estart[:tree.n_nonterminal])
-    bracket = 0.0
+    bracket, pp = 0.0, path_prob(tree)
     for k in range(tree.K - 1, -1, -1):
         a, b = tree.level_slice(k)
-        bracket = bracket + np.sum(tree.path_prob[a:b] * res[a:b])
+        bracket = bracket + np.sum(pp[a:b] * res[a:b])
     return bracket
 
 

@@ -81,6 +81,34 @@ def test_config_hash_stable_under_key_order(tmp_path):
     assert load_config(str(p1)).config_hash == load_config(str(p2)).config_hash
 
 
+@pytest.mark.parametrize("blob", [b"", b"a", b"x" * 63, b"x" * 64,
+                                  bytes(range(256)) * 5])
+def test_config_digest_equals_hashlib_sha256(blob):
+    """The CLI's SHA-256 is hashlib's byte for byte, so every report's
+    config hash is unchanged."""
+    import hashlib
+
+    from orthres.cli import sha256
+    assert sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+
+
+def test_cli_run_does_not_load_openssl(tmp_path):
+    """Importing the CLI and running a vanishing_N config leaves hashlib's
+    OpenSSL binding unloaded."""
+    import orthres
+    path, _ = write_cfg(tmp_path, experiment="vanishing_N",
+                        driver={"id": "zero"}, K_list=[4, 8],
+                        eps_list=[0.1])
+    src = os.path.dirname(os.path.dirname(orthres.__file__))
+    code = ("import sys; from orthres.cli import main; "
+            f"rc = main(['run', {str(path)!r}]); "
+            "print(rc, '_hashlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 # -- node estimates ---------------------------------------------------------
 
 def test_estimate_nodes_formulas():

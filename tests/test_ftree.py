@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -15,7 +16,7 @@ from orthres.errors import InvariantViolation, OrthresError
 from orthres.ftree import (PSD_TOL, AdaptedProcess, EdgeOffsets,
                            ScenarioTree, TimeGrid, backward_closure, conditional_covariances,
                            is_martingale, predictable_bracket)
-from orthres.models import ModelConfig, build
+from orthres.models import KINDS, ModelConfig, build
 
 from orthres.forward import extract_subtree
 from orthres.gkw import gkw_decompose
@@ -24,7 +25,7 @@ from conftest import (closed_form_twin, permute_last_level,
                       random_full_tree, random_martingale, small_trees)
 from reference import (TreeBuilder, accumulated_trace, clock_from_increments,
                        closed_form_stride, cond_exp, is_martingale_range,
-                       is_tree, node_level, path_prob_loop,
+                       is_tree, node_level, path_prob, path_prob_loop,
                        pathwise_bracket, predictable_bracket_range,
                        psd_cholesky,
                        psd_cholesky_stack, tree_from_json, tree_to_json)
@@ -62,7 +63,7 @@ def test_builder_full_binary_counts():
     assert is_tree(tree)
     assert tree.level_slice(0) == (0, 1)
     assert tree.level_slice(2) == (3, 7)
-    npt.assert_allclose(tree.path_prob[3:], 0.25)
+    npt.assert_allclose(path_prob(tree)[3:], 0.25)
 
 
 def test_builder_recombining_lattice():
@@ -137,7 +138,7 @@ def test_level_mass_is_one(rng):
     tree = random_full_tree(rng, K=4)
     for k in range(tree.K + 1):
         lo, hi = tree.level_slice(k)
-        npt.assert_allclose(tree.path_prob[lo:hi].sum(), 1.0, atol=1e-12)
+        npt.assert_allclose(path_prob(tree)[lo:hi].sum(), 1.0, atol=1e-12)
 
 
 # -- conditional expectation ------------------------------------------------
@@ -148,7 +149,7 @@ def test_cond_exp_terminal_mean(rng):
     vals = np.zeros(tree.n_nodes)
     vals[lo:hi] = rng.normal(size=hi - lo)
     e0 = cond_exp(tree, vals, 0)
-    npt.assert_allclose(e0[0, 0], tree.path_prob[lo:hi] @ vals[lo:hi],
+    npt.assert_allclose(e0[0, 0], path_prob(tree)[lo:hi] @ vals[lo:hi],
                         atol=1e-12)
 
 
@@ -403,9 +404,9 @@ def test_predictable_equals_mean_pathwise(rng):
     B = pathwise_bracket(tree, M)
     lo, hi = tree.level_slice(tree.K)
     # E[[M]_T] equals the terminal accumulated conditional-variance trace
-    npt.assert_allclose(tree.path_prob[lo:hi] @ B.values[lo:hi, 0],
-                        tree.path_prob[lo:hi]
-                        @ accumulated_trace(tree, sigma)[lo:hi],
+    w = path_prob(tree)[lo:hi]
+    npt.assert_allclose(w @ B.values[lo:hi, 0],
+                        w @ accumulated_trace(tree, sigma)[lo:hi],
                         atol=1e-10)
 
 
@@ -426,7 +427,7 @@ def test_json_roundtrip_lattice():
     tree2, M2 = tree_from_json(tree_to_json(tree, M))
     assert not is_tree(tree2)
     assert tree2.n_nodes == tree.n_nodes
-    npt.assert_allclose(tree2.path_prob, tree.path_prob)
+    npt.assert_allclose(path_prob(tree2), path_prob(tree))
     npt.assert_allclose(M2.values, M.values)
 
 
@@ -491,12 +492,13 @@ def line_trees(draw):
 @given(line_trees())
 def test_child_stride_is_set_iff_children_are_in_closed_form(tree_stride):
     """Line lattices and their subtrees step by 1 and full trees by their
-    arity; a copy with permuted children is not flagged.  path_prob adds
-    each child's mass in edge order, byte for byte, on either path."""
+    arity; a copy with permuted children is not flagged.  The path
+    probabilities add each child's mass in edge order, byte for byte, on
+    either path."""
     tree, stride = tree_stride
     assert closed_form_stride(tree) == stride
     assert tree.child_stride == stride
-    assert tree.path_prob.tobytes() == path_prob_loop(tree).tobytes()
+    assert path_prob(tree).tobytes() == path_prob_loop(tree).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -515,7 +517,126 @@ def test_child_stride_and_path_prob_on_every_model_kind(tree_m):
     else:
         assert tree.child_stride is None
         assert tree._eparent is not None or tree.arity is not None
-    assert tree.path_prob.tobytes() == path_prob_loop(tree).tobytes()
+    assert path_prob(tree).tobytes() == path_prob_loop(tree).tobytes()
+
+
+# -- path probabilities kept at checkpoint levels -----------------------------
+
+@st.composite
+def path_prob_trees(draw):
+    """A tree of every edge form: a random full tree of mixed arity given
+    as arrays or of one arity in closed form (per-edge probabilities, a
+    stride), or a built model of any kind, recombining or full (move rows,
+    strides 1 and r, the two-sided jump and ``time_changed`` given their
+    children); as built, given its probabilities per edge, given its edges
+    as arrays, or as the subtree of a random non-terminal node."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("random",) + KINDS))
+    if kind == "random":
+        r = draw(st.integers(1, 4))
+        tree = random_full_tree(rng, K=draw(st.integers(1, 5 - r // 2)),
+                                min_branch=draw(st.integers(1, r)),
+                                max_branch=r)
+        if tree.arity is not None and draw(st.booleans()):
+            tree = closed_form_twin(tree)
+    else:
+        K = draw(st.integers(5 if kind == "compensated_jump" else 1,
+                             4 if kind == "product_noise" else 20))
+        params = ({"recombine": draw(st.booleans())}
+                  if K <= 6 and kind != "time_changed" else {})
+        if kind == "trinomial":
+            # p = 1/4 adds exactly, in any order
+            params["p"] = draw(st.floats(0.01, 0.49))
+        tree = build(ModelConfig(kind, K=K, params=params)).tree
+    form = draw(st.sampled_from(("as built", "per edge", "arrays",
+                                 "subtree")))
+    if form == "per edge":
+        tree = ScenarioTree(tree.grid, tree.level_start, tree._eparent,
+                            tree._echild, tree.eprob)
+    if form == "arrays":
+        tree = ScenarioTree(tree.grid, tree.level_start, tree.eparent,
+                            tree.echild, tree.probs)
+    if form == "subtree":
+        tree = extract_subtree(
+            tree, draw(st.integers(0, tree.n_nonterminal - 1)))[0]
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(path_prob_trees())
+def test_level_path_probs_equal_the_edge_loop(tree):
+    """Every level's path probabilities, read from the checkpoint at or
+    below it or streamed from K - 1 down to 0 one block at a time, are the
+    edge-by-edge loop's byte for byte, on every edge form."""
+    want, ls = path_prob_loop(tree), tree.level_start
+    for k in range(tree.K + 1):
+        got = tree.level_path_prob(k)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want[ls[k]:ls[k + 1]].tobytes()
+    stream = list(tree.descending_path_probs())
+    assert [k for k, _ in stream] == list(range(tree.K - 1, -1, -1))
+    for k, got in stream:
+        assert got.tobytes() == want[ls[k]:ls[k + 1]].tobytes()
+    for bad in (-1, tree.K + 1):
+        with pytest.raises(IndexError):
+            tree.level_path_prob(bad)
+
+
+@pytest.mark.parametrize("form", ["move row", "arrays"])
+def test_drifting_level_mass_names_the_first_bad_level(form):
+    """On a line lattice whose two moves sum to 1 - 9e-15, within the
+    per-node tolerance, the level mass drifts by 9e-15 a level: the tree
+    refuses it, naming the first level whose mass is off by more than
+    MASS_TOL and that mass, whether it steps by its stride or by bincount."""
+    K, q = 150, 0.5 - 4.5e-15
+    ls = np.concatenate([[0], np.cumsum(np.arange(1, K + 2))])
+    # the edge loop's masses: node j of level k feeds j and j + 1 below
+    pp, first = [1.0], None
+    for k in range(1, K + 1):
+        nxt = [0.0] * (k + 1)
+        for j, m in enumerate(pp):
+            nxt[j] += m * q
+            nxt[j + 1] += m * q
+        pp = nxt
+        mass = float(np.add.reduceat(np.array(pp), [0])[0])
+        if abs(mass - 1.0) > ftree.MASS_TOL:
+            first = k, mass
+            break
+    assert first is not None and first[0] > 100
+    edges = None, None
+    if form == "arrays":
+        parent = np.repeat(np.arange(ls[K]), 2)
+        level = np.repeat(np.arange(K), np.arange(1, K + 1))
+        child = parent + np.repeat(level, 2) + 1 + np.tile([0, 1], ls[K])
+        edges = parent, child
+    with pytest.raises(InvariantViolation,
+                       match=rf"^level {first[0]} probability mass "
+                             rf"{re.escape(repr(first[1]))} != 1$"):
+        ScenarioTree(TimeGrid.uniform(K), ls, *edges, [[q, q]])
+
+
+def test_closed_sweep_builds_no_full_size_path_array():
+    """A _closed sweep on trinomial K = 256 (66,049 nodes) streams its
+    levels' path probabilities: its traced peak stays below half a
+    full-size float array."""
+    from orthres import bsde
+    built = build(ModelConfig("trinomial", K=256))
+    tree, M = built.tree, built.M
+    clock = predictable_bracket(tree, M)
+    lo, hi = tree.level_slice(tree.K)
+    zeta = np.sin(3.0 * M.scalar[lo:hi])
+
+    def sweep():
+        bsde._consume(bsde._closed(tree, M, clock, None, zeta,
+                                   bsde.zero_driver()))
+    sweep()  # first-call allocations are not the sweep's
+    tracemalloc.start()
+    try:
+        sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * tree.n_nodes
 
 
 # -- closed-form edges against the index arrays they replace ------------------
@@ -565,8 +686,8 @@ def test_closed_form_edges_equal_the_index_arrays(tree, data):
     for t in trees[1:]:
         # [:] reads the whole array, stored or computed where indexed
         for got, want in [(getattr(t, name)[:], getattr(tree, name)[:])
-                          for name in ("eparent", "echild", "estart",
-                                       "path_prob")] + [
+                          for name in ("eparent", "echild", "estart")] + [
+                (path_prob(t), path_prob(tree)),
                 (node_level(t), node_level(tree))]:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -637,7 +758,8 @@ def test_no_library_module_reads_the_whole_edge_arrays():
              for path in sorted(Path(ftree.__file__).parent.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute)
-             and node.attr in ("eparent", "echild", "eprob", "node_level")]
+             and node.attr in ("eparent", "echild", "eprob", "node_level",
+                               "path_prob")]
     assert reads == []
 
 
@@ -703,7 +825,7 @@ def test_move_row_tree_equals_its_per_edge_twin(case, data):
                         tree._echild, tree.eprob)
     assert twin.probs.shape == (tree.estart[-1],)
     assert twin.child_stride == tree.child_stride
-    assert tree.path_prob.tobytes() == twin.path_prob.tobytes()
+    assert path_prob(tree).tobytes() == path_prob(twin).tobytes()
     nt = tree.n_nonterminal
     for _ in range(5):
         lo = data.draw(st.integers(0, nt - 1))
@@ -930,7 +1052,7 @@ def test_implicit_parent_tree_equals_its_explicit_twin(case, data):
     assert twin._eparent is not None
     assert (twin.arity, twin.child_stride) == (tree.arity, None)
     assert tree.estart[:].tobytes() == twin.estart[:].tobytes()
-    assert tree.path_prob.tobytes() == twin.path_prob.tobytes()
+    assert path_prob(tree).tobytes() == path_prob(twin).tobytes()
     for _ in range(5):
         lo = data.draw(st.integers(0, tree.n_nodes))
         hi = data.draw(st.integers(lo, tree.n_nodes))

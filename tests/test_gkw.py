@@ -17,7 +17,7 @@ from orthres.mollify import indicator_halfspace, sine, square
 
 from conftest import random_full_tree, random_martingale, small_trees
 from reference import (TreeBuilder, bracket_split, edge_slice, gkw_levels,
-                       gkw_pinv, running_sum)
+                       gkw_pinv, path_prob, running_sum)
 
 
 def trinomial_k1(p=0.25, h=1.0):
@@ -36,7 +36,7 @@ def brute_force_gkw(tree, M, Y):
     y, m = Y.values[:, 0], M.values
     total = 0.0
     Z = np.zeros((nt, M.dim))
-    ec, pr = tree.echild, tree.eprob
+    ec, pr, pp = tree.echild, tree.eprob, path_prob(tree)
     for i in range(nt):
         e0, e1 = int(tree.estart[i]), int(tree.estart[i + 1])
         p = pr[e0:e1]
@@ -47,7 +47,7 @@ def brute_force_gkw(tree, M, Y):
         z = np.linalg.lstsq(A, b, rcond=None)[0]
         res = dy - dm @ z
         Z[i] = z
-        total += tree.path_prob[i] * float(p @ res ** 2)
+        total += pp[i] * float(p @ res ** 2)
     return Z, total
 
 
@@ -266,10 +266,10 @@ def test_orthogonality_and_pythagoras(rng):
         dm = M.scalar[ec[e0:e1]] - M.scalar[i]
         assert abs(p @ (res.dN[e0:e1] * dm)) < 1e-10
     # Var(zeta) = E[int Z^2 d[M]] + E[[N]_T]
-    w = tree.path_prob[lo:hi]
+    w = path_prob(tree)[lo:hi]
     var = float(w @ (zeta - w @ zeta) ** 2)
     nt = tree.n_nonterminal
-    zpart = float(tree.path_prob[:nt] @ (res.Z.values[:, 0] ** 2
+    zpart = float(path_prob(tree)[:nt] @ (res.Z.values[:, 0] ** 2
                                          * conditional_covariances(tree, M)))
     npt.assert_allclose(var, zpart + res.bracketNN_T, atol=1e-9)
 
@@ -300,10 +300,10 @@ def test_level_profile_sums_to_total(rng):
     res = decompose(tree, M, rng.normal(size=hi - lo))
     # E[dN^2] of each step, weighted by the mass reaching its parent
     profile = np.zeros(tree.K)
-    ep = tree.eparent
+    ep, pp = tree.eparent, path_prob(tree)
     for k in range(tree.K):
         sl = edge_slice(tree, k)
-        w = tree.path_prob[ep[sl]] * tree.eprob[sl]
+        w = pp[ep[sl]] * tree.eprob[sl]
         profile[k] = w @ res.dN[sl] ** 2
     npt.assert_allclose(profile.sum(), res.bracketNN_T, atol=1e-12)
 
@@ -435,10 +435,10 @@ def test_bracket_split_matches_telescoped_covariation():
 
     A1, A2 = bracket_split(tree, M, Y, res, u)
     total = 0.0
-    ep, ec = tree.eparent, tree.echild
+    ep, ec, pp = tree.eparent, tree.echild, path_prob(tree)
     for k in range(tree.K):
         sl = edge_slice(tree, k)
         par, chi = ep[sl], ec[sl]
-        w = tree.path_prob[par] * tree.eprob[sl]
+        w = pp[par] * tree.eprob[sl]
         total += float(w @ ((yv[chi] - yv[par]) * res.dN[sl]))
     npt.assert_allclose(A1[-1] + A2[-1], total, atol=1e-12)

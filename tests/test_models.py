@@ -11,7 +11,7 @@ from orthres.ftree import (AdaptedProcess, TimeGrid, conditional_covariances,
                            is_martingale)
 from orthres.models import ModelConfig, build, estimate_nodes, node_cap
 
-from reference import (TreeBuilder, is_tree, path_prob_loop,
+from reference import (TreeBuilder, is_tree, path_prob, path_prob_loop,
                        product_noise_coin)
 
 
@@ -20,7 +20,7 @@ def terminal_law(built):
     lo, hi = tree.level_slice(tree.K)
     states = built.M.scalar[lo:hi]
     order = np.argsort(states)
-    return states[order], tree.path_prob[lo:hi][order]
+    return states[order], path_prob(tree)[lo:hi][order]
 
 
 def test_config_validation():
@@ -124,7 +124,7 @@ def test_product_noise_aux_and_conditional_law():
     aux = product_noise_coin(tree)[lo:hi]
     npt.assert_allclose(np.sort(np.unique(aux)), [-1.0, 1.0])
     # aux is a fair coin independent of M's sign
-    w = tree.path_prob[lo:hi]
+    w = path_prob(tree)[lo:hi]
     npt.assert_allclose(w @ aux, 0.0, atol=1e-14)
     m = built.M.scalar[lo:hi]
     npt.assert_allclose(w @ (aux * m), 0.0, atol=1e-14)
@@ -227,7 +227,7 @@ def assert_matches_reference_lattice(config):
         assert got.tobytes() == want.tobytes(), name
     assert built.M.values.dtype == mvals.dtype
     assert built.M.values.tobytes() == mvals[:, None].tobytes()
-    assert built.tree.path_prob.tobytes() == path_prob_loop(tree).tobytes()
+    assert path_prob(built.tree).tobytes() == path_prob_loop(tree).tobytes()
     if aux is not None:
         assert product_noise_coin(built.tree).tobytes() == aux.tobytes()
 
@@ -286,11 +286,12 @@ def test_full_trees_take_the_full_walk(monkeypatch, kind):
 
 def test_build_keeps_no_edge_index_arrays():
     """Building trinomial K = 256 (66,049 nodes, 196,608 edges) holds and
-    peaks below 20 bytes per node: path_prob and M fit (16.2 B/node, 17.7
-    at the peak), but not with a stored estart (8 B/node more), an (E,)
-    eprob (24 B/node more), eparent and echild (48 B/node more) or a stored
-    node_level (8 B/node more), nor with the lattice's states formed for
-    every level at once."""
+    peaks below 12 bytes per node: M and the path probabilities of every
+    16th level fit (8.7 B/node, 10.2 at the peak), but not with every
+    level's path probabilities kept (8 B/node more), a stored estart
+    (8 B/node more), an (E,) eprob (24 B/node more), eparent and echild
+    (48 B/node more) or a stored node_level (8 B/node more), nor with the
+    lattice's states formed for every level at once."""
     tracemalloc.start()
     try:
         built = build(ModelConfig("trinomial", K=256))
@@ -298,19 +299,20 @@ def test_build_keeps_no_edge_index_arrays():
     finally:
         tracemalloc.stop()
     tree = built.tree
-    budget = 20 * tree.n_nodes
+    budget = 12 * tree.n_nodes
     assert current < budget
     assert peak < budget
 
 
 def test_jump_lattice_build_keeps_no_parent_array():
     """Building the two-sided jump lattice at K = 64 (47,905 nodes, 137,280
-    edges, three out of every non-terminal node) holds and peaks below 48
-    bytes per node, the measured 44.0 at the peak and a margin of 4: its
-    children (22.9 B/node), path_prob and M fit (39.0 B/node), but not with
-    a stored estart (8 B/node more) or parent array (22.9 B/node more), nor
-    with one built only for the tree to drop, nor with the lattice's states
-    formed for every level at once (56.4 B/node at the peak)."""
+    edges, three out of every non-terminal node) holds and peaks below 40
+    bytes per node, the measured 36.5 at the peak and a margin of 3.5: its
+    children (22.9 B/node), M and the path probabilities of every 8th level
+    fit (32.2 B/node), but not with every level's path probabilities kept
+    (8 B/node more), a stored estart (8 B/node more) or parent array
+    (22.9 B/node more), nor with one built only for the tree to drop, nor
+    with the lattice's states formed for every level at once."""
     tracemalloc.start()
     try:
         built = build(ModelConfig("compensated_jump", K=64))
@@ -319,7 +321,7 @@ def test_jump_lattice_build_keeps_no_parent_array():
         tracemalloc.stop()
     tree = built.tree
     assert tree._eparent is None and tree.arity == 3
-    budget = 48 * tree.n_nodes
+    budget = 40 * tree.n_nodes
     assert current < budget
     assert peak < budget
 
