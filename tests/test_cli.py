@@ -93,20 +93,26 @@ def test_config_digest_equals_hashlib_sha256(blob):
 
 
 def test_cli_run_does_not_load_openssl(tmp_path):
-    """Importing the CLI and running a vanishing_N config leaves hashlib's
-    OpenSSL binding unloaded."""
+    """Importing the CLI and running a vanishing_N config loads no OpenSSL
+    binding beyond what numpy's own import loaded. numpy 1.x imports
+    numpy.random, and through it hashlib, on import; there the test has
+    nothing to check and skips."""
     import orthres
     path, _ = write_cfg(tmp_path, experiment="vanishing_N",
                         driver={"id": "zero"}, K_list=[4, 8],
                         eps_list=[0.1])
     src = os.path.dirname(os.path.dirname(orthres.__file__))
-    code = ("import sys; from orthres.cli import main; "
+    code = ("import sys, numpy; pre = '_hashlib' in sys.modules; "
+            "from orthres.cli import main; "
             f"rc = main(['run', {str(path)!r}]); "
-            "print(rc, '_hashlib' in sys.modules)")
+            "print(rc, pre, '_hashlib' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    rc, pre, post = proc.stdout.splitlines()[-1].split()
+    if pre == "True":
+        pytest.skip("importing numpy already loaded _hashlib")
+    assert (rc, post) == ("0", "False")
 
 
 # -- node estimates ---------------------------------------------------------
