@@ -74,6 +74,8 @@ class DriverSpec:
         return float(np.max(np.abs(self.y_part[0]) + np.abs(self.y_part[1])))
 
     def __call__(self, t, x, m, y, z):
+        if self.f is None:
+            return np.zeros_like(y, dtype=float)
         return np.asarray(self.f(t, x, m, y, z), dtype=float)
 
 
@@ -160,7 +162,9 @@ def _param(value, name, nonnegative=False):
 
 
 def zero_driver():
-    return DriverSpec(id="zero", f=lambda t, x, m, y, z: np.zeros_like(y))
+    """f = 0, marked by ``f`` None, which no other driver has: its step is
+    the closure y = E[y'], which needs no clock increments."""
+    return DriverSpec(id="zero", f=None)
 
 
 def constant(c):
@@ -348,26 +352,36 @@ def _levels(tree, M, clock, X, zeta, driver):
     of E[[N]_T] is made here: the leaf values, the contraction, a Sigma
     that is not finite, the projection test and the implicit step's
     miss.  A sweep that reads only y and Z consumes these levels as they
-    are and forms no residual."""
+    are and forms no residual.
+
+    On a clock without increments (dC None) only the zero driver is
+    taken, and its step is the closure y = E[y'] + 0.0, bit for bit the
+    general step's E[y'] + 0 dC: it forms no factor, and z_arg is None.
+    A non-finite E[y'] still raises the step's miss."""
     zeta = _leaf_values(tree, zeta)
-    dC = clock.dC.values
-    dc_max = float(dC.max()) if dC.size else 0.0
-    if driver.lip_y * dc_max >= 1.0:
-        raise ContractionError(
-            f"lip_y * dC_max = {driver.lip_y * dc_max:.3f} >= 1; refine the "
-            "time grid")
+    closure = clock.dC is None
+    if closure and driver.f is not None:
+        raise InvariantViolation(
+            f"driver {driver.id!r} needs the clock's increments dC; a clock "
+            "without them takes only the zero driver")
+    # per-node arrays broadcast over the columns of a batch
+    col = (slice(None),) + (None,) * (zeta.ndim - 1)
+    m = M.scalar
+    if not closure:
+        dC = clock.dC.values
+        dc_max = float(dC.max()) if dC.size else 0.0
+        if driver.lip_y * dc_max >= 1.0:
+            raise ContractionError(
+                f"lip_y * dC_max = {driver.lip_y * dc_max:.3f} >= 1; refine "
+                "the time grid")
+        mcol, dC = m[col], dC[col]
+        zero = np.zeros((int(np.diff(tree.level_start).max()),)
+                        + zeta.shape[1:], order="F")
     # y -> y - (k_y y + b|y|) dC has slope 1 - k_pos dC above 0 and
     # 1 - k_neg dC below
     ky, by = driver.y_part
     k_pos, k_neg = ky + by, ky - by
-    # per-node arrays broadcast over the columns of a batch
-    col = (slice(None),) + (None,) * (zeta.ndim - 1)
-    m = M.scalar
-    mcol = m[col]
-    dC = dC[col]
     t = tree.grid.t
-    zero = np.zeros((int(np.diff(tree.level_start).max()),) + zeta.shape[1:],
-                    order="F")
     # column-major from zeta on: the kernels read the level below as (B, n)
     # rows, and the level's (n, B) arithmetic with per-node and per-column
     # operands runs B inner loops of n, not n loops of B
@@ -383,18 +397,26 @@ def _levels(tree, M, clock, X, zeta, driver):
         ey, m1, dy = _kernels.level_moments_d1(tree, pdm, y, a, b, base, p=p)
         live = clock.projects(s2)[col]
         z = np.where(live, m1 / np.where(live, s2[col], 1.0), 0.0)
-        z_arg = clock.factor(a, b, s2)[col] * z
-        xk = X.values[a:b] if X is not None else None
-        mk = mcol[a:b]
-        dck = dC[a:b]
-        r = ey + driver(t[k], xk, mk, zero[:b - a], z_arg) * dck
-        y = r / (1.0 - np.where(r < 0, k_neg, k_pos) * dck)
-        miss = np.abs(y - ey - driver(t[k], xk, mk, y, z_arg) * dck)
-        # FP_TOL bounds every miss in the common case; NaN fails it
-        if not miss.max() <= FP_TOL:
-            ok = miss <= FP_TOL * np.maximum(1.0, np.abs(y))
-            if not ok.all():
-                raise _step_miss(k, miss, y, ok, driver.y_part)
+        if closure:
+            # + 0.0 turns -0.0 to +0.0, as adding 0 dC does
+            y, z_arg = ey + 0.0, None
+            # min and max propagate NaN: this fails on inf and NaN alone
+            if not -np.inf < y.min() <= y.max() < np.inf:
+                miss = np.abs(y - ey)
+                raise _step_miss(k, miss, y, miss <= FP_TOL, driver.y_part)
+        else:
+            z_arg = clock.factor(a, b, s2)[col] * z
+            xk = X.values[a:b] if X is not None else None
+            mk = mcol[a:b]
+            dck = dC[a:b]
+            r = ey + driver(t[k], xk, mk, zero[:b - a], z_arg) * dck
+            y = r / (1.0 - np.where(r < 0, k_neg, k_pos) * dck)
+            miss = np.abs(y - ey - driver(t[k], xk, mk, y, z_arg) * dck)
+            # FP_TOL bounds every miss in the common case; NaN fails it
+            if not miss.max() <= FP_TOL:
+                ok = miss <= FP_TOL * np.maximum(1.0, np.abs(y))
+                if not ok.all():
+                    raise _step_miss(k, miss, y, ok, driver.y_part)
         base = a
         yield k, a, b, y, z, z_arg, (dm, dy, p)
         # the consumed level's per-edge arrays are not held while the next
@@ -590,7 +612,7 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
     gamma = float(growth["gamma"])
     eta = float(growth.get("a", 0.0) if eta is None else eta)
     m = M.scalar
-    dC = clock.dC.values
+    dC = clock.increments()
     W = np.empty(tree.n_nodes)
     lo, hi = tree.level_slice(tree.K)
     W[lo:hi] = zeta
@@ -665,6 +687,9 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
     if zeta.ndim != 2 or zeta.shape[1] % 2:
         raise ValueError("compare needs (leaves, B) terminal data with B "
                          "even: column j against column j + B/2")
+    # the driver ordering is checked at q Z: a clock without increments
+    # is refused here
+    clock.increments()
     h = zeta.shape[1] // 2
     pairs = np.arange(h)
     lower = slice(h, None)
@@ -712,12 +737,16 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
 # experiments
 # ---------------------------------------------------------------------------
 
-def setup_problem(model, coeffs=None, x0=0.0):
+def setup_problem(model, coeffs=None, x0=0.0, driver=None):
     """Build ``model`` and clock it, with the forward X of ``coeffs`` from
-    x0 if given: (tree, M, clock, X), X None without coefficients."""
+    x0 if given: (tree, M, clock, X), X None without coefficients.  The
+    clock keeps its increments dC unless nothing will read them: the
+    problem is to be solved with the zero driver (``driver``; None keeps
+    them) and has no coefficients, whose Euler pass reads dC."""
     built = _models.build(model)
     tree, M = built.tree, built.M
-    clock = predictable_bracket(tree, M)
+    closure = coeffs is None and driver is not None and driver.f is None
+    clock = predictable_bracket(tree, M, increments=not closure)
     X = None if coeffs is None else euler_forward(tree, M, clock, coeffs,
                                                   np.atleast_1d(x0))
     return tree, M, clock, X
@@ -782,7 +811,7 @@ def _vanishing_sweep(model, coeffs, x0, maps, driver):
     """E[[N]_T] and Y_0 per terminal map on ``model``, from one streamed
     sweep; its tree, M, clock and X are freed on return, before the next
     model is built."""
-    tree, M, clock, X = setup_problem(model, coeffs, x0)
+    tree, M, clock, X = setup_problem(model, coeffs, x0, driver)
     zeta = np.column_stack([_terminal_values(tree, M, X, Fe) for Fe in maps])
     bracket, root = _consume(_closed(tree, M, clock, X, zeta, driver))
     return bracket, root[3][0]
@@ -824,9 +853,10 @@ def _scan_sweep(sub, M0, clock, X, g, F, driver):
     """Y and Z at the root of ``sub`` for the columns M0 + g[j], from one
     streamed sweep of the step alone, every column on the same X."""
     zeta = _terminal_values(sub, M0, X, F, shifts=g)
-    # the solve runs on M0, and column j's driver sees its own m + g[j]
-    shifted = replace(driver,
-                      f=lambda t, x, m, y, z: driver.f(t, x, m + g, y, z))
+    # the solve runs on M0, and column j's driver sees its own m + g[j];
+    # the zero driver reads no m
+    shifted = driver if driver.f is None else replace(
+        driver, f=lambda t, x, m, y, z: driver.f(t, x, m + g, y, z))
     _, root = _consume(_levels(sub, M0, clock, X, zeta, shifted))
     return root[3][0], root[4][0]
 

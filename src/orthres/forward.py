@@ -53,7 +53,7 @@ def euler_forward(tree, M, clock, coeffs, x0):
     m = M.scalar
     X = np.zeros((tree.n_nodes, n))
     X[0] = x0
-    dC = clock.dC.values
+    dC = clock.increments()
     t, ls = tree.grid.t, tree.level_start.tolist()
     s, r = tree.child_stride, tree.arity
     for k in range(tree.K):

@@ -19,10 +19,12 @@ The martingale M is scalar (d = 1).  The martingale check, the conditional
 variances and the clock run one level at a time, narrow levels merged into
 runs of at most ``RUN_NODES`` nodes, and read a level's children as a view
 where the tree has a ``child_stride``: beyond their outputs no temporary
-outgrows a level or a run.  The clock stores only its increments dC: it
-carries the accumulated trace for two levels, and the conditional variances
-Sigma and its factor q are formed on demand for a node range where they are
-read.
+outgrows a level or a run.  The clock stores at most its increments dC,
+and none where no reader needs them (the GKW closure steps on E[dM^2 |
+node] alone): it carries the accumulated trace for two levels, and the
+conditional variances Sigma and its factor q are formed on demand for a
+node range where they are read.  A tree stores its edges' children as
+int32 where its node ids fit, and every read gives them as int64.
 """
 
 import math
@@ -69,6 +71,12 @@ class TimeGrid:
     @property
     def T(self):
         return float(self.t[-1])
+
+
+def id_dtype(n):
+    """The dtype a tree of n nodes stores its edges' children in: int32
+    where every node id 0 .. n - 1 fits, int64 beyond."""
+    return np.int32 if n <= 2 ** 31 else np.int64
 
 
 def _per_move(first, r, step):
@@ -150,12 +158,15 @@ class ScenarioTree:
     closed form as None for both: then every non-terminal node has r edges
     (the row's r, or len(eprob) / n_nonterminal), each level's size must be
     s*(n - 1) + r for the n nodes above it and one stride 1 <= s <= r, and
-    the tree keeps no per-edge index arrays.  ``edge_parents`` and
-    ``edge_children`` give the edges of any node range, from the closed form
-    or as slices of the kept arrays; ``level_of`` gives a node's level from
-    ``level_start``, and no tree holds one level per node.  ``eprob``,
-    ``eparent`` and ``echild`` build the whole array on each read where the
-    tree does not keep it.
+    the tree keeps no per-edge index arrays.  Kept children are stored in
+    ``id_dtype(n_nodes)``, int32 where the node ids fit (4 bytes an edge,
+    taken as given when they come in it), and kept parents as int64.
+    ``edge_parents`` and ``edge_children`` give the edges of any node
+    range as int64, from the closed form, as slices of the kept parents or
+    as int64 copies of the kept children's slices; ``level_of`` gives a
+    node's level from ``level_start``, and no tree holds one level per
+    node.  ``eprob``, ``eparent`` and ``echild`` build the whole array on
+    each read where the tree does not keep it in that form.
 
     The path probabilities, the mass reaching each node, are formed level by
     level in one forward pass, which refuses a level whose mass is not 1
@@ -185,8 +196,7 @@ class ScenarioTree:
         if eparent is None:
             # r edges out of every non-terminal node, in parent order
             self._eparent = None
-            self._echild = (None if echild is None
-                            else np.asarray(echild, dtype=np.int64))
+            self._echild = None if echild is None else self._child_ids(echild)
             n_edges = (len(self._echild) if echild is not None
                        else len(p) if p.ndim == 1 else p.shape[1] * nt)
             r = n_edges // nt
@@ -233,7 +243,7 @@ class ScenarioTree:
         """Store the given edges sorted by parent, with estart and arity."""
         n = self.n_nodes
         self._eparent = np.asarray(eparent, dtype=np.int64)
-        self._echild = np.asarray(echild, dtype=np.int64)
+        self._echild = self._child_ids(echild)
         if np.any(self._eparent[1:] < self._eparent[:-1]):
             order = np.argsort(self._eparent, kind="stable")
             self._eparent = self._eparent[order]
@@ -255,6 +265,17 @@ class ScenarioTree:
             raise InvariantViolation("every non-terminal node needs an edge")
         self.arity = (int(out_degree[0]) if out_degree.min()
                       == out_degree.max() else None)
+
+    def _child_ids(self, echild):
+        """``echild`` as the tree keeps it, in ``id_dtype(n_nodes)``, with
+        no copy where it comes in that dtype.  Ids out of range stay int64,
+        for validate to refuse, not wrapped into range by the cast."""
+        c, want = np.asarray(echild), id_dtype(self.n_nodes)
+        if c.dtype != want:
+            c = np.asarray(c, dtype=np.int64)
+            if c.size and 0 <= c.min() and c.max() < self.n_nodes:
+                c = c.astype(want)
+        return c
 
     # -- structure ---------------------------------------------------------
     @property
@@ -282,9 +303,10 @@ class ScenarioTree:
 
     def edge_children(self, lo, hi):
         """The child of every edge out of the nodes [lo, hi), in edge
-        order; the range may span levels."""
+        order, as int64; the range may span levels."""
         if self._echild is not None:
-            return self._echild[self.estart[lo]:self.estart[hi]]
+            return self._echild[self.estart[lo]:self.estart[hi]].astype(
+                np.int64)
         nt, ls, s = self.n_nonterminal, self.level_start, self.child_stride
         lo, hi = min(lo, nt), min(hi, nt)
         first = np.arange(s * lo, s * hi, s)
@@ -356,8 +378,8 @@ class ScenarioTree:
 
     @property
     def echild(self):
-        """(E,) child of every edge, built on each read where the tree
-        keeps no index arrays."""
+        """(E,) int64 child of every edge, built on each read from the
+        closed form or the kept children."""
         return self.edge_children(0, self.n_nodes)
 
     def validate(self):
@@ -469,14 +491,16 @@ class PredictableField:
 @dataclass
 class ClockAndFactor:
     """The increments dC of the clock C = arctan of the accumulated bracket
-    trace, per non-terminal node.  Sigma = E[dM^2 | node], which the clock is
-    built from, is formed again from the tree and M where it is read, and
-    ``factor`` forms the clock's factor q on a node range; only dC is
-    stored."""
+    trace, per non-terminal node, or None on a clock built without them.
+    Sigma = E[dM^2 | node], which the clock is built from, is formed again
+    from the tree and M where it is read, and ``factor`` forms the clock's
+    factor q on a node range; at most dC is stored.  A clock without dC
+    serves the GKW closure, which reads Sigma and ``projects`` alone; every
+    reader of dC or q refuses it."""
 
     tree: ScenarioTree = field(repr=False)
     M: AdaptedProcess = field(repr=False)
-    dC: PredictableField              # scalar, per non-terminal node
+    dC: PredictableField              # scalar, per non-terminal node, or None
     sigma_max: float                  # the largest Sigma, its scale
 
     def projects(self, sigma):
@@ -484,15 +508,23 @@ class ClockAndFactor:
         largest Sigma, a test that scaling M leaves unchanged."""
         return sigma > _kernels.PROJ_EPS * self.sigma_max
 
+    def increments(self):
+        """dC's (nt,) values; InvariantViolation on a clock without them."""
+        if self.dC is None:
+            raise InvariantViolation(
+                "this clock was built without its increments dC, which only "
+                "the zero driver's closure steps without")
+        return self.dC.values
+
     def factor(self, lo, hi, sigma=None):
         """q = sqrt(Sigma/dC) on the non-terminal nodes [lo, hi), so that
         q^2 dC = Sigma: 0 where dC <= 0, and where Sigma/dC is at most
         PSD_TOL * max(1, Sigma/dC).  ``sigma`` is the range's Sigma, formed
         here when not given.  Besides it and the (hi - lo,) result it holds
         only boolean masks of that size."""
+        dc = self.increments()[lo:hi]
         if sigma is None:
             sigma = conditional_covariances(self.tree, self.M, lo, hi)
-        dc = self.dC.values[lo:hi]
         q = np.divide(sigma, dc, out=np.zeros(hi - lo), where=dc > 0)
         # q >= 0, so q > PSD_TOL * max(1, q) reads PSD_TOL < q < inf
         live = (q > PSD_TOL) & (q < np.inf)
@@ -581,9 +613,11 @@ def conditional_covariances(tree, M, lo=0, hi=None):
     return sigma
 
 
-def predictable_bracket(tree, M):
+def predictable_bracket(tree, M, increments=True):
     """The clock C = arctan(V) of the accumulated trace V of the conditional
-    variances Sigma, as its increments dC = arctan(V + Sigma) - arctan(V).
+    variances Sigma, as its increments dC = arctan(V + Sigma) - arctan(V),
+    stored only with ``increments``; without, the pass makes the same
+    checks and finds the same ``sigma_max``, and the clock's dC is None.
 
     Built from conditional variances so that dC is predictable.  Requires
     the accumulated trace to be consistent across recombined paths.  Sigma
@@ -591,7 +625,7 @@ def predictable_bracket(tree, M):
     below the run, so beyond dC no temporary outgrows a level or a run.
     """
     ls, s, r = tree.level_start, tree.child_stride, tree.arity
-    dC = np.empty(tree.n_nonterminal)
+    dC = np.empty(tree.n_nonterminal) if increments else None
     V = np.zeros(1)     # the accumulated trace on the run's first level
     worst = sigma_max = 0.0
     for a, b in _runs(tree):
@@ -601,12 +635,14 @@ def predictable_bracket(tree, M):
         k = tree.level_of(a)
         buf = np.zeros(int(ls[tree.level_of(b - 1) + 2]) - a)
         buf[:len(V)] = V
+        # each node's candidate for its children's V, turned into dC
+        # where it is kept
+        run = dC[a:b] if increments else np.empty(b - a)
         lo = a
         while lo < b:
             hi, end = int(ls[k + 1]), int(ls[k + 2])
-            # each node's candidate for its children's V
             cand = np.add(buf[lo - a:hi - a], sigma[lo - a:hi - a],
-                          out=dC[lo:hi])
+                          out=run[lo - a:hi - a])
             nxt = buf[hi - a:end - a]
             if s is None:
                 child = tree.edge_children(lo, hi) - hi
@@ -628,12 +664,14 @@ def predictable_bracket(tree, M):
                     child[i] = cand
                 worst = max(worst, float(np.max(np.abs(child - cand))))
             lo, k = hi, k + 1
-        np.arctan(dC[a:b], out=dC[a:b])
-        dC[a:b] -= np.arctan(buf[:b - a])
+        if increments:
+            np.arctan(run, out=run)
+            run -= np.arctan(buf[:b - a])
         V = buf[b - a:]
     if worst > 1e-9:
         raise InvariantViolation(
             "recombined nodes disagree on the accumulated bracket trace "
             f"(max {worst:.3e}); use a non-recombining tree")
-    return ClockAndFactor(tree=tree, M=M, dC=PredictableField(tree, dC),
-                          sigma_max=sigma_max)
+    return ClockAndFactor(
+        tree=tree, M=M, sigma_max=sigma_max,
+        dC=PredictableField(tree, dC) if increments else None)

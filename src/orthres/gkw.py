@@ -6,7 +6,8 @@ driver takes the step y = E[y' | node] and projects each level's dy on dm
 (forming E[dm^2 | node] from the level's increments), and ``bsde._closed``
 forms dN and E[dN^2 | node] on that level, so its E[[N]_T] is the discrete
 analogue of the orthogonal part's bracket; this module stores what that
-sweep yields.
+sweep yields.  The step reads E[dm^2 | node], not the clock's increments
+dC, so it runs on a clock built without them too.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +41,10 @@ def gkw_decompose(tree, M, clock, zeta):
 
     One zero-driver sweep of the solver's levels on the caller's clock of M
     forms Y, Z, each level's per-edge dN and E[[N]_T]; this stores them at
-    full size, dN in edge order.  Returns Y with the decomposition.
+    full size, dN in edge order.  The clock may be one without increments
+    (``predictable_bracket(tree, M, increments=False)``): the closure reads
+    none, and the result is the same bit for bit.  Returns Y with the
+    decomposition.
     """
     zeta = bsde._leaf_values(tree, zeta)
     y_all = np.empty(tree.n_nodes)
@@ -90,7 +94,8 @@ class SweepResult:
 
 def residual_sweep(config_for, F, K_list):
     """GKW residual of E[F(M_K)|F] across mesh refinements: per K, one
-    streamed zero-driver sweep of the solver's levels.
+    streamed zero-driver sweep of the solver's levels on a clock without
+    increments.
 
     ``config_for(K)`` returns a ModelConfig; F maps terminal martingale
     states (array of shape (leaves, d)) to terminal values.
@@ -101,11 +106,12 @@ def residual_sweep(config_for, F, K_list):
 def _sweep_row(K, model, F):
     """The sweep's row for ``model``; its tree, M and clock are freed on
     return, before the next model is built."""
-    tree, M, clock, _ = bsde.setup_problem(model)
+    zero = bsde.zero_driver()
+    tree, M, clock, _ = bsde.setup_problem(model, driver=zero)
     lo, hi = tree.level_slice(tree.K)
     zeta = np.asarray(F(M.values[lo:hi]), dtype=float)
     bracket, _ = bsde._consume(bsde._closed(tree, M, clock, None, zeta,
-                                            bsde.zero_driver()))
+                                            zero))
     w = tree.level_path_prob(tree.K)
     var = float(w @ (zeta - zeta @ w) ** 2)
     return SweepRow(K=K, bracketNN_T=bracket,

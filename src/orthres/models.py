@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvariantViolation, ModelError, NodeCapExceeded
-from .ftree import AdaptedProcess, ScenarioTree, TimeGrid, is_martingale
+from .ftree import (AdaptedProcess, ScenarioTree, TimeGrid, id_dtype,
+                    is_martingale)
 
 DEFAULT_NODE_CAP = 5_000_000
 
@@ -225,7 +226,8 @@ def _simplex_walk(K):
     level_start = np.zeros(K + 2, dtype=np.int64)
     np.cumsum(sizes, out=level_start[1:])
     nt = int(level_start[-2])
-    child = np.empty((nt, 3), dtype=np.int64)
+    # in the dtype the tree keeps, so it takes them with no copy
+    child = np.empty((nt, 3), dtype=id_dtype(int(level_start[-1])))
     bounds = level_start.tolist()
 
     def levels():
@@ -359,10 +361,13 @@ def build_time_changed(config):
         children, first = _first_appearance(keys)
         if n + len(first) > node_cap():
             raise NodeCapExceeded(n + len(first), node_cap())
-        echild.append(n + children)
+        ids = n + children
+        n += len(first)
+        # in the dtype this level's ids fit, the tree's where the last
+        # level's do, so no full-size int64 copy is made
+        echild.append(ids.astype(id_dtype(n)))
         m = cand[first]
         mvals.append(m)
-        n += len(first)
     level_start = np.cumsum([0] + [len(v) for v in mvals])
     # two edges out of every node, down and up with probability 1/2 each:
     # the tree derives their parents and holds one move row

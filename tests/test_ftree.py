@@ -376,10 +376,13 @@ def test_clock_rejects_recombined_nodes_with_different_traces(
     tree = ScenarioTree(TimeGrid.uniform(2), level_start, eparent, echild,
                         eprob)
     assert tree.arity == (2 if len(eparent) == 6 else None)
-    with pytest.raises(InvariantViolation,
-                       match="recombined nodes disagree") as err:
-        predictable_bracket(tree, AdaptedProcess(tree, np.array(M, float)))
-    assert f"(max {worst})" in str(err.value)
+    M = AdaptedProcess(tree, np.array(M, float))
+    # the pass that keeps no increments makes the same check
+    for increments in (True, False):
+        with pytest.raises(InvariantViolation,
+                           match="recombined nodes disagree") as err:
+            predictable_bracket(tree, M, increments=increments)
+        assert f"(max {worst})" in str(err.value)
 
 
 def test_pathwise_bracket_binary():

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthres import _kernels
-from orthres.bsde import dual_value, vanishing_N_experiment, zero_driver
+from orthres import _kernels, bsde
+from orthres.bsde import (compare, constant, dual_value, linear_y,
+                          pure_quadratic, solve_lipschitz,
+                          vanishing_N_experiment, zero_driver)
 from orthres.errors import InvariantViolation
-from orthres.ftree import (AdaptedProcess, TimeGrid, conditional_covariances,
-                           is_martingale, predictable_bracket)
+from orthres.forward import euler_forward, extract_subtree, identity
+from orthres.ftree import (AdaptedProcess, ScenarioTree, TimeGrid,
+                           conditional_covariances, is_martingale,
+                           predictable_bracket)
 from orthres.gkw import gkw_decompose, martingale_from_terminal, residual_sweep
 from orthres.models import ModelConfig, build
 from orthres.mollify import indicator_halfspace, sine, square
@@ -197,6 +201,134 @@ def test_sweep_dn_is_edge_residuals_on_its_own_y(kind, K, F):
             tree, _kernels.edge_increments(tree, M.scalar, a, b), y, y[a:b],
             z[a:b], a, b, dn)
     assert res.dN.tobytes() == dn.tobytes()
+
+
+# -- the closure on a clock without increments --------------------------------
+
+@st.composite
+def closure_cases(draw):
+    """(tree, M, zeta): a small_trees tree (random full trees of mixed
+    arity given as arrays or of one arity in closed form, every built kind,
+    recombining and full, the two-sided jump and ``time_changed``), as it is
+    or as the subtree of a random non-terminal node, with leaf values
+    (leaves,) or a batch (leaves, 2 .. 3), a random share of them -0.0."""
+    tree, M = draw(small_trees())
+    if draw(st.booleans()):
+        sub, order = extract_subtree(
+            tree, draw(st.integers(0, tree.n_nonterminal - 1)))
+        tree, M = sub, AdaptedProcess(sub, M.values[order])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo, hi = tree.level_slice(tree.K)
+    shape = (hi - lo,) + ((draw(st.integers(2, 3)),)
+                          if draw(st.booleans()) else ())
+    zeta = rng.normal(size=shape)
+    zeta[rng.random(shape) < draw(st.sampled_from((0.0, 0.5, 1.0)))] = -0.0
+    return tree, M, zeta
+
+
+def _closed_levels(tree, M, clock, zeta):
+    """Each level's Y, Z, E[dN^2 | node] and per-edge dN as bytes, and
+    E[[N]_T], from one zero-driver ``_closed`` sweep on ``clock``."""
+    levels = []
+
+    def take(k, a, b, y, z, z_arg, res, dn):
+        levels.append(tuple(np.ascontiguousarray(v).tobytes()
+                            for v in (y, z, res, dn)))
+    bracket, _ = bsde._consume(bsde._closed(tree, M, clock, None, zeta,
+                                            zero_driver()), take)
+    return levels, np.asarray(bracket).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(closure_cases(), st.sampled_from((constant(0.0), linear_y(0.3),
+                                         pure_quadratic(1.0))))
+def test_closure_without_increments_equals_the_full_clock_sweep(case,
+                                                                driver):
+    """The clock without increments makes the full clock's checks and finds
+    its sigma_max, and the zero driver's closure on it is byte for byte the
+    zero-driver sweep on the full clock, the reference: every level's Y, Z,
+    E[dN^2 | node] and per-edge dN, and E[[N]_T], in 1-D and in a batch;
+    likewise the stored solve and, in 1-D, the GKW decomposition.  Any
+    other driver, a zero constant too, is refused on it, and so are the
+    readers of dC: the factor, the Euler pass and compare."""
+    tree, M, zeta = case
+    full = predictable_bracket(tree, M)
+    bare = predictable_bracket(tree, M, increments=False)
+    assert bare.dC is None and bare.sigma_max == full.sigma_max
+    assert (_closed_levels(tree, M, bare, zeta)
+            == _closed_levels(tree, M, full, zeta))
+    got = solve_lipschitz(tree, M, bare, None, zeta, zero_driver())
+    want = solve_lipschitz(tree, M, full, None, zeta, zero_driver())
+    for name in ("Y", "Z"):
+        assert (getattr(got, name).values.tobytes()
+                == getattr(want, name).values.tobytes()), name
+    assert got.dN2.tobytes() == want.dN2.tobytes()
+    assert (np.asarray(got.bracketNN_T).tobytes()
+            == np.asarray(want.bracketNN_T).tobytes())
+    if zeta.ndim == 1:
+        got, want = (gkw_decompose(tree, M, c, zeta) for c in (bare, full))
+        for name in ("Y", "Z"):
+            assert (getattr(got, name).values.tobytes()
+                    == getattr(want, name).values.tobytes()), name
+        assert got.dN.tobytes() == want.dN.tobytes()
+        assert (np.float64(got.bracketNN_T).tobytes()
+                == np.float64(want.bracketNN_T).tobytes())
+    with pytest.raises(InvariantViolation, match="without them takes only "
+                                                 "the zero driver"):
+        solve_lipschitz(tree, M, bare, None, zeta, driver)
+    pairs = np.tile(zeta.reshape(len(zeta), -1), 2)
+    for reads_dc in (lambda: bare.factor(0, tree.n_nonterminal),
+                     lambda: euler_forward(tree, M, bare, identity(), 0.0),
+                     lambda: compare(tree, M, bare, None, pairs,
+                                     zero_driver())):
+        with pytest.raises(InvariantViolation, match="without its "
+                                                     "increments dC"):
+            reads_dc()
+
+
+def test_closure_refuses_a_non_finite_conditional_expectation():
+    """Leaf values at the largest float under moves whose probabilities
+    sum to 1 + 2e-15, within the tolerance, overflow E[y'] to inf: the
+    closure raises the step's miss, in 1-D and in a batch, with the full
+    clock's message."""
+    tree = ScenarioTree(TimeGrid.uniform(1), [0, 1, 3], [0, 0], [1, 2],
+                        [0.5 + 2e-15, 0.5])
+    M = AdaptedProcess(tree, [0.0, -1.0, 1.0])
+    top = np.full(2, np.finfo(float).max)
+    for zeta in (top, np.column_stack([np.zeros(2), top])):
+        messages = []
+        for increments in (True, False):
+            clock = predictable_bracket(tree, M, increments=increments)
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(InvariantViolation,
+                                  match="misses its equation by nan at "
+                                        "y = inf") as err:
+                solve_lipschitz(tree, M, clock, None, zeta, zero_driver())
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+def test_residual_sweep_clocks_without_increments(monkeypatch):
+    """A residual sweep and a zero-driver vanishing-N sweep without
+    coefficients clock their trees without increments; given coefficients,
+    whose Euler pass reads dC, or a driver other than the zero one, the
+    clock keeps them."""
+    seen = []
+
+    def clock(tree, M, increments=True):
+        seen.append(increments)
+        return predictable_bracket(tree, M, increments)
+    monkeypatch.setattr(bsde, "predictable_bracket", clock)
+    config_for = lambda K: ModelConfig("trinomial", K=K)
+    residual_sweep(config_for, indicator_halfspace(), [4])
+    vanishing_N_experiment(config_for, None, indicator_halfspace(),
+                           zero_driver(), [0.1], [4])
+    assert seen == [False, False]
+    vanishing_N_experiment(config_for, identity(), indicator_halfspace(),
+                           zero_driver(), [0.1], [4])
+    vanishing_N_experiment(config_for, None, indicator_halfspace(),
+                           constant(0.0), [0.1], [4])
+    assert seen == [False, False, True, True]
 
 
 def four_child_d2(s1, s2):

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from orthres import models
 from orthres.errors import InvariantViolation, ModelError, NodeCapExceeded
-from orthres.ftree import (AdaptedProcess, TimeGrid, conditional_covariances,
-                           is_martingale)
+from orthres.forward import extract_subtree
+from orthres.ftree import (AdaptedProcess, ScenarioTree, TimeGrid,
+                           conditional_covariances, is_martingale)
 from orthres.models import ModelConfig, build, estimate_nodes, node_cap
 
 from reference import (TreeBuilder, is_tree, path_prob, path_prob_loop,
@@ -306,13 +307,15 @@ def test_build_keeps_no_edge_index_arrays():
 
 def test_jump_lattice_build_keeps_no_parent_array():
     """Building the two-sided jump lattice at K = 64 (47,905 nodes, 137,280
-    edges, three out of every non-terminal node) holds and peaks below 40
-    bytes per node, the measured 36.5 at the peak and a margin of 3.5: its
-    children (22.9 B/node), M and the path probabilities of every 8th level
-    fit (32.2 B/node), but not with every level's path probabilities kept
-    (8 B/node more), a stored estart (8 B/node more) or parent array
-    (22.9 B/node more), nor with one built only for the tree to drop, nor
-    with the lattice's states formed for every level at once."""
+    edges, three out of every non-terminal node) holds and peaks below 28
+    bytes per node, the measured 25.1 at the peak and a margin of 2.9: its
+    int32 children (11.5 B/node), M and the path probabilities of every 8th
+    level fit (20.8 B/node), but not with int64 children (11.5 B/node
+    more) or an int64 copy made on the way, every level's path
+    probabilities kept (8 B/node more), a stored estart (8 B/node more) or
+    parent array (22.9 B/node more), nor with one built only for the tree
+    to drop, nor with the lattice's states formed for every level at
+    once."""
     tracemalloc.start()
     try:
         built = build(ModelConfig("compensated_jump", K=64))
@@ -321,9 +324,46 @@ def test_jump_lattice_build_keeps_no_parent_array():
         tracemalloc.stop()
     tree = built.tree
     assert tree._eparent is None and tree.arity == 3
-    budget = 40 * tree.n_nodes
+    budget = 28 * tree.n_nodes
     assert current < budget
     assert peak < budget
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("compensated_jump", {}), ("time_changed", {"kappa": 2.0})])
+def test_built_children_take_4_bytes_and_read_as_int64(kind, params,
+                                                      monkeypatch):
+    """The two-sided jump lattice and ``time_changed``, the built trees
+    given their children, make them as int32, and the tree keeps that
+    array, no copy; every read of them (``echild``, ``edge_children`` on
+    any range, an extracted subtree's node map) is int64 and the same ids.
+    A tree given int64 children whose ids fit keeps them as int32 too."""
+    given = []
+
+    def spy(grid, level_start, eparent, echild, eprob):
+        given.append(echild)
+        return ScenarioTree(grid, level_start, eparent, echild, eprob)
+    monkeypatch.setattr(models, "ScenarioTree", spy)
+    tree = build(ModelConfig(kind, K=12, params=params)).tree
+    assert given[0].dtype == np.int32
+    assert np.shares_memory(tree._echild, given[0])
+    assert tree._echild.dtype == np.int32
+    assert tree._echild.nbytes == 4 * len(tree._echild)
+    ec = tree.echild
+    assert ec.dtype == np.int64
+    assert np.array_equal(ec, tree._echild)
+    es = tree.estart
+    for lo, hi in ((0, tree.n_nodes), (3, 17), (5, 5),
+                   tree.level_slice(tree.K - 1)):
+        got = tree.edge_children(lo, hi)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ec[es[lo]:es[hi]])
+    sub, order = extract_subtree(tree, 1)
+    assert order.dtype == np.int64
+    assert sub._echild.dtype == np.int32 and sub.echild.dtype == np.int64
+    twin = ScenarioTree(tree.grid, tree.level_start, None, ec, tree.probs)
+    assert twin._echild.dtype == np.int32
+    assert twin._echild.tobytes() == tree._echild.tobytes()
 
 
 def reference_time_changed(config):
