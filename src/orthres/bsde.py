@@ -63,7 +63,6 @@ class DriverSpec:
     f: callable
     growth: dict = field(default_factory=lambda: {"a": 0.0, "b": 0.0,
                                                   "gamma": 0.0})
-    eta: float = 0.0
     klass: str = "lipschitz"
     y_part: tuple = (0.0, 0.0)
     huber: tuple = None            # (gamma, eta) when f has that exact form
@@ -86,18 +85,18 @@ def huber_envelope(z, thresh, gamma):
                     gamma * thresh * az - 0.5 * gamma * thresh * thresh)
 
 
-def truncated_driver(p, growth, eta=None):
-    """q_p: quadratic in z up to |z| = p, linear beyond, plus b|y| and eta."""
+def truncated_driver(p, growth):
+    """q_p: quadratic in z up to |z| = p, linear beyond, plus b|y| + a."""
     if p < 1:
         raise ValueError("truncation index p must be >= 1")
     b = float(growth["b"])
     gamma = float(growth["gamma"])
-    eta = float(growth.get("a", 0.0) if eta is None else eta)
+    eta = float(growth.get("a", 0.0))
 
     def f(t, x, m, y, z):
         return huber_envelope(z, p, gamma) + b * np.abs(y) + eta
 
-    return DriverSpec(id=f"q_p[{p}]", f=f, growth=dict(growth), eta=eta,
+    return DriverSpec(id=f"q_p[{p}]", f=f, growth=dict(growth),
                       klass="lipschitz", y_part=(0.0, b), nonnegative=True)
 
 
@@ -144,7 +143,7 @@ def inf_convolve(driver, n):
                 f"even at radius {R / 2}")
 
     return DriverSpec(id=f"{driver.id}~inf{n}", f=f,
-                      growth=dict(driver.growth), eta=driver.eta,
+                      growth=dict(driver.growth),
                       klass="lipschitz", y_part=driver.y_part,
                       nonnegative=driver.nonnegative)
 
@@ -169,7 +168,7 @@ def zero_driver():
 
 def constant(c):
     c = _param(c, "c")
-    return DriverSpec(id="constant", eta=abs(c),
+    return DriverSpec(id="constant",
                       growth={"a": abs(c), "b": 0.0, "gamma": 0.0},
                       f=lambda t, x, m, y, z: np.full_like(y, c))
 
@@ -194,7 +193,7 @@ def quadratic_mixed(gamma, b, eta=0.0):
     bb = _param(b, "b", nonnegative=True)
     e = _param(eta, "eta", nonnegative=True)
     return DriverSpec(
-        id="quadratic_mixed", klass="quadratic", eta=e,
+        id="quadratic_mixed", klass="quadratic",
         growth={"a": e, "b": bb, "gamma": g},
         f=lambda t, x, m, y, z: 0.5 * g * z * z + bb * np.abs(y) + e,
         y_part=(0.0, bb), huber=(g, e), nonnegative=True)
@@ -593,9 +592,9 @@ class DualResult:
     floored_fraction: float
 
 
-def dual_value(tree, M, clock, zeta, growth, p, eta=None):
+def dual_value(tree, M, clock, zeta, growth, p):
     """Backward dynamic program for the control representation of the
-    truncated driver q_p.
+    truncated driver q_p of ``growth``.
 
     At every node the one-step Hamiltonian is maximized over a discount rate
     beta in [-b, b] and a tilt nu with |nu| <= p; the measure change is the
@@ -610,7 +609,7 @@ def dual_value(tree, M, clock, zeta, growth, p, eta=None):
         raise InvariantViolation("dual_value takes one column of leaf values")
     b = float(growth["b"])
     gamma = float(growth["gamma"])
-    eta = float(growth.get("a", 0.0) if eta is None else eta)
+    eta = float(growth.get("a", 0.0))
     m = M.scalar
     dC = clock.increments()
     W = np.empty(tree.n_nodes)
@@ -747,8 +746,7 @@ def setup_problem(model, coeffs=None, x0=0.0, driver=None):
     tree, M = built.tree, built.M
     closure = coeffs is None and driver is not None and driver.f is None
     clock = predictable_bracket(tree, M, increments=not closure)
-    X = None if coeffs is None else euler_forward(tree, M, clock, coeffs,
-                                                  np.atleast_1d(x0))
+    X = None if coeffs is None else euler_forward(tree, M, clock, coeffs, x0)
     return tree, M, clock, X
 
 
@@ -817,20 +815,18 @@ def _vanishing_sweep(model, coeffs, x0, maps, driver):
     return bracket, root[3][0]
 
 
-def vanishing_N_experiment(config_for, coeffs, F, driver, eps_list, K_list,
-                           x0=0.0):
+def vanishing_N_experiment(models, coeffs, F, driver, eps_list, x0=0.0):
     """Residual of the BSDE solution for raw and mollified terminal data
-    across mesh refinements: per K, one streamed sweep of solve_lipschitz's
-    levels with the raw column and one column per eps."""
+    across mesh refinements: per ModelConfig of ``models``, one streamed
+    sweep of solve_lipschitz's levels, the raw column and one per eps."""
     from .mollify import mollify
 
     report = VanishingNReport()
     maps = [F] + [mollify(F, eps) for eps in eps_list]
-    for K in K_list:
-        bracket, y0s = _vanishing_sweep(config_for(K), coeffs, x0, maps,
-                                        driver)
+    for model in models:
+        bracket, y0s = _vanishing_sweep(model, coeffs, x0, maps, driver)
         for eps, y0, res in zip([math.nan] + list(eps_list), y0s, bracket):
-            report.rows.append(VanishingNRow(K=K, eps=eps,
+            report.rows.append(VanishingNRow(K=model.K, eps=eps,
                                              bracketNN_T=float(res),
                                              y0=float(y0)))
     return report
@@ -861,8 +857,7 @@ def _scan_sweep(sub, M0, clock, X, g, F, driver):
     return root[3][0], root[4][0]
 
 
-def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None,
-                    x_value=None):
+def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None, x0=0.0):
     """Finite-difference profile of u(t, x, m) = Y_t of restarted solves.
 
     The subtree of the first node of level t_idx is extracted once and
@@ -871,9 +866,9 @@ def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None,
     sweeps of at most SWEEP_BYTES: column j runs on M0 + m_j, with one
     stacked evaluation of F and one streamed B-column sweep of _levels each,
     the driver seeing each column's own m.  The coefficients read (t, x)
-    alone, so a shift of M leaves X unchanged: one Euler pass on M0 gives
-    the X that every sweep shares.  Only the root's Y and Z are read: the
-    root Z of each column, the gradient of u along M, is kept next to u.
+    alone, so a shift of M leaves X unchanged: one Euler pass on M0 from x0
+    gives the X that every sweep shares.  Only the root's Y and Z are read:
+    the root Z of each column, the gradient of u along M, is kept next to u.
     The sweeps take the step alone and form no residual, so a solution
     whose E[[N]_T] would overflow is still scanned; every check of the step
     is made.
@@ -883,8 +878,7 @@ def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None,
     M0 = AdaptedProcess(sub, M.values[order] - M.values[lo])
     clock = predictable_bracket(sub, M0)
     m_grid = np.asarray(m_grid, dtype=float)
-    X = None if coeffs is None else euler_forward(sub, M0, clock, coeffs,
-                                                  x_value)
+    X = None if coeffs is None else euler_forward(sub, M0, clock, coeffs, x0)
     width = columns_per_sweep(sub)
     u = np.empty(len(m_grid))
     z = np.empty(len(m_grid))

@@ -71,7 +71,6 @@ class ExperimentConfig:
     driver: object = None
     coeffs: object = None
     x0: float = 0.0
-    K_list: list = field(default_factory=list)
     eps_list: list = field(default_factory=list)
     p_list: list = field(default_factory=list)
     n_list: list = field(default_factory=list)
@@ -97,10 +96,10 @@ class ExperimentConfig:
 
 def _number(value, name, cast=float):
     """``cast(value)``, or a ConfigError naming the field.  An ``int`` field
-    rejects a fractional value instead of truncating it."""
+    rejects a fractional value instead of truncating it; none takes a bool."""
     try:
-        if cast is int and isinstance(value, float) and \
-                not value.is_integer():
+        if isinstance(value, bool) or cast is int and isinstance(
+                value, float) and not value.is_integer():
             raise ValueError
         return cast(value)
     except (TypeError, ValueError, OverflowError):
@@ -183,9 +182,26 @@ def parse_config(raw):
     output = raw.get("output")
     if not output or not isinstance(output, str):
         raise ConfigError("config needs an output path prefix")
+    # K is a mesh size, eps a mollification variance, p and n are truncation
+    # and inf-convolution indices; a JSON bool is none of them
+    lists = {}
+    for name, ok, want in (
+            ("K_list", lambda v: 0 < v <= sys.float_info.max
+             and float(v).is_integer(),
+             "positive integers"),
+            ("eps_list", lambda v: 0 < v < 1, "numbers in (0, 1)"),
+            ("p_list", lambda v: 1 <= v < math.inf, "finite numbers >= 1"),
+            ("n_list", lambda v: 1 <= v < math.inf, "finite numbers >= 1")):
+        vals = raw.get(name, [])
+        if not isinstance(vals, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and ok(v) for v in vals):
+            raise ConfigError(f"{name} must be a list of {want}")
+        lists[name] = list(vals)
+    ks = lists.pop("K_list")
 
     cfg = ExperimentConfig(
-        experiment=exp, models=[], output=output, raw=raw,
+        experiment=exp, models=[], output=output, raw=raw, **lists,
         F=_block(raw, "F", TERMINAL_CATALOG, terminal_from_catalog,
                  "terminal map"),
         driver=_block(raw, "driver", bsde.DRIVER_CATALOG,
@@ -199,23 +215,9 @@ def parse_config(raw):
         if cfg.coeffs.n != 1:
             raise ConfigError("x0 is a scalar, so the forward state must "
                               f"have n = 1, got n = {cfg.coeffs.n!r}")
-    # K is a mesh size, eps a mollification variance, p and n are truncation
-    # and inf-convolution indices
-    for name, ok, want in (
-            ("K_list", lambda v: 0 < v <= sys.float_info.max
-             and float(v).is_integer(),
-             "positive integers"),
-            ("eps_list", lambda v: 0 < v < 1, "numbers in (0, 1)"),
-            ("p_list", lambda v: 1 <= v < math.inf, "finite numbers >= 1"),
-            ("n_list", lambda v: 1 <= v < math.inf, "finite numbers >= 1")):
-        vals = raw.get(name, [])
-        if not isinstance(vals, list) or not all(
-                isinstance(v, (int, float)) and ok(v) for v in vals):
-            raise ConfigError(f"{name} must be a list of {want}")
-        setattr(cfg, name, list(vals))
     # a parameter's range may depend on K, so the model of every K the
     # experiment builds is checked
-    for k in (cfg.K_list if "K_list" in EXPERIMENTS[exp] else []) or [K]:
+    for k in (ks if "K_list" in EXPERIMENTS[exp] else []) or [K]:
         try:
             cfg.models.append(ModelConfig(
                 kind=mraw["kind"], K=int(k), T=T,
@@ -243,8 +245,11 @@ def parse_config(raw):
         raise ConfigError(f"{exp} reads no tolerances key {min(tol)!r}")
 
     for need in EXPERIMENTS[exp]:
-        if not getattr(cfg, need):
+        if not (ks if need == "K_list" else getattr(cfg, need)):
             raise ConfigError(f"experiment {exp!r} requires {need}")
+    if exp == "cascade" and len(cfg.p_list) > 1:
+        raise ConfigError("cascade solves at one p, so p_list takes at most "
+                          f"one entry, got {len(cfg.p_list)}")
     # the dual and the cascade are devices of the quadratic theory
     if exp in ("dual_check", "cascade") and cfg.driver.klass != "quadratic":
         raise ConfigError(f"{exp} needs a quadratic-class driver")
@@ -299,11 +304,6 @@ def _with_coords(fn, **coords):
         raise
 
 
-def _model_for_K(cfg):
-    """K -> the sweep's ModelConfig at K."""
-    return {m.K: m for m in cfg.models}.__getitem__
-
-
 def _loglog_slope(x, y):
     """Least-squares slope of log y against log x, or None where the points
     fix none: fewer than two distinct x, or a y that is not finite and > 0."""
@@ -314,12 +314,10 @@ def _loglog_slope(x, y):
 
 
 def _run_residual_sweep(cfg):
-    config_for = _model_for_K(cfg)
     sweep = SweepResult()
-    for K in cfg.K_list:
-        sweep.rows += _with_coords(
-            lambda: residual_sweep(config_for, cfg.F, [int(K)]),
-            model=cfg.model.kind, K=K).rows
+    for model in cfg.models:
+        sweep.rows += _with_coords(lambda: residual_sweep([model], cfg.F),
+                                   model=model.kind, K=model.K).rows
     rows = [{"K": r.K, "n_nodes": r.n_nodes, "bracketNN_T": r.bracketNN_T,
              "normalized": r.normalized} for r in sweep.rows]
     curves = {"bracketNN_T_vs_K": [(r.K, r.bracketNN_T) for r in sweep.rows]}
@@ -337,14 +335,13 @@ def _run_residual_sweep(cfg):
 
 
 def _run_vanishing_N(cfg):
-    config_for = _model_for_K(cfg)
     report = bsde.VanishingNReport()
-    for K in cfg.K_list:
+    for model in cfg.models:
         part = _with_coords(
             lambda: bsde.vanishing_N_experiment(
-                config_for, cfg.coeffs, cfg.F, cfg.driver, cfg.eps_list,
-                [int(K)], x0=cfg.x0),
-            model=cfg.model.kind, K=K)
+                [model], cfg.coeffs, cfg.F, cfg.driver, cfg.eps_list,
+                x0=cfg.x0),
+            model=model.kind, K=model.K)
         report.rows.extend(part.rows)
     rows, curves = [], {}
     for r in report.rows:
@@ -372,30 +369,27 @@ def _run_vanishing_N(cfg):
 
 
 def _run_dual_check(cfg):
-    F, driver = cfg.F, cfg.driver
-    config_for = _model_for_K(cfg)
+    F, growth = cfg.F, cfg.driver.growth
     # the tree and its clock depend only on K: build each once, solve every
     # p on it, and report the rows p-major
     points = {}
-    for K in cfg.K_list:
+    for model in cfg.models:
         def setup():
-            tree, M, clock, _ = bsde.setup_problem(config_for(K))
+            tree, M, clock, _ = bsde.setup_problem(model)
             return tree, M, clock, bsde._terminal_values(tree, M, None, F)
-        tree, M, clock, zeta = _with_coords(setup, model=cfg.model.kind, K=K)
+        K = model.K
+        tree, M, clock, zeta = _with_coords(setup, model=model.kind, K=K)
         for p in cfg.p_list:
             def point():
-                trunc = bsde.truncated_driver(float(p), driver.growth,
-                                              driver.eta)
+                trunc = bsde.truncated_driver(float(p), growth)
                 sol = bsde.solve_lipschitz(tree, M, clock, None, zeta, trunc)
-                dv = bsde.dual_value(tree, M, clock, zeta, driver.growth,
-                                     float(p), eta=driver.eta)
+                dv = bsde.dual_value(tree, M, clock, zeta, growth, float(p))
                 return (sol.Y0, float(np.ravel(dv.value.values)[0]),
                         dv.floored_fraction)
-            points[p, K] = _with_coords(point, model=cfg.model.kind, K=K,
-                                        p=p)
+            points[p, K] = _with_coords(point, model=model.kind, K=K, p=p)
     rows, curves = [], {}
     for p in cfg.p_list:
-        for K in cfg.K_list:
+        for K in (m.K for m in cfg.models):
             primal, dual, fl = points[p, K]
             rows.append({"p": p, "K": K, "primal_Y0": primal,
                          "dual_Y0": dual, "gap": abs(primal - dual),
@@ -419,13 +413,10 @@ def _run_cascade(cfg):
     def point():
         tree, M, clock, X = bsde.setup_problem(cfg.model, cfg.coeffs, cfg.x0)
         zeta = bsde._terminal_values(tree, M, X, cfg.F)
-        kw = {}
-        if cfg.p_list:
-            kw["p"] = cfg.p_list[0]
-        if cfg.n_list:
-            kw["n_list"] = tuple(cfg.n_list)
+        kw = {"n_list": tuple(cfg.n_list)} if cfg.n_list else {}
+        # the cascade's start p, if p_list gives one (it gives at most one)
         return bsde.solve_quadratic(tree, M, clock, X, zeta, cfg.driver,
-                                    **kw)
+                                    *cfg.p_list, **kw)
     sol = _with_coords(point, model=cfg.model.kind, K=cfg.model.K)
     trace = sol.diagnostics["cascade_trace"]
     rows = [dict(s) for s in trace.stages]
@@ -452,7 +443,7 @@ def _affine_driver(ky, kz, c0):
         id="affine", klass="lipschitz",
         f=lambda t, x, m, y, z: ky * y + kz * z + c0,
         growth={"a": abs(c0), "b": abs(ky), "gamma": 0.0},
-        eta=abs(c0), y_part=(ky, 0.0))
+        y_part=(ky, 0.0))
 
 
 def _random_affine_pair(rng, mterm):
@@ -538,8 +529,7 @@ def _run_regularity_scan(cfg):
         built = build(cfg.model)
         return bsde.regularity_scan(
             built.tree, built.M, t_idx, m_grid, cfg.F, cfg.driver,
-            coeffs=cfg.coeffs, x_value=np.atleast_1d(cfg.x0)
-            if cfg.coeffs is not None else None)
+            coeffs=cfg.coeffs, x0=cfg.x0)
     scan = _with_coords(point, model=cfg.model.kind, K=cfg.model.K,
                         t_idx=t_idx)
     rows = [{"m": float(m), "u": float(u)}

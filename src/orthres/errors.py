@@ -38,7 +38,8 @@ class SolverError(OrthresError):
 
 
 class ContractionError(SolverError):
-    """Lipschitz-in-y constant too large for the mesh: K * dC_max >= 1."""
+    """Lipschitz-in-y constant too large for the mesh: the driver's lip_y
+    times the largest clock increment dC_max is >= 1."""
 
 
 class ConfigError(OrthresError):

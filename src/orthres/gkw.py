@@ -92,18 +92,16 @@ class SweepResult:
         return float(np.mean(-np.diff(np.log(r))))
 
 
-def residual_sweep(config_for, F, K_list):
-    """GKW residual of E[F(M_K)|F] across mesh refinements: per K, one
-    streamed zero-driver sweep of the solver's levels on a clock without
-    increments.
-
-    ``config_for(K)`` returns a ModelConfig; F maps terminal martingale
-    states (array of shape (leaves, d)) to terminal values.
+def residual_sweep(models, F):
+    """GKW residual of E[F(M_K)|F] across mesh refinements: per ModelConfig
+    of ``models``, one streamed zero-driver sweep of the solver's levels on a
+    clock without increments.  F maps terminal martingale states (array of
+    shape (leaves, d)) to terminal values.
     """
-    return SweepResult([_sweep_row(K, config_for(K), F) for K in K_list])
+    return SweepResult([_sweep_row(model, F) for model in models])
 
 
-def _sweep_row(K, model, F):
+def _sweep_row(model, F):
     """The sweep's row for ``model``; its tree, M and clock are freed on
     return, before the next model is built."""
     zero = bsde.zero_driver()
@@ -114,6 +112,6 @@ def _sweep_row(K, model, F):
                                             zero))
     w = tree.level_path_prob(tree.K)
     var = float(w @ (zeta - zeta @ w) ** 2)
-    return SweepRow(K=K, bracketNN_T=bracket,
+    return SweepRow(K=model.K, bracketNN_T=bracket,
                     normalized=bracket / var if var > 0 else 0.0,
                     n_nodes=tree.n_nodes)

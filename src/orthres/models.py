@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvariantViolation, ModelError, NodeCapExceeded
+from .errors import (ConfigError, InvariantViolation, ModelError,
+                     NodeCapExceeded)
 from .ftree import (AdaptedProcess, ScenarioTree, TimeGrid, id_dtype,
                     is_martingale)
 
@@ -46,7 +47,16 @@ FLOAT_PARAMS = ("h", "p", "lam", "jump", "lam_down", "jump_down", "kappa",
 
 
 def node_cap():
-    return int(os.environ.get("ORTHRES_NODE_CAP", DEFAULT_NODE_CAP))
+    """ORTHRES_NODE_CAP, a positive integer; DEFAULT_NODE_CAP when unset."""
+    raw = os.environ.get("ORTHRES_NODE_CAP", str(DEFAULT_NODE_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError("ORTHRES_NODE_CAP must be a positive integer, "
+                          f"got {raw!r}")
+    return cap
 
 
 @dataclass
@@ -68,10 +78,15 @@ class ModelConfig:
         prm = {}
         for name in (n for n in FLOAT_PARAMS if n in self.params):
             try:
+                if isinstance(self.params[name], bool):
+                    raise TypeError
                 prm[name] = float(self.params[name])
             except (TypeError, ValueError):
                 raise ModelError(f"model param {name!r} must be a number, "
                                  f"got {self.params[name]!r}")
+        if not isinstance(self.params.get("recombine", True), bool):
+            raise ModelError("model param 'recombine' must be a bool, got "
+                             f"{self.params['recombine']!r}")
         # the builders' own parameter ranges, each written so NaN fails it
         if self.kind in ("binary", "trinomial", "time_changed",
                          "product_noise") and not prm.get("h", 1.0) > 0:

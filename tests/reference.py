@@ -385,16 +385,16 @@ def markov_grouping_check(tree, X, M, sol, decimals=9):
 
 
 def check_growth(driver, y_grid, z_grid, t=0.0):
-    """Spot-check |f| <= eta(1+b|y|) + (gamma/2)|z|^2 on a grid; returns the
-    worst exceedance (<= 0 means the declared growth holds there)."""
+    """Spot-check |f| <= a(1+b|y|) + (gamma/2)|z|^2 on a grid, for the
+    driver's declared growth (a, b, gamma); returns the worst exceedance
+    (<= 0 means the declared growth holds there)."""
     g = driver.growth
     worst = -math.inf
-    eta = float(driver.eta)
     for y in y_grid:
         yv = np.full(len(z_grid), float(y))
         zv = np.asarray(z_grid, dtype=float)
         lhs = np.abs(driver(t, None, np.zeros_like(zv), yv, zv))
-        rhs = eta * (1 + g["b"] * np.abs(yv)) + 0.5 * g["gamma"] * zv ** 2
+        rhs = g["a"] * (1 + g["b"] * np.abs(yv)) + 0.5 * g["gamma"] * zv ** 2
         worst = max(worst, float(np.max(lhs - rhs)))
     return worst
 

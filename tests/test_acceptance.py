@@ -71,8 +71,8 @@ def test_A1_exact_representation_on_complete_branching():
 
 def test_A2_vanishing_residual_trinomial_indicator():
     F = indicator_halfspace()
-    sw = residual_sweep(lambda K: ModelConfig("trinomial", K=K),
-                        lambda s: F(s), K_SWEEP)
+    sw = residual_sweep([ModelConfig("trinomial", K=K) for K in K_SWEEP],
+                        lambda s: F(s))
     # bounded Borel payoffs: squared hedging error O(dt^(1/2)) (Gobet &
     # Temam 2001; Geiss 2002), so the residual vanishes like K^(-1/2)
     rate_ok, slope = _vanishes_at_rate(sw, -0.5)
@@ -90,8 +90,8 @@ def test_rate_clause_rejects_other_classes():
     for kind, fid in (("compensated_jump", "indicator_halfspace"),
                       ("trinomial", "square")):
         F = from_catalog(fid)
-        sw = residual_sweep(lambda K: ModelConfig(kind, K=K),
-                            lambda s: F(s), K_SWEEP)
+        sw = residual_sweep([ModelConfig(kind, K=K) for K in K_SWEEP],
+                            lambda s: F(s))
         rate_ok, slope = _vanishes_at_rate(sw, -0.5)
         assert not rate_ok, (kind, fid, slope)
 
@@ -99,9 +99,9 @@ def test_rate_clause_rejects_other_classes():
 def test_A3_vanishing_N_for_quadratic_bsde():
     t0 = time.perf_counter()
     rep = bsde.vanishing_N_experiment(
-        lambda K: ModelConfig("trinomial", K=K), None, indicator_halfspace(),
-        bsde.driver_from_catalog("pure_quadratic", gamma=1.0),
-        [0.1, 0.01], K_SWEEP)
+        [ModelConfig("trinomial", K=K) for K in K_SWEEP], None,
+        indicator_halfspace(),
+        bsde.driver_from_catalog("pure_quadratic", gamma=1.0), [0.1, 0.01])
     elapsed = time.perf_counter() - t0
     decr = rep.decreasing_in_K() and all(rep.decreasing_in_K(e)
                                          for e in (0.1, 0.01))
@@ -120,8 +120,9 @@ def test_A3_vanishing_N_for_quadratic_bsde():
 def test_A4_negative_controls():
     # (a) jump model: residual floor never below half its coarsest value
     F = from_catalog("square")
-    sw = residual_sweep(lambda K: ModelConfig("compensated_jump", K=K),
-                        lambda s: F(s), K_SWEEP)
+    sw = residual_sweep(
+        [ModelConfig("compensated_jump", K=K) for K in K_SWEEP],
+        lambda s: F(s))
     floor_ok = bool(np.all(sw.residuals >= 0.5 * sw.residuals[0]))
 
     # (b) product-noise with terminal depending only on the independent coin:
@@ -231,9 +232,8 @@ def test_A7_duality_gap_trend():
             _, tree, M, clock, mterm = _setup("binary", K)
             zeta = 0.5 * np.clip(mterm[:, 0], -1, 1)
             sol = bsde.solve_lipschitz(tree, M, clock, None, zeta,
-                                       bsde.truncated_driver(p, growth,
-                                                             eta=0.2))
-            dv = bsde.dual_value(tree, M, clock, zeta, growth, p, eta=0.2)
+                                       bsde.truncated_driver(p, growth))
+            dv = bsde.dual_value(tree, M, clock, zeta, growth, p)
             gaps.append(abs(sol.Y0 - float(np.ravel(dv.value.values)[0])))
         ok = ok and all(b < a for a, b in zip(gaps, gaps[1:])) \
             and gaps[-1] < 5e-2

@@ -245,7 +245,7 @@ def _property_driver(kind, c, kz):
     return DriverSpec(id="affine", klass="lipschitz",
                       f=lambda t, x, m, y, z: c * y + kz * z + 0.25,
                       growth={"a": 0.25, "b": abs(c), "gamma": 0.0},
-                      eta=0.25, y_part=(c, 0.0))
+                      y_part=(c, 0.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -561,13 +561,13 @@ def test_dual_gap_shrinks_with_refinement():
         tree, M, clock, mterm = binary_setup(K=K)
         zeta = 0.5 * np.clip(mterm, -1, 1)
         sol = solve_lipschitz(tree, M, clock, None, zeta,
-                              truncated_driver(1.0, growth, eta=0.2))
-        dv = dual_value(tree, M, clock, zeta, growth, 1.0, eta=0.2)
+                              truncated_driver(1.0, growth))
+        dv = dual_value(tree, M, clock, zeta, growth, 1.0)
         gaps.append(abs(sol.Y0 - float(np.ravel(dv.value.values)[0])))
     assert gaps[1] < gaps[0]
 
 
-def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
+def _dual_value_reference(tree, M, clock, zeta, growth, p):
     """The dual DP as it was before its candidates became columns: one
     weighted child sum per candidate nu, a loop over beta = +-b, and the
     floored edges counted as a rounded float sum.  Kept as the reference."""
@@ -579,8 +579,7 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p, eta=None):
                                tree.estart[lo:hi] - tree.estart[lo])
     b = float(growth["b"])
     gamma = float(growth["gamma"])
-    if eta is None:
-        eta = float(growth.get("a", 0.0))
+    eta = float(growth.get("a", 0.0))
     nt = tree.n_nonterminal
     dC = clock.dC.values
     qdiag = clock.factor(0, nt)
@@ -962,8 +961,8 @@ def test_vanishing_N_report_structure(monkeypatch):
         sweeps.append((np.shape(args[4])[1], args[5]))
         return levels(*args, **kwargs)
     monkeypatch.setattr(bsde, "_levels", counting)
-    rep = vanishing_N_experiment(lambda K: ModelConfig("trinomial", K=K),
-                                 None, F, drv, [0.1], [4, 8])
+    rep = vanishing_N_experiment([ModelConfig("trinomial", K=K)
+                                  for K in (4, 8)], None, F, drv, [0.1])
     assert len(rep.rows) == 4
     # one streamed sweep of the quadratic driver per K, with the raw column
     # and one column per eps
@@ -980,15 +979,15 @@ def test_refinement_frees_each_K_before_building_the_next(experiment):
     K = 64 alone: the previous K's tree, M and clock are not alive while
     the next K is set up (K = 32's would add over 100 kB)."""
     from orthres.gkw import residual_sweep
-    config_for = lambda K: ModelConfig("trinomial", K=K)  # noqa: E731
     F = indicator_halfspace()
 
     def run(K_list):
+        models = [ModelConfig("trinomial", K=K) for K in K_list]
         if experiment == "vanishing_N":
-            vanishing_N_experiment(config_for, None, F, bsde.zero_driver(),
-                                   [0.01], K_list)
+            vanishing_N_experiment(models, None, F, bsde.zero_driver(),
+                                   [0.01])
         else:
-            residual_sweep(config_for, F, K_list)
+            residual_sweep(models, F)
 
     def peak(K_list):
         tracemalloc.start()
@@ -1048,13 +1047,12 @@ def test_vanishing_N_rows_equal_per_eps_solves(kind, coeffs):
     F = indicator_halfspace()
     drv = driver_from_catalog("quadratic_mixed", gamma=1.0, b=0.5, eta=0.1)
     co = forward.from_catalog(coeffs) if coeffs else None
-    config_for = lambda K: ModelConfig(kind, K=K)  # noqa: E731
     K_list, eps_list = [6, 9], [0.3, 0.05]
-    rep = vanishing_N_experiment(config_for, co, F, drv, eps_list, K_list,
-                                 x0=0.2)
+    rep = vanishing_N_experiment([ModelConfig(kind, K=K) for K in K_list],
+                                 co, F, drv, eps_list, x0=0.2)
     rows = []
     for K in K_list:
-        built = build(config_for(K))
+        built = build(ModelConfig(kind, K=K))
         tree, M = built.tree, built.M
         clock = predictable_bracket(tree, M)
         X = None if co is None else forward.euler_forward(
@@ -1080,6 +1078,25 @@ def test_regularity_scan_bounded_derivatives():
     assert np.isfinite(scan.max_second_diff)
     # value is increasing in the start point for a monotone payoff
     assert np.all(np.diff(scan.u) >= -1e-12)
+
+
+def test_regularity_scan_starts_X_at_x0_zero_by_default():
+    """A scan given coefficients and no x0 starts X at 0.0, the name and
+    default of setup_problem, rather than at NaN; a terminal map of (x, m)
+    shows that x0 reaches X."""
+    built = build(ModelConfig("trinomial", K=10))
+    F = TerminalMap(id="x_and_m_1", arity=2,
+                    evaluator=lambda s: np.sin(s[:, 0]) + np.cos(s[:, 1]))
+    drv = driver_from_catalog("pure_quadratic", gamma=1.0)
+
+    def scan(**x0):
+        return regularity_scan(built.tree, built.M, 3,
+                               np.linspace(-1.0, 1.0, 5), F, drv,
+                               coeffs=forward.identity(), **x0)
+    default, zero, half = scan(), scan(x0=0.0), scan(x0=0.5)
+    assert np.array_equal(default.u, zero.u)
+    assert np.array_equal(default.z, zero.z)
+    assert not np.array_equal(half.u, zero.u)
 
 
 def _scan_per_column(tree, M, t_idx, grid, F, drv, coeffs, x):
@@ -1148,8 +1165,7 @@ def test_regularity_scan_sweeps_equal_per_column_solves(columns, drv, F,
                         _counting(calls, "sweep", bsde._levels))
     monkeypatch.setattr(bsde, "euler_forward",
                         _counting(calls, "euler", forward.euler_forward))
-    scan = regularity_scan(tree, M, 3, grid, F, drv, coeffs=coeffs,
-                           x_value=x)
+    scan = regularity_scan(tree, M, 3, grid, F, drv, coeffs=coeffs, x0=x)
     assert calls["sweep"] == math.ceil(len(grid) / width)
     assert calls["euler"] == (coeffs is not None)
     assert np.array_equal(scan.u, [s.Y0 for s in want])
@@ -1187,8 +1203,7 @@ def test_regularity_scan_extracts_once_and_clocks_once(monkeypatch):
         monkeypatch.setattr(f"{mod}.extract_subtree", extract_fn)
     monkeypatch.setattr(bsde, "_levels",
                         _counting(calls, "sweep", bsde._levels))
-    scan = regularity_scan(tree, M, 4, grid, F, drv, coeffs=coeffs,
-                           x_value=[0.0])
+    scan = regularity_scan(tree, M, 4, grid, F, drv, coeffs=coeffs, x0=0.0)
     assert calls == {"clock": 1, "extract": 1, "sweep": 3}
     assert np.array_equal(scan.u, want)
     # the shared clock moves u by a few ulps at most
@@ -1221,7 +1236,7 @@ def test_regularity_scan_root_z_is_the_central_difference(monkeypatch):
     monkeypatch.setattr(bsde, "_consume", keep)
     scan = regularity_scan(tree, M, 5, grid, sine(),
                            driver_from_catalog("pure_quadratic", gamma=1.0),
-                           coeffs=forward.identity(), x_value=[0.0])
+                           coeffs=forward.identity(), x0=0.0)
     assert len(sweeps) == 3
     y = np.concatenate([s[1][0] for s in sweeps], axis=1)
     z = np.concatenate([s[0][1] for s in sweeps], axis=1)
@@ -1651,8 +1666,7 @@ def test_benchmark_scan_runs_one_streamed_sweep(monkeypatch):
         tracemalloc.start()
         try:
             regularity_scan(tree, M, 48, np.linspace(-1.0, 1.0, count),
-                            sine(), drv, coeffs=forward.identity(),
-                            x_value=[0.0])
+                            sine(), drv, coeffs=forward.identity(), x0=0.0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1664,7 +1678,7 @@ def test_benchmark_scan_runs_one_streamed_sweep(monkeypatch):
     monkeypatch.setattr(bsde, "_levels",
                         _counting(calls, "sweep", bsde._levels))
     regularity_scan(tree, M, 48, np.linspace(-1.0, 1.0, 41), sine(), drv,
-                    coeffs=forward.identity(), x_value=[0.0])
+                    coeffs=forward.identity(), x0=0.0)
     assert calls == {"euler": 1, "sweep": 1}
 
 
@@ -1685,7 +1699,7 @@ def test_scan_columns_share_one_x(monkeypatch):
         tracemalloc.start()
         try:
             regularity_scan(tree, M, 16, np.linspace(-1.0, 1.0, count),
-                            sine(), drv, coeffs=coeffs, x_value=[0.0, 0.5])
+                            sine(), drv, coeffs=coeffs, x0=[0.0, 0.5])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

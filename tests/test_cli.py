@@ -179,6 +179,33 @@ TOLERANCE_ERRORS = [
                  id="t_idx_fractional"),
     pytest.param({**SCAN, "tolerances": {"m_count": 3.5}},
                  id="m_count_fractional"),
+    # a JSON bool is not a number: K_list [true, 6] once ran a K = 1 row
+    pytest.param({"K_list": [True, 6]}, id="K_list_bool"),
+    pytest.param({"experiment": "dual_check",
+                  "driver": {"id": "pure_quadratic",
+                             "params": {"gamma": 1.0}},
+                  "p_list": [True]}, id="p_list_bool"),
+    pytest.param({"experiment": "cascade", "K_list": [],
+                  "driver": {"id": "pure_quadratic",
+                             "params": {"gamma": 1.0}},
+                  "n_list": [True, 4]}, id="n_list_bool"),
+    pytest.param({"model": {"kind": "trinomial", "K": True}}, id="K_bool"),
+    pytest.param({"seed": True}, id="seed_bool"),
+    pytest.param({**SCAN, "coeffs": {"id": "identity", "x0": False}},
+                 id="x0_bool"),
+    pytest.param({**SCAN, "tolerances": {"t_idx": True}}, id="t_idx_bool"),
+    pytest.param({"model": {"kind": "binary", "params": {"h": True}}},
+                 id="model_param_bool"),
+    # "false" once built the recombining lattice
+    *(pytest.param({"model": {"kind": "binary", "params": {"recombine": v}}},
+                   id=f"recombine_{name}")
+      for name, v in (("string", "false"), ("zero", 0), ("null", None))),
+    # the cascade solves at one p, and once dropped every p_list entry but
+    # the first
+    pytest.param({"experiment": "cascade", "K_list": [],
+                  "driver": {"id": "pure_quadratic",
+                             "params": {"gamma": 1.0}},
+                  "p_list": [1, 2]}, id="cascade_two_p"),
     pytest.param({**SCAN, "driver": {"id": "pure_quadratic",
                                      "params": {"gamma": -1.0}}},
                  id="gamma_negative"),
@@ -352,6 +379,22 @@ def test_exit_2_when_over_node_cap(tmp_path, monkeypatch, capsys):
     path, _ = write_cfg(tmp_path)
     assert main(["run", str(path)]) == 2
     assert "invariant violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,cap", [
+    ("run", "abc"), ("run", "1e6"), ("run", ""), ("run", "-5"), ("run", "0"),
+    ("verify", "abc"), ("verify", "-5")])
+def test_exit_3_on_a_node_cap_that_is_not_a_positive_integer(
+        tmp_path, monkeypatch, capsys, cmd, cap):
+    """ORTHRES_NODE_CAP abc, 1e6 or empty once ended in a traceback, and -5
+    in exit 2 as if every model were over the cap."""
+    monkeypatch.setenv("ORTHRES_NODE_CAP", cap)
+    path, _ = write_cfg(tmp_path)
+    assert main([cmd, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("config error: ORTHRES_NODE_CAP must be a positive "
+                   f"integer, got {cap!r}\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_exit_2_when_the_conditional_variance_overflows(tmp_path, capsys):
@@ -596,6 +639,25 @@ def test_run_dual_check(tmp_path):
     assert all(r["gap"] <= 1e-12 for r in rep["rows"])
 
 
+def test_dual_check_reports_K_as_an_integer(tmp_path):
+    """A K given as 8.0 is reported as 8 in every report, as residual_sweep
+    reports it: each row's K is its model's."""
+    path, _ = write_cfg(
+        tmp_path, experiment="dual_check", model={"kind": "binary"},
+        driver={"id": "pure_quadratic", "params": {"gamma": 1.0}},
+        K_list=[8.0, 16], p_list=[2])
+    assert main(["run", str(path)]) == 0
+    csv = (tmp_path / "out.csv").read_text().splitlines()
+    assert csv[0].split(",")[1] == "K"
+    assert [line.split(",")[1] for line in csv[1:]] == ["8", "16"]
+    tsv = (tmp_path / "out.curves.tsv").read_text().splitlines()
+    assert [line.split("\t")[0] for line in tsv if "\t" in line] == [
+        "8", "16"]
+    rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+    assert [r["K"] for r in rows] == [8, 16]
+    assert all(type(r["K"]) is int for r in rows)
+
+
 @pytest.mark.parametrize("exp", ["dual_check", "cascade"])
 def test_verify_and_run_refuse_a_non_quadratic_driver_alike(tmp_path, capsys,
                                                             exp):
@@ -626,7 +688,7 @@ def test_run_regularity_scan_reports_the_gradient_gap(tmp_path):
     built = build(ModelConfig("trinomial", K=16))
     scan = bsde.regularity_scan(built.tree, built.M, 6, np.linspace(-1, 1, 9),
                                 sine(), bsde.pure_quadratic(1.0),
-                                coeffs=forward.identity(), x_value=[0.0])
+                                coeffs=forward.identity(), x0=0.0)
     assert [r["u"] for r in rep["rows"]] == scan.u.tolist()
     assert rep["summary"]["max_grad_gap"] == scan.max_grad_gap
     assert 0 < scan.max_grad_gap < 0.05
@@ -646,7 +708,7 @@ FUZZ_BASES = {
                    "K_list": [4], "p_list": [2]},
     "cascade": {"F": {"id": "sine"},
                 "driver": {"id": "pure_quadratic", "params": {"gamma": 1.0}},
-                "p_list": [1, 2], "n_list": [2, 4]},
+                "p_list": [1], "n_list": [2, 4]},
     "comparison_campaign": {"seeds": 2},
     "mollify_sweep": {"F": {"id": "square"}, "eps_list": [0.1],
                       "tolerances": {"scan_spacing": 0.01}},
@@ -864,9 +926,8 @@ def test_dual_check_builds_and_clocks_once_per_K(tmp_path, monkeypatch):
             zeta = F(M.values[lo:hi])
             sol = bsde.solve_lipschitz(
                 tree, M, clock, None, zeta,
-                bsde.truncated_driver(float(p), drv.growth, drv.eta))
-            dv = bsde.dual_value(tree, M, clock, zeta, drv.growth, float(p),
-                                 eta=drv.eta)
+                bsde.truncated_driver(float(p), drv.growth))
+            dv = bsde.dual_value(tree, M, clock, zeta, drv.growth, float(p))
             dual = float(np.ravel(dv.value.values)[0])
             want.append({"p": p, "K": K, "primal_Y0": sol.Y0,
                          "dual_Y0": dual, "gap": abs(sol.Y0 - dual),

@@ -319,15 +319,15 @@ def test_residual_sweep_clocks_without_increments(monkeypatch):
         seen.append(increments)
         return predictable_bracket(tree, M, increments)
     monkeypatch.setattr(bsde, "predictable_bracket", clock)
-    config_for = lambda K: ModelConfig("trinomial", K=K)
-    residual_sweep(config_for, indicator_halfspace(), [4])
-    vanishing_N_experiment(config_for, None, indicator_halfspace(),
-                           zero_driver(), [0.1], [4])
+    models = [ModelConfig("trinomial", K=4)]
+    residual_sweep(models, indicator_halfspace())
+    vanishing_N_experiment(models, None, indicator_halfspace(),
+                           zero_driver(), [0.1])
     assert seen == [False, False]
-    vanishing_N_experiment(config_for, identity(), indicator_halfspace(),
-                           zero_driver(), [0.1], [4])
-    vanishing_N_experiment(config_for, None, indicator_halfspace(),
-                           constant(0.0), [0.1], [4])
+    vanishing_N_experiment(models, identity(), indicator_halfspace(),
+                           zero_driver(), [0.1])
+    vanishing_N_experiment(models, None, indicator_halfspace(),
+                           constant(0.0), [0.1])
     assert seen == [False, False, True, True]
 
 
@@ -444,15 +444,15 @@ def test_level_profile_sums_to_total(rng):
 
 def test_residual_sweep_binary_all_zero():
     F = square()
-    sw = residual_sweep(lambda K: ModelConfig("binary", K=K),
-                        lambda s: F(s), [2, 4, 8])
+    sw = residual_sweep([ModelConfig("binary", K=K) for K in (2, 4, 8)],
+                        lambda s: F(s))
     npt.assert_allclose(sw.residuals, 0.0, atol=1e-15)
 
 
 def test_residual_sweep_trinomial_decreasing():
     F = indicator_halfspace()
-    sw = residual_sweep(lambda K: ModelConfig("trinomial", K=K),
-                        lambda s: F(s), [8, 16, 32])
+    sw = residual_sweep([ModelConfig("trinomial", K=K) for K in (8, 16, 32)],
+                        lambda s: F(s))
     assert sw.strictly_decreasing()
     assert sw.trend_statistic() > 0
     assert all(r.n_nodes == (r.K + 1) ** 2 for r in sw.rows)
@@ -471,8 +471,8 @@ def test_residual_is_invariant_under_the_scale_of_M(kind):
     h; the trinomial one is not, and is the same at every h."""
     F = indicator_halfspace()
     got = [residual_sweep(
-        lambda K: ModelConfig(kind, K=K, params={"h": h}),
-        lambda s: F(s), [4, 6]).residuals for h in SCALES]
+        [ModelConfig(kind, K=K, params={"h": h}) for K in (4, 6)],
+        lambda s: F(s)).residuals for h in SCALES]
     want = got[SCALES.index(1.0)]
     for h, r in zip(SCALES, got):
         npt.assert_allclose(r, want, rtol=0, atol=1e-12, err_msg=f"h = {h}")
@@ -485,16 +485,17 @@ def test_residual_is_invariant_under_the_scale_of_M(kind):
 def test_residual_sweep_trinomial_indicator_matches_exact_reference():
     F = indicator_halfspace()
     Ks = [8, 64]
-    sw = residual_sweep(lambda K: ModelConfig("trinomial", K=K),
-                        lambda s: F(s), Ks)
+    sw = residual_sweep([ModelConfig("trinomial", K=K) for K in Ks],
+                        lambda s: F(s))
     ref = [exact_trinomial_indicator_residual(K) for K in Ks]
     npt.assert_allclose(sw.residuals, ref, rtol=1e-12, atol=0)
 
 
 def test_residual_sweep_jump_floor():
     F = square()
-    sw = residual_sweep(lambda K: ModelConfig("compensated_jump", K=K),
-                        lambda s: F(s), [8, 16, 32])
+    sw = residual_sweep(
+        [ModelConfig("compensated_jump", K=K) for K in (8, 16, 32)],
+        lambda s: F(s))
     assert np.all(sw.residuals >= 0.5 * sw.residuals[0])
     assert sw.residuals.min() > 1.0
 
@@ -502,9 +503,10 @@ def test_residual_sweep_jump_floor():
 def test_residual_sweep_row_is_the_vanishing_N_raw_column():
     F = indicator_halfspace()
     for kind, K in (("trinomial", 32), ("compensated_jump", 16)):
-        row, = residual_sweep(lambda K: ModelConfig(kind, K=K), F, [K]).rows
-        report = vanishing_N_experiment(lambda K: ModelConfig(kind, K=K),
-                                        None, F, zero_driver(), [0.01], [K])
+        model = ModelConfig(kind, K=K)
+        row, = residual_sweep([model], F).rows
+        report = vanishing_N_experiment([model], None, F, zero_driver(),
+                                        [0.01])
         raw = next(r for r in report.rows if np.isnan(r.eps))
         assert row.bracketNN_T == raw.bracketNN_T
 

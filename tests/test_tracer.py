@@ -104,8 +104,8 @@ def test_tracer_counts_the_kernel_calls_and_edges_of_a_sweep(monkeypatch):
     tracing.install(tr)
     try:
         report = bsde.vanishing_N_experiment(
-            lambda K: models.ModelConfig("trinomial", K=K), None,
-            indicator_halfspace(), bsde.zero_driver(), [0.01], [K])
+            [models.ModelConfig("trinomial", K=K)], None,
+            indicator_halfspace(), bsde.zero_driver(), [0.01])
         sweep = [c for c in calls if c[0] == "level_moments_d1"]
         built = models.build(models.ModelConfig("trinomial", K=K))
         tree, M = built.tree, built.M
@@ -162,8 +162,8 @@ def test_residual_sweep_runs_one_solver_sweep_and_no_decomposition(
     tracing.install(tr)
     try:
         sweep = gkw.residual_sweep(
-            lambda K: models.ModelConfig("compensated_jump", K=K),
-            indicator_halfspace(), [K])
+            [models.ModelConfig("compensated_jump", K=K)],
+            indicator_halfspace())
         metrics = tracing.layer_metrics(tr, 1.0)
     finally:
         tr.uninstall()
