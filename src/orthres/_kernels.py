@@ -11,8 +11,10 @@ arity r (``ScenarioTree.arity``) with 2 <= r <= 7, as ``(r, n)``, entry
 order.  ``edge_probs`` lays out the range's probabilities that way, a
 tree's move row (``ScenarioTree.probs`` of shape (1, r)) as an (r, 1) view
 that broadcasts over the nodes and a per-edge array as its slice, and
-``edge_increments`` forms dm in it, so no sweep holds a full-size per-edge
-array; ``store_edges`` writes one back in edge order.
+``edge_increments`` forms dm in it from M on the range and on its
+children's window (``child_window``), so no sweep holds a full-size
+per-edge or per-node array of M; ``store_edges`` writes one back in edge
+order.
 ``level_moments_d1`` and ``residual_moments_d1`` take the range's
 ``edge_probs`` as ``p``, so a caller lays them out once per level; the
 martingale check and the clock (``ftree``) call the kernels one level, or
@@ -108,6 +110,19 @@ def _first_child(tree, lo, hi):
     return None if hi > ls[k + 1] else int(ls[k + 1] + s * (lo - ls[k]))
 
 
+def child_window(tree, lo, hi):
+    """[c0, c1), a node range that holds every child of the nodes [lo, hi):
+    exactly the strided view's where the range lies within one level of a
+    tree with a ``child_stride``, else the levels below the range's first
+    and last levels."""
+    first = _first_child(tree, lo, hi)
+    if first is not None:
+        return first, first + tree.child_stride * (hi - lo - 1) + tree.arity
+    ls = tree.level_start
+    return (int(ls[tree.level_of(lo) + 1]),
+            int(ls[tree.level_of(hi - 1) + 2]))
+
+
 def _gather(v, idx):
     """v[..., idx]: numpy's 1-D fancy index, or np.take along the last
     axis, which is the faster of the two for rows."""
@@ -120,8 +135,7 @@ def _children(tree, v, lo, hi, base):
     strided = _strided(tree)
     first = _first_child(tree, lo, hi) if strided else None
     if first is None:
-        idx = tree.edge_children(lo, hi)
-        vc = _gather(v, idx - base if base else idx)
+        vc = _gather(v, tree.edge_children(lo, hi, base))
         # on a strided tree, gathered in edge order and read as (..., r, n)
         # through a transpose
         return vc.reshape(v.shape[:-1] + (hi - lo, tree.arity)).swapaxes(
@@ -168,11 +182,12 @@ def edge_probs(tree, lo, hi):
     return p if _first_child(tree, lo, hi) is None else np.ascontiguousarray(p)
 
 
-def edge_increments(tree, m, lo, hi):
-    """dm = m[child] - m[parent] on the edges of [lo, hi), in their
-    layout."""
-    return _children(tree, m, lo, hi, 0) - parent_values(tree, m[lo:hi], lo,
-                                                         hi)
+def edge_increments(tree, m, mc, lo, hi, base=0):
+    """dm = m[child] - m[parent] on the edges of [lo, hi), in their layout,
+    from m (hi - lo,) on the range and mc on its children, ``mc[i - base]``
+    being node i's value."""
+    return (_children(tree, mc, lo, hi, base)
+            - parent_values(tree, m, lo, hi))
 
 
 def edge_sum(tree, w, lo, hi):
@@ -183,9 +198,10 @@ def edge_sum(tree, w, lo, hi):
     return np.add.reduceat(w, tree.estart[lo:hi] - tree.estart[lo], axis=-1)
 
 
-def backward_expect(tree, vals, lo, hi):
-    """E[vals at children | node] for each node id in [lo, hi)."""
-    vc = _children(tree, vals.T, lo, hi, 0)
+def backward_expect(tree, vals, lo, hi, base=0):
+    """E[vals at children | node] for each node id in [lo, hi);
+    ``vals[i - base]`` is node i's value."""
+    vc = _children(tree, vals.T, lo, hi, base)
     return edge_sum(tree, edge_probs(tree, lo, hi) * vc, lo, hi).T
 
 

@@ -16,7 +16,7 @@ from . import _kernels
 from .errors import ContractionError, InvariantViolation, SolverError
 from .ftree import (AdaptedProcess, PredictableField,
                     conditional_covariances, level_variances,
-                    predictable_bracket)
+                    level_windows, predictable_bracket)
 from . import models as _models
 from .forward import euler_forward, extract_subtree
 
@@ -151,8 +151,11 @@ def inf_convolve(driver, n):
 # -- catalog ----------------------------------------------------------------
 
 def _param(value, name, nonnegative=False):
-    """A catalog parameter as a float; it must be finite, and >= 0 where the
-    driver's sign or growth depends on it."""
+    """A catalog parameter as a float; it must be a number, not a bool,
+    finite, and >= 0 where the driver's sign or growth depends on it."""
+    if isinstance(value, bool):
+        raise ValueError(f"driver parameter {name} must be a number, got "
+                         f"{value!r}")
     v = float(value)
     if not math.isfinite(v) or (nonnegative and v < 0):
         raise ValueError(f"driver parameter {name} must be finite"
@@ -342,16 +345,18 @@ def _levels(tree, M, clock, X, zeta, driver):
 
     Yields ``(k, a, b, y, z, z_arg, edges)`` for k = K-1 .. 0: level k's
     nodes [a, b), their y and Z, and the z the driver was evaluated at,
-    q Z, column-major, then the level's per-edge ``edges = (dm, dy, p)`` in
-    its layout (see _kernels), which ``_closed`` turns into the level's
-    residuals; the consumer must not write to y, z or z_arg.  Only the
-    level below's y and the level's own per-edge p, p dm, dm and dy are
-    held, p laid out once for both kernels, and E[dm^2 | node] is formed
-    from p dm and dm.  Every check of solve_lipschitz but the finiteness
-    of E[[N]_T] is made here: the leaf values, the contraction, a Sigma
-    that is not finite, the projection test and the implicit step's
-    miss.  A sweep that reads only y and Z consumes these levels as they
-    are and forms no residual.
+    q Z, column-major, then ``edges = (dm, dy, p, m)``: the level's
+    per-edge dm, dy and p in its layout (see _kernels), which ``_closed``
+    turns into the level's residuals, and its M; the consumer must not
+    write to y, z, z_arg or m.  Only the level below's y and M and the
+    level's own M, per-edge p, p dm, dm and dy are held, p laid out once
+    for both kernels, and E[dm^2 | node] is formed from p dm and dm; each
+    level's M is formed once, and is the children's M of the level above.
+    Every check of solve_lipschitz but the finiteness of E[[N]_T] is made
+    here: the leaf values, the contraction, a Sigma that is not finite,
+    the projection test and the implicit step's miss.  A sweep that reads
+    only y and Z consumes these levels as they are and forms no
+    residual.
 
     On a clock without increments (dC None) only the zero driver is
     taken, and its step is the closure y = E[y'] + 0.0, bit for bit the
@@ -365,7 +370,6 @@ def _levels(tree, M, clock, X, zeta, driver):
             "without them takes only the zero driver")
     # per-node arrays broadcast over the columns of a batch
     col = (slice(None),) + (None,) * (zeta.ndim - 1)
-    m = M.scalar
     if not closure:
         dC = clock.dC.values
         dc_max = float(dC.max()) if dC.size else 0.0
@@ -373,7 +377,7 @@ def _levels(tree, M, clock, X, zeta, driver):
             raise ContractionError(
                 f"lip_y * dC_max = {driver.lip_y * dc_max:.3f} >= 1; refine "
                 "the time grid")
-        mcol, dC = m[col], dC[col]
+        dC = dC[col]
         zero = np.zeros((int(np.diff(tree.level_start).max()),)
                         + zeta.shape[1:], order="F")
     # y -> y - (k_y y + b|y|) dC has slope 1 - k_pos dC above 0 and
@@ -385,11 +389,10 @@ def _levels(tree, M, clock, X, zeta, driver):
     # rows, and the level's (n, B) arithmetic with per-node and per-column
     # operands runs B inner loops of n, not n loops of B
     y = np.asfortranarray(zeta)
-    base = tree.level_start[tree.K]  # y[i - base] is node i's y
-    for k in range(tree.K - 1, -1, -1):
-        a, b = tree.level_slice(k)
+    # y[i - base] is node i's y, as mc[i - base] is its M
+    for k, a, b, m, mc, base in level_windows(tree, M):
         # the level's own increments: no full-size dm is kept
-        dm = _kernels.edge_increments(tree, m, a, b)
+        dm = _kernels.edge_increments(tree, m, mc, a, b, base)
         p = _kernels.edge_probs(tree, a, b)
         pdm = p * dm
         s2 = level_variances(tree, pdm, dm, a, b)  # E[dm^2 | node]
@@ -406,7 +409,7 @@ def _levels(tree, M, clock, X, zeta, driver):
         else:
             z_arg = clock.factor(a, b, s2)[col] * z
             xk = X.values[a:b] if X is not None else None
-            mk = mcol[a:b]
+            mk = m[col]
             dck = dC[a:b]
             r = ey + driver(t[k], xk, mk, zero[:b - a], z_arg) * dck
             y = r / (1.0 - np.where(r < 0, k_neg, k_pos) * dck)
@@ -416,8 +419,7 @@ def _levels(tree, M, clock, X, zeta, driver):
                 ok = miss <= FP_TOL * np.maximum(1.0, np.abs(y))
                 if not ok.all():
                     raise _step_miss(k, miss, y, ok, driver.y_part)
-        base = a
-        yield k, a, b, y, z, z_arg, (dm, dy, p)
+        yield k, a, b, y, z, z_arg, (dm, dy, p, m)
         # the consumed level's per-edge arrays are not held while the next
         # level's are formed
         del dm, p, pdm, dy
@@ -436,8 +438,8 @@ def _closed(tree, M, clock, X, zeta, driver):
     non-finite E[[N]_T] raises InvariantViolation, naming the first such
     column of a batch."""
     bracket, path_probs = 0.0, tree.descending_path_probs()
-    for k, a, b, y, z, z_arg, (dm, dy, p) in _levels(tree, M, clock, X,
-                                                     zeta, driver):
+    for k, a, b, y, z, z_arg, (dm, dy, p, _) in _levels(tree, M, clock, X,
+                                                        zeta, driver):
         pp = next(path_probs)[1]
         dn, res = _kernels.residual_moments_d1(tree, dm, dy, z, a, b, p=p)
         w = pp if y.ndim == 1 else pp[:, None]
@@ -610,16 +612,14 @@ def dual_value(tree, M, clock, zeta, growth, p):
     b = float(growth["b"])
     gamma = float(growth["gamma"])
     eta = float(growth.get("a", 0.0))
-    m = M.scalar
     dC = clock.increments()
     W = np.empty(tree.n_nodes)
     lo, hi = tree.level_slice(tree.K)
     W[lo:hi] = zeta
     floored = 0
     nu_grid = np.linspace(-float(p), float(p), DUAL_NU_POINTS)
-    for k in range(tree.K - 1, -1, -1):
-        a, bb = tree.level_slice(k)
-        dm = _kernels.edge_increments(tree, m, a, bb)
+    for k, a, bb, m, mc, base in level_windows(tree, M):
+        dm = _kernels.edge_increments(tree, m, mc, a, bb, base)
         p_e = _kernels.edge_probs(tree, a, bb)
         pdm = p_e * dm
         s2 = level_variances(tree, pdm, dm, a, bb)
@@ -675,13 +675,13 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
     column j is compared with column j + B/2: zeta_j >= zeta_{j+B/2} and
     f_j >= f_{j+B/2} along (Y_{j+B/2}, Z_{j+B/2} q*) imply
     Y_j >= Y_{j+B/2}.  Preconditions are verified, not assumed.  Per level
-    the driver is evaluated once, on the lower half's (y, q z) twice over,
-    and the running min of Y_j - Y_{j+B/2} keeps the lowest node of a tie,
-    as argmin does; no full-size array is kept.  The sweep is the step
-    alone (``_levels``): it makes every check of solve_lipschitz but forms
-    no residual, so a solution whose E[[N]_T] would overflow still gets
-    its verdicts.  X, if given, is shared by the columns.  Returns B/2
-    verdicts."""
+    the driver is evaluated once, at the M the sweep formed for the level,
+    on the lower half's (y, q z) twice over, and the running min of
+    Y_j - Y_{j+B/2} keeps the lowest node of a tie, as argmin does; no
+    full-size array is kept.  The sweep is the step alone (``_levels``):
+    it makes every check of solve_lipschitz but forms no residual, so a
+    solution whose E[[N]_T] would overflow still gets its verdicts.  X, if
+    given, is shared by the columns.  Returns B/2 verdicts."""
     zeta = _leaf_values(tree, zeta)
     if zeta.ndim != 2 or zeta.shape[1] % 2:
         raise ValueError("compare needs (leaves, B) terminal data with B "
@@ -692,7 +692,6 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
     h = zeta.shape[1] // 2
     pairs = np.arange(h)
     lower = slice(h, None)
-    m = M.scalar[:, None]
     t = tree.grid.t
     # the leaves first, then each level: a later (lower) node wins a tie
     diff = zeta[:, :h] - zeta[:, h:]
@@ -705,7 +704,8 @@ def compare(tree, M, clock, X, zeta, driver, tol_cmp=1e-11):
     def check(k, a, b, y, z, z_arg, edges):
         nonlocal worst_pre, worst, node
         xk = X.values[a:b] if X is not None else None
-        f = driver(t[k], xk, m[a:b], np.concatenate([y[:, lower]] * 2, axis=1),
+        f = driver(t[k], xk, edges[3][:, None],
+                   np.concatenate([y[:, lower]] * 2, axis=1),
                    np.concatenate([z_arg[:, lower]] * 2, axis=1))
         worst_pre = np.minimum(worst_pre, np.min(f[:, :h] - f[:, h:], axis=0))
         diff = y[:, :h] - y[:, lower]
@@ -756,7 +756,7 @@ def _terminal_values(tree, M, X, F, shifts=None):
     the same in every column.  A batch evaluates F once on the stacked leaf
     rows, each the row of its own column's evaluation."""
     lo, hi = tree.level_slice(tree.K)
-    m = M.values[lo:hi]
+    m = M.range(lo, hi)[:, None]
     if shifts is not None:
         # column-minor rows: leaf i of column j is row i * B + j
         m = (m[:, None, :] + shifts[:, None]).reshape(-1, M.dim)
@@ -875,7 +875,7 @@ def regularity_scan(tree, M, t_idx, m_grid, F, driver, coeffs=None, x0=0.0):
     """
     lo, _ = tree.level_slice(t_idx)
     sub, order = extract_subtree(tree, lo)
-    M0 = AdaptedProcess(sub, M.values[order] - M.values[lo])
+    M0 = AdaptedProcess(sub, M.take(order) - M.range(lo, lo + 1))
     clock = predictable_bracket(sub, M0)
     m_grid = np.asarray(m_grid, dtype=float)
     X = None if coeffs is None else euler_forward(sub, M0, clock, coeffs, x0)

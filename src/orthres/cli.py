@@ -466,7 +466,7 @@ def _run_comparison_campaign(cfg):
     second), sized by the sweep byte budget."""
     tree, M, clock, _ = bsde.setup_problem(cfg.model)
     lo, hi = tree.level_slice(tree.K)
-    mterm = M.scalar[lo:hi]
+    mterm = M.range(lo, hi)
     group = max(1, bsde.columns_per_sweep(tree) // 2)
     end = cfg.seed + cfg.seeds
     rows = []

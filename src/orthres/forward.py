@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .ftree import AdaptedProcess, ScenarioTree, TimeGrid
+from .ftree import AdaptedProcess, ScenarioTree, TimeGrid, level_windows
 
 # largest gap between the states two edges give one recombined node
 CONSISTENCY_TOL = 1e-9
@@ -50,14 +50,13 @@ def euler_forward(tree, M, clock, coeffs, x0):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
-    m = M.scalar
     X = np.zeros((tree.n_nodes, n))
     X[0] = x0
     dC = clock.increments()
     t, ls = tree.grid.t, tree.level_start.tolist()
     s, r = tree.child_stride, tree.arity
-    for k in range(tree.K):
-        lo, hi, end = ls[k:k + 3]
+    for k, lo, hi, mk, mc, base in level_windows(tree, M, descending=False):
+        end = ls[k + 2]
         # sigma dm is added to x + 0.0, which turns a -0.0 state to +0.0:
         # the per-edge reference sums sigma dm from +0.0 (an einsum), and
         # (x + 0.0) + sigma dm is x + (0.0 + sigma dm) bit for bit
@@ -68,10 +67,10 @@ def euler_forward(tree, M, clock, coeffs, x0):
         drift = drift.reshape(xk.shape) * dC[lo:hi, None]
         # the level's and the next level's M and X, indexed from their
         # first nodes
-        mk, mc, xc = m[lo:hi, None], m[hi:end, None], X[hi:end]
+        mk, mc, xc = mk[:, None], mc[:, None], X[hi:end]
         if s is None:
             moves = [(tree.edge_parents(lo, hi) - lo,
-                      tree.edge_children(lo, hi) - hi)]
+                      tree.edge_children(lo, hi, base))]
         else:
             moves = [(slice(None), slice(i, i + s * (hi - lo - 1) + 1, s))
                      for i in range(r - 1, -1, -1)]
@@ -165,7 +164,7 @@ def shift_start(tree, M, t_idx, node, m, coeffs=None, clock=None, x=None):
         raise ValueError(f"node {node} is not at level {t_idx}")
     sub, order = extract_subtree(tree, node)
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    Msub = AdaptedProcess(sub, M.values[order] - M.values[node] + m)
+    Msub = AdaptedProcess(sub, M.take(order) - M.range(node, node + 1) + m)
     if coeffs is None:
         return sub, Msub
     if clock is None:
@@ -180,7 +179,11 @@ def shift_start(tree, M, t_idx, node, m, coeffs=None, clock=None, x=None):
 # ---------------------------------------------------------------------------
 
 def _param(value, name):
-    """A catalog parameter as a float, which must be finite."""
+    """A catalog parameter as a float, which must be a number, not a bool,
+    and finite."""
+    if isinstance(value, bool):
+        raise ValueError(f"coefficient parameter {name} must be a number, "
+                         f"got {value!r}")
     v = float(value)
     if not math.isfinite(v):
         raise ValueError(f"coefficient parameter {name} must be finite, "

@@ -5,28 +5,37 @@ grouped by parent node.  Recombining lattices are supported as level-layered
 DAGs: a node may have several incoming edges.  A tree's builder gives its
 edges as index arrays, which the tree keeps, as children alone where every
 node has the same number of edges, whose parents are then computed, or in
-one closed form (a ``child_stride``), from which their parents and children
-are computed and no per-edge index array is stored.  It gives their
+one of two closed forms, from which their parents and children are computed
+and no per-edge index array is stored: a ``child_stride``, or a table of
+child offsets whose prefixes serve every level.  It gives their
 probabilities as one move row that every non-terminal node shares (every
 model builder does), or one per edge; a node's level is read off
 ``level_start``.  A tree with r edges out of every non-terminal node
 computes its edge offsets where they are read (``EdgeOffsets``).  A tree
 keeps its path probabilities only on every c-th level, c = floor(sqrt(K)),
 and steps a level forward from the checkpoint above it where it is read.
-So a closed-form lattice keeps no per-node array.
+So a closed-form tree keeps no per-node or per-edge array.
 
-The martingale M is scalar (d = 1).  The martingale check, the conditional
-variances and the clock run one level at a time, narrow levels merged into
-runs of at most ``RUN_NODES`` nodes, and read a level's children as a view
-where the tree has a ``child_stride``: beyond their outputs no temporary
-outgrows a level or a run.  The clock stores at most its increments dC,
-and none where no reader needs them (the GKW closure steps on E[dM^2 |
-node] alone): it carries the accumulated trace for two levels, and the
-conditional variances Sigma and its factor q are formed on demand for a
+The martingale M is scalar (d = 1).  It is read only by node range
+(``range``) or node ids (``take``), so a process may be stored
+(``AdaptedProcess``) or formed level by level where it is read
+(``ClosedFormProcess``, the lattices' M); the sweeps that go level by
+level read it through ``level_windows``, which forms each level's M once.
+The martingale check, the conditional variances and the clock run one
+level at a time, narrow levels merged into runs of at most ``RUN_NODES``
+nodes, each run reading M on itself and on the window of nodes that holds
+its children, which the next run takes as its own where it is that
+window, and read a level's children as a view where the tree has a
+``child_stride``: beyond their outputs no temporary outgrows a level or a
+run.  The clock stores at most its
+increments dC, and none where no reader needs them (the GKW closure steps on
+E[dM^2 | node] alone): it carries the accumulated trace for two levels, and
+the conditional variances Sigma and its factor q are formed on demand for a
 node range where they are read.  A tree stores its edges' children as
 int32 where its node ids fit, and every read gives them as int64.
 """
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -146,8 +155,8 @@ class ScenarioTree:
         every level move i of level-local node j lands on level-local node
         s*j + i of the next level (1 on line lattices and their subtrees, r
         on full trees numbered level by level), None on a tree given
-        arrays; where it is set, the kernels read a level's children as a
-        strided view of the level below
+        arrays or child offsets; where it is set, the kernels read a level's
+        children as a strided view of the level below
 
     The probabilities are given as one (1, r) row, move i of every
     non-terminal node being its i-th edge, as every model builder gives
@@ -158,9 +167,15 @@ class ScenarioTree:
     closed form as None for both: then every non-terminal node has r edges
     (the row's r, or len(eprob) / n_nonterminal), each level's size must be
     s*(n - 1) + r for the n nodes above it and one stride 1 <= s <= r, and
-    the tree keeps no per-edge index arrays.  Kept children are stored in
-    ``id_dtype(n_nodes)``, int32 where the node ids fit (4 bytes an edge,
-    taken as given when they come in it), and kept parents as int64.
+    the tree keeps no per-edge index arrays; or as None for both with
+    ``child_offsets``, an (w, r) integer table: move i of level-local node
+    j of every level k lands on level-local node child_offsets[j, i] of
+    level k + 1, so one table of the widest non-terminal level's rows
+    serves every level by its prefix (the two-sided jump lattice, whose
+    levels no stride fits), and the tree keeps that table alone.  Kept
+    children are stored in ``id_dtype(n_nodes)``, int32 where the node ids
+    fit (4 bytes an edge, taken as given when they come in it), and kept
+    parents as int64.
     ``edge_parents`` and ``edge_children`` give the edges of any node
     range as int64, from the closed form, as slices of the kept parents or
     as int64 copies of the kept children's slices; ``level_of`` gives a
@@ -176,9 +191,12 @@ class ScenarioTree:
     non-terminal levels from K - 1 to 0, one block of c levels at a time.
     """
 
-    def __init__(self, grid, level_start, eparent, echild, eprob):
+    def __init__(self, grid, level_start, eparent, echild, eprob,
+                 child_offsets=None):
         self.grid = grid
         self.level_start = ls = np.asarray(level_start, dtype=np.int64)
+        # the same offsets as ints, which a level lookup bisects
+        self._bounds = ls.tolist()
         self.probs = p = np.asarray(eprob, dtype=float)
         n = int(ls[-1])
         self.n_nodes = n
@@ -193,11 +211,22 @@ class ScenarioTree:
                                      f"move row or one per edge, got shape "
                                      f"{p.shape}")
         nt = self.n_nonterminal
+        self._offsets = None
+        if child_offsets is not None:
+            if eparent is not None or echild is not None:
+                raise InvariantViolation("child offsets take the place of "
+                                         "the edge index arrays")
+            self._offsets = np.asarray(child_offsets, dtype=np.int64)
+            if self._offsets.ndim != 2:
+                raise InvariantViolation("child offsets must be a (w, r) "
+                                         "table")
         if eparent is None:
             # r edges out of every non-terminal node, in parent order
             self._eparent = None
             self._echild = None if echild is None else self._child_ids(echild)
             n_edges = (len(self._echild) if echild is not None
+                       else self._offsets.shape[1] * nt
+                       if self._offsets is not None
                        else len(p) if p.ndim == 1 else p.shape[1] * nt)
             r = n_edges // nt
             if r < 1 or r * nt != n_edges:
@@ -219,7 +248,7 @@ class ScenarioTree:
         self.validate()
 
         for a in (self.level_start, self._eparent, self._echild, self.probs,
-                  self.estart):
+                  self.estart, self._offsets):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
         # the forward mass pass keeps every c-th level's path probabilities:
@@ -287,11 +316,11 @@ class ScenarioTree:
         return int(self.level_start[self.K])
 
     def level_slice(self, k):
-        return int(self.level_start[k]), int(self.level_start[k + 1])
+        return self._bounds[k], self._bounds[k + 1]
 
     def level_of(self, node):
         """The level of node id ``node``."""
-        return int(np.searchsorted(self.level_start, node, "right")) - 1
+        return bisect.bisect_right(self._bounds, node) - 1
 
     def edge_parents(self, lo, hi):
         """The parent of every edge out of the nodes [lo, hi), in edge
@@ -301,21 +330,32 @@ class ScenarioTree:
         nt = self.n_nonterminal
         return _per_move(np.arange(min(lo, nt), min(hi, nt)), self.arity, 0)
 
-    def edge_children(self, lo, hi):
-        """The child of every edge out of the nodes [lo, hi), in edge
-        order, as int64; the range may span levels."""
+    def edge_children(self, lo, hi, base=0):
+        """The child of every edge out of the nodes [lo, hi), less
+        ``base``, in edge order, as int64; the range may span levels."""
         if self._echild is not None:
-            return self._echild[self.estart[lo]:self.estart[hi]].astype(
-                np.int64)
-        nt, ls, s = self.n_nonterminal, self.level_start, self.child_stride
+            c = self._echild[self.estart[lo]:self.estart[hi]].astype(np.int64)
+            if base:
+                c -= base
+            return c
+        nt, ls, s = self.n_nonterminal, self._bounds, self.child_stride
         lo, hi = min(lo, nt), min(hi, nt)
+        k, at = self.level_of(lo), lo
+        if s is None:
+            # row j of the offsets, plus the next level's first node
+            out = np.empty((hi - lo, self.arity), dtype=np.int64)
+            while at < hi:
+                end = min(ls[k + 1], hi)
+                np.add(self._offsets[at - ls[k]:end - ls[k]],
+                       ls[k + 1] - base, out=out[at - lo:end - lo])
+                at, k = end, k + 1
+            return out.ravel()
         first = np.arange(s * lo, s * hi, s)
         # move 0 of node j on level k lands on ls[k+1] + s*(j - ls[k]): each
         # level the range meets adds its own offset
-        k, at = self.level_of(lo), lo
         while at < hi:
-            end = min(int(ls[k + 1]), hi)
-            first[at - lo:end - lo] += int(ls[k + 1]) - s * int(ls[k])
+            end = min(ls[k + 1], hi)
+            first[at - lo:end - lo] += ls[k + 1] - s * ls[k] - base
             at, k = end, k + 1
         return _per_move(first, self.arity, 1)
 
@@ -329,7 +369,7 @@ class ScenarioTree:
             w = ((pp[:, None] * p).ravel() if p.ndim == 2
                  else pp[self.edge_parents(lo, hi) - lo]
                  * p[_kernels._edges(self, lo, hi)])
-            return np.bincount(self.edge_children(lo, hi) - hi, w, b - hi)
+            return np.bincount(self.edge_children(lo, hi, hi), w, b - hi)
         # move i of the level's nodes feeds children i, i + s, ...: adding
         # the highest move first adds each child's incoming mass in edge
         # order (parent-major), as bincount does
@@ -402,16 +442,37 @@ class ScenarioTree:
         if bad.max() > PROB_TOL:
             raise InvariantViolation(
                 f"outgoing probabilities sum to 1 violated by {bad.max():.3e}")
+        self.child_stride = None
+        if self._offsets is not None:
+            self._check_offsets()
+            return
         if self._echild is None:
             self.child_stride = self._closed_form_stride()
             return
-        self.child_stride = None
         ls = self.level_start
         first = self.estart[ls[:-2]]
         if (np.any(np.minimum.reduceat(self._echild, first) < ls[1:-1])
                 or np.any(np.maximum.reduceat(self._echild, first)
                           >= ls[2:])):
             raise InvariantViolation("edges must connect consecutive levels")
+
+    def _check_offsets(self):
+        """Refuse child offsets that do not give every node of each
+        non-terminal level r children on the next level: the table needs a
+        row per node of the widest such level, and the prefix a level reads
+        must lie in [0, size of the next level)."""
+        off, sizes = self._offsets, np.diff(self.level_start)
+        if len(off) < sizes[:self.K].max():
+            raise InvariantViolation(
+                f"child offsets need a row per node of the widest "
+                f"non-terminal level, got {len(off)}")
+        # the least and largest offset of each prefix
+        low = np.minimum.accumulate(off.min(axis=1))[sizes[:-1] - 1]
+        high = np.maximum.accumulate(off.max(axis=1))[sizes[:-1] - 1]
+        bad = np.flatnonzero((low < 0) | (high >= sizes[1:]))
+        if bad.size:
+            raise InvariantViolation(f"child offsets of level {bad[0]} leave "
+                                     "the next level")
 
     def _closed_form_stride(self):
         """The stride s of a tree given its edges in closed form, read off
@@ -436,9 +497,17 @@ class ScenarioTree:
         return s
 
 
+def _finite(v):
+    """Refuse values with a NaN or an infinity; min and max propagate NaN,
+    so this needs no mask of v's size."""
+    if not -np.inf < v.min(initial=0.0) <= v.max(initial=0.0) < np.inf:
+        raise InvariantViolation("adapted process has non-finite entries")
+
+
 @dataclass
 class AdaptedProcess:
-    """One real vector per node."""
+    """One real vector per node, stored.  A scalar one is read by node
+    range or node ids, as every process is (see ``ClosedFormProcess``)."""
 
     tree: ScenarioTree
     values: np.ndarray
@@ -449,10 +518,7 @@ class AdaptedProcess:
             v = v[:, None]
         if v.shape[0] != self.tree.n_nodes:
             raise InvariantViolation("adapted process needs one value per node")
-        # min and max propagate NaN, so this refuses NaN and +-inf without a
-        # full-size mask
-        if not -np.inf < v.min(initial=0.0) <= v.max(initial=0.0) < np.inf:
-            raise InvariantViolation("adapted process has non-finite entries")
+        _finite(v)
         self.values = v
 
     @property
@@ -467,6 +533,83 @@ class AdaptedProcess:
             raise InvariantViolation("a scalar process (d = 1) is needed, "
                                      f"got dimension {self.dim}")
         return self.values[:, 0]
+
+    def range(self, lo, hi):
+        """(hi - lo,) view of the scalar values of the nodes [lo, hi)."""
+        return self.scalar[lo:hi]
+
+    def take(self, ids):
+        """The scalar values of the node ids ``ids``."""
+        return self.scalar[ids]
+
+
+class ClosedFormProcess:
+    """A scalar process formed where it is read, never stored: level k's
+    values at level-local nodes L, a slice or an integer array, are
+    ``value(states(k, L), k)``, the root's a literal 0.0.  A lattice's M
+    is one, ``states`` giving its walk's integer states.
+
+    ``range(lo, hi)`` forms the levels that the node range meets and
+    ``take(ids)`` the nodes of each level that ids holds.  A level is
+    refused the first time it is formed whole if it holds a NaN or an
+    infinity, as a stored process is; a level formed in part is checked on
+    that part.  ``values`` and ``scalar`` form the whole array on each
+    read."""
+
+    dim = 1
+
+    def __init__(self, tree, states, value):
+        self.tree, self._states, self._value = tree, states, value
+        # the levels found finite: a level's values never change
+        self._checked = [False] * (tree.K + 1)
+
+    def _level(self, k, local):
+        v = np.asarray(self._value(self._states(k, local), k), dtype=float)
+        if k == 0:
+            v[:] = 0.0      # a literal, as a negative step would give -0.0
+        if not self._checked[k]:
+            _finite(v)
+            ls = self.tree._bounds
+            self._checked[k] = len(v) == ls[k + 1] - ls[k]
+        return v
+
+    def range(self, lo, hi):
+        ls = self.tree._bounds
+        if lo >= hi:
+            return np.empty(0)
+        k = self.tree.level_of(lo)
+        if hi <= ls[k + 1]:
+            return self._level(k, slice(lo - ls[k], hi - ls[k]))
+        out = np.empty(hi - lo)
+        at = lo
+        while at < hi:
+            end = min(ls[k + 1], hi)
+            out[at - lo:end - lo] = self._level(
+                k, slice(at - ls[k], end - ls[k]))
+            at, k = end, k + 1
+        return out
+
+    def take(self, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        n, ls = self.tree.n_nodes, self.tree.level_start
+        if ids.size and not (0 <= ids.min() and ids.max() < n):
+            raise IndexError(f"node ids must lie in [0, {n})")
+        # stable, so ids in level order (a subtree's) sort in one pass
+        order = np.argsort(ids, kind="stable")
+        cut = np.searchsorted(ids[order], ls).tolist()
+        out = np.empty(ids.shape)
+        for k in np.flatnonzero(np.diff(cut)).tolist():
+            at = order[cut[k]:cut[k + 1]]
+            out[at] = self._level(k, ids[at] - ls[k])
+        return out
+
+    @property
+    def scalar(self):
+        return self.range(0, self.tree.n_nodes)
+
+    @property
+    def values(self):
+        return self.scalar[:, None]
 
 
 @dataclass
@@ -550,15 +693,61 @@ def _runs(tree, lo=0, hi=None):
     """[a, b) node ranges that cover the non-terminal nodes [lo, hi), in
     level order: as many consecutive levels as hold at most RUN_NODES nodes,
     or one, the first and last cut to the range."""
-    ls, K = tree.level_start, tree.K
+    ls, K = tree._bounds, tree.K
     hi = tree.n_nonterminal if hi is None else hi
     k = tree.level_of(lo)
     while lo < hi:
-        j = int(np.searchsorted(ls, ls[k] + RUN_NODES, "right")) - 1
+        j = bisect.bisect_right(ls, ls[k] + RUN_NODES) - 1
         j = min(K, max(k + 1, j))
-        b = min(int(ls[j]), hi)
+        b = min(ls[j], hi)
         yield lo, b
         lo, k = b, j
+
+
+def _windows(tree, M, lo=0, hi=None):
+    """Yield ``(a, b, m, mc, base)`` for each run [a, b) of ``_runs``: M on
+    the run and on the window of nodes from ``base`` that holds its
+    children (``_kernels.child_window``).  A run that is the window of the
+    run before it takes that window's values, and a run that its window
+    meets is formed with it in one range, so a pass forms each level's M
+    once, and a level that ends a run of narrow levels twice."""
+    window = None
+    for a, b in _runs(tree, lo, hi):
+        c0, c1 = _kernels.child_window(tree, a, b)
+        if window is not None and window[:2] == (a, b):
+            m, mc = window[2], M.range(c0, c1)
+        elif c0 <= b:
+            both = M.range(a, c1)
+            m, mc = both[:b - a], both[c0 - a:]
+        else:
+            m, mc = M.range(a, b), M.range(c0, c1)
+        window = (c0, c1, mc)
+        yield a, b, m, mc, c0
+
+
+def level_windows(tree, M, descending=True):
+    """Yield ``(k, a, b, m, mc, base)`` for each non-terminal level k, from
+    K - 1 down to 0, or from 0 up: the level's nodes [a, b), M on them and
+    M on the next level, ``mc[i - base]`` being node i's.  Each level's M
+    is formed once and carried to the next level's window, as the
+    children's M going down and as the level's own going up."""
+    ks = range(tree.K - 1, -1, -1) if descending else range(tree.K)
+    held = None     # (level, M on it), formed by the window before
+    for k in ks:
+        a, b = tree.level_slice(k)
+        m = held[1] if held and held[0] == k else M.range(a, b)
+        mc = (held[1] if held and held[0] == k + 1
+              else M.range(*tree.level_slice(k + 1)))
+        held = (k, m) if descending else (k + 1, mc)
+        yield k, a, b, m, mc, b
+
+
+def _variances(tree, m, mc, a, b, base):
+    """Sigma = E[dM^2 | node] on the nodes [a, b) from M on them and on
+    their children's window from ``base``."""
+    dm = _kernels.edge_increments(tree, m, mc, a, b, base)
+    return level_variances(tree, _kernels.edge_probs(tree, a, b) * dm, dm,
+                           a, b)
 
 
 def backward_closure(tree, leaf_values):
@@ -577,12 +766,13 @@ def backward_closure(tree, leaf_values):
 
 def is_martingale(tree, M, tol=1e-12):
     """Check E[M_{k+1} | node] == M_k at every non-terminal node, one run
-    of levels at a time, so that no temporary outgrows a run."""
-    v = M.scalar
+    of levels at a time, so that no temporary outgrows a run.  M is read
+    on every node, so a process formed where it is read is checked finite
+    on every level."""
     worst = 0.0
-    for lo, hi in _runs(tree):
-        ey = _kernels.backward_expect(tree, v, lo, hi)
-        worst = max(worst, float(np.max(np.abs(ey - v[lo:hi]))))
+    for lo, hi, m, mc, base in _windows(tree, M):
+        ey = _kernels.backward_expect(tree, mc, lo, hi, base)
+        worst = max(worst, float(np.max(np.abs(ey - m))))
     return MartingaleCheck(worst <= tol, worst)
 
 
@@ -603,13 +793,10 @@ def conditional_covariances(tree, M, lo=0, hi=None):
     """Sigma = E[dM^2 | node] on the non-terminal nodes [lo, hi) (all of
     them by default), shape (hi - lo,), filled one run of levels at a
     time."""
-    m = M.scalar
     hi = tree.n_nonterminal if hi is None else hi
     sigma = np.empty(hi - lo)
-    for a, b in _runs(tree, lo, hi):
-        dm = _kernels.edge_increments(tree, m, a, b)
-        pdm = _kernels.edge_probs(tree, a, b) * dm
-        sigma[a - lo:b - lo] = level_variances(tree, pdm, dm, a, b)
+    for a, b, m, mc, base in _windows(tree, M, lo, hi):
+        sigma[a - lo:b - lo] = _variances(tree, m, mc, a, b, base)
     return sigma
 
 
@@ -628,8 +815,8 @@ def predictable_bracket(tree, M, increments=True):
     dC = np.empty(tree.n_nonterminal) if increments else None
     V = np.zeros(1)     # the accumulated trace on the run's first level
     worst = sigma_max = 0.0
-    for a, b in _runs(tree):
-        sigma = conditional_covariances(tree, M, a, b)
+    for a, b, m, mc, base in _windows(tree, M):
+        sigma = _variances(tree, m, mc, a, b, base)
         sigma_max = max(sigma_max, float(sigma.max()))
         # V on the run's levels and the level below them
         k = tree.level_of(a)
@@ -645,7 +832,7 @@ def predictable_bracket(tree, M, increments=True):
                           out=run[lo - a:hi - a])
             nxt = buf[hi - a:end - a]
             if s is None:
-                child = tree.edge_children(lo, hi) - hi
+                child = tree.edge_children(lo, hi, hi)
                 # with r edges out of every node, node j's are r*j .. r*j +
                 # r - 1: no parent array is needed
                 cand = (cand[tree.edge_parents(lo, hi) - lo] if r is None

@@ -107,7 +107,7 @@ def _sweep_row(model, F):
     zero = bsde.zero_driver()
     tree, M, clock, _ = bsde.setup_problem(model, driver=zero)
     lo, hi = tree.level_slice(tree.K)
-    zeta = np.asarray(F(M.values[lo:hi]), dtype=float)
+    zeta = np.asarray(F(M.range(lo, hi)[:, None]), dtype=float)
     bracket, _ = bsde._consume(bsde._closed(tree, M, clock, None, zeta,
                                             zero))
     w = tree.level_path_prob(tree.K)

@@ -13,13 +13,15 @@ first appearance.  One stride walk (``_stride_walk``) builds every lattice
 with a child stride s, whose trees keep no edge arrays: full trees (s = r)
 and recombining walks on one component (s = 1: ``binary``, ``trinomial``,
 the one-sided jump).  The two-sided jump lattice (``_simplex_walk``) has no
-stride and passes its children, whose parents the tree derives.  Each walk
-yields its integer states one level at a time, mapped to that level's M, so
-no build holds or frees a full-size state array.  ``time_changed`` merges
-states by rounded float value, level by level, numbered by
-``_first_appearance``, and passes its children.  Every node of every built
-model takes its moves with the same probabilities, so each builder passes
-them as one move row, not one per edge.
+stride: its tree keeps one table of child offsets, O(K^2), whose prefixes
+serve every level.  Each walk gives the integer states of any level-local
+nodes in closed form, and the lattice's M is a ``ClosedFormProcess`` of
+them, so no build forms, holds or frees a full-size state or M array: M is
+formed level by level where it is read.  ``time_changed`` merges states
+by rounded float value, level by level, numbered by ``_first_appearance``,
+passes its children and stores its M.  Every node of every built model
+takes its moves with the same probabilities, so each builder passes them
+as one move row, not one per edge.
 ``ModelConfig`` checks every builder's parameters, so a bad one is refused
 before anything is built.
 """
@@ -33,8 +35,8 @@ import numpy as np
 
 from .errors import (ConfigError, InvariantViolation, ModelError,
                      NodeCapExceeded)
-from .ftree import (AdaptedProcess, ScenarioTree, TimeGrid, id_dtype,
-                    is_martingale)
+from .ftree import (AdaptedProcess, ClosedFormProcess, ScenarioTree,
+                    TimeGrid, id_dtype, is_martingale)
 
 DEFAULT_NODE_CAP = 5_000_000
 
@@ -117,14 +119,14 @@ class ModelConfig:
 
 @dataclass
 class BuiltModel:
-    """A built tree and its martingale M."""
+    """A built tree and its martingale M, stored or in closed form."""
 
     tree: object
-    M: AdaptedProcess
+    M: object
 
 
-def _validated(tree, mvals, tol=1e-12):
-    M = AdaptedProcess(tree, mvals)
+def _validated(tree, M, tol=1e-12):
+    """M, once the martingale check has read it on every level."""
     chk = is_martingale(tree, M, tol)
     if not chk:
         raise ModelError(f"constructed process is not a martingale "
@@ -185,14 +187,13 @@ def _stride_walk(K, moves, s):
     no edge arrays.  s = r gives a full tree, s = 1 a recombining walk on
     one component, whose moves must be an arithmetic progression.
 
-    A level of n nodes is followed by one of s*(n - 1) + r: moves 0 .. s-1
-    of every node, then the last node's other moves.  The last node of
-    level k is k*moves[r-1], so those r - s children are move 0 of virtual
-    nodes past the level, set in both level buffers before the walk, which
-    no level reaches before they are read: a level takes s adds and no
-    temporary.  Returns level_start and an iterator over the levels'
-    (size, n_comp) states, each a view that the level after next
-    overwrites.
+    A level of n nodes is followed by one of s*(n - 1) + r.  Returns
+    level_start and ``states(k, L)``, the (size, n_comp) integer states of
+    level k's local nodes L, a slice or an integer array: k*moves[0] + L*d
+    for the step d of the progression at s = 1; at s = r, the sum of the moves named by L's k base-r
+    digits, the last digit the last move.  The states are given as floats,
+    which hold them exactly, so that ``value`` maps them as it would the
+    ints, bit for bit, with no cast.
     """
     r, c = moves.shape
     # level k holds 1 + (r - 1)(1 + s + ... + s**(k - 1)) nodes
@@ -202,25 +203,29 @@ def _stride_walk(K, moves, s):
     sizes = (np.cumsum(powers) - powers) * (r - 1) + 1
     level_start = np.zeros(K + 2, dtype=np.int64)
     np.cumsum(sizes, out=level_start[1:])
-    sizes = sizes.tolist()
-    # level k lives in buffer k % 2, beside the virtual nodes of every
-    # level; column-major, so each add runs along one component's rows
-    last, other = (np.zeros((rows, c), dtype=np.int64, order="F")
-                   for rows in (sizes[-1], sizes[-2] + r - s))
-    src, dst = (other, last) if K % 2 else (last, other)
-    virtual = (np.arange(K)[:, None, None] * moves[-1]
-               + (moves[s:] - moves[0])).reshape(-1, c)
-    src[1:1 + len(virtual)] = dst[1:1 + len(virtual)] = virtual
-    step = list(enumerate(moves[:s]))
 
-    def levels(src, dst):
-        yield src[:1]
-        for n, size in zip(sizes, sizes[1:]):
-            for i, m in step:
-                np.add(src[:n + r - s], m, dst[i:size:s])
-            yield dst[:size]
-            src, dst = dst, src
-    return level_start, levels(src, dst)
+    if s == 1:
+        first, step = moves[0].tolist(), (moves[1] - moves[0]).tolist()
+
+        def states(k, local):
+            if isinstance(local, slice):
+                local = np.arange(local.start, local.stop)
+            cols = [local * float(d) + float(k * m0)
+                    for m0, d in zip(first, step)]
+            # column-major, so each component's values run along the nodes
+            return cols[0][:, None] if c == 1 else np.array(cols).T
+    else:
+        steps = moves.astype(float)
+
+        def states(k, local):
+            if isinstance(local, slice):
+                local = np.arange(local.start, local.stop)
+            out = np.zeros((len(local), c))
+            for _ in range(k):
+                local, digit = np.divmod(local, r)
+                out += steps[digit]
+            return out
+    return level_start, states
 
 
 def _simplex_walk(K):
@@ -231,36 +236,35 @@ def _simplex_walk(K):
     order of their first appearance among the parent-major, move-minor
     candidates.  With u = k - i, state (i, j) is local node u(u+1)/2 + j, and
     its moves land on local children of the next level at that index plus
-    0, u + 1 and u + 2.  Levels grow by k + 2 nodes, which no one child
-    stride fits, so this walk returns level_start, echild and an iterator
-    over the levels' (size, 2) states, which fills each level's children as
-    it yields its states: every node has three edges, so the tree derives
-    their parents, and every node shares the move row.
+    0, u + 1 and u + 2.  (u, j) of every level's local nodes is a prefix of
+    level K's, so this walk returns level_start, the child offsets of level
+    K - 1's nodes, which every level's prefix serves, and ``states(k, L)``,
+    the (size, 2) states (k - u, j) of level k's local nodes L, a slice or
+    an integer array, as exact floats (see ``_stride_walk``).  Levels grow
+    by k + 2 nodes, which no one child stride fits.
     """
     sizes = (np.arange(K + 1) + 1) * (np.arange(K + 1) + 2) // 2
     level_start = np.zeros(K + 2, dtype=np.int64)
     np.cumsum(sizes, out=level_start[1:])
-    nt = int(level_start[-2])
-    # in the dtype the tree keeps, so it takes them with no copy
-    child = np.empty((nt, 3), dtype=id_dtype(int(level_start[-1])))
-    bounds = level_start.tolist()
+    # (u, j) of each local index of level K
+    u = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
+    j = np.arange(len(u)) - u * (u + 1) // 2
+    rows = int(sizes[K - 1])
+    offsets = np.empty((rows, 3), dtype=np.int64)
+    offsets[:, 0] = np.arange(rows)
+    np.add(offsets[:, 0], u[:rows] + 1, out=offsets[:, 1])
+    np.add(offsets[:, 1], 1, out=offsets[:, 2])
 
-    def levels():
-        # (u, j) of each local index of level K; every level's is a prefix
-        u = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
-        j = np.arange(len(u)) - u * (u + 1) // 2
-        for k in range(K + 1):
-            lo, hi = bounds[k:k + 2]
-            states = np.empty((hi - lo, 2), dtype=np.int64)
-            np.subtract(k, u[:hi - lo], out=states[:, 0])
-            states[:, 1] = j[:hi - lo]
-            if k < K:
-                c = child[lo:hi]
-                c[:, 0] = np.arange(hi, 2 * hi - lo)
-                np.add(c[:, 0], u[:hi - lo] + 1, out=c[:, 1])
-                np.add(c[:, 1], 1, out=c[:, 2])
-            yield states
-    return level_start, child.ravel(), levels()
+    uf, jf = u.astype(float), j.astype(float)
+
+    def states(k, local):
+        # column-major, so each component's values run along the nodes
+        ul = uf[local]
+        out = np.empty((2, len(ul)))
+        np.subtract(k, ul, out=out[0])
+        out[1] = jf[local]
+        return out.T
+    return level_start, offsets, states
 
 
 def _lattice_walk(config, moves, probs, value):
@@ -274,8 +278,9 @@ def _lattice_walk(config, moves, probs, value):
     node.  One stride walk builds every shape with a child stride: a full
     tree (``_stride_walk`` at s = r) and a recombining walk on one component
     (at s = 1); the two-sided jump walk (``_simplex_walk``), the one
-    recombining walk on two, has its own.  Each yields its states one level
-    at a time, so no state array outgrows two levels.  It must fill
+    recombining walk on two, has its own.  Each gives the states of any
+    level's nodes in closed form, and M is ``value`` of them where it is
+    read, a ``ClosedFormProcess``: no M is filled.  The walk must fill
     ``estimate_nodes``, which is checked against the cap first.
     """
     K = config.K
@@ -283,24 +288,20 @@ def _lattice_walk(config, moves, probs, value):
     if n > node_cap():
         raise NodeCapExceeded(n, node_cap())
     moves = np.asarray(moves, dtype=np.int64)
-    recombine, echild = config.params.get("recombine", True), None
+    recombine, offsets = config.params.get("recombine", True), None
     if recombine and moves[:, 1:].any():
-        level_start, echild, levels = _simplex_walk(K)
+        level_start, offsets, states = _simplex_walk(K)
     else:
-        level_start, levels = _stride_walk(
+        level_start, states = _stride_walk(
             K, moves, 1 if recombine else len(moves))
     if level_start[-1] != n:
         raise InvariantViolation(
             f"{config.kind} lattice filled {level_start[-1]} nodes, "
             f"estimate is {n}")
-    mvals = np.empty(n)
-    bounds = level_start.tolist()
-    for k, states in enumerate(levels):
-        mvals[bounds[k]:bounds[k + 1]] = value(states, k)
-    mvals[0] = 0.0      # a literal, as a negative step would give -0.0
-    tree = ScenarioTree(TimeGrid.uniform(K, config.T), level_start,
-                        None, echild, np.asarray(probs, dtype=float)[None])
-    return tree, _validated(tree, mvals)
+    tree = ScenarioTree(TimeGrid.uniform(K, config.T), level_start, None,
+                        None, np.asarray(probs, dtype=float)[None],
+                        child_offsets=offsets)
+    return tree, _validated(tree, ClosedFormProcess(tree, states, value))
 
 
 def build_binary(config):
@@ -388,7 +389,7 @@ def build_time_changed(config):
     # the tree derives their parents and holds one move row
     tree = ScenarioTree(TimeGrid.uniform(K, T), level_start, None,
                         np.concatenate(echild), [[0.5, 0.5]])
-    return tree, _validated(tree, np.concatenate(mvals))
+    return tree, _validated(tree, AdaptedProcess(tree, np.concatenate(mvals)))
 
 
 def build_product_noise(config):

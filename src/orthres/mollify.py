@@ -199,7 +199,7 @@ def lipschitz_scan(F, lo, hi, spacing):
 def l2_gap(tree, M, F, Feps):
     """E[(F - Feps)^2 (M_K)] under the leaf distribution."""
     lo, hi = tree.level_slice(tree.K)
-    states = M.values[lo:hi]
+    states = M.range(lo, hi)[:, None]
     gap = F(states) - Feps(states)
     return float(tree.level_path_prob(tree.K) @ gap ** 2)
 
@@ -208,10 +208,18 @@ def l2_gap(tree, M, F, Feps):
 # catalog
 # ---------------------------------------------------------------------------
 
+def _param(value, name):
+    """A catalog parameter as a float; a bool is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(f"terminal map parameter {name} must be a number, "
+                         f"got {value!r}")
+    return float(value)
+
+
 def indicator_halfspace(threshold=0.0, strict=True):
     """1{x > c} (or >= c) in the first coordinate."""
     op = np.greater if strict else np.greater_equal
-    threshold = float(threshold)
+    threshold = _param(threshold, "threshold")
 
     def ev(x):
         return op(x[:, 0], threshold).astype(float)
@@ -227,7 +235,7 @@ def square():
 
 
 def sine(omega=np.pi, amp=1.0):
-    omega, amp = float(omega), float(amp)
+    omega, amp = _param(omega, "omega"), _param(amp, "amp")
     return TerminalMap(
         id="sine", arity=1,
         evaluator=lambda x: amp * np.sin(omega * x[:, 0]),
@@ -235,7 +243,7 @@ def sine(omega=np.pi, amp=1.0):
 
 
 def digital_box(a=-0.5, b=0.5):
-    a, b = float(a), float(b)
+    a, b = _param(a, "a"), _param(b, "b")
 
     def ev(x):
         return ((x[:, 0] >= a) & (x[:, 0] <= b)).astype(float)
@@ -263,7 +271,7 @@ def custom_polynomial(coeffs):
 
 def clipped_linear(scale=1.0, cap=1.0):
     """scale * x clipped to [-cap, cap]; Lipschitz with constant |scale|."""
-    scale, cap = float(scale), float(cap)
+    scale, cap = _param(scale, "scale"), _param(cap, "cap")
 
     def ev(x):
         return np.clip(scale * x[:, 0], -cap, cap)

@@ -9,8 +9,10 @@ bracket split, the Markov grouping spread, a driver growth check, the
 comparison check on two stored solutions, a clamped terminal map, a tree's
 path probabilities and closed-form child stride by their definitions, and
 the martingale check and the clock over all non-terminal nodes at once, and
-the Euler pass with its coefficients evaluated per edge; the clock C itself,
-which the library keeps only as its increments dC, lives here.
+the Euler pass with its coefficients evaluated per edge, and the lattice
+walk that filled every node's M and stored the two-sided jump's children;
+the clock C itself, which the library keeps only as its increments dC,
+lives here.
 The library's martingale is scalar (d = 1); the d-general covariances, PSD
 factor and GKW projection are kept here, built on nothing from the library
 but its kernels.
@@ -291,7 +293,7 @@ def gkw_levels(tree, M, Y):
     floor = _kernels.PROJ_EPS * covariances_range(tree, M).max()
     for k in range(tree.K):
         a, b = tree.level_slice(k)
-        dm = _kernels.edge_increments(tree, m, a, b)
+        dm = increments(tree, m, a, b)
         pdm = edge_layout(tree, tree.eprob, a, b) * dm
         ey, m1 = _kernels.level_moments_d1(tree, pdm, y, a, b)[:2]
         s2 = _kernels.edge_sum(tree, pdm * dm, a, b)
@@ -325,6 +327,12 @@ def gkw_pinv(tree, M, Y):
     return Z, dn, float(np.sum(path_prob(tree)[:nt] * res))
 
 
+def increments(tree, m, lo, hi):
+    """dm on the edges of [lo, hi), in their layout, from the full-size
+    values m."""
+    return _kernels.edge_increments(tree, m[lo:hi], m, lo, hi)
+
+
 def solution_dN(sol):
     """Per-edge dN = dY - Z dM of a stored solve, (edges,) or (edges, B),
     projected again over every edge from its Y and Z."""
@@ -333,7 +341,7 @@ def solution_dN(sol):
     y = sol._cols(sol.Y)
     dn = np.empty((len(tree.echild),) + y.shape[1:])
     _kernels.edge_residuals_d1(
-        tree, _kernels.edge_increments(tree, sol.M.scalar, 0, nt), y,
+        tree, increments(tree, sol.M.scalar, 0, nt), y,
         _kernels.backward_expect(tree, y, 0, nt), sol._cols(sol.Z), 0, nt, dn)
     return dn
 
@@ -532,7 +540,7 @@ def covariances_range(tree, M):
     """Sigma = E[dM dM* | node] over every non-terminal node at once."""
     nt = tree.n_nonterminal
     if M.dim == 1:
-        dm = _kernels.edge_increments(tree, M.scalar, 0, nt)
+        dm = increments(tree, M.scalar, 0, nt)
         p = edge_layout(tree, tree.eprob, 0, nt)
         return _kernels.edge_sum(tree, p * dm * dm, 0, nt).reshape(nt, 1, 1)
     sl = slice(0, int(tree.estart[nt]))
@@ -613,3 +621,77 @@ def euler_forward_edges(tree, M, clock, coeffs, x0):
                 "forward state is path-dependent on a recombining "
                 f"lattice (mismatch {err:.3e}); rebuild as a full tree")
     return AdaptedProcess(tree, X)
+
+
+# -- the lattice walk with a filled M ---------------------------------------
+
+def _filled_stride_levels(K, moves, s):
+    """The stride walk's states, level by level, as its adds produce them:
+    move i of level-local node j lands on local child s*j + i, the last
+    node's other children being move 0 of virtual nodes past the level."""
+    r, c = moves.shape
+    powers = np.full(K + 1, s, dtype=np.int64)
+    powers[0] = 1
+    np.multiply.accumulate(powers, out=powers)
+    sizes = ((np.cumsum(powers) - powers) * (r - 1) + 1).tolist()
+    last, other = (np.zeros((rows, c), dtype=np.int64, order="F")
+                   for rows in (sizes[-1], sizes[-2] + r - s))
+    src, dst = (other, last) if K % 2 else (last, other)
+    virtual = (np.arange(K)[:, None, None] * moves[-1]
+               + (moves[s:] - moves[0])).reshape(-1, c)
+    src[1:1 + len(virtual)] = dst[1:1 + len(virtual)] = virtual
+    yield src[:1]
+    for n, size in zip(sizes, sizes[1:]):
+        for i, m in enumerate(moves[:s]):
+            np.add(src[:n + r - s], m, dst[i:size:s])
+        yield dst[:size]
+        src, dst = dst, src
+
+
+def _filled_simplex_levels(K, child):
+    """The two-sided jump walk's (up, down) states, level by level, filling
+    each level's children into ``child`` (nt, 3) as it goes."""
+    bounds = np.cumsum([0] + [(k + 1) * (k + 2) // 2
+                              for k in range(K + 1)]).tolist()
+    u = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
+    j = np.arange(len(u)) - u * (u + 1) // 2
+    for k in range(K + 1):
+        lo, hi = bounds[k:k + 2]
+        states = np.empty((hi - lo, 2), dtype=np.int64)
+        np.subtract(k, u[:hi - lo], out=states[:, 0])
+        states[:, 1] = j[:hi - lo]
+        if k < K:
+            c = child[lo:hi]
+            c[:, 0] = np.arange(hi, 2 * hi - lo)
+            np.add(c[:, 0], u[:hi - lo] + 1, out=c[:, 1])
+            np.add(c[:, 1], 1, out=c[:, 2])
+        yield states
+
+
+def filled_lattice_walk(config, moves, probs, value):
+    """The lattice walk that filled M: ``(level_start, M, echild)`` for the
+    arguments the builders pass ``models._lattice_walk``, with every
+    level's ``value(states, k)`` written into one (n_nodes,) array, the
+    root a literal 0.0, and the two-sided jump's children as the int64
+    array the walk stored (None for a walk with a child stride)."""
+    moves = np.asarray(moves, dtype=np.int64)
+    K, recombine = config.K, config.params.get("recombine", True)
+    r = len(moves)
+    if recombine and moves[:, 1:].any():
+        sizes = [(k + 1) * (k + 2) // 2 for k in range(K + 1)]
+        echild = np.empty((sum(sizes[:-1]), 3), dtype=np.int64)
+        levels = _filled_simplex_levels(K, echild)
+    else:
+        s = 1 if recombine else r
+        sizes = [1]
+        for _ in range(K):
+            sizes.append(s * (sizes[-1] - 1) + r)
+        echild, levels = None, _filled_stride_levels(K, moves, s)
+    level_start = np.cumsum([0] + sizes)
+    mvals = np.empty(level_start[-1])
+    for k, states in enumerate(levels):
+        mvals[level_start[k]:level_start[k + 1]] = value(states, k)
+    mvals[0] = 0.0
+    return (level_start, mvals,
+            None if echild is None else echild.ravel())
+

@@ -28,7 +28,7 @@ from orthres.bsde import (DriverSpec, compare, driver_from_catalog,
 import reference
 from conftest import (permute_last_level, random_full_tree,
                       random_martingale, small_trees)
-from reference import (check_growth, edge_layout, edge_slice,
+from reference import (check_growth, edge_layout, edge_slice, increments,
                        markov_grouping_check, path_prob,
                        predictable_bracket_range, product_noise_coin,
                        solution_dN)
@@ -348,7 +348,7 @@ def test_no_y_part_step_is_the_explicit_sum():
     for k in range(tree.K):
         a, b = tree.level_slice(k)
         pdm = (edge_layout(tree, tree.eprob, a, b)
-               * _kernels.edge_increments(tree, M.scalar, a, b))
+               * increments(tree, M.scalar, a, b))
         ey = _kernels.level_moments_d1(tree, pdm, y, a, b)[0]
         z = sol.Z.values[a:b, 0] * clock.factor(a, b)
         g = huber_envelope(z, 2.0, 1.0) + 0.2
@@ -597,7 +597,7 @@ def _dual_value_reference(tree, M, clock, zeta, growth, p):
     for k in range(tree.K - 1, -1, -1):
         a, bb = tree.level_slice(k)
         pdm = (edge_layout(tree, tree.eprob, a, bb)
-               * _kernels.edge_increments(tree, M.scalar, a, bb))
+               * increments(tree, M.scalar, a, bb))
         m1 = _kernels.level_moments_d1(tree, pdm, W, a, bb)[1]
         dck, qk = dC[a:bb], qdiag[a:bb]
         # tilted where Sigma is projected and q > 0

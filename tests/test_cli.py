@@ -250,6 +250,15 @@ TOLERANCE_ERRORS = [
                           "params": {"coeffs": v}}}, id=f"coeffs_{name}")
       for name, v in (("false", False), ("one", 1), ("null", None),
                       ("nested", [[1]]), ("empty", []), ("nan", [math.nan]))),
+    # a JSON bool is not a catalog parameter: each of these once ran as 1.0
+    pytest.param({"F": {"id": "sine", "params": {"omega": True}}},
+                 id="terminal_param_bool"),
+    pytest.param({**SCAN, "driver": {"id": "pure_quadratic",
+                                     "params": {"gamma": True}}},
+                 id="driver_param_bool"),
+    pytest.param({**SCAN, "coeffs": {"id": "constant_drift",
+                                     "params": {"c": True}}},
+                 id="coefficient_param_bool"),
     # a coefficient dimension reads as an integer, 1.0 as 1
     *(pytest.param({**SCAN, "coeffs": {"id": cid, "params": {"n": v}}},
                    id=f"{cid}_n_{name}")
@@ -405,6 +414,18 @@ def test_exit_2_when_the_conditional_variance_overflows(tmp_path, capsys):
                         K_list=[4, 6])
     assert main(["run", str(path)]) == 2
     assert "E[dM^2 | node] is inf at node 0" in capsys.readouterr().err
+
+
+def test_exit_2_when_M_is_not_finite(tmp_path, capsys):
+    """A trinomial step h = 1e308 makes M infinite from level 2 on: the
+    build, which forms M on every level, refuses it as it refused a stored
+    M, before any level is solved."""
+    path, _ = write_cfg(tmp_path, model={"kind": "trinomial",
+                                         "params": {"h": 1e308}})
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "invariant violation: adapted process has non-finite entries "
+        "[at model=trinomial, K=4]\n")
 
 
 def test_verify_warns_but_exits_zero_over_cap(tmp_path, monkeypatch, capsys):

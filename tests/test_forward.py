@@ -248,10 +248,11 @@ def subtree_cases(draw):
 @given(subtree_cases())
 def test_extract_subtree_matches_breadth_first_reference(case):
     """The subtree equals the reference's byte for byte and keeps the
-    parent's edge form: closed form with a stride, or arrays without."""
+    parent's edge form: closed form with a stride, or arrays without (the
+    subtree of a tree given child offsets is given its children)."""
     tree, node = case
     sub, order = extract_subtree(tree, node)
-    assert (sub._echild is None) == (tree._echild is None)
+    assert (sub._echild is None) == (tree.child_stride is not None)
     assert (sub.child_stride is None) == (tree.child_stride is None)
     # a fixed arity's subtree derives its parents
     assert (sub._eparent is None) == (tree.arity is not None)

@@ -555,7 +555,8 @@ def path_prob_trees(draw):
                                  "subtree")))
     if form == "per edge":
         tree = ScenarioTree(tree.grid, tree.level_start, tree._eparent,
-                            tree._echild, tree.eprob)
+                            tree._echild, tree.eprob,
+                            child_offsets=tree._offsets)
     if form == "arrays":
         tree = ScenarioTree(tree.grid, tree.level_start, tree.eparent,
                             tree.echild, tree.probs)
@@ -750,6 +751,23 @@ def test_closed_form_tree_refuses_level_sizes_off_its_stride(level_start,
         ScenarioTree(TimeGrid.uniform(K), level_start, None, None, eprob)
 
 
+@pytest.mark.parametrize("offsets,match", [
+    # level 1 has 3 nodes: an offset of 3 leaves it
+    ([[0, 1, 3], [1, 2, 3], [2, 3, 4]], "child offsets of level 0 leave"),
+    ([[0, 1, -1], [1, 2, 3], [2, 3, 4]], "child offsets of level 0 leave"),
+    # level 1 has 3 nodes and the table 2 rows
+    ([[0, 1, 2], [1, 3, 4]], "a row per node of the widest"),
+    ([0, 1, 2], "must be a .w, r. table"),
+], ids=["past_the_level", "negative", "too_few_rows", "one_dim"])
+def test_tree_refuses_child_offsets_off_the_next_level(offsets, match):
+    """Child offsets are checked against the level sizes: each level's
+    prefix must land in the next level, and every non-terminal node needs
+    a row."""
+    with pytest.raises(InvariantViolation, match=match):
+        ScenarioTree(TimeGrid.uniform(2), [0, 1, 4, 10], None, None,
+                     [[0.25, 0.5, 0.25]], child_offsets=offsets)
+
+
 def test_no_library_module_reads_the_whole_edge_arrays():
     """The library reads edges through edge_parents and edge_children on a
     node range, probabilities through ``probs`` per range and levels from
@@ -764,6 +782,87 @@ def test_no_library_module_reads_the_whole_edge_arrays():
              and node.attr in ("eparent", "echild", "eprob", "node_level",
                                "path_prob")]
     assert reads == []
+
+
+def test_no_library_module_reads_the_whole_of_M():
+    """The library reads M by node range (``range``) or node ids
+    (``take``): no ``.values`` or ``.scalar`` of M (M, M0, built.M,
+    self.M, ...), each of which forms the whole array on a lattice's M,
+    which is formed where it is read."""
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(ftree.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("values", "scalar")
+             and re.search(r"(^|\.)M\w*$", ast.unparse(node.value))]
+    assert reads == []
+
+
+RUNS = [
+    {"experiment": "residual_sweep", "model": {"kind": "compensated_jump"},
+     "F": {"id": "indicator_halfspace"}, "K_list": [6, 8]},
+    {"experiment": "vanishing_N", "model": {"kind": "trinomial"},
+     "F": {"id": "sine"}, "driver": {"id": "linear_y",
+                                     "params": {"coef": 0.3}},
+     "coeffs": {"id": "identity", "x0": 0.5}, "K_list": [4, 8],
+     "eps_list": [0.1]},
+    {"experiment": "comparison_campaign",
+     "model": {"kind": "binary", "K": 8}, "seeds": 3},
+    {"experiment": "dual_check", "model": {"kind": "compensated_jump"},
+     "F": {"id": "indicator_halfspace"},
+     "driver": {"id": "quadratic_mixed", "params": {"gamma": 1.0, "b": 0.5}},
+     "K_list": [8], "p_list": [2]},
+    {"experiment": "cascade", "model": {"kind": "trinomial", "K": 8},
+     "F": {"id": "sine"}, "K_list": [],
+     "driver": {"id": "pure_quadratic", "params": {"gamma": 1.0}}},
+    {"experiment": "mollify_sweep", "model": {"kind": "product_noise",
+                                             "K": 3},
+     "F": {"id": "indicator_halfspace"}, "eps_list": [0.2, 0.1]},
+    {"experiment": "regularity_scan", "model": {"kind": "compensated_jump",
+                                               "K": 8},
+     "F": {"id": "sine"}, "driver": {"id": "pure_quadratic",
+                                     "params": {"gamma": 1.0}},
+     "coeffs": {"id": "identity", "x0": 0.0},
+     "tolerances": {"t_idx": 3, "m_count": 5}},
+]
+
+
+@pytest.mark.parametrize("config", RUNS,
+                         ids=[c["experiment"] for c in RUNS])
+def test_every_experiment_reads_M_per_level(tmp_path, monkeypatch, config):
+    """Every experiment runs on a lattice whose M refuses to be formed
+    whole: each reads it by range or ids alone."""
+    from orthres.cli import main
+
+    def whole(self):
+        raise AssertionError("M was formed whole")
+    monkeypatch.setattr(ftree.ClosedFormProcess, "values", property(whole))
+    monkeypatch.setattr(ftree.ClosedFormProcess, "scalar", property(whole))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, "output": str(tmp_path / "out")}))
+    assert main(["run", str(path)]) == 0
+
+
+@pytest.mark.parametrize("descending", [True, False])
+def test_level_windows_form_each_level_once(descending):
+    """``level_windows`` gives each non-terminal level's M and the next
+    level's, byte for byte a stored process's ranges, with ``mc[i - base]``
+    node i's M, and forms each level's M once per pass."""
+    built = build(ModelConfig("compensated_jump", 6, 1.0,
+                              {"two_sided": True}))
+    tree, M = built.tree, built.M
+    stored = AdaptedProcess(tree, M.values)
+    with mock.patch.object(M, "range", wraps=M.range) as rng:
+        got = list(ftree.level_windows(tree, M, descending))
+        formed = [call.args for call in rng.call_args_list]
+    ks = [k for k, *_ in got]
+    assert ks == (list(range(tree.K - 1, -1, -1)) if descending
+                  else list(range(tree.K)))
+    for k, a, b, m, mc, base in got:
+        assert (a, b) == tree.level_slice(k) and base == b
+        assert m.tobytes() == stored.range(a, b).tobytes()
+        assert mc.tobytes() == stored.range(*tree.level_slice(k + 1)).tobytes()
+    assert sorted(formed) == [tree.level_slice(k) for k in range(tree.K + 1)]
 
 
 # -- a move row against its per-edge twin -----------------------------------
@@ -825,7 +924,7 @@ def test_move_row_tree_equals_its_per_edge_twin(case, data):
     GKW dN and the dual value."""
     tree, M = case
     twin = ScenarioTree(tree.grid, tree.level_start, tree._eparent,
-                        tree._echild, tree.eprob)
+                        tree._echild, tree.eprob, child_offsets=tree._offsets)
     assert twin.probs.shape == (tree.estart[-1],)
     assert twin.child_stride == tree.child_stride
     assert path_prob(tree).tobytes() == path_prob(twin).tobytes()
@@ -1021,9 +1120,10 @@ def test_clock_of_a_fixed_arity_tree_builds_no_edge_parents(kind, params,
 
 @st.composite
 def implicit_parent_trees(draw):
-    """(tree, M) on a tree given its children alone, r out of every node:
-    the two-sided jump lattice, ``time_changed`` (one probability per
-    edge), or a random full tree of one arity with its leaves permuted."""
+    """(tree, M) on a tree given its children alone or as child offsets,
+    r out of every node: the two-sided jump lattice (offsets),
+    ``time_changed`` (one probability per edge), or a random full tree of
+    one arity with its leaves permuted."""
     kind = draw(st.sampled_from(("jump", "time_changed", "random")))
     if kind == "random":
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -1049,7 +1149,7 @@ def test_implicit_parent_tree_equals_its_explicit_twin(case, data):
     node ranges (runs of levels and leaves included), a solve's Y, Z and
     E[dN^2 | node], and the GKW dN."""
     tree, M = case
-    assert tree._eparent is None and tree._echild is not None
+    assert tree._eparent is None and tree.child_stride is None
     twin = ScenarioTree(tree.grid, tree.level_start, tree.eparent,
                         tree.echild, tree.probs)
     assert twin._eparent is not None

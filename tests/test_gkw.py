@@ -21,7 +21,7 @@ from orthres.mollify import indicator_halfspace, sine, square
 
 from conftest import random_full_tree, random_martingale, small_trees
 from reference import (TreeBuilder, bracket_split, edge_slice, gkw_levels,
-                       gkw_pinv, path_prob, running_sum)
+                       gkw_pinv, increments, path_prob, running_sum)
 
 
 def trinomial_k1(p=0.25, h=1.0):
@@ -198,7 +198,7 @@ def test_sweep_dn_is_edge_residuals_on_its_own_y(kind, K, F):
     for k in range(K):
         a, b = tree.level_slice(k)
         _kernels.edge_residuals_d1(
-            tree, _kernels.edge_increments(tree, M.scalar, a, b), y, y[a:b],
+            tree, increments(tree, M.scalar, a, b), y, y[a:b],
             z[a:b], a, b, dn)
     assert res.dN.tobytes() == dn.tobytes()
 

@@ -13,7 +13,7 @@ from orthres import _kernels
 from orthres.models import ModelConfig, build
 
 from conftest import permute_last_level, random_full_tree
-from reference import edge_layout
+from reference import edge_layout, increments
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +175,11 @@ def _range_weights(tree, lo, hi, rng):
 
 def _pdm(tree, m, lo, hi):
     return (edge_layout(tree, tree.eprob, lo, hi)
-            * _kernels.edge_increments(tree, m, lo, hi))
+            * increments(tree, m, lo, hi))
 
 
 def _numpy_ey_z(tree, m, y, lo, hi):
-    dm = _kernels.edge_increments(tree, m, lo, hi)
+    dm = increments(tree, m, lo, hi)
     pdm = edge_layout(tree, tree.eprob, lo, hi) * dm
     ey, m1, _ = _kernels.level_moments_d1(tree, pdm, y, lo, hi)
     s2 = _kernels.edge_sum(tree, pdm * dm, lo, hi)
@@ -203,7 +203,7 @@ def run_numpy(name, tree, rng):
         ey, z = _numpy_ey_z(tree, m, y, lo, hi)
         dn = np.zeros(len(tree.eprob))
         res = _kernels.edge_residuals_d1(
-            tree, _kernels.edge_increments(tree, m, lo, hi), y, ey, z, lo, hi,
+            tree, increments(tree, m, lo, hi), y, ey, z, lo, hi,
             dn)
         return dn, res
     if name == "weighted_child_sum":
@@ -239,11 +239,17 @@ def test_wrappers_agree_with_direct_expectation(rng):
 
 def test_edge_increments_per_edge(rng):
     """dm and the probabilities on every edge of a range, in its layout; a
-    move row is laid out as a view of itself, not a copy."""
+    move row is laid out as a view of itself, not a copy.  dm is formed
+    from m on the range and on its children's window alone, which holds
+    every child the tree gives the range."""
     for tree in cases(rng):
         m = rng.normal(size=tree.n_nodes)
         lo, hi = node_range(tree, rng)
-        dm = _kernels.edge_increments(tree, m, lo, hi)
+        c0, c1 = _kernels.child_window(tree, lo, hi)
+        children = tree.edge_children(lo, hi)
+        assert c0 <= children.min() and children.max() < c1
+        dm = _kernels.edge_increments(tree, m[lo:hi], m[c0:c1], lo, hi, c0)
+        assert dm.tobytes() == increments(tree, m, lo, hi).tobytes()
         p = _kernels.edge_probs(tree, lo, hi)
         if tree.probs.ndim == 2 and _kernels._strided(tree):
             assert p.shape == (tree.arity, 1)
@@ -273,7 +279,7 @@ def test_level_moments_dy_and_residual_moments_match_loops(rng):
         lo, hi = node_range(tree, rng)
         y = rng.normal(size=tree.n_nodes)
         m = rng.normal(size=tree.n_nodes)
-        dm = _kernels.edge_increments(tree, m, lo, hi)
+        dm = increments(tree, m, lo, hi)
         ey, m1, dy = _kernels.level_moments_d1(tree, _pdm(tree, m, lo, hi),
                                                y, lo, hi)
         sl = slice(tree.estart[lo], tree.estart[hi])
@@ -303,7 +309,7 @@ def test_batched_columns_are_the_1d_calls(B, rng):
         z = np.asarray(rng.normal(size=(nt, B)), order=order)
         m = rng.normal(size=tree.n_nodes)
         pdm = _pdm(tree, m, lo, hi)
-        dm_all = _kernels.edge_increments(tree, m, 0, nt)
+        dm_all = increments(tree, m, 0, nt)
         dn = np.empty((len(tree.eprob), B))
         ey_b, m1_b, dy = _kernels.level_moments_d1(tree, pdm, y, lo, hi)
         batched = (
@@ -337,7 +343,7 @@ def test_batched_columns_are_the_1d_calls(B, rng):
         # residual_moments_d1 overwrites dy with dn: columns are copied first
         columns = [dy[j].copy() for j in range(B)]
         z_level = z[lo:hi]
-        dm = _kernels.edge_increments(tree, m, lo, hi)
+        dm = increments(tree, m, lo, hi)
         dn_b, res_b = _kernels.residual_moments_d1(tree, dm, dy, z_level,
                                                   lo, hi)
         for j in range(B):

@@ -5,15 +5,16 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orthres import models
+from orthres import bsde, models
 from orthres.errors import InvariantViolation, ModelError, NodeCapExceeded
 from orthres.forward import extract_subtree
-from orthres.ftree import (AdaptedProcess, ScenarioTree, TimeGrid,
-                           conditional_covariances, is_martingale)
+from orthres.ftree import (AdaptedProcess, ClosedFormProcess, ScenarioTree,
+                           TimeGrid, conditional_covariances, is_martingale,
+                           predictable_bracket)
 from orthres.models import ModelConfig, build, estimate_nodes, node_cap
 
-from reference import (TreeBuilder, is_tree, path_prob, path_prob_loop,
-                       product_noise_coin)
+from reference import (TreeBuilder, filled_lattice_walk, is_tree, path_prob,
+                       path_prob_loop, product_noise_coin)
 
 
 def terminal_law(built):
@@ -239,6 +240,86 @@ def test_lattice_walk_matches_reference_builder(config):
     assert_matches_reference_lattice(config)
 
 
+@st.composite
+def walk_configs(draw):
+    """Every kind ``_lattice_walk`` builds, recombining or full, with random
+    step sizes, branch probability, intensities and jumps."""
+    kind = draw(st.sampled_from(["binary", "trinomial", "compensated_jump",
+                                 "product_noise"]))
+    recomb = draw(st.booleans())
+    K = draw(st.integers(1, 4 if kind == "product_noise"
+                         else 24 if recomb else 6))
+    params = {"recombine": recomb}
+    if kind == "compensated_jump":
+        # (lam + lam_down) * dt stays below 0.9; lam_down = 0 is one-sided
+        params["lam"] = draw(st.floats(0.05, 0.45 * K))
+        params["lam_down"] = draw(st.just(0.0) | st.floats(0.05, 0.45 * K))
+        params["jump"] = draw(st.floats(-3.0, 3.0))
+        params["jump_down"] = draw(st.floats(-3.0, 3.0))
+    else:
+        params["h"] = draw(st.floats(1e-3, 10.0))
+    if kind == "trinomial":
+        params["p"] = draw(st.floats(0.01, 0.49))
+    return ModelConfig(kind, K=K, params=params)
+
+
+@settings(deadline=None)
+@given(walk_configs(), st.data())
+def test_closed_form_M_equals_the_filled_walk(config, data):
+    """A lattice's M, formed where it is read, is the filled walk's byte for
+    byte on random node ranges that span levels and random node ids, and
+    the two-sided jump's children formed from its offsets are the array the
+    walk stored, on every range.  The martingale check, the clock and a
+    closed sweep read the same numbers from it as from a stored process of
+    the same values."""
+    walks = []
+    walk = models._lattice_walk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_lattice_walk",
+                   lambda *a: walks.append(a) or walk(*a))
+        built = build(config)
+    tree, M = built.tree, built.M
+    assert isinstance(M, ClosedFormProcess)
+    level_start, mvals, echild = filled_lattice_walk(*walks[0])
+    assert tree.level_start.tobytes() == level_start.tobytes()
+    n = tree.n_nodes
+    ends = st.integers(0, n)
+    for _ in range(4):
+        lo, hi = sorted((data.draw(ends), data.draw(ends)))
+        assert M.range(lo, hi).tobytes() == mvals[lo:hi].tobytes()
+        if echild is not None:
+            es = tree.estart
+            assert (tree.edge_children(lo, hi).tobytes()
+                    == echild[es[lo]:es[hi]].tobytes())
+    if echild is not None:
+        # a level's children less the next level's first node: the view of
+        # the offsets
+        lo, hi = tree.level_slice(data.draw(st.integers(0, tree.K - 1)))
+        assert (tree.edge_children(lo, hi, hi).tobytes()
+                == (echild[es[lo]:es[hi]] - hi).tobytes())
+    ids = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)),
+                   dtype=np.int64)
+    assert M.take(ids).tobytes() == mvals[ids].tobytes()
+    assert M.values.tobytes() == mvals[:, None].tobytes()
+    stored = AdaptedProcess(tree, mvals)
+    a, b = is_martingale(tree, M), is_martingale(tree, stored)
+    assert (a.ok, a.max_violation) == (b.ok, b.max_violation)
+    ca, cb = predictable_bracket(tree, M), predictable_bracket(tree, stored)
+    assert ca.sigma_max == cb.sigma_max
+    assert ca.dC.values.tobytes() == cb.dC.values.tobytes()
+    lo, hi = tree.level_slice(tree.K)
+    zeta = np.sin(3.0 * mvals[lo:hi])
+    sweeps = []
+    for proc, clock in ((M, ca), (stored, cb)):
+        levels = []
+        bracket, _ = bsde._consume(
+            bsde._closed(tree, proc, clock, None, zeta, bsde.linear_y(0.3)),
+            lambda k, a, b, y, z, z_arg, res, dn: levels.append(
+                (y.tobytes(), z.tobytes(), res.tobytes(), dn.tobytes())))
+        sweeps.append((bracket, levels))
+    assert sweeps[0] == sweeps[1]
+
+
 @pytest.mark.parametrize("kind,K,params", [
     ("binary", 64, {}), ("binary", 200, {}),
     ("trinomial", 64, {}), ("trinomial", 200, {}),
@@ -287,12 +368,13 @@ def test_full_trees_take_the_full_walk(monkeypatch, kind):
 
 def test_build_keeps_no_edge_index_arrays():
     """Building trinomial K = 256 (66,049 nodes, 196,608 edges) holds and
-    peaks below 12 bytes per node: M and the path probabilities of every
-    16th level fit (8.7 B/node, 10.2 at the peak), but not with every
-    level's path probabilities kept (8 B/node more), a stored estart
-    (8 B/node more), an (E,) eprob (24 B/node more), eparent and echild
-    (48 B/node more) or a stored node_level (8 B/node more), nor with the
-    lattice's states formed for every level at once."""
+    peaks below 4 bytes per node, the measured 2.4 at the peak (0.9 held)
+    and a margin of 1.6: the path probabilities of every 16th level fit,
+    but not with M stored (8 B/node more), every level's path
+    probabilities kept (8 B/node more), a stored estart (8 B/node more),
+    an (E,) eprob (24 B/node more), eparent and echild (48 B/node more) or
+    a stored node_level (8 B/node more), nor with the lattice's states
+    formed for every level at once."""
     tracemalloc.start()
     try:
         built = build(ModelConfig("trinomial", K=256))
@@ -300,22 +382,21 @@ def test_build_keeps_no_edge_index_arrays():
     finally:
         tracemalloc.stop()
     tree = built.tree
-    budget = 12 * tree.n_nodes
+    budget = 4 * tree.n_nodes
     assert current < budget
     assert peak < budget
 
 
 def test_jump_lattice_build_keeps_no_parent_array():
     """Building the two-sided jump lattice at K = 64 (47,905 nodes, 137,280
-    edges, three out of every non-terminal node) holds and peaks below 28
-    bytes per node, the measured 25.1 at the peak and a margin of 2.9: its
-    int32 children (11.5 B/node), M and the path probabilities of every 8th
-    level fit (20.8 B/node), but not with int64 children (11.5 B/node
-    more) or an int64 copy made on the way, every level's path
-    probabilities kept (8 B/node more), a stored estart (8 B/node more) or
-    parent array (22.9 B/node more), nor with one built only for the tree
-    to drop, nor with the lattice's states formed for every level at
-    once."""
+    edges, three out of every non-terminal node) holds and peaks below 10
+    bytes per node, the measured 7.3 at the peak (3.1 held) and a margin of
+    2.7: its child offsets (one row per node of level K - 1) and the path
+    probabilities of every 8th level fit, but not with M stored (8 B/node
+    more), its int32 children stored (11.5 B/node more), every level's
+    path probabilities kept (8 B/node more), a stored estart (8 B/node
+    more) or parent array (22.9 B/node more), nor with the lattice's
+    states formed for every level at once."""
     tracemalloc.start()
     try:
         built = build(ModelConfig("compensated_jump", K=64))
@@ -324,7 +405,7 @@ def test_jump_lattice_build_keeps_no_parent_array():
         tracemalloc.stop()
     tree = built.tree
     assert tree._eparent is None and tree.arity == 3
-    budget = 28 * tree.n_nodes
+    budget = 10 * tree.n_nodes
     assert current < budget
     assert peak < budget
 
@@ -333,25 +414,30 @@ def test_jump_lattice_build_keeps_no_parent_array():
     ("compensated_jump", {}), ("time_changed", {"kappa": 2.0})])
 def test_built_children_take_4_bytes_and_read_as_int64(kind, params,
                                                       monkeypatch):
-    """The two-sided jump lattice and ``time_changed``, the built trees
-    given their children, make them as int32, and the tree keeps that
-    array, no copy; every read of them (``echild``, ``edge_children`` on
-    any range, an extracted subtree's node map) is int64 and the same ids.
-    A tree given int64 children whose ids fit keeps them as int32 too."""
+    """``time_changed``, the built tree given its children, makes them as
+    int32, and the tree keeps that array, no copy; the two-sided jump
+    lattice is given none, and its tree forms them from its child offsets.
+    Every read of either's children (``echild``, ``edge_children`` on any
+    range, an extracted subtree's node map) is int64 and the same ids, and
+    each subtree, given its children, keeps them as int32.  A tree given
+    int64 children whose ids fit keeps them as int32 too."""
     given = []
 
-    def spy(grid, level_start, eparent, echild, eprob):
+    def spy(grid, level_start, eparent, echild, eprob, **kw):
         given.append(echild)
-        return ScenarioTree(grid, level_start, eparent, echild, eprob)
+        return ScenarioTree(grid, level_start, eparent, echild, eprob, **kw)
     monkeypatch.setattr(models, "ScenarioTree", spy)
     tree = build(ModelConfig(kind, K=12, params=params)).tree
-    assert given[0].dtype == np.int32
-    assert np.shares_memory(tree._echild, given[0])
-    assert tree._echild.dtype == np.int32
-    assert tree._echild.nbytes == 4 * len(tree._echild)
     ec = tree.echild
     assert ec.dtype == np.int64
-    assert np.array_equal(ec, tree._echild)
+    if kind == "compensated_jump":
+        assert given == [None] and tree._echild is None
+    else:
+        assert given[0].dtype == np.int32
+        assert np.shares_memory(tree._echild, given[0])
+        assert tree._echild.dtype == np.int32
+        assert tree._echild.nbytes == 4 * len(tree._echild)
+        assert np.array_equal(ec, tree._echild)
     es = tree.estart
     for lo, hi in ((0, tree.n_nodes), (3, 17), (5, 5),
                    tree.level_slice(tree.K - 1)):
@@ -363,7 +449,7 @@ def test_built_children_take_4_bytes_and_read_as_int64(kind, params,
     assert sub._echild.dtype == np.int32 and sub.echild.dtype == np.int64
     twin = ScenarioTree(tree.grid, tree.level_start, None, ec, tree.probs)
     assert twin._echild.dtype == np.int32
-    assert twin._echild.tobytes() == tree._echild.tobytes()
+    assert np.array_equal(twin._echild, ec)
 
 
 def reference_time_changed(config):
